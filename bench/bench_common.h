@@ -70,7 +70,14 @@ struct BaselineWorld {
 };
 
 // A world with an OMOS server installed; meta-objects /bin/ls, /bin/codegen.
+// The server holds segments in the kernel's PhysMemory, so it must die
+// first: members destroy in reverse order, and move assignment (which
+// would replace `kernel` before `server`) is deleted.
 struct OmosWorld {
+  OmosWorld() = default;
+  OmosWorld(OmosWorld&&) = default;
+  OmosWorld& operator=(OmosWorld&&) = delete;
+
   std::unique_ptr<Kernel> kernel;
   std::unique_ptr<OmosServer> server;
 

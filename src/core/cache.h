@@ -68,9 +68,10 @@ struct StubSlot {
   std::string symbol;
 };
 
-// A resolved library dependency of a cached program image.
+// A cached image another image was linked against: a program's library,
+// or the client program of a dynamically loaded class.
 struct LibDep {
-  std::string cache_key;  // key of the library's own cached image
+  std::string cache_key;  // key of the dependency's own cached image
   std::string lib_path;
 };
 
@@ -83,9 +84,12 @@ struct CachedImage {
   std::optional<SegmentImage> text_seg;
   // Frame-backed master copy of the initialized data segment, mapped CoW
   // into each client task (the paper's vm_map exec path). Absent when the
-  // image has no data or the server runs with eager_data_copy.
+  // image has no initialized data.
   std::optional<SegmentImage> data_seg;
   std::vector<LibDep> deps;
+  // Sorted namespace paths the build read. The image is stale exactly when
+  // one of these is redefined or one of `deps` is evicted.
+  std::vector<std::string> inputs;
   std::vector<StubSlot> stub_slots;
   uint64_t build_cost = 0;  // simulated cycles spent constructing this image
   // Layout generation the image's placement was assigned at (the prelink

@@ -6,7 +6,21 @@
 
 namespace omos {
 
+namespace {
+
+// Normal form: absolute, no empty component, no trailing slash. Most paths
+// arrive normal already.
+bool IsNormal(std::string_view path) {
+  return StartsWith(path, "/") && (path.size() == 1 || path.back() != '/') &&
+         path.find("//") == std::string_view::npos;
+}
+
+}  // namespace
+
 std::string OmosNamespace::Normalize(std::string_view path) {
+  if (IsNormal(path)) {
+    return std::string(path);
+  }
   std::string out = "/";
   for (const std::string& part : SplitString(path, '/')) {
     if (part.empty()) {
@@ -78,24 +92,23 @@ Result<void> OmosNamespace::AddFragment(std::string_view path, ObjectFile object
 
 Result<void> OmosNamespace::Publish(std::string path, NamespaceEntry entry) {
   auto fresh = std::make_shared<const NamespaceEntry>(std::move(entry));
+  // Declared before the lock, so a replaced version is freed after the lock
+  // drops (or later, by the last in-flight build still holding it).
+  std::shared_ptr<const NamespaceEntry> replaced;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [it, inserted] = entries_.try_emplace(std::move(path), fresh);
-  if (!inserted) {
-    // Redefinition: retire the old version so pointers handed out by
-    // earlier Lookups stay valid (in-flight builds finish against it).
-    graveyard_.push_back(std::move(it->second));
-    it->second = std::move(fresh);
-  }
+  replaced = std::exchange(entries_[std::move(path)], std::move(fresh));
   return OkResult();
 }
 
-Result<const NamespaceEntry*> OmosNamespace::Lookup(std::string_view path) const {
+Result<std::shared_ptr<const NamespaceEntry>> OmosNamespace::Lookup(std::string_view path) const {
+  std::string normalized;
+  std::string_view key = IsNormal(path) ? path : (normalized = Normalize(path));
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(Normalize(path));
+  auto it = entries_.find(key);
   if (it == entries_.end()) {
     return Err(ErrorCode::kNotFound, StrCat("no such object: ", path));
   }
-  return it->second.get();
+  return it->second;
 }
 
 bool OmosNamespace::Exists(std::string_view path) const {

@@ -3,11 +3,10 @@
 //
 // Internally synchronized (PR 3): many server worker threads Lookup/List
 // concurrently while administrative requests redefine entries. Entries are
-// immutable once published and held by shared_ptr; a redefinition swaps in
-// a new entry and retires the old one to a graveyard kept until the
-// namespace dies, so a `const NamespaceEntry*` from Lookup stays valid for
-// the namespace's lifetime even across concurrent redefinition (builds in
-// flight keep linking against the blueprint version they looked up).
+// immutable once published and handed out by shared_ptr; a redefinition
+// swaps in a new entry, and the old one lives exactly as long as some
+// caller still holds it (builds in flight keep linking against the
+// blueprint version they looked up).
 #ifndef OMOS_SRC_CORE_NAMESPACE_H_
 #define OMOS_SRC_CORE_NAMESPACE_H_
 
@@ -51,9 +50,9 @@ class OmosNamespace {
   // Register a relocatable object fragment (a leaf operand, e.g. /obj/ls.o).
   Result<void> AddFragment(std::string_view path, ObjectFile object);
 
-  // The pointer stays valid for the namespace's lifetime (see file comment),
-  // but names the entry version current at lookup time.
-  Result<const NamespaceEntry*> Lookup(std::string_view path) const;
+  // The entry version current at lookup time; it stays alive while the
+  // caller holds it, even across a redefinition.
+  Result<std::shared_ptr<const NamespaceEntry>> Lookup(std::string_view path) const;
   bool Exists(std::string_view path) const;
 
   // Immediate children of `path` (directory listing of the exported
@@ -75,9 +74,6 @@ class OmosNamespace {
 
   mutable std::shared_mutex mu_;
   std::map<std::string, std::shared_ptr<const NamespaceEntry>, std::less<>> entries_;
-  // Redefined entries, kept so Lookup pointers handed out before the
-  // redefinition never dangle. Bounded by the number of redefinitions.
-  std::vector<std::shared_ptr<const NamespaceEntry>> graveyard_;
 };
 
 }  // namespace omos

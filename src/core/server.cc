@@ -28,6 +28,16 @@ constexpr uint64_t kAssembleLineCost = 40;
 
 uint32_t AlignTo(uint32_t value, uint32_t align) { return (value + align - 1) / align * align; }
 
+// Each address set in `over` replaces the one in `base`.
+void Overlay(PlacementHints& base, const PlacementHints& over) {
+  if (over.text_base.has_value()) {
+    base.text_base = over.text_base;
+  }
+  if (over.data_base.has_value()) {
+    base.data_base = over.data_base;
+  }
+}
+
 // Regex alternation matching exactly the given names: "^(a|b|c)$".
 std::string NamesPattern(const std::vector<std::string>& names) {
   std::string pattern = "^(";
@@ -39,6 +49,39 @@ std::string NamesPattern(const std::vector<std::string>& names) {
   }
   pattern += ")$";
   return pattern;
+}
+
+// Maps a cached image into `task`: text shared from its master segment and
+// data copy-on-write against its data master. An image with no text master
+// (empty text) maps by private copy. Callers hold kernel_mu_.
+Result<void> MapCached(Kernel& kernel, Task& task, const CachedImage& cached) {
+  if (cached.text_seg.has_value()) {
+    return MapImageWithSharedText(kernel, task, cached.image, *cached.text_seg,
+                                  cached.data_seg ? &*cached.data_seg : nullptr);
+  }
+  return MapLinkedImage(kernel, task, cached.image, "");
+}
+
+// One build per key across concurrent misses (ImageCache::JoinBuild): the
+// leader runs `build` and publishes; followers share its image, or build
+// themselves when it failed (a first-hand error, or a success if the failure
+// was transient). A leader elected just after an earlier leader published
+// (its miss raced that publish) takes the published image.
+template <typename Build>
+Result<const CachedImage*> SingleFlight(ImageCache& cache, const std::string& key, Build&& build) {
+  ImageCache::MissJoin join = cache.JoinBuild(key);
+  if (!join.leader && join.image != nullptr) {
+    return join.image;
+  }
+  if (const CachedImage* published = join.leader ? cache.Peek(key) : nullptr) {
+    cache.FinishBuild(key, published);
+    return published;
+  }
+  Result<const CachedImage*> result = build();
+  if (join.leader) {
+    cache.FinishBuild(key, result.ok() ? *result : nullptr);
+  }
+  return result;
 }
 
 }  // namespace
@@ -97,61 +140,51 @@ OmosServer::~OmosServer() {
   optimizer_->server = nullptr;
 }
 
-void OmosServer::InvalidateImagesOf(std::string_view path) {
-  std::string norm = OmosNamespace::Normalize(path);
-  // Seed: the path's own cached images, plus images of every meta-object
-  // whose blueprint mentions the path.
-  std::set<std::string> victim_paths{norm};
-  bool grew = true;
-  while (grew) {
+std::set<std::string> OmosServer::CachedDependents(std::set<std::string> roots,
+                                                   bool transitive) const {
+  ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid
+  std::vector<const CachedImage*> images;
+  for (const std::string& key : cache_.Keys()) {
+    if (const CachedImage* image = cache_.Peek(key)) {
+      images.push_back(image);
+    }
+  }
+  auto depends = [&roots](const CachedImage& image) {
+    return std::any_of(roots.begin(), roots.end(),
+                       [&](const std::string& root) {
+                         return std::binary_search(image.inputs.begin(), image.inputs.end(), root);
+                       }) ||
+           std::any_of(image.deps.begin(), image.deps.end(),
+                       [&](const LibDep& dep) { return roots.count(dep.cache_key) != 0; });
+  };
+  std::set<std::string> found;
+  for (bool grew = true; grew;) {
     grew = false;
-    // Propagate through library-dependency edges recorded in cached images.
-    for (const std::string& key : cache_.Keys()) {
-      std::string_view path_part = key;
-      SplitCacheKey(key, &path_part, nullptr);
-      std::string key_path(path_part);
-      if (victim_paths.count(key_path) != 0) {
-        continue;
-      }
-      const CachedImage* image = cache_.Peek(key);
-      if (image == nullptr) {
-        continue;
-      }
-      for (const LibDep& dep : image->deps) {
-        std::string_view dep_part = dep.cache_key;
-        SplitCacheKey(dep.cache_key, &dep_part, nullptr);
-        std::string dep_path(dep_part);
-        if (victim_paths.count(dep_path) != 0 || victim_paths.count(dep.lib_path) != 0) {
-          victim_paths.insert(key_path);
-          grew = true;
-          break;
-        }
+    for (const CachedImage* image : images) {
+      if (found.count(image->key) == 0 && depends(*image)) {
+        found.insert(image->key);
+        grew = transitive;
       }
     }
+    roots.insert(found.begin(), found.end());
   }
-  // Also: metas whose blueprint text references a victim path directly
-  // (fragment redefinition has no dep edge).
-  // One extra pass is enough because their images carry the meta's path.
-  for (const std::string& key : cache_.Keys()) {
+  return found;
+}
+
+void OmosServer::InvalidateImagesOf(const std::vector<std::string>& paths) {
+  std::set<std::string> victim_paths;
+  for (const std::string& path : paths) {
+    victim_paths.insert(OmosNamespace::Normalize(path));
+  }
+  for (const std::string& key : CachedDependents(victim_paths, /*transitive=*/true)) {
+    {
+      std::lock_guard<std::mutex> lock(solver_mu_);
+      solver_.Release(key);
+    }
+    cache_.Evict(key);
     std::string_view path_part = key;
     SplitCacheKey(key, &path_part, nullptr);
-    std::string key_path(path_part);
-    auto entry = namespace_.Lookup(key_path);
-    if (entry.ok() && (*entry)->blueprint_text.find(norm) != std::string::npos) {
-      victim_paths.insert(key_path);
-    }
-  }
-  for (const std::string& key : cache_.Keys()) {
-    std::string_view path_part = key;
-    SplitCacheKey(key, &path_part, nullptr);
-    std::string key_path(path_part);
-    if (victim_paths.count(key_path) != 0) {
-      {
-        std::lock_guard<std::mutex> lock(solver_mu_);
-        solver_.Release(key);
-      }
-      cache_.Evict(key);
-    }
+    victim_paths.emplace(path_part);
   }
   // Persisted images of the victims are stale too. Space management only:
   // a stale record is already unreachable (its fingerprint covers the old
@@ -164,14 +197,15 @@ void OmosServer::InvalidateImagesOf(std::string_view path) {
   // Optimizer bookkeeping for invalidated images is stale: drop hit counts
   // and aliases so the rebuilt image earns optimization afresh.
   {
+    auto stale = [&](const std::string& key) {
+      std::string_view path_part = key;
+      SplitCacheKey(key, &path_part, nullptr);
+      return victim_paths.count(std::string(path_part)) != 0;
+    };
     std::lock_guard<std::mutex> lock(optimizer_->mu);
-    for (const std::string& victim : victim_paths) {
-      std::string prefix = victim + std::string(kCacheKeySep);
-      auto stale = [&](const std::string& key) { return StartsWith(key, prefix); };
-      std::erase_if(optimizer_->warm_hits, [&](const auto& kv) { return stale(kv.first); });
-      std::erase_if(optimizer_->attempted, stale);
-      std::erase_if(optimizer_->alias, [&](const auto& kv) { return stale(kv.first); });
-    }
+    std::erase_if(optimizer_->warm_hits, [&](const auto& kv) { return stale(kv.first); });
+    std::erase_if(optimizer_->attempted, stale);
+    std::erase_if(optimizer_->alias, [&](const auto& kv) { return stale(kv.first); });
   }
   // Predecoded blocks of the victims' text are stale the moment a rebuilt
   // image can be mapped; running tasks pick up the flush at their next
@@ -180,37 +214,55 @@ void OmosServer::InvalidateImagesOf(std::string_view path) {
   kernel_->engine().InvalidateAll("redefine");
 }
 
+int OmosServer::EvictMoved(const std::vector<std::string>& moved) {
+  std::set<std::string> victims =
+      CachedDependents({moved.begin(), moved.end()}, /*transitive=*/false);
+  victims.insert(moved.begin(), moved.end());
+  int evicted = 0;
+  for (const std::string& key : victims) {
+    if (cache_.Contains(key)) {
+      cache_.Evict(key);
+      ++evicted;
+    }
+  }
+  return evicted;
+}
+
 Result<void> OmosServer::DefineMeta(std::string_view path, std::string_view blueprint) {
   std::lock_guard<std::mutex> lock(admin_mu_);
-  InvalidateImagesOf(path);
+  InvalidateImagesOf({std::string(path)});
   BumpNamespaceGeneration();
   return namespace_.DefineMeta(path, blueprint, EntryKind::kMeta);
 }
 
 Result<void> OmosServer::DefineLibrary(std::string_view path, std::string_view blueprint) {
   std::lock_guard<std::mutex> lock(admin_mu_);
-  InvalidateImagesOf(path);
+  InvalidateImagesOf({std::string(path)});
   BumpNamespaceGeneration();
   return namespace_.DefineMeta(path, blueprint, EntryKind::kLibrary);
 }
 
 Result<void> OmosServer::AddFragment(std::string_view path, ObjectFile object) {
   std::lock_guard<std::mutex> lock(admin_mu_);
-  InvalidateImagesOf(path);
+  InvalidateImagesOf({std::string(path)});
   BumpNamespaceGeneration();
   return namespace_.AddFragment(path, std::move(object));
 }
 
 Result<void> OmosServer::AddArchive(std::string_view dir, const Archive& archive) {
   std::lock_guard<std::mutex> lock(admin_mu_);
-  BumpNamespaceGeneration();
+  std::vector<std::string> paths{std::string(dir)};
   std::string meta = "(merge";
   for (const ObjectFile& member : archive.members()) {
-    std::string path = StrCat(dir, "/", member.name());
-    OMOS_TRY_VOID(namespace_.AddFragment(path, member));
-    meta += " " + path;
+    paths.push_back(StrCat(dir, "/", member.name()));
+    meta += " " + paths.back();
   }
   meta += ")";
+  InvalidateImagesOf(paths);
+  BumpNamespaceGeneration();
+  for (size_t i = 0; i < archive.members().size(); ++i) {
+    OMOS_TRY_VOID(namespace_.AddFragment(paths[i + 1], archive.members()[i]));
+  }
   return namespace_.DefineMeta(dir, meta, EntryKind::kMeta);
 }
 
@@ -229,12 +281,7 @@ Result<Module> OmosServer::MergeValues(std::vector<EvalValue> values, EvalValue&
   std::optional<Module> acc;
   for (EvalValue& value : values) {
     out.libs.insert(out.libs.end(), value.libs.begin(), value.libs.end());
-    if (value.hints.text_base.has_value()) {
-      out.hints.text_base = value.hints.text_base;
-    }
-    if (value.hints.data_base.has_value()) {
-      out.hints.data_base = value.hints.data_base;
-    }
+    Overlay(out.hints, value.hints);
     if (!value.module.has_value()) {
       continue;
     }
@@ -252,9 +299,15 @@ Result<Module> OmosServer::MergeValues(std::vector<EvalValue> values, EvalValue&
   return std::move(*acc);
 }
 
+Result<std::shared_ptr<const NamespaceEntry>> OmosServer::ReadInput(std::string_view path,
+                                                                    BuildTracker& tracker) const {
+  tracker.inputs.push_back(OmosNamespace::Normalize(path));
+  return namespace_.Lookup(tracker.inputs.back());
+}
+
 Result<OmosServer::EvalValue> OmosServer::EvalName(const std::string& name, BuildTracker& tracker,
                                                    int depth) {
-  OMOS_TRY(const NamespaceEntry* entry, namespace_.Lookup(name));
+  OMOS_TRY(std::shared_ptr<const NamespaceEntry> entry, ReadInput(name, tracker));
   EvalValue value;
   switch (entry->kind) {
     case EntryKind::kFragment:
@@ -420,12 +473,7 @@ Result<OmosServer::EvalValue> OmosServer::Eval(const Sexpr& expr, BuildTracker& 
     if (!out.libs.empty()) {
       for (LibraryUse& use : out.libs) {
         use.spec.name = spec_name;
-        if (hints.text_base.has_value()) {
-          use.spec.hints.text_base = hints.text_base;
-        }
-        if (hints.data_base.has_value()) {
-          use.spec.hints.data_base = hints.data_base;
-        }
+        Overlay(use.spec.hints, hints);
       }
       out.module = std::move(merged);
       return out;
@@ -507,7 +555,7 @@ void OmosServer::ChargeLinkWork(const LinkStats& stats, uint32_t symbol_count,
 }
 
 Result<Module> OmosServer::BuildMonolithicModule(const std::string& path, BuildTracker& tracker) {
-  OMOS_TRY(const NamespaceEntry* entry, namespace_.Lookup(path));
+  OMOS_TRY(std::shared_ptr<const NamespaceEntry> entry, ReadInput(path, tracker));
   if (entry->kind == EntryKind::kFragment) {
     return Module::FromObject(entry->fragment);
   }
@@ -526,7 +574,7 @@ Result<Module> OmosServer::BuildMonolithicModule(const std::string& path, BuildT
     if (!seen.insert(use.path).second) {
       continue;
     }
-    OMOS_TRY(const NamespaceEntry* lib, namespace_.Lookup(use.path));
+    OMOS_TRY(std::shared_ptr<const NamespaceEntry> lib, ReadInput(use.path, tracker));
     if (lib->kind == EntryKind::kFragment) {
       OMOS_TRY(m, Module::Merge(m, Module::FromObject(lib->fragment)));
       continue;
@@ -573,23 +621,12 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
     TraceWarmHitSampled(norm);
     return hit;
   }
-  // Cold path: the span covers single-flight election and the build.
+  // Cold path: the span covers single-flight election and the build. N
+  // concurrent misses of one key do the construction work once and share
+  // the image (CacheStats::single_flight_waits counts the followers).
   TraceSpan trace("server.instantiate", norm);
-  // Miss: elect one builder per key. Followers block until the leader
-  // publishes, so N concurrent misses of one key do the construction work
-  // once and share the image (CacheStats::single_flight_waits counts the
-  // followers; inserts stays 1).
-  ImageCache::MissJoin join = cache_.JoinBuild(key);
-  if (!join.leader) {
-    if (join.image != nullptr) {
-      return join.image;
-    }
-    // The leader's build failed. Build it ourselves so this caller gets a
-    // first-hand error — or a success, if the failure was transient (e.g. a
-    // redefinition raced the build).
-  }
   BuildTracker tracker;
-  auto result = [&]() -> Result<const CachedImage*> {
+  auto result = SingleFlight(cache_, key, [&]() -> Result<const CachedImage*> {
     // Second tier: a persisted image linked from identical inputs adopts
     // straight into the cache — no evaluation, no relocation.
     if (store_ != nullptr && StorableSpec(spec)) {
@@ -605,15 +642,21 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
       PublishToStore(norm, spec, **built, tracker);
     }
     return built;
-  }();
-  if (join.leader) {
-    cache_.FinishBuild(key, result.ok() ? *result : nullptr);
-  }
+  });
   if (work_cycles != nullptr) {
     *work_cycles += tracker.work;
   }
   trace.AddSimCycles(0, tracker.work);
   return result;
+}
+
+Result<const CachedImage*> OmosServer::InstantiateFor(Task& task, const std::string& path,
+                                                      const Specialization& spec) {
+  uint64_t work = 0;
+  OMOS_TRY(const CachedImage* image, Instantiate(path, spec, &work));
+  std::lock_guard<std::mutex> lock(kernel_mu_);
+  task.BillSys(work + kernel_->costs().omos_cache_lookup);
+  return image;
 }
 
 // ---- Idle-time background optimization --------------------------------------
@@ -677,14 +720,18 @@ void OmosServer::NoteWarmHit(const std::string& key, const std::string& norm,
     optimizer_->attempted.insert(key);
   }
   // Queue on the background lane: the pool runs it only when no foreground
-  // request is pending — the paper's "during idle time". The job holds the
-  // shared state, not the server, so it degrades to a no-op if the server
-  // is gone by the time it runs.
+  // request is pending — the paper's "during idle time".
+  SubmitIdle([key, norm](OmosServer& server) { server.RunOptimizeJob(key, norm); });
+}
+
+void OmosServer::SubmitIdle(std::function<void(OmosServer&)> job) {
+  // The job holds the shared state, not the server, so it degrades to a
+  // no-op if the server is gone by the time it runs.
   std::shared_ptr<OptimizerState> state = optimizer_;
-  ThreadPool::Global().SubmitBackground([state, key, norm] {
+  ThreadPool::Global().SubmitBackground([state, job = std::move(job)] {
     std::lock_guard<std::mutex> alive(state->job_mu);
     if (state->server != nullptr) {
-      state->server->RunOptimizeJob(key, norm);
+      job(*state->server);
     }
   });
 }
@@ -740,7 +787,7 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
                                                   const std::string& key,
                                                   BuildTracker& tracker) {
   TraceSpan trace("server.build_image", key);
-  OMOS_TRY(const NamespaceEntry* entry, namespace_.Lookup(path));
+  OMOS_TRY(std::shared_ptr<const NamespaceEntry> entry, ReadInput(path, tracker));
 
   EvalValue value;
   if (spec.name == "monitor" || spec.name == "reorder") {
@@ -861,8 +908,20 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
       deps.push_back(LibDep{lib->key, use.path});
     }
   }
-  bool has_lazy = !slots.empty();
 
+  PlacementHints hints = entry->hints;
+  Overlay(hints, value.hints);
+  Overlay(hints, spec.hints);
+  CachedImage cached;
+  cached.deps = std::move(deps);
+  cached.stub_slots = std::move(slots);
+  return LinkAndPublish(key, client, hints, std::move(externals), std::move(cached), tracker);
+}
+
+Result<const CachedImage*> OmosServer::LinkAndPublish(const std::string& key, const Module& client,
+                                                      const PlacementHints& hints,
+                                                      std::map<std::string, uint32_t> externals,
+                                                      CachedImage cached, BuildTracker& tracker) {
   // Size estimate for placement (must match LinkImage's layout pass).
   uint32_t text_size = 0;
   uint32_t data_size = 0;
@@ -871,20 +930,6 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
     text_size = AlignTo(text_size, 8) + frag->section(SectionKind::kText).size();
     data_size = AlignTo(data_size, 4) + frag->section(SectionKind::kData).size();
     bss_size = AlignTo(bss_size, 4) + frag->section(SectionKind::kBss).size();
-  }
-
-  PlacementHints hints = entry->hints;
-  if (value.hints.text_base.has_value()) {
-    hints.text_base = value.hints.text_base;
-  }
-  if (value.hints.data_base.has_value()) {
-    hints.data_base = value.hints.data_base;
-  }
-  if (spec.hints.text_base.has_value()) {
-    hints.text_base = spec.hints.text_base;
-  }
-  if (spec.hints.data_base.has_value()) {
-    hints.data_base = spec.hints.data_base;
   }
   Placement placement;
   bool conflict_grew = false;
@@ -914,20 +959,19 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
   }
   ChargeLinkWork(image.stats, symbol_count, tracker);
 
-  CachedImage cached;
   cached.image = std::move(image);
   OMOS_TRY_VOID(MaterializeSegments(cached));
-  cached.deps = std::move(deps);
-  if (has_lazy) {
-    cached.stub_slots = std::move(slots);
-  }
+  cached.inputs = std::move(tracker.inputs);
+  std::sort(cached.inputs.begin(), cached.inputs.end());
+  cached.inputs.erase(std::unique(cached.inputs.begin(), cached.inputs.end()),
+                      cached.inputs.end());
   cached.build_cost = tracker.work;
   cached.layout_generation = placement.generation;
   return cache_.Put(key, std::move(cached));
 }
 
 Result<void> OmosServer::MaterializeSegments(CachedImage& cached) {
-  if (cached.image.text.empty() && (config_.eager_data_copy || cached.image.data.empty())) {
+  if (cached.image.text.empty() && cached.image.data.empty()) {
     return OkResult();
   }
   std::lock_guard<std::mutex> lock(kernel_mu_);  // phys-memory allocation
@@ -935,7 +979,7 @@ Result<void> OmosServer::MaterializeSegments(CachedImage& cached) {
     OMOS_TRY(SegmentImage seg, SegmentImage::Create(kernel_->phys(), cached.image.text));
     cached.text_seg = std::move(seg);
   }
-  if (!config_.eager_data_copy && !cached.image.data.empty()) {
+  if (!cached.image.data.empty()) {
     OMOS_TRY(SegmentImage seg, SegmentImage::Create(kernel_->phys(), cached.image.data));
     cached.data_seg = std::move(seg);
   }
@@ -988,7 +1032,8 @@ void CollectMentionedPaths(const Sexpr& expr, std::vector<std::string>& out) {
 }  // namespace
 
 Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
-                                              const Specialization& spec) const {
+                                              const Specialization& spec,
+                                              std::vector<std::string>* inputs) const {
   FingerprintStream fp;
   fp.Str("omos-store-v2");
   fp.Str(norm);
@@ -1015,7 +1060,7 @@ Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
     if (!entry_or.ok()) {
       continue;  // absent names contribute nothing (and change the hash when defined later)
     }
-    const NamespaceEntry* entry = *entry_or;
+    const NamespaceEntry* entry = entry_or->get();
     fp.Str(path);
     fp.U64(static_cast<uint64_t>(entry->kind));
     if (entry->kind == EntryKind::kFragment) {
@@ -1027,6 +1072,9 @@ Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
       CollectMentionedPaths(entry->construction, work);
     }
   }
+  if (inputs != nullptr) {
+    inputs->assign(seen.begin(), seen.end());
+  }
   return fp.h;
 }
 
@@ -1034,7 +1082,8 @@ const CachedImage* OmosServer::TryAdoptFromStore(const std::string& norm,
                                                  const Specialization& spec,
                                                  const std::string& key,
                                                  BuildTracker& tracker) {
-  auto fingerprint = StoreFingerprint(norm, spec);
+  std::vector<std::string> inputs;
+  auto fingerprint = StoreFingerprint(norm, spec, &inputs);
   if (!fingerprint.ok()) {
     return nullptr;
   }
@@ -1088,6 +1137,7 @@ const CachedImage* OmosServer::TryAdoptFromStore(const std::string& norm,
   for (const StoredStubSlot& slot : record.stub_slots) {
     cached.stub_slots.push_back(StubSlot{slot.index, slot.slot_symbol, slot.lib_path, slot.symbol});
   }
+  cached.inputs = std::move(inputs);
   cached.build_cost = record.build_cost;
   cached.layout_generation = placement_generation;
   if (!MaterializeSegments(cached).ok()) {
@@ -1146,25 +1196,14 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
   TraceSpan trace("server.map_program", program.key);
   {
     std::lock_guard<std::mutex> lock(kernel_mu_);
-    if (program.text_seg.has_value()) {
-      OMOS_TRY_VOID(MapImageWithSharedText(*kernel_, task, program.image, *program.text_seg,
-                                           program.data_seg ? &*program.data_seg : nullptr));
-    } else {
-      OMOS_TRY_VOID(MapLinkedImage(*kernel_, task, program.image, ""));
-    }
+    OMOS_TRY_VOID(MapCached(*kernel_, task, program));
   }
   TaskRuntime runtime;
   runtime.program_key = program.key;
   for (const LibDep& dep : program.deps) {
     // Lazy deps (partial-image libraries) map on first call via kSysDload.
-    bool lazy = false;
-    for (const StubSlot& slot : program.stub_slots) {
-      if (slot.lib_path == dep.cache_key) {
-        lazy = true;
-        break;
-      }
-    }
-    if (lazy) {
+    if (std::any_of(program.stub_slots.begin(), program.stub_slots.end(),
+                    [&](const StubSlot& slot) { return slot.lib_path == dep.cache_key; })) {
       continue;
     }
     // An evicted or rotted library image is rebuilt, not a fatal error; the
@@ -1173,12 +1212,7 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
     OMOS_TRY(const CachedImage* lib, GetOrRebuild(dep.cache_key, &rebuild_work));
     std::lock_guard<std::mutex> lock(kernel_mu_);
     task.BillSys(rebuild_work);
-    if (lib->text_seg.has_value()) {
-      OMOS_TRY_VOID(MapImageWithSharedText(*kernel_, task, lib->image, *lib->text_seg,
-                                           lib->data_seg ? &*lib->data_seg : nullptr));
-    } else {
-      OMOS_TRY_VOID(MapLinkedImage(*kernel_, task, lib->image, ""));
-    }
+    OMOS_TRY_VOID(MapCached(*kernel_, task, *lib));
   }
   for (const StubSlot& slot : program.stub_slots) {
     const ImageSymbol* sym = program.image.FindSymbol(slot.slot_symbol);
@@ -1194,6 +1228,24 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
   std::lock_guard<std::mutex> lock(runtimes_mu_);
   runtimes_[task.id()] = std::move(runtime);
   return program.image.entry;
+}
+
+Result<bool> OmosServer::MapFirstUse(Task& task, const CachedImage& image,
+                                     uint64_t first_use_cost) {
+  {
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
+    auto it = runtimes_.find(task.id());
+    if (it == runtimes_.end()) {
+      return Err(ErrorCode::kNotFound, StrCat(task.name(), ": task released"));
+    }
+    if (!it->second.mapped_libs.insert(image.key).second) {
+      return false;
+    }
+  }
+  task.BillSys(first_use_cost);
+  std::lock_guard<std::mutex> lock(kernel_mu_);
+  OMOS_TRY_VOID(MapCached(*kernel_, task, image));
+  return true;
 }
 
 void OmosServer::ReleaseTask(TaskId id) {
@@ -1255,13 +1307,7 @@ Result<uint64_t> OmosServer::BeginUpgrade(const std::string& path,
   TraceInstant("upgrade.begin", norm);
   // Link on the idle lane (the pool runs it only when no foreground request
   // is pending) so running tasks never stall behind the new version's link.
-  std::shared_ptr<OptimizerState> state = optimizer_;
-  ThreadPool::Global().SubmitBackground([state, job] {
-    std::lock_guard<std::mutex> alive(state->job_mu);
-    if (state->server != nullptr) {
-      state->server->RunUpgradeLink(job);
-    }
-  });
+  SubmitIdle([job](OmosServer& server) { server.RunUpgradeLink(job); });
   return job->id;
 }
 
@@ -1271,96 +1317,65 @@ void OmosServer::RunUpgradeLink(std::shared_ptr<UpgradeJob> job) {
     AbortUpgrade(job, "upgrade.link: injected fault");
     return;
   }
+  if (Result<void> linked = LinkUpgrade(*job); !linked.ok()) {
+    AbortUpgrade(job, linked.error().ToString());
+    return;
+  }
+  RunUpgradeRepoint(std::move(job));
+}
+
+Result<void> OmosServer::LinkUpgrade(UpgradeJob& job) {
   // The new version links under a shadow namespace path so the solver
   // assigns it a fresh placement: old addresses must stay live while
   // suspended frames still execute old code. The real path keeps the old
   // definition until the reclaim phase redefines it.
-  std::string shadow = OmosNamespace::Normalize(StrCat(job->path, "@v", job->id));
-  if (Result<void> defined = DefineLibrary(shadow, job->new_blueprint); !defined.ok()) {
-    AbortUpgrade(job, defined.error().ToString());
-    return;
-  }
+  std::string shadow = OmosNamespace::Normalize(StrCat(job.path, "@v", job.id));
+  OMOS_TRY_VOID(DefineLibrary(shadow, job.new_blueprint));
   Specialization impl_spec;
   impl_spec.name = "lib-dynamic-impl";
   ImageCache::ReadLease lease(cache_);  // pins images across map construction
   uint64_t work = 0;
-  auto linked = Instantiate(shadow, impl_spec, &work);
-  if (!linked.ok()) {
-    AbortUpgrade(job, linked.error().ToString());
-    return;
-  }
-  const CachedImage* new_impl = *linked;
+  OMOS_TRY(const CachedImage* new_impl, Instantiate(shadow, impl_spec, &work));
   // The old implementation only matters if some task or cached client can
   // still reach it; a rebuilt image reuses the old placement, so the
   // transfer map's old-address ranges are exact even after an eviction.
-  bool old_referenced = cache_.Contains(job->old_impl_key);
+  bool old_referenced = cache_.Contains(job.old_impl_key);
+  auto old_slot = [&](const TaskRuntime::Slot& slot) { return slot.lib_path == job.old_impl_key; };
   if (!old_referenced) {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     for (const auto& [tid, runtime] : runtimes_) {
-      if (runtime.mapped_libs.count(job->old_impl_key) != 0) {
-        old_referenced = true;
-        break;
-      }
-      for (const TaskRuntime::Slot& slot : runtime.slots) {
-        if (slot.lib_path == job->old_impl_key) {
-          old_referenced = true;
-          break;
-        }
-      }
-      if (old_referenced) {
-        break;
-      }
+      old_referenced = old_referenced || runtime.mapped_libs.count(job.old_impl_key) != 0 ||
+                       std::any_of(runtime.slots.begin(), runtime.slots.end(), old_slot);
     }
   }
   if (!old_referenced) {
-    job->map = std::make_shared<const FrameTransferMap>();  // covers nothing
-    RunUpgradeRepoint(std::move(job));
-    return;
+    job.map = std::make_shared<const FrameTransferMap>();  // covers nothing
+    return OkResult();
   }
-  auto old_or = GetOrRebuild(job->old_impl_key, &work);
-  if (!old_or.ok()) {
-    AbortUpgrade(job, old_or.error().ToString());
-    return;
-  }
-  const CachedImage* old_impl = *old_or;
+  OMOS_TRY(const CachedImage* old_impl, GetOrRebuild(job.old_impl_key, &work));
   // Symbols the new version dropped degrade to availability-check stubs
-  // (return kUpgradeUnavailable) instead of faulting. The stub image lives
-  // under a path that does not embed job->path, so the reclaim-phase
-  // redefinition's blueprint-text sweep cannot evict it from under a task.
+  // (return kUpgradeUnavailable) instead of faulting. The stub image reads
+  // only its own /.upgrade paths, so the reclaim-phase redefinition of
+  // job.path does not evict it from under a task.
   std::vector<std::string> deleted = DeletedTextSymbols(old_impl->image, new_impl->image);
   if (!deleted.empty()) {
-    std::string degrade_dir = StrCat("/.upgrade/v", job->id);
-    auto stub_obj = GenerateDegradationStubs(deleted, "degrade.o");
-    if (!stub_obj.ok()) {
-      AbortUpgrade(job, stub_obj.error().ToString());
-      return;
-    }
+    std::string degrade_dir = StrCat("/.upgrade/v", job.id);
+    OMOS_TRY(ObjectFile stub_obj, GenerateDegradationStubs(deleted, "degrade.o"));
     std::string frag_path = StrCat(degrade_dir, "/degrade.o");
     std::string meta_path = StrCat(degrade_dir, "/degrade");
-    if (Result<void> added = AddFragment(frag_path, std::move(*stub_obj)); !added.ok()) {
-      AbortUpgrade(job, added.error().ToString());
-      return;
-    }
-    if (Result<void> meta = DefineMeta(meta_path, StrCat("(merge ", frag_path, ")"));
-        !meta.ok()) {
-      AbortUpgrade(job, meta.error().ToString());
-      return;
-    }
-    auto stubs = Instantiate(meta_path, Specialization{}, &work);
-    if (!stubs.ok()) {
-      AbortUpgrade(job, stubs.error().ToString());
-      return;
-    }
-    job->degrade_key = (*stubs)->key;
+    OMOS_TRY_VOID(AddFragment(frag_path, std::move(stub_obj)));
+    OMOS_TRY_VOID(DefineMeta(meta_path, StrCat("(merge ", frag_path, ")")));
+    OMOS_TRY(const CachedImage* stubs, Instantiate(meta_path, Specialization{}, &work));
+    job.degrade_key = stubs->key;
     for (const std::string& name : deleted) {
-      if (const ImageSymbol* sym = (*stubs)->image.FindSymbol(name)) {
-        job->degrade_addrs[name] = sym->addr;
+      if (const ImageSymbol* sym = stubs->image.FindSymbol(name)) {
+        job.degrade_addrs[name] = sym->addr;
       }
     }
   }
-  job->map = std::make_shared<const FrameTransferMap>(
-      FrameTransferMap::Build(old_impl->image, new_impl->image, job->degrade_addrs));
-  RunUpgradeRepoint(std::move(job));
+  job.map = std::make_shared<const FrameTransferMap>(
+      FrameTransferMap::Build(old_impl->image, new_impl->image, job.degrade_addrs));
+  return OkResult();
 }
 
 void OmosServer::RunUpgradeRepoint(std::shared_ptr<UpgradeJob> job) {
@@ -1526,50 +1541,27 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
   // version's same-shape data state (the task's private CoW bytes) into the
   // new segments before any new code can run. A dload mid-drain may have
   // mapped it already — then the new version's state is live; don't clobber.
-  bool first_contact = false;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(task.id());
-    if (it == runtimes_.end()) {
+  Result<bool> first_contact = MapFirstUse(
+      task, *new_impl,
+      kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup + rebuild_work);
+  if (!first_contact.ok()) {
+    if (first_contact.error().code() == ErrorCode::kNotFound) {
       return defer();  // released concurrently; ReleaseTask drops it from pending
     }
-    first_contact = it->second.mapped_libs.insert(job->new_impl_key).second;
+    return first_contact.error();
   }
-  if (first_contact) {
-    {
-      task.BillSys(kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup +
-                   rebuild_work);
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      if (new_impl->text_seg.has_value()) {
-        OMOS_TRY_VOID(MapImageWithSharedText(kernel, task, new_impl->image, *new_impl->text_seg,
-                                             new_impl->data_seg ? &*new_impl->data_seg : nullptr));
-      } else {
-        OMOS_TRY_VOID(MapLinkedImage(kernel, task, new_impl->image, ""));
-      }
-    }
+  if (*first_contact) {
     for (const DataCarry& carry : map.data_carries()) {
       std::vector<uint8_t> bytes(carry.size);
       OMOS_TRY_VOID(task.space().ReadBytes(carry.old_addr, bytes.data(), carry.size));
       OMOS_TRY_VOID(task.space().WriteBytes(carry.new_addr, bytes.data(), carry.size));
     }
   }
-  bool need_degrade = false;
   if (!job->degrade_key.empty()) {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(task.id());
-    if (it != runtimes_.end()) {
-      need_degrade = it->second.mapped_libs.insert(job->degrade_key).second;
-    }
-  }
-  if (need_degrade) {
-    auto stubs = GetOrRebuild(job->degrade_key, &rebuild_work);
-    if (stubs.ok()) {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      if ((*stubs)->text_seg.has_value()) {
-        OMOS_TRY_VOID(MapImageWithSharedText(kernel, task, (*stubs)->image, *(*stubs)->text_seg,
-                                             (*stubs)->data_seg ? &*(*stubs)->data_seg : nullptr));
-      } else {
-        OMOS_TRY_VOID(MapLinkedImage(kernel, task, (*stubs)->image, ""));
+    if (auto stubs = GetOrRebuild(job->degrade_key, &rebuild_work); stubs.ok()) {
+      Result<bool> mapped = MapFirstUse(task, **stubs, 0);
+      if (!mapped.ok() && mapped.error().code() != ErrorCode::kNotFound) {
+        return mapped.error();
       }
     }
   }
@@ -1662,14 +1654,7 @@ void OmosServer::ScheduleUpgradeReclaim(const std::shared_ptr<UpgradeJob>& job) 
     }
     job->phase = UpgradePhase::kReclaiming;
   }
-  std::shared_ptr<OptimizerState> state = optimizer_;
-  std::shared_ptr<UpgradeJob> claimed = job;
-  ThreadPool::Global().SubmitBackground([state, claimed] {
-    std::lock_guard<std::mutex> alive(state->job_mu);
-    if (state->server != nullptr) {
-      state->server->RunUpgradeReclaim(claimed);
-    }
-  });
+  SubmitIdle([job](OmosServer& server) { server.RunUpgradeReclaim(job); });
 }
 
 void OmosServer::RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job) {
@@ -1854,12 +1839,7 @@ Result<TaskId> OmosServer::IntegratedExec(const std::string& path, std::vector<s
     task = &kernel_->CreateTask(StrCat("omos-exec:", path));
   }
   ImageCache::ReadLease lease(cache_);  // pins *image across mapping
-  uint64_t work = 0;
-  OMOS_TRY(const CachedImage* image, Instantiate(path, spec, &work));
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task->BillSys(work + kernel_->costs().omos_cache_lookup);
-  }
+  OMOS_TRY(const CachedImage* image, InstantiateFor(*task, path, spec));
   OMOS_TRY(uint32_t entry, MapProgram(*task, *image));
   std::lock_guard<std::mutex> lock(kernel_mu_);
   OMOS_TRY_VOID(StartTask(*kernel_, *task, entry, args));
@@ -2002,12 +1982,7 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     } else {
       PrelinkStats().misses->Add();
     }
-    uint64_t work = 0;
-    OMOS_TRY(image, Instantiate(norm, {}, &work));
-    {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      task->BillSys(work + kernel_->costs().omos_cache_lookup);
-    }
+    OMOS_TRY(image, InstantiateFor(*task, norm, {}));
     RecordPrelinkEntry(norm, image->key);
     if (have_entry && prelink_enabled()) {
       SchedulePrelinkRepair();
@@ -2027,15 +2002,7 @@ void OmosServer::SchedulePrelinkRepair() {
     }
     prelink_repair_queued_ = true;
   }
-  // Same lifetime discipline as the optimizer jobs: the job holds the shared
-  // state, not the server, and no-ops if the server died first.
-  std::shared_ptr<OptimizerState> state = optimizer_;
-  ThreadPool::Global().SubmitBackground([state] {
-    std::lock_guard<std::mutex> alive(state->job_mu);
-    if (state->server != nullptr) {
-      state->server->RunPrelinkRepair();
-    }
-  });
+  SubmitIdle([](OmosServer& server) { server.RunPrelinkRepair(); });
 }
 
 void OmosServer::RunPrelinkRepair() {
@@ -2053,27 +2020,7 @@ void OmosServer::RunPrelinkRepair() {
   if (!moved.empty()) {
     // Addresses in cached client replies moved; stub caches must refresh.
     BumpNamespaceGeneration();
-    for (const std::string& key : moved) {
-      if (cache_.Contains(key)) {
-        cache_.Evict(key);
-      }
-    }
-    // Images that linked against a moved library baked in its old addresses.
-    ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid across Evict
-    for (const std::string& moved_key : moved) {
-      for (const std::string& key : cache_.Keys()) {
-        const CachedImage* image = cache_.Peek(key);
-        if (image == nullptr) {
-          continue;
-        }
-        for (const LibDep& dep : image->deps) {
-          if (dep.cache_key == moved_key) {
-            cache_.Evict(key);
-            break;
-          }
-        }
-      }
-    }
+    EvictMoved(moved);
   }
   // Re-instantiate every prelinked path at the solved layout and re-stamp
   // its entry. Unmoved images are warm cache hits; moved ones re-link once
@@ -2145,27 +2092,10 @@ Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
   uint64_t rebuild_work = 0;
   OMOS_TRY(const CachedImage* impl, GetOrRebuild(slot.lib_path, &rebuild_work));
   task.BillSys(rebuild_work);
-  bool first_use = false;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(task.id());
-    if (it == runtimes_.end()) {
-      return Err(ErrorCode::kExecFault, StrCat(task.name(), ": task released during dload"));
-    }
-    first_use = it->second.mapped_libs.insert(slot.lib_path).second;
-  }
-  if (first_use) {
-    // First use in this task: the stub "contacts OMOS and loads in the
-    // library" (§4.2) — one IPC round trip plus the mapping work.
-    task.BillSys(kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup);
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    if (impl->text_seg.has_value()) {
-      OMOS_TRY_VOID(MapImageWithSharedText(kernel, task, impl->image, *impl->text_seg,
-                                           impl->data_seg ? &*impl->data_seg : nullptr));
-    } else {
-      OMOS_TRY_VOID(MapLinkedImage(kernel, task, impl->image, ""));
-    }
-  }
+  // First use in this task: the stub "contacts OMOS and loads in the
+  // library" (§4.2) — one IPC round trip plus the mapping work.
+  OMOS_TRY_VOID(
+      MapFirstUse(task, *impl, kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup));
   // "the first time a function is accessed, its name is looked up in the
   // function hash table and the value stored in an indirect branch table" —
   // user-mode work in the stub.
@@ -2183,24 +2113,7 @@ Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
                  StrCat("symbol ", slot.symbol, " not in ", slot.lib_path));
     }
     OMOS_TRY(const CachedImage* stubs, GetOrRebuild(degrade_key, &rebuild_work));
-    bool stubs_first_use = false;
-    {
-      std::lock_guard<std::mutex> lock(runtimes_mu_);
-      auto it = runtimes_.find(task.id());
-      if (it == runtimes_.end()) {
-        return Err(ErrorCode::kExecFault, StrCat(task.name(), ": task released during dload"));
-      }
-      stubs_first_use = it->second.mapped_libs.insert(degrade_key).second;
-    }
-    if (stubs_first_use) {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      if (stubs->text_seg.has_value()) {
-        OMOS_TRY_VOID(MapImageWithSharedText(kernel, task, stubs->image, *stubs->text_seg,
-                                             stubs->data_seg ? &*stubs->data_seg : nullptr));
-      } else {
-        OMOS_TRY_VOID(MapLinkedImage(kernel, task, stubs->image, ""));
-      }
-    }
+    OMOS_TRY_VOID(MapFirstUse(task, *stubs, 0));
     UpgradeStats().degraded_bindings->Add();
   }
   OMOS_TRY_VOID(task.space().Write32(slot.slot_addr, target));
@@ -2273,23 +2186,7 @@ bool OmosServer::HasPreferredOrder(const std::string& path) const {
 
 Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     Task& task, const std::string& blueprint_or_path, const std::vector<std::string>& symbols) {
-  BuildTracker tracker;
-  EvalValue value;
-  if (StartsWith(blueprint_or_path, "(")) {
-    OMOS_TRY(Sexpr expr, ParseSexpr(blueprint_or_path));
-    OMOS_TRY(value, Eval(expr, tracker, 0));
-  } else {
-    OMOS_TRY(value, EvalName(blueprint_or_path, tracker, 0));
-  }
-  OMOS_TRY(Module module, RequireModule(std::move(value), "dynamic-load"));
-
-  // Pin every cache pointer used below (the program image and the loaded
-  // class) so a concurrent eviction cannot free them mid-map.
-  ImageCache::ReadLease lease(cache_);
-
-  // The loaded class may refer to procedures and data within the client
-  // (§5): the running program's exported symbols become externals.
-  std::map<std::string, uint32_t> externals;
+  bool is_blueprint = StartsWith(blueprint_or_path, "(");
   std::string program_key;
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
@@ -2298,77 +2195,62 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
       program_key = rt->second.program_key;
     }
   }
-  if (!program_key.empty()) {
-    if (const CachedImage* program = cache_.Get(program_key)) {
+  // The class binds to the client program's addresses, so each program gets
+  // its own image.
+  std::string key = MakeCacheKey(
+      is_blueprint ? blueprint_or_path : OmosNamespace::Normalize(blueprint_or_path),
+      StrCat("dynamic-load;client=", program_key));
+
+  // Pin every cache pointer used below (the program image and the loaded
+  // class) so a concurrent eviction cannot free them mid-map.
+  ImageCache::ReadLease lease(cache_);
+  BuildTracker tracker;
+  auto build = [&]() -> Result<const CachedImage*> {
+    EvalValue value;
+    if (is_blueprint) {
+      OMOS_TRY(Sexpr expr, ParseSexpr(blueprint_or_path));
+      OMOS_TRY(value, Eval(expr, tracker, 0));
+    } else {
+      OMOS_TRY(value, EvalName(blueprint_or_path, tracker, 0));
+    }
+    OMOS_TRY(Module module, RequireModule(std::move(value), "dynamic-load"));
+    // The loaded class may refer to procedures and data within the client
+    // (§5): the running program's exported symbols become externals, and
+    // the program becomes a dep, so evicting it evicts the class too.
+    std::map<std::string, uint32_t> externals;
+    CachedImage loaded;
+    if (const CachedImage* program = program_key.empty() ? nullptr : cache_.Get(program_key)) {
       for (const ImageSymbol& sym : program->image.symbols) {
         externals.emplace(sym.name, sym.addr);
       }
+      std::string_view program_path = program_key;
+      SplitCacheKey(program_key, &program_path, nullptr);
+      loaded.deps.push_back(LibDep{program_key, std::string(program_path)});
     }
-  }
-
-  std::string key = StrCat("dyn:", Hex32(static_cast<uint32_t>(Fnv1a(blueprint_or_path))));
+    return LinkAndPublish(key, module, {}, std::move(externals), std::move(loaded), tracker);
+  };
   const CachedImage* cached = cache_.Get(key);
   if (cached == nullptr) {
-    uint32_t text_size = 0;
-    uint32_t data_size = 0;
-    uint32_t bss_size = 0;
-    for (const FragmentPtr& frag : module.fragments()) {
-      text_size = AlignTo(text_size, 8) + frag->section(SectionKind::kText).size();
-      data_size = AlignTo(data_size, 4) + frag->section(SectionKind::kData).size();
-      bss_size = AlignTo(bss_size, 4) + frag->section(SectionKind::kBss).size();
-    }
-    Placement placement;
-    {
-      std::lock_guard<std::mutex> lock(solver_mu_);
-      OMOS_TRY(placement, solver_.Place(key, text_size, data_size + bss_size, {}));
-    }
-    LayoutSpec layout;
-    layout.text_base = placement.text_base;
-    layout.data_base = placement.data_base;
-    layout.externals = std::move(externals);
-    OMOS_TRY(LinkedImage image, LinkImage(module, layout, key));
-    CachedImage ci;
-    ci.image = std::move(image);
-    if (!ci.image.text.empty() || (!config_.eager_data_copy && !ci.image.data.empty())) {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      if (!ci.image.text.empty()) {
-        OMOS_TRY(SegmentImage seg, SegmentImage::Create(kernel_->phys(), ci.image.text));
-        ci.text_seg = std::move(seg);
-      }
-      if (!config_.eager_data_copy && !ci.image.data.empty()) {
-        OMOS_TRY(SegmentImage seg, SegmentImage::Create(kernel_->phys(), ci.image.data));
-        ci.data_seg = std::move(seg);
-      }
-    }
-    ci.build_cost = tracker.work;
-    ci.layout_generation = placement.generation;
-    cached = cache_.Put(key, std::move(ci));
+    OMOS_TRY(cached, SingleFlight(cache_, key, build));
   }
   task.BillSys(tracker.work + kernel_->costs().omos_cache_lookup);
   {
     std::lock_guard<std::mutex> lock(kernel_mu_);
-    if (cached->text_seg.has_value()) {
-      OMOS_TRY_VOID(MapImageWithSharedText(*kernel_, task, cached->image, *cached->text_seg,
-                                           cached->data_seg ? &*cached->data_seg : nullptr));
-    } else {
-      OMOS_TRY_VOID(MapLinkedImage(*kernel_, task, cached->image, ""));
-    }
+    OMOS_TRY_VOID(MapCached(*kernel_, task, *cached));
   }
   // Remember the mapped regions so the class can be dynamically unlinked.
-  TaskRuntime::DynRegion region;
-  region.text_base = cached->image.text_base;
-  region.has_text = !cached->image.text.empty();
-  region.data_base = cached->image.data_base;
-  region.has_data = cached->image.data.size() + cached->image.bss_size > 0;
+  const LinkedImage& image = cached->image;
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
-    runtimes_[task.id()].dyn_loaded.push_back(region);
+    runtimes_[task.id()].dyn_loaded.push_back(TaskRuntime::DynRegion{
+        image.text_base, image.data_base, !image.text.empty(),
+        image.data.size() + image.bss_size > 0});
   }
 
   DynLoadResult result;
-  result.text_base = cached->image.text_base;
+  result.text_base = image.text_base;
   for (const std::string& name : symbols) {
-    const ImageSymbol* sym = cached->image.FindSymbol(name);
+    const ImageSymbol* sym = image.FindSymbol(name);
     result.symbol_values.push_back(sym == nullptr ? 0 : sym->addr);
   }
   return result;
@@ -2683,29 +2565,7 @@ int OmosServer::OptimizePlacements() {
       std::lock_guard<std::mutex> lock(solver_mu_);
       changed = solver_.OptimizePlacements();
     }
-    for (const std::string& key : changed) {
-      if (cache_.Contains(key)) {
-        cache_.Evict(key);
-        ++evicted;
-      }
-    }
-    // Any image that depended on a moved library is stale too.
-    ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid across Evict
-    for (const std::string& moved : changed) {
-      for (const std::string& key : cache_.Keys()) {
-        const CachedImage* image = cache_.Peek(key);
-        if (image == nullptr) {
-          continue;
-        }
-        for (const LibDep& dep : image->deps) {
-          if (dep.cache_key == moved) {
-            cache_.Evict(key);
-            ++evicted;
-            break;
-          }
-        }
-      }
-    }
+    evicted = EvictMoved(changed);
   }
   // Outside admin_mu_ (the repair re-enters Instantiate): re-link prelinked
   // images at the re-packed layout and re-stamp their table entries, so an
@@ -2716,8 +2576,8 @@ int OmosServer::OptimizePlacements() {
   return evicted;
 }
 
-Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
-  std::string program_key;
+Result<std::vector<std::string>> OmosServer::TaskImageKeys(TaskId id) const {
+  std::vector<std::string> keys;
   std::set<std::string> mapped_libs;
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
@@ -2725,26 +2585,27 @@ Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
     if (it == runtimes_.end()) {
       return Err(ErrorCode::kNotFound, StrCat("no OMOS runtime state for task ", id));
     }
-    program_key = it->second.program_key;
+    keys.push_back(it->second.program_key);
     mapped_libs = it->second.mapped_libs;
   }
-  ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid while we copy
-  std::vector<ImageSymbol> symbols;
-  auto append = [&](const std::string& key) {
-    const CachedImage* image = cache_.Peek(key);
-    if (image != nullptr) {
-      symbols.insert(symbols.end(), image->image.symbols.begin(), image->image.symbols.end());
-    }
-  };
-  append(program_key);
-  const CachedImage* program = cache_.Peek(program_key);
-  if (program != nullptr) {
+  ImageCache::ReadLease lease(cache_);  // keeps the Peek pointer valid
+  if (const CachedImage* program = cache_.Peek(keys.front())) {
     for (const LibDep& dep : program->deps) {
-      append(dep.cache_key);
+      keys.push_back(dep.cache_key);
     }
   }
-  for (const std::string& lib_key : mapped_libs) {
-    append(lib_key);
+  keys.insert(keys.end(), mapped_libs.begin(), mapped_libs.end());
+  return keys;
+}
+
+Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
+  OMOS_TRY(std::vector<std::string> keys, TaskImageKeys(id));
+  ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid while we copy
+  std::vector<ImageSymbol> symbols;
+  for (const std::string& key : keys) {
+    if (const CachedImage* image = cache_.Peek(key)) {
+      symbols.insert(symbols.end(), image->image.symbols.begin(), image->image.symbols.end());
+    }
   }
   return symbols;
 }
@@ -2763,25 +2624,17 @@ Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
       }
       ids.push_back(id);
     } else {
-      for (const auto& [task_id, runtime] : runtimes_) {
-        (void)runtime;
-        ids.push_back(task_id);
+      for (const auto& entry : runtimes_) {
+        ids.push_back(entry.first);
       }
     }
   }
 
   std::string out;
   for (TaskId task_id : ids) {
-    std::string program_key;
-    std::set<std::string> mapped_libs;
-    {
-      std::lock_guard<std::mutex> lock(runtimes_mu_);
-      auto it = runtimes_.find(task_id);
-      if (it == runtimes_.end()) {
-        continue;  // released since we listed it
-      }
-      program_key = it->second.program_key;
-      mapped_libs = it->second.mapped_libs;
+    auto task_keys = TaskImageKeys(task_id);
+    if (!task_keys.ok()) {
+      continue;  // released since we listed it
     }
 
     // Address-sorted text symbols across the task's program + library images,
@@ -2793,16 +2646,7 @@ Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
       const std::string* image;
     };
     ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid
-    std::set<std::string> keys{program_key};
-    const CachedImage* program = cache_.Peek(program_key);
-    if (program != nullptr) {
-      for (const LibDep& dep : program->deps) {
-        keys.insert(dep.cache_key);
-      }
-    }
-    for (const std::string& lib_key : mapped_libs) {
-      keys.insert(lib_key);
-    }
+    std::set<std::string> keys(task_keys->begin(), task_keys->end());
     std::vector<Row> rows;
     for (const std::string& image_key : keys) {
       const CachedImage* image = cache_.Peek(image_key);
@@ -2952,28 +2796,26 @@ OmosReply OmosServer::HandleRequest(const OmosRequest& request) {
 
 OmosReply OmosServer::HandleRequestImpl(const OmosRequest& request) {
   OmosReply reply;
+  // Instantiate and DynamicLoad act on the client task named by the handle.
+  Task* task = nullptr;
+  if (request.op == OmosOp::kInstantiate || request.op == OmosOp::kDynamicLoad) {
+    {
+      std::lock_guard<std::mutex> lock(kernel_mu_);
+      task = kernel_->FindTask(request.task_handle);
+    }
+    if (task == nullptr) {
+      reply.error = "bad task handle";
+      return reply;
+    }
+  }
   switch (request.op) {
     case OmosOp::kInstantiate: {
-      Task* task;
-      {
-        std::lock_guard<std::mutex> lock(kernel_mu_);
-        task = kernel_->FindTask(request.task_handle);
-      }
-      if (task == nullptr) {
-        reply.error = "bad task handle";
-        return reply;
-      }
       Specialization spec = Specialization::FromKeyString(request.specialization);
       ImageCache::ReadLease lease(cache_);  // pins *image across MapProgram
-      uint64_t work = 0;
-      auto image = Instantiate(request.path, spec, &work);
+      auto image = InstantiateFor(*task, request.path, spec);
       if (!image.ok()) {
         reply.error = image.error().ToString();
         return reply;
-      }
-      {
-        std::lock_guard<std::mutex> lock(kernel_mu_);
-        task->BillSys(work + kernel_->costs().omos_cache_lookup);
       }
       auto entry = MapProgram(*task, **image);
       if (!entry.ok()) {
@@ -3003,15 +2845,6 @@ OmosReply OmosServer::HandleRequestImpl(const OmosRequest& request) {
       reply.names = ListNamespace(request.path);
       return reply;
     case OmosOp::kDynamicLoad: {
-      Task* task;
-      {
-        std::lock_guard<std::mutex> lock(kernel_mu_);
-        task = kernel_->FindTask(request.task_handle);
-      }
-      if (task == nullptr) {
-        reply.error = "bad task handle";
-        return reply;
-      }
       auto result = DynamicLoad(*task, request.path, request.symbols);
       if (!result.ok()) {
         reply.error = result.error().ToString();

@@ -66,9 +66,6 @@ struct OmosServerConfig {
   uint64_t cache_capacity_bytes = 256ull << 20;
   // Extra user cycles modelling the bootstrap program's own execution.
   uint64_t bootstrap_user_cycles = 300;
-  // Copy initialized data eagerly at exec instead of mapping it CoW against
-  // the cached master (the pre-CoW behavior; kept for A/B benchmarking).
-  bool eager_data_copy = false;
 };
 
 // Concurrency model (PR 3): many worker threads may call Instantiate /
@@ -106,14 +103,16 @@ class OmosServer {
   // ---- Namespace administration --------------------------------------------
   // Define or redefine a meta-object. Redefinition invalidates every cached
   // image built from the old blueprint ("a library fix is instantly
-  // incorporated into all clients", §2.1): the path's own images and any
-  // image that depends on them are evicted, and their address placements
-  // released, so the next instantiation rebuilds against the new version.
+  // incorporated into all clients", §2.1): each image whose recorded inputs
+  // contain the path, and transitively every image linked against one of
+  // those, is evicted and its address placement released, so the next
+  // instantiation rebuilds against the new version.
   Result<void> DefineMeta(std::string_view path, std::string_view blueprint);
   Result<void> DefineLibrary(std::string_view path, std::string_view blueprint);
   Result<void> AddFragment(std::string_view path, ObjectFile object);
   // Registers each member at `<dir>/<member-name>` and a meta-object at
-  // `<dir>` merging all of them.
+  // `<dir>` merging all of them. Replacing an archive invalidates like the
+  // other Define* calls.
   Result<void> AddArchive(std::string_view dir, const Archive& archive);
   std::vector<std::string> ListNamespace(std::string_view path) const {
     return namespace_.List(path);
@@ -191,6 +190,11 @@ class OmosServer {
   UpgradeStatus DrainUpgrade();
 
   // ---- Dynamic loading (dld-style, §5) --------------------------------------
+  // Link a blueprint (or a namespace path) into the running `task`, bound to
+  // the symbols of the task's program. The linked class is a cached image
+  // keyed by the blueprint text plus the program's cache key, so another
+  // program gets its own binding, and a redefinition of anything the class
+  // or the program read evicts it like any other image.
   struct DynLoadResult {
     uint32_t text_base = 0;
     std::vector<uint32_t> symbol_values;
@@ -355,6 +359,7 @@ class OmosServer {
   };
   struct BuildTracker {
     uint64_t work = 0;
+    std::vector<std::string> inputs;  // normalized namespace paths read so far
   };
   struct TaskRuntime {
     struct Slot {
@@ -374,6 +379,13 @@ class OmosServer {
     std::vector<DynRegion> dyn_loaded;
   };
 
+  // Namespace lookup on behalf of a build: records `path` as an input.
+  Result<std::shared_ptr<const NamespaceEntry>> ReadInput(std::string_view path,
+                                                          BuildTracker& tracker) const;
+  // Instantiate for `task`, billing it the build work plus the cache lookup.
+  // Callers hold a ReadLease across every use of the image.
+  Result<const CachedImage*> InstantiateFor(Task& task, const std::string& path,
+                                            const Specialization& spec);
   Result<EvalValue> Eval(const Sexpr& expr, BuildTracker& tracker, int depth);
   Result<EvalValue> EvalName(const std::string& name, BuildTracker& tracker, int depth);
   Result<Module> RequireModule(EvalValue value, std::string_view op) const;
@@ -386,6 +398,14 @@ class OmosServer {
 
   Result<const CachedImage*> BuildImage(const std::string& path, const Specialization& spec,
                                         const std::string& key, BuildTracker& tracker);
+
+  // The tail of every build: place `client`, link it against `externals`,
+  // bill the link work, materialize segments, and Put it under `key` with
+  // the tracker's inputs. `cached` carries the deps and stub slots.
+  Result<const CachedImage*> LinkAndPublish(const std::string& key, const Module& client,
+                                            const PlacementHints& hints,
+                                            std::map<std::string, uint32_t> externals,
+                                            CachedImage cached, BuildTracker& tracker);
 
   // Frame-backed master segments (shared text + CoW data) for a freshly
   // linked or store-adopted image. One copy into phys memory; every client
@@ -400,8 +420,10 @@ class OmosServer {
   // Content fingerprint over everything that goes into the link: the path,
   // the spec string, and the transitive closure of blueprint texts and
   // object-file bytes reachable from the construction expression. Matching
-  // fingerprints ⇒ a stored image was linked from identical inputs.
-  Result<uint64_t> StoreFingerprint(const std::string& norm, const Specialization& spec) const;
+  // fingerprints ⇒ a stored image was linked from identical inputs. The
+  // paths visited land in `*inputs` when non-null.
+  Result<uint64_t> StoreFingerprint(const std::string& norm, const Specialization& spec,
+                                    std::vector<std::string>* inputs = nullptr) const;
   // Probe the store on a cache miss; on a hit, verify dependency placements,
   // re-reserve the stored bases, materialize segments and insert into the
   // cache. nullptr on miss or any verification failure (caller cold-builds).
@@ -419,9 +441,27 @@ class OmosServer {
   // Charge linking work for an image build.
   void ChargeLinkWork(const LinkStats& stats, uint32_t symbol_count, BuildTracker& tracker) const;
 
-  // Evict cached images built from `path` (directly or via blueprint
-  // references and library dependencies) and release their placements.
-  void InvalidateImagesOf(std::string_view path);
+  // Keys of cached images that depend on `roots`: roots are namespace paths
+  // (matched against CachedImage::inputs) or cache keys (matched against
+  // CachedImage::deps). `transitive` also collects dependents of dependents.
+  std::set<std::string> CachedDependents(std::set<std::string> roots, bool transitive) const;
+  // Evict every cached image that read one of `paths`, transitively through
+  // deps, and release their placements.
+  void InvalidateImagesOf(const std::vector<std::string>& paths);
+  // Evict the images whose placements moved plus the images linked against
+  // them. Returns how many were cached.
+  int EvictMoved(const std::vector<std::string>& moved);
+
+  // First use of `image` in `task`: records it in the task's mapped_libs,
+  // bills `first_use_cost` and maps it; later uses do nothing. Returns
+  // whether this call mapped it, or kNotFound once the task's runtime state
+  // is gone (released concurrently).
+  Result<bool> MapFirstUse(Task& task, const CachedImage& image, uint64_t first_use_cost);
+
+  // Cache keys of the images task `id` maps, in map order: its program, the
+  // program's deps, then the libraries it mapped on first use. kNotFound
+  // when the task has no runtime state.
+  Result<std::vector<std::string>> TaskImageKeys(TaskId id) const;
 
   Result<void> HandleDload(Kernel& kernel, Task& task);
   Result<void> HandleMonLog(Kernel& kernel, Task& task);
@@ -438,6 +478,10 @@ class OmosServer {
   void BumpNamespaceGeneration() {
     namespace_generation_.fetch_add(1, std::memory_order_acq_rel);
   }
+
+  // Queue `job` on the pool's idle lane; it runs only while the server is
+  // alive (see OptimizerState).
+  void SubmitIdle(std::function<void(OmosServer&)> job);
 
   // Shared between the server and its queued background jobs, so a job that
   // outlives the server (still parked on the pool's background lane) sees
@@ -482,6 +526,9 @@ class OmosServer {
 
   // Background-link body (idle lane), then the atomic runtime repoint.
   void RunUpgradeLink(std::shared_ptr<UpgradeJob> job);
+  // Link the new version (and any degradation stubs) and fill in the job's
+  // transfer plan; an error aborts the upgrade.
+  Result<void> LinkUpgrade(UpgradeJob& job);
   void RunUpgradeRepoint(std::shared_ptr<UpgradeJob> job);
   // Safepoint hook body: attempt the OSR frame transfer for `task`.
   Result<void> HandleSafepoint(Kernel& kernel, Task& task);

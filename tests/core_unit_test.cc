@@ -59,7 +59,7 @@ TEST(Sexpr, ParseSequence) {
 TEST(Namespace, DefineAndLookup) {
   OmosNamespace ns;
   ASSERT_OK(ns.DefineMeta("/bin/prog", "(merge /obj/a.o)"));
-  ASSERT_OK_AND_ASSIGN(const NamespaceEntry* entry, ns.Lookup("/bin/prog"));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const NamespaceEntry> entry, ns.Lookup("/bin/prog"));
   EXPECT_EQ(entry->kind, EntryKind::kMeta);
   EXPECT_FALSE(ns.Lookup("/bin/other").ok());
   EXPECT_TRUE(ns.Exists("bin/prog"));  // normalization
@@ -72,7 +72,7 @@ TEST(Namespace, LibraryRecordsParsed) {
 (default-specialization "lib-constrained")
 (merge /libc/gen /libc/stdio)
 )"));
-  ASSERT_OK_AND_ASSIGN(const NamespaceEntry* entry, ns.Lookup("/lib/libc"));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const NamespaceEntry> entry, ns.Lookup("/lib/libc"));
   EXPECT_EQ(entry->kind, EntryKind::kLibrary);  // records imply library
   EXPECT_EQ(entry->hints.text_base, 0x100000u);
   EXPECT_EQ(entry->hints.data_base, 0x40200000u);

@@ -895,5 +895,161 @@ main:
   EXPECT_EQ(at_map->value(), at_map_before);  // zero relocations at map time
 }
 
+
+// ---- Exact invalidation from recorded inputs ---------------------------------
+
+// answer() returning `value`, as a fragment named v.o.
+Result<ObjectFile> AnswerObject(int value) {
+  return Assemble(StrCat(".text\n.global answer\nanswer:\n  movi r0, ", value, "\n  ret\n"),
+                  "v.o");
+}
+
+// main: exit(answer()).
+constexpr char kCallAnswer[] = R"(
+.text
+.global main
+main:
+  push lr
+  call answer
+  pop lr
+  ret
+)";
+
+// main: load the class (merge /obj/p.o) through sys OmosLoad and exit with
+// what its entry `pf` returns. `extra` is spliced in after main's code.
+std::string LoadAndCallMain(std::string_view extra) {
+  return StrCat(R"asm(
+.text
+.global main
+main:
+  push lr
+  lea r0, blueprint
+  lea r1, wanted
+  sys )asm", kSysOmosLoad, R"asm(
+  movi r1, 0
+  beq r0, r1, fail
+  callr r0
+  pop lr
+  ret
+fail:
+  movi r0, 255
+  pop lr
+  ret
+)asm", extra, R"asm(
+.data
+blueprint: .asciiz "(merge /obj/p.o)"
+wanted: .asciiz "pf"
+)asm");
+}
+
+TEST_F(ServerFeatures, RedefiningArchiveMemberBehindLibraryReachesClient) {
+  // /bin/q links /lib/ans, which merges the archive meta /libx, which merges
+  // /libx/v.o: the member is two blueprint hops away from the client.
+  ASSERT_OK_AND_ASSIGN(ObjectFile v1, AnswerObject(1));
+  ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v1)));
+  ASSERT_OK(server_->DefineMeta("/libx", "(merge /libx/v.o)"));
+  ASSERT_OK(server_->DefineLibrary("/lib/ans", "(merge /libx)"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(kCallAnswer, "m.o"));
+  ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/q", "(merge /lib/crt0.o /obj/m.o /lib/ans)"));
+  ASSERT_OK_AND_ASSIGN(TaskId id1, server_->IntegratedExec("/bin/q", {"q"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out1, Run(id1));
+  EXPECT_EQ(out1.exit_code, 1);
+
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, AnswerObject(2));
+  ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
+  ASSERT_OK_AND_ASSIGN(TaskId id2, server_->IntegratedExec("/bin/q", {"q"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out2, Run(id2));
+  EXPECT_EQ(out2.exit_code, 2);
+}
+
+TEST_F(ServerFeatures, ReplacingArchiveInvalidatesClients) {
+  Archive v1("libx");
+  ASSERT_OK_AND_ASSIGN(ObjectFile answer1, AnswerObject(1));
+  v1.Add(std::move(answer1));
+  ASSERT_OK(server_->AddArchive("/libx", v1));
+  ASSERT_OK(server_->DefineLibrary("/lib/ans", "(merge /libx)"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(kCallAnswer, "m.o"));
+  ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/q", "(merge /lib/crt0.o /obj/m.o /lib/ans)"));
+  ASSERT_OK_AND_ASSIGN(TaskId id1, server_->IntegratedExec("/bin/q", {"q"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out1, Run(id1));
+  EXPECT_EQ(out1.exit_code, 1);
+
+  Archive v2("libx");
+  ASSERT_OK_AND_ASSIGN(ObjectFile answer2, AnswerObject(2));
+  v2.Add(std::move(answer2));
+  ASSERT_OK(server_->AddArchive("/libx", v2));
+  ASSERT_OK_AND_ASSIGN(TaskId id2, server_->IntegratedExec("/bin/q", {"q"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out2, Run(id2));
+  EXPECT_EQ(out2.exit_code, 2);
+}
+
+TEST_F(ServerFeatures, RedefiningPathLeavesProgramsThatNeverReadItCached) {
+  // "/lib/c" is a prefix of "/lib/crt0.o", which /bin/p reads; /bin/p never
+  // reads /lib/c itself, so redefining /lib/c must not rebuild it.
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj,
+                       Assemble(".text\n.global main\nmain:\n  movi r0, 4\n  ret\n", "m.o"));
+  ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/p", "(merge /lib/crt0.o /obj/m.o)"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile c_obj, AnswerObject(3));
+  ASSERT_OK(server_->AddFragment("/obj/c.o", std::move(c_obj)));
+  ASSERT_OK(server_->Instantiate("/bin/p", {}, nullptr));
+  uint64_t misses = server_->cache_stats().misses;
+
+  ASSERT_OK(server_->DefineLibrary("/lib/c", "(merge /obj/c.o)"));
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/p", {"p"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+  EXPECT_EQ(out.exit_code, 4);
+  EXPECT_EQ(server_->cache_stats().misses, misses);
+}
+
+TEST_F(ServerFeatures, DynamicLoadServesRedefinedFragment) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile p1,
+                       Assemble(".text\n.global pf\npf:\n  movi r0, 7\n  ret\n", "p.o"));
+  ASSERT_OK(server_->AddFragment("/obj/p.o", std::move(p1)));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(LoadAndCallMain(""), "main.o"));
+  ASSERT_OK(server_->AddFragment("/obj/main.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/host", "(merge /lib/crt0.o /obj/main.o)"));
+  ASSERT_OK_AND_ASSIGN(TaskId id1, server_->IntegratedExec("/bin/host", {"host"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out1, Run(id1));
+  EXPECT_EQ(out1.exit_code, 7);
+
+  ASSERT_OK_AND_ASSIGN(ObjectFile p2,
+                       Assemble(".text\n.global pf\npf:\n  movi r0, 8\n  ret\n", "p.o"));
+  ASSERT_OK(server_->AddFragment("/obj/p.o", std::move(p2)));
+  ASSERT_OK_AND_ASSIGN(TaskId id2, server_->IntegratedExec("/bin/host", {"host"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out2, Run(id2));
+  EXPECT_EQ(out2.exit_code, 8);
+}
+
+TEST_F(ServerFeatures, DynamicLoadBindsEachProgramsOwnSymbols) {
+  // The class calls back into its client's answer(). The two programs are
+  // placed at different addresses, so a class still bound to /bin/a's
+  // answer() would call into nothing when loaded into /bin/b.
+  ASSERT_OK_AND_ASSIGN(ObjectFile plugin, Assemble(R"(
+.text
+.global pf
+pf:
+  push lr
+  call answer
+  pop lr
+  ret
+)", "p.o"));
+  ASSERT_OK(server_->AddFragment("/obj/p.o", std::move(plugin)));
+  constexpr char kAnswer[] = ".global answer\nanswer:\n  movi r0, 1\n  ret\n";
+  ASSERT_OK_AND_ASSIGN(ObjectFile a_obj, Assemble(LoadAndCallMain(kAnswer), "a.o"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile b_obj, Assemble(LoadAndCallMain(kAnswer), "b.o"));
+  ASSERT_OK(server_->AddFragment("/obj/a.o", std::move(a_obj)));
+  ASSERT_OK(server_->AddFragment("/obj/b.o", std::move(b_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/a", "(merge /lib/crt0.o /obj/a.o)"));
+  ASSERT_OK(server_->DefineMeta("/bin/b", "(merge /lib/crt0.o /obj/b.o)"));
+  for (const char* program : {"/bin/a", "/bin/b"}) {
+    ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec(program, {program}));
+    ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+    EXPECT_EQ(out.exit_code, 1) << program;
+  }
+}
+
 }  // namespace
 }  // namespace omos

@@ -580,6 +580,58 @@ TEST_F(StoreServerTest, RedefinitionInvalidatesStoredImages) {
   EXPECT_EQ(rebuilt->image.data.size() + rebuilt->image.bss_size > 0, true);
 }
 
+// A store-adopted image records the paths its fingerprint covered, so a
+// fragment two blueprint hops behind a library (/bin/q -> /lib/ans -> /libx
+// -> /libx/v.o) still invalidates it after a restart.
+TEST_F(StoreServerTest, AdoptedImageInvalidatedByNestedFragment) {
+  auto answer = [](int value) {
+    return Assemble(StrCat(".text\n.global answer\nanswer:\n  movi r0, ", value, "\n  ret\n"),
+                    "v.o");
+  };
+  auto run_q = [](Kernel& kernel, OmosServer& server) -> Result<int> {
+    OMOS_TRY(TaskId id, server.IntegratedExec("/bin/q", {"q"}));
+    Task* task = kernel.FindTask(id);
+    OMOS_TRY_VOID(kernel.RunTask(*task));
+    return task->exit_code();
+  };
+  SimFs disk;
+  {
+    Kernel kernel;
+    ImageStore store(disk, kStoreRoot, &kernel.costs());
+    ASSERT_OK(store.Open());
+    OmosServer server(kernel);
+    ASSERT_OK(Populate(server));
+    ASSERT_OK_AND_ASSIGN(ObjectFile v1, answer(1));
+    ASSERT_OK(server.AddFragment("/libx/v.o", std::move(v1)));
+    ASSERT_OK(server.DefineMeta("/libx", "(merge /libx/v.o)"));
+    ASSERT_OK(server.DefineLibrary("/lib/ans", "(merge /libx)"));
+    ASSERT_OK_AND_ASSIGN(ObjectFile main_obj,
+                         Assemble(".text\n.global main\nmain:\n  push lr\n  call answer\n"
+                                  "  pop lr\n  ret\n",
+                                  "m.o"));
+    ASSERT_OK(server.AddFragment("/obj/m.o", std::move(main_obj)));
+    ASSERT_OK(server.DefineMeta("/bin/q", "(merge /lib/crt0.o /obj/m.o /lib/ans)"));
+    server.AttachStore(&store);
+    ASSERT_OK_AND_ASSIGN(int before, run_q(kernel, server));
+    EXPECT_EQ(before, 1);
+    ASSERT_OK(server.PersistTo(store));
+  }
+
+  Kernel kernel2;
+  ImageStore store2(disk, kStoreRoot, &kernel2.costs());
+  ASSERT_OK(store2.Open());
+  OmosServer server2(kernel2);
+  ASSERT_OK(server2.RestoreFromStore(store2));
+  ASSERT_OK_AND_ASSIGN(int adopted, run_q(kernel2, server2));
+  EXPECT_EQ(adopted, 1);
+  EXPECT_GE(store2.stats().hits.load(), 2u);  // /bin/q and /lib/ans came from the store
+
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, answer(2));
+  ASSERT_OK(server2.AddFragment("/libx/v.o", std::move(v2)));
+  ASSERT_OK_AND_ASSIGN(int after, run_q(kernel2, server2));
+  EXPECT_EQ(after, 2);
+}
+
 TEST_F(StoreServerTest, StoreCountersVisibleOverTheWire) {
   SimFs disk;
   Kernel kernel;
