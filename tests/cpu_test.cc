@@ -1,6 +1,8 @@
 // Interpreter semantics: one parameterized sweep over ALU operations
 // checked against a host-computed reference, plus control-flow, memory and
 // fault cases.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "src/support/strings.h"
@@ -15,6 +17,12 @@ struct AluCase {
   int32_t rhs;
   int32_t expected;
 };
+
+// gtest names each case (and ctest each discovered test) by the printed
+// parameter; the default would print the bytes of `mnemonic`'s address.
+void PrintTo(const AluCase& c, std::ostream* os) {
+  *os << c.mnemonic << "(" << c.lhs << ", " << c.rhs << ") = " << c.expected;
+}
 
 class AluSemantics : public ::testing::TestWithParam<AluCase> {};
 
@@ -47,6 +55,11 @@ struct BranchCase {
   int32_t rhs;
   bool taken;
 };
+
+void PrintTo(const BranchCase& c, std::ostream* os) {
+  *os << c.mnemonic << "(" << c.lhs << ", " << c.rhs << ") "
+      << (c.taken ? "taken" : "not taken");
+}
 
 class BranchSemantics : public ::testing::TestWithParam<BranchCase> {};
 

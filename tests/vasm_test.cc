@@ -1,5 +1,7 @@
 // Unit tests for the assembler: directives, operands, labels, relocations,
 // and error reporting with line numbers.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "src/isa/isa.h"
@@ -222,6 +224,10 @@ struct ErrorCase {
   const char* source;
   const char* expect_substring;
 };
+
+// Printed after the case name in the test listing; the default would print
+// the bytes of the three pointers.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.expect_substring; }
 
 class AssemblerErrors : public ::testing::TestWithParam<ErrorCase> {};
 
