@@ -129,15 +129,15 @@ OmosServer::OmosServer(Kernel& kernel, Config config)
   kernel_->SetSysHook(kSysOmosUnload,
                       [this](Kernel& k, Task& t) { return HandleOmosUnloadSys(k, t); });
   kernel_->SetSafepointHook([this](Kernel& k, Task& t) { return HandleSafepoint(k, t); });
-  optimizer_->server = this;
+  idle_guard_->server = this;
 }
 
 OmosServer::~OmosServer() {
-  // Background jobs hold a shared_ptr to optimizer_, not to the server;
+  // Background jobs hold a shared_ptr to idle_guard_, not to the server;
   // blank the back-pointer (waiting out any job mid-run) so jobs that fire
   // after this point are no-ops.
-  std::lock_guard<std::mutex> lock(optimizer_->job_mu);
-  optimizer_->server = nullptr;
+  std::lock_guard<std::mutex> lock(idle_guard_->job_mu);
+  idle_guard_->server = nullptr;
 }
 
 std::set<std::string> OmosServer::CachedDependents(std::set<std::string> roots,
@@ -193,19 +193,6 @@ void OmosServer::InvalidateImagesOf(const std::vector<std::string>& paths) {
     for (const std::string& victim : victim_paths) {
       (void)store_->InvalidatePrefix(victim + std::string(kCacheKeySep));
     }
-  }
-  // Optimizer bookkeeping for invalidated images is stale: drop hit counts
-  // and aliases so the rebuilt image earns optimization afresh.
-  {
-    auto stale = [&](const std::string& key) {
-      std::string_view path_part = key;
-      SplitCacheKey(key, &path_part, nullptr);
-      return victim_paths.count(std::string(path_part)) != 0;
-    };
-    std::lock_guard<std::mutex> lock(optimizer_->mu);
-    std::erase_if(optimizer_->warm_hits, [&](const auto& kv) { return stale(kv.first); });
-    std::erase_if(optimizer_->attempted, stale);
-    std::erase_if(optimizer_->alias, [&](const auto& kv) { return stale(kv.first); });
   }
   // Predecoded blocks of the victims' text are stale the moment a rebuilt
   // image can be mapped; running tasks pick up the flush at their next
@@ -610,14 +597,13 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
                                                    uint64_t* work_cycles) {
   std::string norm = OmosNamespace::Normalize(path);
   std::string key = MakeCacheKey(norm, spec.ToKeyString());
-  // Idle-time optimizer: a hot default-spec image may have a reorder-built
-  // twin; serve it instead (the "atomic swap-in on next Get").
+  // A default-spec image may have a reorder-built twin; serve it instead
+  // (the "atomic swap-in on next Get").
   if (const CachedImage* optimized = OptimizedAlias(key)) {
     TraceWarmHitSampled(norm);
     return optimized;
   }
   if (const CachedImage* hit = cache_.Get(key)) {
-    NoteWarmHit(key, norm, spec);
     TraceWarmHitSampled(norm);
     return hit;
   }
@@ -647,6 +633,10 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
     *work_cycles += tracker.work;
   }
   trace.AddSimCycles(0, tracker.work);
+  // A recorded profile earns the fresh default image a reorder twin.
+  if (result.ok() && spec.name.empty() && HasPreferredOrder(norm)) {
+    ScheduleRelink(norm);
+  }
   return result;
 }
 
@@ -659,111 +649,74 @@ Result<const CachedImage*> OmosServer::InstantiateFor(Task& task, const std::str
   return image;
 }
 
-// ---- Idle-time background optimization --------------------------------------
-
-void OmosServer::EnableBackgroundOptimizer(uint64_t hot_threshold) {
-  std::lock_guard<std::mutex> lock(optimizer_->mu);
-  optimizer_->enabled = true;
-  optimizer_->hot_threshold = hot_threshold == 0 ? 1 : hot_threshold;
-}
+// ---- Idle-time relinking --------------------------------------------------------
 
 size_t OmosServer::DrainBackgroundWork() {
   size_t ran = ThreadPool::Global().DrainBackground();
   // A worker may have grabbed a job just before the drain; wait it out so
-  // callers observe a stable post-optimization state.
+  // callers observe a stable post-relink state.
   ThreadPool::Global().WaitIdle();
   return ran;
 }
 
 const CachedImage* OmosServer::OptimizedAlias(const std::string& key) {
-  std::string optimized_key;
+  std::string twin_key;
   {
-    std::lock_guard<std::mutex> lock(optimizer_->mu);
-    if (!optimizer_->enabled) {
+    std::lock_guard<std::mutex> lock(relink_mu_);
+    auto it = twin_alias_.find(key);
+    if (it == twin_alias_.end()) {
       return nullptr;
     }
-    auto it = optimizer_->alias.find(key);
-    if (it == optimizer_->alias.end()) {
-      return nullptr;
-    }
-    optimized_key = it->second;
+    twin_key = it->second;
   }
-  if (const CachedImage* optimized = cache_.Get(optimized_key)) {
-    return optimized;
+  if (const CachedImage* twin = cache_.Get(twin_key)) {
+    return twin;
   }
-  // The optimized twin fell out of the cache; forget it and let the hit
-  // counter earn a fresh optimization pass.
-  std::lock_guard<std::mutex> lock(optimizer_->mu);
-  auto it = optimizer_->alias.find(key);
-  if (it != optimizer_->alias.end() && it->second == optimized_key) {
-    optimizer_->alias.erase(it);
-    optimizer_->attempted.erase(key);
-    optimizer_->warm_hits.erase(key);
-  }
+  // The twin fell out of the cache (evicted, or its inputs were redefined);
+  // forget it. The default image's next cold build queues a fresh one.
+  std::lock_guard<std::mutex> lock(relink_mu_);
+  twin_alias_.erase(key);
   return nullptr;
 }
 
-void OmosServer::NoteWarmHit(const std::string& key, const std::string& norm,
-                             const Specialization& spec) {
-  if (!spec.name.empty()) {
-    return;  // only default-spec images are candidates for a reorder twin
-  }
-  {
-    std::lock_guard<std::mutex> lock(optimizer_->mu);
-    if (!optimizer_->enabled) {
-      return;
-    }
-    if (++optimizer_->warm_hits[key] < optimizer_->hot_threshold ||
-        optimizer_->attempted.count(key) != 0) {
-      return;
-    }
-    optimizer_->attempted.insert(key);
-  }
-  // Queue on the background lane: the pool runs it only when no foreground
-  // request is pending — the paper's "during idle time".
-  SubmitIdle([key, norm](OmosServer& server) { server.RunOptimizeJob(key, norm); });
-}
-
 void OmosServer::SubmitIdle(std::function<void(OmosServer&)> job) {
-  // The job holds the shared state, not the server, so it degrades to a
-  // no-op if the server is gone by the time it runs.
-  std::shared_ptr<OptimizerState> state = optimizer_;
-  ThreadPool::Global().SubmitBackground([state, job = std::move(job)] {
-    std::lock_guard<std::mutex> alive(state->job_mu);
-    if (state->server != nullptr) {
-      job(*state->server);
+  // The job holds the guard, not the server, so it degrades to a no-op if
+  // the server is gone by the time it runs.
+  std::shared_ptr<IdleJobGuard> guard = idle_guard_;
+  ThreadPool::Global().SubmitBackground([guard, job = std::move(job)] {
+    std::lock_guard<std::mutex> alive(guard->job_mu);
+    if (guard->server != nullptr) {
+      job(*guard->server);
     }
   });
 }
 
-void OmosServer::RunOptimizeJob(const std::string& key, const std::string& norm) {
-  // Speculatively re-instantiate the hot image's declared library deps so
-  // they are warm for the next cold client (cheap: usually all cache hits).
-  {
-    ImageCache::ReadLease lease(cache_);
-    if (const CachedImage* hot = cache_.Peek(key)) {
-      std::vector<LibDep> deps = hot->deps;
-      for (const LibDep& dep : deps) {
-        uint64_t scratch = 0;
-        (void)GetOrRebuild(dep.cache_key, &scratch);
-      }
+void OmosServer::ScheduleRelink(std::string twin_path) {
+  if (twin_path.empty()) {
+    std::lock_guard<std::mutex> lock(prelink_mu_);
+    if (prelink_.empty()) {
+      return;  // nothing is prelinked, so a re-solve has no client
     }
   }
-  // Re-link under the reorder specialization when profile data exists.
-  if (!HasPreferredOrder(norm)) {
-    return;
+  {
+    std::lock_guard<std::mutex> lock(relink_mu_);
+    if (!twin_path.empty()) {
+      relink_twins_.insert(std::move(twin_path));
+    }
+    if (relink_queued_) {
+      return;  // the queued job serves every request made before it starts
+    }
+    relink_queued_ = true;
   }
-  Specialization reorder;
-  reorder.name = "reorder";
-  uint64_t scratch = 0;
-  auto optimized = Instantiate(norm, reorder, &scratch);
-  if (!optimized.ok()) {
-    LogMessage(LogLevel::kDebug, "optimizer",
-               StrCat("reorder of ", norm, " failed: ", optimized.error().ToString()));
-    return;
-  }
-  std::lock_guard<std::mutex> lock(optimizer_->mu);
-  optimizer_->alias[key] = (*optimized)->key;
+  // Queue on the background lane: the pool runs it only when no foreground
+  // request is pending — the paper's "during idle time".
+  SubmitIdle([](OmosServer& server) {
+    {
+      std::lock_guard<std::mutex> lock(server.relink_mu_);
+      server.relink_queued_ = false;  // requests after this point re-queue
+    }
+    server.RunRelink();
+  });
 }
 
 Result<const CachedImage*> OmosServer::GetOrRebuild(const std::string& cache_key,
@@ -939,10 +892,10 @@ Result<const CachedImage*> OmosServer::LinkAndPublish(const std::string& key, co
     OMOS_TRY(placement, solver_.Place(key, text_size, data_size + bss_size, hints));
     conflict_grew = solver_.conflicts().size() > conflicts_before;
   }
-  if (conflict_grew && prelink_enabled()) {
+  if (conflict_grew) {
     // A weak hint lost to a live placement: the recorded conflict feeds the
     // namespace re-solve, and prelinked images re-link through the idle lane.
-    SchedulePrelinkRepair();
+    ScheduleRelink();
   }
 
   LayoutSpec layout;
@@ -1866,10 +1819,6 @@ PrelinkMetrics& PrelinkStats() {
 
 }  // namespace
 
-void OmosServer::EnablePrelink() {
-  prelink_enabled_.store(true, std::memory_order_relaxed);
-}
-
 void OmosServer::RecordPrelinkEntry(const std::string& path, const std::string& cache_key) {
   uint64_t stamp;
   {
@@ -1896,9 +1845,6 @@ Result<int> OmosServer::PrelinkNamespace(const std::string& prefix) {
     RecordPrelinkEntry(meta_path, image->key);
     ++recorded;
   }
-  // Prelinking a namespace opts into conflict-driven repair: future
-  // placement collisions re-solve + re-link in the background.
-  EnablePrelink();
   return recorded;
 }
 
@@ -1984,8 +1930,8 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     }
     OMOS_TRY(image, InstantiateFor(*task, norm, {}));
     RecordPrelinkEntry(norm, image->key);
-    if (have_entry && prelink_enabled()) {
-      SchedulePrelinkRepair();
+    if (have_entry) {
+      ScheduleRelink();
     }
   }
   OMOS_TRY(uint32_t entry_addr, MapProgram(*task, *image));
@@ -1994,37 +1940,13 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
   return task->id();
 }
 
-void OmosServer::SchedulePrelinkRepair() {
+void OmosServer::RunRelink() {
+  TraceSpan trace("server.relink", "");
+  std::set<std::string> twins;
   {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    if (prelink_repair_queued_) {
-      return;  // one repair pass covers every conflict recorded before it runs
-    }
-    prelink_repair_queued_ = true;
+    std::lock_guard<std::mutex> lock(relink_mu_);
+    twins.swap(relink_twins_);
   }
-  SubmitIdle([](OmosServer& server) { server.RunPrelinkRepair(); });
-}
-
-void OmosServer::RunPrelinkRepair() {
-  {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    prelink_repair_queued_ = false;  // conflicts after this point re-queue
-  }
-  TraceSpan trace("server.prelink_repair", "");
-  PrelinkStats().repairs->Add();
-  std::vector<std::string> moved;
-  {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    moved = solver_.SolveNamespace();
-  }
-  if (!moved.empty()) {
-    // Addresses in cached client replies moved; stub caches must refresh.
-    BumpNamespaceGeneration();
-    EvictMoved(moved);
-  }
-  // Re-instantiate every prelinked path at the solved layout and re-stamp
-  // its entry. Unmoved images are warm cache hits; moved ones re-link once
-  // here instead of on a client's critical path.
   std::vector<std::string> paths;
   {
     std::lock_guard<std::mutex> lock(prelink_mu_);
@@ -2033,13 +1955,44 @@ void OmosServer::RunPrelinkRepair() {
       paths.push_back(path);
     }
   }
+  if (!paths.empty()) {
+    PrelinkStats().repairs->Add();
+    std::vector<std::string> moved;
+    {
+      std::lock_guard<std::mutex> lock(solver_mu_);
+      moved = solver_.SolveNamespace();
+    }
+    if (!moved.empty()) {
+      // Addresses in cached client replies moved; stub caches must refresh.
+      BumpNamespaceGeneration();
+      EvictMoved(moved);
+    }
+  }
+  // Re-instantiate every prelinked path at the solved layout and re-stamp
+  // its entry. Unmoved images are warm cache hits; moved ones re-link once
+  // here instead of on a client's critical path.
   for (const std::string& path : paths) {
     uint64_t scratch = 0;
+    ImageCache::ReadLease lease(cache_);  // pins *image across RecordPrelinkEntry
     auto image = Instantiate(path, {}, &scratch);
     if (image.ok()) {
       RecordPrelinkEntry(path, (*image)->key);
       PrelinkStats().relinks->Add();
     }
+  }
+  // Re-link each requested path under the recorded routine order and serve
+  // the twin for the path's default key from now on.
+  for (const std::string& path : twins) {
+    uint64_t scratch = 0;
+    ImageCache::ReadLease lease(cache_);  // pins *twin while its key is copied
+    auto twin = Instantiate(path, Specialization{"reorder", {}}, &scratch);
+    if (!twin.ok()) {
+      LogMessage(LogLevel::kDebug, "relink",
+                 StrCat("reorder of ", path, " failed: ", twin.error().ToString()));
+      continue;
+    }
+    std::lock_guard<std::mutex> lock(relink_mu_);
+    twin_alias_[MakeCacheKey(path, Specialization().ToKeyString())] = (*twin)->key;
   }
 }
 
@@ -2544,7 +2497,6 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
         std::lock_guard<std::mutex> lock(prelink_mu_);
         prelink_[std::string(path)] = PrelinkEntry{std::move(cache_key), stamp};
       }
-      EnablePrelink();
     } else {
       return Err(ErrorCode::kParseError, StrCat("snapshot: unknown record '", tag, "'"));
     }
@@ -2567,12 +2519,10 @@ int OmosServer::OptimizePlacements() {
     }
     evicted = EvictMoved(changed);
   }
-  // Outside admin_mu_ (the repair re-enters Instantiate): re-link prelinked
+  // Outside admin_mu_ (the relink re-enters Instantiate): re-link prelinked
   // images at the re-packed layout and re-stamp their table entries, so an
   // administrative re-pack doesn't leave the whole prelink table stale.
-  if (prelink_enabled()) {
-    RunPrelinkRepair();
-  }
+  RunRelink();
   return evicted;
 }
 

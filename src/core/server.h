@@ -83,6 +83,10 @@ struct OmosServerConfig {
 //   kernel_mu_   — kernel and task mutation (CreateTask, mapping, billing,
 //                  SimFs writes); never held across a build
 //
+// prelink_mu_ (the prelink table) and relink_mu_ (the relink queue and the
+// twin aliases) are leaf locks: each is taken alone, never while another
+// server lock is held.
+//
 // Cache misses are single-flight: concurrent Instantiates of one key elect
 // a leader via ImageCache::JoinBuild and everyone shares its image. Callers
 // that use a returned CachedImage* concurrently with possible eviction
@@ -140,9 +144,9 @@ class OmosServer {
   // cache key plus the layout generation its image was linked at. When the
   // stamp still matches the solver, the image maps with zero per-exec
   // relocation for `prelink_lookup` cycles (< omos_cache_lookup — no
-  // namespace traversal, no blueprint normalization). A stale stamp falls
-  // back to a full Instantiate and queues a background re-link that
-  // refreshes the entry through the idle lane. Requires PrelinkNamespace.
+  // namespace traversal, no blueprint normalization). A miss or a stale
+  // stamp falls back to a full Instantiate and records the entry; a stale
+  // stamp also queues the idle-lane relink job.
   Result<TaskId> PrelinkedExec(const std::string& path, std::vector<std::string> args);
   // `#! /bin/omos <meta-path>` interpreter-style exec from a SimFs file.
   Result<TaskId> ExecFile(const std::string& fs_path, std::vector<std::string> args,
@@ -218,33 +222,23 @@ class OmosServer {
   Result<void> DerivePreferredOrder(const std::string& path);
   bool HasPreferredOrder(const std::string& path) const;
 
-  // ---- Idle-time background optimization (§4.1) -----------------------------
-  // "During idle periods, OMOS may re-link the module using the profile
-  // information gathered in monitoring mode." When enabled, the server
-  // counts warm hits per cached image; once an image with a recorded
-  // routine order (DerivePreferredOrder) reaches `hot_threshold` hits, a
-  // low-priority job is queued on the shared pool's background lane — it
-  // runs only when no foreground request is waiting. The job re-links the
-  // image under the "reorder" specialization and registers an alias; the
-  // next Instantiate of the original key atomically swaps to the optimized
-  // image. The job also speculatively re-instantiates the hot image's
-  // declared library dependencies so they are warm in the cache.
-  // Redefinition of the underlying path drops the alias with the images.
-  void EnableBackgroundOptimizer(uint64_t hot_threshold = 8);
-
-  // Runs queued idle-time jobs on the caller and waits for any a worker
-  // already picked up; returns how many the caller ran. Gives tests (and
-  // shutdown) a deterministic "all background work done" point.
+  // ---- Idle-time relinking (§4.1) -------------------------------------------
+  // One relink job on the shared pool's idle lane (it runs only while no
+  // foreground request waits) keeps each path's images consistent:
+  //  * "During idle periods, OMOS may re-link the module using the profile
+  //    information gathered in monitoring mode": a cold default-spec build
+  //    of a path with a recorded routine order (DerivePreferredOrder) queues
+  //    its "reorder" twin, which the default key then serves. The twin reads
+  //    the same inputs, so a redefinition evicts it with the default image.
+  //  * Recorded placement conflicts feed the constraint system: while the
+  //    prelink table has entries, a conflict or a stale stamp queues a
+  //    namespace re-solve that re-links and re-stamps every prelinked path.
+  // DrainBackgroundWork runs queued idle-time jobs on the caller and waits
+  // for any a worker already picked up; returns how many the caller ran —
+  // a deterministic "all background work done" point for tests.
   size_t DrainBackgroundWork();
 
   // ---- Fleet-wide prelink (§4.1 feedback loop) ------------------------------
-  // Turn on prelink maintenance: placement conflicts observed during builds
-  // trigger a recorded namespace re-solve plus a background re-link of every
-  // prelinked image whose home moved (idle lane), so the table converges
-  // back to 100% zero-relocation exec without blocking any foreground
-  // request.
-  void EnablePrelink();
-  bool prelink_enabled() const { return prelink_enabled_.load(std::memory_order_relaxed); }
   // Instantiate every meta-object under `prefix` (default spec) and record
   // each in the prelink table with the layout-generation stamp its image
   // was linked at. Returns the number of entries (re)recorded.
@@ -288,7 +282,8 @@ class OmosServer {
   // Feed recorded placement conflicts back into the constraint system
   // (§4.1, "this could be done fully automatically"): re-pack every known
   // object and evict cached images whose addresses changed so they rebuild
-  // at their new homes. Returns the number of images invalidated.
+  // at their new homes, then run the relink job's body on the caller.
+  // Returns the number of images the re-pack invalidated.
   int OptimizePlacements();
 
   // Debugger support (§4.1: "we plan to enhance gdb to interface directly
@@ -480,7 +475,7 @@ class OmosServer {
   }
 
   // Queue `job` on the pool's idle lane; it runs only while the server is
-  // alive (see OptimizerState).
+  // alive (see IdleJobGuard).
   void SubmitIdle(std::function<void(OmosServer&)> job);
 
   // Shared between the server and its queued background jobs, so a job that
@@ -488,16 +483,9 @@ class OmosServer {
   // server == nullptr and becomes a no-op. job_mu serializes job execution
   // against server destruction (and jobs against each other — idle-time
   // work has no concurrency claim to make).
-  struct OptimizerState {
+  struct IdleJobGuard {
     std::mutex job_mu;
     OmosServer* server = nullptr;
-
-    std::mutex mu;  // guards everything below
-    bool enabled = false;
-    uint64_t hot_threshold = 8;
-    std::map<std::string, uint64_t> warm_hits;     // original key -> hits
-    std::set<std::string> attempted;               // keys already queued
-    std::map<std::string, std::string> alias;      // original -> optimized key
   };
 
   // ---- Live upgrade internals ----------------------------------------------
@@ -557,23 +545,18 @@ class OmosServer {
   // Record/refresh `path`'s prelink entry from the current cache + solver
   // state. Called after a successful Instantiate of a prelinked path.
   void RecordPrelinkEntry(const std::string& path, const std::string& cache_key);
-  // Queue the conflict-repair job on the idle lane (at most one in flight):
-  // SolveNamespace under solver_mu_, evict moved images + dependents, then
-  // re-instantiate every prelinked path so its entry is stamp-valid again.
-  void SchedulePrelinkRepair();
-  // Body of the repair job; also the synchronous core of OptimizePlacements'
-  // prelink refresh.
-  void RunPrelinkRepair();
+  // Queue the relink job for `twin_path`'s reorder twin or, given no path,
+  // for the prelink re-solve (dropped while the table is empty). At most
+  // one job is queued; it serves every request made before it starts.
+  void ScheduleRelink(std::string twin_path = {});
+  // The relink job's body (OptimizePlacements runs it on the caller): with
+  // prelink entries, SolveNamespace, evict what moved and re-stamp every
+  // prelinked path; then build each requested twin and alias it.
+  void RunRelink();
 
-  // Warm-hit bookkeeping for `key` (path `norm`, default spec only); queues
-  // an optimization job at the hot threshold.
-  void NoteWarmHit(const std::string& key, const std::string& norm, const Specialization& spec);
-  // The optimized image to serve instead of `key`, or nullptr. Drops the
-  // alias if the optimized image fell out of the cache.
+  // The reorder twin to serve instead of `key`, or nullptr. Drops the alias
+  // if the twin fell out of the cache.
   const CachedImage* OptimizedAlias(const std::string& key);
-  // Body of one background job: reorder-relink `norm` and alias it to
-  // `key`; speculatively re-instantiate the image's library deps.
-  void RunOptimizeJob(const std::string& key, const std::string& norm);
 
   Kernel* kernel_;
   Config config_;
@@ -601,20 +584,24 @@ class OmosServer {
   std::map<std::string, std::vector<uint64_t>> monitor_counts_;
   std::map<std::string, std::vector<std::string>> preferred_order_;
 
-  std::shared_ptr<OptimizerState> optimizer_ = std::make_shared<OptimizerState>();
+  std::shared_ptr<IdleJobGuard> idle_guard_ = std::make_shared<IdleJobGuard>();
+
+  // Relink job state, guarded by relink_mu_ (a leaf lock): the queued flag,
+  // the paths whose twin the job builds, and default key -> twin key.
+  mutable std::mutex relink_mu_;
+  bool relink_queued_ = false;
+  std::set<std::string> relink_twins_;
+  std::map<std::string, std::string> twin_alias_;
 
   // Live upgrade: at most one job; the pointer itself is guarded by
   // upgrade_mu_ (safepoints copy the shared_ptr out under the lock).
   std::shared_ptr<UpgradeJob> upgrade_job_;  // guarded by upgrade_mu_
   uint64_t upgrade_counter_ = 0;             // guarded by upgrade_mu_
 
-  // Prelink table: path -> entry. prelink_mu_ is a LEAF lock — acquired on
-  // its own, never while holding (or before taking) any lock above; the
+  // Prelink table: path -> entry, guarded by prelink_mu_ (a leaf lock); the
   // exec path reads the entry, drops the lock, then consults the solver.
   mutable std::mutex prelink_mu_;
   std::map<std::string, PrelinkEntry> prelink_;         // guarded by prelink_mu_
-  bool prelink_repair_queued_ = false;                  // guarded by prelink_mu_
-  std::atomic<bool> prelink_enabled_{false};
 
   // See namespace_generation(); starts at 1 so "0" is always stale.
   std::atomic<uint64_t> namespace_generation_{1};

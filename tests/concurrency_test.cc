@@ -283,7 +283,6 @@ TEST_F(ConcurrencyTest, BackgroundOptimizerSwapsInReorderedImage) {
   EXPECT_EQ(out.exit_code, 21);
   ASSERT_OK(server_->DerivePreferredOrder("/bin/prog"));
 
-  server_->EnableBackgroundOptimizer(/*hot_threshold=*/3);
   ASSERT_OK(server_->Instantiate("/bin/prog", {}, nullptr));  // cold build
   for (int i = 0; i < 3; ++i) {                               // warm hits -> hot
     ASSERT_OK(server_->Instantiate("/bin/prog", {}, nullptr));

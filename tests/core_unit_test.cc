@@ -427,7 +427,8 @@ TEST(CacheKey, MakeAndSplitRoundTrip) {
 TEST(CacheKey, SplitAllowsEmptySpec) {
   std::string_view path;
   std::string_view spec;
-  ASSERT_TRUE(SplitCacheKey(MakeCacheKey("/bin/ls", ""), &path, &spec));
+  std::string key = MakeCacheKey("/bin/ls", "");
+  ASSERT_TRUE(SplitCacheKey(key, &path, &spec));
   EXPECT_EQ(path, "/bin/ls");
   EXPECT_EQ(spec, "");
 }

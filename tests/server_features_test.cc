@@ -751,7 +751,6 @@ TEST_F(ServerFeatures, PrelinkedExecHitIsCheaperThanIntegrated) {
 
   ASSERT_OK_AND_ASSIGN(int prelinked, server_->PrelinkNamespace("/bin"));
   EXPECT_EQ(prelinked, 1);
-  EXPECT_TRUE(server_->prelink_enabled());
   EXPECT_EQ(server_->PrelinkValidCount(), 1u);
 
   // Warm integrated exec: pays the cache-lookup round trip.
@@ -1049,6 +1048,88 @@ pf:
     ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
     EXPECT_EQ(out.exit_code, 1) << program;
   }
+}
+
+
+// ---- Idle-lane relink job ------------------------------------------------------
+
+// Defines /bin/prog, which exits with answer() from /obj/v.o, and records
+// its routine order from one monitored run.
+void DefineProfiledProgram(OmosServer& server, Kernel& kernel, int value) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile v, AnswerObject(value));
+  ASSERT_OK(server.AddFragment("/obj/v.o", std::move(v)));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(kCallAnswer, "main.o"));
+  ASSERT_OK(server.AddFragment("/obj/main.o", std::move(main_obj)));
+  ASSERT_OK(server.DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/main.o /obj/v.o)"));
+  ASSERT_OK_AND_ASSIGN(TaskId id,
+                       server.IntegratedExec("/bin/prog", {"prog"}, Specialization{"monitor", {}}));
+  ASSERT_OK(kernel.RunTask(*kernel.FindTask(id)));
+  ASSERT_OK(server.DerivePreferredOrder("/bin/prog"));
+}
+
+// The cache key a default-spec Instantiate of /bin/prog serves.
+std::string ServedKey(OmosServer& server) {
+  ImageCache::ReadLease lease(server.cache());
+  auto image = server.Instantiate("/bin/prog", {}, nullptr);
+  return image.ok() ? (*image)->key : image.error().ToString();
+}
+
+TEST_F(ServerFeatures, RedefinitionReachesReorderTwin) {
+  DefineProfiledProgram(*server_, kernel_, 5);
+  // The first default build queues the twin; the idle lane builds it.
+  ASSERT_OK_AND_ASSIGN(TaskId cold, server_->IntegratedExec("/bin/prog", {"prog"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome cold_out, Run(cold));
+  EXPECT_EQ(cold_out.exit_code, 5);
+  server_->DrainBackgroundWork();
+  ASSERT_NE(ServedKey(*server_).find("reorder"), std::string::npos);
+
+  // Redefinition evicts the twin with the default image: the next default
+  // exec runs the new code, and its cold build queues a fresh twin.
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, AnswerObject(6));
+  ASSERT_OK(server_->AddFragment("/obj/v.o", std::move(v2)));
+  ASSERT_OK_AND_ASSIGN(TaskId fresh, server_->IntegratedExec("/bin/prog", {"prog"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome fresh_out, Run(fresh));
+  EXPECT_EQ(fresh_out.exit_code, 6);
+
+  server_->DrainBackgroundWork();
+  EXPECT_NE(ServedKey(*server_).find("reorder"), std::string::npos);
+  ASSERT_OK_AND_ASSIGN(TaskId twin, server_->IntegratedExec("/bin/prog", {"prog"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome twin_out, Run(twin));
+  EXPECT_EQ(twin_out.exit_code, 6);
+}
+
+TEST_F(ServerFeatures, RestoredOrderEarnsReorderTwin) {
+  DefineProfiledProgram(*server_, kernel_, 5);
+  Kernel kernel2;
+  OmosServer restored(kernel2);
+  ASSERT_OK(restored.Restore(server_->Snapshot()));
+
+  // The restored order is enough: one cold default build queues the twin.
+  EXPECT_EQ(ServedKey(restored).find("reorder"), std::string::npos);
+  restored.DrainBackgroundWork();
+  EXPECT_NE(ServedKey(restored).find("reorder"), std::string::npos);
+}
+
+TEST_F(ServerFeatures, ConflictWithoutPrelinkEntriesIsNotResolved) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile a, Assemble(".text\n.global fa\nfa: ret\n", "a.o"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile b, Assemble(".text\n.global fb\nfb: ret\n", "b.o"));
+  ASSERT_OK(server_->AddFragment("/obj/a.o", std::move(a)));
+  ASSERT_OK(server_->AddFragment("/obj/b.o", std::move(b)));
+  ASSERT_OK(server_->DefineLibrary("/lib/a",
+                                   "(constraint-list \"T\" 0x3000000)\n(merge /obj/a.o)"));
+  ASSERT_OK(server_->DefineLibrary("/lib/b",
+                                   "(constraint-list \"T\" 0x3000000)\n(merge /obj/b.o)"));
+  Counter* resolves = MetricsRegistry::Global().GetCounter("solver.resolves");
+  uint64_t resolves_before = resolves->value();
+  Specialization spec{"lib-constrained", {}};
+  ASSERT_OK(server_->Instantiate("/lib/a", spec, nullptr));
+  ASSERT_OK(server_->Instantiate("/lib/b", spec, nullptr));
+  ASSERT_EQ(server_->conflicts().size(), 1u);
+
+  // No prelink entry would gain from a re-solve, so none is queued.
+  server_->DrainBackgroundWork();
+  EXPECT_EQ(server_->conflicts().size(), 1u);
+  EXPECT_EQ(resolves->value(), resolves_before);
 }
 
 }  // namespace
