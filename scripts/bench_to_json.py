@@ -46,6 +46,7 @@ INTERP_ROW = re.compile(
 )
 INTERP_COUNTER_LINE = re.compile(
     r"^engine counters over the blocks runs: (?P<decoded>\d+) blocks decoded, "
+    r"(?P<block_hits>\d+) block hits / (?P<l1_misses>\d+) L1 misses, "
     r"tlb (?P<tlb_hits>\d+) hits / (?P<tlb_misses>\d+) misses"
 )
 
@@ -144,6 +145,8 @@ def parse_interp(text):
         if c:
             counters = {
                 "blocks_decoded": int(c.group("decoded")),
+                "block_hits": int(c.group("block_hits")),
+                "l1_misses": int(c.group("l1_misses")),
                 "tlb_hits": int(c.group("tlb_hits")),
                 "tlb_misses": int(c.group("tlb_misses")),
             }

@@ -16,8 +16,10 @@
 // elsewhere the same op bodies compile as a switch in a loop.
 #if defined(__GNUC__) || defined(__clang__)
 #define OMOS_ENGINE_DIRECT_THREADED 1
+#define OMOS_ALWAYS_INLINE inline __attribute__((always_inline))
 #else
 #define OMOS_ENGINE_DIRECT_THREADED 0
+#define OMOS_ALWAYS_INLINE inline
 #endif
 
 namespace omos {
@@ -30,6 +32,11 @@ namespace {
 constexpr size_t kMaxCachedBlocks = 1u << 16;
 
 constexpr uint32_t kInvalidPage = 0xFFFFFFFFu;
+
+// Parked caches of destroyed tasks kept for reuse. Tasks are created and
+// destroyed per exec, so a handful covers the concurrent execs of a busy
+// server without holding much memory.
+constexpr size_t kMaxFreeCaches = 4;
 
 inline uint32_t Load32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
@@ -57,6 +64,7 @@ EngineMetrics& GetEngineMetrics() {
   static EngineMetrics metrics{
       MetricsRegistry::Global().GetCounter("engine.blocks_decoded"),
       MetricsRegistry::Global().GetCounter("engine.block_hits"),
+      MetricsRegistry::Global().GetCounter("engine.l1_misses"),
       MetricsRegistry::Global().GetCounter("engine.invalidations"),
       MetricsRegistry::Global().GetCounter("engine.tlb_hits"),
       MetricsRegistry::Global().GetCounter("engine.tlb_misses"),
@@ -81,9 +89,21 @@ struct ExecEngine::Block {
   std::vector<DecodedInsn> insns;
 };
 
+struct ExecEngine::L1Entry {
+  uint32_t pc = 0;
+  uint32_t tag = 0;              // valid iff == TaskCache::l1_tag; 0 never is
+  const Block* block = nullptr;  // kept alive by TaskCache::pins while the tag is live
+};
+
 struct ExecEngine::TaskCache {
   static constexpr uint32_t kTlbEntries = 32;  // direct-mapped by virtual page
-  static constexpr uint32_t kL1Entries = 64;   // direct-mapped by pc / kInsnSize
+  // Direct-mapped by pc / kInsnSize. 1024 entries hold codegen's hot set
+  // (~85% hits; 64 entries hit ~5%); tags keep the size off the per-exec
+  // path, so it costs memory once per parked cache, not time per task.
+  static constexpr uint32_t kL1Entries = 1024;
+  // A task whose L1 keeps missing re-pins on every miss; past this many
+  // pins the L1 is flushed, which bounds what a thrashing task keeps alive.
+  static constexpr size_t kMaxPins = 4 * kL1Entries;
 
   struct TlbEntry {
     uint32_t page = kInvalidPage;  // virtual page number (addr / kPageSize)
@@ -91,16 +111,15 @@ struct ExecEngine::TaskCache {
     uint8_t prot = 0;
     bool cow = false;  // writes must fault even though prot allows them
   };
-  struct L1Entry {
-    uint32_t pc = 0;
-    std::shared_ptr<const Block> block;  // also keeps the block alive vs. eviction
-  };
-
   std::array<TlbEntry, kTlbEntries> tlb{};
   std::array<L1Entry, kL1Entries> l1{};
+  uint32_t l1_tag = 1;
+  // Owners of every block a live-tagged L1 entry points to. An L1 flush
+  // happens only between blocks, so dropping the pins then never frees the
+  // block that is executing.
+  std::vector<std::shared_ptr<const Block>> pins;
   // TLB and L1 epochs are tracked separately: data accesses re-sync the TLB
-  // mid-block, but the L1 must only be flushed between blocks — an L1 slot
-  // holds the shared_ptr keeping the currently-executing block alive.
+  // mid-block, but the L1 must only be flushed between blocks.
   uint64_t tlb_epoch = 0;
   uint64_t l1_space_epoch = 0;
   uint64_t l1_engine_epoch = 0;
@@ -108,6 +127,7 @@ struct ExecEngine::TaskCache {
   uint64_t tlb_hits = 0;
   uint64_t tlb_misses = 0;
   uint64_t block_hits = 0;
+  uint64_t l1_misses = 0;
 
   void FlushTlb() {
     for (TlbEntry& e : tlb) {
@@ -115,10 +135,65 @@ struct ExecEngine::TaskCache {
     }
   }
   void FlushL1() {
-    for (L1Entry& e : l1) {
-      e.pc = 0;
-      e.block.reset();
+    pins.clear();
+    if (++l1_tag == 0) {
+      // Wrapped: entries stamped 2^32 flushes ago would match again.
+      for (L1Entry& e : l1) {
+        e.tag = 0;
+      }
+      l1_tag = 1;
     }
+  }
+  // Make a parked cache safe for a new task. Epochs alone cannot tell the
+  // old task's entries apart: every AddressSpace starts map_epoch at 1, so
+  // a new task mapping other code at the same addresses would match them.
+  void Reset() {
+    FlushL1();
+    FlushTlb();
+    tlb_epoch = l1_space_epoch = l1_engine_epoch = 0;
+  }
+
+  // Software TLB probe for a `size`-byte access that must not cross a
+  // page. Returns the frame byte pointer on a hit with sufficient
+  // permission, or nullptr to route the access through the
+  // billing/faulting slow path (absent page, CoW write, protection
+  // mismatch, page-crossing). The slow path resolves the fault exactly like
+  // CpuStep's Read32/Write32 — and bumps the map epoch, which re-syncs the
+  // TLB on the next probe.
+  OMOS_ALWAYS_INLINE uint8_t* Probe(const AddressSpace& space, uint32_t addr, uint32_t size,
+                                    bool write) {
+    uint8_t* hit = nullptr;
+    if ((addr & kPageMask) <= kPageSize - size) {
+      uint64_t epoch = space.map_epoch();
+      if (tlb_epoch != epoch) {
+        FlushTlb();
+        tlb_epoch = epoch;
+      }
+      uint32_t page = addr / kPageSize;
+      TlbEntry& e = tlb[page & (kTlbEntries - 1)];
+      if (e.page != page) {
+        AddressSpace::PageLookup pl;
+        if (space.LookupPage(addr, &pl) && pl.present) {
+          e.page = page;
+          e.data = pl.data;
+          e.prot = pl.prot;
+          e.cow = pl.cow;
+        }
+      }
+      if (e.page == page) {
+        bool allowed = write ? ((e.prot & kProtWrite) != 0 && !e.cow)
+                             : (e.prot & kProtRead) != 0;
+        if (allowed) {
+          hit = e.data + (addr & kPageMask);
+        }
+      }
+    }
+    if (hit != nullptr) {
+      ++tlb_hits;
+    } else {
+      ++tlb_misses;
+    }
+    return hit;
   }
 };
 
@@ -130,14 +205,27 @@ ExecEngine::TaskCache& ExecEngine::StateFor(const Task& task) {
   std::lock_guard<std::mutex> lock(tasks_mu_);
   std::unique_ptr<TaskCache>& slot = tasks_[task.id()];
   if (slot == nullptr) {
-    slot = std::make_unique<TaskCache>();
+    if (free_caches_.empty()) {
+      slot = std::make_unique<TaskCache>();
+    } else {
+      slot = std::move(free_caches_.back());
+      free_caches_.pop_back();
+      slot->Reset();
+    }
   }
   return *slot;
 }
 
 void ExecEngine::DropTask(uint32_t task_id) {
   std::lock_guard<std::mutex> lock(tasks_mu_);
-  tasks_.erase(task_id);
+  auto it = tasks_.find(task_id);
+  if (it == tasks_.end()) {
+    return;
+  }
+  if (free_caches_.size() < kMaxFreeCaches) {
+    free_caches_.push_back(std::move(it->second));
+  }
+  tasks_.erase(it);
 }
 
 void ExecEngine::InvalidateAll(std::string_view reason) {
@@ -157,16 +245,14 @@ size_t ExecEngine::CachedBlocks() const {
   return blocks_.size();
 }
 
-Result<const ExecEngine::Block*> ExecEngine::LookupBlock(Task& task, TaskCache& st, uint32_t pc) {
+inline Result<const ExecEngine::Block*> ExecEngine::LookupBlock(Task& task, TaskCache& st,
+                                                                uint32_t pc) {
   AddressSpace& space = task.space();
   uint64_t sepoch = space.map_epoch();
-  if (st.l1_space_epoch != sepoch) {
+  uint64_t eepoch = epoch_.load(std::memory_order_acquire);
+  if (st.l1_space_epoch != sepoch || st.l1_engine_epoch != eepoch) {
     st.FlushL1();
     st.l1_space_epoch = sepoch;
-  }
-  uint64_t eepoch = epoch_.load(std::memory_order_acquire);
-  if (st.l1_engine_epoch != eepoch) {
-    st.FlushL1();
     st.l1_engine_epoch = eepoch;
   }
   uint32_t offset = pc & kPageMask;
@@ -174,11 +260,18 @@ Result<const ExecEngine::Block*> ExecEngine::LookupBlock(Task& task, TaskCache& 
     // The 8-byte fetch would cross a page; single-step it.
     return static_cast<const Block*>(nullptr);
   }
-  TaskCache::L1Entry& slot = st.l1[(pc / kInsnSize) % TaskCache::kL1Entries];
-  if (slot.block != nullptr && slot.pc == pc) {
+  L1Entry& slot = st.l1[(pc / kInsnSize) % TaskCache::kL1Entries];
+  if (slot.tag == st.l1_tag && slot.pc == pc) {
     ++st.block_hits;
-    return slot.block.get();
+    return slot.block;
   }
+  return FillL1(task, st, pc, slot);
+}
+
+Result<const ExecEngine::Block*> ExecEngine::FillL1(Task& task, TaskCache& st, uint32_t pc,
+                                                    L1Entry& slot) {
+  AddressSpace& space = task.space();
+  uint32_t offset = pc & kPageMask;
   AddressSpace::PageLookup pl;
   if (!space.LookupPage(pc, &pl) || !pl.present || (pl.prot & kProtExec) == 0) {
     // Unmapped, non-executable, or demand-zero text: take the exact fetch
@@ -207,6 +300,7 @@ Result<const ExecEngine::Block*> ExecEngine::LookupBlock(Task& task, TaskCache& 
   uint64_t key = (static_cast<uint64_t>(pl.frame) << 32) |
                  ((static_cast<uint64_t>(gen) << 9 | (offset >> 3)) & 0xFFFFFFFFu);
   std::shared_ptr<const Block> block;
+  ++st.l1_misses;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = blocks_.find(key);
@@ -266,9 +360,12 @@ Result<const ExecEngine::Block*> ExecEngine::LookupBlock(Task& task, TaskCache& 
     }
     blocks_.insert_or_assign(key, block);
   }
-  slot.pc = pc;
-  slot.block = std::move(block);
-  return slot.block.get();
+  if (st.pins.size() >= TaskCache::kMaxPins) {
+    st.FlushL1();
+  }
+  slot = L1Entry{pc, st.l1_tag, block.get()};
+  st.pins.push_back(std::move(block));
+  return slot.block;
 }
 
 Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& block,
@@ -285,63 +382,52 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
   }
 
   const DecodedInsn* d = block.insns.data();
-  const DecodedInsn* dend = d + block.insns.size();
+  const DecodedInsn* const dbegin = d;
+  const DecodedInsn* const dend = d + block.insns.size();
   auto r = [&](uint8_t i) { return task.reg(i); };
   auto w = [&](uint8_t i, uint32_t v) { task.set_reg(i, v); };
-  // Software TLB probe for a `size`-byte access that must not cross a page.
-  // Returns the frame byte pointer on a hit with sufficient permission, or
-  // nullptr to route the access through the billing/faulting slow path
-  // (absent page, CoW write, protection mismatch, page-crossing). The slow
-  // path resolves the fault exactly like CpuStep's Read32/Write32 — and
-  // bumps the map epoch, which re-syncs the TLB on the next probe.
-  auto tlb = [&](uint32_t addr, uint32_t size, bool write) -> uint8_t* {
-    uint8_t* hit = nullptr;
-    if ((addr & kPageMask) <= kPageSize - size) {
-      uint64_t epoch = space.map_epoch();
-      if (st.tlb_epoch != epoch) {
-        st.FlushTlb();
-        st.tlb_epoch = epoch;
-      }
-      uint32_t page = addr / kPageSize;
-      TaskCache::TlbEntry& e = st.tlb[page & (TaskCache::kTlbEntries - 1)];
-      if (e.page != page) {
-        AddressSpace::PageLookup pl;
-        if (space.LookupPage(addr, &pl) && pl.present) {
-          e.page = page;
-          e.data = pl.data;
-          e.prot = pl.prot;
-          e.cow = pl.cow;
-        }
-      }
-      if (e.page == page) {
-        bool allowed = write ? ((e.prot & kProtWrite) != 0 && !e.cow)
-                             : (e.prot & kProtRead) != 0;
-        if (allowed) {
-          hit = e.data + (addr & kPageMask);
-        }
+
+  // One budget and profiler check per block. With the profiler off and the
+  // whole block inside the remaining budget, no boundary in it can stop or
+  // sample, so it runs unchecked and retires its instructions at exit —
+  // through *d, the last one executed (the faulting one on a mid-block
+  // fault). Nothing the block calls reads the counts except the syscall,
+  // which commits them first. Otherwise each instruction takes the checked
+  // prologue below.
+  const bool checked =
+      CycleProfiler::enabled() || budget - *executed < static_cast<uint64_t>(dend - d);
+  struct DeferredRetire {
+    Task& task;
+    uint64_t* executed;
+    const DecodedInsn* begin;
+    const DecodedInsn* const& last;
+    bool pending;
+    void Commit() {
+      if (pending) {
+        uint64_t n = static_cast<uint64_t>(last - begin) + 1;
+        task.CountInstructions(n);
+        *executed += n;
+        pending = false;
       }
     }
-    if (hit != nullptr) {
-      ++st.tlb_hits;
-    } else {
-      ++st.tlb_misses;
-    }
-    return hit;
-  };
+    ~DeferredRetire() { Commit(); }
+  } retire{task, executed, dbegin, d, !checked};
 
 // Per-instruction prologue, replicating CpuStep's exact order: budget stop
 // at the boundary (pc already points at the unexecuted instruction), retire
 // count, profiler sample at the pre-execution pc, then pc := pc_next.
 #define OMOS_PROLOGUE()                                                      \
   do {                                                                       \
-    if (*executed >= budget) {                                               \
-      return OkResult();                                                     \
-    }                                                                        \
-    task.CountInstruction();                                                 \
-    ++*executed;                                                             \
-    if (CycleProfiler::enabled() &&                                          \
-        (task.instructions_retired() & CycleProfiler::mask()) == 0) {        \
-      CycleProfiler::RecordSample(task.id(), pc);                            \
+    if (checked) {                                                           \
+      if (*executed >= budget) {                                             \
+        return OkResult();                                                   \
+      }                                                                      \
+      task.CountInstruction();                                               \
+      ++*executed;                                                           \
+      if (CycleProfiler::enabled() &&                                        \
+          (task.instructions_retired() & CycleProfiler::mask()) == 0) {      \
+        CycleProfiler::RecordSample(task.id(), pc);                          \
+      }                                                                      \
     }                                                                        \
     next = pc + kInsnSize;                                                   \
     task.set_pc(next);                                                       \
@@ -361,9 +447,10 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
 #define OMOS_OP(name) L_##name
 #define OMOS_NEXT()                                                          \
   do {                                                                       \
-    if (++d == dend) {                                                       \
+    if (d + 1 == dend) {                                                     \
       return OkResult();                                                     \
     }                                                                        \
+    ++d;                                                                     \
     pc = next;                                                               \
     OMOS_PROLOGUE();                                                         \
     goto* kOps[static_cast<size_t>(d->op)];                                  \
@@ -438,7 +525,7 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
     OMOS_NEXT();
   OMOS_OP(kLd): {
     uint32_t addr = r(d->r2) + d->imm;
-    if (const uint8_t* p = tlb(addr, 4, /*write=*/false)) {
+    if (const uint8_t* p = st.Probe(space, addr, 4, /*write=*/false)) {
       w(d->r1, Load32(p));
     } else {
       Result<uint32_t> v = space.Read32(addr);
@@ -451,7 +538,7 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
   }
   OMOS_OP(kSt): {
     uint32_t addr = r(d->r2) + d->imm;
-    if (uint8_t* p = tlb(addr, 4, /*write=*/true)) {
+    if (uint8_t* p = st.Probe(space, addr, 4, /*write=*/true)) {
       Store32(p, r(d->r1));
     } else {
       Result<void> res = space.Write32(addr, r(d->r1));
@@ -463,7 +550,7 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
   }
   OMOS_OP(kLdB): {
     uint32_t addr = r(d->r2) + d->imm;
-    if (const uint8_t* p = tlb(addr, 1, /*write=*/false)) {
+    if (const uint8_t* p = st.Probe(space, addr, 1, /*write=*/false)) {
       w(d->r1, *p);
     } else {
       Result<uint8_t> v = space.Read8(addr);
@@ -476,7 +563,7 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
   }
   OMOS_OP(kStB): {
     uint32_t addr = r(d->r2) + d->imm;
-    if (uint8_t* p = tlb(addr, 1, /*write=*/true)) {
+    if (uint8_t* p = st.Probe(space, addr, 1, /*write=*/true)) {
       *p = static_cast<uint8_t>(r(d->r1));
     } else {
       Result<void> res = space.Write8(addr, static_cast<uint8_t>(r(d->r1)));
@@ -488,7 +575,7 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
   }
   OMOS_OP(kLdPc): {
     uint32_t addr = next + d->imm;
-    if (const uint8_t* p = tlb(addr, 4, /*write=*/false)) {
+    if (const uint8_t* p = st.Probe(space, addr, 4, /*write=*/false)) {
       w(d->r1, Load32(p));
     } else {
       Result<uint32_t> v = space.Read32(addr);
@@ -556,7 +643,7 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
   OMOS_OP(kPush): {
     uint32_t sp = r(kRegSp) - 4;
     w(kRegSp, sp);
-    if (uint8_t* p = tlb(sp, 4, /*write=*/true)) {
+    if (uint8_t* p = st.Probe(space, sp, 4, /*write=*/true)) {
       Store32(p, r(d->r1));
     } else {
       Result<void> res = space.Write32(sp, r(d->r1));
@@ -569,7 +656,7 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
   OMOS_OP(kPop): {
     uint32_t sp = r(kRegSp);
     uint32_t v;
-    if (const uint8_t* p = tlb(sp, 4, /*write=*/false)) {
+    if (const uint8_t* p = st.Probe(space, sp, 4, /*write=*/false)) {
       v = Load32(p);
     } else {
       Result<uint32_t> res = space.Read32(sp);
@@ -584,15 +671,18 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
   }
   OMOS_OP(kSys):
     // The syscall may remap, exit, or request a safepoint; end the block.
+    // It also reads the task's cycle counts, so they must be current.
+    retire.Commit();
     return kernel_.Syscall(task, d->imm);
 
 #if !OMOS_ENGINE_DIRECT_THREADED
       case Opcode::kCount:
         return Err(ErrorCode::kExecFault, StrCat("illegal opcode at ", Hex32(pc)));
     }
-    if (++d == dend) {
+    if (d + 1 == dend) {
       return OkResult();
     }
+    ++d;
     pc = next;
   }
 #endif
@@ -618,7 +708,10 @@ Result<void> ExecEngine::Run(Task& task, uint64_t budget, uint64_t* executed) {
       if (st.block_hits != 0) {
         metrics.block_hits->Add(st.block_hits);
       }
-      st.tlb_hits = st.tlb_misses = st.block_hits = 0;
+      if (st.l1_misses != 0) {
+        metrics.l1_misses->Add(st.l1_misses);
+      }
+      st.tlb_hits = st.tlb_misses = st.block_hits = st.l1_misses = 0;
     }
   } flush{st, metrics};
 

@@ -22,7 +22,14 @@
 //     tagged with AddressSpace::map_epoch() and the engine's invalidation
 //     epoch, and self-flush on mismatch — map changes, CoW breaks and
 //     explicit invalidations (library redefinition, live-upgrade repoint)
-//     cost one compare per block entry, not a callback web.
+//     cost one compare per block entry, not a callback web. The L1 has
+//     1024 entries, enough for a compiler-sized hot set, and stores raw
+//     block pointers stamped with a per-cache tag: a flush bumps the tag in
+//     O(1) and clears the task's pin list, the shared_ptrs that keep every
+//     block its L1 can reach alive against a concurrent InvalidateAll.
+//     Caches of destroyed tasks are parked on a short free list and reset
+//     when a new task takes one, so an exec pays neither the allocation nor
+//     a full clear.
 //
 // A block is a run of instructions within one text page ending at the first
 // control-flow instruction (branch, jump, call, ret, sys, halt), the page
@@ -30,8 +37,12 @@
 // CpuStep's per-instruction order exactly — CountInstruction, profiler
 // sample at the pre-execution pc, first-touch text-page billing, pc_next
 // update — so retired counts, simulated cycles and profile sample streams
-// are byte-identical between engines. Pages mapped writable+executable are
-// never cached; they fall back to CpuStep.
+// are byte-identical between engines. The budget and profiler checks run
+// once per block: with the profiler off and the whole block inside the
+// remaining budget no boundary in it can stop or sample, so the block runs
+// unchecked and retires its instructions at exit (before a syscall, and up
+// to the faulting instruction on a mid-block fault). Pages mapped
+// writable+executable are never cached; they fall back to CpuStep.
 #ifndef OMOS_SRC_ENGINE_ENGINE_H_
 #define OMOS_SRC_ENGINE_ENGINE_H_
 
@@ -41,6 +52,7 @@
 #include <memory>
 #include <mutex>
 #include <string_view>
+#include <vector>
 
 #include "src/support/flat_map.h"
 #include "src/support/result.h"
@@ -66,6 +78,7 @@ EngineMode DefaultEngineMode();
 struct EngineMetrics {
   class Counter* blocks_decoded;  // engine.blocks_decoded
   class Counter* block_hits;      // engine.block_hits (L1 + shared-cache hits)
+  class Counter* l1_misses;       // engine.l1_misses (L1 misses that probed the shared cache)
   class Counter* invalidations;   // engine.invalidations
   class Counter* tlb_hits;        // engine.tlb_hits
   class Counter* tlb_misses;      // engine.tlb_misses (slow-path accesses)
@@ -94,7 +107,8 @@ class ExecEngine {
   // repoint; `reason` labels the trace event.
   void InvalidateAll(std::string_view reason);
 
-  // Forget a destroyed task's TLB/L1 state.
+  // Forget a destroyed task: its TLB/L1 state is parked for reuse by a
+  // later task (and reset then) or freed.
   void DropTask(uint32_t task_id);
 
   // Introspection (tests).
@@ -107,6 +121,7 @@ class ExecEngine {
   // Named TaskCache, not TaskState: the os layer already uses TaskState for
   // the run-state enum and these methods see both scopes.
   struct TaskCache;
+  struct L1Entry;
 
   TaskCache& StateFor(const Task& task);
   // Find or decode the block starting at `pc`. Returns nullptr (ok) when the
@@ -114,6 +129,9 @@ class ExecEngine {
   // should single-step; returns the error FetchBytes/DecodeInsn would raise
   // so the fault surfaces exactly once, with the legacy message.
   Result<const Block*> LookupBlock(Task& task, TaskCache& st, uint32_t pc);
+  // LookupBlock's L1-miss path: probe the shared cache (decoding on a
+  // miss), then fill `slot` and pin the block.
+  Result<const Block*> FillL1(Task& task, TaskCache& st, uint32_t pc, L1Entry& slot);
   Result<void> ExecuteBlock(Task& task, TaskCache& st, const Block& block, uint64_t budget,
                             uint64_t* executed);
 
@@ -123,8 +141,9 @@ class ExecEngine {
   mutable std::mutex mu_;  // guards blocks_
   FlatMap<uint64_t, std::shared_ptr<const Block>> blocks_;
 
-  std::mutex tasks_mu_;  // guards tasks_ (map shape only; states are per-driver)
+  std::mutex tasks_mu_;  // guards tasks_ (map shape only; states are per-driver), free_caches_
   std::map<uint32_t, std::unique_ptr<TaskCache>> tasks_;
+  std::vector<std::unique_ptr<TaskCache>> free_caches_;  // dropped tasks' caches, not yet reset
 };
 
 }  // namespace omos

@@ -2,14 +2,15 @@
 #ifndef OMOS_SRC_OS_TASK_H_
 #define OMOS_SRC_OS_TASK_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "src/isa/isa.h"
 #include "src/support/result.h"
@@ -88,9 +89,10 @@ class Task {
   void set_brk(uint32_t brk) { brk_ = brk; }
 
   uint64_t instructions_retired() const { return instructions_retired_; }
-  void CountInstruction() {
-    ++instructions_retired_;
-    ++user_cycles_;
+  void CountInstruction() { CountInstructions(1); }
+  void CountInstructions(uint64_t n) {
+    instructions_retired_ += n;
+    user_cycles_ += n;
   }
 
   // Demand-paging accounting for instruction fetch: returns true the first
@@ -100,7 +102,7 @@ class Task {
       return false;
     }
     last_fetch_page_ = page;
-    return touched_text_pages_.insert(page).second;
+    return InsertTextPage(page);
   }
   size_t touched_text_pages() const { return touched_text_pages_.size(); }
 
@@ -116,6 +118,17 @@ class Task {
   void ClearSafepoint() { safepoint_pending_.store(false, std::memory_order_relaxed); }
 
  private:
+  // TouchTextPage's page-change path, kept out of it so the same-page check
+  // stays small enough to inline into the execution loops.
+  bool InsertTextPage(uint32_t page) {
+    auto it = std::lower_bound(touched_text_pages_.begin(), touched_text_pages_.end(), page);
+    if (it != touched_text_pages_.end() && *it == page) {
+      return false;
+    }
+    touched_text_pages_.insert(it, page);
+    return true;
+  }
+
   TaskId id_;
   std::string name_;
   std::unique_ptr<AddressSpace> space_;
@@ -132,7 +145,7 @@ class Task {
   int next_fd_ = 3;
   uint32_t brk_ = 0;
   uint32_t last_fetch_page_ = 0xFFFFFFFF;
-  std::set<uint32_t> touched_text_pages_;
+  std::vector<uint32_t> touched_text_pages_;  // sorted; a few dozen pages
   std::atomic<bool> safepoint_pending_{false};
 };
 

@@ -3,10 +3,12 @@
 // interpreter and the block engine and requires every simulated observable
 // — final registers, pc, cycles, retired counts, output, fault identity,
 // profiler sample stream — to be byte-identical; the fault sweeps prove
-// mid-block CoW/demand-zero faults leave precise state; the invalidation
-// and concurrency tests (TSan-covered) prove redefinition and live-upgrade
-// repoint invalidate cached blocks without stale-code execution or frame
-// use-after-free.
+// mid-block CoW/demand-zero faults leave precise state; the wide-hot-set
+// tests check that the per-task L1 holds a few hundred blocks and that a
+// recycled per-task cache never serves its previous task's code; the
+// invalidation and concurrency tests (TSan-covered) prove redefinition and
+// live-upgrade repoint invalidate cached blocks without stale-code
+// execution or frame use-after-free.
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -42,6 +44,7 @@ struct Observed {
   uint64_t user_cycles = 0;
   uint64_t sys_cycles = 0;
   uint64_t retired = 0;
+  size_t touched_text_pages = 0;
   std::string output;
   std::string fault;
   uint64_t vm_hits = 0;   // FaultSim vm.fault hit count (0 unless a plan is armed)
@@ -81,6 +84,7 @@ Observed Capture(EngineWorld& w, const Result<void>& run) {
   o.user_cycles = w.task->user_cycles();
   o.sys_cycles = w.task->sys_cycles();
   o.retired = w.task->instructions_retired();
+  o.touched_text_pages = w.task->touched_text_pages();
   o.output = w.task->output();
   o.fault = w.task->fault() ? w.task->fault()->ToString() : "";
   return o;
@@ -120,6 +124,7 @@ void ExpectSame(const Observed& interp, const Observed& blocks, const std::strin
   EXPECT_EQ(interp.user_cycles, blocks.user_cycles) << label;
   EXPECT_EQ(interp.sys_cycles, blocks.sys_cycles) << label;
   EXPECT_EQ(interp.retired, blocks.retired) << label;
+  EXPECT_EQ(interp.touched_text_pages, blocks.touched_text_pages) << label;
   EXPECT_EQ(interp.output, blocks.output) << label;
   EXPECT_EQ(interp.fault, blocks.fault) << label;
   EXPECT_EQ(interp.vm_hits, blocks.vm_hits) << label;
@@ -292,6 +297,40 @@ msg: .asciiz "ab\n"
 )");
 }
 
+TEST(EngineDifferential, SyscallsSeeCurrentCounts) {
+  // The block engine retires an unchecked block's instructions at its exit;
+  // a syscall ending the block must still see every one of them.
+  const std::string prog = R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  movi r5, 50
+loop:
+  add r6, r6, r4
+  xor r7, r6, r5
+  addi r4, r4, 1
+  sys 40
+  blt r4, r5, loop
+  movi r0, 0
+  sys 0
+)";
+  std::vector<uint64_t> seen[2];
+  const EngineMode modes[2] = {EngineMode::kInterp, EngineMode::kBlocks};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK_AND_ASSIGN(EngineWorld w, SetupWorld(modes[i], prog));
+    std::vector<uint64_t>& out = seen[i];
+    w.kernel->SetSysHook(40, [&out](Kernel&, Task& task) -> Result<void> {
+      out.push_back(task.instructions_retired());
+      out.push_back(task.user_cycles());
+      return OkResult();
+    });
+    ASSERT_OK(w.kernel->RunTask(*w.task));
+  }
+  ASSERT_EQ(seen[0].size(), 100u);
+  EXPECT_EQ(seen[0], seen[1]);
+}
+
 TEST(EngineDifferential, DivideByZeroFaultIsIdentical) {
   // The fault is mid-block: three straight-line instructions precede it.
   ExpectEnginesAgree(R"(
@@ -431,8 +470,29 @@ TEST(EngineFaultSweep, SeededProbabilisticParity) {
 // Same convention in both engines (see the note in src/os/cpu.cc): a sample
 // records the PRE-execution pc of the retiring instruction. The full sample
 // stream must match, not just the histogram.
+// Runs `prog` under both engines with the profiler sampling every 16
+// retired instructions; the streams must match sample for sample.
+void ExpectSameSampleStreams(const std::string& prog, size_t min_samples) {
+  std::vector<CycleProfiler::Sample> streams[2];
+  const EngineMode modes[2] = {EngineMode::kInterp, EngineMode::kBlocks};
+  for (int i = 0; i < 2; ++i) {
+    CycleProfiler::Clear();
+    CycleProfiler::Start(16);
+    ASSERT_OK_AND_ASSIGN(EngineWorld w, SetupWorld(modes[i], prog));
+    ASSERT_OK(w.kernel->RunTask(*w.task));
+    CycleProfiler::Stop();
+    streams[i] = CycleProfiler::Samples();
+  }
+  ASSERT_GT(streams[0].size(), min_samples);
+  ASSERT_EQ(streams[0].size(), streams[1].size());
+  for (size_t i = 0; i < streams[0].size(); ++i) {
+    EXPECT_EQ(streams[0][i].task_id, streams[1][i].task_id) << "sample " << i;
+    EXPECT_EQ(streams[0][i].pc, streams[1][i].pc) << "sample " << i;
+  }
+}
+
 TEST(EngineProfiler, SampleStreamsAreIdentical) {
-  const std::string prog = R"(
+  ExpectSameSampleStreams(R"(
 .text
 .global _start
 _start:
@@ -449,23 +509,126 @@ loop:
 leaf:
   addi r7, r7, 1
   ret
-)";
-  std::vector<CycleProfiler::Sample> streams[2];
-  const EngineMode modes[2] = {EngineMode::kInterp, EngineMode::kBlocks};
+)",
+                          10);
+}
+
+// ---- Wide hot set -----------------------------------------------------------
+
+constexpr int kWideFunctionsPerPage = 40;
+
+// A loop over ~500 distinct blocks on four text pages, like a compiler's
+// hot set: each iteration calls one driver per page, which calls 40 two-block
+// functions on its page. Pages 0 and 1 use the low half of their offsets and
+// pages 2 and 3 the high half, so no two block heads are 8 KiB apart and
+// the direct-mapped L1 (indexed by pc / 8 mod 1024) can hold them all at
+// once. Exit code: the low byte of the accumulator r6.
+std::string WideHotSetProgram(int iterations) {
+  std::string src = StrCat(R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  movi r5, )", iterations, R"(
+  movi r6, 0
+  br loop  # make the loop head a block head from the first iteration on
+loop:
+  call g0
+  call g1
+  call g2
+  call g3
+  addi r4, r4, 1
+  blt r4, r5, loop
+  movi r0, 1
+  lea r1, msg
+  movi r2, 5
+  sys 1
+  movi r1, 255
+  and r0, r6, r1
+  sys 0
+)");
+  for (int page = 0; page < 4; ++page) {
+    if (page > 0) {
+      src += ".align 4096\n";
+    }
+    if (page >= 2) {
+      src += ".space 2048\n";
+    }
+    src += StrCat("g", page, ":\n  push lr\n");
+    for (int i = 0; i < kWideFunctionsPerPage; ++i) {
+      src += StrCat("  call f", page, "_", i, "\n");
+    }
+    src += "  pop lr\n  ret\n";
+    for (int i = 0; i < kWideFunctionsPerPage; ++i) {
+      std::string f = StrCat("f", page, "_", i);
+      src += StrCat(f, ":\n  addi r6, r6, ", page * kWideFunctionsPerPage + i + 1, "\n  br ", f,
+                    "_t\n", f, "_t:\n  add r6, r6, r4\n  ret\n");
+    }
+  }
+  src += ".data\nmsg: .asciiz \"wide\\n\"\n";
+  return src;
+}
+
+TEST(EngineWideHotSet, EnginesAgreeIncludingProfilerSamples) {
+  const std::string prog = WideHotSetProgram(30);
+  ASSERT_OK_AND_ASSIGN(Observed interp, RunUnder(EngineMode::kInterp, prog));
+  ASSERT_OK_AND_ASSIGN(Observed blocks, RunUnder(EngineMode::kBlocks, prog));
+  ExpectSame(interp, blocks, "wide");
+  EXPECT_EQ(blocks.state, static_cast<int>(TaskState::kExited));
+  EXPECT_EQ(blocks.output, "wide\n");
+  EXPECT_EQ(blocks.touched_text_pages, 4u);
+
+  // With the profiler on, every block takes the checked per-instruction
+  // path; the sample streams must still match.
+  ExpectSameSampleStreams(prog, 100);
+}
+
+TEST(EngineWideHotSet, L1MissesStopAfterTheFirstIteration) {
+  // Each run starts with a cold kernel (empty shared cache) and a cold L1.
+  // If the L1 holds the whole loop, later iterations add no misses, so a
+  // one-iteration run and a ten-iteration run miss equally often.
+  EngineMetrics& em = GetEngineMetrics();
+  uint64_t misses[2] = {0, 0};
+  const int iterations[2] = {1, 10};
   for (int i = 0; i < 2; ++i) {
-    CycleProfiler::Clear();
-    CycleProfiler::Start(16);
-    ASSERT_OK_AND_ASSIGN(EngineWorld w, SetupWorld(modes[i], prog));
+    uint64_t misses0 = em.l1_misses->value();
+    uint64_t hits0 = em.block_hits->value();
+    ASSERT_OK_AND_ASSIGN(EngineWorld w,
+                         SetupWorld(EngineMode::kBlocks, WideHotSetProgram(iterations[i])));
     ASSERT_OK(w.kernel->RunTask(*w.task));
-    CycleProfiler::Stop();
-    streams[i] = CycleProfiler::Samples();
+    ASSERT_EQ(w.task->state(), TaskState::kExited);
+    misses[i] = em.l1_misses->value() - misses0;
+    if (i == 1) {
+      EXPECT_GT(em.block_hits->value() - hits0, 9u * 256u);
+    }
   }
-  ASSERT_GT(streams[0].size(), 10u);
-  ASSERT_EQ(streams[0].size(), streams[1].size());
-  for (size_t i = 0; i < streams[0].size(); ++i) {
-    EXPECT_EQ(streams[0][i].task_id, streams[1][i].task_id) << "sample " << i;
-    EXPECT_EQ(streams[0][i].pc, streams[1][i].pc) << "sample " << i;
-  }
+  EXPECT_GE(misses[0], 256u);  // the first iteration fills ~500 blocks
+  EXPECT_EQ(misses[1], misses[0]);
+}
+
+TEST(EngineWideHotSet, ThrashingTaskStaysExact) {
+  // `loop` (offset 16) and `far` (offset 8192 + 16) are 8 KiB apart and
+  // share one L1 slot, so every visit misses and re-pins; 12,000 misses
+  // run the pin cap's flush several times.
+  ExpectEnginesAgree(R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  movi r5, 6000
+loop:
+  call far
+  addi r4, r4, 1
+  blt r4, r5, loop
+  mov r0, r6
+  sys 0
+.align 4096
+.space 4096
+.space 16
+far:
+  addi r6, r6, 3
+  ret
+)");
 }
 
 // ---- Cache behavior and metrics ---------------------------------------------
@@ -543,6 +706,42 @@ TEST(EngineCache, BlocksAreSharedAcrossTasksMappingTheSameFrames) {
           << "second task re-decoded blocks it should share";
     }
   }
+}
+
+TEST(EngineCache, RecycledTaskCacheDoesNotServeThePreviousTasksCode) {
+  // Task B takes over the engine state task A left behind. X and Y have the
+  // same layout and map sequence, so B's address space reaches the same
+  // map epoch at the same pc where A's L1 still points at X's block: only
+  // the reset on reuse keeps B from running X.
+  Kernel kernel;
+  kernel.SetEngineMode(EngineMode::kBlocks);
+  auto link = [](int exit_code) -> Result<LinkedImage> {
+    OMOS_TRY(ObjectFile object,
+             Assemble(StrCat(".text\n.global _start\n_start:\n  movi r0, ", exit_code,
+                             "\n  sys 0\n"),
+                      "exit.o"));
+    Module module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
+    LayoutSpec layout;
+    layout.entry_symbol = "_start";
+    return LinkImage(module, layout, "exit");
+  };
+  ASSERT_OK_AND_ASSIGN(LinkedImage x, link(11));
+  ASSERT_OK_AND_ASSIGN(LinkedImage y, link(22));
+  ASSERT_EQ(x.entry, y.entry);
+  std::vector<std::string> args{"exit"};
+
+  Task& a = kernel.CreateTask("a");
+  ASSERT_OK(MapLinkedImage(kernel, a, x, ""));
+  ASSERT_OK(StartTask(kernel, a, x.entry, args));
+  ASSERT_OK(kernel.RunTask(a));
+  EXPECT_EQ(a.exit_code(), 11);
+  kernel.DestroyTask(a.id());
+
+  Task& b = kernel.CreateTask("b");
+  ASSERT_OK(MapLinkedImage(kernel, b, y, ""));
+  ASSERT_OK(StartTask(kernel, b, y.entry, args));
+  ASSERT_OK(kernel.RunTask(b));
+  EXPECT_EQ(b.exit_code(), 22);
 }
 
 // ---- Invalidation on redefinition and upgrade -------------------------------
@@ -732,13 +931,13 @@ TEST_F(EngineInvalidationTest, RedefinitionWhileTasksExecute) {
   EXPECT_EQ(bad.load(), 0);
 }
 
-// Raw InvalidateAll storm against concurrently executing tasks: the
-// shared_ptr discipline must keep in-flight blocks alive (no use-after-free
-// under ASan/TSan) and re-decoded blocks must compute the same results.
-TEST(EngineConcurrency, InvalidateAllWhileTasksExecute) {
+// Raw InvalidateAll storm against concurrently executing tasks: the pin
+// discipline must keep in-flight blocks alive (no use-after-free under
+// ASan/TSan) and re-decoded blocks must compute the same results.
+void RunUnderInvalidateStorm(const std::string& program, int expected_exit) {
   Kernel kernel;
   kernel.SetEngineMode(EngineMode::kBlocks);
-  ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(kLoopProgram, "loop.o"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(program, "loop.o"));
   Module module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
   LayoutSpec layout;
   layout.entry_symbol = "_start";
@@ -756,29 +955,49 @@ TEST(EngineConcurrency, InvalidateAllWhileTasksExecute) {
 
   std::atomic<int> bad{0};
   std::atomic<int> finished{0};
+  // Workers start once the storm has begun: a short program can otherwise
+  // run to completion before this thread issues its first invalidation.
+  std::atomic<bool> storming{false};
   std::vector<std::thread> workers;
   workers.reserve(kWorkers);
   for (int i = 0; i < kWorkers; ++i) {
     workers.emplace_back([&, i] {
+      while (!storming.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       Task* task = tasks[static_cast<size_t>(i)];
       if (!kernel.RunTask(*task).ok() || task->state() != TaskState::kExited ||
-          task->exit_code() != 0) {
+          task->exit_code() != expected_exit) {
         bad.fetch_add(1, std::memory_order_relaxed);
       }
       finished.fetch_add(1, std::memory_order_release);
     });
   }
   uint64_t invalidations = 0;
-  while (finished.load(std::memory_order_acquire) < kWorkers) {
+  do {
     kernel.engine().InvalidateAll("test.storm");
     ++invalidations;
+    storming.store(true, std::memory_order_release);
     std::this_thread::yield();
-  }
+  } while (finished.load(std::memory_order_acquire) < kWorkers);
   for (std::thread& t : workers) {
     t.join();
   }
   EXPECT_EQ(bad.load(), 0);
   EXPECT_GT(invalidations, 0u);
+}
+
+TEST(EngineConcurrency, InvalidateAllWhileTasksExecute) {
+  RunUnderInvalidateStorm(kLoopProgram, 0);
+}
+
+TEST(EngineConcurrency, InvalidateAllWhileWideHotSetTasksExecute) {
+  // Hundreds of pinned blocks per task, so a storm lands between pin-list
+  // fills as well as between block entries.
+  ASSERT_OK_AND_ASSIGN(Observed reference,
+                       RunUnder(EngineMode::kInterp, WideHotSetProgram(200)));
+  ASSERT_EQ(reference.state, static_cast<int>(TaskState::kExited));
+  RunUnderInvalidateStorm(WideHotSetProgram(200), reference.exit_code);
 }
 
 }  // namespace
