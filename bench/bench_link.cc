@@ -3,7 +3,9 @@
 // path OMOS's cache amortizes) and gives the cost OMOS pays on a cache miss.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/baseline/static_linker.h"
@@ -36,6 +38,24 @@ void BM_MergeFragments(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_MergeFragments)->Arg(8)->Arg(32)->Arg(128)->Complexity()->Unit(benchmark::kMicrosecond);
+
+// The same members merged by one n-ary Module::MergeAll: one pass over the
+// symbol spaces, where the pairwise fold above copies the accumulated
+// module at every step.
+void BM_MergeAll(benchmark::State& state) {
+  const Archive& libc = FullWorkloads().libc;
+  size_t n = std::min(static_cast<size_t>(state.range(0)), libc.members().size());
+  for (auto _ : state) {
+    std::vector<Module> parts;
+    parts.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      parts.push_back(Module::FromObject(std::make_shared<const ObjectFile>(libc.members()[i])));
+    }
+    benchmark::DoNotOptimize(BENCH_UNWRAP(Module::MergeAll(parts)));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_MergeAll)->Arg(8)->Arg(32)->Arg(128)->Complexity()->Unit(benchmark::kMicrosecond);
 
 void BM_LinkImage(benchmark::State& state) {
   Module m = MergePrefix(state.range(0));

@@ -1,6 +1,7 @@
 #include "src/core/namespace.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/support/strings.h"
 
@@ -14,6 +15,13 @@ bool IsNormal(std::string_view path) {
   return StartsWith(path, "/") && (path.size() == 1 || path.back() != '/') &&
          path.find("//") == std::string_view::npos;
 }
+
+// Every entry the namespace hands out: the published value plus whether a
+// later Publish at its path has replaced it.
+struct PublishedEntry : NamespaceEntry {
+  explicit PublishedEntry(NamespaceEntry entry) : NamespaceEntry(std::move(entry)) {}
+  mutable std::atomic<bool> superseded{false};
+};
 
 }  // namespace
 
@@ -91,12 +99,15 @@ Result<void> OmosNamespace::AddFragment(std::string_view path, ObjectFile object
 }
 
 Result<void> OmosNamespace::Publish(std::string path, NamespaceEntry entry) {
-  auto fresh = std::make_shared<const NamespaceEntry>(std::move(entry));
+  auto fresh = std::make_shared<const PublishedEntry>(std::move(entry));
   // Declared before the lock, so a replaced version is freed after the lock
   // drops (or later, by the last in-flight build still holding it).
   std::shared_ptr<const NamespaceEntry> replaced;
   std::unique_lock<std::shared_mutex> lock(mu_);
   replaced = std::exchange(entries_[std::move(path)], std::move(fresh));
+  if (replaced != nullptr) {
+    static_cast<const PublishedEntry&>(*replaced).superseded.store(true);
+  }
   return OkResult();
 }
 
@@ -109,6 +120,13 @@ Result<std::shared_ptr<const NamespaceEntry>> OmosNamespace::Lookup(std::string_
     return Err(ErrorCode::kNotFound, StrCat("no such object: ", path));
   }
   return it->second;
+}
+
+bool OmosNamespace::AllCurrent(std::span<const Read> reads) const {
+  return std::all_of(reads.begin(), reads.end(), [](const Read& read) {
+    return read.second != nullptr &&
+           !static_cast<const PublishedEntry&>(*read.second).superseded.load();
+  });
 }
 
 bool OmosNamespace::Exists(std::string_view path) const {

@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,6 +55,14 @@ class OmosNamespace {
   // caller holds it, even across a redefinition.
   Result<std::shared_ptr<const NamespaceEntry>> Lookup(std::string_view path) const;
   bool Exists(std::string_view path) const;
+
+  // One recorded lookup: a normalized path and the entry it resolved to.
+  using Read = std::pair<std::string, std::shared_ptr<const NamespaceEntry>>;
+  // Whether every read still resolves to the entry it saw (pointer
+  // identity: entries are immutable, a redefinition publishes a new one).
+  // Publish marks the entry it replaces, so this takes no lock and does no
+  // lookup: one flag load per read.
+  bool AllCurrent(std::span<const Read> reads) const;
 
   // Immediate children of `path` (directory listing of the exported
   // namespace — what /bin backed by OMOS would enumerate, §5).

@@ -84,6 +84,23 @@ Result<const CachedImage*> SingleFlight(ImageCache& cache, const std::string& ke
   return result;
 }
 
+// Runs `build` until its image publishes: LinkAndPublish refuses an image
+// whose reads were redefined mid-build (tracker.superseded), and the redo
+// reads the new definitions. Work of refused attempts stays billed. Ends as
+// soon as one build runs without a redefinition of what it read.
+template <typename Tracker, typename Build>
+Result<const CachedImage*> BuildCurrent(Tracker& tracker, Build&& build) {
+  while (true) {
+    Result<const CachedImage*> built = build();
+    if (built.ok() || !tracker.superseded) {
+      return built;
+    }
+    tracker.reads.clear();
+    tracker.max_depth = 0;
+    tracker.superseded = false;
+  }
+}
+
 }  // namespace
 
 // ---- Specialization ---------------------------------------------------------
@@ -197,7 +214,10 @@ void OmosServer::InvalidateImagesOf(const std::vector<std::string>& paths) {
   // Predecoded blocks of the victims' text are stale the moment a rebuilt
   // image can be mapped; running tasks pick up the flush at their next
   // block boundary. (Frame recycling alone would also retire the keys, but
-  // only after the last task unmaps the old image.)
+  // only after the last task unmaps the old image.) The flush also bounds
+  // memory: the block cache retires blocks of freed frames only at its
+  // block cap, so without it every redefinition's blocks pile up until
+  // then.
   kernel_->engine().InvalidateAll("redefine");
 }
 
@@ -215,29 +235,33 @@ int OmosServer::EvictMoved(const std::vector<std::string>& moved) {
   return evicted;
 }
 
-Result<void> OmosServer::DefineMeta(std::string_view path, std::string_view blueprint) {
+Result<void> OmosServer::Redefine(const std::vector<std::string>& paths,
+                                  const std::function<Result<void>()>& publish) {
   std::lock_guard<std::mutex> lock(admin_mu_);
-  InvalidateImagesOf({std::string(path)});
+  std::unique_lock<std::shared_mutex> publishing(publish_mu_);
+  InvalidateImagesOf(paths);
   BumpNamespaceGeneration();
-  return namespace_.DefineMeta(path, blueprint, EntryKind::kMeta);
+  Result<void> published = publish();
+  DropStaleMemos();
+  return published;
+}
+
+Result<void> OmosServer::DefineMeta(std::string_view path, std::string_view blueprint) {
+  return Redefine({std::string(path)},
+                  [&] { return namespace_.DefineMeta(path, blueprint, EntryKind::kMeta); });
 }
 
 Result<void> OmosServer::DefineLibrary(std::string_view path, std::string_view blueprint) {
-  std::lock_guard<std::mutex> lock(admin_mu_);
-  InvalidateImagesOf({std::string(path)});
-  BumpNamespaceGeneration();
-  return namespace_.DefineMeta(path, blueprint, EntryKind::kLibrary);
+  return Redefine({std::string(path)},
+                  [&] { return namespace_.DefineMeta(path, blueprint, EntryKind::kLibrary); });
 }
 
 Result<void> OmosServer::AddFragment(std::string_view path, ObjectFile object) {
-  std::lock_guard<std::mutex> lock(admin_mu_);
-  InvalidateImagesOf({std::string(path)});
-  BumpNamespaceGeneration();
-  return namespace_.AddFragment(path, std::move(object));
+  return Redefine({std::string(path)},
+                  [&] { return namespace_.AddFragment(path, std::move(object)); });
 }
 
 Result<void> OmosServer::AddArchive(std::string_view dir, const Archive& archive) {
-  std::lock_guard<std::mutex> lock(admin_mu_);
   std::vector<std::string> paths{std::string(dir)};
   std::string meta = "(merge";
   for (const ObjectFile& member : archive.members()) {
@@ -245,12 +269,12 @@ Result<void> OmosServer::AddArchive(std::string_view dir, const Archive& archive
     meta += " " + paths.back();
   }
   meta += ")";
-  InvalidateImagesOf(paths);
-  BumpNamespaceGeneration();
-  for (size_t i = 0; i < archive.members().size(); ++i) {
-    OMOS_TRY_VOID(namespace_.AddFragment(paths[i + 1], archive.members()[i]));
-  }
-  return namespace_.DefineMeta(dir, meta, EntryKind::kMeta);
+  return Redefine(paths, [&]() -> Result<void> {
+    for (size_t i = 0; i < archive.members().size(); ++i) {
+      OMOS_TRY_VOID(namespace_.AddFragment(paths[i + 1], archive.members()[i]));
+    }
+    return namespace_.DefineMeta(dir, meta, EntryKind::kMeta);
+  });
 }
 
 // ---- Blueprint evaluation ---------------------------------------------------
@@ -265,31 +289,103 @@ Result<Module> OmosServer::RequireModule(EvalValue value, std::string_view op) c
 
 Result<Module> OmosServer::MergeValues(std::vector<EvalValue> values, EvalValue& out,
                                        bool override_mode) {
-  std::optional<Module> acc;
+  std::vector<Module> modules;
+  modules.reserve(values.size());
   for (EvalValue& value : values) {
     out.libs.insert(out.libs.end(), value.libs.begin(), value.libs.end());
     Overlay(out.hints, value.hints);
-    if (!value.module.has_value()) {
-      continue;
-    }
-    if (!acc.has_value()) {
-      acc = std::move(*value.module);
-    } else if (override_mode) {
-      OMOS_TRY(acc, Module::Override(*acc, *value.module));
-    } else {
-      OMOS_TRY(acc, Module::Merge(*acc, *value.module));
+    if (value.module.has_value()) {
+      modules.push_back(std::move(*value.module));
     }
   }
-  if (!acc.has_value()) {
-    acc = Module();
+  if (!override_mode) {
+    return Module::MergeAll(modules);
   }
-  return std::move(*acc);
+  Module acc = modules.empty() ? Module() : std::move(modules[0]);
+  for (size_t i = 1; i < modules.size(); ++i) {
+    OMOS_TRY(acc, Module::Override(acc, modules[i]));
+  }
+  return acc;
 }
 
 Result<std::shared_ptr<const NamespaceEntry>> OmosServer::ReadInput(std::string_view path,
                                                                     BuildTracker& tracker) const {
-  tracker.inputs.push_back(OmosNamespace::Normalize(path));
-  return namespace_.Lookup(tracker.inputs.back());
+  std::string norm = OmosNamespace::Normalize(path);
+  auto entry = namespace_.Lookup(norm);
+  tracker.reads.emplace_back(std::move(norm), entry.ok() ? *entry : nullptr);
+  return entry;
+}
+
+bool OmosServer::MemoCurrent(const EvalMemo& memo, const NamespaceEntry* entry) const {
+  return memo.entry.get() == entry && namespace_.AllCurrent(memo.reads);
+}
+
+void OmosServer::DropStaleMemos() {
+  std::vector<std::shared_ptr<const EvalMemo>> dropped;  // freed after the lock drops
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  std::erase_if(eval_memo_, [&](auto& item) {
+    if (MemoCurrent(*item.second, item.second->entry.get())) {
+      return false;
+    }
+    dropped.push_back(std::move(item.second));
+    return true;
+  });
+}
+
+Result<OmosServer::EvalValue> OmosServer::EvalConstruction(
+    const std::string& norm, const std::shared_ptr<const NamespaceEntry>& entry,
+    BuildTracker& tracker, int depth) {
+  static Counter* hits = MetricsRegistry::Global().GetCounter("eval.memo_hits");
+  static Counter* misses = MetricsRegistry::Global().GetCounter("eval.memo_misses");
+  std::shared_ptr<const EvalMemo> memo;
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    auto it = eval_memo_.find(norm);
+    if (it != eval_memo_.end()) {
+      memo = it->second;
+    }
+  }
+  // A hit must also fit the depth budget a cold evaluation would have had
+  // from here; otherwise evaluate cold and report its error.
+  if (memo != nullptr && MemoCurrent(*memo, entry.get()) &&
+      depth + memo->height <= kMaxEvalDepth) {
+    hits->Add();
+    tracker.work += memo->work;
+    tracker.reads.insert(tracker.reads.end(), memo->reads.begin(), memo->reads.end());
+    tracker.max_depth = std::max(tracker.max_depth, depth + memo->height);
+    return memo->value;
+  }
+  misses->Add();
+  BuildTracker sub;
+  sub.max_depth = depth;
+  Result<EvalValue> value = Eval(entry->construction, sub, depth);
+  // Cold work and reads are billed and recorded whether or not it succeeded.
+  tracker.work += sub.work;
+  tracker.max_depth = std::max(tracker.max_depth, sub.max_depth);
+  tracker.reads.insert(tracker.reads.end(), sub.reads.begin(), sub.reads.end());
+  if (!value.ok()) {
+    return value;
+  }
+  if (value->module.has_value()) {
+    // Materialized once here, so concurrent hits only ever read the space.
+    OMOS_TRY_VOID(value->module->Space());
+  }
+  auto fresh = std::make_shared<EvalMemo>();
+  fresh->entry = entry;
+  fresh->value = *value;
+  fresh->work = sub.work;
+  fresh->height = sub.max_depth - depth;
+  fresh->reads = std::move(sub.reads);
+  fresh->reads.emplace_back(norm, entry);
+  std::sort(fresh->reads.begin(), fresh->reads.end());
+  fresh->reads.erase(std::unique(fresh->reads.begin(), fresh->reads.end()), fresh->reads.end());
+  std::shared_ptr<const EvalMemo> replaced;  // freed after the locks drop
+  std::shared_lock<std::shared_mutex> publishing(publish_mu_);
+  if (namespace_.AllCurrent(fresh->reads)) {  // else superseded mid-evaluation
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    replaced = std::exchange(eval_memo_[norm], std::move(fresh));
+  }
+  return value;
 }
 
 Result<OmosServer::EvalValue> OmosServer::EvalName(const std::string& name, BuildTracker& tracker,
@@ -310,8 +406,10 @@ Result<OmosServer::EvalValue> OmosServer::EvalName(const std::string& name, Buil
       value.libs.push_back(std::move(use));
       return value;
     }
-    case EntryKind::kMeta:
-      return Eval(entry->construction, tracker, depth + 1);
+    case EntryKind::kMeta: {
+      std::string norm = tracker.reads.back().first;  // tracker.reads grows below
+      return EvalConstruction(norm, entry, tracker, depth + 1);
+    }
   }
   return Err(ErrorCode::kInternal, "bad namespace entry kind");
 }
@@ -321,6 +419,7 @@ Result<OmosServer::EvalValue> OmosServer::Eval(const Sexpr& expr, BuildTracker& 
   if (depth > kMaxEvalDepth) {
     return Err(ErrorCode::kParseError, "blueprint: evaluation too deep (cycle?)");
   }
+  tracker.max_depth = std::max(tracker.max_depth, depth);
   if (expr.kind == Sexpr::Kind::kSymbol) {
     return EvalName(expr.atom, tracker, depth);
   }
@@ -546,9 +645,10 @@ Result<Module> OmosServer::BuildMonolithicModule(const std::string& path, BuildT
   if (entry->kind == EntryKind::kFragment) {
     return Module::FromObject(entry->fragment);
   }
-  OMOS_TRY(EvalValue value, Eval(entry->construction, tracker, 0));
-  Module m = value.module.has_value() ? std::move(*value.module) : Module();
-  // Fold library dependencies in, transitively.
+  OMOS_TRY(EvalValue value,
+           EvalConstruction(OmosNamespace::Normalize(path), entry, tracker, 0));
+  std::vector<Module> parts{value.module.has_value() ? std::move(*value.module) : Module()};
+  // Fold library dependencies in, transitively, in discovery order.
   std::vector<LibraryUse> pending = std::move(value.libs);
   std::set<std::string> seen;
   int guard = 0;
@@ -563,18 +663,18 @@ Result<Module> OmosServer::BuildMonolithicModule(const std::string& path, BuildT
     }
     OMOS_TRY(std::shared_ptr<const NamespaceEntry> lib, ReadInput(use.path, tracker));
     if (lib->kind == EntryKind::kFragment) {
-      OMOS_TRY(m, Module::Merge(m, Module::FromObject(lib->fragment)));
+      parts.push_back(Module::FromObject(lib->fragment));
       continue;
     }
-    OMOS_TRY(EvalValue lib_value, Eval(lib->construction, tracker, 0));
+    OMOS_TRY(EvalValue lib_value, EvalConstruction(use.path, lib, tracker, 0));
     if (lib_value.module.has_value()) {
-      OMOS_TRY(m, Module::Merge(m, *lib_value.module));
+      parts.push_back(std::move(*lib_value.module));
     }
     for (LibraryUse& nested : lib_value.libs) {
       pending.push_back(std::move(nested));
     }
   }
-  return m;
+  return Module::MergeAll(parts);
 }
 
 namespace {
@@ -620,7 +720,7 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
         return adopted;
       }
     }
-    auto built = BuildImage(path, spec, key, tracker);
+    auto built = BuildCurrent(tracker, [&] { return BuildImage(path, spec, key, tracker); });
     if (built.ok() && store_ != nullptr && StorableSpec(spec)) {
       // The lease keeps *built valid across the publish even if a racing
       // redefinition evicts the entry underneath us.
@@ -808,7 +908,7 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
   } else if (entry->kind == EntryKind::kFragment) {
     value.module = Module::FromObject(entry->fragment);
   } else {
-    OMOS_TRY(value, Eval(entry->construction, tracker, 0));
+    OMOS_TRY(value, EvalConstruction(OmosNamespace::Normalize(path), entry, tracker, 0));
   }
 
   if (!value.module.has_value()) {
@@ -914,12 +1014,27 @@ Result<const CachedImage*> OmosServer::LinkAndPublish(const std::string& key, co
 
   cached.image = std::move(image);
   OMOS_TRY_VOID(MaterializeSegments(cached));
-  cached.inputs = std::move(tracker.inputs);
+  cached.inputs.reserve(tracker.reads.size());
+  for (const OmosNamespace::Read& read : tracker.reads) {
+    cached.inputs.push_back(read.first);
+  }
   std::sort(cached.inputs.begin(), cached.inputs.end());
   cached.inputs.erase(std::unique(cached.inputs.begin(), cached.inputs.end()),
                       cached.inputs.end());
   cached.build_cost = tracker.work;
   cached.layout_generation = placement.generation;
+  std::shared_lock<std::shared_mutex> publishing(publish_mu_);
+  if (!namespace_.AllCurrent(tracker.reads)) {
+    // A redefinition of a read finished mid-build; its invalidation could
+    // not see this image. Publish nothing and free the placement so the
+    // redone build places afresh (under the new definitions' hints).
+    if (!cache_.Contains(key)) {
+      std::lock_guard<std::mutex> lock(solver_mu_);
+      solver_.Release(key);
+    }
+    tracker.superseded = true;
+    return Err(ErrorCode::kUnavailable, StrCat(key, ": inputs redefined during the build"));
+  }
   return cache_.Put(key, std::move(cached));
 }
 
@@ -2184,7 +2299,7 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
   };
   const CachedImage* cached = cache_.Get(key);
   if (cached == nullptr) {
-    OMOS_TRY(cached, SingleFlight(cache_, key, build));
+    OMOS_TRY(cached, SingleFlight(cache_, key, [&] { return BuildCurrent(tracker, build); }));
   }
   task.BillSys(tracker.work + kernel_->costs().omos_cache_lookup);
   {
@@ -2420,6 +2535,7 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
   // Serialize against concurrent Define*/Restore; per-structure locks below
   // keep readers (Lookup, HasPreferredOrder) safe while we repopulate.
   std::lock_guard<std::mutex> admin_lock(admin_mu_);
+  std::unique_lock<std::shared_mutex> publishing(publish_mu_);
   BumpNamespaceGeneration();
   // Integrity first: the trailing check line must hash everything before it.
   size_t check_at = snapshot.rfind("check ");
@@ -2501,6 +2617,8 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
       return Err(ErrorCode::kParseError, StrCat("snapshot: unknown record '", tag, "'"));
     }
   }
+  // Restored entries supersede what earlier evaluations read.
+  DropStaleMemos();
   return OkResult();
 }
 

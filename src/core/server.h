@@ -24,6 +24,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,6 +77,8 @@ struct OmosServerConfig {
 //
 //   admin_mu_    — serializes administrative writers (Define*, AddFragment,
 //                  Restore, OptimizePlacements) against each other
+//   publish_mu_  — namespace publication (exclusive) vs a build's check-
+//                  and-publish step (shared)
 //   monitor_mu_  — monitor_names_ / monitor_counts_ / preferred_order_
 //   solver_mu_   — every ConstraintSolver call
 //   upgrade_mu_  — the live-upgrade job (phase, pending tasks, plan)
@@ -83,9 +86,9 @@ struct OmosServerConfig {
 //   kernel_mu_   — kernel and task mutation (CreateTask, mapping, billing,
 //                  SimFs writes); never held across a build
 //
-// prelink_mu_ (the prelink table) and relink_mu_ (the relink queue and the
-// twin aliases) are leaf locks: each is taken alone, never while another
-// server lock is held.
+// prelink_mu_ (the prelink table), relink_mu_ (the relink queue and the
+// twin aliases) and memo_mu_ (the evaluation memo) are leaf locks: nothing
+// else is acquired while one of them is held.
 //
 // Cache misses are single-flight: concurrent Instantiates of one key elect
 // a leader via ImageCache::JoinBuild and everyone shares its image. Callers
@@ -354,7 +357,25 @@ class OmosServer {
   };
   struct BuildTracker {
     uint64_t work = 0;
-    std::vector<std::string> inputs;  // normalized namespace paths read so far
+    // Every namespace read so far: normalized path and the entry it
+    // resolved to (null when the lookup failed).
+    std::vector<OmosNamespace::Read> reads;
+    int max_depth = 0;  // deepest Eval depth reached
+    // Set by LinkAndPublish when a read was redefined before the image
+    // could publish; the build is then redone (BuildCurrent).
+    bool superseded = false;
+  };
+  // A memoized evaluation of one namespace entry's construction. Entries
+  // are immutable and a redefinition publishes a new one, so the memo is
+  // valid exactly while every recorded read still resolves to the same
+  // entry pointer.
+  struct EvalMemo {
+    std::shared_ptr<const NamespaceEntry> entry;  // the entry evaluated
+    EvalValue value;                              // module space materialized
+    uint64_t work = 0;                            // billed work of the evaluation
+    int height = 0;                               // Eval depth reached below it
+    // Every read, the entry's own included, without duplicates.
+    std::vector<OmosNamespace::Read> reads;
   };
   struct TaskRuntime {
     struct Slot {
@@ -383,6 +404,20 @@ class OmosServer {
                                             const Specialization& spec);
   Result<EvalValue> Eval(const Sexpr& expr, BuildTracker& tracker, int depth);
   Result<EvalValue> EvalName(const std::string& name, BuildTracker& tracker, int depth);
+  // Evaluate the construction of `entry`, just read at normalized path
+  // `norm`, at `depth`. Every by-name evaluation of a meta or library
+  // construction goes through here: a still-valid memo is replayed (its
+  // value, its reads into tracker.reads, its work into tracker.work), so
+  // the build is billed and invalidated exactly as a cold evaluation.
+  Result<EvalValue> EvalConstruction(const std::string& norm,
+                                     const std::shared_ptr<const NamespaceEntry>& entry,
+                                     BuildTracker& tracker, int depth);
+  // Whether `memo` was evaluated from `entry` and every read it recorded
+  // still resolves to the same entry (pointer identity).
+  bool MemoCurrent(const EvalMemo& memo, const NamespaceEntry* entry) const;
+  // Drop every memo that is no longer current, so entries a redefinition
+  // superseded are not pinned.
+  void DropStaleMemos();
   Result<Module> RequireModule(EvalValue value, std::string_view op) const;
   static Result<Module> MergeValues(std::vector<EvalValue> values, EvalValue& out,
                                     bool override_mode);
@@ -396,7 +431,9 @@ class OmosServer {
 
   // The tail of every build: place `client`, link it against `externals`,
   // bill the link work, materialize segments, and Put it under `key` with
-  // the tracker's inputs. `cached` carries the deps and stub slots.
+  // the tracker's inputs. `cached` carries the deps and stub slots. If a
+  // read was redefined meanwhile, nothing is published: the placement is
+  // released and tracker.superseded set, for BuildCurrent to redo the build.
   Result<const CachedImage*> LinkAndPublish(const std::string& key, const Module& client,
                                             const PlacementHints& hints,
                                             std::map<std::string, uint32_t> externals,
@@ -443,6 +480,11 @@ class OmosServer {
   // Evict every cached image that read one of `paths`, transitively through
   // deps, and release their placements.
   void InvalidateImagesOf(const std::vector<std::string>& paths);
+  // Every namespace mutation: under admin_mu_ and publish_mu_ (exclusive),
+  // invalidate the images that read `paths`, bump the generation, run
+  // `publish`, then drop the memos it superseded.
+  Result<void> Redefine(const std::vector<std::string>& paths,
+                        const std::function<Result<void>()>& publish);
   // Evict the images whose placements moved plus the images linked against
   // them. Returns how many were cached.
   int EvictMoved(const std::vector<std::string>& moved);
@@ -597,6 +639,20 @@ class OmosServer {
   // upgrade_mu_ (safepoints copy the shared_ptr out under the lock).
   std::shared_ptr<UpgradeJob> upgrade_job_;  // guarded by upgrade_mu_
   uint64_t upgrade_counter_ = 0;             // guarded by upgrade_mu_
+
+  // Orders namespace publication against build publication. A
+  // redefinition holds it exclusively from invalidation through publish; a
+  // build holds it shared while it checks that its reads are current and
+  // publishes. A build thus either publishes before the invalidation (which
+  // evicts it) or sees the new entries and publishes nothing, so no image
+  // built from a superseded entry outlives its redefinition.
+  mutable std::shared_mutex publish_mu_;
+
+  // Evaluation memo: normalized path -> its construction's last
+  // evaluation, at most one per namespace entry. Guarded by memo_mu_ (a
+  // leaf lock); hits are validated and replayed outside it.
+  mutable std::mutex memo_mu_;
+  std::map<std::string, std::shared_ptr<const EvalMemo>> eval_memo_;  // guarded by memo_mu_
 
   // Prelink table: path -> entry, guarded by prelink_mu_ (a leaf lock); the
   // exec path reads the entry, drops the lock, then consults the solver.

@@ -32,6 +32,12 @@ SymId IdOf(const Symbol& sym) {
   return sym.id != kNoSymId ? sym.id : SymbolInterner::Global().Intern(sym.name);
 }
 
+// Module merges performed; an n-ary MergeAll counts once.
+Counter* MergeCounter() {
+  static Counter* merges = MetricsRegistry::Global().GetCounter("link.merges");
+  return merges;
+}
+
 }  // namespace
 
 Module Module::FromObject(FragmentPtr object) {
@@ -302,6 +308,7 @@ Result<Module> Module::Bind() const {
 Result<Module> Module::Merge(const Module& a, const Module& b) {
   OMOS_TRY(const SymbolSpace* sa, a.Space());
   OMOS_TRY(const SymbolSpace* sb, b.Space());
+  MergeCounter()->Add();
 
   Module m;
   auto fragments = std::make_shared<std::vector<FragmentPtr>>(*a.fragments_);
@@ -336,6 +343,104 @@ Result<Module> Module::Merge(const Module& a, const Module& b) {
                                  shifted);
   }
   BindSpace(*space);
+  m.base_ = std::move(space);
+  return m;
+}
+
+Result<Module> Module::MergeAll(std::span<const Module> ops) {
+  if (ops.empty()) {
+    return Module();
+  }
+  if (ops.size() == 1) {
+    return ops[0];
+  }
+  std::vector<const SymbolSpace*> spaces;
+  spaces.reserve(ops.size());
+  size_t fragment_count = 0;
+  size_t export_count = 0;
+  size_t ref_count = 0;
+  for (const Module& op : ops) {
+    OMOS_TRY(const SymbolSpace* s, op.Space());
+    spaces.push_back(s);
+    fragment_count += op.fragments_->size();
+    export_count += s->exports.size();
+    ref_count += s->refs.size();
+  }
+  MergeCounter()->Add();
+
+  Module m;
+  auto fragments = std::make_shared<std::vector<FragmentPtr>>();
+  fragments->reserve(fragment_count);
+  auto space = std::make_shared<SymbolSpace>();
+  space->exports.reserve(export_count);
+  space->refs.reserve(ref_count);
+
+  // The fold binds after each operand k >= 1: every unbound reference whose
+  // name is exported at that point binds to the definition exported then.
+  // Replaying that timing without re-scanning every reference: a reference
+  // that finds no export waits, keyed by name, until an operand first
+  // exports the name. A weak-to-strong replacement needs no rebinding — no
+  // reference waits on a name that was already exported at a bind point.
+  FlatMap<SymId, std::vector<uint64_t>> waiting;
+  std::vector<SymId> fresh;        // names first exported since the last bind point
+  std::vector<uint64_t> unbound;   // references added unbound since then
+  auto bind = [&space](uint64_t key, const Export& exp) {
+    RefRecord& ref = space->refs.at(key);
+    ref.state = BindState::kBound;
+    ref.target = exp.def;
+  };
+  for (size_t k = 0; k < ops.size(); ++k) {
+    const SymbolSpace& s = *spaces[k];
+    uint32_t offset = static_cast<uint32_t>(fragments->size());
+    fragments->insert(fragments->end(), ops[k].fragments_->begin(), ops[k].fragments_->end());
+    for (const auto& [id, exp] : s.exports) {
+      Export shifted{DefId{exp.def.fragment + offset, exp.def.symbol}, exp.weak};
+      auto [it, inserted] = space->exports.try_emplace(id, shifted);
+      if (inserted) {
+        fresh.push_back(id);
+      } else if (it->second.weak && !shifted.weak) {
+        it->second = shifted;
+      } else if (!it->second.weak && !shifted.weak) {
+        return Err(ErrorCode::kDuplicateSymbol,
+                   StrCat("merge: symbol ", NameOf(id), " defined twice"));
+      }
+    }
+    for (const auto& [key, ref] : s.refs) {
+      RefRecord shifted = ref;
+      if (shifted.state != BindState::kUnbound) {
+        shifted.target.fragment += offset;
+      }
+      uint64_t shifted_key = PackRefKey(RefKeyFragment(key) + offset, RefKeyName(key));
+      space->refs.insert_or_assign(shifted_key, shifted);
+      if (shifted.state == BindState::kUnbound) {
+        unbound.push_back(shifted_key);
+      }
+    }
+    if (k == 0) {
+      continue;  // the fold's first bind point follows operand 1
+    }
+    for (SymId id : fresh) {
+      auto it = waiting.find(id);
+      if (it != waiting.end()) {
+        const Export& exp = space->exports.at(id);
+        for (uint64_t key : it->second) {
+          bind(key, exp);
+        }
+        waiting.erase(id);
+      }
+    }
+    fresh.clear();
+    for (uint64_t key : unbound) {
+      SymId name = space->refs.at(key).ext_name;
+      if (const Export* exp = space->FindExport(name)) {
+        bind(key, *exp);
+      } else {
+        waiting[name].push_back(key);
+      }
+    }
+    unbound.clear();
+  }
+  m.fragments_ = std::move(fragments);
   m.base_ = std::move(space);
   return m;
 }

@@ -9,6 +9,10 @@
 // `restrict` can rebind internal callers, which is exactly what the paper's
 // malloc-interposition example (Fig. 2) relies on.
 //
+// `merge` of n operands (MergeAll) builds the result in one pass — one
+// fragment vector, one export table, one binding pass — instead of n-1
+// pairwise copies, so an archive of n members merges in O(total symbols).
+//
 // Binding states per reference:
 //   kUnbound — no definition chosen yet (merge will bind it)
 //   kBound   — bound, but rebindable (override) and unbindable (restrict)
@@ -29,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -111,6 +116,15 @@ class Module {
   // (weak yields to strong); every unbound reference whose ext_name matches
   // an export becomes bound.
   static Result<Module> Merge(const Module& a, const Module& b);
+
+  // n-ary merge in one pass; equal, bit for bit, to the left fold
+  // Merge(Merge(ops[0], ops[1]), ops[2])… including its binding timing: a
+  // reference bound at step k keeps the definition exported at step k, so a
+  // reference that bound to a weak definition stays bound to it when a later
+  // operand brings a strong one. Duplicate strong definitions fail with
+  // kDuplicateSymbol, naming the first conflict the fold would hit. One
+  // operand is returned as is; none yields an empty module.
+  static Result<Module> MergeAll(std::span<const Module> ops);
 
   // override: merge resolving export conflicts in favour of `over`; non-
   // frozen references previously bound to the shadowed definitions are

@@ -158,17 +158,12 @@ Result<ObjectFile> OfeStripLocals(const ObjectFile& object) {
 
 Result<LinkedImage> OfeLink(const std::vector<ObjectFile>& objects, uint32_t text_base,
                             bool allow_unresolved) {
-  Module m;
-  bool first = true;
+  std::vector<Module> parts;
+  parts.reserve(objects.size());
   for (const ObjectFile& object : objects) {
-    Module part = Module::FromObject(std::make_shared<const ObjectFile>(object));
-    if (first) {
-      m = std::move(part);
-      first = false;
-    } else {
-      OMOS_TRY(m, Module::Merge(m, part));
-    }
+    parts.push_back(Module::FromObject(std::make_shared<const ObjectFile>(object)));
   }
+  OMOS_TRY(Module m, Module::MergeAll(parts));
   LayoutSpec layout;
   layout.text_base = text_base;
   layout.allow_unresolved = allow_unresolved;

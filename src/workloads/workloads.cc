@@ -406,33 +406,16 @@ void PopulateCodegenInputs(SimFs& fs) {
 }
 
 Result<Module> ModuleFromArchive(const Archive& archive) {
-  Module m;
-  bool first = true;
-  for (const ObjectFile& member : archive.members()) {
-    Module part = Module::FromObject(std::make_shared<const ObjectFile>(member));
-    if (first) {
-      m = std::move(part);
-      first = false;
-    } else {
-      OMOS_TRY(m, Module::Merge(m, part));
-    }
-  }
-  return m;
+  return ModuleFromObjects(archive.members());
 }
 
 Result<Module> ModuleFromObjects(const std::vector<ObjectFile>& objects) {
-  Module m;
-  bool first = true;
+  std::vector<Module> parts;
+  parts.reserve(objects.size());
   for (const ObjectFile& object : objects) {
-    Module part = Module::FromObject(std::make_shared<const ObjectFile>(object));
-    if (first) {
-      m = std::move(part);
-      first = false;
-    } else {
-      OMOS_TRY(m, Module::Merge(m, part));
-    }
+    parts.push_back(Module::FromObject(std::make_shared<const ObjectFile>(object)));
   }
-  return m;
+  return Module::MergeAll(parts);
 }
 
 std::string ExpectedLsShortOutput(const SimFs& fs, const std::string& dir) {

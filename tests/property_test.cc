@@ -175,6 +175,164 @@ TEST_P(ModuleAlgebra, LinkIsDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModuleAlgebra, ::testing::Range(0, 12));
 
+// ---- n-ary merge equals the pairwise left fold --------------------------------
+
+constexpr uint32_t kNamePool = 12;  // small, so operands collide
+
+// A leaf defining and referencing names from the shared pool; each
+// definition is strong with probability strong_pct/100, else weak.
+Module RandomLeaf(Lcg& rng, const std::string& name, uint32_t strong_pct) {
+  auto object = std::make_shared<ObjectFile>(name);
+  object->section(SectionKind::kText).bytes.resize(64);
+  uint32_t offset = 0;
+  for (uint32_t d = 1 + rng.Next(3); d > 0; --d) {
+    std::string sym = StrCat("s", rng.Next(kNamePool));
+    if (object->FindSymbol(sym) == nullptr) {
+      EXPECT_OK(object->DefineSymbol(
+          sym, rng.Next(100) < strong_pct ? SymbolBinding::kGlobal : SymbolBinding::kWeak,
+          SectionKind::kText, offset));
+      offset += 4;
+    }
+  }
+  // References may name the leaf's own definitions (bound-to-self) or
+  // anything else in the pool (unbound until some operand exports it).
+  for (uint32_t r = 1 + rng.Next(3); r > 0; --r) {
+    std::string sym = StrCat("s", rng.Next(kNamePool));
+    if (object->FindSymbol(sym) == nullptr) {
+      object->ReferenceSymbol(sym);
+    }
+    object->AddReloc(SectionKind::kText, Relocation{offset, RelocKind::kAbs32, sym, 0});
+    offset += 4;
+  }
+  return Module::FromObject(object);
+}
+
+// One merge operand: a leaf, sometimes pre-merged with a second one (so
+// operands carry several fragments), then put through a random view op.
+Module RandomOperand(Lcg& rng, int index, uint32_t strong_pct) {
+  Module m = RandomLeaf(rng, StrCat("op", index, "a.o"), strong_pct);
+  if (rng.Next(4) == 0) {
+    auto pair = Module::Merge(m, RandomLeaf(rng, StrCat("op", index, "b.o"), strong_pct));
+    if (pair.ok()) {
+      m = std::move(pair).value();
+    }
+  }
+  std::string pick = StrCat("^s", rng.Next(kNamePool), "$");
+  switch (rng.Next(5)) {
+    case 0:
+      return m.Rename(pick, StrCat("s", rng.Next(kNamePool)),
+                      static_cast<RenameWhich>(rng.Next(3)));
+    case 1:
+      return m.Hide(pick);
+    case 2:
+      return m.Restrict(pick);
+    default:
+      return m;
+  }
+}
+
+Result<Module> LeftFold(const std::vector<Module>& ops) {
+  Module acc = ops[0];
+  for (size_t i = 1; i < ops.size(); ++i) {
+    OMOS_TRY(acc, Module::Merge(acc, ops[i]));
+  }
+  return acc;
+}
+
+// Order-independent rendering of a merge outcome: the error, or the
+// fragment order plus every export and reference record.
+std::string Render(const Result<Module>& result) {
+  if (!result.ok()) {
+    return StrCat("error ", ErrorCodeName(result.error().code()), ": ", result.error().message());
+  }
+  std::vector<std::string> lines;
+  for (const FragmentPtr& fragment : result->fragments()) {
+    lines.push_back(StrCat("fragment ", fragment->name()));
+  }
+  const SymbolSpace* space = result->Space().value();
+  std::vector<std::string> records;
+  for (const auto& [id, exp] : space->exports) {
+    records.push_back(StrCat("export ", SymbolInterner::Global().Name(id), " ", exp.def.fragment,
+                             ":", exp.def.symbol, exp.weak ? " weak" : ""));
+  }
+  for (const auto& [key, ref] : space->refs) {
+    records.push_back(StrCat("ref ", RefKeyFragment(key), ":",
+                             SymbolInterner::Global().Name(RefKeyName(key)), " state ",
+                             static_cast<int>(ref.state), " target ", ref.target.fragment, ":",
+                             ref.target.symbol, " seeks ",
+                             SymbolInterner::Global().Name(ref.ext_name)));
+  }
+  std::sort(records.begin(), records.end());
+  lines.insert(lines.end(), records.begin(), records.end());
+  std::string out;
+  for (const std::string& line : lines) {
+    out += line;
+    out.push_back('\n');
+  }
+  return out;
+}
+
+TEST(MergeAllProperty, EqualsPairwiseLeftFold) {
+  int failed = 0;
+  int merged = 0;
+  for (uint32_t seed = 0; seed < 300; ++seed) {
+    Lcg rng(seed);
+    uint32_t strong_pct = std::vector<uint32_t>{5, 20, 50}[rng.Next(3)];
+    std::vector<Module> ops;
+    for (int i = 0, n = 2 + static_cast<int>(rng.Next(39)); i < n; ++i) {
+      ops.push_back(RandomOperand(rng, i, strong_pct));
+    }
+    Result<Module> fold = LeftFold(ops);
+    Result<Module> all = Module::MergeAll(ops);
+    ASSERT_EQ(Render(all), Render(fold)) << "seed " << seed << ", " << ops.size() << " operands";
+    if (fold.ok()) {
+      EXPECT_EQ(all->fragments(), fold->fragments()) << "seed " << seed;  // same objects
+    }
+    (fold.ok() ? merged : failed) += 1;
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(merged, 30);
+  EXPECT_GT(failed, 30);
+}
+
+// A reference binds at the first operand boundary where its name is
+// exported and keeps that definition: binding every reference against the
+// final export table would pick the later strong definition instead.
+TEST(MergeAllProperty, WeakBindingSurvivesLaterStrongDefinition) {
+  auto leaf = [](const std::string& name, const std::string& source) {
+    auto object = Assemble(source, name);
+    EXPECT_OK(object);
+    return Module::FromObject(std::make_shared<const ObjectFile>(std::move(object).value()));
+  };
+  std::vector<Module> ops{
+      leaf("weak.o", ".text\n.weak f\nf:\n  ret\n"),
+      leaf("caller.o", ".text\n.global g\ng:\n  call f\n  ret\n"),
+      leaf("strong.o", ".text\n.global f\nf:\n  movi r0, 1\n  ret\n"),
+  };
+  ASSERT_OK_AND_ASSIGN(Module all, Module::MergeAll(ops));
+  ASSERT_OK_AND_ASSIGN(Module fold, LeftFold(ops));
+  EXPECT_EQ(Render(all), Render(fold));
+  ASSERT_OK_AND_ASSIGN(const SymbolSpace* space, all.Space());
+  const RefRecord* call = space->FindRef(1, "f");
+  ASSERT_NE(call, nullptr);
+  EXPECT_EQ(call->state, BindState::kBound);
+  EXPECT_EQ(call->target.fragment, 0u);            // the weak definition
+  EXPECT_EQ(space->FindExport("f")->def.fragment, 2u);  // the export is the strong one
+}
+
+TEST(MergeAllProperty, DuplicateStrongDefinitionFailsLikeTheFold) {
+  auto leaf = [](const std::string& name) {
+    auto object = Assemble(".text\n.global f\nf:\n  ret\n", name);
+    EXPECT_OK(object);
+    return Module::FromObject(std::make_shared<const ObjectFile>(std::move(object).value()));
+  };
+  std::vector<Module> ops{leaf("a.o"), leaf("b.o"), leaf("c.o")};
+  Result<Module> all = Module::MergeAll(ops);
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.error().code(), ErrorCode::kDuplicateSymbol);
+  EXPECT_EQ(Render(all), Render(LeftFold(ops)));
+}
+
 // ---- Codec round-trip properties over generated objects ----------------------
 
 class CodecProperty : public ::testing::TestWithParam<int> {};

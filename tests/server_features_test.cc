@@ -4,10 +4,15 @@
 // libraries, and IPC-driven administration.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
+#include <thread>
+
 #include "src/core/server.h"
 #include "src/support/faultsim.h"
 #include "src/support/metrics.h"
 #include "src/support/strings.h"
+#include "src/workloads/workloads.h"
 #include "tests/helpers.h"
 
 namespace omos {
@@ -1131,6 +1136,464 @@ TEST_F(ServerFeatures, ConflictWithoutPrelinkEntriesIsNotResolved) {
   EXPECT_EQ(server_->conflicts().size(), 1u);
   EXPECT_EQ(resolves->value(), resolves_before);
 }
+
+// ---- Evaluation memo coherence -------------------------------------------------
+//
+// A rebuild replays the memoized evaluation of every unchanged meta. The
+// memo is valid only while each namespace entry it read is still the one
+// the namespace serves, so every redefinition path below must reach the
+// next exec.
+
+uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+// answer() returning `value`, with a marker symbol ver_<value>, as v.o.
+Result<ObjectFile> VersionedAnswer(int value) {
+  return Assemble(StrCat(".text\n.global answer\n.global ver_", value, "\nanswer:\nver_", value,
+                         ":\n  movi r0, ", value, "\n  ret\n"),
+                  "v.o");
+}
+
+// /libx: v.o (VersionedAnswer(value)) plus three fillers.
+Result<Archive> AnswerArchive(int value) {
+  Archive archive("libx");
+  OMOS_TRY(ObjectFile answer, VersionedAnswer(value));
+  archive.Add(std::move(answer));
+  for (int i = 0; i < 3; ++i) {
+    OMOS_TRY(ObjectFile filler,
+             Assemble(StrCat(".text\n.global filler_", i, "\nfiller_", i, ":\n  ret\n"),
+                      StrCat("f", i, ".o")));
+    archive.Add(std::move(filler));
+  }
+  return archive;
+}
+
+// The lib_update shape in miniature: /bin/q = crt0 + main calling answer()
+// + library /lib/ans, a fixed-base library merging the archive meta /libx.
+Result<void> DefineAnswerClient(OmosServer& server, int value) {
+  OMOS_TRY(Archive archive, AnswerArchive(value));
+  OMOS_TRY_VOID(server.AddArchive("/libx", archive));
+  OMOS_TRY_VOID(
+      server.DefineLibrary("/lib/ans", "(constraint-list \"T\" 0x2000000)\n(merge /libx)"));
+  OMOS_TRY(ObjectFile main_obj, Assemble(kCallAnswer, "m.o"));
+  OMOS_TRY_VOID(server.AddFragment("/obj/m.o", std::move(main_obj)));
+  return server.DefineMeta("/bin/q", "(merge /lib/crt0.o /obj/m.o /lib/ans)");
+}
+
+// The answer version the task's mapped images carry (its ver_<n> marker),
+// or -1.
+int VersionSeenBy(OmosServer& server, TaskId id) {
+  auto symbols = server.SymbolsForTask(id);
+  if (!symbols.ok()) {
+    return -1;
+  }
+  for (const ImageSymbol& sym : *symbols) {
+    if (StartsWith(sym.name, "ver_")) {
+      return std::stoi(sym.name.substr(4));
+    }
+  }
+  return -1;
+}
+
+class EvalMemoTest : public ServerFeatures {
+ protected:
+  // Exec /bin/q; returns its exit code after checking the mapped version
+  // agrees with it.
+  Result<int> ExecQ() {
+    OMOS_TRY(TaskId id, server_->IntegratedExec("/bin/q", {"q"}));
+    int seen = VersionSeenBy(*server_, id);
+    OMOS_TRY(RunOutcome out, Run(id));
+    EXPECT_EQ(seen, out.exit_code);
+    return out.exit_code;
+  }
+};
+
+TEST_F(EvalMemoTest, LibraryRedefinitionHitsTheArchiveMemo) {
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  ASSERT_OK_AND_ASSIGN(int first, ExecQ());
+  EXPECT_EQ(first, 1);
+
+  // A library fix that leaves its archive alone: /libx evaluates from the
+  // memo, /lib/ans and /bin/q (which read the redefined path) do not.
+  uint64_t hits = CounterValue("eval.memo_hits");
+  uint64_t misses = CounterValue("eval.memo_misses");
+  uint64_t merges = CounterValue("link.merges");
+  ASSERT_OK(
+      server_->DefineLibrary("/lib/ans", "(constraint-list \"T\" 0x2100000)\n(merge /libx)"));
+  ASSERT_OK_AND_ASSIGN(int second, ExecQ());
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(CounterValue("eval.memo_hits") - hits, 1u);
+  EXPECT_EQ(CounterValue("eval.memo_misses") - misses, 2u);
+  EXPECT_LE(CounterValue("link.merges") - merges, 2u);
+}
+
+TEST_F(EvalMemoTest, ReplacedArchiveMemberReachesNextExec) {
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  ASSERT_OK_AND_ASSIGN(int first, ExecQ());
+  EXPECT_EQ(first, 1);
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, VersionedAnswer(2));
+  ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
+  ASSERT_OK_AND_ASSIGN(int second, ExecQ());
+  EXPECT_EQ(second, 2);
+}
+
+TEST_F(EvalMemoTest, ReplacedArchiveReachesNextExec) {
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  ASSERT_OK_AND_ASSIGN(int first, ExecQ());
+  EXPECT_EQ(first, 1);
+  ASSERT_OK_AND_ASSIGN(Archive v2, AnswerArchive(2));
+  ASSERT_OK(server_->AddArchive("/libx", v2));
+  ASSERT_OK_AND_ASSIGN(int second, ExecQ());
+  EXPECT_EQ(second, 2);
+}
+
+TEST_F(EvalMemoTest, RedefinitionTwoLevelsBelowReachesNextExec) {
+  // /bin/top merges /mid, a view over /low, which merges one answer
+  // object: /low is two metas below the program being built.
+  ASSERT_OK_AND_ASSIGN(ObjectFile v1, VersionedAnswer(1));
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, VersionedAnswer(2));
+  ASSERT_OK(server_->AddFragment("/obj/v1.o", std::move(v1)));
+  ASSERT_OK(server_->AddFragment("/obj/v2.o", std::move(v2)));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(kCallAnswer, "m.o"));
+  ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/low", "(merge /obj/v1.o)"));
+  ASSERT_OK(server_->DefineMeta("/mid", "(hide \"^ver_\" (merge /low))"));
+  ASSERT_OK(server_->DefineMeta("/bin/top", "(merge /lib/crt0.o /obj/m.o /mid)"));
+  ASSERT_OK_AND_ASSIGN(TaskId id1, server_->IntegratedExec("/bin/top", {"top"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out1, Run(id1));
+  EXPECT_EQ(out1.exit_code, 1);
+
+  ASSERT_OK(server_->DefineMeta("/low", "(merge /obj/v2.o)"));
+  ASSERT_OK_AND_ASSIGN(TaskId id2, server_->IntegratedExec("/bin/top", {"top"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out2, Run(id2));
+  EXPECT_EQ(out2.exit_code, 2);
+}
+
+TEST_F(EvalMemoTest, RestoreOverServedStateReachesNextExec) {
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  std::string at_v1 = server_->Snapshot();
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, VersionedAnswer(2));
+  ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
+  ASSERT_OK_AND_ASSIGN(int before, ExecQ());
+  EXPECT_EQ(before, 2);
+
+  // Restore republishes every entry (v.o back at version 1). Restore
+  // leaves the image cache alone, so drop it; the rebuild must not replay
+  // the evaluations of the replaced entries.
+  for (const std::string& key : server_->cache().Keys()) {
+    server_->cache().Evict(key);
+  }
+  ASSERT_OK(server_->Restore(at_v1));
+  ASSERT_OK_AND_ASSIGN(int after, ExecQ());
+  EXPECT_EQ(after, 1);
+}
+
+TEST_F(EvalMemoTest, StoreReopenReachesNextExec) {
+  SimFs disk;
+  {
+    ImageStore store(disk, "/omos/store");
+    ASSERT_OK(store.Open());
+    ASSERT_OK(DefineAnswerClient(*server_, 1));
+    ASSERT_OK(server_->PersistTo(store));  // snapshot at version 1, no images
+  }
+  ImageStore store(disk, "/omos/store");
+  ASSERT_OK(store.Open());
+  server_->AttachStore(&store);
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, VersionedAnswer(2));
+  ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
+  ASSERT_OK_AND_ASSIGN(int before, ExecQ());
+  EXPECT_EQ(before, 2);
+
+  // Reopen the store and restore its version-1 snapshot into this server.
+  // The store holds no version-1 image, so the exec rebuilds.
+  server_->AttachStore(nullptr);
+  for (const std::string& key : server_->cache().Keys()) {
+    server_->cache().Evict(key);
+  }
+  ImageStore reopened(disk, "/omos/store");
+  ASSERT_OK(reopened.Open());
+  ASSERT_OK(server_->RestoreFromStore(reopened));
+  ASSERT_OK_AND_ASSIGN(int after, ExecQ());
+  EXPECT_EQ(after, 1);
+  server_->AttachStore(nullptr);
+}
+
+TEST_F(EvalMemoTest, HitReplaysEvaluationWorkAndInputs) {
+  // /gen assembles source, so its evaluation bills work; /lib/g merges it.
+  ASSERT_OK(server_->DefineMeta(
+      "/gen", "(merge (source \"asm\" \".text\\n.global answer\\nanswer:\\n  movi r0, 5\\n  ret\\n\"))"));
+  ASSERT_OK(server_->DefineLibrary("/lib/g", "(constraint-list \"T\" 0x2000000)\n(merge /gen)"));
+  Specialization spec{"lib-constrained", {}};
+  uint64_t cold_work = 0;
+  ASSERT_OK_AND_ASSIGN(const CachedImage* cold, server_->Instantiate("/lib/g", spec, &cold_work));
+  std::vector<std::string> cold_inputs = cold->inputs;
+  uint64_t cold_cost = cold->build_cost;
+
+  // Same blueprint again: a rebuild whose /gen evaluation is a memo hit.
+  uint64_t hits = CounterValue("eval.memo_hits");
+  ASSERT_OK(server_->DefineLibrary("/lib/g", "(constraint-list \"T\" 0x2000000)\n(merge /gen)"));
+  uint64_t warm_work = 0;
+  ASSERT_OK_AND_ASSIGN(const CachedImage* warm, server_->Instantiate("/lib/g", spec, &warm_work));
+  EXPECT_EQ(CounterValue("eval.memo_hits") - hits, 1u);
+  EXPECT_EQ(warm_work, cold_work);
+  EXPECT_EQ(warm->build_cost, cold_cost);
+  EXPECT_EQ(warm->inputs, cold_inputs);
+  EXPECT_EQ(warm->inputs, (std::vector<std::string>{"/gen", "/lib/g"}));
+}
+
+TEST_F(EvalMemoTest, MemberRedefinitionsRaceBuilds) {
+  // One writer replaces the answer member version by version while three
+  // readers exec /bin/q. An exec must map a version that was current at
+  // some point during the exec: no older than the last redefinition that
+  // finished before it started, no newer than the last one begun by the
+  // time it returned. The tasks run after the race (the kernel's task
+  // table is single-threaded); a task runs the images mapped at its exec.
+  constexpr int kVersions = 40;
+  ASSERT_OK(DefineAnswerClient(*server_, 0));
+  std::vector<ObjectFile> versions;
+  for (int v = 1; v <= kVersions; ++v) {
+    ASSERT_OK_AND_ASSIGN(ObjectFile object, VersionedAnswer(v));
+    versions.push_back(std::move(object));
+  }
+  struct Exec {
+    TaskId id;
+    int lo;
+    int hi;
+  };
+  std::atomic<int> begun{0};
+  std::atomic<int> finished{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::atomic<int> exec_count{0};
+  std::mutex execs_mu;
+  std::vector<Exec> execs;
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int v = 1; v <= kVersions; ++v) {
+      // Interleave: at least two execs per version, so builds are in
+      // flight whenever a redefinition lands.
+      while (exec_count.load() < 2 * v) {
+        std::this_thread::yield();
+      }
+      begun.store(v);
+      if (!server_->AddFragment("/libx/v.o", versions[v - 1]).ok()) {
+        errors.fetch_add(1);
+      }
+      finished.store(v);
+      std::this_thread::yield();
+    }
+    done.store(true);
+  });
+  for (int r = 0; r < 3; ++r) {
+    threads.emplace_back([&] {
+      while (!done.load()) {
+        int lo = finished.load();
+        auto id = server_->IntegratedExec("/bin/q", {"q"});
+        int hi = begun.load();
+        if (!id.ok()) {
+          errors.fetch_add(1);
+          exec_count.fetch_add(1);
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(execs_mu);
+        execs.push_back(Exec{*id, lo, hi});
+        exec_count.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GE(execs.size(), 2u * kVersions);
+  int stale = 0;
+  for (const Exec& exec : execs) {
+    ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(exec.id));
+    if (out.exit_code < exec.lo || out.exit_code > exec.hi) {
+      ++stale;
+      ADD_FAILURE() << "exec mapped version " << out.exit_code << ", current was " << exec.lo
+                    << ".." << exec.hi;
+    }
+    server_->ReleaseTask(exec.id);
+    kernel_.DestroyTask(exec.id);
+  }
+  EXPECT_EQ(stale, 0) << "of " << execs.size() << " execs";
+  ASSERT_OK_AND_ASSIGN(int last, ExecQ());
+  EXPECT_EQ(last, kVersions);
+}
+
+// ---- Memo hits against cold builds on the e2ebench library shapes ---------------
+
+const Workloads& FullWorkloads() {
+  static const Workloads* workloads = [] {
+    auto result = BuildWorkloads();
+    EXPECT_OK(result);
+    return new Workloads(std::move(result).value());
+  }();
+  return *workloads;
+}
+
+std::string LibcBlueprint(uint32_t base) {
+  return StrCat("(constraint-list \"T\" ", base, ")\n(merge /libc)");
+}
+
+// The e2ebench install: every library archive plus /bin/ls or
+// /bin/codegen, with /lib/libc at `libc_base`.
+Result<void> InstallWorld(OmosServer& server, uint32_t libc_base) {
+  const Workloads& w = FullWorkloads();
+  OMOS_TRY_VOID(server.AddFragment("/lib/crt0.o", w.crt0));
+  OMOS_TRY_VOID(server.AddFragment("/obj/ls.o", w.ls_obj));
+  const std::pair<const char*, const Archive*> archives[] = {
+      {"/libc", &w.libc}, {"/alpha1", &w.alpha1}, {"/alpha2", &w.alpha2},
+      {"/libm", &w.libm}, {"/libl", &w.libl},     {"/libC", &w.libcpp}};
+  uint32_t base = 0x3000000;
+  std::string codegen = "(merge /lib/crt0.o";
+  for (const auto& [dir, archive] : archives) {
+    OMOS_TRY_VOID(server.AddArchive(dir, *archive));
+    std::string lib = StrCat("/lib", dir);
+    codegen += " " + lib;
+    if (lib != "/lib/libc") {
+      OMOS_TRY_VOID(server.DefineLibrary(
+          lib, StrCat("(constraint-list \"T\" ", base, ")\n(merge ", dir, ")")));
+      base += 0x1000000;
+    }
+  }
+  OMOS_TRY_VOID(server.DefineLibrary("/lib/libc", LibcBlueprint(libc_base)));
+  for (size_t i = 0; i < w.codegen_objs.size(); ++i) {
+    OMOS_TRY_VOID(server.AddFragment(StrCat("/obj/cg", i, ".o"), w.codegen_objs[i]));
+    codegen += StrCat(" /obj/cg", i, ".o");
+  }
+  OMOS_TRY_VOID(server.DefineMeta("/bin/codegen", codegen + ")"));
+  return server.DefineMeta("/bin/ls", "(merge /lib/crt0.o /obj/ls.o /lib/libc)");
+}
+
+// Everything a build publishes that a client or a biller can observe.
+std::string Describe(const CachedImage& image) {
+  uint64_t h = Fnv1aBytes(image.image.text.data(), image.image.text.size());
+  h ^= Fnv1aBytes(image.image.data.data(), image.image.data.size()) * 31;
+  std::string out = StrCat(image.key, " text ", image.image.text_base, " data ",
+                           image.image.data_base, " entry ", image.image.entry, " bytes ", h,
+                           " symbols ", image.image.symbols.size(), " cost ", image.build_cost,
+                           " inputs");
+  for (const std::string& input : image.inputs) {
+    out += " " + input;
+  }
+  return out;
+}
+
+struct BuildView {
+  uint64_t work = 0;
+  std::vector<std::string> images;  // the program, then each dep
+  int exit_code = 0;
+  std::string output;
+  uint64_t user_cycles = 0;
+};
+
+Result<BuildView> BuildAndRun(Kernel& kernel, OmosServer& server, const std::string& program) {
+  BuildView view;
+  ImageCache::ReadLease lease(server.cache());
+  OMOS_TRY(const CachedImage* image, server.Instantiate(program, {}, &view.work));
+  view.images.push_back(Describe(*image));
+  for (const LibDep& dep : image->deps) {
+    const CachedImage* lib = server.cache().Peek(dep.cache_key);
+    if (lib == nullptr) {
+      return Err(ErrorCode::kNotFound, StrCat("dep not cached: ", dep.cache_key));
+    }
+    view.images.push_back(Describe(*lib));
+  }
+  std::vector<std::string> args{program == "/bin/ls" ? "ls" : "codegen"};
+  if (program == "/bin/ls") {
+    args.push_back("/data");
+  }
+  OMOS_TRY(TaskId id, server.IntegratedExec(program, args));
+  Task* task = kernel.FindTask(id);
+  OMOS_TRY_VOID(kernel.RunTask(*task));
+  view.exit_code = task->exit_code();
+  view.output = task->output();
+  view.user_cycles = task->user_cycles();
+  server.ReleaseTask(id);
+  kernel.DestroyTask(id);
+  return view;
+}
+
+// codegen's libraries other than libc, built ahead of the program so both
+// servers place libc last: the lib_update redefinition then re-places it in
+// the slot it left, where a fresh server puts it too.
+Result<void> BuildOtherLibraries(OmosServer& server, const std::string& program) {
+  if (program != "/bin/codegen") {
+    return OkResult();
+  }
+  for (const char* lib : {"/lib/alpha1", "/lib/alpha2", "/lib/libm", "/lib/libl", "/lib/libC"}) {
+    OMOS_TRY_VOID(server.Instantiate(lib, {"lib-constrained", {}}, nullptr));
+  }
+  return OkResult();
+}
+
+struct MemoShape {
+  const char* name;     // the e2ebench workload the program comes from
+  const char* program;
+  EngineMode engine;
+};
+
+// gtest names each case (and ctest each discovered test) by the printed
+// parameter; the default would print the bytes of the pointers' addresses.
+void PrintTo(const MemoShape& shape, std::ostream* os) {
+  *os << shape.program << (shape.engine == EngineMode::kBlocks ? " blocks" : " interp");
+}
+
+class MemoDifferential : public ::testing::TestWithParam<MemoShape> {};
+
+TEST_P(MemoDifferential, MemoHitBuildEqualsColdBuild) {
+  const std::string program = GetParam().program;
+  constexpr uint32_t kBase[2] = {0x2000000, 0x2100000};
+
+  // Warm server: build at libc version 0, then the lib_update redefinition
+  // to version 1; the rebuild replays the unchanged /libc from the memo.
+  Kernel warm_kernel;
+  warm_kernel.SetEngineMode(GetParam().engine);
+  PopulateLsData(warm_kernel.fs());
+  PopulateCodegenInputs(warm_kernel.fs());
+  OmosServer warm(warm_kernel);
+  ASSERT_OK(InstallWorld(warm, kBase[0]));
+  ASSERT_OK(BuildOtherLibraries(warm, program));
+  ASSERT_OK(BuildAndRun(warm_kernel, warm, program));
+  // The request: one memo hit (/libc) and at most two module merges, where
+  // the pairwise fold did 142 for libc alone.
+  uint64_t hits = CounterValue("eval.memo_hits");
+  uint64_t merges = CounterValue("link.merges");
+  ASSERT_OK(warm.DefineLibrary("/lib/libc", LibcBlueprint(kBase[1])));
+  ASSERT_OK_AND_ASSIGN(BuildView hit, BuildAndRun(warm_kernel, warm, program));
+  EXPECT_EQ(CounterValue("eval.memo_hits") - hits, 1u);
+  EXPECT_LE(CounterValue("link.merges") - merges, 2u);
+
+  // Fresh server that only ever saw version 1.
+  Kernel cold_kernel;
+  cold_kernel.SetEngineMode(GetParam().engine);
+  PopulateLsData(cold_kernel.fs());
+  PopulateCodegenInputs(cold_kernel.fs());
+  OmosServer cold(cold_kernel);
+  ASSERT_OK(InstallWorld(cold, kBase[1]));
+  ASSERT_OK(BuildOtherLibraries(cold, program));
+  ASSERT_OK_AND_ASSIGN(BuildView fresh, BuildAndRun(cold_kernel, cold, program));
+
+  EXPECT_EQ(hit.work, fresh.work);
+  EXPECT_EQ(hit.images, fresh.images);
+  EXPECT_EQ(hit.exit_code, fresh.exit_code);
+  EXPECT_EQ(hit.output, fresh.output);
+  EXPECT_EQ(hit.user_cycles, fresh.user_cycles);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, MemoDifferential,
+                         ::testing::Values(MemoShape{"lib_update", "/bin/ls", EngineMode::kBlocks},
+                                           MemoShape{"lib_update", "/bin/ls", EngineMode::kInterp},
+                                           MemoShape{"codegen", "/bin/codegen", EngineMode::kBlocks},
+                                           MemoShape{"codegen", "/bin/codegen", EngineMode::kInterp}),
+                         [](const auto& info) {
+                           return std::string(info.param.name) +
+                                  (info.param.engine == EngineMode::kBlocks ? "_blocks"
+                                                                            : "_interp");
+                         });
 
 }  // namespace
 }  // namespace omos
