@@ -1883,13 +1883,20 @@ Result<TaskId> OmosServer::BootstrapExec(const std::string& path, std::vector<st
     task->BillSys(costs.file_open + costs.header_parse + costs.file_read_page);
     task->BillUser(config_.bootstrap_user_cycles);
   }
-  Channel channel = MakeChannel();
+  ExecTransport transport = exec_transport();
+  Channel channel = TakeExecChannel(transport);
   OmosRequest request;
   request.op = OmosOp::kInstantiate;
   request.path = path;
   request.specialization = spec.ToKeyString();
   request.task_handle = task_id;
-  OMOS_TRY(OmosReply reply, channel.Call(request, task));
+  Result<OmosReply> called = channel.Call(request, task);
+  // A failed call or a demotion drops the channel: the next exec starts on
+  // a clean one, as it would with a fresh channel.
+  if (called.ok() && !channel.fallback_engaged()) {
+    ParkExecChannel(transport, std::move(channel));
+  }
+  OMOS_TRY(OmosReply reply, std::move(called));
   if (!reply.ok) {
     return Err(ErrorCode::kNotFound, reply.error);
   }
@@ -2548,6 +2555,16 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
     return Err(ErrorCode::kCorrupted, "snapshot: checksum mismatch");
   }
 
+  // A restored entry that differs from the current one supersedes the
+  // images built from it, exactly as a redefinition does. Identical entries
+  // (a restart restoring its own snapshot) keep their images and store
+  // records; a path with no current entry has no image that read it.
+  auto invalidate_if_changed = [this](std::string_view path, const auto& same_as) {
+    auto current = namespace_.Lookup(path);
+    if (current.ok() && !same_as(**current)) {
+      InvalidateImagesOf({std::string(path)});
+    }
+  };
   SnapshotCursor cursor{snapshot.substr(0, check_at), 0};
   OMOS_TRY(std::string_view magic, cursor.Line());
   if (magic != kSnapshotMagic) {
@@ -2560,13 +2577,19 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
       OMOS_TRY(uint64_t kind, PopNumber(line));
       OMOS_TRY(uint64_t len, PopNumber(line));
       OMOS_TRY(std::string_view blueprint, cursor.Blob(len));
-      OMOS_TRY_VOID(namespace_.DefineMeta(
-          line, blueprint, kind == 1 ? EntryKind::kLibrary : EntryKind::kMeta));
+      EntryKind entry_kind = kind == 1 ? EntryKind::kLibrary : EntryKind::kMeta;
+      invalidate_if_changed(line, [&](const NamespaceEntry& current) {
+        return current.kind == entry_kind && current.blueprint_text == blueprint;
+      });
+      OMOS_TRY_VOID(namespace_.DefineMeta(line, blueprint, entry_kind));
     } else if (tag == "frag") {
       OMOS_TRY(uint64_t len, PopNumber(line));
       OMOS_TRY(std::string_view hex, cursor.Blob(len));
       OMOS_TRY(std::vector<uint8_t> bytes, HexDecode(hex));
       OMOS_TRY(ObjectFile object, DecodeObject(bytes));
+      invalidate_if_changed(line, [&](const NamespaceEntry& current) {
+        return current.kind == EntryKind::kFragment && EncodeObject(*current.fragment) == bytes;
+      });
       OMOS_TRY_VOID(namespace_.AddFragment(line, std::move(object)));
     } else if (tag == "order") {
       OMOS_TRY(uint64_t count, PopNumber(line));
@@ -2790,6 +2813,32 @@ Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
 // ---- IPC --------------------------------------------------------------------
 
 Channel OmosServer::MakeChannel() { return MakeChannel(exec_transport()); }
+
+Channel OmosServer::TakeExecChannel(ExecTransport transport) {
+  static Counter* created = MetricsRegistry::Global().GetCounter("ipc.exec_channels.created");
+  std::vector<ParkedChannel> stale;  // destroyed after the lock drops
+  {
+    std::lock_guard<std::mutex> lock(exec_channels_mu_);
+    while (!exec_channels_.empty()) {
+      ParkedChannel parked = std::move(exec_channels_.back());
+      exec_channels_.pop_back();
+      if (parked.transport == transport) {
+        return std::move(parked.channel);
+      }
+      stale.push_back(std::move(parked));
+    }
+  }
+  created->Add();
+  return MakeChannel(transport);
+}
+
+void OmosServer::ParkExecChannel(ExecTransport transport, Channel channel) {
+  if (transport != exec_transport()) {
+    return;  // the transport switched during the call: drop it
+  }
+  std::lock_guard<std::mutex> lock(exec_channels_mu_);
+  exec_channels_.push_back(ParkedChannel{transport, std::move(channel)});
+}
 
 Channel OmosServer::MakeChannel(ExecTransport transport) {
   ServeFn serve = [this](const std::vector<uint8_t>& bytes) { return ServeMessage(bytes); };

@@ -87,8 +87,10 @@ struct OmosServerConfig {
 //                  SimFs writes); never held across a build
 //
 // prelink_mu_ (the prelink table), relink_mu_ (the relink queue and the
-// twin aliases) and memo_mu_ (the evaluation memo) are leaf locks: nothing
-// else is acquired while one of them is held.
+// twin aliases), memo_mu_ (the evaluation memo) and exec_channels_mu_ (the
+// parked exec channels) are leaf locks: nothing else is acquired while one
+// of them is held. exec_channels_mu_ is never held across Channel::Call: a
+// BootstrapExec takes a channel off the list, calls, and parks it again.
 //
 // Cache misses are single-flight: concurrent Instantiates of one key elect
 // a leader via ImageCache::JoinBuild and everyone shares its image. Callers
@@ -333,7 +335,9 @@ class OmosServer {
   void ServeAsync(std::vector<uint8_t> request_bytes,
                   std::function<void(std::vector<uint8_t>)> done);
   // A client channel bound to this server over exec_transport(), billing
-  // that transport's cost shape from the kernel's cost model.
+  // that transport's cost shape from the kernel's cost model. Every call
+  // builds a new channel; BootstrapExec instead reuses parked ones (see
+  // TakeExecChannel).
   Channel MakeChannel();
   // Same, with an explicit transport choice (benches compare all three).
   Channel MakeChannel(ExecTransport transport);
@@ -489,6 +493,18 @@ class OmosServer {
   // them. Returns how many were cached.
   int EvictMoved(const std::vector<std::string>& moved);
 
+  // Exec channel reuse. A ring channel is two 64-slot rings plus a stream
+  // fallback; building one per exec costs more host time than the round
+  // trip it carries. TakeExecChannel pops a parked channel of `transport`
+  // (dropping parked channels of any other transport) or builds one with
+  // MakeChannel(transport), counting ipc.exec_channels.created.
+  // ParkExecChannel returns a channel whose call delivered and that is not
+  // demoted to its fallback; the caller drops any other, so every exec
+  // starts on a channel in the state a fresh one would have. Billing is per
+  // round trip either way, so reuse changes no simulated cycle.
+  Channel TakeExecChannel(ExecTransport transport);
+  void ParkExecChannel(ExecTransport transport, Channel channel);
+
   // First use of `image` in `task`: records it in the task's mapped_libs,
   // bills `first_use_cost` and maps it; later uses do nothing. Returns
   // whether this call mapped it, or kNotFound once the task's runtime state
@@ -610,7 +626,9 @@ class OmosServer {
 
   // Lock hierarchy (see class comment): acquire strictly downward, never
   // hold any of these across a recursive Instantiate or a cache call that
-  // can build (JoinBuild leadership is not a lock).
+  // can build (JoinBuild leadership is not a lock). The leaf locks
+  // (prelink_mu_, relink_mu_, memo_mu_, exec_channels_mu_) are declared
+  // with the state they guard below.
   mutable std::mutex admin_mu_;
   mutable std::mutex monitor_mu_;
   mutable std::mutex solver_mu_;
@@ -658,6 +676,17 @@ class OmosServer {
   // exec path reads the entry, drops the lock, then consults the solver.
   mutable std::mutex prelink_mu_;
   std::map<std::string, PrelinkEntry> prelink_;         // guarded by prelink_mu_
+
+  // Parked exec channels, each tagged with the transport it speaks. Guarded
+  // by exec_channels_mu_ (a leaf lock, never held across Channel::Call).
+  // Bounded by the peak number of concurrent BootstrapExec calls: a channel
+  // is either in use by one exec or parked here.
+  struct ParkedChannel {
+    ExecTransport transport;
+    Channel channel;
+  };
+  std::mutex exec_channels_mu_;
+  std::vector<ParkedChannel> exec_channels_;  // guarded by exec_channels_mu_
 
   // See namespace_generation(); starts at 1 so "0" is always stale.
   std::atomic<uint64_t> namespace_generation_{1};

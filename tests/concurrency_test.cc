@@ -17,6 +17,7 @@
 #include "src/core/server.h"
 #include "src/ipc/message.h"
 #include "src/support/faultsim.h"
+#include "src/support/metrics.h"
 #include "src/support/strings.h"
 #include "src/support/thread_pool.h"
 #include "tests/helpers.h"
@@ -527,6 +528,54 @@ mul3:
   ASSERT_OK_AND_ASSIGN(TaskId fresh, server_->IntegratedExec("/bin/dynprog", {"prog"}));
   ASSERT_OK_AND_ASSIGN(RunOutcome out, RunTaskById(fresh));
   EXPECT_EQ(out.exit_code, 51);
+}
+
+TEST_F(ConcurrencyTest, ConcurrentBootstrapExecOverRing) {
+  PopulateLsData(kernel_.fs());
+  ASSERT_OK_AND_ASSIGN(Workloads w, BuildWorkloads(TinyWorkloadParams()));
+  ASSERT_OK(server_->AddFragment("/obj/ls_crt0.o", w.crt0));
+  ASSERT_OK(server_->AddFragment("/obj/ls.o", w.ls_obj));
+  ASSERT_OK(server_->AddArchive("/libc", w.libc));
+  ASSERT_OK(server_->DefineLibrary("/lib/libc", "(merge /libc)"));
+  ASSERT_OK(server_->DefineMeta("/bin/ls", "(merge /obj/ls_crt0.o /obj/ls.o /lib/libc)"));
+  ASSERT_OK(server_->Instantiate("/bin/ls", {}, nullptr));  // warm the cache
+  server_->SetExecTransport(OmosServer::ExecTransport::kRing);
+  const std::string expected = ExpectedLsShortOutput(kernel_.fs(), "/data");
+  Counter* created = MetricsRegistry::Global().GetCounter("ipc.exec_channels.created");
+  uint64_t created_before = created->value();
+
+  // Each thread execs over the shared channel free list; the tasks run on
+  // this thread between rounds (the kernel's task table is not threaded).
+  constexpr int kExecThreads = 4;
+  constexpr int kRounds = 4;
+  constexpr int kExecsPerRound = 50;  // 200 execs per thread in all
+  std::atomic<int> failures{0};
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::vector<TaskId>> ids(kExecThreads);
+    RunThreads(kExecThreads, [&](int t) {
+      for (int i = 0; i < kExecsPerRound; ++i) {
+        auto id = server_->BootstrapExec("/bin/ls", {"ls", "/data"});
+        if (!id.ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        ids[t].push_back(*id);
+      }
+    });
+    for (const std::vector<TaskId>& thread_ids : ids) {
+      for (TaskId id : thread_ids) {
+        auto out = RunTaskById(id);
+        if (!out.ok() || out->exit_code != 0 || out->output != expected) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        server_->ReleaseTask(id);
+        kernel_.DestroyTask(id);
+      }
+    }
+  }
+  EXPECT_EQ(failures.load(), 0);
+  // At most one channel per concurrent exec, reused across every round.
+  EXPECT_LE(created->value() - created_before, static_cast<uint64_t>(kExecThreads));
 }
 
 }  // namespace

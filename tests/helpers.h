@@ -12,6 +12,7 @@
 #include "src/os/kernel.h"
 #include "src/os/loader.h"
 #include "src/vasm/assembler.h"
+#include "src/workloads/workloads.h"
 
 namespace omos {
 
@@ -34,6 +35,20 @@ namespace omos {
   ASSERT_TRUE(OMOS_CONCAT_(result_, __LINE__).ok())           \
       << OMOS_CONCAT_(result_, __LINE__).error().ToString();  \
   lhs = std::move(OMOS_CONCAT_(result_, __LINE__)).value()
+
+// Workloads shrunk to a few functions per library: the programs and
+// outputs keep their shape, the builds stay fast.
+inline WorkloadParams TinyWorkloadParams() {
+  WorkloadParams params;
+  params.libc_filler = 12;
+  params.alpha_functions = 6;
+  params.libm_functions = 4;
+  params.libl_functions = 4;
+  params.libcpp_functions = 4;
+  params.codegen_files = 2;
+  params.codegen_funcs_per_file = 4;
+  return params;
+}
 
 struct RunOutcome {
   int exit_code = 0;

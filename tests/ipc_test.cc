@@ -549,6 +549,145 @@ TEST(Transport, OmosServerReachableOverRingTransport) {
   EXPECT_GT(reply.generation, 0u);  // every reply carries the generation
 }
 
+// ---- Exec channel reuse -------------------------------------------------------
+
+// BootstrapExec of a warm `ls /data`: the server parks each exec's channel
+// and the next exec reuses it, so channel construction is off the exec path
+// while every exec still makes (and pays for) its own round trip.
+class ExecChannelTest : public ::testing::Test {
+ protected:
+  struct ExecRun {
+    std::string output;
+    uint64_t user_cycles = 0;
+    uint64_t sys_cycles = 0;
+  };
+
+  void SetUp() override {
+    PopulateLsData(kernel_.fs());
+    server_ = std::make_unique<OmosServer>(kernel_);
+    ASSERT_OK_AND_ASSIGN(Workloads w, BuildWorkloads(TinyWorkloadParams()));
+    ASSERT_OK(server_->AddFragment("/lib/crt0.o", w.crt0));
+    ASSERT_OK(server_->AddFragment("/obj/ls.o", w.ls_obj));
+    ASSERT_OK(server_->AddArchive("/libc", w.libc));
+    ASSERT_OK(server_->DefineLibrary("/lib/libc", "(merge /libc)"));
+    ASSERT_OK(server_->DefineMeta("/bin/ls", "(merge /lib/crt0.o /obj/ls.o /lib/libc)"));
+    // Warm the cache so no exec below bills a build.
+    ASSERT_OK_AND_ASSIGN(TaskId warm, server_->IntegratedExec("/bin/ls", {"ls", "/data"}));
+    ASSERT_OK(Finish(warm));
+    expected_output_ = ExpectedLsShortOutput(kernel_.fs(), "/data");
+  }
+
+  // Run a task to completion, then release and destroy it.
+  Result<ExecRun> Finish(TaskId id) {
+    Task* task = kernel_.FindTask(id);
+    if (task == nullptr) {
+      return Err(ErrorCode::kNotFound, "no task");
+    }
+    OMOS_TRY_VOID(kernel_.RunTask(*task));
+    ExecRun run{task->output(), task->user_cycles(), task->sys_cycles()};
+    server_->ReleaseTask(id);
+    kernel_.DestroyTask(id);
+    return run;
+  }
+
+  Result<ExecRun> BootLs() {
+    OMOS_TRY(TaskId id, server_->BootstrapExec("/bin/ls", {"ls", "/data"}));
+    return Finish(id);
+  }
+
+  static uint64_t Created() {
+    return MetricsRegistry::Global().GetCounter("ipc.exec_channels.created")->value();
+  }
+
+  Kernel kernel_;
+  std::unique_ptr<OmosServer> server_;
+  std::string expected_output_;
+};
+
+TEST_F(ExecChannelTest, SequentialExecsBuildOneChannelPerTransport) {
+  for (OmosServer::ExecTransport transport :
+       {OmosServer::ExecTransport::kPort, OmosServer::ExecTransport::kStream,
+        OmosServer::ExecTransport::kRing}) {
+    server_->SetExecTransport(transport);
+    uint64_t created = Created();
+    ASSERT_OK_AND_ASSIGN(ExecRun first, BootLs());
+    EXPECT_EQ(first.output, expected_output_);
+    for (int i = 1; i < 100; ++i) {
+      ASSERT_OK_AND_ASSIGN(ExecRun run, BootLs());
+      ASSERT_EQ(run.output, first.output) << "exec " << i;
+      ASSERT_EQ(run.user_cycles, first.user_cycles) << "exec " << i;
+      ASSERT_EQ(run.sys_cycles, first.sys_cycles) << "exec " << i;
+    }
+    EXPECT_EQ(Created() - created, 1u) << "transport " << static_cast<int>(transport);
+  }
+}
+
+TEST_F(ExecChannelTest, TransportSwitchPaysTheNewTransportsCost) {
+  const CostModel& costs = kernel_.costs();
+  ASSERT_OK_AND_ASSIGN(ExecRun port, BootLs());
+  ASSERT_OK_AND_ASSIGN(ExecRun port_again, BootLs());
+  EXPECT_EQ(port_again.sys_cycles, port.sys_cycles);
+  uint64_t created = Created();
+  // The parked port channel must not carry the next exec: it goes out on
+  // the ring and pays a doorbell handoff instead of a queue round trip
+  // (request and reply fit one slot each).
+  server_->SetExecTransport(OmosServer::ExecTransport::kRing);
+  ASSERT_OK_AND_ASSIGN(ExecRun ring, BootLs());
+  EXPECT_EQ(ring.output, expected_output_);
+  EXPECT_EQ(port.sys_cycles - ring.sys_cycles, costs.ipc_round_trip - costs.ring_handoff);
+  EXPECT_EQ(Created() - created, 1u);
+  // And back: the parked ring channel is dropped for a port channel.
+  server_->SetExecTransport(OmosServer::ExecTransport::kPort);
+  ASSERT_OK_AND_ASSIGN(ExecRun port_back, BootLs());
+  EXPECT_EQ(port_back.sys_cycles, port.sys_cycles);
+  EXPECT_EQ(Created() - created, 2u);
+}
+
+TEST_F(ExecChannelTest, PersistentRingCorruptionDoesNotCarryIntoNextExec) {
+  server_->SetExecTransport(OmosServer::ExecTransport::kRing);
+  ASSERT_OK_AND_ASSIGN(ExecRun clean, BootLs());
+  Counter* fallbacks = MetricsRegistry::Global().GetCounter("ipc.transport_fallbacks");
+  uint64_t fallbacks_before = fallbacks->value();
+  uint64_t created = Created();
+  {
+    // Every ring slot corrupts. An exec channel makes one attempt, so each
+    // exec fails; were the failed channel parked, the corruption streak
+    // would carry over and the third exec would demote it to the stream
+    // fallback, leaving later execs on the slower stream.
+    ScopedFaultPlan plan(FaultPlan().Arm("ring.corrupt", FaultSpec::Every(1)));
+    for (int i = 0; i < 4; ++i) {
+      auto failed = server_->BootstrapExec("/bin/ls", {"ls", "/data"});
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.error().code(), ErrorCode::kCorrupted);
+    }
+  }
+  // Each failed channel was dropped: the first exec took the parked one,
+  // every later exec had to build its own.
+  EXPECT_EQ(Created() - created, 3u);
+  ASSERT_OK_AND_ASSIGN(ExecRun after, BootLs());
+  EXPECT_EQ(after.output, expected_output_);
+  EXPECT_EQ(after.sys_cycles, clean.sys_cycles);  // ring cost, not stream
+  EXPECT_EQ(fallbacks->value(), fallbacks_before);
+}
+
+TEST_F(ExecChannelTest, RingStallDoesNotParkTheChannel) {
+  server_->SetExecTransport(OmosServer::ExecTransport::kRing);
+  ASSERT_OK_AND_ASSIGN(ExecRun clean, BootLs());
+  uint64_t created = Created();
+  {
+    ScopedFaultPlan plan(FaultPlan().Arm("ring.stall", FaultSpec::Nth(1)));
+    auto stalled = server_->BootstrapExec("/bin/ls", {"ls", "/data"});
+    ASSERT_FALSE(stalled.ok());
+    EXPECT_EQ(stalled.error().code(), ErrorCode::kTimeout);
+  }
+  // The stalled exec took the parked channel and dropped it; the next exec
+  // builds a fresh one and pays exactly the clean ring cost.
+  ASSERT_OK_AND_ASSIGN(ExecRun after, BootLs());
+  EXPECT_EQ(after.output, expected_output_);
+  EXPECT_EQ(after.sys_cycles, clean.sys_cycles);
+  EXPECT_EQ(Created() - created, 1u);
+}
+
 // ---- Request batching ---------------------------------------------------------
 
 TEST(IpcMessage, BatchRoundTrip) {

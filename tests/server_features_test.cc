@@ -1289,6 +1289,21 @@ TEST_F(EvalMemoTest, RestoreOverServedStateReachesNextExec) {
   EXPECT_EQ(after, 1);
 }
 
+TEST_F(EvalMemoTest, RestoreEvictsServedImages) {
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  std::string at_v1 = server_->Snapshot();
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, VersionedAnswer(2));
+  ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
+  ASSERT_OK_AND_ASSIGN(int before, ExecQ());
+  EXPECT_EQ(before, 2);
+
+  // Restoring the version-1 snapshot puts v.o back at version 1; the
+  // images built from version 2 must not be served again.
+  ASSERT_OK(server_->Restore(at_v1));
+  ASSERT_OK_AND_ASSIGN(int after, ExecQ());
+  EXPECT_EQ(after, 1);
+}
+
 TEST_F(EvalMemoTest, StoreReopenReachesNextExec) {
   SimFs disk;
   {

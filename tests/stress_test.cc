@@ -13,23 +13,11 @@
 namespace omos {
 namespace {
 
-WorkloadParams TinyParams() {
-  WorkloadParams params;
-  params.libc_filler = 12;
-  params.alpha_functions = 6;
-  params.libm_functions = 4;
-  params.libl_functions = 4;
-  params.libcpp_functions = 4;
-  params.codegen_files = 2;
-  params.codegen_funcs_per_file = 4;
-  return params;
-}
-
 TEST(Stress, RepeatedOmosExecsDoNotLeakFrames) {
   Kernel kernel;
   PopulateLsData(kernel.fs());
   OmosServer server(kernel);
-  ASSERT_OK_AND_ASSIGN(Workloads w, BuildWorkloads(TinyParams()));
+  ASSERT_OK_AND_ASSIGN(Workloads w, BuildWorkloads(TinyWorkloadParams()));
   ASSERT_OK(server.AddFragment("/lib/crt0.o", w.crt0));
   ASSERT_OK(server.AddFragment("/obj/ls.o", w.ls_obj));
   ASSERT_OK(server.AddArchive("/libc", w.libc));
@@ -70,7 +58,7 @@ TEST(Stress, RepeatedBaselineExecsDoNotLeakFrames) {
   PopulateLsData(kernel.fs());
   Rtld rtld(kernel);
   DynLibBuilder builder;
-  ASSERT_OK_AND_ASSIGN(Workloads w, BuildWorkloads(TinyParams()));
+  ASSERT_OK_AND_ASSIGN(Workloads w, BuildWorkloads(TinyWorkloadParams()));
   ASSERT_OK_AND_ASSIGN(Module libc_m, ModuleFromArchive(w.libc));
   ASSERT_OK_AND_ASSIGN(DynImage libc, builder.BuildLibrary("libc", libc_m));
   ASSERT_OK(rtld.Install(std::move(libc)));
@@ -132,7 +120,7 @@ pf:
 }
 
 TEST(Stress, DynImageCodecRoundTripsWorkloadLibrary) {
-  ASSERT_OK_AND_ASSIGN(Workloads w, BuildWorkloads(TinyParams()));
+  ASSERT_OK_AND_ASSIGN(Workloads w, BuildWorkloads(TinyWorkloadParams()));
   DynLibBuilder builder;
   ASSERT_OK_AND_ASSIGN(Module libc_m, ModuleFromArchive(w.libc));
   ASSERT_OK_AND_ASSIGN(DynImage libc, builder.BuildLibrary("libc", libc_m));
