@@ -263,10 +263,13 @@ size_t ImageCache::entry_count() const {
 const CachedImage* ImageCache::Put(std::string key, CachedImage image) {
   auto owned = std::make_shared<CachedImage>(std::move(image));
   owned->key = key;
-  // Sums and the symbol index are built outside any lock: both are O(image)
-  // and touch only the new entry.
+  // Sums (and the symbol index, for an image that arrives without a current
+  // one) are built outside any lock: both are O(image) and touch only the
+  // new entry. A linked or decoded image is already indexed.
   owned->ComputeSums();
-  owned->image.BuildSymbolIndex();
+  if (!owned->image.symbol_index_current()) {
+    owned->image.BuildSymbolIndex();
+  }
   const CachedImage* result = owned.get();
 
   Shard& shard = ShardFor(key);

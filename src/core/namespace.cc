@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 
 #include "src/support/strings.h"
 
@@ -127,6 +128,20 @@ bool OmosNamespace::AllCurrent(std::span<const Read> reads) const {
     return read.second != nullptr &&
            !static_cast<const PublishedEntry&>(*read.second).superseded.load();
   });
+}
+
+void OmosNamespace::DedupReads(std::vector<Read>& reads) {
+  auto before = [](const Read& a, const Read& b) {
+    if (a.second != b.second) {
+      return std::less<const NamespaceEntry*>()(a.second.get(), b.second.get());
+    }
+    return a.second == nullptr && a.first < b.first;
+  };
+  auto same = [](const Read& a, const Read& b) {
+    return a.second == b.second && (a.second != nullptr || a.first == b.first);
+  };
+  std::sort(reads.begin(), reads.end(), before);
+  reads.erase(std::unique(reads.begin(), reads.end(), same), reads.end());
 }
 
 bool OmosNamespace::Exists(std::string_view path) const {

@@ -63,6 +63,11 @@ class OmosNamespace {
   // Publish marks the entry it replaces, so this takes no lock and does no
   // lookup: one flag load per read.
   bool AllCurrent(std::span<const Read> reads) const;
+  // Drops repeated reads in place, comparing identities rather than paths:
+  // an entry is published at one path and never changes, so its pointer
+  // identifies the read; a failed lookup (null entry) is identified by its
+  // path. The order of the reads left is unspecified.
+  static void DedupReads(std::vector<Read>& reads);
 
   // Immediate children of `path` (directory listing of the exported
   // namespace — what /bin backed by OMOS would enumerate, §5).

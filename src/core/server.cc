@@ -1,6 +1,7 @@
 #include "src/core/server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <sstream>
 
@@ -98,6 +99,16 @@ Result<const CachedImage*> BuildCurrent(Tracker& tracker, Build&& build) {
     tracker.reads.clear();
     tracker.max_depth = 0;
     tracker.superseded = false;
+  }
+}
+
+// Binds every name the published image `lib` exports, at its address, into
+// `externals`, straight from the image's id-keyed index. A name an earlier
+// library already bound keeps that binding: the first-listed library wins.
+void AddExternals(const LinkedImage& lib, FlatMap<SymId, uint32_t>& externals) {
+  assert(lib.symbol_index_current());  // Put indexes every published image
+  for (const auto& [id, slot] : lib.symbol_index) {
+    externals.try_emplace(id, lib.symbols[slot].addr);
   }
 }
 
@@ -377,8 +388,7 @@ Result<OmosServer::EvalValue> OmosServer::EvalConstruction(
   fresh->height = sub.max_depth - depth;
   fresh->reads = std::move(sub.reads);
   fresh->reads.emplace_back(norm, entry);
-  std::sort(fresh->reads.begin(), fresh->reads.end());
-  fresh->reads.erase(std::unique(fresh->reads.begin(), fresh->reads.end()), fresh->reads.end());
+  OmosNamespace::DedupReads(fresh->reads);
   std::shared_ptr<const EvalMemo> replaced;  // freed after the locks drop
   std::shared_lock<std::shared_mutex> publishing(publish_mu_);
   if (namespace_.AllCurrent(fresh->reads)) {  // else superseded mid-evaluation
@@ -917,7 +927,7 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
   Module client = std::move(*value.module);
 
   // Resolve library dependencies.
-  std::map<std::string, uint32_t> externals;
+  FlatMap<SymId, uint32_t> externals;
   std::vector<LibDep> deps;
   std::vector<StubSlot> slots;
   std::set<std::string> seen_libs;
@@ -955,9 +965,7 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
       deps.push_back(LibDep{impl_key, use.path});  // lazy: not mapped at exec
     } else {
       OMOS_TRY(const CachedImage* lib, Instantiate(use.path, lib_spec, &tracker.work));
-      for (const ImageSymbol& sym : lib->image.symbols) {
-        externals.emplace(sym.name, sym.addr);
-      }
+      AddExternals(lib->image, externals);
       deps.push_back(LibDep{lib->key, use.path});
     }
   }
@@ -973,7 +981,7 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
 
 Result<const CachedImage*> OmosServer::LinkAndPublish(const std::string& key, const Module& client,
                                                       const PlacementHints& hints,
-                                                      std::map<std::string, uint32_t> externals,
+                                                      FlatMap<SymId, uint32_t> externals,
                                                       CachedImage cached, BuildTracker& tracker) {
   // Size estimate for placement (must match LinkImage's layout pass).
   uint32_t text_size = 0;
@@ -1014,13 +1022,16 @@ Result<const CachedImage*> OmosServer::LinkAndPublish(const std::string& key, co
 
   cached.image = std::move(image);
   OMOS_TRY_VOID(MaterializeSegments(cached));
-  cached.inputs.reserve(tracker.reads.size());
+  // Sorted unique paths (CachedDependents binary-searches them): views are
+  // sorted, and only the paths that survive are copied.
+  std::vector<std::string_view> paths;
+  paths.reserve(tracker.reads.size());
   for (const OmosNamespace::Read& read : tracker.reads) {
-    cached.inputs.push_back(read.first);
+    paths.push_back(read.first);
   }
-  std::sort(cached.inputs.begin(), cached.inputs.end());
-  cached.inputs.erase(std::unique(cached.inputs.begin(), cached.inputs.end()),
-                      cached.inputs.end());
+  std::sort(paths.begin(), paths.end());
+  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+  cached.inputs.assign(paths.begin(), paths.end());
   cached.build_cost = tracker.work;
   cached.layout_generation = placement.generation;
   std::shared_lock<std::shared_mutex> publishing(publish_mu_);
@@ -2292,12 +2303,10 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     // The loaded class may refer to procedures and data within the client
     // (§5): the running program's exported symbols become externals, and
     // the program becomes a dep, so evicting it evicts the class too.
-    std::map<std::string, uint32_t> externals;
+    FlatMap<SymId, uint32_t> externals;
     CachedImage loaded;
     if (const CachedImage* program = program_key.empty() ? nullptr : cache_.Get(program_key)) {
-      for (const ImageSymbol& sym : program->image.symbols) {
-        externals.emplace(sym.name, sym.addr);
-      }
+      AddExternals(program->image, externals);
       std::string_view program_path = program_key;
       SplitCacheKey(program_key, &program_path, nullptr);
       loaded.deps.push_back(LibDep{program_key, std::string(program_path)});

@@ -440,7 +440,7 @@ class OmosServer {
   // released and tracker.superseded set, for BuildCurrent to redo the build.
   Result<const CachedImage*> LinkAndPublish(const std::string& key, const Module& client,
                                             const PlacementHints& hints,
-                                            std::map<std::string, uint32_t> externals,
+                                            FlatMap<SymId, uint32_t> externals,
                                             CachedImage cached, BuildTracker& tracker);
 
   // Frame-backed master segments (shared text + CoW data) for a freshly

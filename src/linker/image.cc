@@ -29,7 +29,7 @@ const ImageSymbol* ScanForSymbol(const LinkedImage& image, std::string_view name
 }  // namespace
 
 const ImageSymbol* LinkedImage::FindSymbol(std::string_view name) const {
-  if (indexed_count != symbols.size()) {
+  if (!symbol_index_current()) {
     return ScanForSymbol(*this, name);
   }
   SymId id = SymbolInterner::Global().Find(name);
@@ -41,7 +41,7 @@ const ImageSymbol* LinkedImage::FindSymbol(std::string_view name) const {
 }
 
 const ImageSymbol* LinkedImage::FindSymbol(SymId id) const {
-  if (indexed_count != symbols.size()) {
+  if (!symbol_index_current()) {
     return ScanForSymbol(*this, SymbolInterner::Global().Name(id));
   }
   auto it = symbol_index.find(id);

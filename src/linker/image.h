@@ -57,10 +57,11 @@ struct LinkedImage {
   uint32_t text_end() const { return text_base + static_cast<uint32_t>(text.size()); }
   uint32_t data_end() const { return data_base + static_cast<uint32_t>(data.size()) + bss_size; }
 
-  // O(1) when the hash index is current (BuildSymbolIndex after the image
-  // stops changing — LinkImage and cache Put both do); otherwise a linear
-  // scan. FindSymbol never mutates the image, so concurrent lookups on a
-  // published (cached) image are race-free.
+  // O(1) when the hash index is current (LinkImage fills it from the export
+  // ids as it emits; decoding and cache Put of an unindexed image call
+  // BuildSymbolIndex); otherwise a linear scan. FindSymbol never mutates the
+  // image, so concurrent lookups on a published (cached) image are
+  // race-free.
   const ImageSymbol* FindSymbol(std::string_view name) const;
   const ImageSymbol* FindSymbol(SymId id) const;
 
@@ -68,6 +69,7 @@ struct LinkedImage {
   // once after `symbols` reaches its final state and before the image is
   // shared across threads; not thread-safe against concurrent FindSymbol.
   void BuildSymbolIndex();
+  bool symbol_index_current() const { return indexed_count == symbols.size(); }
 
   FlatMap<SymId, uint32_t> symbol_index;
   size_t indexed_count = ~size_t{0};

@@ -1,10 +1,8 @@
 #include "src/linker/link.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "src/support/strings.h"
-#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 #include "src/vm/phys_memory.h"
 
@@ -41,14 +39,6 @@ Result<LinkedImage> LinkImage(const Module& module, const LayoutSpec& layout, st
   image.name = std::move(name);
   image.text_base = layout.text_base;
   image.stats.fragments = static_cast<uint32_t>(fragments.size());
-
-  // Rekey the externals once so the per-relocation lookup below is a flat
-  // u32 probe instead of a string-keyed tree walk.
-  FlatMap<SymId, uint32_t> externals;
-  externals.reserve(layout.externals.size());
-  for (const auto& [ext_name, addr] : layout.externals) {
-    externals.insert_or_assign(SymbolInterner::Global().Intern(ext_name), addr);
-  }
 
   // Pass 1: assign every fragment's sections an offset in the output.
   std::vector<FragmentLayout> offsets(fragments.size());
@@ -89,153 +79,120 @@ Result<LinkedImage> LinkImage(const Module& module, const LayoutSpec& layout, st
     return 0;
   };
 
-  // Passes 2+3, fanned out per fragment: copy the fragment's section bytes
-  // and apply its relocations. Each fragment writes only its own disjoint
-  // [offsets[i], offsets[i] + size) spans of image.text/image.data, so
-  // fragments are independent; everything order-sensitive (stats, logs,
-  // unresolved names, the first error) accumulates in a per-fragment result
-  // and is reduced in fragment order below. Output bytes land at positions
-  // that depend only on the layout, never on scheduling, so the image —
-  // and the golden fingerprints over it — is byte-identical to the serial
-  // link.
-  struct FragmentResult {
-    uint32_t relocations_applied = 0;
-    uint32_t refs_bound = 0;
-    std::vector<std::string> unresolved;
-    std::vector<RelocRecord> reloc_log;
-    std::optional<Error> error;  // first failed reloc of this fragment
-  };
-  std::vector<FragmentResult> results(fragments.size());
+  // Passes 2+3, in fragment order: copy each fragment's section bytes and
+  // apply its relocations. Stats, logs and unresolved names accumulate in
+  // that order, and the first failed relocation ends the link.
   image.text.assign(text_size, 0);
   image.data.assign(data_size, 0);
-
-  auto link_fragment = [&](uint32_t i) {
-    const ObjectFile& frag = *fragments[i];
-    FragmentResult& res = results[i];
-    const auto& text = frag.section(SectionKind::kText).bytes;
-    std::copy(text.begin(), text.end(), image.text.begin() + offsets[i].text);
-    const auto& data = frag.section(SectionKind::kData).bytes;
-    std::copy(data.begin(), data.end(), image.data.begin() + offsets[i].data);
-
-    for (int s = 0; s < 2; ++s) {  // text and data carry relocations
-      SectionKind section = static_cast<SectionKind>(s);
-      std::vector<uint8_t>& out = section == SectionKind::kText ? image.text : image.data;
-      uint32_t section_off =
-          section == SectionKind::kText ? offsets[i].text : offsets[i].data;
-      uint32_t section_base = section == SectionKind::kText ? image.text_base : image.data_base;
-      for (const Relocation& reloc : frag.section(section).relocs) {
-        const Symbol* sym = frag.FindSymbol(reloc.sid());
-        if (sym == nullptr) {
-          res.error = Error{ErrorCode::kRelocationError,
-                            StrCat(frag.name(), ": reloc names unknown symbol ", reloc.symbol)};
-          return;
-        }
-        uint32_t target = 0;
-        bool resolved = false;
-        const RefRecord* ref = nullptr;
-        if (sym->defined && sym->binding == SymbolBinding::kLocal) {
-          target = address_of(i, sym->section, sym->value);
-          resolved = true;
-        } else {
-          ref = space->FindRef(i, reloc.sid());
-          if (ref != nullptr && ref->state != BindState::kUnbound) {
-            DefId def = ref->target;
-            const Symbol& def_sym = fragments[def.fragment]->symbols()[def.symbol];
-            target = address_of(def.fragment, def_sym.section, def_sym.value);
-            resolved = true;
-            ++res.refs_bound;
-          }
-        }
-        if (!resolved) {
-          SymId want = ref != nullptr ? ref->ext_name : reloc.sid();
-          auto ext = externals.find(want);
-          if (ext != externals.end()) {
-            target = ext->second;
-            resolved = true;
-            ++res.refs_bound;
-          }
-          if (!resolved) {
-            std::string_view want_name = SymbolInterner::Global().Name(want);
-            if (!layout.allow_unresolved) {
-              res.error = Error{ErrorCode::kUnresolvedSymbol,
-                                StrCat(image.name, ": unresolved reference to ", want_name,
-                                       " from ", frag.name())};
-              return;
-            }
-            res.unresolved.emplace_back(want_name);
-            continue;
-          }
-        }
-        uint32_t field_addr = section_base + section_off + reloc.offset;
-        uint32_t value;
-        if (reloc.kind == RelocKind::kAbs32) {
-          value = target + static_cast<uint32_t>(reloc.addend);
-        } else {
-          value = target + static_cast<uint32_t>(reloc.addend) - (field_addr + 4);
-        }
-        uint32_t at = section_off + reloc.offset;
-        out[at] = static_cast<uint8_t>(value);
-        out[at + 1] = static_cast<uint8_t>(value >> 8);
-        out[at + 2] = static_cast<uint8_t>(value >> 16);
-        out[at + 3] = static_cast<uint8_t>(value >> 24);
-        ++res.relocations_applied;
-        if (layout.record_relocs) {
-          bool cross = !(sym->defined && sym->binding == SymbolBinding::kLocal);
-          res.reloc_log.push_back(RelocRecord{section, field_addr, value, reloc.symbol,
-                                              reloc.kind == RelocKind::kPcRel32, cross});
-        }
-      }
-    }
-  };
   {
     TraceSpan relocate("link.relocate");
-    ThreadPool::Global().ParallelFor(
-        fragments.size(), /*grain=*/1, [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            link_fragment(static_cast<uint32_t>(i));
-          }
-        });
-  }
+    for (uint32_t i = 0; i < fragments.size(); ++i) {
+      const ObjectFile& frag = *fragments[i];
+      const auto& text = frag.section(SectionKind::kText).bytes;
+      std::copy(text.begin(), text.end(), image.text.begin() + offsets[i].text);
+      const auto& data = frag.section(SectionKind::kData).bytes;
+      std::copy(data.begin(), data.end(), image.data.begin() + offsets[i].data);
 
-  // Ordered reduce: the lowest-numbered fragment's error is the one the
-  // serial link would have hit first; logs and counters concatenate in
-  // fragment order, matching the serial pass exactly.
-  for (FragmentResult& res : results) {
-    if (res.error.has_value()) {
-      return *std::move(res.error);
-    }
-    image.stats.relocations_applied += res.relocations_applied;
-    image.stats.refs_bound += res.refs_bound;
-    for (std::string& unresolved_name : res.unresolved) {
-      image.unresolved.push_back(std::move(unresolved_name));
-    }
-    for (RelocRecord& record : res.reloc_log) {
-      image.reloc_log.push_back(std::move(record));
+      for (int s = 0; s < 2; ++s) {  // text and data carry relocations
+        SectionKind section = static_cast<SectionKind>(s);
+        std::vector<uint8_t>& out = section == SectionKind::kText ? image.text : image.data;
+        uint32_t section_off =
+            section == SectionKind::kText ? offsets[i].text : offsets[i].data;
+        uint32_t section_base = section == SectionKind::kText ? image.text_base : image.data_base;
+        for (const Relocation& reloc : frag.section(section).relocs) {
+          const Symbol* sym = frag.FindSymbol(reloc.sid());
+          if (sym == nullptr) {
+            return Err(ErrorCode::kRelocationError,
+                       StrCat(frag.name(), ": reloc names unknown symbol ", reloc.symbol));
+          }
+          uint32_t target = 0;
+          bool resolved = false;
+          const RefRecord* ref = nullptr;
+          if (sym->defined && sym->binding == SymbolBinding::kLocal) {
+            target = address_of(i, sym->section, sym->value);
+            resolved = true;
+          } else {
+            ref = space->FindRef(i, reloc.sid());
+            if (ref != nullptr && ref->state != BindState::kUnbound) {
+              DefId def = ref->target;
+              const Symbol& def_sym = fragments[def.fragment]->symbols()[def.symbol];
+              target = address_of(def.fragment, def_sym.section, def_sym.value);
+              resolved = true;
+              ++image.stats.refs_bound;
+            }
+          }
+          if (!resolved) {
+            SymId want = ref != nullptr ? ref->ext_name : reloc.sid();
+            auto ext = layout.externals.find(want);
+            if (ext != layout.externals.end()) {
+              target = ext->second;
+              resolved = true;
+              ++image.stats.refs_bound;
+            }
+            if (!resolved) {
+              std::string_view want_name = SymbolInterner::Global().Name(want);
+              if (!layout.allow_unresolved) {
+                return Err(ErrorCode::kUnresolvedSymbol,
+                           StrCat(image.name, ": unresolved reference to ", want_name, " from ",
+                                  frag.name()));
+              }
+              image.unresolved.emplace_back(want_name);
+              continue;
+            }
+          }
+          uint32_t field_addr = section_base + section_off + reloc.offset;
+          uint32_t value;
+          if (reloc.kind == RelocKind::kAbs32) {
+            value = target + static_cast<uint32_t>(reloc.addend);
+          } else {
+            value = target + static_cast<uint32_t>(reloc.addend) - (field_addr + 4);
+          }
+          uint32_t at = section_off + reloc.offset;
+          out[at] = static_cast<uint8_t>(value);
+          out[at + 1] = static_cast<uint8_t>(value >> 8);
+          out[at + 2] = static_cast<uint8_t>(value >> 16);
+          out[at + 3] = static_cast<uint8_t>(value >> 24);
+          ++image.stats.relocations_applied;
+          if (layout.record_relocs) {
+            bool cross = !(sym->defined && sym->binding == SymbolBinding::kLocal);
+            image.reloc_log.push_back(RelocRecord{section, field_addr, value, reloc.symbol,
+                                                  reloc.kind == RelocKind::kPcRel32, cross});
+          }
+        }
+      }
     }
   }
 
   // Emit phase: exported symbols at their final addresses, in name order
   // (the flat table has no intrinsic order; emission must stay
-  // byte-identical to the ordered-map output).
+  // byte-identical to the ordered-map output). The lookup index is built
+  // from the export ids in the same pass, so no name is interned again; it
+  // is final before the image is published (FindSymbol on an indexed image
+  // is read-only and so safe to call from many threads at once).
   TraceSpan emit("link.emit");
-  std::vector<std::pair<std::string_view, const Export*>> sorted_exports;
+  struct SortedExport {
+    std::string_view name;
+    SymId id;
+    const Export* exp;
+  };
+  std::vector<SortedExport> sorted_exports;
   sorted_exports.reserve(space->exports.size());
   for (const auto& [export_id, exp] : space->exports) {
-    sorted_exports.emplace_back(SymbolInterner::Global().Name(export_id), &exp);
+    sorted_exports.push_back({SymbolInterner::Global().Name(export_id), export_id, &exp});
   }
   std::sort(sorted_exports.begin(), sorted_exports.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [ext_name, exp] : sorted_exports) {
-    const Symbol& sym = fragments[exp->def.fragment]->symbols()[exp->def.symbol];
-    image.symbols.push_back(
-        ImageSymbol{std::string(ext_name), address_of(exp->def.fragment, sym.section, sym.value),
-                    sym.size, sym.section});
+            [](const SortedExport& a, const SortedExport& b) { return a.name < b.name; });
+  image.symbols.reserve(sorted_exports.size());
+  image.symbol_index.reserve(sorted_exports.size());
+  for (const SortedExport& out : sorted_exports) {
+    const Symbol& sym = fragments[out.exp->def.fragment]->symbols()[out.exp->def.symbol];
+    image.symbol_index.try_emplace(out.id, static_cast<uint32_t>(image.symbols.size()));
+    image.symbols.push_back(ImageSymbol{std::string(out.name),
+                                        address_of(out.exp->def.fragment, sym.section, sym.value),
+                                        sym.size, sym.section});
   }
+  image.indexed_count = image.symbols.size();
   image.stats.symbols_exported = static_cast<uint32_t>(image.symbols.size());
-  // The symbol table is final; build the lookup index before the image is
-  // published (FindSymbol on an indexed image is read-only and so safe to
-  // call from many threads at once).
-  image.BuildSymbolIndex();
 
   if (!layout.entry_symbol.empty()) {
     const ImageSymbol* entry = image.FindSymbol(layout.entry_symbol);

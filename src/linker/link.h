@@ -3,11 +3,12 @@
 #ifndef OMOS_SRC_LINKER_LINK_H_
 #define OMOS_SRC_LINKER_LINK_H_
 
-#include <map>
 #include <string>
 
 #include "src/linker/image.h"
 #include "src/linker/module.h"
+#include "src/support/flat_map.h"
+#include "src/support/interner.h"
 #include "src/support/result.h"
 
 namespace omos {
@@ -26,8 +27,9 @@ struct LayoutSpec {
   // Pre-bound external addresses: how a client links against a library that
   // is a *separate* cached image (the self-contained scheme, §4.1). A
   // reference unbound within the module resolves here before being declared
-  // unresolved.
-  std::map<std::string, uint32_t> externals;
+  // unresolved. Keyed by interned name (a library image's symbol_index
+  // already holds the ids, so filling this allocates no strings).
+  FlatMap<SymId, uint32_t> externals;
 };
 
 // Produce a LinkedImage from `module`. A final bind pass resolves any

@@ -1,7 +1,7 @@
 // A small work-stealing thread pool with two priority lanes.
 //
 // The OMOS server is a persistent process shared by many clients (paper
-// §3); request execution, the cold-link fan-out, and the idle-time image
+// §3); request execution, batched requests, and the idle-time image
 // optimizer (§4.1: the server re-optimizes images "during idle time") all
 // need worker threads. One pool serves all three:
 //

@@ -246,8 +246,9 @@ TEST_F(ConcurrencyTest, SnapshotWhileServing) {
 
 TEST_F(ConcurrencyTest, ParallelRelocationIsDeterministic) {
   // Two servers over two kernels build the same meta-object with the global
-  // thread pool active; the parallel link fan-out must produce the same
-  // bytes (disjoint fragment spans + ordered reduce).
+  // thread pool active; every build must produce the same bytes, whatever
+  // else the process is running (the link relocates serially, in fragment
+  // order, on the calling thread).
   ASSERT_OK(server_->DefineMeta("/bin/prog",
                                 "(merge /lib/crt0.o /obj/client.o /obj/addlib.o)"));
   ASSERT_OK_AND_ASSIGN(const CachedImage* first, server_->Instantiate("/bin/prog", {}, nullptr));

@@ -2,6 +2,8 @@
 // constraint solver, image cache, specialization keys.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/cache.h"
 #include "src/core/constraints.h"
 #include "src/core/namespace.h"
@@ -92,6 +94,31 @@ TEST(Namespace, ListChildren) {
   ASSERT_OK(ns.DefineMeta("/bin/tools/strip", "(merge /a)"));
   auto names = ns.List("/bin");
   EXPECT_EQ(names, (std::vector<std::string>{"cat", "ls", "tools"}));
+}
+
+TEST(Namespace, DedupReadsKeepsOneReadPerEntryAndPerMissingPath) {
+  OmosNamespace ns;
+  ASSERT_OK(ns.DefineMeta("/bin/a", "(merge /a)"));
+  ASSERT_OK(ns.DefineMeta("/bin/b", "(merge /b)"));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const NamespaceEntry> a, ns.Lookup("/bin/a"));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const NamespaceEntry> b, ns.Lookup("/bin/b"));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const NamespaceEntry> a_again, ns.Lookup("/bin/a"));
+  std::vector<OmosNamespace::Read> reads = {
+      {"/bin/a", a},      {"/bin/b", b},       {"/gone", nullptr}, {"/bin/a", a_again},
+      {"/gone", nullptr}, {"/other", nullptr}, {"/bin/b", b},
+  };
+  OmosNamespace::DedupReads(reads);
+  std::sort(reads.begin(), reads.end());
+  EXPECT_EQ(reads, (std::vector<OmosNamespace::Read>{
+                       {"/bin/a", a}, {"/bin/b", b}, {"/gone", nullptr}, {"/other", nullptr}}));
+
+  // A failed lookup stays recorded, and a read set holding one is never
+  // current, even while every entry it found still is.
+  EXPECT_FALSE(ns.AllCurrent(reads));
+  std::erase_if(reads, [](const OmosNamespace::Read& read) { return read.second == nullptr; });
+  EXPECT_TRUE(ns.AllCurrent(reads));
+  ASSERT_OK(ns.DefineMeta("/bin/b", "(merge /c)"));
+  EXPECT_FALSE(ns.AllCurrent(reads));
 }
 
 // ---- Constraint solver -----------------------------------------------------------

@@ -324,7 +324,7 @@ TEST(Link, AppliesAbsoluteRelocation) {
 TEST(Link, ExternalsResolveUnboundRefs) {
   Module a = Leaf("a.o", {"main"}, {"lib_fn"});
   LayoutSpec layout;
-  layout.externals["lib_fn"] = 0x02000040;
+  layout.externals[SymbolInterner::Global().Intern("lib_fn")] = 0x02000040;
   ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(a, layout, "t"));
   uint32_t patched = static_cast<uint32_t>(image.text[12]) |
                      static_cast<uint32_t>(image.text[13]) << 8 |

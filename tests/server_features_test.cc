@@ -1055,6 +1055,69 @@ pf:
   }
 }
 
+// ---- Duplicate library exports -----------------------------------------------
+//
+// /lib/one and /lib/two both export answer() (returning 1 and 2): a client
+// binds the name to the library its blueprint lists first.
+
+Result<void> DefineTwoAnswerLibraries(OmosServer& server) {
+  OMOS_TRY(ObjectFile one, AnswerObject(1));
+  OMOS_TRY(ObjectFile two, AnswerObject(2));
+  OMOS_TRY_VOID(server.AddFragment("/obj/one.o", std::move(one)));
+  OMOS_TRY_VOID(server.AddFragment("/obj/two.o", std::move(two)));
+  OMOS_TRY_VOID(
+      server.DefineLibrary("/lib/one", "(constraint-list \"T\" 0x2000000)\n(merge /obj/one.o)"));
+  return server.DefineLibrary("/lib/two",
+                              "(constraint-list \"T\" 0x2100000)\n(merge /obj/two.o)");
+}
+
+TEST_F(ServerFeatures, DuplicateLibraryExportBindsToFirstListed) {
+  ASSERT_OK(DefineTwoAnswerLibraries(*server_));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(kCallAnswer, "m.o"));
+  ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/one_first", "(merge /lib/crt0.o /obj/m.o /lib/one /lib/two)"));
+  ASSERT_OK(server_->DefineMeta("/bin/two_first", "(merge /lib/crt0.o /obj/m.o /lib/two /lib/one)"));
+  for (auto [program, want] : {std::pair{"/bin/one_first", 1}, std::pair{"/bin/two_first", 2}}) {
+    ASSERT_OK(server_->Instantiate(program, {}, nullptr));
+    ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec(program, {program}));
+    ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+    EXPECT_EQ(out.exit_code, want) << program;
+  }
+}
+
+TEST_F(ServerFeatures, DynamicLoadBindsThroughFirstListedLibrary) {
+  // The loaded class calls the host's relay(), which calls answer(): the
+  // class binds to the host image, and the host to its first library.
+  ASSERT_OK(DefineTwoAnswerLibraries(*server_));
+  ASSERT_OK_AND_ASSIGN(ObjectFile plugin, Assemble(R"(
+.text
+.global pf
+pf:
+  push lr
+  call relay
+  pop lr
+  ret
+)", "p.o"));
+  ASSERT_OK(server_->AddFragment("/obj/p.o", std::move(plugin)));
+  constexpr char kRelay[] = ".global relay\nrelay:\n  push lr\n  call answer\n  pop lr\n  ret\n";
+  ASSERT_OK_AND_ASSIGN(ObjectFile host_obj, Assemble(LoadAndCallMain(kRelay), "h.o"));
+  ASSERT_OK(server_->AddFragment("/obj/h.o", std::move(host_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/one_first", "(merge /lib/crt0.o /obj/h.o /lib/one /lib/two)"));
+  ASSERT_OK(server_->DefineMeta("/bin/two_first", "(merge /lib/crt0.o /obj/h.o /lib/two /lib/one)"));
+  for (auto [program, want] : {std::pair{"/bin/one_first", 1}, std::pair{"/bin/two_first", 2}}) {
+    // Through the server call, then through the program's own sys OmosLoad.
+    ASSERT_OK_AND_ASSIGN(TaskId probe, server_->IntegratedExec(program, {program}));
+    Task* task = kernel_.FindTask(probe);
+    ASSERT_NE(task, nullptr);
+    ASSERT_OK_AND_ASSIGN(auto loaded, server_->DynamicLoad(*task, "(merge /obj/p.o)", {"pf"}));
+    ASSERT_EQ(loaded.symbol_values.size(), 1u);
+    EXPECT_NE(loaded.symbol_values[0], 0u);
+    ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec(program, {program}));
+    ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+    EXPECT_EQ(out.exit_code, want) << program;
+  }
+}
+
 
 // ---- Idle-lane relink job ------------------------------------------------------
 
@@ -1355,6 +1418,44 @@ TEST_F(EvalMemoTest, HitReplaysEvaluationWorkAndInputs) {
   EXPECT_EQ(warm->build_cost, cold_cost);
   EXPECT_EQ(warm->inputs, cold_inputs);
   EXPECT_EQ(warm->inputs, (std::vector<std::string>{"/gen", "/lib/g"}));
+}
+
+TEST_F(EvalMemoTest, PathReadTwiceIsOneInput) {
+  // /bin/q lists /lib/ans twice, so its construction reads it twice; the
+  // image records it once, and a redefinition of it still reaches the exec.
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  ASSERT_OK(server_->DefineMeta("/bin/q", "(merge /lib/crt0.o /obj/m.o /lib/ans /lib/ans)"));
+  ASSERT_OK_AND_ASSIGN(const CachedImage* image, server_->Instantiate("/bin/q", {}, nullptr));
+  EXPECT_EQ(image->inputs,
+            (std::vector<std::string>{"/bin/q", "/lib/ans", "/lib/crt0.o", "/obj/m.o"}));
+  ASSERT_OK_AND_ASSIGN(int first, ExecQ());
+  EXPECT_EQ(first, 1);
+  ASSERT_OK_AND_ASSIGN(Archive v2, AnswerArchive(2));
+  ASSERT_OK(server_->AddArchive("/libx", v2));
+  ASSERT_OK_AND_ASSIGN(int second, ExecQ());
+  EXPECT_EQ(second, 2);
+}
+
+TEST_F(EvalMemoTest, FailedLookupNeverValidatesAMemo) {
+  // /mid names a path that does not exist yet: the build fails, and once
+  // the path is defined both metas evaluate cold (no memo was kept).
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(kCallAnswer, "m.o"));
+  ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/mid", "(merge /obj/late.o)"));
+  ASSERT_OK(server_->DefineMeta("/bin/top", "(merge /lib/crt0.o /obj/m.o /mid)"));
+  auto missing = server_->Instantiate("/bin/top", {}, nullptr);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code(), ErrorCode::kNotFound);
+
+  ASSERT_OK_AND_ASSIGN(ObjectFile late, VersionedAnswer(3));
+  ASSERT_OK(server_->AddFragment("/obj/late.o", std::move(late)));
+  uint64_t hits = CounterValue("eval.memo_hits");
+  uint64_t misses = CounterValue("eval.memo_misses");
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/top", {"top"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+  EXPECT_EQ(out.exit_code, 3);
+  EXPECT_EQ(CounterValue("eval.memo_hits") - hits, 0u);
+  EXPECT_EQ(CounterValue("eval.memo_misses") - misses, 2u);
 }
 
 TEST_F(EvalMemoTest, MemberRedefinitionsRaceBuilds) {

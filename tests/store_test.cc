@@ -516,6 +516,49 @@ TEST_F(StoreServerTest, RestartServesByteIdenticalImagesFromStore) {
   EXPECT_EQ(ctask->exit_code(), 8);
 }
 
+// Every symbol of a published image is found by name and by interned id.
+// Returns how many symbols were checked.
+size_t ExpectEverySymbolFound(OmosServer& server) {
+  size_t checked = 0;
+  for (const std::string& key : server.cache().Keys()) {
+    const LinkedImage& image = server.cache().Peek(key)->image;
+    EXPECT_TRUE(image.symbol_index_current()) << key;
+    for (const ImageSymbol& sym : image.symbols) {
+      EXPECT_EQ(image.FindSymbol(sym.name), &sym) << key << ": " << sym.name;
+      EXPECT_EQ(image.FindSymbol(SymbolInterner::Global().Intern(sym.name)), &sym)
+          << key << ": " << sym.name;
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+TEST_F(StoreServerTest, LinkedAndAdoptedImagesFindEverySymbol) {
+  SimFs disk;
+  size_t linked = 0;
+  {
+    Kernel kernel;
+    ImageStore store(disk, kStoreRoot, &kernel.costs());
+    ASSERT_OK(store.Open());
+    OmosServer server(kernel);
+    ASSERT_OK(Populate(server));
+    server.AttachStore(&store);
+    ASSERT_OK(InstantiateAll(server));
+    linked = ExpectEverySymbolFound(server);
+    EXPECT_GT(linked, 0u);
+    ASSERT_OK(server.PersistTo(store));
+  }
+
+  Kernel kernel2;
+  ImageStore store2(disk, kStoreRoot, &kernel2.costs());
+  ASSERT_OK(store2.Open());
+  OmosServer server2(kernel2);
+  ASSERT_OK(server2.RestoreFromStore(store2));
+  ASSERT_OK(InstantiateAll(server2));
+  EXPECT_GE(store2.stats().hits.load(), 3u);  // adopted, not re-linked
+  EXPECT_EQ(ExpectEverySymbolFound(server2), linked);
+}
+
 // The prelink table rides the snapshot (PR 9): a restarted server starts
 // with the fleet-wide placements already solved, so its very first exec
 // takes the stamp-valid fast path — adopting the image bytes from the
