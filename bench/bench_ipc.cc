@@ -1,9 +1,8 @@
 // bench_ipc: the exec-protocol transports under load.
 //
 // Section 1 — simulated cycles per request for each transport (Mach-style
-// port, SysV-style stream, doors-style shared-memory ring), then with
-// request batching (one frame, one round trip for N requests) and the
-// client stub cache (repeat Instantiate answered locally, zero round trips).
+// port, SysV-style stream, doors-style shared-memory ring), alone and with
+// request batching (one frame, one round trip for N requests).
 //
 // Section 2 — open-loop wall-clock: N simulated clients (1k/4k/10k), each
 // issuing one request, driven by worker lanes with batching over the ring
@@ -79,49 +78,6 @@ void TransportCyclesTable(OmosWorld& world) {
                 static_cast<unsigned long long>(per_batched));
   }
   std::printf("\n");
-}
-
-void StubCacheSection(OmosWorld& world) {
-  std::printf("=== Stub cache: warm repeat Instantiate ===\n\n");
-  Channel channel = world.server->MakeChannel(OmosServer::ExecTransport::kRing);
-  channel.EnableStubCache();
-  Task* task;
-  {
-    task = &world.kernel->CreateTask("bench-stub-client");
-  }
-  OmosRequest request;
-  request.op = OmosOp::kInstantiate;
-  request.path = "/bin/ls";
-  request.specialization = Specialization().ToKeyString();
-  request.task_handle = task->id();
-
-  OmosReply cold = BENCH_UNWRAP(channel.Call(request, nullptr));
-  if (!cold.ok) {
-    std::fprintf(stderr, "cold instantiate failed: %s\n", cold.error.c_str());
-    std::abort();
-  }
-  uint64_t cold_calls = channel.calls_made();
-  uint64_t cold_cycles = channel.cycles_billed();
-
-  constexpr int kWarmRepeats = 100;
-  for (int i = 0; i < kWarmRepeats; ++i) {
-    OmosReply warm = BENCH_UNWRAP(channel.Call(request, nullptr));
-    if (!warm.ok || warm.entry != cold.entry) {
-      std::fprintf(stderr, "warm instantiate diverged\n");
-      std::abort();
-    }
-  }
-  uint64_t warm_calls = channel.calls_made() - cold_calls;
-  uint64_t warm_cycles = channel.cycles_billed() - cold_cycles;
-  std::printf("  cold: %llu round trips, %llu cycles\n",
-              static_cast<unsigned long long>(cold_calls),
-              static_cast<unsigned long long>(cold_cycles));
-  std::printf("  warm x%d: %llu round trips, %llu cycles, %llu stub hits\n", kWarmRepeats,
-              static_cast<unsigned long long>(warm_calls),
-              static_cast<unsigned long long>(warm_cycles),
-              static_cast<unsigned long long>(channel.stub_hits()));
-  std::printf("  %s: warm repeats make zero server round trips\n\n",
-              warm_calls == 0 ? "PASS" : "FAIL");
 }
 
 // One load point: `clients` simulated clients, each issuing one request,
@@ -200,11 +156,10 @@ void OpenLoopSection(OmosWorld& world) {
 
 int main() {
   using namespace omos;
-  std::printf("=== bench_ipc: transports, batching, stub cache ===\n\n");
+  std::printf("=== bench_ipc: transports, batching ===\n\n");
   OmosWorld world = MakeOmosWorld();
   world.Warm();
   TransportCyclesTable(world);
-  StubCacheSection(world);
   OpenLoopSection(world);
   return 0;
 }

@@ -32,7 +32,7 @@ TABLE1_ROW = re.compile(
 GATE_LINE = re.compile(r"^\s*(?P<verdict>PASS|FAIL): (?P<what>.*)$")
 OPEN_LOOP_ROW = re.compile(r"^\s+(?P<clients>\d+)\s+(?P<p50>\d+)\s+(?P<p99>\d+)\s*$")
 TRANSPORT_ROW = re.compile(
-    r"^\s+(?P<transport>port|stream|ring)\s+(?P<cold>\d+)\s+(?P<warm>\d+)\s*$"
+    r"^\s+(?P<transport>port|stream|ring)\s+(?P<single>\d+)\s+(?P<batched>\d+)\s*$"
 )
 UPGRADE_WINDOW_ROW = re.compile(
     r"^\s+(?P<window>pre-roll|mid-roll|post-roll)\s+(?P<requests>\d+)"
@@ -99,8 +99,8 @@ def parse_ipc(text):
         t = TRANSPORT_ROW.match(line)
         if t:
             transports[t.group("transport")] = {
-                "cold_cycles": int(t.group("cold")),
-                "warm_cycles": int(t.group("warm")),
+                "cycles_per_request": int(t.group("single")),
+                "batched16_cycles_per_request": int(t.group("batched")),
             }
     return {
         "transports": transports,

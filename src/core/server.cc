@@ -251,7 +251,6 @@ Result<void> OmosServer::Redefine(const std::vector<std::string>& paths,
   std::lock_guard<std::mutex> lock(admin_mu_);
   std::unique_lock<std::shared_mutex> publishing(publish_mu_);
   InvalidateImagesOf(paths);
-  BumpNamespaceGeneration();
   Result<void> published = publish();
   DropStaleMemos();
   return published;
@@ -641,7 +640,7 @@ Result<Module> OmosServer::EvaluateBlueprint(std::string_view text, uint64_t* wo
 
 // ---- Instantiation ----------------------------------------------------------
 
-void OmosServer::ChargeLinkWork(const LinkStats& stats, uint32_t symbol_count,
+void OmosServer::ChargeLinkWork(const LinkCounts& stats, uint32_t symbol_count,
                                 BuildTracker& tracker) const {
   const CostModel& costs = kernel_->costs();
   tracker.work += costs.header_parse * stats.fragments;
@@ -1945,7 +1944,7 @@ struct PrelinkMetrics {
   Counter* repairs = MetricsRegistry::Global().GetCounter("prelink.repairs");
 };
 
-PrelinkMetrics& PrelinkStats() {
+PrelinkMetrics& PrelinkCounters() {
   static PrelinkMetrics* metrics = new PrelinkMetrics();
   return *metrics;
 }
@@ -2049,7 +2048,7 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     }
   }
   if (image != nullptr) {
-    PrelinkStats().hits->Add();
+    PrelinkCounters().hits->Add();
     std::lock_guard<std::mutex> lock(kernel_mu_);
     task->BillSys(kernel_->costs().prelink_lookup);
   } else {
@@ -2057,9 +2056,9 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     // full lookup, then let the idle lane re-link everything stale so the
     // next exec is fast again.
     if (have_entry) {
-      PrelinkStats().stale->Add();
+      PrelinkCounters().stale->Add();
     } else {
-      PrelinkStats().misses->Add();
+      PrelinkCounters().misses->Add();
     }
     OMOS_TRY(image, InstantiateFor(*task, norm, {}));
     RecordPrelinkEntry(norm, image->key);
@@ -2089,15 +2088,13 @@ void OmosServer::RunRelink() {
     }
   }
   if (!paths.empty()) {
-    PrelinkStats().repairs->Add();
+    PrelinkCounters().repairs->Add();
     std::vector<std::string> moved;
     {
       std::lock_guard<std::mutex> lock(solver_mu_);
       moved = solver_.SolveNamespace();
     }
     if (!moved.empty()) {
-      // Addresses in cached client replies moved; stub caches must refresh.
-      BumpNamespaceGeneration();
       EvictMoved(moved);
     }
   }
@@ -2110,7 +2107,7 @@ void OmosServer::RunRelink() {
     auto image = Instantiate(path, {}, &scratch);
     if (image.ok()) {
       RecordPrelinkEntry(path, (*image)->key);
-      PrelinkStats().relinks->Add();
+      PrelinkCounters().relinks->Add();
     }
   }
   // Re-link each requested path under the recorded routine order and serve
@@ -2552,7 +2549,6 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
   // keep readers (Lookup, HasPreferredOrder) safe while we repopulate.
   std::lock_guard<std::mutex> admin_lock(admin_mu_);
   std::unique_lock<std::shared_mutex> publishing(publish_mu_);
-  BumpNamespaceGeneration();
   // Integrity first: the trailing check line must hash everything before it.
   size_t check_at = snapshot.rfind("check ");
   if (check_at == std::string_view::npos || check_at == 0 || snapshot[check_at - 1] != '\n') {
@@ -2660,8 +2656,6 @@ int OmosServer::OptimizePlacements() {
   int evicted = 0;
   {
     std::lock_guard<std::mutex> admin_lock(admin_mu_);
-    // Cached client replies carry segment addresses; a re-pack moves them.
-    BumpNamespaceGeneration();
     std::vector<std::string> changed;
     {
       std::lock_guard<std::mutex> lock(solver_mu_);
@@ -2891,8 +2885,6 @@ const char* OpName(OmosOp op) {
       return "list-namespace";
     case OmosOp::kDynamicLoad:
       return "dynamic-load";
-    case OmosOp::kStats:
-      return "stats";
     case OmosOp::kIntrospect:
       return "introspect";
   }
@@ -2910,9 +2902,6 @@ OmosReply OmosServer::HandleRequest(const OmosRequest& request) {
   requests->Add();
   auto start = std::chrono::steady_clock::now();
   OmosReply reply = HandleRequestImpl(request);
-  // Every reply piggybacks the namespace generation so client stub caches
-  // learn about redefinitions at their next server contact.
-  reply.generation = namespace_generation();
   request_ns->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                            start)
@@ -2981,11 +2970,6 @@ OmosReply OmosServer::HandleRequestImpl(const OmosRequest& request) {
       reply.symbol_values = result->symbol_values;
       return reply;
     }
-    case OmosOp::kStats:
-      reply.ok = true;
-      reply.stat_hits = cache_.stats().hits;
-      reply.stat_misses = cache_.stats().misses;
-      return reply;
     case OmosOp::kIntrospect:
       return HandleIntrospect(request);
   }
@@ -2999,8 +2983,6 @@ OmosReply OmosServer::HandleIntrospect(const OmosRequest& request) {
   if (cmd == "stats") {
     reply.ok = true;
     reply.metrics = MetricsRegistry::Global().Snapshot();
-    reply.stat_hits = cache_.stats().hits;
-    reply.stat_misses = cache_.stats().misses;
     return reply;
   }
   if (cmd == "stats-text") {
@@ -3113,7 +3095,6 @@ std::vector<uint8_t> OmosServer::ServeMessage(const std::vector<uint8_t>& reques
   OmosReply reply;
   if (!request.ok()) {
     reply.error = request.error().ToString();
-    reply.generation = namespace_generation();
   } else {
     reply = HandleRequest(*request);
   }
@@ -3129,7 +3110,6 @@ std::vector<uint8_t> OmosServer::ServeBatch(const std::vector<uint8_t>& request_
     // client to retry (framing damage is retryable).
     OmosReply reply;
     reply.error = requests.error().ToString();
-    reply.generation = namespace_generation();
     return EncodeReply(reply);
   }
   batches->Add();

@@ -316,14 +316,6 @@ class OmosServer {
     return exec_transport_.load(std::memory_order_relaxed);
   }
 
-  // Monotonic namespace generation: bumped by every mutation that can
-  // change what Instantiate returns (Define*, AddFragment/Archive,
-  // Restore, OptimizePlacements). Piggybacked on every IPC reply so
-  // client-side stub caches invalidate on redefinition.
-  uint64_t namespace_generation() const {
-    return namespace_generation_.load(std::memory_order_acquire);
-  }
-
   // Handles single-message frames AND batch frames (EncodeRequestBatch):
   // batch members execute in parallel on the shared pool and their replies
   // come back in one frame, so a batch costs its clients one round trip.
@@ -475,7 +467,7 @@ class OmosServer {
   Result<const CachedImage*> GetOrRebuild(const std::string& cache_key, uint64_t* work);
 
   // Charge linking work for an image build.
-  void ChargeLinkWork(const LinkStats& stats, uint32_t symbol_count, BuildTracker& tracker) const;
+  void ChargeLinkWork(const LinkCounts& stats, uint32_t symbol_count, BuildTracker& tracker) const;
 
   // Keys of cached images that depend on `roots`: roots are namespace paths
   // (matched against CachedImage::inputs) or cache keys (matched against
@@ -485,8 +477,8 @@ class OmosServer {
   // deps, and release their placements.
   void InvalidateImagesOf(const std::vector<std::string>& paths);
   // Every namespace mutation: under admin_mu_ and publish_mu_ (exclusive),
-  // invalidate the images that read `paths`, bump the generation, run
-  // `publish`, then drop the memos it superseded.
+  // invalidate the images that read `paths`, run `publish`, then drop the
+  // memos it superseded.
   Result<void> Redefine(const std::vector<std::string>& paths,
                         const std::function<Result<void>()>& publish);
   // Evict the images whose placements moved plus the images linked against
@@ -528,9 +520,6 @@ class OmosServer {
   // pool (ParallelFor, caller participates); a bad member yields an
   // ok=false reply in its slot without touching the other N-1.
   std::vector<uint8_t> ServeBatch(const std::vector<uint8_t>& request_bytes);
-  void BumpNamespaceGeneration() {
-    namespace_generation_.fetch_add(1, std::memory_order_acq_rel);
-  }
 
   // Queue `job` on the pool's idle lane; it runs only while the server is
   // alive (see IdleJobGuard).
@@ -688,8 +677,6 @@ class OmosServer {
   std::mutex exec_channels_mu_;
   std::vector<ParkedChannel> exec_channels_;  // guarded by exec_channels_mu_
 
-  // See namespace_generation(); starts at 1 so "0" is always stale.
-  std::atomic<uint64_t> namespace_generation_{1};
   std::atomic<ExecTransport> exec_transport_{ExecTransport::kPort};
 };
 

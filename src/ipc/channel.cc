@@ -36,9 +36,6 @@ struct ChannelMetrics {
   Counter* bytes_received = MetricsRegistry::Global().GetCounter("ipc.bytes_received");
   Counter* batch_calls = MetricsRegistry::Global().GetCounter("ipc.batch.calls");
   Counter* batch_requests = MetricsRegistry::Global().GetCounter("ipc.batch.requests");
-  Counter* stub_hits = MetricsRegistry::Global().GetCounter("ipc.stub_cache.hits");
-  Counter* stub_invalidations =
-      MetricsRegistry::Global().GetCounter("ipc.stub_cache.invalidations");
   Counter* transport_fallbacks =
       MetricsRegistry::Global().GetCounter("ipc.transport_fallbacks");
   Counter* transport_repromotions =
@@ -61,64 +58,6 @@ void Channel::ArmFallbackTransport(std::unique_ptr<Transport> fallback, int thre
   clean_streak_ = 0;
   fallback_engaged_ = false;
   probing_ = false;
-}
-
-void Channel::EnableStubCache(size_t max_entries) {
-  stub_capacity_ = max_entries;
-  if (stub_cache_.size() > stub_capacity_) {
-    stub_cache_.clear();
-  }
-}
-
-std::string Channel::StubKey(const OmosRequest& request) {
-  // 0x1f (unit separator) cannot appear in namespace paths or spec strings.
-  return StrCat(request.path, "\x1f", request.specialization, "\x1f", request.task_handle);
-}
-
-void Channel::ObserveGeneration(uint64_t generation) {
-  if (generation <= observed_generation_) {
-    return;
-  }
-  observed_generation_ = generation;
-  if (stub_cache_.empty()) {
-    return;
-  }
-  size_t dropped = 0;
-  for (auto it = stub_cache_.begin(); it != stub_cache_.end();) {
-    if (it->second.generation < generation) {
-      it = stub_cache_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  if (dropped > 0) {
-    Metrics().stub_invalidations->Add(dropped);
-    TraceInstant("ipc.stub_invalidate", "");
-  }
-}
-
-const OmosReply* Channel::StubLookup(const OmosRequest& request) {
-  if (stub_capacity_ == 0 || !Cacheable(request)) {
-    return nullptr;
-  }
-  auto it = stub_cache_.find(StubKey(request));
-  if (it == stub_cache_.end() || it->second.generation != observed_generation_) {
-    return nullptr;
-  }
-  ++stub_hits_;
-  Metrics().stub_hits->Add();
-  return &it->second.reply;
-}
-
-void Channel::StubInsert(const OmosRequest& request, const OmosReply& reply) {
-  if (stub_capacity_ == 0 || !Cacheable(request) || !reply.ok) {
-    return;
-  }
-  if (stub_cache_.size() >= stub_capacity_) {
-    stub_cache_.erase(stub_cache_.begin());  // bounded: drop the oldest key
-  }
-  stub_cache_[StubKey(request)] = StubEntry{reply, reply.generation};
 }
 
 Result<void> Channel::ExchangeWithRetry(
@@ -225,10 +164,6 @@ Result<void> Channel::ExchangeWithRetry(
 }
 
 Result<OmosReply> Channel::Call(const OmosRequest& request, Task* task) {
-  if (const OmosReply* cached = StubLookup(request)) {
-    TraceInstant("ipc.stub_hit", request.path);
-    return *cached;  // zero server round trips
-  }
   TraceSpan trace("ipc.call");
   std::vector<uint8_t> wire = EncodeRequest(request);
   OmosReply reply;
@@ -241,8 +176,6 @@ Result<OmosReply> Channel::Call(const OmosRequest& request, Task* task) {
     trace.SetDetail(ErrorCodeName(status.error().code()));
     return status.error();
   }
-  ObserveGeneration(reply.generation);
-  StubInsert(request, reply);
   return reply;
 }
 
@@ -251,51 +184,24 @@ Result<std::vector<OmosReply>> Channel::CallBatch(const std::vector<OmosRequest>
   if (requests.empty()) {
     return Err(ErrorCode::kInvalidArgument, "empty batch");
   }
-  std::vector<OmosReply> replies(requests.size());
-  // Serve stub-cache hits locally; only misses cross the wire.
-  std::vector<size_t> miss_index;
-  miss_index.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (const OmosReply* cached = StubLookup(requests[i])) {
-      replies[i] = *cached;
-    } else {
-      miss_index.push_back(i);
-    }
-  }
-  if (miss_index.empty()) {
-    TraceInstant("ipc.stub_hit", "whole batch");
-    return replies;  // fully cached: no round trip at all
-  }
   TraceSpan trace("ipc.call_batch");
-  std::vector<OmosRequest> misses;
-  misses.reserve(miss_index.size());
-  for (size_t index : miss_index) {
-    misses.push_back(requests[index]);
-  }
   Metrics().batch_calls->Add();
-  Metrics().batch_requests->Add(misses.size());
-  std::vector<uint8_t> wire = EncodeRequestBatch(misses);
-  std::vector<OmosReply> miss_replies;
+  Metrics().batch_requests->Add(requests.size());
+  std::vector<uint8_t> wire = EncodeRequestBatch(requests);
+  std::vector<OmosReply> replies;
   auto status = ExchangeWithRetry(
       wire, task, trace, [&](const std::vector<uint8_t>& bytes) -> Result<void> {
-        OMOS_TRY(miss_replies, DecodeReplyBatch(bytes));
-        if (miss_replies.size() != misses.size()) {
+        OMOS_TRY(replies, DecodeReplyBatch(bytes));
+        if (replies.size() != requests.size()) {
           return Err(ErrorCode::kProtocolError,
-                     StrCat("batch reply count ", miss_replies.size(), " != request count ",
-                            misses.size()));
+                     StrCat("batch reply count ", replies.size(), " != request count ",
+                            requests.size()));
         }
         return OkResult();
       });
   if (!status.ok()) {
     trace.SetDetail(ErrorCodeName(status.error().code()));
     return status.error();
-  }
-  for (size_t i = 0; i < miss_replies.size(); ++i) {
-    ObserveGeneration(miss_replies[i].generation);
-  }
-  for (size_t i = 0; i < miss_replies.size(); ++i) {
-    StubInsert(misses[i], miss_replies[i]);
-    replies[miss_index[i]] = std::move(miss_replies[i]);
   }
   return replies;
 }

@@ -42,7 +42,7 @@ Result<OmosRequest> DecodeRequest(const std::vector<uint8_t>& bytes) {
   }
   OmosRequest request;
   OMOS_TRY(uint32_t op, r.U32());
-  if (op < 1 || op > 6) {
+  if (op < 1 || op > 6 || op == 5) {
     return Err(ErrorCode::kProtocolError, StrCat("bad op ", op));
   }
   request.op = static_cast<OmosOp>(op);
@@ -78,15 +78,12 @@ std::vector<uint8_t> EncodeReply(const OmosReply& reply) {
   for (uint32_t value : reply.symbol_values) {
     w.U32(value);
   }
-  w.U64(reply.stat_hits);
-  w.U64(reply.stat_misses);
   w.Str(reply.payload);
   w.U32(static_cast<uint32_t>(reply.metrics.size()));
   for (const auto& [name, value] : reply.metrics) {
     w.Str(name);
     w.U64(value);
   }
-  w.U64(reply.generation);
   return w.Take();
 }
 
@@ -120,8 +117,6 @@ Result<OmosReply> DecodeReply(const std::vector<uint8_t>& bytes) {
     OMOS_TRY(uint32_t value, r.U32());
     reply.symbol_values.push_back(value);
   }
-  OMOS_TRY(reply.stat_hits, r.U64());
-  OMOS_TRY(reply.stat_misses, r.U64());
   OMOS_TRY(reply.payload, r.Str());
   OMOS_TRY(uint32_t nmetrics, r.U32());
   for (uint32_t i = 0; i < nmetrics; ++i) {
@@ -129,7 +124,6 @@ Result<OmosReply> DecodeReply(const std::vector<uint8_t>& bytes) {
     OMOS_TRY(uint64_t value, r.U64());
     reply.metrics.emplace_back(std::move(name), value);
   }
-  OMOS_TRY(reply.generation, r.U64());
   return reply;
 }
 

@@ -1,12 +1,13 @@
 // The OMOS IPC wire protocol.
 //
 // The paper's OMOS speaks Mach IPC, Sun RPC, and System V messages (§8.1);
-// here there is one transport (an in-process channel with simulated cost,
-// src/ipc/channel.h) but real marshalling: requests and replies cross the
-// "boundary" as byte vectors, and malformed messages are protocol errors.
-// Mapped segments cannot cross a message boundary — as on Mach, the server
-// maps memory into the client's task directly and the reply carries only
-// handles and addresses.
+// here the transports are in-process with simulated cost (src/ipc/channel.h)
+// but the marshalling is real: requests and replies cross the "boundary" as
+// byte vectors, and malformed messages are protocol errors. Mapped segments
+// cannot cross a message boundary — as on Mach, the server maps memory into
+// the client's task directly and the reply carries only handles and
+// addresses. A reply carries no coherence state: the server evicts an image
+// when a path it read is redefined, and clients keep no copies of replies.
 #ifndef OMOS_SRC_IPC_MESSAGE_H_
 #define OMOS_SRC_IPC_MESSAGE_H_
 
@@ -24,7 +25,8 @@ enum class OmosOp : uint32_t {
   kDefineMeta = 2,    // path + blueprint text -> ok
   kListNamespace = 3, // path -> child names
   kDynamicLoad = 4,   // blueprint or path + wanted symbols -> bound values
-  kStats = 5,         // -> cache statistics
+  // Op 5 is retired (cache statistics are in kIntrospect "stats" below);
+  // DecodeRequest rejects it as a protocol error.
   // Observability (omtrace). request.path selects the subcommand:
   //   "stats"          -> `metrics` holds the unified registry snapshot
   //   "stats-text"     -> `payload` holds the metrics text summary
@@ -59,19 +61,12 @@ struct OmosReply {
   std::vector<SegmentDesc> segments;       // what got mapped into the task
   std::vector<std::string> names;          // kListNamespace
   std::vector<uint32_t> symbol_values;     // kDynamicLoad, parallel to request.symbols
-  uint64_t stat_hits = 0;
-  uint64_t stat_misses = 0;
   // kIntrospect: free-form text payload (trace JSON, summaries, profiles,
   // "placements", "upgrade <libpath>" — new blueprint in
   // request.specialization — and "upgrade-status") and the structured
   // metrics snapshot.
   std::string payload;
   std::vector<std::pair<std::string, uint64_t>> metrics;
-  // The server's namespace generation, piggybacked on every reply (success
-  // or failure). Bumped by any namespace mutation (DefineMeta, AddFragment,
-  // OptimizePlacements, Restore, ...); clients key cached replies on it so
-  // a redefinition invalidates their stub caches on the next contact.
-  uint64_t generation = 0;
 };
 
 std::vector<uint8_t> EncodeRequest(const OmosRequest& request);

@@ -121,7 +121,7 @@ struct RingConfig {
 
 // A Transport over a pair of SharedMemoryRings bound to `server`. Same
 // ServeFn contract as the port/stream transports, so it drops into Channel
-// (retry/backoff, batching, the stub cache) unchanged.
+// (retry/backoff, batching, fallback) unchanged.
 std::unique_ptr<Transport> MakeRingTransport(ServeFn server, RingConfig config = RingConfig());
 
 }  // namespace omos

@@ -22,7 +22,7 @@ struct ImageSymbol {
   SectionKind section = SectionKind::kText;
 };
 
-struct LinkStats {
+struct LinkCounts {
   uint32_t fragments = 0;
   uint32_t relocations_applied = 0;
   uint32_t symbols_exported = 0;
@@ -52,7 +52,7 @@ struct LinkedImage {
   std::vector<ImageSymbol> symbols;      // exported definitions at final addresses
   std::vector<std::string> unresolved;   // refs left unbound (partial links only)
   std::vector<RelocRecord> reloc_log;    // only when LayoutSpec::record_relocs
-  LinkStats stats;
+  LinkCounts stats;
 
   uint32_t text_end() const { return text_base + static_cast<uint32_t>(text.size()); }
   uint32_t data_end() const { return data_base + static_cast<uint32_t>(data.size()) + bss_size; }

@@ -386,10 +386,43 @@ TEST_F(ServerTest, IpcProtocolRoundTrip) {
   EXPECT_EQ(reply.names[0], "prog");
   EXPECT_GT(channel.cycles_billed(), 0u);
 
-  OmosRequest stats;
-  stats.op = OmosOp::kStats;
-  ASSERT_OK_AND_ASSIGN(OmosReply stats_reply, channel.Call(stats, nullptr));
-  EXPECT_TRUE(stats_reply.ok);
+  // Cache statistics travel in the kIntrospect "stats" registry snapshot.
+  auto cache_counts = [&]() -> std::pair<uint64_t, uint64_t> {
+    OmosRequest stats;
+    stats.op = OmosOp::kIntrospect;
+    stats.path = "stats";
+    auto stats_reply = channel.Call(stats, nullptr);
+    EXPECT_TRUE(stats_reply.ok() && stats_reply->ok);
+    std::pair<uint64_t, uint64_t> counts{~0ull, ~0ull};
+    if (stats_reply.ok()) {
+      for (const auto& [name, value] : stats_reply->metrics) {
+        if (name == "cache.hits") {
+          counts.first = value;
+        } else if (name == "cache.misses") {
+          counts.second = value;
+        }
+      }
+    }
+    return counts;
+  };
+  EXPECT_EQ(cache_counts(), std::make_pair(uint64_t{0}, uint64_t{0}));
+
+  Task& task = kernel_.CreateTask("client");
+  OmosRequest instantiate;
+  instantiate.op = OmosOp::kInstantiate;
+  instantiate.path = "/bin/prog";
+  instantiate.specialization = Specialization().ToKeyString();
+  instantiate.task_handle = task.id();
+  ASSERT_OK_AND_ASSIGN(OmosReply cold, channel.Call(instantiate, nullptr));
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_EQ(cache_counts(), std::make_pair(uint64_t{0}, uint64_t{1}));
+
+  Task& again = kernel_.CreateTask("client");
+  instantiate.task_handle = again.id();
+  ASSERT_OK_AND_ASSIGN(OmosReply warm, channel.Call(instantiate, nullptr));
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_EQ(warm.entry, cold.entry);
+  EXPECT_EQ(cache_counts(), std::make_pair(uint64_t{1}, uint64_t{1}));
 }
 
 TEST_F(ServerTest, MalformedIpcMessageRejected) {

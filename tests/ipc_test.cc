@@ -9,6 +9,7 @@
 #include "src/os/kernel.h"
 #include "src/support/faultsim.h"
 #include "src/support/metrics.h"
+#include "src/support/strings.h"
 #include "tests/helpers.h"
 
 namespace omos {
@@ -32,9 +33,8 @@ OmosReply SampleReply() {
                     SegmentDesc{0x40001000, 0x1000, kProtRead | kProtWrite, "prog.data"}};
   reply.names = {"ls", "codegen"};
   reply.symbol_values = {0x101010, 0};
-  reply.stat_hits = 1234;
-  reply.stat_misses = 7;
-  reply.generation = 77;
+  reply.payload = "trace";
+  reply.metrics = {{"cache.hits", 1234}, {"cache.misses", 7}};
   return reply;
 }
 
@@ -58,9 +58,8 @@ TEST(IpcMessage, ReplyRoundTrip) {
   EXPECT_EQ(decoded.segments[1].prot, kProtRead | kProtWrite);
   EXPECT_EQ(decoded.names, reply.names);
   EXPECT_EQ(decoded.symbol_values, reply.symbol_values);
-  EXPECT_EQ(decoded.stat_hits, 1234u);
-  EXPECT_EQ(decoded.stat_misses, 7u);
-  EXPECT_EQ(decoded.generation, 77u);
+  EXPECT_EQ(decoded.payload, "trace");
+  EXPECT_EQ(decoded.metrics, reply.metrics);
 }
 
 TEST(IpcMessage, ErrorReplyRoundTrip) {
@@ -88,6 +87,22 @@ TEST(IpcMessage, BadOpRejected) {
   auto result = DecodeRequest(bytes);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kProtocolError);
+}
+
+// Op 5 once asked for cache statistics; kIntrospect "stats" serves them now,
+// and the retired op is as malformed as any unknown one.
+TEST(IpcMessage, RetiredStatsOpRejected) {
+  std::vector<uint8_t> bytes = EncodeRequest(SampleRequest());
+  bytes[4] = 5;  // op field follows the 4-byte magic
+  auto result = DecodeRequest(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code(), ErrorCode::kProtocolError);
+
+  Kernel kernel;
+  OmosServer server(kernel);
+  ASSERT_OK_AND_ASSIGN(OmosReply reply, DecodeReply(server.ServeMessage(bytes)));
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.error.find("bad op 5"), std::string::npos) << reply.error;
 }
 
 // Truncating a valid message at any point must produce a clean error.
@@ -546,7 +561,6 @@ TEST(Transport, OmosServerReachableOverRingTransport) {
   ASSERT_TRUE(reply.ok);
   ASSERT_EQ(reply.names.size(), 1u);
   EXPECT_EQ(reply.names[0], "thing");
-  EXPECT_GT(reply.generation, 0u);  // every reply carries the generation
 }
 
 // ---- Exec channel reuse -------------------------------------------------------
@@ -711,7 +725,7 @@ TEST(IpcMessage, BatchRoundTrip) {
   EXPECT_TRUE(decoded_replies[0].ok);
   EXPECT_FALSE(decoded_replies[1].ok);
   EXPECT_EQ(decoded_replies[1].error, "boom");
-  EXPECT_EQ(decoded_replies[0].generation, 77u);
+  EXPECT_EQ(decoded_replies[0].metrics, replies[0].metrics);
 }
 
 TEST(IpcMessage, EmptyBatchIsProtocolError) {
@@ -792,88 +806,75 @@ TEST(Channel, BatchSurvivesSeededFaultSweep) {
   }
 }
 
-// ---- Stub cache ---------------------------------------------------------------
+// ---- Coherence: every call reaches the server ---------------------------------
 
-constexpr const char* kThingBlueprint =
-    "(merge (source \"asm\" \".text\\n.global _start\\n_start:\\n  sys 0\\n\"))";
-
-TEST(Channel, StubCacheWarmRepeatMakesZeroRoundTrips) {
-  Kernel kernel;
-  OmosServer server(kernel);
-  ASSERT_OK(server.DefineMeta("/bin/thing", kThingBlueprint));
-  Task& task = kernel.CreateTask("client");
-  Channel channel = server.MakeChannel(OmosServer::ExecTransport::kRing);
-  channel.EnableStubCache();
-  OmosRequest request;
-  request.op = OmosOp::kInstantiate;
-  request.path = "/bin/thing";
-  request.specialization = Specialization().ToKeyString();
-  request.task_handle = task.id();
-  ASSERT_OK_AND_ASSIGN(OmosReply cold, channel.Call(request, nullptr));
-  ASSERT_TRUE(cold.ok);
-  EXPECT_EQ(channel.calls_made(), 1u);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_OK_AND_ASSIGN(OmosReply warm, channel.Call(request, nullptr));
-    ASSERT_TRUE(warm.ok);
-    EXPECT_EQ(warm.entry, cold.entry);
-  }
-  EXPECT_EQ(channel.calls_made(), 1u);  // warm repeats never hit the wire
-  EXPECT_EQ(channel.stub_hits(), 5u);
+// A one-fragment program whose `_start` exits with `code`.
+std::string ExitBlueprint(int code) {
+  return StrCat("(merge (source \"asm\" \".text\\n.global _start\\n_start:\\n  movi r0, ",
+                code, "\\n  sys 0\\n\"))");
 }
 
-TEST(Channel, RedefinitionInvalidatesStubCache) {
-  Kernel kernel;
-  OmosServer server(kernel);
-  ASSERT_OK(server.DefineMeta("/bin/thing", kThingBlueprint));
-  Task& task = kernel.CreateTask("client");
-  Channel channel = server.MakeChannel(OmosServer::ExecTransport::kRing);
-  channel.EnableStubCache();
+OmosRequest InstantiateRequest(const std::string& path, const Task& task) {
   OmosRequest request;
   request.op = OmosOp::kInstantiate;
-  request.path = "/bin/thing";
+  request.path = path;
   request.specialization = Specialization().ToKeyString();
   request.task_handle = task.id();
-  ASSERT_OK_AND_ASSIGN(OmosReply first, channel.Call(request, nullptr));
-  ASSERT_TRUE(first.ok);
-  uint64_t old_generation = channel.observed_generation();
-  // Sanity: right now the entry is warm and repeats are served locally.
-  ASSERT_OK(channel.Call(request, nullptr));
-  EXPECT_EQ(channel.stub_hits(), 1u);
-
-  // Redefine on the server: the namespace generation bumps, and the next
-  // server contact on this channel carries it back and purges the cache.
-  ASSERT_OK(server.DefineMeta("/bin/thing", kThingBlueprint));
-  OmosRequest ping;
-  ping.op = OmosOp::kListNamespace;
-  ping.path = "/bin";
-  ASSERT_OK(channel.Call(ping, nullptr));
-  EXPECT_GT(channel.observed_generation(), old_generation);
-
-  // The stale entry is gone: the repeat goes all the way to the server
-  // (which answers authoritatively for the redefined object) instead of
-  // being served from the cache.
-  uint64_t calls_before = channel.calls_made();
-  uint64_t hits_before = channel.stub_hits();
-  ASSERT_OK(channel.Call(request, nullptr));
-  EXPECT_EQ(channel.calls_made(), calls_before + 1);  // wire round trip
-  EXPECT_EQ(channel.stub_hits(), hits_before);        // not a cache answer
+  return request;
 }
 
-TEST(Channel, StubCacheMissesWhenDisabled) {
+TEST(Channel, EveryCallMakesARoundTrip) {
   Kernel kernel;
   OmosServer server(kernel);
-  ASSERT_OK(server.DefineMeta("/bin/thing", kThingBlueprint));
-  Task& task = kernel.CreateTask("client");
+  ASSERT_OK(server.DefineMeta("/bin/thing", ExitBlueprint(0)));
   Channel channel = server.MakeChannel();
-  OmosRequest request;
-  request.op = OmosOp::kInstantiate;
-  request.path = "/bin/thing";
-  request.specialization = Specialization().ToKeyString();
-  request.task_handle = task.id();
-  ASSERT_OK(channel.Call(request, nullptr));
-  ASSERT_OK(channel.Call(request, nullptr));
-  EXPECT_EQ(channel.calls_made(), 2u);  // no cache armed: every call pays
-  EXPECT_EQ(channel.stub_hits(), 0u);
+  ASSERT_OK_AND_ASSIGN(
+      OmosReply first,
+      channel.Call(InstantiateRequest("/bin/thing", kernel.CreateTask("a")), nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      OmosReply second,
+      channel.Call(InstantiateRequest("/bin/thing", kernel.CreateTask("b")), nullptr));
+  EXPECT_TRUE(first.ok) << first.error;
+  EXPECT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(second.entry, first.entry);
+  EXPECT_EQ(channel.calls_made(), 2u);
+}
+
+// Map `path` into a fresh task over `channel`, then run the task.
+Result<int> InstantiateAndRun(Kernel& kernel, Channel& channel, const std::string& path) {
+  Task& task = kernel.CreateTask("client");
+  OMOS_TRY(OmosReply reply, channel.Call(InstantiateRequest(path, task), nullptr));
+  if (!reply.ok) {
+    return Err(ErrorCode::kInternal, reply.error);
+  }
+  OMOS_TRY_VOID(StartTask(kernel, task, reply.entry, {}));
+  OMOS_TRY_VOID(kernel.RunTask(task));
+  return task.exit_code();
+}
+
+// A redefinition that arrives over another channel reaches this channel's
+// very next Instantiate: no reply is kept anywhere but in the server's cache,
+// which evicts the image whose input was redefined.
+TEST(Channel, RedefinitionReachesTheNextInstantiate) {
+  Kernel kernel;
+  OmosServer server(kernel);
+  ASSERT_OK(server.DefineMeta("/bin/thing", ExitBlueprint(21)));
+  Channel channel = server.MakeChannel(OmosServer::ExecTransport::kRing);
+  ASSERT_OK_AND_ASSIGN(int before, InstantiateAndRun(kernel, channel, "/bin/thing"));
+  EXPECT_EQ(before, 21);
+
+  Channel admin = server.MakeChannel();
+  OmosRequest define;
+  define.op = OmosOp::kDefineMeta;
+  define.path = "/bin/thing";
+  define.specialization = ExitBlueprint(51);  // the blueprint travels here
+  ASSERT_OK_AND_ASSIGN(OmosReply defined, admin.Call(define, nullptr));
+  ASSERT_TRUE(defined.ok) << defined.error;
+
+  uint64_t calls_before = channel.calls_made();
+  ASSERT_OK_AND_ASSIGN(int after, InstantiateAndRun(kernel, channel, "/bin/thing"));
+  EXPECT_EQ(after, 51);
+  EXPECT_EQ(channel.calls_made(), calls_before + 1);
 }
 
 TEST(Transport, OmosServerReachableOverStreamTransport) {
