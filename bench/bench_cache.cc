@@ -68,6 +68,23 @@ BENCHMARK(BM_WarmGetBySize)
     ->Complexity()
     ->Unit(benchmark::kNanosecond);
 
+// One page checksum: the unit of work of every warm-hit probe and of the full
+// walk after a Put, so its cost scales both.
+void BM_PageSum(benchmark::State& state) {
+  constexpr size_t kSumPageBytes = 4096;  // the cache's sum granule
+  CachedImage image;
+  image.image.text.resize(kSumPageBytes);
+  for (size_t i = 0; i < image.image.text.size(); ++i) {
+    image.image.text[i] = static_cast<uint8_t>(i * 131 + state.iterations());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(image.PageSum(0));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kSumPageBytes));
+}
+BENCHMARK(BM_PageSum)->Unit(benchmark::kNanosecond);
+
 // Warm-exec data mapping cost as a function of data-segment size. Eager
 // mapping copies every initialized-data byte per exec (O(bytes)); CoW maps
 // the cached master's frames read-only-shared and only pays per-page

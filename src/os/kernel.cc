@@ -1,8 +1,10 @@
 #include "src/os/kernel.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/os/cpu.h"
+#include "src/support/faultsim.h"
 #include "src/support/metrics.h"
 #include "src/support/strings.h"
 #include "src/support/trace.h"
@@ -260,11 +262,24 @@ Result<void> Kernel::SysWrite(Task& task) {
     task.set_reg(0, static_cast<uint32_t>(-1));
     return OkResult();
   }
-  std::string data(len, '\0');
-  OMOS_TRY_VOID(task.space().ReadBytes(buf, data.data(), len));
+  // Console bytes go straight from guest pages into the output. Other fds
+  // still read the buffer (and fault its pages in) before failing.
+  bool console = fd == 1 || fd == 2;
+  size_t mark = task.output().size();
+  for (uint32_t done = 0; done < len;) {
+    uint32_t chunk = 0;
+    Result<const uint8_t*> span = task.space().ReadSpan(buf + done, len - done, &chunk);
+    if (!span.ok()) {
+      task.TruncateOutput(mark);
+      return span.error();
+    }
+    if (console) {
+      task.AppendOutput(std::string_view(reinterpret_cast<const char*>(*span), chunk));
+    }
+    done += chunk;
+  }
   task.BillSys(costs_.write_byte * len);
-  if (fd == 1 || fd == 2) {
-    task.AppendOutput(data);
+  if (console) {
     task.set_reg(0, len);
     return OkResult();
   }
@@ -304,13 +319,13 @@ Result<void> Kernel::SysRead(Task& task) {
 Result<void> Kernel::SysOpen(Task& task) {
   OMOS_TRY(std::string path, task.space().ReadCString(task.reg(0)));
   task.BillSys(costs_.file_open);
-  auto file = fs_.Lookup(path);
+  FdEntry entry;
+  entry.path = SimFs::Normalize(path);
+  auto file = fs_.Lookup(entry.path);
   if (!file.ok()) {
     task.set_reg(0, static_cast<uint32_t>(-1));
     return OkResult();
   }
-  FdEntry entry;
-  entry.path = path;
   entry.is_dir = ((*file)->mode & kModeDir) != 0;
   task.set_reg(0, static_cast<uint32_t>(task.AllocFd(std::move(entry))));
   return OkResult();
@@ -325,33 +340,41 @@ Result<void> Kernel::SysGetdents(Task& task) {
     task.set_reg(0, static_cast<uint32_t>(-1));
     return OkResult();
   }
-  OMOS_TRY(std::vector<std::string> names, fs_.ListDir(entry->path));
   uint32_t written = 0;
-  while (entry->dir_index < names.size() && written + kDirentSize <= len) {
-    const std::string& name = names[entry->dir_index];
-    std::string full = entry->path == "/" ? "/" + name : entry->path + "/" + name;
-    auto file = fs_.Lookup(full);
-    if (!file.ok()) {
-      ++entry->dir_index;
-      continue;
-    }
-    uint8_t record[kDirentSize] = {0};
-    auto put32 = [&](uint32_t off, uint32_t v) {
-      record[off] = static_cast<uint8_t>(v);
-      record[off + 1] = static_cast<uint8_t>(v >> 8);
-      record[off + 2] = static_cast<uint8_t>(v >> 16);
-      record[off + 3] = static_cast<uint8_t>(v >> 24);
-    };
-    put32(0, (*file)->inode);
-    put32(4, static_cast<uint32_t>((*file)->bytes.size()));
-    put32(8, (*file)->mode);
-    put32(12, (*file)->mtime);
-    std::strncpy(reinterpret_cast<char*>(record + 16), name.c_str(), kDirentNameLen - 1);
-    OMOS_TRY_VOID(task.space().WriteBytes(buf + written, record, kDirentSize));
-    written += kDirentSize;
-    ++entry->dir_index;
-    task.BillSys(costs_.dirent_cost);
-  }
+  Result<void> copied = OkResult();
+  OMOS_TRY_VOID(fs_.ForEachChild(
+      entry->path, entry->dir_index, [&](std::string_view name, const SimFile& file) {
+        if (written + kDirentSize > len) {
+          return false;
+        }
+        // Reading an entry's metadata is a filesystem read: a fault skips
+        // the entry.
+        if (FaultSim::Trip("fs.read")) {
+          ++entry->dir_index;
+          return true;
+        }
+        uint8_t record[kDirentSize] = {0};
+        auto put32 = [&](uint32_t off, uint32_t v) {
+          record[off] = static_cast<uint8_t>(v);
+          record[off + 1] = static_cast<uint8_t>(v >> 8);
+          record[off + 2] = static_cast<uint8_t>(v >> 16);
+          record[off + 3] = static_cast<uint8_t>(v >> 24);
+        };
+        put32(0, file.inode);
+        put32(4, static_cast<uint32_t>(file.bytes.size()));
+        put32(8, file.mode);
+        put32(12, file.mtime);
+        std::memcpy(record + 16, name.data(), std::min<size_t>(name.size(), kDirentNameLen - 1));
+        copied = task.space().WriteBytes(buf + written, record, kDirentSize);
+        if (!copied.ok()) {
+          return false;
+        }
+        written += kDirentSize;
+        ++entry->dir_index;
+        task.BillSys(costs_.dirent_cost);
+        return true;
+      }));
+  OMOS_TRY_VOID(copied);
   task.set_reg(0, written);
   return OkResult();
 }

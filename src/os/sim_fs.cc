@@ -1,7 +1,5 @@
 #include "src/os/sim_fs.h"
 
-#include <algorithm>
-
 #include "src/support/faultsim.h"
 #include "src/support/strings.h"
 
@@ -14,7 +12,22 @@ SimFs::SimFs() {
   files_.emplace("/", std::move(root));
 }
 
+namespace {
+
+// Normal form: absolute, no empty or "." component, no trailing slash. Most
+// paths arrive normal already. (".." is an ordinary name here.)
+bool IsNormal(std::string_view path) {
+  return StartsWith(path, "/") && (path.size() == 1 || path.back() != '/') &&
+         path.find("//") == std::string_view::npos &&
+         path.find("/./") == std::string_view::npos && !EndsWith(path, "/.");
+}
+
+}  // namespace
+
 std::string SimFs::Normalize(std::string_view path) {
+  if (IsNormal(path)) {
+    return std::string(path);
+  }
   std::string out = "/";
   for (const std::string& part : SplitString(path, '/')) {
     if (part.empty() || part == ".") {
@@ -26,6 +39,12 @@ std::string SimFs::Normalize(std::string_view path) {
     out += part;
   }
   return out;
+}
+
+SimFs::Files::const_iterator SimFs::Find(std::string_view path) const {
+  std::string normalized;
+  std::string_view key = IsNormal(path) ? path : (normalized = Normalize(path));
+  return files_.find(key);
 }
 
 void SimFs::Mkdir(std::string_view path) {
@@ -211,43 +230,36 @@ void SimFs::DropUnsynced() {
   }
 }
 
-bool SimFs::Exists(std::string_view path) const {
-  return files_.find(Normalize(path)) != files_.end();
-}
+bool SimFs::Exists(std::string_view path) const { return Find(path) != files_.end(); }
 
 Result<const SimFile*> SimFs::Lookup(std::string_view path) const {
   if (FaultSim::Trip("fs.read")) {
     return Err(ErrorCode::kIoError, StrCat("simulated read failure: ", path));
   }
-  auto it = files_.find(Normalize(path));
+  auto it = Find(path);
   if (it == files_.end()) {
     return Err(ErrorCode::kNotFound, StrCat("no such file: ", path));
   }
   return &it->second;
 }
 
-Result<std::vector<std::string>> SimFs::ListDir(std::string_view path) const {
-  std::string norm = Normalize(path);
-  auto it = files_.find(norm);
+Result<SimFs::Files::const_iterator> SimFs::FindDir(std::string_view path) const {
+  auto it = Find(path);
   if (it == files_.end()) {
     return Err(ErrorCode::kNotFound, StrCat("no such directory: ", path));
   }
   if ((it->second.mode & kModeDir) == 0) {
     return Err(ErrorCode::kInvalidArgument, StrCat("not a directory: ", path));
   }
-  std::string prefix = norm == "/" ? "/" : norm + "/";
+  return it;
+}
+
+Result<std::vector<std::string>> SimFs::ListDir(std::string_view path) const {
   std::vector<std::string> names;
-  for (auto iter = files_.lower_bound(prefix); iter != files_.end(); ++iter) {
-    const std::string& key = iter->first;
-    if (!StartsWith(key, prefix)) {
-      break;
-    }
-    std::string_view rest = std::string_view(key).substr(prefix.size());
-    if (!rest.empty() && rest.find('/') == std::string_view::npos) {
-      names.emplace_back(rest);
-    }
-  }
-  std::sort(names.begin(), names.end());
+  OMOS_TRY_VOID(ForEachChild(path, 0, [&](std::string_view name, const SimFile&) {
+    names.emplace_back(name);
+    return true;
+  }));
   return names;
 }
 

@@ -97,17 +97,60 @@ class SimFs {
   // Names (not paths) of entries directly under `path`, sorted.
   Result<std::vector<std::string>> ListDir(std::string_view path) const;
 
+  // Calls `visit(name, file)` for each entry directly under `path`, in
+  // ListDir's order, after skipping the first `skip` of them, until `visit`
+  // returns false. Nothing is copied: `name` and `file` point into the
+  // filesystem and are valid only during the call. Same errors as ListDir.
+  template <typename Visit>
+  Result<void> ForEachChild(std::string_view path, size_t skip, Visit&& visit) const;
+
   size_t file_count() const { return files_.size(); }
 
- private:
+  // Absolute, with no empty or "." component and no trailing slash; ".." is
+  // kept as an ordinary name. A path already in this form is returned as is.
   static std::string Normalize(std::string_view path);
+
+ private:
+  using Files = std::map<std::string, SimFile, std::less<>>;
+
+  Files::const_iterator Find(std::string_view path) const;
+  Result<Files::const_iterator> FindDir(std::string_view path) const;
   // Shared body of the write paths.
   void PutBytes(std::string_view norm_path, std::vector<uint8_t> bytes, uint32_t perm,
                 bool durable);
 
-  std::map<std::string, SimFile, std::less<>> files_;
+  Files files_;
   uint32_t next_inode_ = 2;
 };
+
+template <typename Visit>
+Result<void> SimFs::ForEachChild(std::string_view path, size_t skip, Visit&& visit) const {
+  OMOS_TRY(Files::const_iterator dir, FindDir(path));
+  // Keys under the directory share `prefix`, so map order restricted to
+  // the immediate children is the children's sorted name order.
+  std::string prefix = dir->first;
+  if (prefix.back() != '/') {
+    prefix.push_back('/');
+  }
+  for (auto it = files_.lower_bound(prefix); it != files_.end(); ++it) {
+    std::string_view key = it->first;
+    if (key.compare(0, prefix.size(), prefix) != 0) {
+      break;
+    }
+    std::string_view name = key.substr(prefix.size());
+    if (name.empty() || name.find('/') != std::string_view::npos) {
+      continue;
+    }
+    if (skip > 0) {
+      --skip;
+      continue;
+    }
+    if (!visit(name, it->second)) {
+      break;
+    }
+  }
+  return OkResult();
+}
 
 }  // namespace omos
 

@@ -22,8 +22,9 @@ using TaskId = uint32_t;
 
 enum class TaskState { kRunnable, kExited, kFaulted };
 
-// An open file descriptor. Directories remember how many dirents have been
-// consumed by getdents().
+// An open file descriptor. `path` is in SimFs's normal form, so reads and
+// getdents() look it up without normalizing it again. Directories remember
+// how many dirents have been consumed by getdents().
 struct FdEntry {
   std::string path;
   uint32_t offset = 0;
@@ -72,6 +73,8 @@ class Task {
   // Captured console output (fds 1 and 2).
   const std::string& output() const { return output_; }
   void AppendOutput(std::string_view text) { output_ += text; }
+  // Drops output past `size` (undoes appends of a syscall that then failed).
+  void TruncateOutput(size_t size) { output_.resize(std::min(size, output_.size())); }
 
   // File descriptors. 0/1/2 are reserved for console.
   int AllocFd(FdEntry entry) {

@@ -72,15 +72,51 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+constexpr uint64_t kLaneP1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kLaneP2 = 0xC2B2AE3D27D4EB4Full;
+
+// xxh64's round. For a fixed `word` it is a bijection of `acc`, and for a
+// fixed `acc` a bijection of `word` (P1 and P2 are odd), so a lane can never
+// absorb a changed word.
+uint64_t LaneRound(uint64_t acc, uint64_t word) {
+  acc += word * kLaneP2;
+  acc = (acc << 31) | (acc >> 33);
+  return acc * kLaneP1;
+}
+
+uint64_t LoadWord(const unsigned char* p) {
+  uint64_t word;
+  __builtin_memcpy(&word, p, 8);
+  return word;
+}
+
 }  // namespace
 
 uint64_t HashBytes(const void* data, size_t size, uint64_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   uint64_t hash = Mix64(seed ^ (0x9E3779B97F4A7C15ull + size));
+  if (size >= 32) {
+    // Four independent lanes over 32-byte stripes, so the multiplies of
+    // neighbouring words overlap instead of forming one dependent chain.
+    uint64_t lane0 = hash + kLaneP1 + kLaneP2;
+    uint64_t lane1 = hash + kLaneP2;
+    uint64_t lane2 = hash;
+    uint64_t lane3 = hash - kLaneP1;
+    do {
+      lane0 = LaneRound(lane0, LoadWord(p));
+      lane1 = LaneRound(lane1, LoadWord(p + 8));
+      lane2 = LaneRound(lane2, LoadWord(p + 16));
+      lane3 = LaneRound(lane3, LoadWord(p + 24));
+      p += 32;
+      size -= 32;
+    } while (size >= 32);
+    hash = Mix64(hash ^ lane0);
+    hash = Mix64(hash ^ lane1);
+    hash = Mix64(hash ^ lane2);
+    hash = Mix64(hash ^ lane3);
+  }
   while (size >= 8) {
-    uint64_t word;
-    __builtin_memcpy(&word, p, 8);
-    hash = Mix64(hash ^ word);
+    hash = Mix64(hash ^ LoadWord(p));
     p += 8;
     size -= 8;
   }

@@ -40,9 +40,12 @@ std::string Hex32(uint32_t value);
 uint64_t Fnv1a(std::string_view data);
 uint64_t Fnv1aBytes(const void* data, size_t size);
 
-// Fast word-at-a-time 64-bit hash for bulk, in-memory integrity sums (the
-// image cache's page checksums). Several times faster than Fnv1aBytes but
-// NOT part of any serialized format — its value may change across versions.
+// Fast 64-bit hash for bulk, in-memory integrity sums (the image cache's
+// page checksums). Whole 32-byte stripes go through four independent
+// xxh64-style lanes, the rest word by word and then a tail; every step is a
+// bijection of the running state, so changing any one word of the input
+// always changes the result. NOT part of any serialized format — its value
+// may change across versions.
 uint64_t HashBytes(const void* data, size_t size, uint64_t seed = 0);
 
 // True if `name` matches POSIX-ish extended regex `pattern` (full or partial

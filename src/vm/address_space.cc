@@ -319,48 +319,59 @@ Result<void> AddressSpace::RaiseFault(uint32_t addr, bool is_write) {
   return OkResult();
 }
 
+Result<uint8_t*> AddressSpace::ResolveSpan(uint32_t addr, uint32_t size, bool write, bool exec,
+                                           uint32_t* chunk) const {
+  const Region* region = FindRegion(addr);
+  if (region == nullptr) {
+    return Err(ErrorCode::kExecFault,
+               StrCat(write ? "write" : (exec ? "fetch" : "read"), " fault at ", Hex32(addr)));
+  }
+  uint8_t needed = write ? kProtWrite : (exec ? kProtExec : kProtRead);
+  if ((region->prot & needed) == 0) {
+    return Err(ErrorCode::kExecFault,
+               StrCat("protection fault at ", Hex32(addr), " in ", region->name));
+  }
+  uint32_t offset = addr - region->base;
+  uint32_t page = offset / kPageSize;
+  uint32_t in_page = offset % kPageSize;
+  *chunk = std::min(size, kPageSize - in_page);
+  uint8_t* frame_data = region->page_data[page];
+  if (frame_data == nullptr || (write && (region->page_flags[page] & kPageCow) != 0)) {
+    // Fault: absent page (demand-zero) or write to a CoW page. Access is
+    // logically const — faulting in a page doesn't change the space's
+    // observable contents — so the mutation is routed through a non-const
+    // alias of this.
+    auto* self = const_cast<AddressSpace*>(this);
+    OMOS_TRY_VOID(self->RaiseFault(addr, write));
+    frame_data = region->page_data[page];
+    if (frame_data == nullptr) {
+      return Err(ErrorCode::kExecFault,
+                 StrCat("fault handler left page absent at ", Hex32(addr)));
+    }
+  }
+  return frame_data + in_page;
+}
+
 Result<void> AddressSpace::Access(uint32_t addr, void* buf, uint32_t size, bool write,
                                   bool exec) const {
   auto* out = static_cast<uint8_t*>(buf);
   uint32_t done = 0;
   while (done < size) {
-    uint32_t cur = addr + done;
-    const Region* region = FindRegion(cur);
-    if (region == nullptr) {
-      return Err(ErrorCode::kExecFault,
-                 StrCat(write ? "write" : (exec ? "fetch" : "read"), " fault at ", Hex32(cur)));
-    }
-    uint8_t needed = write ? kProtWrite : (exec ? kProtExec : kProtRead);
-    if ((region->prot & needed) == 0) {
-      return Err(ErrorCode::kExecFault,
-                 StrCat("protection fault at ", Hex32(cur), " in ", region->name));
-    }
-    uint32_t offset = cur - region->base;
-    uint32_t page = offset / kPageSize;
-    uint32_t in_page = offset % kPageSize;
-    uint32_t chunk = std::min(size - done, kPageSize - in_page);
-    uint8_t* frame_data = region->page_data[page];
-    if (frame_data == nullptr || (write && (region->page_flags[page] & kPageCow) != 0)) {
-      // Fault: absent page (demand-zero) or write to a CoW page. Access() is
-      // logically const — faulting in a page doesn't change the space's
-      // observable contents — so the mutation is routed through a non-const
-      // alias of this.
-      auto* self = const_cast<AddressSpace*>(this);
-      OMOS_TRY_VOID(self->RaiseFault(cur, write));
-      frame_data = region->page_data[page];
-      if (frame_data == nullptr) {
-        return Err(ErrorCode::kExecFault,
-                   StrCat("fault handler left page absent at ", Hex32(cur)));
-      }
-    }
+    uint32_t chunk = 0;
+    OMOS_TRY(uint8_t* span, ResolveSpan(addr + done, size - done, write, exec, &chunk));
     if (write) {
-      std::memcpy(frame_data + in_page, out + done, chunk);
+      std::memcpy(span, out + done, chunk);
     } else {
-      std::memcpy(out + done, frame_data + in_page, chunk);
+      std::memcpy(out + done, span, chunk);
     }
     done += chunk;
   }
   return OkResult();
+}
+
+Result<const uint8_t*> AddressSpace::ReadSpan(uint32_t addr, uint32_t size, uint32_t* len) const {
+  OMOS_TRY(uint8_t* span, ResolveSpan(addr, size, /*write=*/false, /*exec=*/false, len));
+  return span;
 }
 
 Result<void> AddressSpace::ReadBytes(uint32_t addr, void* out, uint32_t size) const {
@@ -400,12 +411,17 @@ Result<void> AddressSpace::Write8(uint32_t addr, uint8_t value) {
 
 Result<std::string> AddressSpace::ReadCString(uint32_t addr, uint32_t max_len) const {
   std::string out;
-  for (uint32_t i = 0; i < max_len; ++i) {
-    OMOS_TRY(uint8_t b, Read8(addr + i));
-    if (b == 0) {
+  for (uint32_t done = 0; done < max_len;) {
+    uint32_t chunk = 0;
+    OMOS_TRY(const uint8_t* span, ReadSpan(addr + done, max_len - done, &chunk));
+    const void* nul = std::memchr(span, 0, chunk);
+    if (nul != nullptr) {
+      out.append(reinterpret_cast<const char*>(span),
+                 static_cast<const uint8_t*>(nul) - span);
       return out;
     }
-    out.push_back(static_cast<char>(b));
+    out.append(reinterpret_cast<const char*>(span), chunk);
+    done += chunk;
   }
   return Err(ErrorCode::kExecFault, StrCat("unterminated string at ", Hex32(addr)));
 }

@@ -129,6 +129,12 @@ class AddressSpace {
   Result<void> Write8(uint32_t addr, uint8_t value);
   // Read a NUL-terminated string (bounded by `max_len`).
   Result<std::string> ReadCString(uint32_t addr, uint32_t max_len = 4096) const;
+  // The readable bytes at `addr`, up to `size` of them or the end of the
+  // page, whichever comes first; `*len` gets the count. Checks and faults
+  // like ReadBytes, with the same errors. The pointer is valid until the
+  // space's next map, unmap or fault, so callers scan or copy guest memory
+  // in place, one page span at a time.
+  Result<const uint8_t*> ReadSpan(uint32_t addr, uint32_t size, uint32_t* len) const;
 
   // Fetch for execution (checks kProtExec).
   Result<void> FetchBytes(uint32_t addr, void* out, uint32_t size) const;
@@ -201,6 +207,11 @@ class AddressSpace {
   const Region* FindRegion(uint32_t addr) const;
   Region* FindRegionMutable(uint32_t addr);
   Result<void> Access(uint32_t addr, void* buf, uint32_t size, bool write, bool exec) const;
+  // Checks one access of kind (`write`, `exec`) at `addr` and faults its page
+  // in as needed; returns the frame bytes at `addr` and sets `*chunk` to how
+  // many of the `size` bytes from `addr` lie in that page.
+  Result<uint8_t*> ResolveSpan(uint32_t addr, uint32_t size, bool write, bool exec,
+                               uint32_t* chunk) const;
   Result<void> CheckFree(uint32_t base, uint32_t size, std::string_view name) const;
   // Route a fault through the installed handler (kernel billing path) or
   // resolve it inline for bare spaces.

@@ -1,7 +1,10 @@
 // Unit tests for the mini-OS: SimFs, syscalls, cost accounting, stack/argv.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/os/kernel.h"
+#include "src/support/faultsim.h"
 #include "src/support/strings.h"
 #include "src/os/sim_fs.h"
 #include "tests/helpers.h"
@@ -26,6 +29,46 @@ TEST(SimFs, PathNormalization) {
   fs.WriteFile("//a///b/./c", "x");
   EXPECT_TRUE(fs.Exists("/a/b/c"));
   ASSERT_OK(fs.Lookup("/a/b/c/"));
+}
+
+// Reference: split on "/" and rejoin the non-empty, non-"." parts, with no
+// fast path.
+std::string SplitNormalize(std::string_view path) {
+  std::string out = "/";
+  for (const std::string& part : SplitString(path, '/')) {
+    if (part.empty() || part == ".") {
+      continue;
+    }
+    if (out.back() != '/') {
+      out.push_back('/');
+    }
+    out += part;
+  }
+  return out;
+}
+
+TEST(SimFs, NormalizeFastPathAgreesWithSplitPath) {
+  const std::pair<std::string_view, std::string_view> kTable[] = {
+      {"/", "/"},           {"", "/"},         {".", "/"},          {"/.", "/"},
+      {"..", "/.."},        {"/a/../b", "/a/../b"}, {"//a", "/a"},  {"/a//b", "/a/b"},
+      {"/a/./b", "/a/b"},   {"/a/b/", "/a/b"}, {"/a/.", "/a"},      {"a/b", "/a/b"},
+      {"/data", "/data"},   {"/.hidden", "/.hidden"}, {"/a./b", "/a./b"},
+  };
+  for (const auto& [in, want] : kTable) {
+    EXPECT_EQ(SimFs::Normalize(in), want) << "'" << in << "'";
+    EXPECT_EQ(SplitNormalize(in), want) << "'" << in << "'";
+  }
+  // Every string of up to 7 characters over {'/', '.', 'a'}.
+  std::vector<std::string> paths = {""};
+  for (size_t begin = 0; begin < paths.size(); ++begin) {
+    std::string path = paths[begin];
+    ASSERT_EQ(SimFs::Normalize(path), SplitNormalize(path)) << "'" << path << "'";
+    if (path.size() < 7) {
+      for (char c : {'/', '.', 'a'}) {
+        paths.push_back(path + c);
+      }
+    }
+  }
 }
 
 TEST(SimFs, ListDirSortedImmediateChildren) {
@@ -153,6 +196,189 @@ path: .asciiz "/dir"
 buf: .space 128
 )"));
   EXPECT_EQ(out.exit_code, 5);
+}
+
+// Opens `dir`, then reads it with getdents into a buffer of `records`
+// dirents at a time, and writes each batch to stdout as is.
+std::string DumpDirSource(std::string_view dir, uint32_t records) {
+  return StrCat(R"(
+.text
+.global _start
+_start:
+  lea r0, path
+  sys 3
+  mov r4, r0         ; fd
+again:
+  mov r0, r4
+  lea r1, buf
+  movi r2, )", records * kDirentSize, R"(
+  sys 6
+  movi r1, 0
+  beq r0, r1, done
+  mov r2, r0
+  movi r0, 1
+  lea r1, buf
+  sys 1
+  br again
+done:
+  movi r0, 0
+  sys 0
+.data
+path: .asciiz ")", dir, R"("
+.bss
+buf: .space 128
+)");
+}
+
+struct Dirent {
+  std::string name;
+  uint32_t inode, size, mode, mtime;
+};
+
+std::vector<Dirent> ParseDirents(const std::string& bytes) {
+  auto get32 = [&](size_t at) {
+    uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + at, 4);
+    return v;
+  };
+  std::vector<Dirent> out;
+  for (size_t at = 0; at + kDirentSize <= bytes.size(); at += kDirentSize) {
+    out.push_back(Dirent{std::string(bytes.c_str() + at + 16), get32(at), get32(at + 4),
+                         get32(at + 8), get32(at + 12)});
+  }
+  EXPECT_EQ(bytes.size() % kDirentSize, 0u);
+  return out;
+}
+
+// A directory with files, a subdirectory that has entries of its own, and a
+// sibling whose name sorts between the directory and its children.
+void WriteTree(SimFs& fs) {
+  fs.WriteFile("/dir/zeta", "zz");
+  fs.WriteFile("/dir/alpha", "a");
+  fs.WriteFile("/dir/sub/inner", "nested");
+  fs.WriteFile("/dir/sub/deeper/x", "x");
+  fs.WriteFile("/dir/mid-name", "12345");
+  fs.WriteFile("/dir.bak/other", "o");
+  fs.WriteFile("/dir-x", "sibling");
+}
+
+TEST(Syscalls, GetdentsReturnsListDirWithLookupMetadata) {
+  for (uint32_t records : {1u, 2u}) {
+    Kernel kernel;
+    WriteTree(kernel.fs());
+    ASSERT_OK_AND_ASSIGN(RunOutcome out,
+                         AssembleAndRun(kernel, DumpDirSource("/dir", records)));
+    ASSERT_EQ(out.exit_code, 0);
+    ASSERT_OK_AND_ASSIGN(std::vector<std::string> names, kernel.fs().ListDir("/dir"));
+    ASSERT_EQ(names, (std::vector<std::string>{"alpha", "mid-name", "sub", "zeta"}));
+    std::vector<Dirent> got = ParseDirents(out.output);
+    ASSERT_EQ(got.size(), names.size()) << "records per call " << records;
+    for (size_t i = 0; i < names.size(); ++i) {
+      ASSERT_OK_AND_ASSIGN(const SimFile* file, kernel.fs().Lookup("/dir/" + names[i]));
+      EXPECT_EQ(got[i].name, names[i]);
+      EXPECT_EQ(got[i].inode, file->inode) << names[i];
+      EXPECT_EQ(got[i].size, file->bytes.size()) << names[i];
+      EXPECT_EQ(got[i].mode, file->mode) << names[i];
+      EXPECT_EQ(got[i].mtime, file->mtime) << names[i];
+    }
+  }
+}
+
+TEST(Syscalls, GetdentsOfRootListsTopLevelOnly) {
+  Kernel kernel;
+  WriteTree(kernel.fs());
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, AssembleAndRun(kernel, DumpDirSource("/", 2)));
+  std::vector<std::string> names;
+  for (const Dirent& d : ParseDirents(out.output)) {
+    names.push_back(d.name);
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<std::string> want, kernel.fs().ListDir("/"));
+  EXPECT_EQ(names, want);
+  EXPECT_EQ(names, (std::vector<std::string>{"dir", "dir-x", "dir.bak"}));
+}
+
+// One fs.read trip per entry; a fault skips that entry and the walk goes on.
+// The open's own lookup is the first trip, so Nth(k + 1) hits entry k.
+TEST(Syscalls, GetdentsReadFaultSkipsExactlyThatEntry) {
+  const std::vector<std::string> all = {"alpha", "mid-name", "sub", "zeta"};
+  for (uint32_t records : {1u, 2u}) {
+    for (size_t k = 1; k <= all.size(); ++k) {
+      Kernel kernel;
+      WriteTree(kernel.fs());
+      RunOutcome out;
+      {
+        ScopedFaultPlan plan(FaultPlan().Arm("fs.read", FaultSpec::Nth(k + 1)));
+        ASSERT_OK_AND_ASSIGN(out, AssembleAndRun(kernel, DumpDirSource("/dir", records)));
+        EXPECT_EQ(FaultSim::Fires("fs.read"), 1u);
+        EXPECT_EQ(FaultSim::Hits("fs.read"), 1 + all.size());
+      }
+      std::vector<std::string> names;
+      for (const Dirent& d : ParseDirents(out.output)) {
+        names.push_back(d.name);
+      }
+      std::vector<std::string> want = all;
+      want.erase(want.begin() + static_cast<std::ptrdiff_t>(k - 1));
+      EXPECT_EQ(names, want) << "entry " << k << ", records per call " << records;
+    }
+  }
+}
+
+// A task with two writable pages at kScratch, for calling syscalls directly.
+constexpr uint32_t kScratch = 0x400000;
+
+Task& ScratchTask(Kernel& kernel) {
+  Task& task = kernel.CreateTask("scratch");
+  EXPECT_OK(kernel.MapDemandZero(task, kScratch, 2 * kPageSize, kProtRead | kProtWrite, "buf"));
+  return task;
+}
+
+TEST(Syscalls, WriteAcrossPageBoundaryIsByteIdentical) {
+  Kernel kernel;
+  Task& task = ScratchTask(kernel);
+  std::string msg;
+  for (int i = 0; i < 300; ++i) {
+    msg.push_back(static_cast<char>(i * 37 + 1));
+  }
+  uint32_t at = kScratch + kPageSize - 100;
+  ASSERT_OK(task.space().WriteBytes(at, msg.data(), static_cast<uint32_t>(msg.size())));
+  task.AppendOutput("before:");
+  task.set_reg(0, 1);
+  task.set_reg(1, at);
+  task.set_reg(2, static_cast<uint32_t>(msg.size()));
+  ASSERT_OK(kernel.Syscall(task, kSysWrite));
+  EXPECT_EQ(task.reg(0), msg.size());
+  EXPECT_EQ(task.output(), "before:" + msg);
+}
+
+TEST(Syscalls, WriteIntoUnmappedMemoryFaultsAndWritesNothing) {
+  Kernel kernel;
+  Task& task = ScratchTask(kernel);
+  task.AppendOutput("kept");
+  // Starts 10 bytes before the end of the mapping.
+  uint32_t at = kScratch + 2 * kPageSize - 10;
+  task.set_reg(0, 1);
+  task.set_reg(1, at);
+  task.set_reg(2, 20);
+  Result<void> write = kernel.Syscall(task, kSysWrite);
+  ASSERT_FALSE(write.ok());
+  EXPECT_EQ(write.error().code(), ErrorCode::kExecFault);
+  EXPECT_EQ(write.error().message(), StrCat("read fault at ", Hex32(kScratch + 2 * kPageSize)));
+  EXPECT_EQ(task.output(), "kept");
+}
+
+TEST(Syscalls, PathArgumentAcrossPageBoundary) {
+  Kernel kernel;
+  kernel.fs().WriteFile("/some/long/path/to/a/file", "contents");
+  Task& task = ScratchTask(kernel);
+  std::string path = "/some/long/path/to/a/file";
+  uint32_t at = kScratch + kPageSize - 7;
+  ASSERT_OK(task.space().WriteBytes(at, path.c_str(), static_cast<uint32_t>(path.size() + 1)));
+  task.set_reg(0, at);
+  task.set_reg(1, kScratch);
+  ASSERT_OK(kernel.Syscall(task, kSysStat));
+  EXPECT_EQ(task.reg(0), 0u);
+  ASSERT_OK_AND_ASSIGN(uint32_t size, task.space().Read32(kScratch));
+  EXPECT_EQ(size, 8u);
 }
 
 TEST(Syscalls, BrkGrowsHeap) {

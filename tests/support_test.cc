@@ -309,6 +309,49 @@ TEST(HashBytes, SensitiveToEveryByte) {
   EXPECT_NE(HashBytes(buf.data(), buf.size(), 1), base);
 }
 
+std::vector<uint8_t> PatternBytes(size_t size) {
+  std::vector<uint8_t> buf(size);
+  for (size_t i = 0; i < size; ++i) {
+    buf[i] = static_cast<uint8_t>(i * 131 + (i >> 8) * 7 + 5);
+  }
+  return buf;
+}
+
+// Every lane step and every fold is a bijection of the running state, so no
+// single-bit change can cancel out anywhere in a page.
+TEST(HashBytes, EveryBitFlipOfAPageChangesTheSum) {
+  std::vector<uint8_t> page = PatternBytes(4096);
+  const uint64_t base = HashBytes(page.data(), page.size(), 42);
+  for (size_t bit = 0; bit < page.size() * 8; ++bit) {
+    page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ASSERT_NE(HashBytes(page.data(), page.size(), 42), base) << "bit " << bit;
+    page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  }
+}
+
+// 1..40 bytes cross every stripe/word/tail boundary: below one stripe, exactly
+// one, one plus whole words, one plus a tail.
+TEST(HashBytes, EveryBitFlipOfShortBuffersChangesTheSum) {
+  for (size_t size = 1; size <= 40; ++size) {
+    std::vector<uint8_t> buf = PatternBytes(size);
+    const uint64_t base = HashBytes(buf.data(), buf.size(), 7);
+    for (size_t bit = 0; bit < size * 8; ++bit) {
+      buf[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ASSERT_NE(HashBytes(buf.data(), buf.size(), 7), base) << "size " << size << " bit " << bit;
+      buf[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+  }
+}
+
+// Pins the function: a change to it shows here rather than as a silent
+// change in which corruptions the cache can see.
+TEST(HashBytes, FixedSeedGivesFixedValue) {
+  std::vector<uint8_t> page = PatternBytes(4096);
+  EXPECT_EQ(HashBytes(page.data(), page.size(), 0x6b79616765ull), 0xD53C734E2D14B1D7ULL);
+  EXPECT_EQ(HashBytes(page.data(), 37, 1), 0xE73C6D3D3FF6CA42ULL);
+  EXPECT_EQ(HashBytes(nullptr, 0, 1), 0xE4D971771B652C20ULL);
+}
+
 // ---- Thread pool -----------------------------------------------------------------
 
 TEST(ThreadPool, SubmitRunsEverythingBeforeWaitIdle) {

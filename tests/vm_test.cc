@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/support/faultsim.h"
+#include "src/support/strings.h"
 #include "src/vm/address_space.h"
 #include "src/vm/phys_memory.h"
 #include "tests/helpers.h"
@@ -172,6 +173,42 @@ TEST_F(AddressSpaceTest, ReadCString) {
   ASSERT_OK(space.WriteBytes(0x1100, noz.data(), 16));
   auto bad = space.ReadCString(0x1100, 8);
   ASSERT_FALSE(bad.ok());
+}
+
+TEST_F(AddressSpaceTest, ReadCStringAcrossPagesAndItsErrors) {
+  AddressSpace space(phys_);
+  ASSERT_OK(space.MapZero(0x1000, kPageSize * 2, kProtRead | kProtWrite, "s"));
+  // Crosses the page boundary; the second page is still demand-zero until
+  // the write below faults it in.
+  std::string text = "a string that straddles two pages";
+  uint32_t at = 0x1000 + kPageSize - 5;
+  ASSERT_OK(space.WriteBytes(at, text.c_str(), static_cast<uint32_t>(text.size() + 1)));
+  ASSERT_OK_AND_ASSIGN(std::string back, space.ReadCString(at));
+  EXPECT_EQ(back, text);
+  // The terminator as the first byte of the next page.
+  ASSERT_OK(space.Write8(0x1000 + kPageSize, 0));
+  ASSERT_OK_AND_ASSIGN(std::string head, space.ReadCString(at));
+  EXPECT_EQ(head, text.substr(0, 5));
+  // Unterminated within max_len, across the boundary.
+  std::vector<uint8_t> run(64, 'x');
+  ASSERT_OK(space.WriteBytes(0x1000 + kPageSize - 32, run.data(), 64));
+  auto unterminated = space.ReadCString(0x1000 + kPageSize - 32, 64);
+  ASSERT_FALSE(unterminated.ok());
+  EXPECT_EQ(unterminated.error().code(), ErrorCode::kExecFault);
+  EXPECT_EQ(unterminated.error().message(),
+            StrCat("unterminated string at ", Hex32(0x1000 + kPageSize - 32)));
+  // Runs off the end of the mapping: the fault names the first unmapped byte.
+  std::vector<uint8_t> tail(16, 'y');
+  ASSERT_OK(space.WriteBytes(0x1000 + 2 * kPageSize - 16, tail.data(), 16));
+  auto off_end = space.ReadCString(0x1000 + 2 * kPageSize - 16);
+  ASSERT_FALSE(off_end.ok());
+  EXPECT_EQ(off_end.error().code(), ErrorCode::kExecFault);
+  EXPECT_EQ(off_end.error().message(), StrCat("read fault at ", Hex32(0x1000 + 2 * kPageSize)));
+  // An unmapped pointer.
+  auto unmapped = space.ReadCString(0xDEAD0000);
+  ASSERT_FALSE(unmapped.ok());
+  EXPECT_EQ(unmapped.error().code(), ErrorCode::kExecFault);
+  EXPECT_EQ(unmapped.error().message(), "read fault at 0xdead0000");
 }
 
 TEST_F(AddressSpaceTest, UnmapReleasesFramesAndAllowsRemap) {
