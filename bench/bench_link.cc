@@ -9,6 +9,9 @@
 
 #include "bench/bench_common.h"
 #include "src/baseline/static_linker.h"
+#include "src/core/server.h"
+#include "src/support/strings.h"
+#include "src/vasm/assembler.h"
 
 namespace omos {
 namespace {
@@ -143,6 +146,45 @@ void BM_StaticLinkCodegen(benchmark::State& state) {
   state.counters["sim_link_cycles"] = static_cast<double>(sim_cost);
 }
 BENCHMARK(BM_StaticLinkCodegen)->Unit(benchmark::kMillisecond);
+
+// A library fix reaching its client (§2.1, e2ebench's lib_update in
+// miniature): each iteration redefines a fixed-base library over an N-member
+// archive, alternating two bases, then instantiates the one client that
+// links against it. The archive is unchanged, so its evaluation is a memo
+// hit; what scales with N is only the work the rebuild cannot share: the
+// library's link. Members call their successor, so every library reference
+// binds inside the library.
+void BM_RebuildAfterRedefine(benchmark::State& state) {
+  int64_t n = state.range(0);
+  Kernel kernel;
+  OmosServer server(kernel);
+  Archive archive("libn");
+  for (int64_t i = 0; i < n; ++i) {
+    archive.Add(BENCH_UNWRAP(Assemble(StrCat(".text\n.global fn_", i, "\nfn_", i,
+                                             ":\n  call fn_", (i + 1) % n, "\n  ret\n"),
+                                      StrCat("m", i, ".o"))));
+  }
+  BENCH_CHECK(server.AddArchive("/libn", archive));
+  BENCH_CHECK(server.AddFragment("/lib/crt0.o", FullWorkloads().crt0));
+  BENCH_CHECK(server.AddFragment(
+      "/obj/main.o", BENCH_UNWRAP(Assemble(".text\n.global main\nmain:\n  call fn_0\n  ret\n",
+                                           "main.o"))));
+  BENCH_CHECK(server.DefineMeta("/bin/client", "(merge /lib/crt0.o /obj/main.o /lib/n)"));
+  const char* kBases[2] = {"0x2000000", "0x2100000"};
+  uint64_t version = 0;
+  for (auto _ : state) {
+    BENCH_CHECK(server.DefineLibrary(
+        "/lib/n", StrCat("(constraint-list \"T\" ", kBases[++version & 1], ")\n(merge /libn)")));
+    benchmark::DoNotOptimize(BENCH_UNWRAP(server.Instantiate("/bin/client", {}, nullptr)));
+  }
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_RebuildAfterRedefine)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Complexity()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace omos

@@ -47,6 +47,8 @@
 
 namespace omos {
 
+class ReadSet;
+
 // Cache keys are "<normalized path><kCacheKeySep><spec string>". The
 // separator is U+00A7 SECTION SIGN, two bytes in UTF-8, chosen because it
 // cannot appear in either half.
@@ -87,9 +89,10 @@ struct CachedImage {
   // image has no initialized data.
   std::optional<SegmentImage> data_seg;
   std::vector<LibDep> deps;
-  // Sorted namespace paths the build read. The image is stale exactly when
-  // one of these is redefined or one of `deps` is evicted.
-  std::vector<std::string> inputs;
+  // The namespace reads of the build (src/core/namespace.h), shared with the
+  // memos it hit. The image is stale exactly when one of these paths is
+  // redefined or one of `deps` is evicted.
+  std::shared_ptr<const ReadSet> inputs;
   std::vector<StubSlot> stub_slots;
   uint64_t build_cost = 0;  // simulated cycles spent constructing this image
   // Layout generation the image's placement was assigned at (the prelink

@@ -123,25 +123,52 @@ Result<std::shared_ptr<const NamespaceEntry>> OmosNamespace::Lookup(std::string_
   return it->second;
 }
 
-bool OmosNamespace::AllCurrent(std::span<const Read> reads) const {
-  return std::all_of(reads.begin(), reads.end(), [](const Read& read) {
+bool OmosNamespace::AllCurrent(const ReadSet& reads) const {
+  return reads.AllOf([](const Read& read) {
     return read.second != nullptr &&
            !static_cast<const PublishedEntry&>(*read.second).superseded.load();
   });
 }
 
-void OmosNamespace::DedupReads(std::vector<Read>& reads) {
-  auto before = [](const Read& a, const Read& b) {
-    if (a.second != b.second) {
-      return std::less<const NamespaceEntry*>()(a.second.get(), b.second.get());
+ReadSet::ReadSet(std::vector<NamespaceRead> own,
+                 std::span<const std::shared_ptr<const ReadSet>> nested)
+    : own_(std::move(own)) {
+  auto before = [](const NamespaceRead& a, const NamespaceRead& b) {
+    if (a.first != b.first) {
+      return a.first < b.first;
     }
-    return a.second == nullptr && a.first < b.first;
+    return std::less<const NamespaceEntry*>()(a.second.get(), b.second.get());
   };
-  auto same = [](const Read& a, const Read& b) {
-    return a.second == b.second && (a.second != nullptr || a.first == b.first);
+  std::sort(own_.begin(), own_.end(), before);
+  own_.erase(std::unique(own_.begin(), own_.end()), own_.end());
+  for (const std::shared_ptr<const ReadSet>& set : nested) {
+    nested_.push_back(set);
+    nested_.insert(nested_.end(), set->nested_.begin(), set->nested_.end());
+  }
+  std::sort(nested_.begin(), nested_.end());
+  nested_.erase(std::unique(nested_.begin(), nested_.end()), nested_.end());
+}
+
+bool ReadSet::Reads(std::string_view path) const {
+  auto reads = [path](const ReadSet& set) {
+    auto it = std::lower_bound(
+        set.own_.begin(), set.own_.end(), path,
+        [](const NamespaceRead& read, std::string_view want) { return read.first < want; });
+    return it != set.own_.end() && it->first == path;
   };
-  std::sort(reads.begin(), reads.end(), before);
-  reads.erase(std::unique(reads.begin(), reads.end(), same), reads.end());
+  return reads(*this) || std::any_of(nested_.begin(), nested_.end(),
+                                     [&](const auto& set) { return reads(*set); });
+}
+
+std::vector<std::string> ReadSet::Paths() const {
+  std::vector<std::string> paths;
+  AllOf([&paths](const NamespaceRead& read) {
+    paths.push_back(read.first);
+    return true;
+  });
+  std::sort(paths.begin(), paths.end());
+  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+  return paths;
 }
 
 bool OmosNamespace::Exists(std::string_view path) const {

@@ -40,6 +40,57 @@ struct NamespaceEntry {
   FragmentPtr fragment;
 };
 
+// One recorded lookup: a normalized path and the entry it resolved to (null
+// when the lookup failed).
+using NamespaceRead = std::pair<std::string, std::shared_ptr<const NamespaceEntry>>;
+
+// An immutable set of namespace reads, shared by pointer. `own()` holds the
+// reads made directly, sorted by path, each (path, entry) once; an entry is
+// published at one path and never changes, so a path read before and after
+// its redefinition keeps both reads. The nested sets are those of the memo
+// evaluations the reads went through and, transitively, every set nested
+// in those, each distinct set once: a walk visits own() and each nested
+// set's own() and never recurses. A build that hits a memo shares the memo's
+// set instead of copying, sorting or deduplicating its reads.
+class ReadSet {
+ public:
+  explicit ReadSet(std::vector<NamespaceRead> own,
+                   std::span<const std::shared_ptr<const ReadSet>> nested = {});
+
+  const std::vector<NamespaceRead>& own() const { return own_; }
+
+  // Whether any read, own or nested, is of the normalized `path`.
+  bool Reads(std::string_view path) const;
+  // Every path read, own or nested: sorted, each once.
+  std::vector<std::string> Paths() const;
+  // Whether `pred` holds for every read, own and nested (stops at the first
+  // that fails).
+  template <typename Pred>
+  bool AllOf(Pred&& pred) const {
+    auto holds = [&pred](const ReadSet& set) {
+      for (const NamespaceRead& read : set.own_) {
+        if (!pred(read)) {
+          return false;
+        }
+      }
+      return true;
+    };
+    if (!holds(*this)) {
+      return false;
+    }
+    for (const std::shared_ptr<const ReadSet>& set : nested_) {
+      if (!holds(*set)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::vector<NamespaceRead> own_;
+  std::vector<std::shared_ptr<const ReadSet>> nested_;
+};
+
 class OmosNamespace {
  public:
   // Define a meta-object at `path`. The blueprint may contain, before the
@@ -56,18 +107,13 @@ class OmosNamespace {
   Result<std::shared_ptr<const NamespaceEntry>> Lookup(std::string_view path) const;
   bool Exists(std::string_view path) const;
 
-  // One recorded lookup: a normalized path and the entry it resolved to.
-  using Read = std::pair<std::string, std::shared_ptr<const NamespaceEntry>>;
-  // Whether every read still resolves to the entry it saw (pointer
-  // identity: entries are immutable, a redefinition publishes a new one).
-  // Publish marks the entry it replaces, so this takes no lock and does no
-  // lookup: one flag load per read.
-  bool AllCurrent(std::span<const Read> reads) const;
-  // Drops repeated reads in place, comparing identities rather than paths:
-  // an entry is published at one path and never changes, so its pointer
-  // identifies the read; a failed lookup (null entry) is identified by its
-  // path. The order of the reads left is unspecified.
-  static void DedupReads(std::vector<Read>& reads);
+  using Read = NamespaceRead;
+  // Whether every read, own and nested, still resolves to the entry it saw
+  // (pointer identity: entries are immutable, a redefinition publishes a
+  // new one). Publish marks the entry it replaces, so this takes no lock
+  // and does no lookup: one flag load per read. A failed lookup is never
+  // current.
+  bool AllCurrent(const ReadSet& reads) const;
 
   // Immediate children of `path` (directory listing of the exported
   // namespace — what /bin backed by OMOS would enumerate, §5).

@@ -1,7 +1,6 @@
 #include "src/core/server.h"
 
 #include <algorithm>
-#include <cassert>
 #include <charconv>
 #include <sstream>
 
@@ -97,18 +96,9 @@ Result<const CachedImage*> BuildCurrent(Tracker& tracker, Build&& build) {
       return built;
     }
     tracker.reads.clear();
+    tracker.nested.clear();
     tracker.max_depth = 0;
     tracker.superseded = false;
-  }
-}
-
-// Binds every name the published image `lib` exports, at its address, into
-// `externals`, straight from the image's id-keyed index. A name an earlier
-// library already bound keeps that binding: the first-listed library wins.
-void AddExternals(const LinkedImage& lib, FlatMap<SymId, uint32_t>& externals) {
-  assert(lib.symbol_index_current());  // Put indexes every published image
-  for (const auto& [id, slot] : lib.symbol_index) {
-    externals.try_emplace(id, lib.symbols[slot].addr);
   }
 }
 
@@ -180,7 +170,7 @@ std::set<std::string> OmosServer::CachedDependents(std::set<std::string> roots,
   auto depends = [&roots](const CachedImage& image) {
     return std::any_of(roots.begin(), roots.end(),
                        [&](const std::string& root) {
-                         return std::binary_search(image.inputs.begin(), image.inputs.end(), root);
+                         return image.inputs != nullptr && image.inputs->Reads(root);
                        }) ||
            std::any_of(image.deps.begin(), image.deps.end(),
                        [&](const LibDep& dep) { return roots.count(dep.cache_key) != 0; });
@@ -327,7 +317,7 @@ Result<std::shared_ptr<const NamespaceEntry>> OmosServer::ReadInput(std::string_
 }
 
 bool OmosServer::MemoCurrent(const EvalMemo& memo, const NamespaceEntry* entry) const {
-  return memo.entry.get() == entry && namespace_.AllCurrent(memo.reads);
+  return memo.entry.get() == entry && namespace_.AllCurrent(*memo.reads);
 }
 
 void OmosServer::DropStaleMemos() {
@@ -361,7 +351,7 @@ Result<OmosServer::EvalValue> OmosServer::EvalConstruction(
       depth + memo->height <= kMaxEvalDepth) {
     hits->Add();
     tracker.work += memo->work;
-    tracker.reads.insert(tracker.reads.end(), memo->reads.begin(), memo->reads.end());
+    tracker.nested.push_back(memo->reads);
     tracker.max_depth = std::max(tracker.max_depth, depth + memo->height);
     return memo->value;
   }
@@ -372,7 +362,9 @@ Result<OmosServer::EvalValue> OmosServer::EvalConstruction(
   // Cold work and reads are billed and recorded whether or not it succeeded.
   tracker.work += sub.work;
   tracker.max_depth = std::max(tracker.max_depth, sub.max_depth);
-  tracker.reads.insert(tracker.reads.end(), sub.reads.begin(), sub.reads.end());
+  sub.reads.emplace_back(norm, entry);
+  std::shared_ptr<const ReadSet> reads = sub.TakeReads();
+  tracker.nested.push_back(reads);
   if (!value.ok()) {
     return value;
   }
@@ -385,12 +377,10 @@ Result<OmosServer::EvalValue> OmosServer::EvalConstruction(
   fresh->value = *value;
   fresh->work = sub.work;
   fresh->height = sub.max_depth - depth;
-  fresh->reads = std::move(sub.reads);
-  fresh->reads.emplace_back(norm, entry);
-  OmosNamespace::DedupReads(fresh->reads);
+  fresh->reads = std::move(reads);
   std::shared_ptr<const EvalMemo> replaced;  // freed after the locks drop
   std::shared_lock<std::shared_mutex> publishing(publish_mu_);
-  if (namespace_.AllCurrent(fresh->reads)) {  // else superseded mid-evaluation
+  if (namespace_.AllCurrent(*fresh->reads)) {  // else superseded mid-evaluation
     std::lock_guard<std::mutex> lock(memo_mu_);
     replaced = std::exchange(eval_memo_[norm], std::move(fresh));
   }
@@ -925,8 +915,10 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
   }
   Module client = std::move(*value.module);
 
-  // Resolve library dependencies.
-  FlatMap<SymId, uint32_t> externals;
+  // Resolve library dependencies. The lease keeps the library images alive
+  // until the link below has resolved against them.
+  ImageCache::ReadLease lease(cache_);
+  std::vector<const LinkedImage*> libraries;
   std::vector<LibDep> deps;
   std::vector<StubSlot> slots;
   std::set<std::string> seen_libs;
@@ -964,7 +956,7 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
       deps.push_back(LibDep{impl_key, use.path});  // lazy: not mapped at exec
     } else {
       OMOS_TRY(const CachedImage* lib, Instantiate(use.path, lib_spec, &tracker.work));
-      AddExternals(lib->image, externals);
+      libraries.push_back(&lib->image);
       deps.push_back(LibDep{lib->key, use.path});
     }
   }
@@ -975,12 +967,12 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
   CachedImage cached;
   cached.deps = std::move(deps);
   cached.stub_slots = std::move(slots);
-  return LinkAndPublish(key, client, hints, std::move(externals), std::move(cached), tracker);
+  return LinkAndPublish(key, client, hints, std::move(libraries), std::move(cached), tracker);
 }
 
 Result<const CachedImage*> OmosServer::LinkAndPublish(const std::string& key, const Module& client,
                                                       const PlacementHints& hints,
-                                                      FlatMap<SymId, uint32_t> externals,
+                                                      std::vector<const LinkedImage*> libraries,
                                                       CachedImage cached, BuildTracker& tracker) {
   // Size estimate for placement (must match LinkImage's layout pass).
   uint32_t text_size = 0;
@@ -1008,7 +1000,7 @@ Result<const CachedImage*> OmosServer::LinkAndPublish(const std::string& key, co
   LayoutSpec layout;
   layout.text_base = placement.text_base;
   layout.data_base = placement.data_base;
-  layout.externals = std::move(externals);
+  layout.libraries = std::move(libraries);
   OMOS_TRY(bool has_start, client.HasExport("_start"));
   layout.entry_symbol = has_start ? "_start" : "";
   OMOS_TRY(LinkedImage image, LinkImage(client, layout, key));
@@ -1021,20 +1013,13 @@ Result<const CachedImage*> OmosServer::LinkAndPublish(const std::string& key, co
 
   cached.image = std::move(image);
   OMOS_TRY_VOID(MaterializeSegments(cached));
-  // Sorted unique paths (CachedDependents binary-searches them): views are
-  // sorted, and only the paths that survive are copied.
-  std::vector<std::string_view> paths;
-  paths.reserve(tracker.reads.size());
-  for (const OmosNamespace::Read& read : tracker.reads) {
-    paths.push_back(read.first);
-  }
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  cached.inputs.assign(paths.begin(), paths.end());
+  // The build's own reads are the few it made outside any memo evaluation;
+  // the memos' sets are shared by pointer, never merged.
+  cached.inputs = tracker.TakeReads();
   cached.build_cost = tracker.work;
   cached.layout_generation = placement.generation;
   std::shared_lock<std::shared_mutex> publishing(publish_mu_);
-  if (!namespace_.AllCurrent(tracker.reads)) {
+  if (!namespace_.AllCurrent(*cached.inputs)) {
     // A redefinition of a read finished mid-build; its invalidation could
     // not see this image. Publish nothing and free the placement so the
     // redone build places afresh (under the new definitions' hints).
@@ -1111,7 +1096,7 @@ void CollectMentionedPaths(const Sexpr& expr, std::vector<std::string>& out) {
 
 Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
                                               const Specialization& spec,
-                                              std::vector<std::string>* inputs) const {
+                                              std::vector<NamespaceRead>* inputs) const {
   FingerprintStream fp;
   fp.Str("omos-store-v2");
   fp.Str(norm);
@@ -1135,6 +1120,9 @@ Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
       continue;
     }
     auto entry_or = namespace_.Lookup(path);
+    if (inputs != nullptr) {
+      inputs->emplace_back(path, entry_or.ok() ? *entry_or : nullptr);
+    }
     if (!entry_or.ok()) {
       continue;  // absent names contribute nothing (and change the hash when defined later)
     }
@@ -1150,9 +1138,6 @@ Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
       CollectMentionedPaths(entry->construction, work);
     }
   }
-  if (inputs != nullptr) {
-    inputs->assign(seen.begin(), seen.end());
-  }
   return fp.h;
 }
 
@@ -1160,7 +1145,7 @@ const CachedImage* OmosServer::TryAdoptFromStore(const std::string& norm,
                                                  const Specialization& spec,
                                                  const std::string& key,
                                                  BuildTracker& tracker) {
-  std::vector<std::string> inputs;
+  std::vector<NamespaceRead> inputs;
   auto fingerprint = StoreFingerprint(norm, spec, &inputs);
   if (!fingerprint.ok()) {
     return nullptr;
@@ -1215,7 +1200,7 @@ const CachedImage* OmosServer::TryAdoptFromStore(const std::string& norm,
   for (const StoredStubSlot& slot : record.stub_slots) {
     cached.stub_slots.push_back(StubSlot{slot.index, slot.slot_symbol, slot.lib_path, slot.symbol});
   }
-  cached.inputs = std::move(inputs);
+  cached.inputs = std::make_shared<const ReadSet>(std::move(inputs));
   cached.build_cost = record.build_cost;
   cached.layout_generation = placement_generation;
   if (!MaterializeSegments(cached).ok()) {
@@ -2298,17 +2283,18 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     }
     OMOS_TRY(Module module, RequireModule(std::move(value), "dynamic-load"));
     // The loaded class may refer to procedures and data within the client
-    // (§5): the running program's exported symbols become externals, and
-    // the program becomes a dep, so evicting it evicts the class too.
-    FlatMap<SymId, uint32_t> externals;
+    // (§5): its unbound references resolve against the running program's
+    // image, and the program becomes a dep, so evicting it evicts the
+    // class too.
+    std::vector<const LinkedImage*> libraries;
     CachedImage loaded;
     if (const CachedImage* program = program_key.empty() ? nullptr : cache_.Get(program_key)) {
-      AddExternals(program->image, externals);
+      libraries.push_back(&program->image);
       std::string_view program_path = program_key;
       SplitCacheKey(program_key, &program_path, nullptr);
       loaded.deps.push_back(LibDep{program_key, std::string(program_path)});
     }
-    return LinkAndPublish(key, module, {}, std::move(externals), std::move(loaded), tracker);
+    return LinkAndPublish(key, module, {}, std::move(libraries), std::move(loaded), tracker);
   };
   const CachedImage* cached = cache_.Get(key);
   if (cached == nullptr) {

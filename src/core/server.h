@@ -353,13 +353,24 @@ class OmosServer {
   };
   struct BuildTracker {
     uint64_t work = 0;
-    // Every namespace read so far: normalized path and the entry it
-    // resolved to (null when the lookup failed).
-    std::vector<OmosNamespace::Read> reads;
+    // The namespace reads made directly so far, in order (normalized path,
+    // entry or null when the lookup failed), and the read sets of the memo
+    // evaluations gone through, by pointer.
+    std::vector<NamespaceRead> reads;
+    std::vector<std::shared_ptr<const ReadSet>> nested;
     int max_depth = 0;  // deepest Eval depth reached
     // Set by LinkAndPublish when a read was redefined before the image
     // could publish; the build is then redone (BuildCurrent).
     bool superseded = false;
+
+    // Moves every read so far into one immutable set; the tracker is left
+    // with none.
+    std::shared_ptr<const ReadSet> TakeReads() {
+      auto set = std::make_shared<const ReadSet>(std::move(reads), nested);
+      reads.clear();
+      nested.clear();
+      return set;
+    }
   };
   // A memoized evaluation of one namespace entry's construction. Entries
   // are immutable and a redefinition publishes a new one, so the memo is
@@ -370,8 +381,9 @@ class OmosServer {
     EvalValue value;                              // module space materialized
     uint64_t work = 0;                            // billed work of the evaluation
     int height = 0;                               // Eval depth reached below it
-    // Every read, the entry's own included, without duplicates.
-    std::vector<OmosNamespace::Read> reads;
+    // Every read, the entry's own included; shared with the builds that
+    // hit the memo and the memos that nest it.
+    std::shared_ptr<const ReadSet> reads;
   };
   struct TaskRuntime {
     struct Slot {
@@ -403,8 +415,9 @@ class OmosServer {
   // Evaluate the construction of `entry`, just read at normalized path
   // `norm`, at `depth`. Every by-name evaluation of a meta or library
   // construction goes through here: a still-valid memo is replayed (its
-  // value, its reads into tracker.reads, its work into tracker.work), so
-  // the build is billed and invalidated exactly as a cold evaluation.
+  // value, its read set into tracker.nested by pointer, its work into
+  // tracker.work), so the build is billed and invalidated exactly as a cold
+  // evaluation. A miss nests the read set it stores in the memo.
   Result<EvalValue> EvalConstruction(const std::string& norm,
                                      const std::shared_ptr<const NamespaceEntry>& entry,
                                      BuildTracker& tracker, int depth);
@@ -425,14 +438,16 @@ class OmosServer {
   Result<const CachedImage*> BuildImage(const std::string& path, const Specialization& spec,
                                         const std::string& key, BuildTracker& tracker);
 
-  // The tail of every build: place `client`, link it against `externals`,
-  // bill the link work, materialize segments, and Put it under `key` with
-  // the tracker's inputs. `cached` carries the deps and stub slots. If a
-  // read was redefined meanwhile, nothing is published: the placement is
-  // released and tracker.superseded set, for BuildCurrent to redo the build.
+  // The tail of every build: place `client`, link it against the
+  // `libraries` (LayoutSpec::libraries; the caller keeps them alive), bill
+  // the link work, materialize segments, and Put it under `key` with the
+  // tracker's reads as its inputs. `cached` carries the deps and stub
+  // slots. If a read was redefined meanwhile, nothing is published: the
+  // placement is released and tracker.superseded set, for BuildCurrent to
+  // redo the build.
   Result<const CachedImage*> LinkAndPublish(const std::string& key, const Module& client,
                                             const PlacementHints& hints,
-                                            FlatMap<SymId, uint32_t> externals,
+                                            std::vector<const LinkedImage*> libraries,
                                             CachedImage cached, BuildTracker& tracker);
 
   // Frame-backed master segments (shared text + CoW data) for a freshly
@@ -449,9 +464,10 @@ class OmosServer {
   // the spec string, and the transitive closure of blueprint texts and
   // object-file bytes reachable from the construction expression. Matching
   // fingerprints ⇒ a stored image was linked from identical inputs. The
-  // paths visited land in `*inputs` when non-null.
+  // paths visited and the entries they resolved to land in `*inputs` when
+  // non-null.
   Result<uint64_t> StoreFingerprint(const std::string& norm, const Specialization& spec,
-                                    std::vector<std::string>* inputs = nullptr) const;
+                                    std::vector<NamespaceRead>* inputs = nullptr) const;
   // Probe the store on a cache miss; on a hit, verify dependency placements,
   // re-reserve the stored bases, materialize segments and insert into the
   // cache. nullptr on miss or any verification failure (caller cold-builds).

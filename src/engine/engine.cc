@@ -312,19 +312,22 @@ Result<const ExecEngine::Block*> ExecEngine::FillL1(Task& task, TaskCache& st, u
     ++st.block_hits;
   } else {
     TraceSpan span("engine.decode");
-    auto built = std::make_shared<Block>();
+    // Decoded into a page-sized scratch run first, so the block's vector is
+    // allocated once, at its final size.
+    DecodedInsn run[kPageSize / kInsnSize];
+    size_t count = 0;
     const uint8_t* page_data = pl.data;
     for (uint32_t off = offset; off + kInsnSize <= kPageSize; off += kInsnSize) {
       Result<Instruction> insn = DecodeInsn(page_data + off);
       if (!insn.ok()) {
-        if (built->insns.empty()) {
+        if (count == 0) {
           // The faulting instruction is the block head: surface DecodeInsn's
           // error exactly as CpuStep would.
           return insn.error();
         }
         break;  // end the block before the undecodable instruction
       }
-      built->insns.push_back(DecodedInsn{insn->op, insn->r1, insn->r2, insn->r3, insn->imm});
+      run[count++] = DecodedInsn{insn->op, insn->r1, insn->r2, insn->r3, insn->imm};
       switch (insn->op) {
         case Opcode::kBeq:
         case Opcode::kBne:
@@ -347,8 +350,10 @@ Result<const ExecEngine::Block*> ExecEngine::FillL1(Task& task, TaskCache& st, u
           break;
       }
     }
+    auto built = std::make_shared<Block>();
+    built->insns.assign(run, run + count);
     if (span.armed()) {
-      span.SetDetail(StrCat(Hex32(pc), " ", built->insns.size(), " insns"));
+      span.SetDetail(StrCat(Hex32(pc), " ", count, " insns"));
     }
     GetEngineMetrics().blocks_decoded->Add(1);
     block = std::move(built);

@@ -1,6 +1,7 @@
 #include "src/linker/link.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/support/strings.h"
 #include "src/support/trace.h"
@@ -123,11 +124,13 @@ Result<LinkedImage> LinkImage(const Module& module, const LayoutSpec& layout, st
           }
           if (!resolved) {
             SymId want = ref != nullptr ? ref->ext_name : reloc.sid();
-            auto ext = layout.externals.find(want);
-            if (ext != layout.externals.end()) {
-              target = ext->second;
-              resolved = true;
-              ++image.stats.refs_bound;
+            for (const LinkedImage* lib : layout.libraries) {
+              if (const ImageSymbol* def = lib->FindSymbol(want)) {
+                target = def->addr;
+                resolved = true;
+                ++image.stats.refs_bound;
+                break;
+              }
             }
             if (!resolved) {
               std::string_view want_name = SymbolInterner::Global().Name(want);
@@ -165,30 +168,22 @@ Result<LinkedImage> LinkImage(const Module& module, const LayoutSpec& layout, st
 
   // Emit phase: exported symbols at their final addresses, in name order
   // (the flat table has no intrinsic order; emission must stay
-  // byte-identical to the ordered-map output). The lookup index is built
-  // from the export ids in the same pass, so no name is interned again; it
-  // is final before the image is published (FindSymbol on an indexed image
-  // is read-only and so safe to call from many threads at once).
+  // byte-identical to the ordered-map output). The space sorts its export
+  // ids once and keeps the order, so relinking a shared space (a memoized
+  // library's) sorts nothing. The lookup index is built from the ids in the
+  // same pass, so no name is interned again; it is final before the image
+  // is published (FindSymbol on an indexed image is read-only and so safe
+  // to call from many threads at once).
   TraceSpan emit("link.emit");
-  struct SortedExport {
-    std::string_view name;
-    SymId id;
-    const Export* exp;
-  };
-  std::vector<SortedExport> sorted_exports;
-  sorted_exports.reserve(space->exports.size());
-  for (const auto& [export_id, exp] : space->exports) {
-    sorted_exports.push_back({SymbolInterner::Global().Name(export_id), export_id, &exp});
-  }
-  std::sort(sorted_exports.begin(), sorted_exports.end(),
-            [](const SortedExport& a, const SortedExport& b) { return a.name < b.name; });
-  image.symbols.reserve(sorted_exports.size());
-  image.symbol_index.reserve(sorted_exports.size());
-  for (const SortedExport& out : sorted_exports) {
-    const Symbol& sym = fragments[out.exp->def.fragment]->symbols()[out.exp->def.symbol];
-    image.symbol_index.try_emplace(out.id, static_cast<uint32_t>(image.symbols.size()));
-    image.symbols.push_back(ImageSymbol{std::string(out.name),
-                                        address_of(out.exp->def.fragment, sym.section, sym.value),
+  std::span<const SymId> order = space->ExportOrder();
+  image.symbols.reserve(order.size());
+  image.symbol_index.reserve(order.size());
+  for (SymId id : order) {
+    const DefId& def = space->exports.at(id).def;
+    const Symbol& sym = fragments[def.fragment]->symbols()[def.symbol];
+    image.symbol_index.try_emplace(id, static_cast<uint32_t>(image.symbols.size()));
+    image.symbols.push_back(ImageSymbol{std::string(SymbolInterner::Global().Name(id)),
+                                        address_of(def.fragment, sym.section, sym.value),
                                         sym.size, sym.section});
   }
   image.indexed_count = image.symbols.size();

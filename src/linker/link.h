@@ -4,10 +4,10 @@
 #define OMOS_SRC_LINKER_LINK_H_
 
 #include <string>
+#include <vector>
 
 #include "src/linker/image.h"
 #include "src/linker/module.h"
-#include "src/support/flat_map.h"
 #include "src/support/interner.h"
 #include "src/support/result.h"
 
@@ -24,12 +24,13 @@ struct LayoutSpec {
   bool allow_unresolved = false;
   // Record every applied relocation in image.reloc_log (baseline rtld).
   bool record_relocs = false;
-  // Pre-bound external addresses: how a client links against a library that
-  // is a *separate* cached image (the self-contained scheme, §4.1). A
-  // reference unbound within the module resolves here before being declared
-  // unresolved. Keyed by interned name (a library image's symbol_index
-  // already holds the ids, so filling this allocates no strings).
-  FlatMap<SymId, uint32_t> externals;
+  // Library images a reference unbound within the module resolves against
+  // before it is declared unresolved: how a client links against a library
+  // that is a *separate* cached image (the self-contained scheme, §4.1).
+  // Searched in order through each image's own symbol_index, so the
+  // first-listed library exporting a name wins. The images must stay alive
+  // and unchanged for the duration of the link.
+  std::vector<const LinkedImage*> libraries;
 };
 
 // Produce a LinkedImage from `module`. A final bind pass resolves any

@@ -266,6 +266,22 @@ void Module::BindSpace(SymbolSpace& space) {
   }
 }
 
+std::span<const SymId> SymbolSpace::ExportOrder() const {
+  std::call_once(order_.once, [this] {
+    std::vector<std::pair<std::string_view, SymId>> named;
+    named.reserve(exports.size());
+    for (const auto& [id, exp] : exports) {
+      named.emplace_back(SymbolInterner::Global().Name(id), id);
+    }
+    std::sort(named.begin(), named.end());
+    order_.ids.reserve(named.size());
+    for (const auto& [name, id] : named) {
+      order_.ids.push_back(id);
+    }
+  });
+  return order_.ids;
+}
+
 Result<const SymbolSpace*> Module::Space() const {
   if (cache_ != nullptr) {
     return cache_.get();

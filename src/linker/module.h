@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -101,6 +102,25 @@ struct SymbolSpace {
     SymId id = SymbolInterner::Global().Find(name);
     return id == kNoSymId ? nullptr : FindRef(fragment, id);
   }
+
+  // The export ids sorted by name: the order a link emits its symbol table
+  // in. Computed on the first call and kept, so a space shared by many
+  // links (a memoized library's) is sorted once; safe to call from many
+  // threads at once. Call it only on a final space: a copy starts without
+  // an order, but changing `exports` in place afterwards would leave a
+  // stale one.
+  std::span<const SymId> ExportOrder() const;
+
+ private:
+  // Copies and moves start empty: the order belongs to one exports table.
+  struct OrderCache {
+    OrderCache() = default;
+    OrderCache(const OrderCache&) {}
+    OrderCache& operator=(const OrderCache&) = delete;
+    std::once_flag once;
+    std::vector<SymId> ids;
+  };
+  mutable OrderCache order_;
 };
 
 enum class RenameWhich : uint8_t { kDefs, kRefs, kBoth };

@@ -1,6 +1,7 @@
 #include "src/os/sim_fs.h"
 
 #include "src/support/faultsim.h"
+#include "src/support/log.h"
 #include "src/support/strings.h"
 
 namespace omos {
@@ -68,14 +69,19 @@ void SimFs::Mkdir(std::string_view path) {
   }
 }
 
-void SimFs::PutBytes(std::string_view norm_path, std::vector<uint8_t> bytes, uint32_t perm,
-                     bool durable) {
+Result<void> SimFs::PutBytes(std::string_view norm_path, std::vector<uint8_t> bytes,
+                             uint32_t perm, bool durable) {
   std::string norm(norm_path);
+  auto it = files_.find(norm);
+  if (it != files_.end() && (it->second.mode & kModeDir) != 0) {
+    // A regular file cannot replace a directory: its children would stay
+    // reachable by path but could no longer be listed.
+    return Err(ErrorCode::kInvalidArgument, StrCat("write: is a directory: ", norm_path));
+  }
   size_t slash = norm.rfind('/');
   if (slash > 0) {
     Mkdir(std::string_view(norm).substr(0, slash));
   }
-  auto it = files_.find(norm);
   if (it != files_.end()) {
     SimFile& file = it->second;
     if (durable) {
@@ -94,7 +100,7 @@ void SimFs::PutBytes(std::string_view norm_path, std::vector<uint8_t> bytes, uin
       file.dirty = true;
     }
     file.mode = kModeFile | (perm & 07777);
-    return;
+    return OkResult();
   }
   SimFile file;
   file.bytes = std::move(bytes);
@@ -104,10 +110,14 @@ void SimFs::PutBytes(std::string_view norm_path, std::vector<uint8_t> bytes, uin
   file.dirty = !durable;
   file.exists_durably = durable;
   files_.emplace(std::move(norm), std::move(file));
+  return OkResult();
 }
 
 void SimFs::WriteFile(std::string_view path, std::vector<uint8_t> bytes, uint32_t perm) {
-  PutBytes(Normalize(path), std::move(bytes), perm, /*durable=*/true);
+  Result<void> put = PutBytes(Normalize(path), std::move(bytes), perm, /*durable=*/true);
+  if (!put.ok()) {
+    LogMessage(LogLevel::kError, "simfs", put.error().ToString());
+  }
 }
 
 void SimFs::WriteFile(std::string_view path, std::string_view text, uint32_t perm) {
@@ -119,8 +129,7 @@ Result<void> SimFs::TryWriteFile(std::string_view path, std::vector<uint8_t> byt
   if (FaultSim::Trip("fs.write")) {
     return Err(ErrorCode::kIoError, StrCat("simulated write failure: ", path));
   }
-  WriteFile(path, std::move(bytes), perm);
-  return OkResult();
+  return PutBytes(Normalize(path), std::move(bytes), perm, /*durable=*/true);
 }
 
 Result<void> SimFs::TryWriteFile(std::string_view path, std::string_view text, uint32_t perm) {
@@ -132,8 +141,7 @@ Result<void> SimFs::TryWriteUnsynced(std::string_view path, std::vector<uint8_t>
   if (FaultSim::Trip("fs.write")) {
     return Err(ErrorCode::kIoError, StrCat("simulated write failure: ", path));
   }
-  PutBytes(Normalize(path), std::move(bytes), perm, /*durable=*/false);
-  return OkResult();
+  return PutBytes(Normalize(path), std::move(bytes), perm, /*durable=*/false);
 }
 
 Result<void> SimFs::TryAppendUnsynced(std::string_view path, const std::vector<uint8_t>& bytes) {
@@ -143,8 +151,7 @@ Result<void> SimFs::TryAppendUnsynced(std::string_view path, const std::vector<u
   std::string norm = Normalize(path);
   auto it = files_.find(norm);
   if (it == files_.end()) {
-    PutBytes(norm, bytes, 0644, /*durable=*/false);
-    return OkResult();
+    return PutBytes(norm, bytes, 0644, /*durable=*/false);
   }
   SimFile& file = it->second;
   if ((file.mode & kModeDir) != 0) {

@@ -50,7 +50,9 @@ class SimFs {
   SimFs();
 
   // Create or replace a regular file; parent directories are created.
-  // Immediately durable (legacy semantics — installation-time writes).
+  // Immediately durable (legacy semantics — installation-time writes). A
+  // path that is a directory is left as it is and the refusal logged; the
+  // Try* writes return it as kInvalidArgument instead.
   void WriteFile(std::string_view path, std::vector<uint8_t> bytes, uint32_t perm = 0644);
   void WriteFile(std::string_view path, std::string_view text, uint32_t perm = 0644);
 
@@ -115,9 +117,10 @@ class SimFs {
 
   Files::const_iterator Find(std::string_view path) const;
   Result<Files::const_iterator> FindDir(std::string_view path) const;
-  // Shared body of the write paths.
-  void PutBytes(std::string_view norm_path, std::vector<uint8_t> bytes, uint32_t perm,
-                bool durable);
+  // Shared body of the write paths; refuses (changing nothing) a path that
+  // is a directory.
+  Result<void> PutBytes(std::string_view norm_path, std::vector<uint8_t> bytes, uint32_t perm,
+                        bool durable);
 
   Files files_;
   uint32_t next_inode_ = 2;

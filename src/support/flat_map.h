@@ -11,6 +11,7 @@
 #ifndef OMOS_SRC_SUPPORT_FLAT_MAP_H_
 #define OMOS_SRC_SUPPORT_FLAT_MAP_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -74,9 +75,15 @@ class FlatMap {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  // Slots allocated (a power of two, or 0 before the first insert).
+  size_t capacity() const { return slots_.size(); }
 
+  // Drops every entry but keeps the slots, so a table refilled to its
+  // previous size after a clear does not regrow.
   void clear() {
-    slots_.clear();
+    if (used_ != 0) {
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+    }
     size_ = 0;
     used_ = 0;
   }

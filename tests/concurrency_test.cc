@@ -4,9 +4,11 @@
 // determinism, the idle-time background optimizer, and fault-sim counter
 // exactness. Everything uses fixed thread counts and iteration counts so
 // failures reproduce.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -271,6 +273,59 @@ TEST_F(ConcurrencyTest, ParallelRelocationIsDeterministic) {
     EXPECT_EQ(image->image.text, text);
     EXPECT_EQ(image->image.data, data);
     EXPECT_EQ(image->image.entry, entry);
+  }
+}
+
+// Exporting fragments whose names are spread out of insertion order, merged
+// into one module: every reference binds within it, so a link shares the
+// module's symbol space instead of binding a copy.
+Result<Module> ManyExportsModule() {
+  std::vector<Module> parts;
+  for (int f = 0; f < 24; ++f) {
+    std::string text = ".text\n";
+    for (int k = 0; k < 6; ++k) {
+      std::string name = StrCat("sym_", (f * 37 + k * 11) % 97, "_", f, "_", k);
+      text += StrCat(".global ", name, "\n", name, ":\n  ret\n");
+    }
+    OMOS_TRY(ObjectFile object, Assemble(text, StrCat("e", f, ".o")));
+    parts.push_back(Module::FromObject(std::make_shared<const ObjectFile>(std::move(object))));
+  }
+  return Module::MergeAll(parts);
+}
+
+TEST(ExportOrder, ConcurrentLinksOfOneSpaceShareOneOrder) {
+  // Four threads link the same module at once, so each reads the space's
+  // export order while another may be computing it. The order is computed
+  // once, and every link emits the symbol table a link of a fresh, equal
+  // module does.
+  ASSERT_OK_AND_ASSIGN(Module shared, ManyExportsModule());
+  ASSERT_OK_AND_ASSIGN(Module fresh, ManyExportsModule());
+  ASSERT_OK_AND_ASSIGN(LinkedImage reference, LinkImage(fresh, LayoutSpec{}, "ref"));
+  ASSERT_EQ(reference.symbols.size(), 24u * 6u);
+  ASSERT_TRUE(std::is_sorted(
+      reference.symbols.begin(), reference.symbols.end(),
+      [](const ImageSymbol& a, const ImageSymbol& b) { return a.name < b.name; }));
+  ASSERT_OK_AND_ASSIGN(const SymbolSpace* space, shared.Space());
+  constexpr int kLinkThreads = 4;
+  std::vector<const SymId*> orders(kLinkThreads);
+  std::atomic<int> mismatches{0};
+  RunThreads(kLinkThreads, [&](int t) {
+    for (int i = 0; i < 20; ++i) {
+      auto image = LinkImage(shared, LayoutSpec{}, "ref");
+      bool same = image.ok() && image->symbols.size() == reference.symbols.size();
+      for (size_t k = 0; same && k < reference.symbols.size(); ++k) {
+        same = image->symbols[k].name == reference.symbols[k].name &&
+               image->symbols[k].addr == reference.symbols[k].addr;
+      }
+      if (!same) {
+        mismatches.fetch_add(1);
+      }
+    }
+    orders[t] = space->ExportOrder().data();
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+  for (const SymId* order : orders) {
+    EXPECT_EQ(order, orders[0]);
   }
 }
 

@@ -107,18 +107,18 @@ TEST(Namespace, DedupReadsKeepsOneReadPerEntryAndPerMissingPath) {
       {"/bin/a", a},      {"/bin/b", b},       {"/gone", nullptr}, {"/bin/a", a_again},
       {"/gone", nullptr}, {"/other", nullptr}, {"/bin/b", b},
   };
-  OmosNamespace::DedupReads(reads);
-  std::sort(reads.begin(), reads.end());
+  ReadSet set(reads);
+  reads = set.own();
   EXPECT_EQ(reads, (std::vector<OmosNamespace::Read>{
                        {"/bin/a", a}, {"/bin/b", b}, {"/gone", nullptr}, {"/other", nullptr}}));
 
   // A failed lookup stays recorded, and a read set holding one is never
   // current, even while every entry it found still is.
-  EXPECT_FALSE(ns.AllCurrent(reads));
+  EXPECT_FALSE(ns.AllCurrent(set));
   std::erase_if(reads, [](const OmosNamespace::Read& read) { return read.second == nullptr; });
-  EXPECT_TRUE(ns.AllCurrent(reads));
+  EXPECT_TRUE(ns.AllCurrent(ReadSet(reads)));
   ASSERT_OK(ns.DefineMeta("/bin/b", "(merge /c)"));
-  EXPECT_FALSE(ns.AllCurrent(reads));
+  EXPECT_FALSE(ns.AllCurrent(ReadSet(reads)));
 }
 
 // ---- Constraint solver -----------------------------------------------------------

@@ -323,8 +323,11 @@ TEST(Link, AppliesAbsoluteRelocation) {
 
 TEST(Link, ExternalsResolveUnboundRefs) {
   Module a = Leaf("a.o", {"main"}, {"lib_fn"});
+  LinkedImage lib;
+  lib.symbols.push_back(ImageSymbol{"lib_fn", 0x02000040, 8, SectionKind::kText});
+  lib.BuildSymbolIndex();
   LayoutSpec layout;
-  layout.externals[SymbolInterner::Global().Intern("lib_fn")] = 0x02000040;
+  layout.libraries.push_back(&lib);
   ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(a, layout, "t"));
   uint32_t patched = static_cast<uint32_t>(image.text[12]) |
                      static_cast<uint32_t>(image.text[13]) << 8 |

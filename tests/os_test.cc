@@ -96,6 +96,23 @@ TEST(SimFs, RewriteKeepsInode) {
   EXPECT_EQ((*fs.Lookup("/f"))->bytes.size(), 3u);
 }
 
+TEST(SimFs, FileWriteOverDirectoryIsRefused) {
+  SimFs fs;
+  fs.WriteFile("/data/a", "child");
+  size_t files = fs.file_count();
+  auto refused = fs.TryWriteFile("/data", "0123456789");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.error().message().find("/data"), std::string::npos);
+  EXPECT_FALSE(fs.TryWriteUnsynced("/data", {1, 2, 3}).ok());
+  fs.WriteFile("/data", "0123456789");  // the legacy write refuses too
+  EXPECT_EQ(fs.file_count(), files);
+  ASSERT_OK_AND_ASSIGN(const SimFile* dir, fs.Lookup("/data"));
+  EXPECT_NE(dir->mode & kModeDir, 0u);
+  ASSERT_OK_AND_ASSIGN(std::vector<std::string> names, fs.ListDir("/data"));
+  EXPECT_EQ(names, (std::vector<std::string>{"a"}));
+  EXPECT_OK(fs.Lookup("/data/a"));
+}
+
 TEST(Syscalls, OpenReadClose) {
   Kernel kernel;
   kernel.fs().WriteFile("/greeting", "hello, world");

@@ -4,8 +4,14 @@
 // libraries, and IPC-driven administration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <random>
+#include <set>
 #include <thread>
 
 #include "src/core/server.h"
@@ -1405,7 +1411,7 @@ TEST_F(EvalMemoTest, HitReplaysEvaluationWorkAndInputs) {
   Specialization spec{"lib-constrained", {}};
   uint64_t cold_work = 0;
   ASSERT_OK_AND_ASSIGN(const CachedImage* cold, server_->Instantiate("/lib/g", spec, &cold_work));
-  std::vector<std::string> cold_inputs = cold->inputs;
+  std::vector<std::string> cold_inputs = cold->inputs->Paths();
   uint64_t cold_cost = cold->build_cost;
 
   // Same blueprint again: a rebuild whose /gen evaluation is a memo hit.
@@ -1416,8 +1422,8 @@ TEST_F(EvalMemoTest, HitReplaysEvaluationWorkAndInputs) {
   EXPECT_EQ(CounterValue("eval.memo_hits") - hits, 1u);
   EXPECT_EQ(warm_work, cold_work);
   EXPECT_EQ(warm->build_cost, cold_cost);
-  EXPECT_EQ(warm->inputs, cold_inputs);
-  EXPECT_EQ(warm->inputs, (std::vector<std::string>{"/gen", "/lib/g"}));
+  EXPECT_EQ(warm->inputs->Paths(), cold_inputs);
+  EXPECT_EQ(warm->inputs->Paths(), (std::vector<std::string>{"/gen", "/lib/g"}));
 }
 
 TEST_F(EvalMemoTest, PathReadTwiceIsOneInput) {
@@ -1426,7 +1432,7 @@ TEST_F(EvalMemoTest, PathReadTwiceIsOneInput) {
   ASSERT_OK(DefineAnswerClient(*server_, 1));
   ASSERT_OK(server_->DefineMeta("/bin/q", "(merge /lib/crt0.o /obj/m.o /lib/ans /lib/ans)"));
   ASSERT_OK_AND_ASSIGN(const CachedImage* image, server_->Instantiate("/bin/q", {}, nullptr));
-  EXPECT_EQ(image->inputs,
+  EXPECT_EQ(image->inputs->Paths(),
             (std::vector<std::string>{"/bin/q", "/lib/ans", "/lib/crt0.o", "/obj/m.o"}));
   ASSERT_OK_AND_ASSIGN(int first, ExecQ());
   EXPECT_EQ(first, 1);
@@ -1539,6 +1545,278 @@ TEST_F(EvalMemoTest, MemberRedefinitionsRaceBuilds) {
   EXPECT_EQ(last, kVersions);
 }
 
+TEST_F(EvalMemoTest, LibraryFixesRaceSharedArchiveReads) {
+  // The read-set sharing under load: a writer alternates library fixes of
+  // /lib/ans, which leave the /libx archive memo valid, with replacements
+  // of its member v.o, while three readers exec /bin/q. (A fix keeps the
+  // library's base: an exec racing a fix that moves it can map the moved
+  // library under a program linked against the old base.) Every rebuild of
+  // /lib/ans nests the archive memo's shared read set, and each fix walks
+  // the nested sets of the cached images and memos (CachedDependents,
+  // DropStaleMemos) while builds add them. An exec must map a member
+  // version that was current at some point during it (see
+  // MemberRedefinitionsRaceBuilds).
+  constexpr int kVersions = 24;
+  ASSERT_OK(DefineAnswerClient(*server_, 0));
+  std::vector<ObjectFile> versions;
+  for (int v = 1; v <= kVersions; ++v) {
+    ASSERT_OK_AND_ASSIGN(ObjectFile object, VersionedAnswer(v));
+    versions.push_back(std::move(object));
+  }
+  struct Exec {
+    TaskId id;
+    int lo;
+    int hi;
+  };
+  std::atomic<int> begun{0};
+  std::atomic<int> finished{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::atomic<int> exec_count{0};
+  std::mutex execs_mu;
+  std::vector<Exec> execs;
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int v = 1; v <= kVersions; ++v) {
+      for (int fix = 0; fix < 2; ++fix) {
+        while (exec_count.load() < 3 * v + fix) {
+          std::this_thread::yield();
+        }
+        if (!server_->DefineLibrary("/lib/ans", "(constraint-list \"T\" 0x2000000)\n(merge /libx)")
+                 .ok()) {
+          errors.fetch_add(1);
+        }
+      }
+      begun.store(v);
+      if (!server_->AddFragment("/libx/v.o", versions[v - 1]).ok()) {
+        errors.fetch_add(1);
+      }
+      finished.store(v);
+    }
+    done.store(true);
+  });
+  for (int r = 0; r < 3; ++r) {
+    threads.emplace_back([&] {
+      while (!done.load()) {
+        int lo = finished.load();
+        auto id = server_->IntegratedExec("/bin/q", {"q"});
+        int hi = begun.load();
+        if (!id.ok()) {
+          errors.fetch_add(1);
+          exec_count.fetch_add(1);
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(execs_mu);
+        execs.push_back(Exec{*id, lo, hi});
+        exec_count.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GE(execs.size(), 3u * kVersions);
+  for (const Exec& exec : execs) {
+    ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(exec.id));
+    EXPECT_TRUE(out.exit_code >= exec.lo && out.exit_code <= exec.hi)
+        << "exec mapped version " << out.exit_code << ", current was " << exec.lo << ".."
+        << exec.hi;
+    server_->ReleaseTask(exec.id);
+    kernel_.DestroyTask(exec.id);
+  }
+  ASSERT_OK_AND_ASSIGN(int last, ExecQ());
+  EXPECT_EQ(last, kVersions);
+}
+
+// ---- Nested read sets over random nesting shapes --------------------------------
+
+// A random blueprint DAG: fragments /f/l<i>.o under metas /m/<level>_<j>
+// one to three levels deep, under /bin/top. Every meta at level k > 1 merges
+// at least one meta of level k-1; others are random fragments and lower
+// metas, so sub-metas are shared and some operands are listed twice. With
+// `missing` set, one fragment is not defined until the first build failed.
+struct NestingShape {
+  std::map<std::string, std::vector<std::string>> metas;  // path -> operands
+  std::vector<std::string> leaves;
+  std::string missing;
+  int levels = 0;  // /bin/top's level
+
+  explicit NestingShape(uint32_t seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](const std::vector<std::string>& from) {
+      return from[rng() % from.size()];
+    };
+    levels = 1 + static_cast<int>(rng() % 4);
+    int leaf_count = 3 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < leaf_count; ++i) {
+      leaves.push_back(StrCat("/f/l", i, ".o"));
+    }
+    std::vector<std::vector<std::string>> by_level(levels + 1);
+    for (int level = 1; level <= levels; ++level) {
+      int count = level == levels ? 1 : 1 + static_cast<int>(rng() % 3);
+      for (int j = 0; j < count; ++j) {
+        std::string path = level == levels ? "/bin/top" : StrCat("/m/", level, "_", j);
+        std::vector<std::string> operands;
+        if (level > 1) {
+          operands.push_back(pick(by_level[level - 1]));
+        }
+        int extra = 1 + static_cast<int>(rng() % 3);
+        for (int e = 0; e < extra; ++e) {
+          if (level > 1 && rng() % 2 == 0) {
+            operands.push_back(pick(by_level[1 + rng() % (level - 1)]));
+          } else {
+            operands.push_back(pick(leaves));
+          }
+        }
+        if (rng() % 4 == 0) {
+          operands.push_back(operands[rng() % operands.size()]);  // read twice
+        }
+        std::shuffle(operands.begin(), operands.end(), rng);
+        metas[path] = operands;
+        by_level[level].push_back(path);
+      }
+    }
+    if (rng() % 3 == 0) {
+      missing = pick(Reach("/bin/top"));
+      if (metas.count(missing) != 0) {
+        missing.clear();  // only fragments go missing
+      }
+    }
+  }
+
+  // Every path reading `path` reaches, itself included: sorted, each once.
+  std::vector<std::string> Reach(const std::string& path) const {
+    std::set<std::string> seen;
+    std::vector<std::string> work{path};
+    while (!work.empty()) {
+      std::string next = work.back();
+      work.pop_back();
+      if (!seen.insert(next).second) {
+        continue;
+      }
+      auto it = metas.find(next);
+      if (it != metas.end()) {
+        work.insert(work.end(), it->second.begin(), it->second.end());
+      }
+    }
+    return {seen.begin(), seen.end()};
+  }
+
+  std::string Blueprint(const std::string& meta) const {
+    std::string text = "(merge";
+    for (const std::string& operand : metas.at(meta)) {
+      text += " " + operand;
+    }
+    return text + ")";
+  }
+
+  // The memo misses and hits a rebuild of /bin/top should count once
+  // `leaf` was redefined: each meta reaching the leaf misses once (the
+  // first time the build meets it), every other meta operand met is a hit.
+  std::pair<uint64_t, uint64_t> RebuildCounts(const std::string& leaf) const {
+    uint64_t misses = 0;
+    uint64_t hits = 0;
+    std::set<std::string> refreshed;
+    std::function<void(const std::string&)> eval = [&](const std::string& meta) {
+      refreshed.insert(meta);
+      ++misses;
+      for (const std::string& operand : metas.at(meta)) {
+        if (metas.count(operand) == 0) {
+          continue;
+        }
+        std::vector<std::string> reach = Reach(operand);
+        bool stale = std::binary_search(reach.begin(), reach.end(), leaf);
+        if (stale && refreshed.count(operand) == 0) {
+          eval(operand);
+        } else {
+          ++hits;
+        }
+      }
+    };
+    eval("/bin/top");
+    return {misses, hits};
+  }
+};
+
+Result<ObjectFile> LeafObject(const std::string& path, int version) {
+  return Assemble(StrCat(".text\nleaf:\n  movi r0, ", version, "\n  ret\n"),
+                  path.substr(path.rfind('/') + 1));
+}
+
+TEST(ReadSetProperty, NestedShapesKeepEveryLeafReachable) {
+  int leaves_checked = 0;
+  int shapes_missing = 0;
+  std::set<int> depths;
+  for (uint32_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    NestingShape shape(seed);
+    shapes_missing += shape.missing.empty() ? 0 : 1;
+    depths.insert(shape.levels);
+    Kernel kernel;
+    OmosServer server(kernel);
+    for (const std::string& leaf : shape.leaves) {
+      if (leaf != shape.missing) {
+        ASSERT_OK_AND_ASSIGN(ObjectFile object, LeafObject(leaf, 0));
+        ASSERT_OK(server.AddFragment(leaf, std::move(object)));
+      }
+    }
+    for (const auto& [meta, operands] : shape.metas) {
+      ASSERT_OK(server.DefineMeta(meta, shape.Blueprint(meta)));
+    }
+    if (!shape.missing.empty()) {
+      // A failed lookup fails the build and validates no memo.
+      auto failed = server.Instantiate("/bin/top", {}, nullptr);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.error().code(), ErrorCode::kNotFound);
+      ASSERT_OK_AND_ASSIGN(ObjectFile object, LeafObject(shape.missing, 0));
+      ASSERT_OK(server.AddFragment(shape.missing, std::move(object)));
+    }
+    const std::string key = MakeCacheKey("/bin/top", "");
+    std::vector<std::string> reach = shape.Reach("/bin/top");
+    for (const std::string& leaf : reach) {
+      if (shape.metas.count(leaf) != 0) {
+        continue;
+      }
+      SCOPED_TRACE(leaf);
+      std::shared_ptr<const ReadSet> inputs;
+      {
+        ImageCache::ReadLease lease(server.cache());
+        ASSERT_OK_AND_ASSIGN(const CachedImage* image, server.Instantiate("/bin/top", {}, nullptr));
+        inputs = image->inputs;
+      }
+      // The flattened inputs are the sorted unique paths the build read.
+      EXPECT_EQ(inputs->Paths(), reach);
+      EXPECT_TRUE(server.name_space().AllCurrent(*inputs));
+      ASSERT_OK_AND_ASSIGN(std::shared_ptr<const NamespaceEntry> old_entry,
+                           server.name_space().Lookup(leaf));
+      std::weak_ptr<const NamespaceEntry> old = old_entry;
+      old_entry.reset();
+
+      ASSERT_OK_AND_ASSIGN(ObjectFile object, LeafObject(leaf, 1));
+      ASSERT_OK(server.AddFragment(leaf, std::move(object)));
+      EXPECT_FALSE(server.name_space().AllCurrent(*inputs));
+      EXPECT_FALSE(server.cache().Contains(key));
+      inputs.reset();
+      // Nothing pins the superseded entry: every memo that read it was
+      // dropped along with the image.
+      EXPECT_TRUE(old.expired());
+
+      auto [misses, hits] = shape.RebuildCounts(leaf);
+      uint64_t misses_before = CounterValue("eval.memo_misses");
+      uint64_t hits_before = CounterValue("eval.memo_hits");
+      ASSERT_OK(server.Instantiate("/bin/top", {}, nullptr));
+      EXPECT_EQ(CounterValue("eval.memo_misses") - misses_before, misses);
+      EXPECT_EQ(CounterValue("eval.memo_hits") - hits_before, hits);
+      ++leaves_checked;
+    }
+  }
+  // The seeds cover every depth and a missing leaf.
+  EXPECT_EQ(depths, (std::set<int>{1, 2, 3, 4}));
+  EXPECT_GT(shapes_missing, 0);
+  EXPECT_GE(leaves_checked, 80);
+}
+
 // ---- Memo hits against cold builds on the e2ebench library shapes ---------------
 
 const Workloads& FullWorkloads() {
@@ -1592,7 +1870,7 @@ std::string Describe(const CachedImage& image) {
                            image.image.data_base, " entry ", image.image.entry, " bytes ", h,
                            " symbols ", image.image.symbols.size(), " cost ", image.build_cost,
                            " inputs");
-  for (const std::string& input : image.inputs) {
+  for (const std::string& input : image.inputs->Paths()) {
     out += " " + input;
   }
   return out;

@@ -292,6 +292,36 @@ TEST(FlatMap, InsertOrAssignOverwrites) {
   EXPECT_EQ(map.at(1), "second");
 }
 
+TEST(FlatMap, ClearKeepsCapacityAndForgetsEveryKey) {
+  FlatMap<uint64_t, std::string> map;
+  for (uint64_t key = 0; key < 100; ++key) {
+    map.try_emplace(key, StrCat("v", key));
+  }
+  map.erase(7);  // a tombstone too
+  size_t capacity = map.capacity();
+  ASSERT_GE(capacity, 128u);
+  map.clear();
+  EXPECT_EQ(map.capacity(), capacity);
+  EXPECT_TRUE(map.empty());
+  EXPECT_TRUE(map.begin() == map.end());
+  for (uint64_t key = 0; key < 100; ++key) {
+    EXPECT_FALSE(map.contains(key)) << key;
+  }
+  // Refilled to the same size: no regrowth, and only the new keys are found.
+  for (uint64_t key = 1000; key < 1100; ++key) {
+    map.try_emplace(key, StrCat("w", key));
+  }
+  EXPECT_EQ(map.capacity(), capacity);
+  EXPECT_EQ(map.size(), 100u);
+  for (uint64_t key = 1000; key < 1100; ++key) {
+    auto it = map.find(key);
+    ASSERT_NE(it, map.end()) << key;
+    EXPECT_EQ(it->second, StrCat("w", key));
+  }
+  EXPECT_FALSE(map.contains(5));
+  EXPECT_FALSE(map.contains(7));
+}
+
 // ---- Fast byte hashing -----------------------------------------------------------
 
 TEST(HashBytes, SensitiveToEveryByte) {
