@@ -24,7 +24,9 @@
 // ReadLease opened before the Get is still alive: eviction moves entries
 // with open leases to a retired list drained only when every lease closes.
 // Single-threaded callers need no lease. Concurrent callers must hold one
-// across the Get and every use of the returned pointer.
+// across the Get and every use of the returned pointer, or take a
+// shared_ptr (CachedImage::shared_from_this) while the lease is open, as a
+// task's runtime does for each image it maps.
 #ifndef OMOS_SRC_CORE_CACHE_H_
 #define OMOS_SRC_CORE_CACHE_H_
 
@@ -75,12 +77,18 @@ struct StubSlot {
 struct LibDep {
   std::string cache_key;  // key of the dependency's own cached image
   std::string lib_path;
+  // The dependency's bases at link time: the addresses the dependent's
+  // bytes bake in. A rebuilt dependency elsewhere cannot be mapped under it.
+  uint32_t text_base = 0;
+  uint32_t data_base = 0;
 };
 
 // One cached, mappable image: the linked bytes plus the shareable text
 // segment (built once), plus whatever the exec path needs to finish the job
-// (library deps to map, stub slots to register).
-struct CachedImage {
+// (library deps to map, stub slots to register). Every cached image is made
+// by Put's make_shared, so a holder of a `const CachedImage&` can take a
+// reference that outlives the image's eviction (shared_from_this).
+struct CachedImage : std::enable_shared_from_this<CachedImage> {
   std::string key;
   LinkedImage image;
   std::optional<SegmentImage> text_seg;

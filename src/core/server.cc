@@ -739,13 +739,29 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
   return result;
 }
 
-Result<const CachedImage*> OmosServer::InstantiateFor(Task& task, const std::string& path,
-                                                      const Specialization& spec) {
-  uint64_t work = 0;
-  OMOS_TRY(const CachedImage* image, Instantiate(path, spec, &work));
-  std::lock_guard<std::mutex> lock(kernel_mu_);
-  task.BillSys(work + kernel_->costs().omos_cache_lookup);
-  return image;
+Result<std::shared_ptr<const CachedImage>> OmosServer::InstantiateAndMap(
+    Task& task, const std::string& path, const Specialization& spec) {
+  while (true) {
+    ImageCache::ReadLease lease(cache_);  // pins *image until MapProgram holds it
+    uint64_t work = 0;
+    OMOS_TRY(const CachedImage* image, Instantiate(path, spec, &work));
+    {
+      std::lock_guard<std::mutex> lock(kernel_mu_);
+      task.BillSys(work + kernel_->costs().omos_cache_lookup);
+    }
+    Result<uint32_t> mapped = MapProgram(task, *image);
+    if (mapped.ok()) {
+      return image->shared_from_this();
+    }
+    if (mapped.error().code() != ErrorCode::kUnavailable) {
+      return mapped.error();
+    }
+    // The redefinition that moved the library normally evicted the program
+    // too. One still cached can never map: evict it so the retry rebuilds.
+    if (cache_.Peek(image->key) == image) {
+      cache_.Evict(image->key);
+    }
+  }
 }
 
 // ---- Idle-time relinking --------------------------------------------------------
@@ -953,11 +969,12 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
         slot.lib_path = impl_key;  // runtime resolves through the cache key
         slots.push_back(std::move(slot));
       }
-      deps.push_back(LibDep{impl_key, use.path});  // lazy: not mapped at exec
+      // Lazy: not mapped at exec.
+      deps.push_back(LibDep{impl_key, use.path, impl->image.text_base, impl->image.data_base});
     } else {
       OMOS_TRY(const CachedImage* lib, Instantiate(use.path, lib_spec, &tracker.work));
       libraries.push_back(&lib->image);
-      deps.push_back(LibDep{lib->key, use.path});
+      deps.push_back(LibDep{lib->key, use.path, lib->image.text_base, lib->image.data_base});
     }
   }
 
@@ -1019,18 +1036,29 @@ Result<const CachedImage*> OmosServer::LinkAndPublish(const std::string& key, co
   cached.build_cost = tracker.work;
   cached.layout_generation = placement.generation;
   std::shared_lock<std::shared_mutex> publishing(publish_mu_);
-  if (!namespace_.AllCurrent(*cached.inputs)) {
-    // A redefinition of a read finished mid-build; its invalidation could
-    // not see this image. Publish nothing and free the placement so the
-    // redone build places afresh (under the new definitions' hints).
+  if (!namespace_.AllCurrent(*cached.inputs) || !DepsInPlace(cached.deps)) {
+    // A redefinition of a read, or of something a dep read, finished
+    // mid-build; its invalidation could not see this image. Publish nothing
+    // and free the placement so the redone build places afresh (under the
+    // new definitions' hints) against the deps where they now are.
     if (!cache_.Contains(key)) {
       std::lock_guard<std::mutex> lock(solver_mu_);
       solver_.Release(key);
     }
     tracker.superseded = true;
-    return Err(ErrorCode::kUnavailable, StrCat(key, ": inputs redefined during the build"));
+    return Err(ErrorCode::kUnavailable,
+               StrCat(key, ": inputs redefined or a dep moved during the build"));
   }
   return cache_.Put(key, std::move(cached));
+}
+
+bool OmosServer::DepsInPlace(const std::vector<LibDep>& deps) const {
+  std::lock_guard<std::mutex> lock(solver_mu_);
+  return std::all_of(deps.begin(), deps.end(), [&](const LibDep& dep) {
+    const Placement* placed = solver_.Find(dep.cache_key);
+    return placed != nullptr && placed->text_base == dep.text_base &&
+           placed->data_base == dep.data_base;
+  });
 }
 
 Result<void> OmosServer::MaterializeSegments(CachedImage& cached) {
@@ -1194,7 +1222,7 @@ const CachedImage* OmosServer::TryAdoptFromStore(const std::string& norm,
   cached.image = std::move(record.image);
   cached.deps.reserve(record.deps.size());
   for (const StoredDep& dep : record.deps) {
-    cached.deps.push_back(LibDep{dep.cache_key, dep.lib_path});
+    cached.deps.push_back(LibDep{dep.cache_key, dep.lib_path, dep.text_base, dep.data_base});
   }
   cached.stub_slots.reserve(record.stub_slots.size());
   for (const StoredStubSlot& slot : record.stub_slots) {
@@ -1222,14 +1250,7 @@ void OmosServer::PublishToStore(const std::string& norm, const Specialization& s
   record.image = image.image;
   record.deps.reserve(image.deps.size());
   for (const LibDep& dep : image.deps) {
-    StoredDep stored{dep.cache_key, dep.lib_path, 0, 0};
-    // Lazy deps are keyed by the impl image; either way the dep's cached
-    // image carries the bases the program was linked against.
-    if (const CachedImage* lib = cache_.Peek(dep.cache_key)) {
-      stored.text_base = lib->image.text_base;
-      stored.data_base = lib->image.data_base;
-    }
-    record.deps.push_back(std::move(stored));
+    record.deps.push_back(StoredDep{dep.cache_key, dep.lib_path, dep.text_base, dep.data_base});
   }
   record.stub_slots.reserve(image.stub_slots.size());
   for (const StubSlot& slot : image.stub_slots) {
@@ -1255,27 +1276,53 @@ Result<void> OmosServer::RestoreFromStore(ImageStore& store) {
 
 // ---- Exec paths -------------------------------------------------------------
 
+std::vector<std::shared_ptr<const CachedImage>> OmosServer::TaskRuntime::Images() const {
+  std::vector<std::shared_ptr<const CachedImage>> images;
+  if (program != nullptr) {
+    images.push_back(program);
+  }
+  for (const auto& [key, image] : libs) {
+    images.push_back(image);
+  }
+  images.insert(images.end(), dyn_loaded.begin(), dyn_loaded.end());
+  return images;
+}
+
 Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) {
   TraceSpan trace("server.map_program", program.key);
+  TaskRuntime runtime;
+  runtime.program = program.shared_from_this();
+  // Resolve every eager dep before mapping anything. An evicted or rotted
+  // library image is rebuilt, not a fatal error: the rebuild reuses the old
+  // placement, so the program's references stay valid. A dep rebuilt
+  // elsewhere (a redefinition moved it) cannot be mapped under this program.
+  uint64_t rebuild_work = 0;
+  Result<void> resolved = [&]() -> Result<void> {
+    for (const LibDep& dep : program.deps) {
+      // Lazy deps (partial-image libraries) map on first call via kSysDload.
+      if (std::any_of(program.stub_slots.begin(), program.stub_slots.end(),
+                      [&](const StubSlot& slot) { return slot.lib_path == dep.cache_key; })) {
+        continue;
+      }
+      OMOS_TRY(const CachedImage* lib, GetOrRebuild(dep.cache_key, &rebuild_work));
+      if (lib->image.text_base != dep.text_base || lib->image.data_base != dep.data_base) {
+        return Err(ErrorCode::kUnavailable,
+                   StrCat(program.key, ": library ", dep.lib_path, " moved from ",
+                          Hex32(dep.text_base), "/", Hex32(dep.data_base), " to ",
+                          Hex32(lib->image.text_base), "/", Hex32(lib->image.data_base)));
+      }
+      runtime.libs.emplace(dep.cache_key, lib->shared_from_this());
+    }
+    return OkResult();
+  }();
   {
     std::lock_guard<std::mutex> lock(kernel_mu_);
-    OMOS_TRY_VOID(MapCached(*kernel_, task, program));
-  }
-  TaskRuntime runtime;
-  runtime.program_key = program.key;
-  for (const LibDep& dep : program.deps) {
-    // Lazy deps (partial-image libraries) map on first call via kSysDload.
-    if (std::any_of(program.stub_slots.begin(), program.stub_slots.end(),
-                    [&](const StubSlot& slot) { return slot.lib_path == dep.cache_key; })) {
-      continue;
-    }
-    // An evicted or rotted library image is rebuilt, not a fatal error; the
-    // rebuild reuses the old placement so the program's references stay valid.
-    uint64_t rebuild_work = 0;
-    OMOS_TRY(const CachedImage* lib, GetOrRebuild(dep.cache_key, &rebuild_work));
-    std::lock_guard<std::mutex> lock(kernel_mu_);
     task.BillSys(rebuild_work);
-    OMOS_TRY_VOID(MapCached(*kernel_, task, *lib));
+    OMOS_TRY_VOID(resolved);
+    OMOS_TRY_VOID(MapCached(*kernel_, task, program));
+    for (const auto& [key, lib] : runtime.libs) {
+      OMOS_TRY_VOID(MapCached(*kernel_, task, *lib));
+    }
   }
   for (const StubSlot& slot : program.stub_slots) {
     const ImageSymbol* sym = program.image.FindSymbol(slot.slot_symbol);
@@ -1289,7 +1336,7 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
         TaskRuntime::Slot{sym->addr, RedirectLibKey(slot.lib_path), slot.symbol});
   }
   std::lock_guard<std::mutex> lock(runtimes_mu_);
-  runtimes_[task.id()] = std::move(runtime);
+  std::swap(runtimes_[task.id()], runtime);  // a replaced runtime drops after the lock
   return program.image.entry;
 }
 
@@ -1301,7 +1348,7 @@ Result<bool> OmosServer::MapFirstUse(Task& task, const CachedImage& image,
     if (it == runtimes_.end()) {
       return Err(ErrorCode::kNotFound, StrCat(task.name(), ": task released"));
     }
-    if (!it->second.mapped_libs.insert(image.key).second) {
+    if (!it->second.libs.try_emplace(image.key, image.shared_from_this()).second) {
       return false;
     }
   }
@@ -1312,9 +1359,10 @@ Result<bool> OmosServer::MapFirstUse(Task& task, const CachedImage& image,
 }
 
 void OmosServer::ReleaseTask(TaskId id) {
+  decltype(runtimes_)::node_type released;  // its image references drop after the lock
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
-    runtimes_.erase(id);
+    released = runtimes_.extract(id);
   }
   // A released task can no longer execute old-version code: take it out of
   // any in-flight upgrade's pending set (and reclaim if it was the last).
@@ -1407,7 +1455,7 @@ Result<void> OmosServer::LinkUpgrade(UpgradeJob& job) {
   if (!old_referenced) {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     for (const auto& [tid, runtime] : runtimes_) {
-      old_referenced = old_referenced || runtime.mapped_libs.count(job.old_impl_key) != 0 ||
+      old_referenced = old_referenced || runtime.libs.count(job.old_impl_key) != 0 ||
                        std::any_of(runtime.slots.begin(), runtime.slots.end(), old_slot);
     }
   }
@@ -1464,14 +1512,14 @@ void OmosServer::RunUpgradeRepoint(std::shared_ptr<UpgradeJob> job) {
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     for (auto& [tid, runtime] : runtimes_) {
-      bool uses_old = runtime.mapped_libs.count(job->old_impl_key) != 0;
+      bool uses_old = runtime.libs.count(job->old_impl_key) != 0;
       for (TaskRuntime::Slot& slot : runtime.slots) {
         if (slot.lib_path == job->old_impl_key) {
           slot.lib_path = job->new_impl_key;
           uses_old = true;
         }
       }
-      if (runtime.mapped_libs.count(job->old_impl_key) != 0) {
+      if (runtime.libs.count(job->old_impl_key) != 0) {
         affected.insert(tid);  // old code/data mapped: needs a frame transfer
       }
       if (uses_old) {
@@ -1675,11 +1723,12 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
   }
   // Drop the old version from this task. Unmapping decrements the shared
   // frames' refcounts; PhysMemory frees them once the last task lets go.
+  decltype(TaskRuntime::libs)::node_type old_impl;  // dropped after the lock
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     auto it = runtimes_.find(task.id());
     if (it != runtimes_.end()) {
-      it->second.mapped_libs.erase(job->old_impl_key);
+      old_impl = it->second.libs.extract(job->old_impl_key);
     }
   }
   {
@@ -1908,11 +1957,9 @@ Result<TaskId> OmosServer::IntegratedExec(const std::string& path, std::vector<s
     std::lock_guard<std::mutex> lock(kernel_mu_);
     task = &kernel_->CreateTask(StrCat("omos-exec:", path));
   }
-  ImageCache::ReadLease lease(cache_);  // pins *image across mapping
-  OMOS_TRY(const CachedImage* image, InstantiateFor(*task, path, spec));
-  OMOS_TRY(uint32_t entry, MapProgram(*task, *image));
+  OMOS_TRY(std::shared_ptr<const CachedImage> program, InstantiateAndMap(*task, path, spec));
   std::lock_guard<std::mutex> lock(kernel_mu_);
-  OMOS_TRY_VOID(StartTask(*kernel_, *task, entry, args));
+  OMOS_TRY_VOID(StartTask(*kernel_, *task, program->image.entry, args));
   return task->id();
 }
 
@@ -2032,28 +2079,34 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
       }
     }
   }
+  std::shared_ptr<const CachedImage> program;
   if (image != nullptr) {
     PrelinkCounters().hits->Add();
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task->BillSys(kernel_->costs().prelink_lookup);
-  } else {
-    // No entry, a stale stamp, or the image fell out of the cache: pay the
-    // full lookup, then let the idle lane re-link everything stale so the
-    // next exec is fast again.
-    if (have_entry) {
-      PrelinkCounters().stale->Add();
-    } else {
-      PrelinkCounters().misses->Add();
+    {
+      std::lock_guard<std::mutex> lock(kernel_mu_);
+      task->BillSys(kernel_->costs().prelink_lookup);
     }
-    OMOS_TRY(image, InstantiateFor(*task, norm, {}));
-    RecordPrelinkEntry(norm, image->key);
+    Result<uint32_t> mapped = MapProgram(*task, *image);
+    if (mapped.ok()) {
+      program = image->shared_from_this();
+    } else if (mapped.error().code() != ErrorCode::kUnavailable) {
+      return mapped.error();
+    }  // else a library moved since the lookup: the full exec step below
+  } else {
+    (have_entry ? PrelinkCounters().stale : PrelinkCounters().misses)->Add();
+  }
+  if (program == nullptr) {
+    // No entry, a stale stamp, or the image fell out of the cache: pay the
+    // full exec step, then let the idle lane re-link everything stale so
+    // the next exec is fast again.
+    OMOS_TRY(program, InstantiateAndMap(*task, norm, {}));
+    RecordPrelinkEntry(norm, program->key);
     if (have_entry) {
       ScheduleRelink();
     }
   }
-  OMOS_TRY(uint32_t entry_addr, MapProgram(*task, *image));
   std::lock_guard<std::mutex> lock(kernel_mu_);
-  OMOS_TRY_VOID(StartTask(*kernel_, *task, entry_addr, args));
+  OMOS_TRY_VOID(StartTask(*kernel_, *task, program->image.entry, args));
   return task->id();
 }
 
@@ -2148,6 +2201,7 @@ Result<TaskId> OmosServer::ExecFile(const std::string& fs_path, std::vector<std:
 Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
   uint32_t index = task.reg(12);
   TaskRuntime::Slot slot;
+  std::shared_ptr<const CachedImage> mapped;  // the version this task already maps
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     auto it = runtimes_.find(task.id());
@@ -2155,15 +2209,21 @@ Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
       return Err(ErrorCode::kExecFault, StrCat(task.name(), ": bad dload slot ", index));
     }
     slot = it->second.slots[index];
+    if (auto lib = it->second.libs.find(slot.lib_path); lib != it->second.libs.end()) {
+      mapped = lib->second;
+    }
   }
   ImageCache::ReadLease lease(cache_);  // pins *impl across the mapping below
   uint64_t rebuild_work = 0;
-  OMOS_TRY(const CachedImage* impl, GetOrRebuild(slot.lib_path, &rebuild_work));
-  task.BillSys(rebuild_work);
-  // First use in this task: the stub "contacts OMOS and loads in the
-  // library" (§4.2) — one IPC round trip plus the mapping work.
-  OMOS_TRY_VOID(
-      MapFirstUse(task, *impl, kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup));
+  const CachedImage* impl = mapped.get();
+  if (impl == nullptr) {
+    OMOS_TRY(impl, GetOrRebuild(slot.lib_path, &rebuild_work));
+    task.BillSys(rebuild_work);
+    // First use in this task: the stub "contacts OMOS and loads in the
+    // library" (§4.2) — one IPC round trip plus the mapping work.
+    OMOS_TRY_VOID(
+        MapFirstUse(task, *impl, kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup));
+  }
   // "the first time a function is accessed, its name is looked up in the
   // function hash table and the value stored in an indirect branch table" —
   // user-mode work in the stub.
@@ -2197,12 +2257,12 @@ Result<void> OmosServer::HandleMonLog(Kernel& kernel, Task& task) {
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     auto it = runtimes_.find(task.id());
-    if (it == runtimes_.end()) {
+    if (it == runtimes_.end() || it->second.program == nullptr) {
       return OkResult();  // Unmonitored task; ignore.
     }
-    key = it->second.program_key;
+    key = it->second.program->key;
   }
-  // program_key = "<path>§<spec>"; recover the path.
+  // key = "<path>§<spec>"; recover the path.
   std::string_view path_part = key;
   SplitCacheKey(key, &path_part, nullptr);
   std::string path(path_part);
@@ -2259,8 +2319,8 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     auto rt = runtimes_.find(task.id());
-    if (rt != runtimes_.end()) {
-      program_key = rt->second.program_key;
+    if (rt != runtimes_.end() && rt->second.program != nullptr) {
+      program_key = rt->second.program->key;
     }
   }
   // The class binds to the client program's addresses, so each program gets
@@ -2292,7 +2352,8 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
       libraries.push_back(&program->image);
       std::string_view program_path = program_key;
       SplitCacheKey(program_key, &program_path, nullptr);
-      loaded.deps.push_back(LibDep{program_key, std::string(program_path)});
+      loaded.deps.push_back(LibDep{program_key, std::string(program_path),
+                                   program->image.text_base, program->image.data_base});
     }
     return LinkAndPublish(key, module, {}, std::move(libraries), std::move(loaded), tracker);
   };
@@ -2305,13 +2366,11 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     std::lock_guard<std::mutex> lock(kernel_mu_);
     OMOS_TRY_VOID(MapCached(*kernel_, task, *cached));
   }
-  // Remember the mapped regions so the class can be dynamically unlinked.
+  // The task owns the class like any image it maps, so it can be unlinked.
   const LinkedImage& image = cached->image;
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
-    runtimes_[task.id()].dyn_loaded.push_back(TaskRuntime::DynRegion{
-        image.text_base, image.data_base, !image.text.empty(),
-        image.data.size() + image.bss_size > 0});
+    runtimes_[task.id()].dyn_loaded.push_back(cached->shared_from_this());
   }
 
   DynLoadResult result;
@@ -2324,24 +2383,27 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
 }
 
 Result<void> OmosServer::DynamicUnload(Task& task, uint32_t text_base) {
+  std::shared_ptr<const CachedImage> unloaded;  // dropped after the locks
   std::lock_guard<std::mutex> rt_lock(runtimes_mu_);
   auto rt = runtimes_.find(task.id());
   if (rt == runtimes_.end()) {
     return Err(ErrorCode::kNotFound, StrCat(task.name(), ": no OMOS runtime state"));
   }
-  auto& regions = rt->second.dyn_loaded;
-  for (auto it = regions.begin(); it != regions.end(); ++it) {
-    if (it->text_base != text_base) {
+  auto& loaded = rt->second.dyn_loaded;
+  for (auto it = loaded.begin(); it != loaded.end(); ++it) {
+    const LinkedImage& image = (*it)->image;
+    if (image.text_base != text_base) {
       continue;
     }
     std::lock_guard<std::mutex> lock(kernel_mu_);  // runtimes_mu_ -> kernel_mu_ is in order
-    if (it->has_text) {
-      OMOS_TRY_VOID(task.space().Unmap(it->text_base));
+    if (!image.text.empty()) {
+      OMOS_TRY_VOID(task.space().Unmap(image.text_base));
     }
-    if (it->has_data) {
-      OMOS_TRY_VOID(task.space().Unmap(it->data_base));
+    if (image.data.size() + image.bss_size > 0) {
+      OMOS_TRY_VOID(task.space().Unmap(image.data_base));
     }
-    regions.erase(it);
+    unloaded = std::move(*it);
+    loaded.erase(it);
     return OkResult();
   }
   return Err(ErrorCode::kNotFound,
@@ -2656,36 +2718,19 @@ int OmosServer::OptimizePlacements() {
   return evicted;
 }
 
-Result<std::vector<std::string>> OmosServer::TaskImageKeys(TaskId id) const {
-  std::vector<std::string> keys;
-  std::set<std::string> mapped_libs;
+Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
+  std::vector<std::shared_ptr<const CachedImage>> images;  // dropped after the lock
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     auto it = runtimes_.find(id);
     if (it == runtimes_.end()) {
       return Err(ErrorCode::kNotFound, StrCat("no OMOS runtime state for task ", id));
     }
-    keys.push_back(it->second.program_key);
-    mapped_libs = it->second.mapped_libs;
+    images = it->second.Images();
   }
-  ImageCache::ReadLease lease(cache_);  // keeps the Peek pointer valid
-  if (const CachedImage* program = cache_.Peek(keys.front())) {
-    for (const LibDep& dep : program->deps) {
-      keys.push_back(dep.cache_key);
-    }
-  }
-  keys.insert(keys.end(), mapped_libs.begin(), mapped_libs.end());
-  return keys;
-}
-
-Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
-  OMOS_TRY(std::vector<std::string> keys, TaskImageKeys(id));
-  ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid while we copy
   std::vector<ImageSymbol> symbols;
-  for (const std::string& key : keys) {
-    if (const CachedImage* image = cache_.Peek(key)) {
-      symbols.insert(symbols.end(), image->image.symbols.begin(), image->image.symbols.end());
-    }
+  for (const auto& image : images) {
+    symbols.insert(symbols.end(), image->image.symbols.begin(), image->image.symbols.end());
   }
   return symbols;
 }
@@ -2693,30 +2738,24 @@ Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
 Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
   std::vector<CycleProfiler::Sample> samples = CycleProfiler::Samples();
 
-  // Which tasks to attribute: the requested one, or every task with runtime
-  // state when id == 0 (the flat, cross-task profile).
-  std::vector<TaskId> ids;
+  // Which tasks to attribute, with the images each maps: the requested one,
+  // or every task with runtime state when id == 0 (the flat, cross-task
+  // profile). The references are dropped after the lock.
+  std::vector<std::pair<TaskId, std::vector<std::shared_ptr<const CachedImage>>>> tasks;
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
-    if (id != 0) {
-      if (runtimes_.find(id) == runtimes_.end()) {
-        return Err(ErrorCode::kNotFound, StrCat("no OMOS runtime state for task ", id));
-      }
-      ids.push_back(id);
-    } else {
-      for (const auto& entry : runtimes_) {
-        ids.push_back(entry.first);
+    for (const auto& [task_id, runtime] : runtimes_) {
+      if (id == 0 || task_id == id) {
+        tasks.emplace_back(task_id, runtime.Images());
       }
     }
   }
+  if (id != 0 && tasks.empty()) {
+    return Err(ErrorCode::kNotFound, StrCat("no OMOS runtime state for task ", id));
+  }
 
   std::string out;
-  for (TaskId task_id : ids) {
-    auto task_keys = TaskImageKeys(task_id);
-    if (!task_keys.ok()) {
-      continue;  // released since we listed it
-    }
-
+  for (const auto& [task_id, images] : tasks) {
     // Address-sorted text symbols across the task's program + library images,
     // each tagged with the image it came from (the per-image dimension).
     struct Row {
@@ -2725,14 +2764,8 @@ Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
       const std::string* name;
       const std::string* image;
     };
-    ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid
-    std::set<std::string> keys(task_keys->begin(), task_keys->end());
     std::vector<Row> rows;
-    for (const std::string& image_key : keys) {
-      const CachedImage* image = cache_.Peek(image_key);
-      if (image == nullptr) {
-        continue;
-      }
+    for (const auto& image : images) {
       for (const ImageSymbol& sym : image->image.symbols) {
         if (sym.section == SectionKind::kText) {
           rows.push_back(Row{sym.addr, sym.size, &sym.name, &image->image.name});
@@ -2912,19 +2945,13 @@ OmosReply OmosServer::HandleRequestImpl(const OmosRequest& request) {
   switch (request.op) {
     case OmosOp::kInstantiate: {
       Specialization spec = Specialization::FromKeyString(request.specialization);
-      ImageCache::ReadLease lease(cache_);  // pins *image across MapProgram
-      auto image = InstantiateFor(*task, request.path, spec);
-      if (!image.ok()) {
-        reply.error = image.error().ToString();
-        return reply;
-      }
-      auto entry = MapProgram(*task, **image);
-      if (!entry.ok()) {
-        reply.error = entry.error().ToString();
+      auto program = InstantiateAndMap(*task, request.path, spec);
+      if (!program.ok()) {
+        reply.error = program.error().ToString();
         return reply;
       }
       reply.ok = true;
-      reply.entry = *entry;
+      reply.entry = (*program)->image.entry;
       std::lock_guard<std::mutex> lock(kernel_mu_);
       for (const auto& region : task->space().Regions()) {
         reply.segments.push_back(SegmentDesc{region.base, region.size, region.prot, region.name});
@@ -2965,111 +2992,74 @@ OmosReply OmosServer::HandleRequestImpl(const OmosRequest& request) {
 
 OmosReply OmosServer::HandleIntrospect(const OmosRequest& request) {
   OmosReply reply;
+  reply.ok = true;
+  auto fail = [&reply](const Error& error) {
+    reply.ok = false;
+    reply.error = error.ToString();
+  };
   const std::string& cmd = request.path;
   if (cmd == "stats") {
-    reply.ok = true;
     reply.metrics = MetricsRegistry::Global().Snapshot();
-    return reply;
-  }
-  if (cmd == "stats-text") {
-    reply.ok = true;
+  } else if (cmd == "stats-text") {
     reply.payload = MetricsRegistry::Global().TextSummary();
-    return reply;
-  }
-  if (cmd == "trace") {
-    reply.ok = true;
+  } else if (cmd == "trace") {
     reply.payload = TraceToChromeJson();
-    return reply;
-  }
-  if (cmd == "trace-summary") {
-    reply.ok = true;
+  } else if (cmd == "trace-summary") {
     reply.payload = TraceTextSummary();
-    return reply;
-  }
-  if (cmd == "trace-start") {
-    TraceSetEnabled(true);
-    reply.ok = true;
-    return reply;
-  }
-  if (cmd == "trace-stop") {
-    TraceSetEnabled(false);
-    reply.ok = true;
-    return reply;
-  }
-  if (cmd == "trace-clear") {
+  } else if (cmd == "trace-start" || cmd == "trace-stop") {
+    TraceSetEnabled(cmd == "trace-start");
+  } else if (cmd == "trace-clear") {
     TraceClear();
-    reply.ok = true;
-    return reply;
-  }
-  if (cmd == "profile-start") {
+  } else if (cmd == "profile-start") {
     // task_handle doubles as the sampling period here (0 = default).
     CycleProfiler::Clear();
     CycleProfiler::Start(request.task_handle == 0 ? 64 : request.task_handle);
-    reply.ok = true;
-    return reply;
-  }
-  if (cmd == "profile-stop") {
+  } else if (cmd == "profile-stop") {
     CycleProfiler::Stop();
-    reply.ok = true;
-    return reply;
-  }
-  if (cmd == "profile") {
+  } else if (cmd == "profile") {
     auto profile = ProfileForTask(request.task_handle);
-    if (!profile.ok()) {
-      reply.error = profile.error().ToString();
-      return reply;
+    if (profile.ok()) {
+      reply.payload = *profile;
+    } else {
+      fail(profile.error());
     }
-    reply.ok = true;
-    reply.payload = *profile;
-    return reply;
-  }
-  if (cmd == "placements") {
+  } else if (cmd == "placements") {
     // The global layout as the solver sees it: generation, one line per
     // placed object (with its stamp), then the outstanding conflict log.
-    reply.ok = true;
-    std::string out;
     std::lock_guard<std::mutex> lock(solver_mu_);
-    out = StrCat("layout generation ", solver_.layout_generation(), "\n");
+    reply.payload = StrCat("layout generation ", solver_.layout_generation(), "\n");
     for (const PlacementRecord& record : solver_.ExportPlacements()) {
-      out += StrCat("place T=", Hex32(record.placement.text_base),
-                    " D=", Hex32(record.placement.data_base),
-                    " gen=", record.placement.generation, " ", record.object, "\n");
+      reply.payload += StrCat("place T=", Hex32(record.placement.text_base),
+                              " D=", Hex32(record.placement.data_base),
+                              " gen=", record.placement.generation, " ", record.object, "\n");
     }
     for (const ConflictRecord& conflict : solver_.conflicts()) {
-      out += StrCat("conflict ", conflict.object, " wanted=", Hex32(conflict.wanted),
-                    " got=", Hex32(conflict.got), " holder=", conflict.holder, "\n");
+      reply.payload += StrCat("conflict ", conflict.object, " wanted=", Hex32(conflict.wanted),
+                              " got=", Hex32(conflict.got), " holder=", conflict.holder, "\n");
     }
-    reply.payload = out;
-    return reply;
-  }
-  if (StartsWith(cmd, "upgrade ")) {
+  } else if (StartsWith(cmd, "upgrade ")) {
     // "upgrade <libpath>" with the new blueprint in request.specialization:
     // kick off a live upgrade (docs/upgrade.md). The reply returns the
     // upgrade id; progress is polled via "upgrade-status".
     std::string target = cmd.substr(std::string_view("upgrade ").size());
     auto begun = BeginUpgrade(target, request.specialization);
-    if (!begun.ok()) {
-      reply.error = begun.error().ToString();
-      return reply;
-    }
-    reply.ok = true;
-    reply.payload = StrCat("upgrade ", *begun, " of ", target, " started\n");
-    return reply;
-  }
-  if (cmd == "upgrade-status") {
-    UpgradeStatus status = UpgradeStatusNow();
-    reply.ok = true;
-    if (status.id == 0) {
-      reply.payload = "no upgrade\n";
+    if (begun.ok()) {
+      reply.payload = StrCat("upgrade ", *begun, " of ", target, " started\n");
     } else {
-      reply.payload = StrCat("upgrade ", status.id, " ", status.path, ": ",
-                             UpgradePhaseName(status.phase), ", ", status.tasks_pending,
-                             " task(s) pending",
-                             status.error.empty() ? "" : StrCat(" (", status.error, ")"), "\n");
+      fail(begun.error());
     }
-    return reply;
+  } else if (cmd == "upgrade-status") {
+    UpgradeStatus status = UpgradeStatusNow();
+    reply.payload = status.id == 0
+                        ? "no upgrade\n"
+                        : StrCat("upgrade ", status.id, " ", status.path, ": ",
+                                 UpgradePhaseName(status.phase), ", ", status.tasks_pending,
+                                 " task(s) pending",
+                                 status.error.empty() ? "" : StrCat(" (", status.error, ")"), "\n");
+  } else {
+    reply.ok = false;
+    reply.error = StrCat("unknown introspect subcommand: ", cmd);
   }
-  reply.error = StrCat("unknown introspect subcommand: ", cmd);
   return reply;
 }
 

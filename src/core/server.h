@@ -82,7 +82,8 @@ struct OmosServerConfig {
 //   monitor_mu_  — monitor_names_ / monitor_counts_ / preferred_order_
 //   solver_mu_   — every ConstraintSolver call
 //   upgrade_mu_  — the live-upgrade job (phase, pending tasks, plan)
-//   runtimes_mu_ — runtimes_ (per-task stub/dyn state)
+//   runtimes_mu_ — runtimes_ (per-task images and stub state); no image
+//                  is destroyed while it is held
 //   kernel_mu_   — kernel and task mutation (CreateTask, mapping, billing,
 //                  SimFs writes); never held across a build
 //
@@ -96,7 +97,8 @@ struct OmosServerConfig {
 // a leader via ImageCache::JoinBuild and everyone shares its image. Callers
 // that use a returned CachedImage* concurrently with possible eviction
 // (redefinition under load) must hold an ImageCache::ReadLease across the
-// call and every use of the pointer; the request paths below do.
+// call and every use of the pointer; the request paths below do. A task's
+// runtime owns the images it maps, so what a task maps needs neither.
 //
 // `solver()`, `cache()` and `conflicts()` hand out raw references for tests
 // and tools — use them only while no worker threads are in flight.
@@ -164,7 +166,10 @@ class OmosServer {
   Result<int> ExportNamespaceToFs(std::string_view namespace_dir, std::string_view fs_dir);
 
   // Map a cached program image (plus its constrained library deps) into a
-  // task, registering lazy-stub state. Returns the entry address.
+  // task, registering lazy-stub state. Returns the entry address. A dep no
+  // longer at the bases the program was linked against (moved since the
+  // Instantiate) is kUnavailable before anything is mapped: instantiate
+  // again.
   Result<uint32_t> MapProgram(Task& task, const CachedImage& program);
 
   // Drop per-task runtime state (call when a task is destroyed).
@@ -292,13 +297,14 @@ class OmosServer {
   int OptimizePlacements();
 
   // Debugger support (§4.1: "we plan to enhance gdb to interface directly
-  // with OMOS"): the full symbol table visible in `task` — its program
-  // image plus every library image mapped so far.
+  // with OMOS"): the full symbol table of the images `task` maps (program,
+  // libraries, dynamically loaded classes), whatever was redefined since.
   Result<std::vector<ImageSymbol>> SymbolsForTask(TaskId id) const;
 
   // Symbol-level profile of the CycleProfiler samples attributed to `id`
-  // (0 = every task with runtime state), resolved through the cached
-  // images' symbol indexes. Human-readable text; see docs/observability.md.
+  // (0 = every task with runtime state), resolved through the symbol
+  // indexes of the images each task maps. Human-readable text; see
+  // docs/observability.md.
   Result<std::string> ProfileForTask(TaskId id) const;
 
   // ---- IPC ------------------------------------------------------------------
@@ -359,8 +365,8 @@ class OmosServer {
     std::vector<NamespaceRead> reads;
     std::vector<std::shared_ptr<const ReadSet>> nested;
     int max_depth = 0;  // deepest Eval depth reached
-    // Set by LinkAndPublish when a read was redefined before the image
-    // could publish; the build is then redone (BuildCurrent).
+    // Set by LinkAndPublish when a read was redefined or a dep moved before
+    // the image could publish; the build is then redone (BuildCurrent).
     bool superseded = false;
 
     // Moves every read so far into one immutable set; the tracker is left
@@ -385,31 +391,35 @@ class OmosServer {
     // hit the memo and the memos that nest it.
     std::shared_ptr<const ReadSet> reads;
   };
+  // What one task maps and how its lazy slots resolve. An image evicted
+  // from the cache lives until the last runtime that maps it is released.
   struct TaskRuntime {
     struct Slot {
       uint32_t slot_addr = 0;
       std::string lib_path;
       std::string symbol;
     };
-    struct DynRegion {
-      uint32_t text_base = 0;
-      uint32_t data_base = 0;
-      bool has_text = false;
-      bool has_data = false;
-    };
-    std::string program_key;
+    std::shared_ptr<const CachedImage> program;  // null for a DynamicLoad-only task
+    // Libraries mapped at exec (eager deps) and on first use (lazy
+    // libraries, degradation stubs), by cache key.
+    std::map<std::string, std::shared_ptr<const CachedImage>> libs;
     std::vector<Slot> slots;
-    std::set<std::string> mapped_libs;
-    std::vector<DynRegion> dyn_loaded;
+    std::vector<std::shared_ptr<const CachedImage>> dyn_loaded;  // DynamicLoad classes
+
+    // Program, libraries, then dynamically loaded classes.
+    std::vector<std::shared_ptr<const CachedImage>> Images() const;
   };
 
   // Namespace lookup on behalf of a build: records `path` as an input.
   Result<std::shared_ptr<const NamespaceEntry>> ReadInput(std::string_view path,
                                                           BuildTracker& tracker) const;
-  // Instantiate for `task`, billing it the build work plus the cache lookup.
-  // Callers hold a ReadLease across every use of the image.
-  Result<const CachedImage*> InstantiateFor(Task& task, const std::string& path,
-                                            const Specialization& spec);
+  // The exec step: Instantiate for `task`, billing it the build work plus
+  // the cache lookup, then MapProgram; redone while a library the program
+  // was linked against moved before it could map (a refused attempt stays
+  // billed). Returns the mapped program.
+  Result<std::shared_ptr<const CachedImage>> InstantiateAndMap(Task& task,
+                                                               const std::string& path,
+                                                               const Specialization& spec);
   Result<EvalValue> Eval(const Sexpr& expr, BuildTracker& tracker, int depth);
   Result<EvalValue> EvalName(const std::string& name, BuildTracker& tracker, int depth);
   // Evaluate the construction of `entry`, just read at normalized path
@@ -442,13 +452,17 @@ class OmosServer {
   // `libraries` (LayoutSpec::libraries; the caller keeps them alive), bill
   // the link work, materialize segments, and Put it under `key` with the
   // tracker's reads as its inputs. `cached` carries the deps and stub
-  // slots. If a read was redefined meanwhile, nothing is published: the
-  // placement is released and tracker.superseded set, for BuildCurrent to
-  // redo the build.
+  // slots. If a read was redefined or a dep moved meanwhile, nothing is
+  // published: the placement is released and tracker.superseded set, for
+  // BuildCurrent to redo the build.
   Result<const CachedImage*> LinkAndPublish(const std::string& key, const Module& client,
                                             const PlacementHints& hints,
                                             std::vector<const LinkedImage*> libraries,
                                             CachedImage cached, BuildTracker& tracker);
+
+  // Whether every dep still holds the placement its dependent linked at (a
+  // redefinition may have released and re-placed it elsewhere).
+  bool DepsInPlace(const std::vector<LibDep>& deps) const;
 
   // Frame-backed master segments (shared text + CoW data) for a freshly
   // linked or store-adopted image. One copy into phys memory; every client
@@ -513,16 +527,11 @@ class OmosServer {
   Channel TakeExecChannel(ExecTransport transport);
   void ParkExecChannel(ExecTransport transport, Channel channel);
 
-  // First use of `image` in `task`: records it in the task's mapped_libs,
-  // bills `first_use_cost` and maps it; later uses do nothing. Returns
-  // whether this call mapped it, or kNotFound once the task's runtime state
-  // is gone (released concurrently).
+  // First use of `image` in `task`: records it in the runtime's libs, bills
+  // `first_use_cost` and maps it; later uses of its key do nothing.
+  // Returns whether this call mapped it, or kNotFound once the task's
+  // runtime state is gone (released concurrently).
   Result<bool> MapFirstUse(Task& task, const CachedImage& image, uint64_t first_use_cost);
-
-  // Cache keys of the images task `id` maps, in map order: its program, the
-  // program's deps, then the libraries it mapped on first use. kNotFound
-  // when the task has no runtime state.
-  Result<std::vector<std::string>> TaskImageKeys(TaskId id) const;
 
   Result<void> HandleDload(Kernel& kernel, Task& task);
   Result<void> HandleMonLog(Kernel& kernel, Task& task);

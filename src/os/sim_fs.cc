@@ -69,15 +69,27 @@ void SimFs::Mkdir(std::string_view path) {
   }
 }
 
+Result<void> SimFs::CheckFilePlacement(std::string_view op, std::string_view norm_path) const {
+  auto it = files_.find(norm_path);
+  if (it != files_.end() && (it->second.mode & kModeDir) != 0) {
+    return Err(ErrorCode::kInvalidArgument, StrCat(op, ": is a directory: ", norm_path));
+  }
+  for (size_t slash = norm_path.find('/', 1); slash != std::string_view::npos;
+       slash = norm_path.find('/', slash + 1)) {
+    auto parent = files_.find(norm_path.substr(0, slash));
+    if (parent != files_.end() && (parent->second.mode & kModeDir) == 0) {
+      return Err(ErrorCode::kInvalidArgument,
+                 StrCat(op, ": not a directory: ", parent->first, " in ", norm_path));
+    }
+  }
+  return OkResult();
+}
+
 Result<void> SimFs::PutBytes(std::string_view norm_path, std::vector<uint8_t> bytes,
                              uint32_t perm, bool durable) {
+  OMOS_TRY_VOID(CheckFilePlacement("write", norm_path));
   std::string norm(norm_path);
   auto it = files_.find(norm);
-  if (it != files_.end() && (it->second.mode & kModeDir) != 0) {
-    // A regular file cannot replace a directory: its children would stay
-    // reachable by path but could no longer be listed.
-    return Err(ErrorCode::kInvalidArgument, StrCat("write: is a directory: ", norm_path));
-  }
   size_t slash = norm.rfind('/');
   if (slash > 0) {
     Mkdir(std::string_view(norm).substr(0, slash));
@@ -197,6 +209,7 @@ Result<void> SimFs::Rename(std::string_view from, std::string_view to) {
   if (norm_from == norm_to) {
     return OkResult();
   }
+  OMOS_TRY_VOID(CheckFilePlacement("rename", norm_to));
   SimFile file = std::move(it->second);
   files_.erase(it);
   size_t slash = norm_to.rfind('/');

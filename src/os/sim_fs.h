@@ -51,8 +51,9 @@ class SimFs {
 
   // Create or replace a regular file; parent directories are created.
   // Immediately durable (legacy semantics — installation-time writes). A
-  // path that is a directory is left as it is and the refusal logged; the
-  // Try* writes return it as kInvalidArgument instead.
+  // path that is a directory, or lies below a regular file, is left as it
+  // is and the refusal logged; the Try* writes return it as
+  // kInvalidArgument instead.
   void WriteFile(std::string_view path, std::vector<uint8_t> bytes, uint32_t perm = 0644);
   void WriteFile(std::string_view path, std::string_view text, uint32_t perm = 0644);
 
@@ -81,7 +82,8 @@ class SimFs {
   // file's *content* durability travels with it: renaming a never-synced
   // file publishes a name whose bytes still die on crash (the classic
   // zero-length-file bug; the store fsyncs before renaming). Trips
-  // "fs.rename" before any mutation.
+  // "fs.rename" before any mutation. A `to` that is a directory, or lies
+  // below a regular file, is kInvalidArgument.
   Result<void> Rename(std::string_view from, std::string_view to);
 
   // Delete a regular file (durable immediately). kNotFound if absent.
@@ -117,8 +119,13 @@ class SimFs {
 
   Files::const_iterator Find(std::string_view path) const;
   Result<Files::const_iterator> FindDir(std::string_view path) const;
+  // The one placement rule of the write and rename paths: a regular file
+  // may not replace a directory (its children would stay reachable by path
+  // but could no longer be listed), nor sit below a regular file.
+  // kInvalidArgument naming the path, prefixed by `op`, otherwise.
+  Result<void> CheckFilePlacement(std::string_view op, std::string_view norm_path) const;
   // Shared body of the write paths; refuses (changing nothing) a path that
-  // is a directory.
+  // breaks CheckFilePlacement.
   Result<void> PutBytes(std::string_view norm_path, std::vector<uint8_t> bytes, uint32_t perm,
                         bool durable);
 

@@ -113,6 +113,42 @@ TEST(SimFs, FileWriteOverDirectoryIsRefused) {
   EXPECT_OK(fs.Lookup("/data/a"));
 }
 
+TEST(SimFs, RenameOntoDirectoryIsRefused) {
+  SimFs fs;
+  fs.WriteFile("/data/a", "child");
+  fs.WriteFile("/src", "0123456789");
+  size_t files = fs.file_count();
+  auto refused = fs.Rename("/src", "/data");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(refused.error().message().find("/data"), std::string::npos);
+  EXPECT_EQ(fs.file_count(), files);
+  EXPECT_OK(fs.Lookup("/src"));
+  ASSERT_OK_AND_ASSIGN(std::vector<std::string> names, fs.ListDir("/data"));
+  EXPECT_EQ(names, (std::vector<std::string>{"a"}));
+}
+
+TEST(SimFs, WriteBelowRegularFileIsRefused) {
+  SimFs fs;
+  fs.WriteFile("/f", "file");
+  size_t files = fs.file_count();
+  auto refused = fs.TryWriteFile("/f/x", "below");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(refused.error().message().find("/f/x"), std::string::npos);
+  EXPECT_FALSE(fs.TryWriteUnsynced("/f/y/z", {1}).ok());
+  EXPECT_FALSE(fs.TryAppendUnsynced("/f/w", {1}).ok());
+  fs.WriteFile("/f/x", "below");  // the legacy write refuses too
+  fs.WriteFile("/g", "other");
+  auto renamed = fs.Rename("/g", "/f/g");
+  ASSERT_FALSE(renamed.ok());
+  EXPECT_EQ(renamed.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(fs.file_count(), files + 1);
+  EXPECT_FALSE(fs.Exists("/f/x"));
+  ASSERT_OK_AND_ASSIGN(const SimFile* f, fs.Lookup("/f"));
+  EXPECT_EQ(f->mode & kModeDir, 0u);
+}
+
 TEST(Syscalls, OpenReadClose) {
   Kernel kernel;
   kernel.fs().WriteFile("/greeting", "hello, world");

@@ -18,6 +18,7 @@
 #include "src/support/faultsim.h"
 #include "src/support/metrics.h"
 #include "src/support/strings.h"
+#include "src/support/trace.h"
 #include "src/workloads/workloads.h"
 #include "tests/helpers.h"
 
@@ -1545,19 +1546,18 @@ TEST_F(EvalMemoTest, MemberRedefinitionsRaceBuilds) {
   EXPECT_EQ(last, kVersions);
 }
 
-TEST_F(EvalMemoTest, LibraryFixesRaceSharedArchiveReads) {
-  // The read-set sharing under load: a writer alternates library fixes of
-  // /lib/ans, which leave the /libx archive memo valid, with replacements
-  // of its member v.o, while three readers exec /bin/q. (A fix keeps the
-  // library's base: an exec racing a fix that moves it can map the moved
-  // library under a program linked against the old base.) Every rebuild of
-  // /lib/ans nests the archive memo's shared read set, and each fix walks
-  // the nested sets of the cached images and memos (CachedDependents,
-  // DropStaleMemos) while builds add them. An exec must map a member
-  // version that was current at some point during it (see
-  // MemberRedefinitionsRaceBuilds).
-  constexpr int kVersions = 24;
-  ASSERT_OK(DefineAnswerClient(*server_, 0));
+// The read-set sharing under load: a writer alternates library fixes of
+// /lib/ans, which leave the /libx archive memo valid, with replacements of
+// its member v.o, while three readers exec /bin/q. Every rebuild of /lib/ans
+// nests the archive memo's shared read set, and each fix walks the nested
+// sets of the cached images and memos (CachedDependents, DropStaleMemos)
+// while builds add them. The fixes place /lib/ans at `bases` in turn. An
+// exec must map a member version that was current at some point during it
+// (see MemberRedefinitionsRaceBuilds).
+constexpr int kRaceVersions = 24;
+void RaceLibraryFixes(OmosServer& server, Kernel& kernel, const std::vector<uint32_t>& bases) {
+  constexpr int kVersions = kRaceVersions;
+  ASSERT_OK(DefineAnswerClient(server, 0));
   std::vector<ObjectFile> versions;
   for (int v = 1; v <= kVersions; ++v) {
     ASSERT_OK_AND_ASSIGN(ObjectFile object, VersionedAnswer(v));
@@ -1577,18 +1577,22 @@ TEST_F(EvalMemoTest, LibraryFixesRaceSharedArchiveReads) {
   std::vector<Exec> execs;
   std::vector<std::thread> threads;
   threads.emplace_back([&] {
+    size_t fixes = 0;
     for (int v = 1; v <= kVersions; ++v) {
       for (int fix = 0; fix < 2; ++fix) {
         while (exec_count.load() < 3 * v + fix) {
           std::this_thread::yield();
         }
-        if (!server_->DefineLibrary("/lib/ans", "(constraint-list \"T\" 0x2000000)\n(merge /libx)")
+        uint32_t base = bases[fixes++ % bases.size()];
+        if (!server
+                 .DefineLibrary("/lib/ans", StrCat("(constraint-list \"T\" ", Hex32(base),
+                                                   ")\n(merge /libx)"))
                  .ok()) {
           errors.fetch_add(1);
         }
       }
       begun.store(v);
-      if (!server_->AddFragment("/libx/v.o", versions[v - 1]).ok()) {
+      if (!server.AddFragment("/libx/v.o", versions[v - 1]).ok()) {
         errors.fetch_add(1);
       }
       finished.store(v);
@@ -1599,7 +1603,7 @@ TEST_F(EvalMemoTest, LibraryFixesRaceSharedArchiveReads) {
     threads.emplace_back([&] {
       while (!done.load()) {
         int lo = finished.load();
-        auto id = server_->IntegratedExec("/bin/q", {"q"});
+        auto id = server.IntegratedExec("/bin/q", {"q"});
         int hi = begun.load();
         if (!id.ok()) {
           errors.fetch_add(1);
@@ -1618,15 +1622,248 @@ TEST_F(EvalMemoTest, LibraryFixesRaceSharedArchiveReads) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_GE(execs.size(), 3u * kVersions);
   for (const Exec& exec : execs) {
-    ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(exec.id));
-    EXPECT_TRUE(out.exit_code >= exec.lo && out.exit_code <= exec.hi)
-        << "exec mapped version " << out.exit_code << ", current was " << exec.lo << ".."
+    Task* task = kernel.FindTask(exec.id);
+    ASSERT_NE(task, nullptr);
+    ASSERT_OK(kernel.RunTask(*task));
+    EXPECT_TRUE(task->exit_code() >= exec.lo && task->exit_code() <= exec.hi)
+        << "exec mapped version " << task->exit_code() << ", current was " << exec.lo << ".."
         << exec.hi;
-    server_->ReleaseTask(exec.id);
-    kernel_.DestroyTask(exec.id);
+    server.ReleaseTask(exec.id);
+    kernel.DestroyTask(exec.id);
   }
+}
+
+TEST_F(EvalMemoTest, LibraryFixesRaceSharedArchiveReads) {
+  RaceLibraryFixes(*server_, kernel_, {0x2000000});
   ASSERT_OK_AND_ASSIGN(int last, ExecQ());
-  EXPECT_EQ(last, kVersions);
+  EXPECT_EQ(last, kRaceVersions);
+}
+
+TEST_F(EvalMemoTest, LibraryFixesThatMoveTheBaseRaceExecs) {
+  // Every fix moves /lib/ans, so a fix landing between an exec's
+  // Instantiate and its MapProgram leaves the program linked against a
+  // base the library no longer has: the exec must instantiate again, never
+  // map the moved library under the old program.
+  RaceLibraryFixes(*server_, kernel_, {0x2100000, 0x2000000});
+  ASSERT_OK_AND_ASSIGN(int last, ExecQ());
+  EXPECT_EQ(last, kRaceVersions);
+}
+
+TEST_F(EvalMemoTest, MapProgramRefusesALibraryThatMoved) {
+  // A library fix that moves /lib/ans lands between an exec's Instantiate
+  // and its MapProgram. The program's bytes call the old base, so the
+  // rebuilt library cannot be mapped under it: nothing is mapped and the
+  // caller instantiates again.
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  Task& task = kernel_.CreateTask("moved");
+  size_t regions = task.space().Regions().size();
+  {
+    ImageCache::ReadLease lease(server_->cache());  // the fix evicts *program
+    ASSERT_OK_AND_ASSIGN(const CachedImage* program,
+                         server_->Instantiate("/bin/q", {}, nullptr));
+    ASSERT_OK(
+        server_->DefineLibrary("/lib/ans", "(constraint-list \"T\" 0x2100000)\n(merge /libx)"));
+    auto mapped = server_->MapProgram(task, *program);
+    ASSERT_FALSE(mapped.ok()) << "mapped /lib/ans moved under a program linked at 0x02000000";
+    EXPECT_EQ(mapped.error().code(), ErrorCode::kUnavailable);
+    EXPECT_NE(mapped.error().message().find("/lib/ans"), std::string::npos);
+  }
+  EXPECT_EQ(task.space().Regions().size(), regions);
+  EXPECT_FALSE(server_->SymbolsForTask(task.id()).ok());
+  kernel_.DestroyTask(task.id());
+  ASSERT_OK_AND_ASSIGN(int again, ExecQ());
+  EXPECT_EQ(again, 1);
+}
+
+// ---- Per-task image ownership ---------------------------------------------------
+//
+// A task's runtime owns the images it mapped, so what it maps is answered
+// from those, whatever the cache holds now.
+
+TEST_F(EvalMemoTest, SymbolsNameTheVersionTheTaskMaps) {
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/q", {"q"}));
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, VersionedAnswer(2));
+  ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
+  EXPECT_EQ(VersionSeenBy(*server_, id), 1);  // v1 left the cache
+  ASSERT_OK_AND_ASSIGN(int next, ExecQ());    // v2 is cached under v1's key
+  EXPECT_EQ(next, 2);
+  EXPECT_EQ(VersionSeenBy(*server_, id), 1);
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+  EXPECT_EQ(out.exit_code, 1);
+  server_->ReleaseTask(id);
+  kernel_.DestroyTask(id);
+}
+
+TEST_F(EvalMemoTest, ProfileAttributesSamplesToTheMappedVersion) {
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  CycleProfiler::Clear();
+  CycleProfiler::Start(1);
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/q", {"q"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+  CycleProfiler::Stop();
+  EXPECT_EQ(out.exit_code, 1);
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, VersionedAnswer(2));
+  ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
+  ASSERT_OK(ExecQ());  // v2 is cached under v1's key
+  ASSERT_OK_AND_ASSIGN(std::string profile, server_->ProfileForTask(id));
+  CycleProfiler::Clear();
+  std::string lib_image = MakeCacheKey("/lib/ans", "lib-constrained");
+  EXPECT_NE(profile.find(StrCat("(", lib_image, ")")), std::string::npos) << profile;
+  EXPECT_NE(profile.find(StrCat("image ", lib_image, " samples=")), std::string::npos) << profile;
+  EXPECT_EQ(profile.find("[unresolved]"), std::string::npos) << profile;
+  EXPECT_EQ(profile.find("ver_2"), std::string::npos) << profile;
+  server_->ReleaseTask(id);
+  kernel_.DestroyTask(id);
+}
+
+TEST_F(EvalMemoTest, ReleasingTheTaskFreesTheImagesItOutlived) {
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  uint32_t baseline = kernel_.phys().frames_in_use();
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/q", {"q"}));
+  ASSERT_OK(Run(id));
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, VersionedAnswer(2));
+  ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
+  EXPECT_EQ(server_->cache().entry_count(), 0u);
+  EXPECT_GT(kernel_.phys().frames_in_use(), baseline);  // the task still maps v1
+  server_->ReleaseTask(id);
+  kernel_.DestroyTask(id);
+  EXPECT_EQ(kernel_.phys().frames_in_use(), baseline);
+}
+
+TEST_F(ServerFeatures, LazyBindingAfterRedefinitionUsesTheMappedVersion) {
+  // The task binds f from v1 of a lazy library, then the library is
+  // redefined with a new layout. Its first call of g must bind into the v1
+  // image it maps, not at v2's address for g.
+  ASSERT_OK_AND_ASSIGN(ObjectFile v1, Assemble(R"(
+.text
+.global f
+f:
+  movi r0, 1
+  ret
+.global g
+g:
+  movi r0, 2
+  ret
+)", "l.o"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, Assemble(R"(
+.text
+.global pad
+pad:
+  movi r0, 7
+  movi r0, 7
+  ret
+.global f
+f:
+  movi r0, 10
+  ret
+.global g
+g:
+  movi r0, 20
+  ret
+)", "l.o"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(R"(
+.text
+.global main
+main:
+  push lr
+  call f
+  mov r4, r0
+  movi r5, 200
+  movi r6, 0
+spin:
+  addi r5, r5, -1
+  bne r5, r6, spin
+  call g
+  add r0, r0, r4
+  pop lr
+  ret
+)", "m.o"));
+  ASSERT_OK(server_->AddFragment("/obj/l.o", std::move(v1)));
+  ASSERT_OK(server_->DefineLibrary("/lib/l", "(merge /obj/l.o)"));
+  ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/p",
+                                "(merge /lib/crt0.o /obj/m.o (specialize \"lib-dynamic\" /lib/l))"));
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/p", {"p"}));
+  Task* task = kernel_.FindTask(id);
+  ASSERT_NE(task, nullptr);
+  ASSERT_FALSE(kernel_.RunTask(*task, 100).ok());  // f bound, spinning
+  ASSERT_OK(server_->AddFragment("/obj/l.o", std::move(v2)));
+  ASSERT_OK(kernel_.RunTask(*task));
+  EXPECT_EQ(task->exit_code(), 3);
+  server_->ReleaseTask(id);
+  kernel_.DestroyTask(id);
+  ASSERT_OK_AND_ASSIGN(TaskId fresh, server_->IntegratedExec("/bin/p", {"p"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(fresh));
+  EXPECT_EQ(out.exit_code, 30);
+}
+
+TEST_F(EvalMemoTest, SymbolsMatchTheRunUnderRedefinitions) {
+  // One writer replaces the answer member while three readers exec /bin/q
+  // and read each task's version through SymbolsForTask at once, and a
+  // fourth profiles every task. The version a task reports must be the one
+  // it then runs.
+  constexpr int kVersions = 40;
+  ASSERT_OK(DefineAnswerClient(*server_, 0));
+  std::vector<ObjectFile> versions;
+  for (int v = 1; v <= kVersions; ++v) {
+    ASSERT_OK_AND_ASSIGN(ObjectFile object, VersionedAnswer(v));
+    versions.push_back(std::move(object));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::atomic<int> exec_count{0};
+  std::mutex execs_mu;
+  std::vector<std::pair<TaskId, int>> execs;  // task, version it reported
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int v = 1; v <= kVersions; ++v) {
+      while (exec_count.load() < 2 * v) {
+        std::this_thread::yield();
+      }
+      if (!server_->AddFragment("/libx/v.o", versions[v - 1]).ok()) {
+        errors.fetch_add(1);
+      }
+    }
+    done.store(true);
+  });
+  for (int r = 0; r < 3; ++r) {
+    threads.emplace_back([&] {
+      while (!done.load()) {
+        auto id = server_->IntegratedExec("/bin/q", {"q"});
+        if (!id.ok()) {
+          errors.fetch_add(1);
+        } else {
+          int seen = VersionSeenBy(*server_, *id);
+          std::lock_guard<std::mutex> lock(execs_mu);
+          execs.emplace_back(*id, seen);
+        }
+        exec_count.fetch_add(1);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!done.load()) {
+      if (!server_->ProfileForTask(0).ok()) {
+        errors.fetch_add(1);
+      }
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(errors.load(), 0);
+  int wrong = 0;
+  for (const auto& [id, seen] : execs) {
+    ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+    if (seen != out.exit_code) {
+      ++wrong;
+    }
+    server_->ReleaseTask(id);
+    kernel_.DestroyTask(id);
+  }
+  EXPECT_EQ(wrong, 0) << "of " << execs.size() << " execs";
 }
 
 // ---- Nested read sets over random nesting shapes --------------------------------

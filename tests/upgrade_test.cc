@@ -3,8 +3,10 @@
 // running server — idle-task drains, deterministic mid-run OSR transfers
 // (paused via the instruction budget), degradation stubs for deleted
 // symbols, and the FaultSim kill-point sweep over every upgrade phase.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -386,6 +388,94 @@ loop:
   ASSERT_OK_AND_ASSIGN(TaskId fresh, server_->IntegratedExec("/bin/looper", {"prog"}));
   ASSERT_OK_AND_ASSIGN(RunOutcome out, RunTaskById(fresh));
   EXPECT_EQ(out.exit_code, 180);
+}
+
+// After its frame transfer a task maps the new version only, so its symbols
+// name the new implementation and none of the old one it unmapped. (The old
+// version's marker survives as a degradation stub, elsewhere.)
+TEST_F(UpgradeTest, TransferredTaskReportsTheNewImplementation) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile val1, Assemble(R"(
+.text
+.global val
+.global val_old
+val:
+val_old:
+  movi r0, 1
+  ret
+)", "val1.o"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile val2, Assemble(R"(
+.text
+.global val
+.global val_new
+val:
+val_new:
+  movi r0, 3
+  ret
+)", "val2.o"));
+  ASSERT_OK(server_->AddFragment("/obj/val1.o", std::move(val1)));
+  ASSERT_OK(server_->AddFragment("/obj/val2.o", std::move(val2)));
+  ASSERT_OK(server_->DefineLibrary("/lib/val", "(merge /obj/val1.o)"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile caller, Assemble(R"(
+.text
+.global main
+main:
+  push lr
+  movi r4, 0
+  movi r5, 60
+  movi r6, 0
+loop:
+  call val
+  add r4, r4, r0
+  addi r5, r5, -1
+  bne r5, r6, loop
+  mov r0, r4
+  pop lr
+  ret
+)", "caller.o"));
+  ASSERT_OK(server_->AddFragment("/obj/caller.o", std::move(caller)));
+  ASSERT_OK(server_->DefineMeta("/bin/caller",
+                                "(merge /lib/crt0.o /obj/caller.o"
+                                " (specialize \"lib-dynamic\" /lib/val))"));
+  auto find = [&](TaskId id, const std::string& name) -> std::optional<uint32_t> {
+    auto symbols = server_->SymbolsForTask(id);
+    if (symbols.ok()) {
+      for (const ImageSymbol& sym : *symbols) {
+        if (sym.name == name) {
+          return sym.addr;
+        }
+      }
+    }
+    return std::nullopt;
+  };
+  auto has_at = [&](TaskId id, uint32_t addr) {
+    auto symbols = server_->SymbolsForTask(id);
+    return symbols.ok() && std::any_of(symbols->begin(), symbols->end(),
+                                       [&](const ImageSymbol& sym) { return sym.addr == addr; });
+  };
+
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/caller", {"prog"}));
+  Task* task = kernel_.FindTask(id);
+  ASSERT_NE(task, nullptr);
+  EXPECT_FALSE(find(id, "val_old").has_value());  // a lazy library maps on first call
+  ASSERT_FALSE(kernel_.RunTask(*task, 100).ok());   // paused mid-loop
+  std::optional<uint32_t> old_val = find(id, "val_old");
+  ASSERT_TRUE(old_val.has_value());
+
+  ASSERT_OK(server_->BeginUpgrade("/lib/val", "(merge /obj/val2.o)"));
+  OmosServer::UpgradeStatus status = server_->DrainUpgrade();
+  for (int round = 0; round < 32 && status.phase == UpgradePhase::kLinking; ++round) {
+    status = server_->DrainUpgrade();
+  }
+  ASSERT_EQ(status.phase, UpgradePhase::kDraining) << status.error;
+  ASSERT_OK(kernel_.RunTask(*task));  // transfers at its safepoint
+  EXPECT_GT(task->exit_code(), 60);
+  EXPECT_TRUE(find(id, "val_new").has_value());
+  EXPECT_FALSE(has_at(id, *old_val));
+  EXPECT_EQ(DrainToTerminal().phase, UpgradePhase::kDone);
+  EXPECT_TRUE(find(id, "val_new").has_value());
+  EXPECT_FALSE(has_at(id, *old_val));
+  server_->ReleaseTask(id);
+  kernel_.DestroyTask(id);
 }
 
 // A symbol the new version dropped: live callers get the degradation stub
