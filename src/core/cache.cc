@@ -20,6 +20,9 @@ constexpr size_t kSumPageSize = 4096;
 // so warm-hit cost no longer scales with image size.
 constexpr size_t kProbesPerGet = 2;
 
+// The calling thread's open leases, innermost last.
+thread_local std::vector<ImageCache::ReadLease*> open_leases;
+
 }  // namespace
 
 std::string MakeCacheKey(std::string_view path, std::string_view spec) {
@@ -107,6 +110,30 @@ bool CachedImage::VerifyAll() const {
   return true;
 }
 
+ImageCache::ReadLease::ReadLease(const ImageCache& cache) : cache_(&cache) {
+  open_leases.push_back(this);
+}
+
+ImageCache::ReadLease::~ReadLease() {
+  open_leases.erase(std::find(open_leases.begin(), open_leases.end(), this));
+}
+
+const CachedImage* ImageCache::PinToLease(ImageRef image) const {
+  const CachedImage* raw = image.get();
+  for (auto it = open_leases.rbegin(); it != open_leases.rend(); ++it) {
+    if ((*it)->cache_ == this) {
+      ReadLease& lease = **it;
+      if (lease.first_pin_ == nullptr) {
+        lease.first_pin_ = std::move(image);
+      } else {
+        lease.more_pins_.push_back(std::move(image));
+      }
+      break;
+    }
+  }
+  return raw;
+}
+
 ImageCache::ImageCache(uint64_t capacity_bytes) : capacity_bytes_(capacity_bytes) {
   metrics_token_ = MetricsRegistry::Global().AddSource(
       [this](std::vector<std::pair<std::string, uint64_t>>& out) {
@@ -137,7 +164,7 @@ const ImageCache::Shard& ImageCache::ShardFor(const std::string& key) const {
   return shards_[Fnv1a(key) & (kShards - 1)];
 }
 
-const CachedImage* ImageCache::Get(const std::string& key) {
+ImageRef ImageCache::Get(const std::string& key) {
   // Tracing here covers only the interesting outcomes: cache.miss /
   // cache.corrupt instants and a cache.verify span around the full
   // checksum walk. A probe-verified warm hit emits nothing — even one
@@ -223,14 +250,14 @@ const CachedImage* ImageCache::Get(const std::string& key) {
     return nullptr;
   }
   ++stats_.hits;
-  return pinned.get();
+  return pinned;
 }
 
-const CachedImage* ImageCache::Peek(const std::string& key) const {
+ImageRef ImageCache::Peek(const std::string& key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(key);
-  return it == shard.entries.end() ? nullptr : it->second.image.get();
+  return it == shard.entries.end() ? nullptr : it->second.image;
 }
 
 bool ImageCache::Contains(const std::string& key) const {
@@ -260,7 +287,7 @@ size_t ImageCache::entry_count() const {
   return count;
 }
 
-const CachedImage* ImageCache::Put(std::string key, CachedImage image) {
+ImageRef ImageCache::Put(std::string key, CachedImage image) {
   auto owned = std::make_shared<CachedImage>(std::move(image));
   owned->key = key;
   // Sums (and the symbol index, for an image that arrives without a current
@@ -270,10 +297,10 @@ const CachedImage* ImageCache::Put(std::string key, CachedImage image) {
   if (!owned->image.symbol_index_current()) {
     owned->image.BuildSymbolIndex();
   }
-  const CachedImage* result = owned.get();
+  ImageRef result = owned;
 
   Shard& shard = ShardFor(key);
-  std::shared_ptr<CachedImage> replaced;
+  std::shared_ptr<CachedImage> replaced;  // dropped outside the lock
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(key);
@@ -300,14 +327,13 @@ const CachedImage* ImageCache::Put(std::string key, CachedImage image) {
     stats_.bytes_cached += result->bytes();
     ++stats_.inserts;
   }
-  Retire(std::move(replaced));
   TrimToCapacity();
   return result;
 }
 
 void ImageCache::Evict(const std::string& key) {
   Shard& shard = ShardFor(key);
-  std::shared_ptr<CachedImage> victim;
+  std::shared_ptr<CachedImage> victim;  // dropped outside the lock
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(key);
@@ -324,32 +350,6 @@ void ImageCache::Evict(const std::string& key) {
     victim = std::move(it->second.image);
     shard.entries.erase(it);
   }
-  Retire(std::move(victim));
-}
-
-void ImageCache::Retire(std::shared_ptr<CachedImage> image) {
-  if (image == nullptr) {
-    return;
-  }
-  // A lease opened before this eviction may still hold the raw pointer;
-  // park the image until every lease closes. With no lease open the image
-  // dies here (single-threaded behavior unchanged).
-  if (readers_.load(std::memory_order_acquire) != 0) {
-    std::lock_guard<std::mutex> lock(retired_mu_);
-    retired_.push_back(std::move(image));
-  }
-}
-
-void ImageCache::DrainRetired() const {
-  std::vector<std::shared_ptr<CachedImage>> drop;
-  {
-    std::lock_guard<std::mutex> lock(retired_mu_);
-    if (readers_.load(std::memory_order_acquire) != 0) {
-      return;  // someone re-opened a lease; they will drain
-    }
-    drop.swap(retired_);
-  }
-  // Destroyed outside the lock.
 }
 
 void ImageCache::TrimToCapacity() {
@@ -391,7 +391,7 @@ ImageCache::MissJoin ImageCache::JoinBuild(const std::string& key) {
   return MissJoin{/*leader=*/false, flight->image};
 }
 
-void ImageCache::FinishBuild(const std::string& key, const CachedImage* image) {
+void ImageCache::FinishBuild(const std::string& key, ImageRef image) {
   std::shared_ptr<InFlight> flight;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -408,7 +408,7 @@ void ImageCache::FinishBuild(const std::string& key, const CachedImage* image) {
   {
     std::lock_guard<std::mutex> done_lock(flight->mu);
     flight->done = true;
-    flight->image = image;
+    flight->image = std::move(image);
   }
   flight->cv.notify_all();
 }

@@ -19,14 +19,12 @@
 //    elect one builder via JoinBuild/FinishBuild; the rest wait and share
 //    the built image (`CacheStats::single_flight_waits`).
 //
-// Pointer lifetime: a `const CachedImage*` from Get/Put/Peek stays valid
-// until the entry is evicted — and, under concurrency, for as long as any
-// ReadLease opened before the Get is still alive: eviction moves entries
-// with open leases to a retired list drained only when every lease closes.
-// Single-threaded callers need no lease. Concurrent callers must hold one
-// across the Get and every use of the returned pointer, or take a
-// shared_ptr (CachedImage::shared_from_this) while the lease is open, as a
-// task's runtime does for each image it maps.
+// Image lifetime: Get/Put/Peek and single-flight hand out
+// `std::shared_ptr<const CachedImage>` references. Eviction drops only the
+// cache's own reference, so an image lives until its last holder (a
+// caller, a task runtime that maps it) lets go. ReadLease exists only for
+// callers of the public raw-pointer OmosServer::Instantiate: it keeps the
+// images handed out on its thread alive until it closes.
 #ifndef OMOS_SRC_CORE_CACHE_H_
 #define OMOS_SRC_CORE_CACHE_H_
 
@@ -86,8 +84,8 @@ struct LibDep {
 // One cached, mappable image: the linked bytes plus the shareable text
 // segment (built once), plus whatever the exec path needs to finish the job
 // (library deps to map, stub slots to register). Every cached image is made
-// by Put's make_shared, so a holder of a `const CachedImage&` can take a
-// reference that outlives the image's eviction (shared_from_this).
+// by Put's make_shared, so a holder of a `const CachedImage&` (MapProgram's
+// public signature) can take a reference to it (shared_from_this).
 struct CachedImage : std::enable_shared_from_this<CachedImage> {
   std::string key;
   LinkedImage image;
@@ -131,6 +129,10 @@ struct CachedImage : std::enable_shared_from_this<CachedImage> {
   }
 };
 
+// A reference to a cached image: valid for as long as it is held, evicted
+// or not.
+using ImageRef = std::shared_ptr<const CachedImage>;
+
 // All counters atomic: worker threads bump them without the shard locks.
 struct CacheStats {
   std::atomic<uint64_t> hits{0};
@@ -161,34 +163,41 @@ class ImageCache {
   explicit ImageCache(uint64_t capacity_bytes = 256ull << 20);
   ~ImageCache();
 
-  // Pins entry pointers: entries evicted while any lease is open are
-  // retired, not destroyed, until the last lease closes.
+  // A per-thread pin list for raw pointers into this cache: PinToLease
+  // parks a reference in the calling thread's innermost open lease on the
+  // cache, and closing the lease drops what it holds. Leases of one thread
+  // may close in any order; closing one leaves the others' pins alone.
+  // Open and close a lease on the same thread.
   class ReadLease {
    public:
-    explicit ReadLease(const ImageCache& cache) : cache_(&cache) {
-      cache_->readers_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    ~ReadLease() {
-      if (cache_->readers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        cache_->DrainRetired();
-      }
-    }
+    explicit ReadLease(const ImageCache& cache);
+    ~ReadLease();
     ReadLease(const ReadLease&) = delete;
     ReadLease& operator=(const ReadLease&) = delete;
 
    private:
+    friend class ImageCache;
     const ImageCache* cache_;
+    // The first pin needs no allocation: most leases hold one Instantiate.
+    ImageRef first_pin_;
+    std::vector<ImageRef> more_pins_;
   };
 
   // Lookup; bumps LRU and hit/miss counters. Verification runs unlocked.
-  const CachedImage* Get(const std::string& key);
+  ImageRef Get(const std::string& key);
   // Lookup without touching LRU or statistics (introspection/invalidation).
-  const CachedImage* Peek(const std::string& key) const;
+  ImageRef Peek(const std::string& key) const;
   bool Contains(const std::string& key) const;
   std::vector<std::string> Keys() const;
 
-  const CachedImage* Put(std::string key, CachedImage image);
+  ImageRef Put(std::string key, CachedImage image);
+  // Drops the cache's reference; holders keep the image alive.
   void Evict(const std::string& key);
+
+  // Keeps `image` alive until the innermost lease this thread holds on the
+  // cache closes and returns its raw pointer. Without a lease the cache's
+  // own reference is all there is: the pointer lives until the eviction.
+  const CachedImage* PinToLease(ImageRef image) const;
 
   // ---- Single-flight miss deduplication -----------------------------------
   // After a missed Get, call JoinBuild: the first caller becomes the
@@ -199,12 +208,12 @@ class ImageCache {
   // cycles surface as eval errors, not deadlocks).
   struct MissJoin {
     bool leader = false;
-    // Follower only: the leader's published image; nullptr when the
-    // leader's build failed (caller retries or reports its own error).
-    const CachedImage* image = nullptr;
+    // Follower only: the leader's published image; null when the leader's
+    // build failed (caller retries or reports its own error).
+    ImageRef image;
   };
   MissJoin JoinBuild(const std::string& key);
-  void FinishBuild(const std::string& key, const CachedImage* image);
+  void FinishBuild(const std::string& key, ImageRef image);
 
   const CacheStats& stats() const { return stats_; }
   size_t entry_count() const;
@@ -232,7 +241,7 @@ class ImageCache {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
-    const CachedImage* image = nullptr;
+    ImageRef image;
     std::thread::id leader;
     int depth = 0;  // leader re-entrancy
   };
@@ -240,10 +249,6 @@ class ImageCache {
   Shard& ShardFor(const std::string& key);
   const Shard& ShardFor(const std::string& key) const;
   void TrimToCapacity();
-  // Parks an evicted image on the retired list while any lease is open
-  // (destroys it immediately otherwise). Null is a no-op.
-  void Retire(std::shared_ptr<CachedImage> image);
-  void DrainRetired() const;
 
   uint64_t capacity_bytes_;
   Shard shards_[kShards];
@@ -254,10 +259,6 @@ class ImageCache {
 
   std::mutex inflight_mu_;
   std::map<std::string, std::shared_ptr<InFlight>> inflight_;
-
-  mutable std::atomic<size_t> readers_{0};
-  mutable std::mutex retired_mu_;
-  mutable std::vector<std::shared_ptr<CachedImage>> retired_;
 
   CacheStats stats_;
   uint64_t metrics_token_ = 0;

@@ -68,16 +68,16 @@ Result<void> MapCached(Kernel& kernel, Task& task, const CachedImage& cached) {
 // was transient). A leader elected just after an earlier leader published
 // (its miss raced that publish) takes the published image.
 template <typename Build>
-Result<const CachedImage*> SingleFlight(ImageCache& cache, const std::string& key, Build&& build) {
+Result<ImageRef> SingleFlight(ImageCache& cache, const std::string& key, Build&& build) {
   ImageCache::MissJoin join = cache.JoinBuild(key);
   if (!join.leader && join.image != nullptr) {
     return join.image;
   }
-  if (const CachedImage* published = join.leader ? cache.Peek(key) : nullptr) {
+  if (ImageRef published = join.leader ? cache.Peek(key) : nullptr) {
     cache.FinishBuild(key, published);
     return published;
   }
-  Result<const CachedImage*> result = build();
+  Result<ImageRef> result = build();
   if (join.leader) {
     cache.FinishBuild(key, result.ok() ? *result : nullptr);
   }
@@ -89,9 +89,9 @@ Result<const CachedImage*> SingleFlight(ImageCache& cache, const std::string& ke
 // reads the new definitions. Work of refused attempts stays billed. Ends as
 // soon as one build runs without a redefinition of what it read.
 template <typename Tracker, typename Build>
-Result<const CachedImage*> BuildCurrent(Tracker& tracker, Build&& build) {
+Result<ImageRef> BuildCurrent(Tracker& tracker, Build&& build) {
   while (true) {
-    Result<const CachedImage*> built = build();
+    Result<ImageRef> built = build();
     if (built.ok() || !tracker.superseded) {
       return built;
     }
@@ -160,11 +160,10 @@ OmosServer::~OmosServer() {
 
 std::set<std::string> OmosServer::CachedDependents(std::set<std::string> roots,
                                                    bool transitive) const {
-  ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid
-  std::vector<const CachedImage*> images;
+  std::vector<ImageRef> images;
   for (const std::string& key : cache_.Keys()) {
-    if (const CachedImage* image = cache_.Peek(key)) {
-      images.push_back(image);
+    if (ImageRef image = cache_.Peek(key)) {
+      images.push_back(std::move(image));
     }
   }
   auto depends = [&roots](const CachedImage& image) {
@@ -178,7 +177,7 @@ std::set<std::string> OmosServer::CachedDependents(std::set<std::string> roots,
   std::set<std::string> found;
   for (bool grew = true; grew;) {
     grew = false;
-    for (const CachedImage* image : images) {
+    for (const ImageRef& image : images) {
       if (found.count(image->key) == 0 && depends(*image)) {
         found.insert(image->key);
         grew = transitive;
@@ -694,15 +693,21 @@ void TraceWarmHitSampled(const std::string& norm) {
 Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
                                                    const Specialization& spec,
                                                    uint64_t* work_cycles) {
+  OMOS_TRY(ImageRef image, InstantiateRef(path, spec, work_cycles));
+  return cache_.PinToLease(std::move(image));
+}
+
+Result<ImageRef> OmosServer::InstantiateRef(const std::string& path, const Specialization& spec,
+                                            uint64_t* work_cycles) {
   std::string norm = OmosNamespace::Normalize(path);
   std::string key = MakeCacheKey(norm, spec.ToKeyString());
   // A default-spec image may have a reorder-built twin; serve it instead
   // (the "atomic swap-in on next Get").
-  if (const CachedImage* optimized = OptimizedAlias(key)) {
+  if (ImageRef optimized = OptimizedAlias(key)) {
     TraceWarmHitSampled(norm);
     return optimized;
   }
-  if (const CachedImage* hit = cache_.Get(key)) {
+  if (ImageRef hit = cache_.Get(key)) {
     TraceWarmHitSampled(norm);
     return hit;
   }
@@ -711,19 +716,16 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
   // the image (CacheStats::single_flight_waits counts the followers).
   TraceSpan trace("server.instantiate", norm);
   BuildTracker tracker;
-  auto result = SingleFlight(cache_, key, [&]() -> Result<const CachedImage*> {
+  auto result = SingleFlight(cache_, key, [&]() -> Result<ImageRef> {
     // Second tier: a persisted image linked from identical inputs adopts
     // straight into the cache — no evaluation, no relocation.
     if (store_ != nullptr && StorableSpec(spec)) {
-      if (const CachedImage* adopted = TryAdoptFromStore(norm, spec, key, tracker)) {
+      if (ImageRef adopted = TryAdoptFromStore(norm, spec, key, tracker)) {
         return adopted;
       }
     }
     auto built = BuildCurrent(tracker, [&] { return BuildImage(path, spec, key, tracker); });
     if (built.ok() && store_ != nullptr && StorableSpec(spec)) {
-      // The lease keeps *built valid across the publish even if a racing
-      // redefinition evicts the entry underneath us.
-      ImageCache::ReadLease lease(cache_);
       PublishToStore(norm, spec, **built, tracker);
     }
     return built;
@@ -739,19 +741,18 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
   return result;
 }
 
-Result<std::shared_ptr<const CachedImage>> OmosServer::InstantiateAndMap(
-    Task& task, const std::string& path, const Specialization& spec) {
+Result<ImageRef> OmosServer::InstantiateAndMap(Task& task, const std::string& path,
+                                               const Specialization& spec) {
   while (true) {
-    ImageCache::ReadLease lease(cache_);  // pins *image until MapProgram holds it
     uint64_t work = 0;
-    OMOS_TRY(const CachedImage* image, Instantiate(path, spec, &work));
+    OMOS_TRY(ImageRef image, InstantiateRef(path, spec, &work));
     {
       std::lock_guard<std::mutex> lock(kernel_mu_);
       task.BillSys(work + kernel_->costs().omos_cache_lookup);
     }
     Result<uint32_t> mapped = MapProgram(task, *image);
     if (mapped.ok()) {
-      return image->shared_from_this();
+      return image;
     }
     if (mapped.error().code() != ErrorCode::kUnavailable) {
       return mapped.error();
@@ -774,7 +775,7 @@ size_t OmosServer::DrainBackgroundWork() {
   return ran;
 }
 
-const CachedImage* OmosServer::OptimizedAlias(const std::string& key) {
+ImageRef OmosServer::OptimizedAlias(const std::string& key) {
   std::string twin_key;
   {
     std::lock_guard<std::mutex> lock(relink_mu_);
@@ -784,7 +785,7 @@ const CachedImage* OmosServer::OptimizedAlias(const std::string& key) {
     }
     twin_key = it->second;
   }
-  if (const CachedImage* twin = cache_.Get(twin_key)) {
+  if (ImageRef twin = cache_.Get(twin_key)) {
     return twin;
   }
   // The twin fell out of the cache (evicted, or its inputs were redefined);
@@ -834,9 +835,8 @@ void OmosServer::ScheduleRelink(std::string twin_path) {
   });
 }
 
-Result<const CachedImage*> OmosServer::GetOrRebuild(const std::string& cache_key,
-                                                    uint64_t* work) {
-  if (const CachedImage* hit = cache_.Get(cache_key)) {
+Result<ImageRef> OmosServer::GetOrRebuild(const std::string& cache_key, uint64_t* work) {
+  if (ImageRef hit = cache_.Get(cache_key)) {
     return hit;
   }
   std::string_view path_part;
@@ -847,13 +847,11 @@ Result<const CachedImage*> OmosServer::GetOrRebuild(const std::string& cache_key
   }
   std::string path(path_part);
   Specialization spec = Specialization::FromKeyString(spec_part);
-  return Instantiate(path, spec, work);
+  return InstantiateRef(path, spec, work);
 }
 
-Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
-                                                  const Specialization& spec,
-                                                  const std::string& key,
-                                                  BuildTracker& tracker) {
+Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specialization& spec,
+                                        const std::string& key, BuildTracker& tracker) {
   TraceSpan trace("server.build_image", key);
   OMOS_TRY(std::shared_ptr<const NamespaceEntry> entry, ReadInput(path, tracker));
 
@@ -931,9 +929,9 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
   }
   Module client = std::move(*value.module);
 
-  // Resolve library dependencies. The lease keeps the library images alive
-  // until the link below has resolved against them.
-  ImageCache::ReadLease lease(cache_);
+  // Resolve library dependencies. `lib_images` keeps them alive until the
+  // link below has resolved against them.
+  std::vector<ImageRef> lib_images;
   std::vector<const LinkedImage*> libraries;
   std::vector<LibDep> deps;
   std::vector<StubSlot> slots;
@@ -949,7 +947,7 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
     if (lib_spec.name == "lib-dynamic") {
       Specialization impl_spec = lib_spec;
       impl_spec.name = "lib-dynamic-impl";
-      OMOS_TRY(const CachedImage* impl, Instantiate(use.path, impl_spec, &tracker.work));
+      OMOS_TRY(ImageRef impl, InstantiateRef(use.path, impl_spec, &tracker.work));
       std::string impl_key = impl->key;
       // Stubs for each referenced entry point present in the library (§4.2).
       OMOS_TRY(std::vector<std::string> wanted, client.UnboundRefNames());
@@ -972,9 +970,10 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
       // Lazy: not mapped at exec.
       deps.push_back(LibDep{impl_key, use.path, impl->image.text_base, impl->image.data_base});
     } else {
-      OMOS_TRY(const CachedImage* lib, Instantiate(use.path, lib_spec, &tracker.work));
+      OMOS_TRY(ImageRef lib, InstantiateRef(use.path, lib_spec, &tracker.work));
       libraries.push_back(&lib->image);
       deps.push_back(LibDep{lib->key, use.path, lib->image.text_base, lib->image.data_base});
+      lib_images.push_back(std::move(lib));
     }
   }
 
@@ -987,10 +986,10 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
   return LinkAndPublish(key, client, hints, std::move(libraries), std::move(cached), tracker);
 }
 
-Result<const CachedImage*> OmosServer::LinkAndPublish(const std::string& key, const Module& client,
-                                                      const PlacementHints& hints,
-                                                      std::vector<const LinkedImage*> libraries,
-                                                      CachedImage cached, BuildTracker& tracker) {
+Result<ImageRef> OmosServer::LinkAndPublish(const std::string& key, const Module& client,
+                                            const PlacementHints& hints,
+                                            std::vector<const LinkedImage*> libraries,
+                                            CachedImage cached, BuildTracker& tracker) {
   // Size estimate for placement (must match LinkImage's layout pass).
   uint32_t text_size = 0;
   uint32_t data_size = 0;
@@ -1169,10 +1168,8 @@ Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
   return fp.h;
 }
 
-const CachedImage* OmosServer::TryAdoptFromStore(const std::string& norm,
-                                                 const Specialization& spec,
-                                                 const std::string& key,
-                                                 BuildTracker& tracker) {
+ImageRef OmosServer::TryAdoptFromStore(const std::string& norm, const Specialization& spec,
+                                       const std::string& key, BuildTracker& tracker) {
   std::vector<NamespaceRead> inputs;
   auto fingerprint = StoreFingerprint(norm, spec, &inputs);
   if (!fingerprint.ok()) {
@@ -1276,8 +1273,8 @@ Result<void> OmosServer::RestoreFromStore(ImageStore& store) {
 
 // ---- Exec paths -------------------------------------------------------------
 
-std::vector<std::shared_ptr<const CachedImage>> OmosServer::TaskRuntime::Images() const {
-  std::vector<std::shared_ptr<const CachedImage>> images;
+std::vector<ImageRef> OmosServer::TaskRuntime::Images() const {
+  std::vector<ImageRef> images;
   if (program != nullptr) {
     images.push_back(program);
   }
@@ -1304,14 +1301,14 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
                       [&](const StubSlot& slot) { return slot.lib_path == dep.cache_key; })) {
         continue;
       }
-      OMOS_TRY(const CachedImage* lib, GetOrRebuild(dep.cache_key, &rebuild_work));
+      OMOS_TRY(ImageRef lib, GetOrRebuild(dep.cache_key, &rebuild_work));
       if (lib->image.text_base != dep.text_base || lib->image.data_base != dep.data_base) {
         return Err(ErrorCode::kUnavailable,
                    StrCat(program.key, ": library ", dep.lib_path, " moved from ",
                           Hex32(dep.text_base), "/", Hex32(dep.data_base), " to ",
                           Hex32(lib->image.text_base), "/", Hex32(lib->image.data_base)));
       }
-      runtime.libs.emplace(dep.cache_key, lib->shared_from_this());
+      runtime.libs.emplace(dep.cache_key, std::move(lib));
     }
     return OkResult();
   }();
@@ -1340,7 +1337,7 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
   return program.image.entry;
 }
 
-Result<bool> OmosServer::MapFirstUse(Task& task, const CachedImage& image,
+Result<bool> OmosServer::MapFirstUse(Task& task, const ImageRef& image,
                                      uint64_t first_use_cost) {
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
@@ -1348,13 +1345,13 @@ Result<bool> OmosServer::MapFirstUse(Task& task, const CachedImage& image,
     if (it == runtimes_.end()) {
       return Err(ErrorCode::kNotFound, StrCat(task.name(), ": task released"));
     }
-    if (!it->second.libs.try_emplace(image.key, image.shared_from_this()).second) {
+    if (!it->second.libs.try_emplace(image->key, image).second) {
       return false;
     }
   }
   task.BillSys(first_use_cost);
   std::lock_guard<std::mutex> lock(kernel_mu_);
-  OMOS_TRY_VOID(MapCached(*kernel_, task, image));
+  OMOS_TRY_VOID(MapCached(*kernel_, task, *image));
   return true;
 }
 
@@ -1444,9 +1441,8 @@ Result<void> OmosServer::LinkUpgrade(UpgradeJob& job) {
   OMOS_TRY_VOID(DefineLibrary(shadow, job.new_blueprint));
   Specialization impl_spec;
   impl_spec.name = "lib-dynamic-impl";
-  ImageCache::ReadLease lease(cache_);  // pins images across map construction
   uint64_t work = 0;
-  OMOS_TRY(const CachedImage* new_impl, Instantiate(shadow, impl_spec, &work));
+  OMOS_TRY(ImageRef new_impl, InstantiateRef(shadow, impl_spec, &work));
   // The old implementation only matters if some task or cached client can
   // still reach it; a rebuilt image reuses the old placement, so the
   // transfer map's old-address ranges are exact even after an eviction.
@@ -1463,7 +1459,7 @@ Result<void> OmosServer::LinkUpgrade(UpgradeJob& job) {
     job.map = std::make_shared<const FrameTransferMap>();  // covers nothing
     return OkResult();
   }
-  OMOS_TRY(const CachedImage* old_impl, GetOrRebuild(job.old_impl_key, &work));
+  OMOS_TRY(ImageRef old_impl, GetOrRebuild(job.old_impl_key, &work));
   // Symbols the new version dropped degrade to availability-check stubs
   // (return kUpgradeUnavailable) instead of faulting. The stub image reads
   // only its own /.upgrade paths, so the reclaim-phase redefinition of
@@ -1476,7 +1472,7 @@ Result<void> OmosServer::LinkUpgrade(UpgradeJob& job) {
     std::string meta_path = StrCat(degrade_dir, "/degrade");
     OMOS_TRY_VOID(AddFragment(frag_path, std::move(stub_obj)));
     OMOS_TRY_VOID(DefineMeta(meta_path, StrCat("(merge ", frag_path, ")")));
-    OMOS_TRY(const CachedImage* stubs, Instantiate(meta_path, Specialization{}, &work));
+    OMOS_TRY(ImageRef stubs, InstantiateRef(meta_path, Specialization{}, &work));
     job.degrade_key = stubs->key;
     for (const std::string& name : deleted) {
       if (const ImageSymbol* sym = stubs->image.FindSymbol(name)) {
@@ -1599,13 +1595,12 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
   if (FaultSim::Trip("upgrade.transfer")) {
     return defer();  // a killed transfer is a deferral, never a torn state
   }
-  ImageCache::ReadLease lease(cache_);  // pins *new_impl across the mapping
   uint64_t rebuild_work = 0;
   auto new_or = GetOrRebuild(job->new_impl_key, &rebuild_work);
   if (!new_or.ok()) {
     return defer();
   }
-  const CachedImage* new_impl = *new_or;
+  ImageRef new_impl = *std::move(new_or);
   // Plan every rewrite before applying any: pc, lr, the register file, and
   // each live stack word that lies in the old version's segments. One
   // unmappable value (a frame suspended mid-body of a resized or deleted
@@ -1653,7 +1648,7 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
   // new segments before any new code can run. A dload mid-drain may have
   // mapped it already — then the new version's state is live; don't clobber.
   Result<bool> first_contact = MapFirstUse(
-      task, *new_impl,
+      task, new_impl,
       kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup + rebuild_work);
   if (!first_contact.ok()) {
     if (first_contact.error().code() == ErrorCode::kNotFound) {
@@ -1670,7 +1665,7 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
   }
   if (!job->degrade_key.empty()) {
     if (auto stubs = GetOrRebuild(job->degrade_key, &rebuild_work); stubs.ok()) {
-      Result<bool> mapped = MapFirstUse(task, **stubs, 0);
+      Result<bool> mapped = MapFirstUse(task, *stubs, 0);
       if (!mapped.ok() && mapped.error().code() != ErrorCode::kNotFound) {
         return mapped.error();
       }
@@ -1957,7 +1952,7 @@ Result<TaskId> OmosServer::IntegratedExec(const std::string& path, std::vector<s
     std::lock_guard<std::mutex> lock(kernel_mu_);
     task = &kernel_->CreateTask(StrCat("omos-exec:", path));
   }
-  OMOS_TRY(std::shared_ptr<const CachedImage> program, InstantiateAndMap(*task, path, spec));
+  OMOS_TRY(ImageRef program, InstantiateAndMap(*task, path, spec));
   std::lock_guard<std::mutex> lock(kernel_mu_);
   OMOS_TRY_VOID(StartTask(*kernel_, *task, program->image.entry, args));
   return task->id();
@@ -2004,8 +1999,7 @@ Result<int> OmosServer::PrelinkNamespace(const std::string& prefix) {
       continue;  // only executable meta-objects get prelink entries
     }
     uint64_t scratch = 0;
-    ImageCache::ReadLease lease(cache_);  // pins *image across RecordPrelinkEntry
-    OMOS_TRY(const CachedImage* image, Instantiate(meta_path, {}, &scratch));
+    OMOS_TRY(ImageRef image, InstantiateRef(meta_path, {}, &scratch));
     RecordPrelinkEntry(meta_path, image->key);
     ++recorded;
   }
@@ -2049,8 +2043,7 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     std::lock_guard<std::mutex> lock(kernel_mu_);
     task = &kernel_->CreateTask(StrCat("omos-prelink:", path));
   }
-  ImageCache::ReadLease lease(cache_);  // pins *image across mapping
-  const CachedImage* image = nullptr;
+  ImageRef image;
   if (have_entry) {
     // The stamp compare IS the validity check: the image's relocations were
     // applied at `entry.stamp`; while the solver still reports that
@@ -2072,14 +2065,13 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
         uint64_t adopt_work = 0;
         auto adopted = GetOrRebuild(entry.cache_key, &adopt_work);
         if (adopted.ok() && (*adopted)->layout_generation == entry.stamp) {
-          image = *adopted;
+          image = *std::move(adopted);
           std::lock_guard<std::mutex> lock(kernel_mu_);
           task->BillSys(adopt_work);
         }
       }
     }
   }
-  std::shared_ptr<const CachedImage> program;
   if (image != nullptr) {
     PrelinkCounters().hits->Add();
     {
@@ -2087,26 +2079,27 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
       task->BillSys(kernel_->costs().prelink_lookup);
     }
     Result<uint32_t> mapped = MapProgram(*task, *image);
-    if (mapped.ok()) {
-      program = image->shared_from_this();
-    } else if (mapped.error().code() != ErrorCode::kUnavailable) {
+    if (!mapped.ok() && mapped.error().code() != ErrorCode::kUnavailable) {
       return mapped.error();
-    }  // else a library moved since the lookup: the full exec step below
+    }
+    if (!mapped.ok()) {
+      image = nullptr;  // a library moved since the lookup: the full exec step below
+    }
   } else {
     (have_entry ? PrelinkCounters().stale : PrelinkCounters().misses)->Add();
   }
-  if (program == nullptr) {
-    // No entry, a stale stamp, or the image fell out of the cache: pay the
-    // full exec step, then let the idle lane re-link everything stale so
-    // the next exec is fast again.
-    OMOS_TRY(program, InstantiateAndMap(*task, norm, {}));
-    RecordPrelinkEntry(norm, program->key);
+  if (image == nullptr) {
+    // No entry, a stale stamp, the image fell out of the cache or a library
+    // moved: pay the full exec step, then let the idle lane re-link
+    // everything stale so the next exec is fast again.
+    OMOS_TRY(image, InstantiateAndMap(*task, norm, {}));
+    RecordPrelinkEntry(norm, image->key);
     if (have_entry) {
       ScheduleRelink();
     }
   }
   std::lock_guard<std::mutex> lock(kernel_mu_);
-  OMOS_TRY_VOID(StartTask(*kernel_, *task, program->image.entry, args));
+  OMOS_TRY_VOID(StartTask(*kernel_, *task, image->image.entry, args));
   return task->id();
 }
 
@@ -2141,8 +2134,7 @@ void OmosServer::RunRelink() {
   // here instead of on a client's critical path.
   for (const std::string& path : paths) {
     uint64_t scratch = 0;
-    ImageCache::ReadLease lease(cache_);  // pins *image across RecordPrelinkEntry
-    auto image = Instantiate(path, {}, &scratch);
+    auto image = InstantiateRef(path, {}, &scratch);
     if (image.ok()) {
       RecordPrelinkEntry(path, (*image)->key);
       PrelinkCounters().relinks->Add();
@@ -2152,8 +2144,7 @@ void OmosServer::RunRelink() {
   // the twin for the path's default key from now on.
   for (const std::string& path : twins) {
     uint64_t scratch = 0;
-    ImageCache::ReadLease lease(cache_);  // pins *twin while its key is copied
-    auto twin = Instantiate(path, Specialization{"reorder", {}}, &scratch);
+    auto twin = InstantiateRef(path, Specialization{"reorder", {}}, &scratch);
     if (!twin.ok()) {
       LogMessage(LogLevel::kDebug, "relink",
                  StrCat("reorder of ", path, " failed: ", twin.error().ToString()));
@@ -2201,7 +2192,7 @@ Result<TaskId> OmosServer::ExecFile(const std::string& fs_path, std::vector<std:
 Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
   uint32_t index = task.reg(12);
   TaskRuntime::Slot slot;
-  std::shared_ptr<const CachedImage> mapped;  // the version this task already maps
+  ImageRef impl;  // the version this task already maps, if any
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     auto it = runtimes_.find(task.id());
@@ -2210,19 +2201,17 @@ Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
     }
     slot = it->second.slots[index];
     if (auto lib = it->second.libs.find(slot.lib_path); lib != it->second.libs.end()) {
-      mapped = lib->second;
+      impl = lib->second;
     }
   }
-  ImageCache::ReadLease lease(cache_);  // pins *impl across the mapping below
   uint64_t rebuild_work = 0;
-  const CachedImage* impl = mapped.get();
   if (impl == nullptr) {
     OMOS_TRY(impl, GetOrRebuild(slot.lib_path, &rebuild_work));
     task.BillSys(rebuild_work);
     // First use in this task: the stub "contacts OMOS and loads in the
     // library" (§4.2) — one IPC round trip plus the mapping work.
     OMOS_TRY_VOID(
-        MapFirstUse(task, *impl, kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup));
+        MapFirstUse(task, impl, kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup));
   }
   // "the first time a function is accessed, its name is looked up in the
   // function hash table and the value stored in an indirect branch table" —
@@ -2240,8 +2229,8 @@ Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
       return Err(ErrorCode::kUnresolvedSymbol,
                  StrCat("symbol ", slot.symbol, " not in ", slot.lib_path));
     }
-    OMOS_TRY(const CachedImage* stubs, GetOrRebuild(degrade_key, &rebuild_work));
-    OMOS_TRY_VOID(MapFirstUse(task, *stubs, 0));
+    OMOS_TRY(ImageRef stubs, GetOrRebuild(degrade_key, &rebuild_work));
+    OMOS_TRY_VOID(MapFirstUse(task, stubs, 0));
     UpgradeStats().degraded_bindings->Add();
   }
   OMOS_TRY_VOID(task.space().Write32(slot.slot_addr, target));
@@ -2329,11 +2318,8 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
       is_blueprint ? blueprint_or_path : OmosNamespace::Normalize(blueprint_or_path),
       StrCat("dynamic-load;client=", program_key));
 
-  // Pin every cache pointer used below (the program image and the loaded
-  // class) so a concurrent eviction cannot free them mid-map.
-  ImageCache::ReadLease lease(cache_);
   BuildTracker tracker;
-  auto build = [&]() -> Result<const CachedImage*> {
+  auto build = [&]() -> Result<ImageRef> {
     EvalValue value;
     if (is_blueprint) {
       OMOS_TRY(Sexpr expr, ParseSexpr(blueprint_or_path));
@@ -2348,7 +2334,8 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     // class too.
     std::vector<const LinkedImage*> libraries;
     CachedImage loaded;
-    if (const CachedImage* program = program_key.empty() ? nullptr : cache_.Get(program_key)) {
+    ImageRef program = program_key.empty() ? nullptr : cache_.Get(program_key);
+    if (program != nullptr) {
       libraries.push_back(&program->image);
       std::string_view program_path = program_key;
       SplitCacheKey(program_key, &program_path, nullptr);
@@ -2357,7 +2344,7 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     }
     return LinkAndPublish(key, module, {}, std::move(libraries), std::move(loaded), tracker);
   };
-  const CachedImage* cached = cache_.Get(key);
+  ImageRef cached = cache_.Get(key);
   if (cached == nullptr) {
     OMOS_TRY(cached, SingleFlight(cache_, key, [&] { return BuildCurrent(tracker, build); }));
   }
@@ -2370,7 +2357,7 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
   const LinkedImage& image = cached->image;
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
-    runtimes_[task.id()].dyn_loaded.push_back(cached->shared_from_this());
+    runtimes_[task.id()].dyn_loaded.push_back(cached);
   }
 
   DynLoadResult result;
@@ -2383,7 +2370,7 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
 }
 
 Result<void> OmosServer::DynamicUnload(Task& task, uint32_t text_base) {
-  std::shared_ptr<const CachedImage> unloaded;  // dropped after the locks
+  ImageRef unloaded;  // dropped after the locks
   std::lock_guard<std::mutex> rt_lock(runtimes_mu_);
   auto rt = runtimes_.find(task.id());
   if (rt == runtimes_.end()) {
@@ -2719,7 +2706,7 @@ int OmosServer::OptimizePlacements() {
 }
 
 Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
-  std::vector<std::shared_ptr<const CachedImage>> images;  // dropped after the lock
+  std::vector<ImageRef> images;  // dropped after the lock
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     auto it = runtimes_.find(id);
@@ -2741,7 +2728,7 @@ Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
   // Which tasks to attribute, with the images each maps: the requested one,
   // or every task with runtime state when id == 0 (the flat, cross-task
   // profile). The references are dropped after the lock.
-  std::vector<std::pair<TaskId, std::vector<std::shared_ptr<const CachedImage>>>> tasks;
+  std::vector<std::pair<TaskId, std::vector<ImageRef>>> tasks;
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     for (const auto& [task_id, runtime] : runtimes_) {

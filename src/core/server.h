@@ -94,11 +94,11 @@ struct OmosServerConfig {
 // BootstrapExec takes a channel off the list, calls, and parks it again.
 //
 // Cache misses are single-flight: concurrent Instantiates of one key elect
-// a leader via ImageCache::JoinBuild and everyone shares its image. Callers
-// that use a returned CachedImage* concurrently with possible eviction
-// (redefinition under load) must hold an ImageCache::ReadLease across the
-// call and every use of the pointer; the request paths below do. A task's
-// runtime owns the images it maps, so what a task maps needs neither.
+// a leader via ImageCache::JoinBuild and everyone shares its image. Inside
+// the server images pass as references (ImageRef), and a task's runtime
+// holds one for each image it maps, so eviction only drops the cache's
+// reference. ImageCache::ReadLease exists only for callers of the public
+// raw-pointer Instantiate: see there.
 //
 // `solver()`, `cache()` and `conflicts()` hand out raw references for tests
 // and tools — use them only while no worker threads are in flight.
@@ -134,6 +134,9 @@ class OmosServer {
   // Instantiate `path` under `spec`. On a cache miss the construction work
   // (parsing, module ops, linking) is performed and its simulated cost is
   // added to `*work_cycles` (may be null). Cache hits add only lookup cost.
+  // The pointer is valid until the image is evicted, or, when the calling
+  // thread holds an ImageCache::ReadLease on cache(), until that lease
+  // closes: a caller racing redefinitions opens one first.
   Result<const CachedImage*> Instantiate(const std::string& path, const Specialization& spec,
                                          uint64_t* work_cycles);
 
@@ -399,15 +402,15 @@ class OmosServer {
       std::string lib_path;
       std::string symbol;
     };
-    std::shared_ptr<const CachedImage> program;  // null for a DynamicLoad-only task
+    ImageRef program;  // null for a DynamicLoad-only task
     // Libraries mapped at exec (eager deps) and on first use (lazy
     // libraries, degradation stubs), by cache key.
-    std::map<std::string, std::shared_ptr<const CachedImage>> libs;
+    std::map<std::string, ImageRef> libs;
     std::vector<Slot> slots;
-    std::vector<std::shared_ptr<const CachedImage>> dyn_loaded;  // DynamicLoad classes
+    std::vector<ImageRef> dyn_loaded;  // DynamicLoad classes
 
     // Program, libraries, then dynamically loaded classes.
-    std::vector<std::shared_ptr<const CachedImage>> Images() const;
+    std::vector<ImageRef> Images() const;
   };
 
   // Namespace lookup on behalf of a build: records `path` as an input.
@@ -417,9 +420,11 @@ class OmosServer {
   // the cache lookup, then MapProgram; redone while a library the program
   // was linked against moved before it could map (a refused attempt stays
   // billed). Returns the mapped program.
-  Result<std::shared_ptr<const CachedImage>> InstantiateAndMap(Task& task,
-                                                               const std::string& path,
-                                                               const Specialization& spec);
+  Result<ImageRef> InstantiateAndMap(Task& task, const std::string& path,
+                                     const Specialization& spec);
+  // Instantiate, returning the reference the public call pins to a lease.
+  Result<ImageRef> InstantiateRef(const std::string& path, const Specialization& spec,
+                                  uint64_t* work_cycles);
   Result<EvalValue> Eval(const Sexpr& expr, BuildTracker& tracker, int depth);
   Result<EvalValue> EvalName(const std::string& name, BuildTracker& tracker, int depth);
   // Evaluate the construction of `entry`, just read at normalized path
@@ -445,8 +450,8 @@ class OmosServer {
   // used by monitor/reorder monolithic instantiations.
   Result<Module> BuildMonolithicModule(const std::string& path, BuildTracker& tracker);
 
-  Result<const CachedImage*> BuildImage(const std::string& path, const Specialization& spec,
-                                        const std::string& key, BuildTracker& tracker);
+  Result<ImageRef> BuildImage(const std::string& path, const Specialization& spec,
+                              const std::string& key, BuildTracker& tracker);
 
   // The tail of every build: place `client`, link it against the
   // `libraries` (LayoutSpec::libraries; the caller keeps them alive), bill
@@ -455,10 +460,10 @@ class OmosServer {
   // slots. If a read was redefined or a dep moved meanwhile, nothing is
   // published: the placement is released and tracker.superseded set, for
   // BuildCurrent to redo the build.
-  Result<const CachedImage*> LinkAndPublish(const std::string& key, const Module& client,
-                                            const PlacementHints& hints,
-                                            std::vector<const LinkedImage*> libraries,
-                                            CachedImage cached, BuildTracker& tracker);
+  Result<ImageRef> LinkAndPublish(const std::string& key, const Module& client,
+                                  const PlacementHints& hints,
+                                  std::vector<const LinkedImage*> libraries, CachedImage cached,
+                                  BuildTracker& tracker);
 
   // Whether every dep still holds the placement its dependent linked at (a
   // redefinition may have released and re-placed it elsewhere).
@@ -485,8 +490,8 @@ class OmosServer {
   // Probe the store on a cache miss; on a hit, verify dependency placements,
   // re-reserve the stored bases, materialize segments and insert into the
   // cache. nullptr on miss or any verification failure (caller cold-builds).
-  const CachedImage* TryAdoptFromStore(const std::string& norm, const Specialization& spec,
-                                       const std::string& key, BuildTracker& tracker);
+  ImageRef TryAdoptFromStore(const std::string& norm, const Specialization& spec,
+                             const std::string& key, BuildTracker& tracker);
   // Publish a freshly built image; failures are counted, never fatal.
   void PublishToStore(const std::string& norm, const Specialization& spec,
                       const CachedImage& image, BuildTracker& tracker);
@@ -494,7 +499,7 @@ class OmosServer {
   // Cache lookup that survives eviction and bit-rot: a missing or corrupted
   // entry is transparently rebuilt from its blueprint via the cache key
   // ("<path>§<spec>"). Work cycles for a rebuild accumulate in *work.
-  Result<const CachedImage*> GetOrRebuild(const std::string& cache_key, uint64_t* work);
+  Result<ImageRef> GetOrRebuild(const std::string& cache_key, uint64_t* work);
 
   // Charge linking work for an image build.
   void ChargeLinkWork(const LinkCounts& stats, uint32_t symbol_count, BuildTracker& tracker) const;
@@ -531,7 +536,7 @@ class OmosServer {
   // `first_use_cost` and maps it; later uses of its key do nothing.
   // Returns whether this call mapped it, or kNotFound once the task's
   // runtime state is gone (released concurrently).
-  Result<bool> MapFirstUse(Task& task, const CachedImage& image, uint64_t first_use_cost);
+  Result<bool> MapFirstUse(Task& task, const ImageRef& image, uint64_t first_use_cost);
 
   Result<void> HandleDload(Kernel& kernel, Task& task);
   Result<void> HandleMonLog(Kernel& kernel, Task& task);
@@ -628,7 +633,7 @@ class OmosServer {
 
   // The reorder twin to serve instead of `key`, or nullptr. Drops the alias
   // if the twin fell out of the cache.
-  const CachedImage* OptimizedAlias(const std::string& key);
+  ImageRef OptimizedAlias(const std::string& key);
 
   Kernel* kernel_;
   Config config_;

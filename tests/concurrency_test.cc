@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -355,23 +356,23 @@ TEST_F(ConcurrencyTest, BackgroundOptimizerSwapsInReorderedImage) {
   EXPECT_NE(after->image.entry, 0u);
 }
 
-TEST_F(ConcurrencyTest, ReadLeaseKeepsEvictedEntryAlive) {
+TEST_F(ConcurrencyTest, ReferenceFromPutOutlivesEvict) {
   ImageCache cache(1 << 20);
   CachedImage ci;
   ci.key = "a";
   ci.image.name = "a";
   ci.image.text.assign(8192, 0xAB);
-  {
-    ImageCache::ReadLease lease(cache);
-    const CachedImage* pinned = cache.Put("a", std::move(ci));
-    ASSERT_NE(pinned, nullptr);
-    cache.Evict("a");
-    EXPECT_FALSE(cache.Contains("a"));
-    // The pointer must stay dereferenceable until the lease closes.
-    EXPECT_EQ(pinned->image.text.size(), 8192u);
-    EXPECT_EQ(pinned->image.text[0], 0xAB);
-  }
+  ImageRef held = cache.Put("a", std::move(ci));
+  ASSERT_NE(held, nullptr);
+  std::weak_ptr<const CachedImage> watch = held;
+  cache.Evict("a");
+  EXPECT_FALSE(cache.Contains("a"));
   EXPECT_EQ(cache.stats().evictions.load(), 1u);
+  // Eviction dropped only the cache's reference.
+  EXPECT_EQ(held->image.text.size(), 8192u);
+  EXPECT_EQ(held->image.text[0], 0xAB);
+  held.reset();
+  EXPECT_TRUE(watch.expired());  // freed on the last drop
 }
 
 TEST_F(ConcurrencyTest, CacheHammerMixedOperations) {
@@ -387,8 +388,7 @@ TEST_F(ConcurrencyTest, CacheHammerMixedOperations) {
   RunThreads(kThreads, [&](int t) {
     for (int i = 0; i < 300; ++i) {
       std::string key = StrCat("img", (t * 7 + i) % 24);
-      ImageCache::ReadLease lease(cache);
-      const CachedImage* got = cache.Get(key);
+      ImageRef got = cache.Get(key);
       if (got == nullptr) {
         got = cache.Put(key, make_image(key));
       }
@@ -397,12 +397,136 @@ TEST_F(ConcurrencyTest, CacheHammerMixedOperations) {
       }
       if (i % 37 == 0) {
         cache.Evict(key);
+        if (got != nullptr && got->image.text.size() != 4096) {  // held past its eviction
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     }
   });
   EXPECT_EQ(failures.load(), 0);
   // The global byte budget held under concurrent insertion.
   EXPECT_LE(cache.stats().bytes_cached.load(), 64u << 10);
+}
+
+// A program whose image is four frames: three pages of text, one of data.
+// `answer` picks the version, so alternating answers redefines its input.
+Result<ObjectFile> FourPageMain(int answer) {
+  return Assemble(StrCat(R"(
+.text
+.global main
+main:
+  movi r0, )",
+                         answer, R"(
+  ret
+  .space 8192
+.data
+.global state
+state:
+  .word 1
+)"),
+                  "big.o");
+}
+
+class LeaseTest : public ConcurrencyTest {
+ protected:
+  void SetUp() override {
+    ConcurrencyTest::SetUp();
+    ASSERT_NO_FATAL_FAILURE(Redefine(1));
+    ASSERT_OK(server_->DefineMeta("/bin/big", "(merge /lib/crt0.o /obj/big.o)"));
+    empty_ = kernel_.phys().frames_in_use();
+  }
+
+  void Redefine(int answer) {
+    ASSERT_OK_AND_ASSIGN(ObjectFile object, FourPageMain(answer));
+    ASSERT_OK(server_->AddFragment("/obj/big.o", std::move(object)));
+  }
+
+  // Frames held by images beyond the state before the first Instantiate.
+  uint32_t ImageFrames() { return kernel_.phys().frames_in_use() - empty_; }
+
+  static constexpr uint32_t kFramesPerImage = 4;
+  uint32_t empty_ = 0;
+};
+
+TEST_F(LeaseTest, InstantiateResultOutlivesEvictionWhileLeaseOpen) {
+  {
+    ImageCache::ReadLease lease(server_->cache());
+    ASSERT_OK_AND_ASSIGN(const CachedImage* image, server_->Instantiate("/bin/big", {}, nullptr));
+    EXPECT_EQ(ImageFrames(), kFramesPerImage);
+    ASSERT_NO_FATAL_FAILURE(Redefine(2));
+    EXPECT_EQ(server_->cache().entry_count(), 0u);
+    EXPECT_EQ(ImageFrames(), kFramesPerImage);  // pinned by the lease
+    EXPECT_EQ(image->image.data.size(), 4u);
+    EXPECT_NE(image->image.FindSymbol("main"), nullptr);
+  }
+  EXPECT_EQ(ImageFrames(), 0u);  // freed once the pinning lease closed
+}
+
+TEST_F(LeaseTest, PinSurvivesAnOuterLeaseClosingFirst) {
+  auto outer = std::make_unique<ImageCache::ReadLease>(server_->cache());
+  {
+    ImageCache::ReadLease inner(server_->cache());
+    ASSERT_OK_AND_ASSIGN(const CachedImage* image, server_->Instantiate("/bin/big", {}, nullptr));
+    ASSERT_NO_FATAL_FAILURE(Redefine(2));
+    outer.reset();  // out of order: the inner lease holds the pin
+    EXPECT_EQ(ImageFrames(), kFramesPerImage);
+    EXPECT_EQ(image->image.data.size(), 4u);
+    EXPECT_NE(image->image.FindSymbol("main"), nullptr);
+  }
+  EXPECT_EQ(ImageFrames(), 0u);
+  // The thread's lease list is empty again: a pointer taken with no lease
+  // open lives until its eviction.
+  ASSERT_OK(server_->Instantiate("/bin/big", {}, nullptr));
+  ASSERT_NO_FATAL_FAILURE(Redefine(1));
+  EXPECT_EQ(ImageFrames(), 0u);
+}
+
+TEST_F(LeaseTest, LeaseOnAnotherThreadPinsNothingHere) {
+  std::atomic<bool> opened{false};
+  std::atomic<bool> release{false};
+  std::thread other([&] {
+    ImageCache::ReadLease lease(server_->cache());
+    opened.store(true);
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+  while (!opened.load()) {
+    std::this_thread::yield();
+  }
+  {
+    ImageCache::ReadLease mine(server_->cache());
+    ASSERT_OK(server_->Instantiate("/bin/big", {}, nullptr));
+  }
+  ASSERT_OK(server_->Instantiate("/bin/big", {}, nullptr));  // no lease here
+  ASSERT_NO_FATAL_FAILURE(Redefine(2));
+  EXPECT_EQ(ImageFrames(), 0u);  // the other thread's open lease held nothing
+  release.store(true);
+  other.join();
+}
+
+TEST_F(LeaseTest, AlternatingLeasesDrainEvictedImages) {
+  // Two leases hand over to each other (open the next, then close the
+  // previous) while the image's input is redefined 200 times. Each closing
+  // lease frees the image it pinned.
+  std::optional<ImageCache::ReadLease> leases[2];
+  leases[0].emplace(server_->cache());
+  ASSERT_OK(server_->Instantiate("/bin/big", {}, nullptr));
+  const uint32_t baseline = kernel_.phys().frames_in_use();  // one image cached
+  ASSERT_EQ(baseline - empty_, kFramesPerImage);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_NO_FATAL_FAILURE(Redefine(2 + i % 2));
+    leases[(i + 1) % 2].emplace(server_->cache());
+    ASSERT_OK(server_->Instantiate("/bin/big", {}, nullptr));
+    // The new image (cached, pinned by the new lease) and the evicted one
+    // the previous lease pins.
+    ASSERT_EQ(kernel_.phys().frames_in_use(), baseline + kFramesPerImage) << "round " << i;
+    leases[i % 2].reset();
+    ASSERT_EQ(kernel_.phys().frames_in_use(), baseline) << "round " << i;
+  }
+  leases[0].reset();
+  leases[1].reset();
+  EXPECT_EQ(kernel_.phys().frames_in_use(), baseline);
 }
 
 TEST_F(ConcurrencyTest, FaultSimTotalsExactUnderConcurrentTrips) {

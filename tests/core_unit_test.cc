@@ -359,7 +359,7 @@ TEST(Cache, HitMissCounting) {
 
 TEST(Cache, PointerStableAcrossOtherInsertions) {
   ImageCache cache;
-  const CachedImage* a = cache.Put("a", MakeImage(10));
+  ImageRef a = cache.Put("a", MakeImage(10));
   for (int i = 0; i < 100; ++i) {
     cache.Put(StrCat("x", i), MakeImage(10));
   }
@@ -400,11 +400,11 @@ TEST(Cache, FullVerifyOncePerLifetimeThenAmortized) {
 
 TEST(Cache, AmortizedProbesCatchResidentCorruption) {
   ImageCache cache;
-  const CachedImage* entry = cache.Put("a", MakeImage(16 << 10));  // 4 pages
+  ImageRef entry = cache.Put("a", MakeImage(16 << 10));  // 4 pages
   EXPECT_NE(cache.Get("a"), nullptr);  // full verify, marks entry warm
   // Corrupt a byte behind the cache's back. Round-robin probes must catch it
   // within ceil(pages / probes-per-get) further Gets.
-  const_cast<CachedImage*>(entry)->image.text[9000] ^= 0x40;
+  const_cast<CachedImage&>(*entry).image.text[9000] ^= 0x40;
   bool caught = false;
   for (int i = 0; i < 4 && !caught; ++i) {
     caught = cache.Get("a") == nullptr;
@@ -416,11 +416,11 @@ TEST(Cache, AmortizedProbesCatchResidentCorruption) {
 
 TEST(Cache, LayoutCorruptionCaughtOnNextGet) {
   ImageCache cache;
-  const CachedImage* entry = cache.Put("a", MakeImage(16 << 10));
+  ImageRef entry = cache.Put("a", MakeImage(16 << 10));
   EXPECT_NE(cache.Get("a"), nullptr);
   // Layout metadata is O(1)-sized, so every probe covers it: detection on
   // the very next Get, not after a round-robin cycle.
-  const_cast<CachedImage*>(entry)->image.entry ^= 0x1000;
+  const_cast<CachedImage&>(*entry).image.entry ^= 0x1000;
   EXPECT_EQ(cache.Get("a"), nullptr);
   EXPECT_EQ(cache.stats().corruption_rebuilds, 1u);
 }

@@ -2127,7 +2127,7 @@ Result<BuildView> BuildAndRun(Kernel& kernel, OmosServer& server, const std::str
   OMOS_TRY(const CachedImage* image, server.Instantiate(program, {}, &view.work));
   view.images.push_back(Describe(*image));
   for (const LibDep& dep : image->deps) {
-    const CachedImage* lib = server.cache().Peek(dep.cache_key);
+    ImageRef lib = server.cache().Peek(dep.cache_key);
     if (lib == nullptr) {
       return Err(ErrorCode::kNotFound, StrCat("dep not cached: ", dep.cache_key));
     }

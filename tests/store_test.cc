@@ -521,7 +521,8 @@ TEST_F(StoreServerTest, RestartServesByteIdenticalImagesFromStore) {
 size_t ExpectEverySymbolFound(OmosServer& server) {
   size_t checked = 0;
   for (const std::string& key : server.cache().Keys()) {
-    const LinkedImage& image = server.cache().Peek(key)->image;
+    ImageRef cached = server.cache().Peek(key);
+    const LinkedImage& image = cached->image;
     EXPECT_TRUE(image.symbol_index_current()) << key;
     for (const ImageSymbol& sym : image.symbols) {
       EXPECT_EQ(image.FindSymbol(sym.name), &sym) << key << ": " << sym.name;
