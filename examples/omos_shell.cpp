@@ -281,8 +281,8 @@ main:
                       static_cast<unsigned long long>(value));
         }
       }
-      // Block-engine counters (docs/perf.md): predecoded superblocks,
-      // block/TLB reuse, and whole-cache invalidations.
+      // Block-engine counters (docs/perf.md): predecoded superblocks and
+      // block/TLB reuse.
       std::printf("engine:\n");
       for (const auto& [name, value] : metrics.metrics) {
         if (StartsWith(name, "engine.")) {

@@ -61,26 +61,6 @@ std::string MakeCacheKey(std::string_view path, std::string_view spec);
 // the separator is absent (not a composed key); outputs are untouched then.
 bool SplitCacheKey(std::string_view key, std::string_view* path, std::string_view* spec);
 
-// A stub slot in a partial-image client: the `index`-th lazy slot resolves
-// `symbol` out of library `lib_path` (specialized `lib-dynamic-impl`).
-struct StubSlot {
-  uint32_t index = 0;
-  std::string slot_symbol;  // data symbol holding the branch-table entry
-  std::string lib_path;
-  std::string symbol;
-};
-
-// A cached image another image was linked against: a program's library,
-// or the client program of a dynamically loaded class.
-struct LibDep {
-  std::string cache_key;  // key of the dependency's own cached image
-  std::string lib_path;
-  // The dependency's bases at link time: the addresses the dependent's
-  // bytes bake in. A rebuilt dependency elsewhere cannot be mapped under it.
-  uint32_t text_base = 0;
-  uint32_t data_base = 0;
-};
-
 // One cached, mappable image: the linked bytes plus the shareable text
 // segment (built once), plus whatever the exec path needs to finish the job
 // (library deps to map, stub slots to register). Every cached image is made

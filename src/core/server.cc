@@ -117,17 +117,38 @@ std::string Specialization::ToKeyString() const {
   return out;
 }
 
-Specialization Specialization::FromKeyString(std::string_view text) {
+Result<Specialization> Specialization::FromKeyString(std::string_view text) {
+  // A base as ToKeyString writes it ("0x" hex), or octal/decimal like
+  // strtoul's base 0; anything else, or wider than 32 bits, is refused.
+  auto parse_base = [text](std::string_view value) -> Result<uint32_t> {
+    std::string_view digits = value;
+    int radix = 10;
+    if (digits.size() > 2 && digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X')) {
+      digits.remove_prefix(2);
+      radix = 16;
+    } else if (digits.size() > 1 && digits[0] == '0') {
+      digits.remove_prefix(1);
+      radix = 8;
+    }
+    uint32_t base = 0;
+    auto [ptr, ec] = std::from_chars(digits.data(), digits.data() + digits.size(), base, radix);
+    if (digits.empty() || ec != std::errc() || ptr != digits.data() + digits.size()) {
+      return Err(ErrorCode::kInvalidArgument,
+                 StrCat("specialization '", text, "': bad base '", value, "'"));
+    }
+    return base;
+  };
   Specialization spec;
   std::vector<std::string> parts = SplitString(text, ';');
   if (!parts.empty()) {
     spec.name = parts[0];
   }
   for (size_t i = 1; i < parts.size(); ++i) {
-    if (StartsWith(parts[i], "T=")) {
-      spec.hints.text_base = static_cast<uint32_t>(std::stoul(parts[i].substr(2), nullptr, 0));
-    } else if (StartsWith(parts[i], "D=")) {
-      spec.hints.data_base = static_cast<uint32_t>(std::stoul(parts[i].substr(2), nullptr, 0));
+    std::string_view part = parts[i];
+    if (StartsWith(part, "T=")) {
+      OMOS_TRY(spec.hints.text_base, parse_base(part.substr(2)));
+    } else if (StartsWith(part, "D=")) {
+      OMOS_TRY(spec.hints.data_base, parse_base(part.substr(2)));
     }
   }
   return spec;
@@ -211,14 +232,6 @@ void OmosServer::InvalidateImagesOf(const std::vector<std::string>& paths) {
       (void)store_->InvalidatePrefix(victim + std::string(kCacheKeySep));
     }
   }
-  // Predecoded blocks of the victims' text are stale the moment a rebuilt
-  // image can be mapped; running tasks pick up the flush at their next
-  // block boundary. (Frame recycling alone would also retire the keys, but
-  // only after the last task unmaps the old image.) The flush also bounds
-  // memory: the block cache retires blocks of freed frames only at its
-  // block cap, so without it every redefinition's blocks pile up until
-  // then.
-  kernel_->engine().InvalidateAll("redefine");
 }
 
 int OmosServer::EvictMoved(const std::vector<std::string>& moved) {
@@ -846,7 +859,7 @@ Result<ImageRef> OmosServer::GetOrRebuild(const std::string& cache_key, uint64_t
                StrCat("image not cached and key carries no blueprint path: ", cache_key));
   }
   std::string path(path_part);
-  Specialization spec = Specialization::FromKeyString(spec_part);
+  OMOS_TRY(Specialization spec, Specialization::FromKeyString(spec_part));
   return InstantiateRef(path, spec, work);
 }
 
@@ -1184,7 +1197,7 @@ ImageRef OmosServer::TryAdoptFromStore(const std::string& norm, const Specializa
   // must land exactly where it was when the record was written. A restored
   // placement snapshot makes this deterministic; anything else falls back
   // to a cold build.
-  for (const StoredDep& dep : record.deps) {
+  for (const LibDep& dep : record.deps) {
     uint64_t dep_work = 0;
     auto lib = GetOrRebuild(dep.cache_key, &dep_work);
     tracker.work += dep_work;
@@ -1217,14 +1230,8 @@ ImageRef OmosServer::TryAdoptFromStore(const std::string& norm, const Specializa
   }
   CachedImage cached;
   cached.image = std::move(record.image);
-  cached.deps.reserve(record.deps.size());
-  for (const StoredDep& dep : record.deps) {
-    cached.deps.push_back(LibDep{dep.cache_key, dep.lib_path, dep.text_base, dep.data_base});
-  }
-  cached.stub_slots.reserve(record.stub_slots.size());
-  for (const StoredStubSlot& slot : record.stub_slots) {
-    cached.stub_slots.push_back(StubSlot{slot.index, slot.slot_symbol, slot.lib_path, slot.symbol});
-  }
+  cached.deps = std::move(record.deps);
+  cached.stub_slots = std::move(record.stub_slots);
   cached.inputs = std::make_shared<const ReadSet>(std::move(inputs));
   cached.build_cost = record.build_cost;
   cached.layout_generation = placement_generation;
@@ -1245,15 +1252,8 @@ void OmosServer::PublishToStore(const std::string& norm, const Specialization& s
   record.cache_key = image.key;
   record.fingerprint = *fingerprint;
   record.image = image.image;
-  record.deps.reserve(image.deps.size());
-  for (const LibDep& dep : image.deps) {
-    record.deps.push_back(StoredDep{dep.cache_key, dep.lib_path, dep.text_base, dep.data_base});
-  }
-  record.stub_slots.reserve(image.stub_slots.size());
-  for (const StubSlot& slot : image.stub_slots) {
-    record.stub_slots.push_back(StoredStubSlot{slot.index, slot.slot_symbol, slot.lib_path,
-                                               slot.symbol});
-  }
+  record.deps = image.deps;
+  record.stub_slots = image.stub_slots;
   record.build_cost = image.build_cost;
   auto put = store_->Put(record, &tracker.work);
   if (!put.ok()) {
@@ -1526,10 +1526,6 @@ void OmosServer::RunUpgradeRepoint(std::shared_ptr<UpgradeJob> job) {
   UpgradeStats().tasks_repointed->Add(repointed_tasks);
   TraceInstant("upgrade.repoint",
                StrCat(job->path, ": ", affected.size(), " task(s) to drain"));
-  // Retire predecoded blocks of the old version's text: draining tasks
-  // finish their current block on the still-mapped old code, then re-decode
-  // through the repointed linkage at the next block boundary.
-  kernel_->engine().InvalidateAll("upgrade.repoint");
   // Publish the pending set before flagging: a safepoint that fires between
   // the flag and the publish would otherwise see "not pending" and clear the
   // flag, stranding the task on the old version forever.
@@ -2931,8 +2927,12 @@ OmosReply OmosServer::HandleRequestImpl(const OmosRequest& request) {
   }
   switch (request.op) {
     case OmosOp::kInstantiate: {
-      Specialization spec = Specialization::FromKeyString(request.specialization);
-      auto program = InstantiateAndMap(*task, request.path, spec);
+      Result<Specialization> spec = Specialization::FromKeyString(request.specialization);
+      if (!spec.ok()) {
+        reply.error = spec.error().ToString();
+        return reply;
+      }
+      auto program = InstantiateAndMap(*task, request.path, *spec);
       if (!program.ok()) {
         reply.error = program.error().ToString();
         return reply;

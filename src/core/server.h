@@ -58,8 +58,9 @@ struct Specialization {
   PlacementHints hints;
 
   // Stable string form used in cache keys and IPC ("lib-constrained;T=0x...").
+  // Parsing refuses a malformed or over-wide base with kInvalidArgument.
   std::string ToKeyString() const;
-  static Specialization FromKeyString(std::string_view text);
+  static Result<Specialization> FromKeyString(std::string_view text);
 };
 
 struct OmosServerConfig {

@@ -3,11 +3,13 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "src/isa/isa.h"
 #include "src/os/cpu.h"
 #include "src/os/kernel.h"
 #include "src/os/task.h"
+#include "src/support/flat_map.h"
 #include "src/support/metrics.h"
 #include "src/support/strings.h"
 #include "src/support/trace.h"
@@ -25,11 +27,6 @@
 namespace omos {
 
 namespace {
-
-// Wholesale-eviction threshold for the shared block cache. The workloads
-// decode a few hundred blocks; this only guards against pathological text
-// churn (e.g. a stress test remapping thousands of pages).
-constexpr size_t kMaxCachedBlocks = 1u << 16;
 
 constexpr uint32_t kInvalidPage = 0xFFFFFFFFu;
 
@@ -65,7 +62,6 @@ EngineMetrics& GetEngineMetrics() {
       MetricsRegistry::Global().GetCounter("engine.blocks_decoded"),
       MetricsRegistry::Global().GetCounter("engine.block_hits"),
       MetricsRegistry::Global().GetCounter("engine.l1_misses"),
-      MetricsRegistry::Global().GetCounter("engine.invalidations"),
       MetricsRegistry::Global().GetCounter("engine.tlb_hits"),
       MetricsRegistry::Global().GetCounter("engine.tlb_misses"),
   };
@@ -89,10 +85,26 @@ struct ExecEngine::Block {
   std::vector<DecodedInsn> insns;
 };
 
+// The blocks decoded from one text frame, keyed by page offset. The frame
+// owns them (PhysMemory deletes its attachment when it frees the frame), so
+// a block lives exactly as long as the bytes it was decoded from.
+struct ExecEngine::FrameBlocks final : FrameAttachment {
+  explicit FrameBlocks(std::shared_ptr<std::atomic<size_t>> live) : live(std::move(live)) {}
+  ~FrameBlocks() override { live->fetch_sub(blocks.size(), std::memory_order_relaxed); }
+
+  // Sole owners; shared_ptr only because FlatMap copies its values.
+  FlatMap<uint32_t, std::shared_ptr<const Block>> blocks;  // guarded by ExecEngine::mu_
+  // The engine's CachedBlocks() count; shared, because frames may outlive
+  // the engine.
+  std::shared_ptr<std::atomic<size_t>> live;
+};
+
 struct ExecEngine::L1Entry {
   uint32_t pc = 0;
-  uint32_t tag = 0;              // valid iff == TaskCache::l1_tag; 0 never is
-  const Block* block = nullptr;  // kept alive by TaskCache::pins while the tag is live
+  uint32_t tag = 0;  // valid iff == TaskCache::l1_tag; 0 never is
+  // Owned by its frame, which the task maps while the tag is live: an unmap
+  // bumps the map epoch, and that flushes the L1 before its next lookup.
+  const Block* block = nullptr;
 };
 
 struct ExecEngine::TaskCache {
@@ -101,9 +113,6 @@ struct ExecEngine::TaskCache {
   // (~85% hits; 64 entries hit ~5%); tags keep the size off the per-exec
   // path, so it costs memory once per parked cache, not time per task.
   static constexpr uint32_t kL1Entries = 1024;
-  // A task whose L1 keeps missing re-pins on every miss; past this many
-  // pins the L1 is flushed, which bounds what a thrashing task keeps alive.
-  static constexpr size_t kMaxPins = 4 * kL1Entries;
 
   struct TlbEntry {
     uint32_t page = kInvalidPage;  // virtual page number (addr / kPageSize)
@@ -114,15 +123,10 @@ struct ExecEngine::TaskCache {
   std::array<TlbEntry, kTlbEntries> tlb{};
   std::array<L1Entry, kL1Entries> l1{};
   uint32_t l1_tag = 1;
-  // Owners of every block a live-tagged L1 entry points to. An L1 flush
-  // happens only between blocks, so dropping the pins then never frees the
-  // block that is executing.
-  std::vector<std::shared_ptr<const Block>> pins;
   // TLB and L1 epochs are tracked separately: data accesses re-sync the TLB
-  // mid-block, but the L1 must only be flushed between blocks.
+  // mid-block, but the L1 is only checked between blocks.
   uint64_t tlb_epoch = 0;
   uint64_t l1_space_epoch = 0;
-  uint64_t l1_engine_epoch = 0;
   // engine.* counts, batched per Run() call (Counter::Add is an atomic).
   uint64_t tlb_hits = 0;
   uint64_t tlb_misses = 0;
@@ -135,7 +139,6 @@ struct ExecEngine::TaskCache {
     }
   }
   void FlushL1() {
-    pins.clear();
     if (++l1_tag == 0) {
       // Wrapped: entries stamped 2^32 flushes ago would match again.
       for (L1Entry& e : l1) {
@@ -150,7 +153,7 @@ struct ExecEngine::TaskCache {
   void Reset() {
     FlushL1();
     FlushTlb();
-    tlb_epoch = l1_space_epoch = l1_engine_epoch = 0;
+    tlb_epoch = l1_space_epoch = 0;
   }
 
   // Software TLB probe for a `size`-byte access that must not cross a
@@ -228,32 +231,15 @@ void ExecEngine::DropTask(uint32_t task_id) {
   tasks_.erase(it);
 }
 
-void ExecEngine::InvalidateAll(std::string_view reason) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    blocks_.clear();
-  }
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  GetEngineMetrics().invalidations->Add(1);
-  if (TraceEnabled()) {
-    TraceInstant("engine.invalidate", reason);
-  }
-}
-
-size_t ExecEngine::CachedBlocks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return blocks_.size();
-}
+size_t ExecEngine::CachedBlocks() const { return live_blocks_->load(std::memory_order_relaxed); }
 
 inline Result<const ExecEngine::Block*> ExecEngine::LookupBlock(Task& task, TaskCache& st,
                                                                 uint32_t pc) {
   AddressSpace& space = task.space();
   uint64_t sepoch = space.map_epoch();
-  uint64_t eepoch = epoch_.load(std::memory_order_acquire);
-  if (st.l1_space_epoch != sepoch || st.l1_engine_epoch != eepoch) {
+  if (st.l1_space_epoch != sepoch) {
     st.FlushL1();
     st.l1_space_epoch = sepoch;
-    st.l1_engine_epoch = eepoch;
   }
   uint32_t offset = pc & kPageMask;
   if (offset > kPageSize - kInsnSize) {
@@ -291,21 +277,18 @@ Result<const ExecEngine::Block*> ExecEngine::FillL1(Task& task, TaskCache& st, u
     return static_cast<const Block*>(nullptr);
   }
 
-  // Shared-cache key: physical frame identity + reuse generation + block
-  // offset. Two tasks mapping the same image frames share one decode; a
-  // recycled frame's bumped generation retires all of its stale keys.
-  // (gen is truncated to 23 bits — a frame would need 8M recycles while
-  // old keys linger to alias, and wholesale eviction resets sooner.)
-  uint32_t gen = kernel_.phys().FrameGen(pl.frame);
-  uint64_t key = (static_cast<uint64_t>(pl.frame) << 32) |
-                 ((static_cast<uint64_t>(gen) << 9 | (offset >> 3)) & 0xFFFFFFFFu);
-  std::shared_ptr<const Block> block;
+  // The shared cache is the frame's own block table: two tasks mapping the
+  // same image frames share one decode.
+  PhysMemory& phys = kernel_.phys();
+  const Block* block = nullptr;
   ++st.l1_misses;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = blocks_.find(key);
-    if (it != blocks_.end()) {
-      block = it->second;
+    if (auto* frame = static_cast<FrameBlocks*>(phys.Attachment(pl.frame))) {
+      auto it = frame->blocks.find(offset);
+      if (it != frame->blocks.end()) {
+        block = it->second.get();
+      }
     }
   }
   if (block != nullptr) {
@@ -356,21 +339,21 @@ Result<const ExecEngine::Block*> ExecEngine::FillL1(Task& task, TaskCache& st, u
       span.SetDetail(StrCat(Hex32(pc), " ", count, " insns"));
     }
     GetEngineMetrics().blocks_decoded->Add(1);
-    block = std::move(built);
     std::lock_guard<std::mutex> lock(mu_);
-    if (blocks_.size() >= kMaxCachedBlocks) {
-      blocks_.clear();
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-      GetEngineMetrics().invalidations->Add(1);
+    auto* frame = static_cast<FrameBlocks*>(phys.Attachment(pl.frame));
+    if (frame == nullptr) {
+      frame = static_cast<FrameBlocks*>(
+          phys.Attach(pl.frame, std::make_unique<FrameBlocks>(live_blocks_)));
     }
-    blocks_.insert_or_assign(key, block);
+    // A racing decode of the same block may have won; both are identical.
+    auto [it, inserted] = frame->blocks.try_emplace(offset, std::move(built));
+    if (inserted) {
+      live_blocks_->fetch_add(1, std::memory_order_relaxed);
+    }
+    block = it->second.get();
   }
-  if (st.pins.size() >= TaskCache::kMaxPins) {
-    st.FlushL1();
-  }
-  slot = L1Entry{pc, st.l1_tag, block.get()};
-  st.pins.push_back(std::move(block));
-  return slot.block;
+  slot = L1Entry{pc, st.l1_tag, block};
+  return block;
 }
 
 Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& block,

@@ -9,27 +9,30 @@
 //
 // The engine keeps two cache levels:
 //
-//   - A per-kernel block cache (L2) of predecoded superblocks, keyed by
-//     *physical* identity: (frame id, frame generation, page offset). Frame
-//     identity is the natural analog of "(image fingerprint, page)" — two
-//     tasks that MapShared the same SegmentImage map the same frames and
-//     therefore share decoded blocks. The generation (PhysMemory::FrameGen)
-//     makes recycled frames self-invalidate: a freed frame's gen is bumped,
-//     so stale keys can never match new contents.
+//   - Shared blocks (L2): predecoded superblocks hang off the *physical*
+//     text frame they were decoded from (a PhysMemory frame attachment),
+//     keyed by page offset. Frame identity is the natural analog of
+//     "(image fingerprint, page)" — two tasks that MapShared the same
+//     SegmentImage map the same frames and therefore share decoded blocks.
+//     A block lives and dies with its frame: PhysMemory deletes the blocks
+//     when it frees the frame, so a recycled frame starts with none, a
+//     rebuilt image (new frames) can never hit a stale block, and an image
+//     that survives a library redefinition keeps its blocks. Nothing is
+//     flushed and nothing is capped: decoded memory is bounded by live text.
 //
 //   - A per-task direct-mapped block lookaside (L1) keyed by virtual pc,
 //     plus a small software TLB in front of data loads/stores. Both are
-//     tagged with AddressSpace::map_epoch() and the engine's invalidation
-//     epoch, and self-flush on mismatch — map changes, CoW breaks and
-//     explicit invalidations (library redefinition, live-upgrade repoint)
-//     cost one compare per block entry, not a callback web. The L1 has
-//     1024 entries, enough for a compiler-sized hot set, and stores raw
-//     block pointers stamped with a per-cache tag: a flush bumps the tag in
-//     O(1) and clears the task's pin list, the shared_ptrs that keep every
-//     block its L1 can reach alive against a concurrent InvalidateAll.
-//     Caches of destroyed tasks are parked on a short free list and reset
-//     when a new task takes one, so an exec pays neither the allocation nor
-//     a full clear.
+//     tagged with AddressSpace::map_epoch() and self-flush on mismatch —
+//     map changes and CoW breaks cost one compare per block entry, not a
+//     callback web. The L1 has 1024 entries, enough for a compiler-sized
+//     hot set, and stores raw block pointers stamped with a per-cache tag,
+//     so a flush bumps the tag in O(1). A raw pointer needs no pin: an L1
+//     entry points only into frames its own task maps, and unmapping one
+//     bumps that task's map epoch before the task's next lookup. A block
+//     that unmaps its own text (`sys omos_unload` on itself) ends at the
+//     syscall and is not touched after it. Caches of destroyed tasks are
+//     parked on a short free list and reset when a new task takes one, so
+//     an exec pays neither the allocation nor a full clear.
 //
 // A block is a run of instructions within one text page ending at the first
 // control-flow instruction (branch, jump, call, ret, sys, halt), the page
@@ -51,10 +54,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <vector>
 
-#include "src/support/flat_map.h"
 #include "src/support/result.h"
 #include "src/vm/phys_memory.h"
 
@@ -79,15 +80,13 @@ struct EngineMetrics {
   class Counter* blocks_decoded;  // engine.blocks_decoded
   class Counter* block_hits;      // engine.block_hits (L1 + shared-cache hits)
   class Counter* l1_misses;       // engine.l1_misses (L1 misses that probed the shared cache)
-  class Counter* invalidations;   // engine.invalidations
   class Counter* tlb_hits;        // engine.tlb_hits
   class Counter* tlb_misses;      // engine.tlb_misses (slow-path accesses)
 };
 EngineMetrics& GetEngineMetrics();
 
-// One engine per Kernel: block keys are physical frame ids, which are only
-// unique within one PhysMemory, so the cache must not outlive or span
-// kernels.
+// One engine per Kernel: it attaches blocks to the frames of that kernel's
+// PhysMemory, and is that memory's only attachment user.
 class ExecEngine {
  public:
   explicit ExecEngine(Kernel& kernel);
@@ -102,22 +101,17 @@ class ExecEngine {
   // un-Faulted, like CpuStep: the caller owns task.Fault().
   Result<void> Run(Task& task, uint64_t budget, uint64_t* executed);
 
-  // Drop every cached block and bump the invalidation epoch so per-task L1
-  // caches self-flush. Called on library redefinition and live-upgrade
-  // repoint; `reason` labels the trace event.
-  void InvalidateAll(std::string_view reason);
-
   // Forget a destroyed task: its TLB/L1 state is parked for reuse by a
   // later task (and reset then) or freed.
   void DropTask(uint32_t task_id);
 
-  // Introspection (tests).
+  // Introspection (tests): blocks alive on this kernel's frames.
   size_t CachedBlocks() const;
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
  private:
   struct DecodedInsn;
   struct Block;
+  struct FrameBlocks;
   // Named TaskCache, not TaskState: the os layer already uses TaskState for
   // the run-state enum and these methods see both scopes.
   struct TaskCache;
@@ -129,17 +123,16 @@ class ExecEngine {
   // should single-step; returns the error FetchBytes/DecodeInsn would raise
   // so the fault surfaces exactly once, with the legacy message.
   Result<const Block*> LookupBlock(Task& task, TaskCache& st, uint32_t pc);
-  // LookupBlock's L1-miss path: probe the shared cache (decoding on a
-  // miss), then fill `slot` and pin the block.
+  // LookupBlock's L1-miss path: probe the frame's blocks (decoding on a
+  // miss), then fill `slot`.
   Result<const Block*> FillL1(Task& task, TaskCache& st, uint32_t pc, L1Entry& slot);
   Result<void> ExecuteBlock(Task& task, TaskCache& st, const Block& block, uint64_t budget,
                             uint64_t* executed);
 
   Kernel& kernel_;
-  std::atomic<uint64_t> epoch_{1};
 
-  mutable std::mutex mu_;  // guards blocks_
-  FlatMap<uint64_t, std::shared_ptr<const Block>> blocks_;
+  std::mutex mu_;  // guards every FrameBlocks table and attaching one
+  std::shared_ptr<std::atomic<size_t>> live_blocks_ = std::make_shared<std::atomic<size_t>>(0);
 
   std::mutex tasks_mu_;  // guards tasks_ (map shape only; states are per-driver), free_caches_
   std::map<uint32_t, std::unique_ptr<TaskCache>> tasks_;

@@ -41,6 +41,26 @@ struct RelocRecord {
   bool cross_fragment = false;  // bound through the module symbol space
 };
 
+// A linked image another image was linked against: a program's library,
+// or the client program of a dynamically loaded class.
+struct LibDep {
+  std::string cache_key;  // key of the dependency's own cached image
+  std::string lib_path;
+  // The dependency's bases at link time: the addresses the dependent's
+  // bytes bake in. A rebuilt dependency elsewhere cannot be mapped under it.
+  uint32_t text_base = 0;
+  uint32_t data_base = 0;
+};
+
+// A stub slot in a partial-image client: the `index`-th lazy slot resolves
+// `symbol` out of library `lib_path` (specialized `lib-dynamic-impl`).
+struct StubSlot {
+  uint32_t index = 0;
+  std::string slot_symbol;  // data symbol holding the branch-table entry
+  std::string lib_path;
+  std::string symbol;
+};
+
 struct LinkedImage {
   std::string name;
   uint32_t text_base = 0;

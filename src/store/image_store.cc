@@ -58,14 +58,14 @@ std::vector<uint8_t> EncodeStoreRecord(const StoreRecord& record) {
   w.U64(record.fingerprint);
   w.U64(record.build_cost);
   w.U32(static_cast<uint32_t>(record.deps.size()));
-  for (const StoredDep& dep : record.deps) {
+  for (const LibDep& dep : record.deps) {
     w.Str(dep.cache_key);
     w.Str(dep.lib_path);
     w.U32(dep.text_base);
     w.U32(dep.data_base);
   }
   w.U32(static_cast<uint32_t>(record.stub_slots.size()));
-  for (const StoredStubSlot& slot : record.stub_slots) {
+  for (const StubSlot& slot : record.stub_slots) {
     w.U32(slot.index);
     w.Str(slot.slot_symbol);
     w.Str(slot.lib_path);
@@ -88,7 +88,7 @@ Result<StoreRecord> DecodeStoreRecord(const std::vector<uint8_t>& bytes) {
   OMOS_TRY(uint32_t ndeps, r.U32());
   record.deps.reserve(ndeps);
   for (uint32_t i = 0; i < ndeps; ++i) {
-    StoredDep dep;
+    LibDep dep;
     OMOS_TRY(dep.cache_key, r.Str());
     OMOS_TRY(dep.lib_path, r.Str());
     OMOS_TRY(dep.text_base, r.U32());
@@ -98,7 +98,7 @@ Result<StoreRecord> DecodeStoreRecord(const std::vector<uint8_t>& bytes) {
   OMOS_TRY(uint32_t nslots, r.U32());
   record.stub_slots.reserve(nslots);
   for (uint32_t i = 0; i < nslots; ++i) {
-    StoredStubSlot slot;
+    StubSlot slot;
     OMOS_TRY(slot.index, r.U32());
     OMOS_TRY(slot.slot_symbol, r.Str());
     OMOS_TRY(slot.lib_path, r.Str());

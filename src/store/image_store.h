@@ -53,33 +53,15 @@
 
 namespace omos {
 
-// A library dependency as persisted: the dep's cache key plus the bases its
-// addresses were baked into the depending image at. The adopting server
-// re-instantiates each dep and verifies the bases still match before
-// trusting the stored program bytes.
-struct StoredDep {
-  std::string cache_key;
-  std::string lib_path;
-  uint32_t text_base = 0;
-  uint32_t data_base = 0;
-};
-
-// A lazy-stub slot as persisted (mirrors core's StubSlot without depending
-// on omos_core — the store sits below the server in the layering).
-struct StoredStubSlot {
-  uint32_t index = 0;
-  std::string slot_symbol;
-  std::string lib_path;
-  std::string symbol;
-};
-
-// Everything needed to resurrect a CachedImage without re-linking.
+// Everything needed to resurrect a CachedImage without re-linking. The
+// adopting server re-instantiates each dep and verifies its bases still
+// match before trusting the stored program bytes.
 struct StoreRecord {
   std::string cache_key;
   uint64_t fingerprint = 0;
   LinkedImage image;
-  std::vector<StoredDep> deps;
-  std::vector<StoredStubSlot> stub_slots;
+  std::vector<LibDep> deps;
+  std::vector<StubSlot> stub_slots;
   uint64_t build_cost = 0;
 };
 

@@ -16,7 +16,11 @@ PhysMemory::PhysMemory(uint32_t max_frames) : max_frames_(max_frames) {
 
 PhysMemory::~PhysMemory() {
   for (uint32_t i = 0; i < num_blocks_; ++i) {
-    delete[] blocks_[i].load(std::memory_order_relaxed);
+    Frame* block = blocks_[i].load(std::memory_order_relaxed);
+    for (uint32_t j = 0; block != nullptr && j < kFramesPerBlock; ++j) {
+      delete block[j].attachment.load(std::memory_order_relaxed);
+    }
+    delete[] block;
   }
 }
 
@@ -80,9 +84,9 @@ void PhysMemory::Unref(FrameId frame) {
     }
   } while (!f.refs.compare_exchange_weak(prev, prev - 1, std::memory_order_acq_rel));
   if (prev == 1) {
-    // Invalidate frame-keyed caches before recycling: a block decoded from
-    // this frame must never match a lookup once new contents move in.
-    f.gen.fetch_add(1, std::memory_order_release);
+    // What was derived from the old contents goes before new contents can
+    // move in.
+    delete f.attachment.exchange(nullptr, std::memory_order_acquire);
     frames_in_use_.fetch_sub(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(mu_);
     free_list_.push_back(frame);
@@ -97,8 +101,17 @@ uint32_t PhysMemory::RefCount(FrameId frame) const {
   return FrameRef(frame).refs.load(std::memory_order_relaxed);
 }
 
-uint32_t PhysMemory::FrameGen(FrameId frame) const {
-  return FrameRef(frame).gen.load(std::memory_order_acquire);
+FrameAttachment* PhysMemory::Attachment(FrameId frame) const {
+  return FrameRef(frame).attachment.load(std::memory_order_acquire);
+}
+
+FrameAttachment* PhysMemory::Attach(FrameId frame, std::unique_ptr<FrameAttachment> attachment) {
+  FrameAttachment* current = nullptr;
+  if (FrameRef(frame).attachment.compare_exchange_strong(current, attachment.get(),
+                                                          std::memory_order_acq_rel)) {
+    return attachment.release();
+  }
+  return current;
 }
 
 }  // namespace omos

@@ -12,6 +12,11 @@
 // is a fixed table of lazily-filled blocks, so FrameData pointers — and the
 // Frame slots themselves — stay valid without any lock while other threads
 // allocate.
+//
+// A frame may carry one attachment: data derived from its bytes that must
+// not outlive them (the execution engine's decoded blocks, src/engine/).
+// Unref deletes it when it frees the frame, so a recycled frame starts with
+// none.
 #ifndef OMOS_SRC_VM_PHYS_MEMORY_H_
 #define OMOS_SRC_VM_PHYS_MEMORY_H_
 
@@ -32,6 +37,12 @@ inline uint32_t PageAlignUp(uint32_t value) { return (value + kPageMask) & ~kPag
 inline uint32_t PageAlignDown(uint32_t value) { return value & ~kPageMask; }
 
 using FrameId = uint32_t;
+
+// Base of what hangs off a frame; see the file comment.
+class FrameAttachment {
+ public:
+  virtual ~FrameAttachment() = default;
+};
 
 class PhysMemory {
  public:
@@ -54,12 +65,11 @@ class PhysMemory {
   const uint8_t* FrameData(FrameId frame) const;
   uint32_t RefCount(FrameId frame) const;
 
-  // Reuse generation: bumped each time the frame is freed to the recycle
-  // list. Caches keyed by frame identity (the execution engine's predecoded
-  // block cache, src/engine/) include the generation in their keys so a
-  // recycled frame — same FrameId, new contents — can never satisfy a stale
-  // lookup.
-  uint32_t FrameGen(FrameId frame) const;
+  // The frame's attachment, or null. Attach installs `attachment` if the
+  // frame has none and returns the one it carries then (a concurrent
+  // caller's may win). Both require the caller to hold a reference.
+  FrameAttachment* Attachment(FrameId frame) const;
+  FrameAttachment* Attach(FrameId frame, std::unique_ptr<FrameAttachment> attachment);
 
   // Accounting.
   uint32_t frames_in_use() const { return frames_in_use_.load(std::memory_order_relaxed); }
@@ -75,7 +85,7 @@ class PhysMemory {
   struct Frame {
     std::unique_ptr<uint8_t[]> data;         // allocated on first use, then stable
     std::atomic<uint32_t> refs{0};
-    std::atomic<uint32_t> gen{0};            // bumped on each free (see FrameGen)
+    std::atomic<FrameAttachment*> attachment{nullptr};  // owned; deleted on free
   };
 
   Result<FrameId> AllocateInternal(bool zero);

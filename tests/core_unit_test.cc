@@ -483,16 +483,35 @@ TEST(Specialization, KeyStringRoundTrip) {
   spec.name = "lib-constrained";
   spec.hints.text_base = 0x1000000;
   spec.hints.data_base = 0x40200000;
-  Specialization parsed = Specialization::FromKeyString(spec.ToKeyString());
+  ASSERT_OK_AND_ASSIGN(Specialization parsed, Specialization::FromKeyString(spec.ToKeyString()));
   EXPECT_EQ(parsed.name, spec.name);
   EXPECT_EQ(parsed.hints.text_base, spec.hints.text_base);
   EXPECT_EQ(parsed.hints.data_base, spec.hints.data_base);
 }
 
 TEST(Specialization, EmptyIsDefault) {
-  Specialization parsed = Specialization::FromKeyString("");
+  ASSERT_OK_AND_ASSIGN(Specialization parsed, Specialization::FromKeyString(""));
   EXPECT_TRUE(parsed.name.empty());
   EXPECT_FALSE(parsed.hints.text_base.has_value());
+}
+
+TEST(Specialization, BasesParseInHexOctalAndDecimal) {
+  ASSERT_OK_AND_ASSIGN(Specialization parsed,
+                       Specialization::FromKeyString("lib;T=0xFFFFFFFF;D=4096"));
+  EXPECT_EQ(parsed.hints.text_base, 0xFFFFFFFFu);
+  EXPECT_EQ(parsed.hints.data_base, 4096u);
+  ASSERT_OK_AND_ASSIGN(parsed, Specialization::FromKeyString("lib;T=010;D=0"));
+  EXPECT_EQ(parsed.hints.text_base, 8u);
+  EXPECT_EQ(parsed.hints.data_base, 0u);
+}
+
+TEST(Specialization, MalformedOrOverWideBaseIsInvalidArgument) {
+  for (const char* text : {"x;T=zz", "x;D=", "x;T=0x", "x;T=12abc", "x;D=-1", "x;T= 1",
+                           "x;T=0x100000000", "x;D=4294967296", "x;T=09"}) {
+    Result<Specialization> parsed = Specialization::FromKeyString(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.error().code(), ErrorCode::kInvalidArgument) << text;
+  }
 }
 
 }  // namespace

@@ -6,12 +6,14 @@
 // mid-block CoW/demand-zero faults leave precise state; the wide-hot-set
 // tests check that the per-task L1 holds a few hundred blocks and that a
 // recycled per-task cache never serves its previous task's code; the
-// invalidation and concurrency tests (TSan-covered) prove redefinition and
-// live-upgrade repoint invalidate cached blocks without stale-code
-// execution or frame use-after-free.
+// retirement and concurrency tests (TSan-covered) prove that decoded
+// blocks live and die with their frames: freed text takes its blocks along,
+// a redefinition or live upgrade costs only the re-decode of the text it
+// replaced, and neither stale code nor a freed block is ever executed.
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -608,8 +610,8 @@ TEST(EngineWideHotSet, L1MissesStopAfterTheFirstIteration) {
 
 TEST(EngineWideHotSet, ThrashingTaskStaysExact) {
   // `loop` (offset 16) and `far` (offset 8192 + 16) are 8 KiB apart and
-  // share one L1 slot, so every visit misses and re-pins; 12,000 misses
-  // run the pin cap's flush several times.
+  // share one L1 slot, so every visit misses and refills it from the
+  // frames' blocks, 12,000 times.
   ExpectEnginesAgree(R"(
 .text
 .global _start
@@ -652,28 +654,35 @@ loop:
 word: .word 1
 )";
 
-TEST(EngineCache, CountersAdvanceAndInvalidateAllDropsBlocks) {
+TEST(EngineCache, CountersAdvanceAndFreedTextDropsBlocks) {
   EngineMetrics& em = GetEngineMetrics();
   uint64_t decoded0 = em.blocks_decoded->value();
   uint64_t hits0 = em.block_hits->value();
   uint64_t tlb_hits0 = em.tlb_hits->value();
-  uint64_t inval0 = em.invalidations->value();
 
   Kernel kernel;
   kernel.SetEngineMode(EngineMode::kBlocks);
-  ASSERT_OK_AND_ASSIGN(RunOutcome out, AssembleAndRun(kernel, kLoopProgram));
-  EXPECT_EQ(out.exit_code, 0);
+  ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(kLoopProgram, "loop.o"));
+  Module module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
+  LayoutSpec layout;
+  layout.entry_symbol = "_start";
+  ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(module, layout, "loop"));
+  // No page-cache key: the text is the task's own private frames.
+  Task& task = kernel.CreateTask("loop");
+  ASSERT_OK(MapLinkedImage(kernel, task, image, ""));
+  std::vector<std::string> args{"loop"};
+  ASSERT_OK(StartTask(kernel, task, image.entry, args));
+  ASSERT_OK(kernel.RunTask(task));
+  EXPECT_EQ(task.exit_code(), 0);
 
   EXPECT_GT(kernel.engine().CachedBlocks(), 0u);
   EXPECT_GT(em.blocks_decoded->value(), decoded0);
   EXPECT_GT(em.block_hits->value(), hits0);       // the loop re-enters its block
   EXPECT_GT(em.tlb_hits->value(), tlb_hits0);     // ld hits the software TLB
 
-  uint64_t epoch_before = kernel.engine().epoch();
-  kernel.engine().InvalidateAll("test");
+  // Destroying the task frees its text frames, and their blocks with them.
+  kernel.DestroyTask(task.id());
   EXPECT_EQ(kernel.engine().CachedBlocks(), 0u);
-  EXPECT_GT(kernel.engine().epoch(), epoch_before);
-  EXPECT_GT(em.invalidations->value(), inval0);
 }
 
 TEST(EngineCache, BlocksAreSharedAcrossTasksMappingTheSameFrames) {
@@ -744,7 +753,7 @@ TEST(EngineCache, RecycledTaskCacheDoesNotServeThePreviousTasksCode) {
   EXPECT_EQ(b.exit_code(), 22);
 }
 
-// ---- Invalidation on redefinition and upgrade -------------------------------
+// ---- Block retirement on redefinition and upgrade ---------------------------
 
 constexpr char kCrt0[] = R"(
 .text
@@ -778,6 +787,41 @@ add2:
 mul3:
   movi r1, 3
   mul r0, r0, r1
+  ret
+)";
+
+// A second library and client, for a program that does not map /lib/addlib:
+// 4 * 2 = 8 under both versions of the library.
+constexpr char kDblLibV1[] = R"(
+.text
+.global dbl
+dbl:
+  add r0, r0, r0
+  ret
+)";
+
+constexpr char kDblLibV2[] = R"(
+.text
+.global dbl
+dbl:
+  movi r1, 2
+  mul r0, r0, r1
+  ret
+)";
+
+constexpr char kDblClient[] = R"(
+.text
+.global main
+main:
+  push lr
+  movi r4, 0
+  movi r5, 200
+dloop:
+  movi r0, 4
+  call dbl
+  addi r4, r4, 1
+  blt r4, r5, dloop
+  pop lr
   ret
 )";
 
@@ -817,16 +861,62 @@ class EngineInvalidationTest : public ::testing::Test {
     ASSERT_OK_AND_ASSIGN(ObjectFile client, Assemble(kLoopingClient, "client.o"));
     ASSERT_OK(server_->AddFragment("/obj/client.o", std::move(client)));
     ASSERT_OK(server_->DefineLibrary("/lib/addlib", "(merge /obj/addlib.o)"));
+    ASSERT_OK_AND_ASSIGN(ObjectFile dbl1, Assemble(kDblLibV1, "dbllib.o"));
+    ASSERT_OK(server_->AddFragment("/obj/dbllib.o", std::move(dbl1)));
+    ASSERT_OK_AND_ASSIGN(ObjectFile dbl2, Assemble(kDblLibV2, "dbllib2.o"));
+    ASSERT_OK(server_->AddFragment("/obj/dbllib2.o", std::move(dbl2)));
+    ASSERT_OK_AND_ASSIGN(ObjectFile dbl_client, Assemble(kDblClient, "dblclient.o"));
+    ASSERT_OK(server_->AddFragment("/obj/dblclient.o", std::move(dbl_client)));
+    ASSERT_OK(server_->DefineLibrary("/lib/dbllib", "(merge /obj/dbllib.o)"));
+  }
+
+  // Execs and runs `path`, leaving the exited task alive (it still maps its
+  // images) until Release.
+  Result<TaskId> ExecAndKeep(const std::string& path) {
+    OMOS_TRY(TaskId id, server_->IntegratedExec(path, {"prog"}));
+    OMOS_TRY_VOID(kernel_.RunTask(*kernel_.FindTask(id)));
+    return id;
+  }
+
+  void Release(TaskId id) {
+    server_->ReleaseTask(id);
+    kernel_.DestroyTask(id);
   }
 
   Result<int> ExecAndRun(const std::string& path) {
-    OMOS_TRY(TaskId id, server_->IntegratedExec(path, {"prog"}));
-    Task* task = kernel_.FindTask(id);
-    OMOS_TRY_VOID(kernel_.RunTask(*task));
-    int code = task->exit_code();
-    server_->ReleaseTask(id);
-    kernel_.DestroyTask(id);
+    OMOS_TRY(TaskId id, ExecAndKeep(path));
+    int code = kernel_.FindTask(id)->exit_code();
+    Release(id);
     return code;
+  }
+
+  // Blocks a warm-or-cold run of `path` decodes; the run must exit `expected`.
+  uint64_t DecodedByRun(const std::string& path, int expected) {
+    EngineMetrics& em = GetEngineMetrics();
+    uint64_t before = em.blocks_decoded->value();
+    Result<int> code = ExecAndRun(path);
+    EXPECT_TRUE(code.ok()) << path;
+    EXPECT_EQ(code.ok() ? *code : -1, expected) << path;
+    return em.blocks_decoded->value() - before;
+  }
+
+  // The frames behind every executable page `id` maps in regions whose name
+  // contains `name`.
+  std::vector<FrameId> TextFrames(TaskId id, std::string_view name) {
+    std::vector<FrameId> frames;
+    AddressSpace& space = kernel_.FindTask(id)->space();
+    for (const AddressSpace::RegionInfo& region : space.Regions()) {
+      if ((region.prot & kProtExec) == 0 || region.name.find(name) == std::string::npos) {
+        continue;
+      }
+      for (uint32_t addr = region.base; addr < region.base + region.size; addr += kPageSize) {
+        AddressSpace::PageLookup page;
+        if (space.LookupPage(addr, &page) && page.present) {
+          frames.push_back(page.frame);
+        }
+      }
+    }
+    return frames;
   }
 
   OmosServer::UpgradeStatus DrainToTerminal() {
@@ -843,38 +933,156 @@ class EngineInvalidationTest : public ::testing::Test {
 
 TEST_F(EngineInvalidationTest, RedefinitionDropsCachedBlocks) {
   ASSERT_OK(server_->DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/client.o /lib/addlib)"));
-  ASSERT_OK_AND_ASSIGN(int before, ExecAndRun("/bin/prog"));
-  EXPECT_EQ(before, 21);
-  EXPECT_GT(kernel_.engine().CachedBlocks(), 0u);
+  ASSERT_OK(server_->DefineMeta("/bin/other",
+                                "(merge /lib/crt0.o /obj/dblclient.o /lib/dbllib)"));
+  ASSERT_OK_AND_ASSIGN(int other, ExecAndRun("/bin/other"));
+  EXPECT_EQ(other, 8);
+  const size_t other_blocks = kernel_.engine().CachedBlocks();
+  EXPECT_GT(other_blocks, 0u);
 
-  EngineMetrics& em = GetEngineMetrics();
-  uint64_t inval_before = em.invalidations->value();
-  uint64_t epoch_before = kernel_.engine().epoch();
+  ASSERT_OK_AND_ASSIGN(TaskId id, ExecAndKeep("/bin/prog"));
+  EXPECT_EQ(kernel_.FindTask(id)->exit_code(), 21);
+  const size_t both = kernel_.engine().CachedBlocks();
+  EXPECT_GT(both, other_blocks);
+
+  // The redefinition evicts /bin/prog and addlib v1, but the task still maps
+  // their frames, so their blocks stay; releasing the task frees the frames
+  // and exactly their blocks.
   ASSERT_OK(server_->DefineLibrary("/lib/addlib", "(merge /obj/addlib2.o)"));
-  EXPECT_EQ(kernel_.engine().CachedBlocks(), 0u);
-  EXPECT_GT(kernel_.engine().epoch(), epoch_before);
-  EXPECT_GT(em.invalidations->value(), inval_before);
+  EXPECT_EQ(kernel_.engine().CachedBlocks(), both);
+  Release(id);
+  EXPECT_EQ(kernel_.engine().CachedBlocks(), other_blocks);
 
-  ASSERT_OK_AND_ASSIGN(int after, ExecAndRun("/bin/prog"));
-  EXPECT_EQ(after, 51);
+  // /bin/other was not evicted: its warm run decodes nothing, while the
+  // rebuilt /bin/prog decodes its new text.
+  EXPECT_EQ(DecodedByRun("/bin/other", 8), 0u);
+  EXPECT_GT(DecodedByRun("/bin/prog", 51), 0u);
+}
+
+// A warm program decodes nothing after a DefineLibrary of a library it does
+// not map, in each direction between two programs on different libraries.
+TEST_F(EngineInvalidationTest, RedefiningALibraryKeepsOtherProgramsBlocks) {
+  ASSERT_OK(server_->DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/client.o /lib/addlib)"));
+  ASSERT_OK(server_->DefineMeta("/bin/other",
+                                "(merge /lib/crt0.o /obj/dblclient.o /lib/dbllib)"));
+  EXPECT_GT(DecodedByRun("/bin/prog", 21), 0u);
+  EXPECT_GT(DecodedByRun("/bin/other", 8), 0u);
+
+  ASSERT_OK(server_->DefineLibrary("/lib/addlib", "(merge /obj/addlib2.o)"));
+  EXPECT_EQ(DecodedByRun("/bin/other", 8), 0u);
+  EXPECT_GT(DecodedByRun("/bin/prog", 51), 0u);
+
+  ASSERT_OK(server_->DefineLibrary("/lib/dbllib", "(merge /obj/dbllib2.o)"));
+  EXPECT_EQ(DecodedByRun("/bin/prog", 51), 0u);
+  EXPECT_GT(DecodedByRun("/bin/other", 8), 0u);
 }
 
 TEST_F(EngineInvalidationTest, UpgradeRepointInvalidatesCachedBlocks) {
   ASSERT_OK(server_->DefineMeta("/bin/dynprog",
                                 "(merge /lib/crt0.o /obj/client.o"
                                 " (specialize \"lib-dynamic\" /lib/addlib))"));
-  ASSERT_OK_AND_ASSIGN(int before, ExecAndRun("/bin/dynprog"));
-  EXPECT_EQ(before, 21);
+  ASSERT_OK_AND_ASSIGN(TaskId id, ExecAndKeep("/bin/dynprog"));
+  EXPECT_EQ(kernel_.FindTask(id)->exit_code(), 21);
+  // The v1 implementation the client loaded on demand, and the blocks run
+  // on its text.
+  std::vector<FrameId> v1_text = TextFrames(id, "lib-dynamic-impl");
+  ASSERT_FALSE(v1_text.empty());
+  bool decoded_on_v1 = false;
+  for (FrameId frame : v1_text) {
+    decoded_on_v1 = decoded_on_v1 || kernel_.phys().Attachment(frame) != nullptr;
+  }
+  EXPECT_TRUE(decoded_on_v1);
+  Release(id);
 
-  EngineMetrics& em = GetEngineMetrics();
-  uint64_t inval_before = em.invalidations->value();
   ASSERT_OK(server_->BeginUpgrade("/lib/addlib", "(merge /obj/addlib2.o)"));
   OmosServer::UpgradeStatus status = DrainToTerminal();
   EXPECT_EQ(status.phase, UpgradePhase::kDone) << status.error;
-  EXPECT_GT(em.invalidations->value(), inval_before);
+  // Reclaimed: v1's text frames are free, and their blocks went with them.
+  for (FrameId frame : v1_text) {
+    EXPECT_EQ(kernel_.phys().RefCount(frame), 0u) << frame;
+    EXPECT_EQ(kernel_.phys().Attachment(frame), nullptr) << frame;
+  }
 
   ASSERT_OK_AND_ASSIGN(int after, ExecAndRun("/bin/dynprog"));
   EXPECT_EQ(after, 51);
+}
+
+// ---- A class unloading its own text -----------------------------------------
+
+constexpr char kSelfUnloadClass[] = R"(
+.text
+.global unload_self
+unload_self:
+  sys )";
+
+// The host loads the class, has sys 41 evict the class's cached image (so
+// the task holds the last references to its frames), then calls in with r0
+// = the class's entry, which is its text base.
+constexpr char kSelfUnloadHost[] = R"(
+.text
+.global main
+main:
+  push lr
+  lea r0, blueprint
+  lea r1, wanted
+  sys )";
+
+// The block that runs `sys omos_unload` on its own class frees its frames,
+// and with them itself, inside the syscall; the engine must not touch the
+// block afterwards (ASan-covered, with no pin keeping it alive). The task
+// then faults fetching the instruction after the syscall from the unmapped
+// text, identically in both engines.
+TEST(EngineSelfUnload, ClassUnloadingItsOwnTextFaultsInBothEngines) {
+  const std::string class_source =
+      StrCat(kSelfUnloadClass, kSysOmosUnload, "\n  movi r0, 42\n  ret\n");
+  const std::string host_source = StrCat(kSelfUnloadHost, kSysOmosLoad, R"asm(
+  mov r7, r0
+  sys 41
+  mov r0, r7
+  callr r0
+  pop lr
+  ret
+.data
+blueprint: .asciiz "(merge /obj/selfunload.o)"
+wanted: .asciiz "unload_self"
+)asm");
+  std::vector<Observed> runs;
+  for (EngineMode mode : {EngineMode::kInterp, EngineMode::kBlocks}) {
+    Kernel kernel;
+    kernel.SetEngineMode(mode);
+    OmosServer server(kernel);
+    ASSERT_OK_AND_ASSIGN(ObjectFile crt0, Assemble(kCrt0, "crt0.o"));
+    ASSERT_OK(server.AddFragment("/lib/crt0.o", std::move(crt0)));
+    ASSERT_OK_AND_ASSIGN(ObjectFile host, Assemble(host_source, "host.o"));
+    ASSERT_OK(server.AddFragment("/obj/host.o", std::move(host)));
+    ASSERT_OK_AND_ASSIGN(ObjectFile klass, Assemble(class_source, "selfunload.o"));
+    ASSERT_OK(server.AddFragment("/obj/selfunload.o", std::move(klass)));
+    ASSERT_OK(server.DefineMeta("/bin/host", "(merge /lib/crt0.o /obj/host.o)"));
+    size_t blocks_at_evict = 0;
+    kernel.SetSysHook(41, [&](Kernel&, Task&) -> Result<void> {
+      OMOS_TRY(ObjectFile again, Assemble(class_source, "selfunload.o"));
+      OMOS_TRY_VOID(server.AddFragment("/obj/selfunload.o", std::move(again)));
+      blocks_at_evict = kernel.engine().CachedBlocks();
+      return OkResult();
+    });
+
+    ASSERT_OK_AND_ASSIGN(TaskId id, server.IntegratedExec("/bin/host", {"host"}));
+    EngineWorld w;
+    w.task = kernel.FindTask(id);
+    Result<void> run = kernel.RunTask(*w.task);
+    EXPECT_FALSE(run.ok());
+    runs.push_back(Capture(w, run));
+    EXPECT_EQ(runs.back().state, static_cast<int>(TaskState::kFaulted));
+    if (mode == EngineMode::kBlocks) {
+      // Since the eviction: +1 for the host's block after sys 41; the
+      // class's own block died with its frame.
+      EXPECT_EQ(kernel.engine().CachedBlocks(), blocks_at_evict + 1);
+    }
+    server.ReleaseTask(id);
+    kernel.DestroyTask(id);
+  }
+  ASSERT_EQ(runs.size(), 2u);
+  ExpectSame(runs[0], runs[1], "self-unload");
 }
 
 // ---- Concurrency (run under TSan in CI) -------------------------------------
@@ -883,8 +1091,7 @@ TEST_F(EngineInvalidationTest, UpgradeRepointInvalidatesCachedBlocks) {
 // linked against the version current at exec time and its frames stay
 // alive (refcounted) through the redefinition, so it must exit with
 // exactly that version's value — a stale or torn decode would break the
-// arithmetic. The InvalidateAll storm races block decode/lookup on the
-// workers.
+// arithmetic. The redefinitions race block decode/lookup on the workers.
 TEST_F(EngineInvalidationTest, RedefinitionWhileTasksExecute) {
   ASSERT_OK(server_->DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/client.o /lib/addlib)"));
   constexpr int kWorkers = 4;
@@ -913,8 +1120,8 @@ TEST_F(EngineInvalidationTest, RedefinitionWhileTasksExecute) {
         finished.fetch_add(1, std::memory_order_release);
       });
     }
-    // Redefine back and forth while the workers run: every flip clears the
-    // block cache under their feet.
+    // Redefine back and forth while the workers run: every flip evicts the
+    // images whose frames (and blocks) the workers are executing.
     while (finished.load(std::memory_order_acquire) < kWorkers) {
       ASSERT_OK(server_->DefineLibrary("/lib/addlib", "(merge /obj/addlib2.o)"));
       ASSERT_OK(server_->DefineLibrary("/lib/addlib", "(merge /obj/addlib.o)"));
@@ -931,17 +1138,47 @@ TEST_F(EngineInvalidationTest, RedefinitionWhileTasksExecute) {
   EXPECT_EQ(bad.load(), 0);
 }
 
-// Raw InvalidateAll storm against concurrently executing tasks: the pin
-// discipline must keep in-flight blocks alive (no use-after-free under
-// ASan/TSan) and re-decoded blocks must compute the same results.
-void RunUnderInvalidateStorm(const std::string& program, int expected_exit) {
+// Private text for the storm below: the same layout in every variant, only
+// the exit code differs.
+std::string StormProgram(int exit_code) {
+  return StrCat(R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  movi r5, 50
+sloop:
+  addi r4, r4, 1
+  blt r4, r5, sloop
+  movi r0, )", exit_code, R"(
+  sys 0
+)");
+}
+
+// Text frames freed and recycled for new code while workers execute shared
+// text: each storm round maps private text into a fresh task, runs it
+// (decoding blocks onto its frames) and destroys it, so later rounds' text
+// lands on freed frames. Three variants rotate, so a frame never carries
+// the same code as the round that last used it for text: a block outliving
+// its frame would run old code and exit with the wrong code, and a block
+// freed under a worker would show under ASan/TSan.
+void RunUnderTextRecycleStorm(const std::string& program, int expected_exit) {
   Kernel kernel;
   kernel.SetEngineMode(EngineMode::kBlocks);
-  ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(program, "loop.o"));
-  Module module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
-  LayoutSpec layout;
-  layout.entry_symbol = "_start";
-  ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(module, layout, "loop"));
+  auto link = [](const std::string& source, const std::string& name) -> Result<LinkedImage> {
+    OMOS_TRY(ObjectFile object, Assemble(source, name + ".o"));
+    Module module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
+    LayoutSpec layout;
+    layout.entry_symbol = "_start";
+    return LinkImage(module, layout, name);
+  };
+  ASSERT_OK_AND_ASSIGN(LinkedImage image, link(program, "loop"));
+  constexpr int kVariants = 3;
+  std::vector<LinkedImage> storm;
+  for (int v = 0; v < kVariants; ++v) {
+    ASSERT_OK_AND_ASSIGN(LinkedImage variant, link(StormProgram(7 + v), "storm"));
+    storm.push_back(std::move(variant));
+  }
 
   constexpr int kWorkers = 4;
   std::vector<Task*> tasks;
@@ -956,7 +1193,7 @@ void RunUnderInvalidateStorm(const std::string& program, int expected_exit) {
   std::atomic<int> bad{0};
   std::atomic<int> finished{0};
   // Workers start once the storm has begun: a short program can otherwise
-  // run to completion before this thread issues its first invalidation.
+  // run to completion before this thread frees its first frame.
   std::atomic<bool> storming{false};
   std::vector<std::thread> workers;
   workers.reserve(kWorkers);
@@ -973,31 +1210,47 @@ void RunUnderInvalidateStorm(const std::string& program, int expected_exit) {
       finished.fetch_add(1, std::memory_order_release);
     });
   }
-  uint64_t invalidations = 0;
+  int rounds = 0;
+  int wrong_storm_exits = 0;
+  std::set<FrameId> storm_text;
   do {
-    kernel.engine().InvalidateAll("test.storm");
-    ++invalidations;
     storming.store(true, std::memory_order_release);
-    std::this_thread::yield();
-  } while (finished.load(std::memory_order_acquire) < kWorkers);
+    const LinkedImage& variant = storm[static_cast<size_t>(rounds % kVariants)];
+    Task& task = kernel.CreateTask("storm");
+    std::vector<std::string> args{"storm"};
+    AddressSpace::PageLookup text;
+    // No ASSERT while the workers run: a failed round is counted instead.
+    bool started = MapLinkedImage(kernel, task, variant, "").ok() &&
+                   task.space().LookupPage(variant.entry, &text) &&
+                   StartTask(kernel, task, variant.entry, args).ok();
+    if (started) {
+      storm_text.insert(text.frame);
+    }
+    if (!started || !kernel.RunTask(task).ok() || task.exit_code() != 7 + rounds % kVariants) {
+      ++wrong_storm_exits;
+    }
+    kernel.DestroyTask(task.id());
+    ++rounds;
+  } while (finished.load(std::memory_order_acquire) < kWorkers || rounds < 2 * kVariants);
   for (std::thread& t : workers) {
     t.join();
   }
   EXPECT_EQ(bad.load(), 0);
-  EXPECT_GT(invalidations, 0u);
+  EXPECT_EQ(wrong_storm_exits, 0);
+  EXPECT_LT(storm_text.size(), static_cast<size_t>(rounds)) << "no text frame was recycled";
 }
 
-TEST(EngineConcurrency, InvalidateAllWhileTasksExecute) {
-  RunUnderInvalidateStorm(kLoopProgram, 0);
+TEST(EngineConcurrency, TextRecycleWhileTasksExecute) {
+  RunUnderTextRecycleStorm(kLoopProgram, 0);
 }
 
-TEST(EngineConcurrency, InvalidateAllWhileWideHotSetTasksExecute) {
-  // Hundreds of pinned blocks per task, so a storm lands between pin-list
+TEST(EngineConcurrency, TextRecycleWhileWideHotSetTasksExecute) {
+  // Hundreds of blocks per task in its L1, so frames are freed between L1
   // fills as well as between block entries.
   ASSERT_OK_AND_ASSIGN(Observed reference,
                        RunUnder(EngineMode::kInterp, WideHotSetProgram(200)));
   ASSERT_EQ(reference.state, static_cast<int>(TaskState::kExited));
-  RunUnderInvalidateStorm(WideHotSetProgram(200), reference.exit_code);
+  RunUnderTextRecycleStorm(WideHotSetProgram(200), reference.exit_code);
 }
 
 }  // namespace

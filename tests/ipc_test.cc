@@ -105,6 +105,67 @@ TEST(IpcMessage, RetiredStatsOpRejected) {
   EXPECT_NE(reply.error.find("bad op 5"), std::string::npos) << reply.error;
 }
 
+// A specialization whose base does not parse is refused with an ok=false
+// reply, alone or as one member of a batch whose other members are served.
+OmosRequest MalformedInstantiate(uint32_t task_handle) {
+  OmosRequest request;
+  request.op = OmosOp::kInstantiate;
+  request.path = "/bin/prog";
+  request.specialization = "x;T=zz";
+  request.task_handle = task_handle;
+  return request;
+}
+
+class MalformedSpecialization : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_OK_AND_ASSIGN(ObjectFile prog, Assemble(R"(
+.text
+.global _start
+_start:
+  movi r0, 3
+  sys 0
+)", "prog.o"));
+    ASSERT_OK(server_.AddFragment("/obj/prog.o", std::move(prog)));
+    ASSERT_OK(server_.DefineMeta("/bin/prog", "(merge /obj/prog.o)"));
+  }
+
+  Kernel kernel_;
+  OmosServer server_{kernel_};
+};
+
+TEST_F(MalformedSpecialization, RequestIsRefused) {
+  Task& task = kernel_.CreateTask("client");
+  ASSERT_OK_AND_ASSIGN(OmosReply reply, DecodeReply(server_.ServeMessage(
+                                            EncodeRequest(MalformedInstantiate(task.id())))));
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.error.find("bad base 'zz'"), std::string::npos) << reply.error;
+  EXPECT_TRUE(task.space().Regions().empty());
+}
+
+TEST_F(MalformedSpecialization, BatchMemberIsRefusedAndTheOthersServed) {
+  Task& bad = kernel_.CreateTask("bad");
+  Task& good = kernel_.CreateTask("good");
+  OmosRequest list;
+  list.op = OmosOp::kListNamespace;
+  list.path = "/bin";
+  OmosRequest instantiate;
+  instantiate.op = OmosOp::kInstantiate;
+  instantiate.path = "/bin/prog";
+  instantiate.task_handle = good.id();
+  ASSERT_OK_AND_ASSIGN(std::vector<OmosReply> replies,
+                       DecodeReplyBatch(server_.ServeMessage(EncodeRequestBatch(
+                           {MalformedInstantiate(bad.id()), list, instantiate}))));
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_FALSE(replies[0].ok);
+  EXPECT_NE(replies[0].error.find("bad base 'zz'"), std::string::npos) << replies[0].error;
+  EXPECT_TRUE(replies[1].ok) << replies[1].error;
+  EXPECT_FALSE(replies[1].names.empty());
+  EXPECT_TRUE(replies[2].ok) << replies[2].error;
+  EXPECT_FALSE(replies[2].segments.empty());
+  EXPECT_TRUE(bad.space().Regions().empty());
+}
+
 // Truncating a valid message at any point must produce a clean error.
 class TruncationSweep : public ::testing::TestWithParam<int> {};
 

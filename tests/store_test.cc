@@ -123,8 +123,8 @@ StoreRecord SampleRecord() {
   record.image.text = {0x10, 0x20, 0x30, 0x40, 0x50};
   record.image.data = {0x99, 0x88};
   record.image.symbols.push_back(ImageSymbol{"main", 0x400004, 4, SectionKind::kText});
-  record.deps.push_back(StoredDep{"libkey", "/lib/l", 0x1000000, 0x1100000});
-  record.stub_slots.push_back(StoredStubSlot{0, "__slot_f", "/lib/l", "f"});
+  record.deps.push_back(LibDep{"libkey", "/lib/l", 0x1000000, 0x1100000});
+  record.stub_slots.push_back(StubSlot{0, "__slot_f", "/lib/l", "f"});
   return record;
 }
 
@@ -192,6 +192,23 @@ TEST(SimFsDurability, FsyncAndRenameErrorCases) {
 }
 
 // ---- Record codec -----------------------------------------------------------
+
+// SampleRecord's encoding, pinned byte for byte: stores already hold records
+// in this "OSR1" layout, so a change to the structs it is written from must
+// not move a byte.
+TEST(StoreCodec, RecordBytesArePinned) {
+  constexpr std::string_view kPinned =
+      "4f535231080000002f62696e2f78c2a7efcdab90785634129210000000000000010000000600"
+      "00006c69626b6579060000002f6c69622f6c000000010000100101000000000000000800"
+      "00005f5f736c6f745f66060000002f6c69622f6c01000000664800000058455831080000"
+      "002f62696e2f78c2a70000400000005000100000000400400005000000102030405002000000"
+      "998801000000040000006d61696e04004000040000000000000000";
+  std::string hex;
+  for (uint8_t byte : EncodeStoreRecord(SampleRecord())) {
+    hex += Hex32(byte).substr(8);
+  }
+  EXPECT_EQ(hex, kPinned);
+}
 
 TEST(StoreCodec, RecordRoundTrips) {
   StoreRecord record = SampleRecord();
