@@ -88,8 +88,8 @@ struct OmosWorld {
   // generates fixed versions "at installation time", §4.1).
   void Warm();
   // Fleet-wide prelink over /bin: solve the namespace-global layout once,
-  // record every meta in the prelink table, enable the subsystem. Warm
-  // PrelinkedExec then maps stamped images with zero per-exec relocations.
+  // record every meta as prelinked, enable the subsystem. Warm
+  // PrelinkedExec then maps cached images with zero per-exec relocations.
   void Prelink();
   InvocationCost RunPrelinked(const std::string& meta, std::vector<std::string> args);
   PageSharing SampleSharingPrelinked(const std::string& meta, std::vector<std::string> args);

@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
   std::printf("codegen markedly < 1 (per-invocation relocations dominate);\n");
   std::printf("integrated exec strictly faster than bootstrap exec (paper: .44 vs .60).\n");
 
-  // Prelink gates: a warm prelinked exec maps stamped images as-is — zero
+  // Prelink gates: a warm prelinked exec maps cached images as-is — zero
   // per-exec relocation work (the link.relocations_at_map delta across one
   // run must be 0; the baseline rtld bumps it every exec) — and, paying
   // only the prelink-table probe instead of the full namespace + cache

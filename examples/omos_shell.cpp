@@ -13,8 +13,8 @@
 //   stats              print the unified metrics snapshot
 //   trace <file>       dump Chrome trace_event JSON (chrome://tracing)
 //   profile            symbol-level profile of the last client that ran
-//   placements         global layout: per-object bases, generation stamps,
-//                      the conflict log, and the current layout generation
+//   placements         global layout: the current layout generation,
+//                      per-object bases, and the conflict log
 //   upgrade <lib> <blueprint>
 //                      hot-patch a lib-dynamic library mid-session
 //                      (docs/upgrade.md) and drive the roll to completion
@@ -311,8 +311,8 @@ main:
     }
     if (args[0] == "placements") {
       // The namespace-global layout a fleet of clients shares: where every
-      // cached image lives, the stamp prelinked execs validate against, and
-      // any recorded placement conflicts awaiting a re-solve.
+      // cached image lives, and any recorded placement conflicts awaiting
+      // a re-solve.
       OmosReply reply = introspect("placements", 0);
       std::fputs(reply.payload.c_str(), stdout);
       continue;

@@ -72,7 +72,6 @@ uint64_t CachedImage::LayoutSum() const {
   sum ^= static_cast<uint64_t>(image.entry) * 0xBF58476D1CE4E5B9ull;
   sum ^= static_cast<uint64_t>(image.bss_size) * 0x94D049BB133111EBull;
   sum ^= static_cast<uint64_t>(image.text.size()) << 32 | static_cast<uint64_t>(image.data.size());
-  sum ^= layout_generation * 0xD6E8FEB86659FD93ull;
   return sum;
 }
 

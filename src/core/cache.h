@@ -81,10 +81,6 @@ struct CachedImage : std::enable_shared_from_this<CachedImage> {
   std::shared_ptr<const ReadSet> inputs;
   std::vector<StubSlot> stub_slots;
   uint64_t build_cost = 0;  // simulated cycles spent constructing this image
-  // Layout generation the image's placement was assigned at (the prelink
-  // validity stamp). Folded into LayoutSum so a rotted stamp is caught like
-  // any other layout-field corruption.
-  uint64_t layout_generation = 0;
 
   // Integrity sums, set by Put. The linked bytes (text then data, viewed as
   // one stream) are summed per 4 KiB page; the layout fields get their own

@@ -123,7 +123,7 @@ Result<Placement> ConstraintSolver::Place(const std::string& object, uint32_t te
     ++layout_generation_;
     Metrics().moves->Add();
   }
-  Placement placement{text_base, std::move(data).value(), false, layout_generation_};
+  Placement placement{text_base, std::move(data).value()};
   placements_[object] = Record{placement, text_size, data_size};
   Metrics().places->Add();
   return placement;
@@ -132,11 +132,6 @@ Result<Placement> ConstraintSolver::Place(const std::string& object, uint32_t te
 const Placement* ConstraintSolver::Find(const std::string& object) const {
   auto it = placements_.find(object);
   return it == placements_.end() ? nullptr : &it->second.placement;
-}
-
-uint64_t ConstraintSolver::GenerationOf(const std::string& object) const {
-  auto it = placements_.find(object);
-  return it == placements_.end() ? 0 : it->second.placement.generation;
 }
 
 std::vector<std::string> ConstraintSolver::OptimizePlacements() {
@@ -149,7 +144,6 @@ std::vector<std::string> ConstraintSolver::OptimizePlacements() {
   text_ranges_.clear();
   data_ranges_.clear();
   conflicts_.clear();
-  uint64_t next_generation = layout_generation_ + 1;
   for (const auto& [object, record] : old) {
     auto text = Fit(text_ranges_, arenas_.text_lo, arenas_.text_hi, record.text_size,
                     std::nullopt, object);
@@ -158,18 +152,15 @@ std::vector<std::string> ConstraintSolver::OptimizePlacements() {
     if (!text.ok() || !data.ok()) {
       continue;  // arena exhaustion cannot happen while re-packing a subset
     }
-    Placement placement{std::move(text).value(), std::move(data).value(), false,
-                        record.placement.generation};
-    bool moved = placement.text_base != record.placement.text_base ||
-                 placement.data_base != record.placement.data_base;
-    if (moved) {
-      placement.generation = next_generation;
+    Placement placement{std::move(text).value(), std::move(data).value()};
+    if (placement.text_base != record.placement.text_base ||
+        placement.data_base != record.placement.data_base) {
       changed.push_back(object);
     }
     placements_[object] = Record{placement, record.text_size, record.data_size};
   }
   if (!changed.empty()) {
-    layout_generation_ = next_generation;
+    ++layout_generation_;
     Metrics().moves->Add(changed.size());
   }
   return changed;
@@ -190,7 +181,6 @@ std::vector<std::string> ConstraintSolver::SolveNamespace() {
     }
   }
   std::vector<std::string> moved;
-  uint64_t next_generation = layout_generation_ + 1;
   size_t consumed = conflicts_.size();  // records that drove this pass
   for (const std::string& object : pending) {
     Record record = placements_.at(object);
@@ -217,11 +207,9 @@ std::vector<std::string> ConstraintSolver::SolveNamespace() {
       placements_[object] = record;
       continue;
     }
-    Placement placement{std::move(text).value(), std::move(data).value(), false,
-                        record.placement.generation};
+    Placement placement{std::move(text).value(), std::move(data).value()};
     if (placement.text_base != record.placement.text_base ||
         placement.data_base != record.placement.data_base) {
-      placement.generation = next_generation;
       moved.push_back(object);
     }
     placements_[object] = Record{placement, record.text_size, record.data_size};
@@ -237,7 +225,7 @@ std::vector<std::string> ConstraintSolver::SolveNamespace() {
   }
   conflicts_ = std::move(remaining);
   if (!moved.empty()) {
-    layout_generation_ = next_generation;
+    ++layout_generation_;
     Metrics().moves->Add(moved.size());
   }
   return moved;
@@ -270,7 +258,6 @@ Result<void> ConstraintSolver::AdoptPlacement(const PlacementRecord& record) {
                        Range{record.placement.data_base, data_size, record.object});
   Placement placement = record.placement;
   placement.reused = false;
-  placement.generation = layout_generation_;
   placements_[record.object] = Record{placement, record.text_size, record.data_size};
   return OkResult();
 }

@@ -15,9 +15,8 @@
 // client simultaneously. The layout is versioned by a monotonic *layout
 // generation*: fresh placements do not bump it, but any pass that MOVES a
 // live placement (SolveNamespace, OptimizePlacements, a grow-refit) does.
-// Each placement carries the generation it was last (re)assigned at;
-// an image linked against placement P is valid for zero-relocation mapping
-// exactly while GenerationOf(object) still equals the stamp it recorded.
+// The server evicts every image a move invalidates; the generation versions
+// the persistent store's fingerprints.
 #ifndef OMOS_SRC_CORE_CONSTRAINTS_H_
 #define OMOS_SRC_CORE_CONSTRAINTS_H_
 
@@ -40,10 +39,6 @@ struct Placement {
   uint32_t text_base = 0;
   uint32_t data_base = 0;
   bool reused = false;  // an existing identical placement was reused
-  // Layout generation this placement was last (re)assigned at. An image
-  // linked at this placement is prelink-valid while the solver still
-  // reports the same generation for the object.
-  uint64_t generation = 0;
 };
 
 struct ConflictRecord {
@@ -113,9 +108,6 @@ class ConstraintSolver {
   // placement moves (never by a fresh Place), so store fingerprints stay
   // stable while the layout is stable.
   uint64_t layout_generation() const { return layout_generation_; }
-  // The generation `object`'s placement was last assigned at; 0 when the
-  // object is not placed. The prelink validity check.
-  uint64_t GenerationOf(const std::string& object) const;
   // Restore path: resume the generation counter from a snapshot.
   void set_layout_generation(uint64_t generation) { layout_generation_ = generation; }
 
@@ -123,7 +115,6 @@ class ConstraintSolver {
   std::vector<PlacementRecord> ExportPlacements() const;
   // Claim `record`'s ranges for its object (restore path). Fails with
   // kConstraintConflict if the ranges are already owned by another object.
-  // The adopted placement is stamped with the current layout generation.
   Result<void> AdoptPlacement(const PlacementRecord& record);
 
  private:

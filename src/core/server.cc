@@ -26,8 +26,6 @@ constexpr int kMaxEvalDepth = 64;
 // Simulated cycles to assemble one line of generated source.
 constexpr uint64_t kAssembleLineCost = 40;
 
-uint32_t AlignTo(uint32_t value, uint32_t align) { return (value + align - 1) / align * align; }
-
 // Each address set in `over` replaces the one in `base`.
 void Overlay(PlacementHints& base, const PlacementHints& over) {
   if (over.text_base.has_value()) {
@@ -49,6 +47,22 @@ std::string NamesPattern(const std::vector<std::string>& names) {
   }
   pattern += ")$";
   return pattern;
+}
+
+// The executable meta-objects (every entry but fragments) listed under
+// namespace directory `dir`, as (name, full path) pairs.
+std::vector<std::pair<std::string, std::string>> ExecutableMetas(const OmosNamespace& name_space,
+                                                                 std::string_view dir) {
+  std::string norm = OmosNamespace::Normalize(dir);
+  std::vector<std::pair<std::string, std::string>> metas;
+  for (const std::string& name : name_space.List(norm)) {
+    std::string path = norm == "/" ? "/" + name : norm + "/" + name;
+    auto entry = name_space.Lookup(path);
+    if (entry.ok() && (*entry)->kind != EntryKind::kFragment) {
+      metas.emplace_back(name, std::move(path));
+    }
+  }
+  return metas;
 }
 
 // Maps a cached image into `task`: text shared from its master segment and
@@ -714,15 +728,9 @@ Result<ImageRef> OmosServer::InstantiateRef(const std::string& path, const Speci
                                             uint64_t* work_cycles) {
   std::string norm = OmosNamespace::Normalize(path);
   std::string key = MakeCacheKey(norm, spec.ToKeyString());
-  // A default-spec image may have a reorder-built twin; serve it instead
-  // (the "atomic swap-in on next Get").
-  if (ImageRef optimized = OptimizedAlias(key)) {
+  if (ImageRef warm = WarmImage(key)) {
     TraceWarmHitSampled(norm);
-    return optimized;
-  }
-  if (ImageRef hit = cache_.Get(key)) {
-    TraceWarmHitSampled(norm);
-    return hit;
+    return warm;
   }
   // Cold path: the span covers single-flight election and the build. N
   // concurrent misses of one key do the construction work once and share
@@ -788,6 +796,15 @@ size_t OmosServer::DrainBackgroundWork() {
   return ran;
 }
 
+ImageRef OmosServer::WarmImage(const std::string& key) {
+  // A default-spec image may have a reorder-built twin; serve it instead
+  // (the "atomic swap-in on next Get").
+  if (ImageRef optimized = OptimizedAlias(key)) {
+    return optimized;
+  }
+  return cache_.Get(key);
+}
+
 ImageRef OmosServer::OptimizedAlias(const std::string& key) {
   std::string twin_key;
   {
@@ -821,14 +838,11 @@ void OmosServer::SubmitIdle(std::function<void(OmosServer&)> job) {
 }
 
 void OmosServer::ScheduleRelink(std::string twin_path) {
-  if (twin_path.empty()) {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    if (prelink_.empty()) {
-      return;  // nothing is prelinked, so a re-solve has no client
-    }
-  }
   {
     std::lock_guard<std::mutex> lock(relink_mu_);
+    if (twin_path.empty() && prelinked_.empty()) {
+      return;  // nothing is prelinked, so a re-solve has no client
+    }
     if (!twin_path.empty()) {
       relink_twins_.insert(std::move(twin_path));
     }
@@ -1003,21 +1017,14 @@ Result<ImageRef> OmosServer::LinkAndPublish(const std::string& key, const Module
                                             const PlacementHints& hints,
                                             std::vector<const LinkedImage*> libraries,
                                             CachedImage cached, BuildTracker& tracker) {
-  // Size estimate for placement (must match LinkImage's layout pass).
-  uint32_t text_size = 0;
-  uint32_t data_size = 0;
-  uint32_t bss_size = 0;
-  for (const FragmentPtr& frag : client.fragments()) {
-    text_size = AlignTo(text_size, 8) + frag->section(SectionKind::kText).size();
-    data_size = AlignTo(data_size, 4) + frag->section(SectionKind::kData).size();
-    bss_size = AlignTo(bss_size, 4) + frag->section(SectionKind::kBss).size();
-  }
+  SectionLayout sections = LayOutSections(client.fragments());
   Placement placement;
   bool conflict_grew = false;
   {
     std::lock_guard<std::mutex> lock(solver_mu_);
     size_t conflicts_before = solver_.conflicts().size();
-    OMOS_TRY(placement, solver_.Place(key, text_size, data_size + bss_size, hints));
+    OMOS_TRY(placement, solver_.Place(key, sections.text_size,
+                                      sections.data_size + sections.bss_size, hints));
     conflict_grew = solver_.conflicts().size() > conflicts_before;
   }
   if (conflict_grew) {
@@ -1041,27 +1048,35 @@ Result<ImageRef> OmosServer::LinkAndPublish(const std::string& key, const Module
   ChargeLinkWork(image.stats, symbol_count, tracker);
 
   cached.image = std::move(image);
-  OMOS_TRY_VOID(MaterializeSegments(cached));
   // The build's own reads are the few it made outside any memo evaluation;
   // the memos' sets are shared by pointer, never merged.
   cached.inputs = tracker.TakeReads();
   cached.build_cost = tracker.work;
-  cached.layout_generation = placement.generation;
-  std::shared_lock<std::shared_mutex> publishing(publish_mu_);
-  if (!namespace_.AllCurrent(*cached.inputs) || !DepsInPlace(cached.deps)) {
-    // A redefinition of a read, or of something a dep read, finished
-    // mid-build; its invalidation could not see this image. Publish nothing
-    // and free the placement so the redone build places afresh (under the
-    // new definitions' hints) against the deps where they now are.
-    if (!cache_.Contains(key)) {
-      std::lock_guard<std::mutex> lock(solver_mu_);
-      solver_.Release(key);
-    }
+  OMOS_TRY(ImageRef published, PublishIfCurrent(key, std::move(cached)));
+  if (published == nullptr) {
+    // The redone build places afresh (under the new definitions' hints)
+    // against the deps where they now are.
     tracker.superseded = true;
     return Err(ErrorCode::kUnavailable,
                StrCat(key, ": inputs redefined or a dep moved during the build"));
   }
-  return cache_.Put(key, std::move(cached));
+  return published;
+}
+
+Result<ImageRef> OmosServer::PublishIfCurrent(const std::string& key, CachedImage cached) {
+  OMOS_TRY_VOID(MaterializeSegments(cached));
+  std::shared_lock<std::shared_mutex> publishing(publish_mu_);
+  if (namespace_.AllCurrent(*cached.inputs) && DepsInPlace(cached.deps)) {
+    return cache_.Put(key, std::move(cached));
+  }
+  // A redefinition of a read, or of something a dep read, finished after
+  // the read; its invalidation could not see this image. Publish nothing
+  // and free the placement, unless a published image holds it.
+  if (!cache_.Contains(key)) {
+    std::lock_guard<std::mutex> lock(solver_mu_);
+    solver_.Release(key);
+  }
+  return ImageRef();
 }
 
 bool OmosServer::DepsInPlace(const std::vector<LibDep>& deps) const {
@@ -1214,7 +1229,6 @@ ImageRef OmosServer::TryAdoptFromStore(const std::string& norm, const Specializa
   PlacementHints hints;
   hints.text_base = record.image.text_base;
   hints.data_base = record.image.data_base;
-  uint64_t placement_generation = 0;
   {
     std::lock_guard<std::mutex> lock(solver_mu_);
     auto placed = solver_.Place(key, static_cast<uint32_t>(record.image.text.size()),
@@ -1226,20 +1240,26 @@ ImageRef OmosServer::TryAdoptFromStore(const std::string& norm, const Specializa
       MetricsRegistry::Global().GetCounter("store.placement_mismatches")->Add();
       return nullptr;
     }
-    placement_generation = placed->generation;
   }
+  // The image read what the fingerprint walk found. A path the walk found
+  // absent is no input: the walk over-approximates the names a construction
+  // reads, and a build that read an absent one would have failed.
+  std::erase_if(inputs, [](const NamespaceRead& read) { return read.second == nullptr; });
   CachedImage cached;
   cached.image = std::move(record.image);
   cached.deps = std::move(record.deps);
   cached.stub_slots = std::move(record.stub_slots);
   cached.inputs = std::make_shared<const ReadSet>(std::move(inputs));
   cached.build_cost = record.build_cost;
-  cached.layout_generation = placement_generation;
-  if (!MaterializeSegments(cached).ok()) {
-    return nullptr;  // out of frames; the cold path will report properly
+  // Published like a link: refused when an entry the walk read was
+  // redefined since (the cold build then reads the new one), and nullptr
+  // when out of frames (the cold path reports it properly).
+  auto published = PublishIfCurrent(key, std::move(cached));
+  if (!published.ok() || *published == nullptr) {
+    return nullptr;
   }
   TraceInstant("store.adopt", key);
-  return cache_.Put(key, std::move(cached));
+  return *published;
 }
 
 void OmosServer::PublishToStore(const std::string& norm, const Specialization& spec,
@@ -1974,65 +1994,26 @@ PrelinkMetrics& PrelinkCounters() {
 
 }  // namespace
 
-void OmosServer::RecordPrelinkEntry(const std::string& path, const std::string& cache_key) {
-  uint64_t stamp;
-  {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    stamp = solver_.GenerationOf(cache_key);
-  }
-  std::lock_guard<std::mutex> lock(prelink_mu_);
-  prelink_[OmosNamespace::Normalize(path)] = PrelinkEntry{cache_key, stamp};
-}
-
 Result<int> OmosServer::PrelinkNamespace(const std::string& prefix) {
   TraceSpan trace("server.prelink_namespace", prefix);
-  std::string dir = OmosNamespace::Normalize(prefix);
   int recorded = 0;
-  for (const std::string& name : namespace_.List(dir)) {
-    std::string meta_path = dir == "/" ? "/" + name : dir + "/" + name;
-    auto entry = namespace_.Lookup(meta_path);
-    if (!entry.ok() || (*entry)->kind == EntryKind::kFragment) {
-      continue;  // only executable meta-objects get prelink entries
-    }
+  for (const auto& [name, meta_path] : ExecutableMetas(namespace_, prefix)) {
     uint64_t scratch = 0;
-    OMOS_TRY(ImageRef image, InstantiateRef(meta_path, {}, &scratch));
-    RecordPrelinkEntry(meta_path, image->key);
+    OMOS_TRY_VOID(InstantiateRef(meta_path, {}, &scratch));
+    std::lock_guard<std::mutex> lock(relink_mu_);
+    prelinked_.insert(meta_path);
     ++recorded;
   }
   return recorded;
 }
 
-size_t OmosServer::PrelinkValidCount() const {
-  std::vector<PrelinkEntry> entries;
-  {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    entries.reserve(prelink_.size());
-    for (const auto& [path, entry] : prelink_) {
-      entries.push_back(entry);
-    }
-  }
-  size_t valid = 0;
-  std::lock_guard<std::mutex> lock(solver_mu_);
-  for (const PrelinkEntry& entry : entries) {
-    if (entry.stamp != 0 && solver_.GenerationOf(entry.cache_key) == entry.stamp) {
-      ++valid;
-    }
-  }
-  return valid;
-}
-
 Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<std::string> args) {
   TraceSpan trace("server.exec_prelinked", path);
   std::string norm = OmosNamespace::Normalize(path);
-  PrelinkEntry entry;
-  bool have_entry = false;
+  bool prelinked;
   {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    auto it = prelink_.find(norm);
-    if (it != prelink_.end()) {
-      entry = it->second;
-      have_entry = true;
-    }
+    std::lock_guard<std::mutex> lock(relink_mu_);
+    prelinked = prelinked_.count(norm) != 0;
   }
   Task* task;
   {
@@ -2040,58 +2021,46 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     task = &kernel_->CreateTask(StrCat("omos-prelink:", path));
   }
   ImageRef image;
-  if (have_entry) {
-    // The stamp compare IS the validity check: the image's relocations were
-    // applied at `entry.stamp`; while the solver still reports that
-    // generation for the key, every address baked into the image is current
-    // and the map below performs zero relocations.
-    bool stamp_valid;
-    {
-      std::lock_guard<std::mutex> lock(solver_mu_);
-      stamp_valid = entry.stamp != 0 && solver_.GenerationOf(entry.cache_key) == entry.stamp;
-    }
-    if (stamp_valid) {
-      image = cache_.Get(entry.cache_key);
-      if (image == nullptr && store_ != nullptr) {
-        // Restart-warm path: the snapshot restored the entry (re-stamped at
-        // the restored layout generation) but the in-memory cache is cold.
-        // The attached store adopts the persisted image with zero
-        // relocations; when the adopted image carries the entry's stamp the
-        // exec is a prelink hit, not a rebuild.
-        uint64_t adopt_work = 0;
-        auto adopted = GetOrRebuild(entry.cache_key, &adopt_work);
-        if (adopted.ok() && (*adopted)->layout_generation == entry.stamp) {
-          image = *std::move(adopted);
-          std::lock_guard<std::mutex> lock(kernel_mu_);
-          task->BillSys(adopt_work);
-        }
-      }
+  if (prelinked) {
+    // A hit serves an image with no link on this request: the warm image,
+    // or one adopted from an attached store. Either is current, since a
+    // redefinition or a placement move evicts every image it invalidates
+    // and an adoption publishes through the build's check; so the map
+    // below performs zero relocations.
+    std::string key = MakeCacheKey(norm, Specialization().ToKeyString());
+    image = WarmImage(key);
+    if (image == nullptr && store_ != nullptr) {
+      BuildTracker tracker;
+      image = TryAdoptFromStore(norm, {}, key, tracker);
+      std::lock_guard<std::mutex> lock(kernel_mu_);
+      task->BillSys(tracker.work);
     }
   }
   if (image != nullptr) {
-    PrelinkCounters().hits->Add();
     {
       std::lock_guard<std::mutex> lock(kernel_mu_);
       task->BillSys(kernel_->costs().prelink_lookup);
     }
     Result<uint32_t> mapped = MapProgram(*task, *image);
-    if (!mapped.ok() && mapped.error().code() != ErrorCode::kUnavailable) {
+    if (mapped.ok()) {
+      PrelinkCounters().hits->Add();
+    } else if (mapped.error().code() == ErrorCode::kUnavailable) {
+      image = nullptr;  // a library moved since the link: the full exec step below
+    } else {
       return mapped.error();
     }
-    if (!mapped.ok()) {
-      image = nullptr;  // a library moved since the lookup: the full exec step below
-    }
-  } else {
-    (have_entry ? PrelinkCounters().stale : PrelinkCounters().misses)->Add();
   }
   if (image == nullptr) {
-    // No entry, a stale stamp, the image fell out of the cache or a library
-    // moved: pay the full exec step, then let the idle lane re-link
-    // everything stale so the next exec is fast again.
+    // Not prelinked, the image fell out of the cache, or a library moved:
+    // pay the full exec step, then let the idle lane re-link everything
+    // stale so the next exec is fast again.
+    (prelinked ? PrelinkCounters().stale : PrelinkCounters().misses)->Add();
     OMOS_TRY(image, InstantiateAndMap(*task, norm, {}));
-    RecordPrelinkEntry(norm, image->key);
-    if (have_entry) {
+    if (prelinked) {
       ScheduleRelink();
+    } else {
+      std::lock_guard<std::mutex> lock(relink_mu_);
+      prelinked_.insert(norm);
     }
   }
   std::lock_guard<std::mutex> lock(kernel_mu_);
@@ -2102,17 +2071,11 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
 void OmosServer::RunRelink() {
   TraceSpan trace("server.relink", "");
   std::set<std::string> twins;
+  std::vector<std::string> paths;
   {
     std::lock_guard<std::mutex> lock(relink_mu_);
     twins.swap(relink_twins_);
-  }
-  std::vector<std::string> paths;
-  {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    paths.reserve(prelink_.size());
-    for (const auto& [path, entry] : prelink_) {
-      paths.push_back(path);
-    }
+    paths.assign(prelinked_.begin(), prelinked_.end());
   }
   if (!paths.empty()) {
     PrelinkCounters().repairs->Add();
@@ -2125,14 +2088,12 @@ void OmosServer::RunRelink() {
       EvictMoved(moved);
     }
   }
-  // Re-instantiate every prelinked path at the solved layout and re-stamp
-  // its entry. Unmoved images are warm cache hits; moved ones re-link once
-  // here instead of on a client's critical path.
+  // Re-instantiate every prelinked path at the solved layout. Unmoved
+  // images are warm cache hits; moved ones re-link once here instead of on
+  // a client's critical path.
   for (const std::string& path : paths) {
     uint64_t scratch = 0;
-    auto image = InstantiateRef(path, {}, &scratch);
-    if (image.ok()) {
-      RecordPrelinkEntry(path, (*image)->key);
+    if (InstantiateRef(path, {}, &scratch).ok()) {
       PrelinkCounters().relinks->Add();
     }
   }
@@ -2154,13 +2115,7 @@ void OmosServer::RunRelink() {
 Result<int> OmosServer::ExportNamespaceToFs(std::string_view namespace_dir,
                                             std::string_view fs_dir) {
   int exported = 0;
-  std::string dir = OmosNamespace::Normalize(namespace_dir);
-  for (const std::string& name : namespace_.List(dir)) {
-    std::string meta_path = dir == "/" ? "/" + name : dir + "/" + name;
-    auto entry = namespace_.Lookup(meta_path);
-    if (!entry.ok() || (*entry)->kind == EntryKind::kFragment) {
-      continue;  // only executable meta-objects are exported
-    }
+  for (const auto& [name, meta_path] : ExecutableMetas(namespace_, namespace_dir)) {
     std::lock_guard<std::mutex> lock(kernel_mu_);
     OMOS_TRY_VOID(kernel_->fs().TryWriteFile(StrCat(fs_dir, "/", name),
                                              StrCat("#!omos ", meta_path, "\n"), 0755));
@@ -2426,7 +2381,7 @@ Result<void> OmosServer::HandleOmosUnloadSys(Kernel& kernel, Task& task) {
 //   order <count> <path>\n<routine-name>\n ...
 //   layoutgen <generation>
 //   place <text-base> <text-size> <data-base> <data-size> <object-key>
-//   prelink <path> <cache-key>
+//   prelink <path>
 //   check <fnv64-hex>
 
 namespace {
@@ -2556,19 +2511,18 @@ std::string OmosServer::Snapshot() const {
     placements = solver_.ExportPlacements();
     layout_generation = solver_.layout_generation();
   }
-  // Before the place lines: Restore() must resume the generation counter
-  // before adoptions stamp placements with it.
+  // The store fingerprint's layout version: a restarted server resumes it,
+  // so the images it persisted stay adoptable.
   out += StrCat("layoutgen ", layout_generation, "\n");
   for (const PlacementRecord& record : placements) {
     out += StrCat("place ", record.placement.text_base, " ", record.text_size, " ",
                   record.placement.data_base, " ", record.data_size, " ", record.object, "\n");
   }
-  // After the place lines: Restore() re-stamps each prelink row against the
-  // adopted placements, so a restarted server execs warm immediately.
+  // A restarted server execs its prelinked paths warm immediately.
   {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    for (const auto& [path, entry] : prelink_) {
-      out += StrCat("prelink ", path, " ", entry.cache_key, "\n");
+    std::lock_guard<std::mutex> lock(relink_mu_);
+    for (const std::string& path : prelinked_) {
+      out += StrCat("prelink ", path, "\n");
     }
   }
   out += StrCat("check ", Hex64(Fnv1a(out)), "\n");
@@ -2655,23 +2609,10 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
       std::lock_guard<std::mutex> lock(solver_mu_);
       OMOS_TRY_VOID(solver_.AdoptPlacement(record));
     } else if (tag == "prelink") {
+      // Older snapshots follow the path with its cache key; it is ignored.
       OMOS_TRY(std::string_view path, PopField(line));
-      std::string cache_key(line);
-      if (cache_key.empty()) {
-        return Err(ErrorCode::kParseError, "snapshot: prelink row without cache key");
-      }
-      // Stamp against the placements adopted above (not the pre-crash
-      // stamp): the entry is exec-valid exactly while the restored solver
-      // still reports this generation for the key.
-      uint64_t stamp;
-      {
-        std::lock_guard<std::mutex> lock(solver_mu_);
-        stamp = solver_.GenerationOf(cache_key);
-      }
-      {
-        std::lock_guard<std::mutex> lock(prelink_mu_);
-        prelink_[std::string(path)] = PrelinkEntry{std::move(cache_key), stamp};
-      }
+      std::lock_guard<std::mutex> lock(relink_mu_);
+      prelinked_.emplace(path);
     } else {
       return Err(ErrorCode::kParseError, StrCat("snapshot: unknown record '", tag, "'"));
     }
@@ -2695,8 +2636,8 @@ int OmosServer::OptimizePlacements() {
     evicted = EvictMoved(changed);
   }
   // Outside admin_mu_ (the relink re-enters Instantiate): re-link prelinked
-  // images at the re-packed layout and re-stamp their table entries, so an
-  // administrative re-pack doesn't leave the whole prelink table stale.
+  // images at the re-packed layout, so an administrative re-pack doesn't
+  // leave every prelinked exec to re-link on its critical path.
   RunRelink();
   return evicted;
 }
@@ -3012,13 +2953,13 @@ OmosReply OmosServer::HandleIntrospect(const OmosRequest& request) {
     }
   } else if (cmd == "placements") {
     // The global layout as the solver sees it: generation, one line per
-    // placed object (with its stamp), then the outstanding conflict log.
+    // placed object, then the outstanding conflict log.
     std::lock_guard<std::mutex> lock(solver_mu_);
     reply.payload = StrCat("layout generation ", solver_.layout_generation(), "\n");
     for (const PlacementRecord& record : solver_.ExportPlacements()) {
       reply.payload += StrCat("place T=", Hex32(record.placement.text_base),
-                              " D=", Hex32(record.placement.data_base),
-                              " gen=", record.placement.generation, " ", record.object, "\n");
+                              " D=", Hex32(record.placement.data_base), " ", record.object,
+                              "\n");
     }
     for (const ConflictRecord& conflict : solver_.conflicts()) {
       reply.payload += StrCat("conflict ", conflict.object, " wanted=", Hex32(conflict.wanted),

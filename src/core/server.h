@@ -88,9 +88,9 @@ struct OmosServerConfig {
 //   kernel_mu_   — kernel and task mutation (CreateTask, mapping, billing,
 //                  SimFs writes); never held across a build
 //
-// prelink_mu_ (the prelink table), relink_mu_ (the relink queue and the
-// twin aliases), memo_mu_ (the evaluation memo) and exec_channels_mu_ (the
-// parked exec channels) are leaf locks: nothing else is acquired while one
+// relink_mu_ (the relink queue, the twin aliases and the prelinked paths),
+// memo_mu_ (the evaluation memo) and exec_channels_mu_ (the parked exec
+// channels) are leaf locks: nothing else is acquired while one
 // of them is held. exec_channels_mu_ is never held across Channel::Call: a
 // BootstrapExec takes a channel off the list, calls, and parks it again.
 //
@@ -101,8 +101,8 @@ struct OmosServerConfig {
 // reference. ImageCache::ReadLease exists only for callers of the public
 // raw-pointer Instantiate: see there.
 //
-// `solver()`, `cache()` and `conflicts()` hand out raw references for tests
-// and tools — use them only while no worker threads are in flight.
+// `cache()` and `conflicts()` hand out raw references for tests and tools —
+// use them only while no worker threads are in flight.
 class OmosServer {
  public:
   using Config = OmosServerConfig;
@@ -151,13 +151,13 @@ class OmosServer {
                                const Specialization& spec = {});
   Result<TaskId> IntegratedExec(const std::string& path, std::vector<std::string> args,
                                 const Specialization& spec = {});
-  // Fleet-wide prelink exec: the prelink table maps `path` straight to a
-  // cache key plus the layout generation its image was linked at. When the
-  // stamp still matches the solver, the image maps with zero per-exec
-  // relocation for `prelink_lookup` cycles (< omos_cache_lookup — no
-  // namespace traversal, no blueprint normalization). A miss or a stale
-  // stamp falls back to a full Instantiate and records the entry; a stale
-  // stamp also queues the idle-lane relink job.
+  // Fleet-wide prelink exec: a prelinked `path` whose image is served with
+  // no link on this request (warm from the cache, or adopted from an
+  // attached store) maps with zero per-exec relocation for `prelink_lookup`
+  // cycles (< omos_cache_lookup — no namespace traversal, no blueprint
+  // normalization). Otherwise the exec falls back to a full Instantiate and
+  // records the path; a prelinked path falling back (its image was evicted,
+  // or a library moved) also queues the idle-lane relink job.
   Result<TaskId> PrelinkedExec(const std::string& path, std::vector<std::string> args);
   // `#! /bin/omos <meta-path>` interpreter-style exec from a SimFs file.
   Result<TaskId> ExecFile(const std::string& fs_path, std::vector<std::string> args,
@@ -244,9 +244,9 @@ class OmosServer {
   //    of a path with a recorded routine order (DerivePreferredOrder) queues
   //    its "reorder" twin, which the default key then serves. The twin reads
   //    the same inputs, so a redefinition evicts it with the default image.
-  //  * Recorded placement conflicts feed the constraint system: while the
-  //    prelink table has entries, a conflict or a stale stamp queues a
-  //    namespace re-solve that re-links and re-stamps every prelinked path.
+  //  * Recorded placement conflicts feed the constraint system: while any
+  //    path is prelinked, a conflict or a prelinked exec that fell back
+  //    queues a namespace re-solve that re-links every prelinked path.
   // DrainBackgroundWork runs queued idle-time jobs on the caller and waits
   // for any a worker already picked up; returns how many the caller ran —
   // a deterministic "all background work done" point for tests.
@@ -254,12 +254,8 @@ class OmosServer {
 
   // ---- Fleet-wide prelink (§4.1 feedback loop) ------------------------------
   // Instantiate every meta-object under `prefix` (default spec) and record
-  // each in the prelink table with the layout-generation stamp its image
-  // was linked at. Returns the number of entries (re)recorded.
+  // each as prelinked. Returns the number of paths (re)recorded.
   Result<int> PrelinkNamespace(const std::string& prefix);
-  // How many prelink entries are currently stamp-valid (their object still
-  // sits at the generation the image was linked at). Test/CLI helper.
-  size_t PrelinkValidCount() const;
 
   // ---- Crash / recovery -----------------------------------------------------
   // Serialize the server's durable state — the namespace (blueprints and
@@ -346,7 +342,6 @@ class OmosServer {
 
   const CacheStats& cache_stats() const { return cache_.stats(); }
   const std::vector<ConflictRecord>& conflicts() const { return solver_.conflicts(); }
-  ConstraintSolver& solver() { return solver_; }
   ImageCache& cache() { return cache_; }
 
  private:
@@ -456,15 +451,21 @@ class OmosServer {
 
   // The tail of every build: place `client`, link it against the
   // `libraries` (LayoutSpec::libraries; the caller keeps them alive), bill
-  // the link work, materialize segments, and Put it under `key` with the
-  // tracker's reads as its inputs. `cached` carries the deps and stub
-  // slots. If a read was redefined or a dep moved meanwhile, nothing is
-  // published: the placement is released and tracker.superseded set, for
-  // BuildCurrent to redo the build.
+  // the link work, and publish it under `key` with the tracker's reads as
+  // its inputs. `cached` carries the deps and stub slots. If a read was
+  // redefined or a dep moved meanwhile, nothing is published and
+  // tracker.superseded is set, for BuildCurrent to redo the build.
   Result<ImageRef> LinkAndPublish(const std::string& key, const Module& client,
                                   const PlacementHints& hints,
                                   std::vector<const LinkedImage*> libraries, CachedImage cached,
                                   BuildTracker& tracker);
+
+  // The one way an image enters the cache, for a link and a store adoption
+  // alike: materialize its segments, then, holding publish_mu_ shared, Put
+  // it under `key` only while every read in cached.inputs is current and
+  // every dep is in place. Otherwise nothing is published, the placement
+  // is released unless a cached image holds it, and the result is nullptr.
+  Result<ImageRef> PublishIfCurrent(const std::string& key, CachedImage cached);
 
   // Whether every dep still holds the placement its dependent linked at (a
   // redefinition may have released and re-placed it elsewhere).
@@ -489,8 +490,9 @@ class OmosServer {
   Result<uint64_t> StoreFingerprint(const std::string& norm, const Specialization& spec,
                                     std::vector<NamespaceRead>* inputs = nullptr) const;
   // Probe the store on a cache miss; on a hit, verify dependency placements,
-  // re-reserve the stored bases, materialize segments and insert into the
-  // cache. nullptr on miss or any verification failure (caller cold-builds).
+  // re-reserve the stored bases and publish through PublishIfCurrent.
+  // nullptr on a miss, any verification failure or a refused publish (the
+  // caller cold-builds).
   ImageRef TryAdoptFromStore(const std::string& norm, const Specialization& spec,
                              const std::string& key, BuildTracker& tracker);
   // Publish a freshly built image; failures are counted, never fatal.
@@ -612,29 +614,21 @@ class OmosServer {
                              std::string* degrade_key) const;
   void ScheduleUpgradeReclaim(const std::shared_ptr<UpgradeJob>& job);
 
-  // One prelink-table row: the cache key `path` resolves to, plus the
-  // layout generation the cached image's relocations were applied at. The
-  // entry is exec-valid while the solver still reports `stamp` for the key.
-  struct PrelinkEntry {
-    std::string cache_key;
-    uint64_t stamp = 0;
-  };
-
-  // Record/refresh `path`'s prelink entry from the current cache + solver
-  // state. Called after a successful Instantiate of a prelinked path.
-  void RecordPrelinkEntry(const std::string& path, const std::string& cache_key);
   // Queue the relink job for `twin_path`'s reorder twin or, given no path,
   // for the prelink re-solve (dropped while the table is empty). At most
   // one job is queued; it serves every request made before it starts.
   void ScheduleRelink(std::string twin_path = {});
   // The relink job's body (OptimizePlacements runs it on the caller): with
-  // prelink entries, SolveNamespace, evict what moved and re-stamp every
-  // prelinked path; then build each requested twin and alias it.
+  // prelinked paths, SolveNamespace, evict what moved and re-instantiate
+  // every prelinked path; then build each requested twin and alias it.
   void RunRelink();
 
   // The reorder twin to serve instead of `key`, or nullptr. Drops the alias
   // if the twin fell out of the cache.
   ImageRef OptimizedAlias(const std::string& key);
+  // The image `key` serves with no build: its reorder twin, else the cached
+  // image; nullptr on a miss.
+  ImageRef WarmImage(const std::string& key);
 
   Kernel* kernel_;
   Config config_;
@@ -647,8 +641,8 @@ class OmosServer {
   // Lock hierarchy (see class comment): acquire strictly downward, never
   // hold any of these across a recursive Instantiate or a cache call that
   // can build (JoinBuild leadership is not a lock). The leaf locks
-  // (prelink_mu_, relink_mu_, memo_mu_, exec_channels_mu_) are declared
-  // with the state they guard below.
+  // (relink_mu_, memo_mu_, exec_channels_mu_) are declared with the state
+  // they guard below.
   mutable std::mutex admin_mu_;
   mutable std::mutex monitor_mu_;
   mutable std::mutex solver_mu_;
@@ -667,11 +661,13 @@ class OmosServer {
   std::shared_ptr<IdleJobGuard> idle_guard_ = std::make_shared<IdleJobGuard>();
 
   // Relink job state, guarded by relink_mu_ (a leaf lock): the queued flag,
-  // the paths whose twin the job builds, and default key -> twin key.
+  // the paths whose twin the job builds, default key -> twin key, and the
+  // prelinked paths (normalized), which the job re-links.
   mutable std::mutex relink_mu_;
   bool relink_queued_ = false;
   std::set<std::string> relink_twins_;
   std::map<std::string, std::string> twin_alias_;
+  std::set<std::string> prelinked_;
 
   // Live upgrade: at most one job; the pointer itself is guarded by
   // upgrade_mu_ (safepoints copy the shared_ptr out under the lock).
@@ -691,11 +687,6 @@ class OmosServer {
   // leaf lock); hits are validated and replayed outside it.
   mutable std::mutex memo_mu_;
   std::map<std::string, std::shared_ptr<const EvalMemo>> eval_memo_;  // guarded by memo_mu_
-
-  // Prelink table: path -> entry, guarded by prelink_mu_ (a leaf lock); the
-  // exec path reads the entry, drops the lock, then consults the solver.
-  mutable std::mutex prelink_mu_;
-  std::map<std::string, PrelinkEntry> prelink_;         // guarded by prelink_mu_
 
   // Parked exec channels, each tagged with the transport it speaks. Guarded
   // by exec_channels_mu_ (a leaf lock, never held across Channel::Call).

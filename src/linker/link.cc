@@ -16,14 +16,23 @@ constexpr uint32_t kDataAlign = 4;
 
 uint32_t AlignUp(uint32_t value, uint32_t align) { return (value + align - 1) / align * align; }
 
-// Per-fragment, per-section base offsets within the output segments.
-struct FragmentLayout {
-  uint32_t text = 0;
-  uint32_t data = 0;
-  uint32_t bss = 0;
-};
-
 }  // namespace
+
+SectionLayout LayOutSections(const std::vector<FragmentPtr>& fragments) {
+  SectionLayout layout;
+  layout.fragments.resize(fragments.size());
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    const ObjectFile& frag = *fragments[i];
+    SectionLayout::Offsets& at = layout.fragments[i];
+    at.text = AlignUp(layout.text_size, kTextAlign);
+    at.data = AlignUp(layout.data_size, kDataAlign);
+    at.bss = AlignUp(layout.bss_size, kDataAlign);
+    layout.text_size = at.text + frag.section(SectionKind::kText).size();
+    layout.data_size = at.data + frag.section(SectionKind::kData).size();
+    layout.bss_size = at.bss + frag.section(SectionKind::kBss).size();
+  }
+  return layout;
+}
 
 Result<LinkedImage> LinkImage(const Module& module, const LayoutSpec& layout, std::string name) {
   TraceSpan trace("link.image", name);
@@ -42,22 +51,11 @@ Result<LinkedImage> LinkImage(const Module& module, const LayoutSpec& layout, st
   image.stats.fragments = static_cast<uint32_t>(fragments.size());
 
   // Pass 1: assign every fragment's sections an offset in the output.
-  std::vector<FragmentLayout> offsets(fragments.size());
-  uint32_t text_size = 0;
-  uint32_t data_size = 0;
-  uint32_t bss_size = 0;
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    const ObjectFile& frag = *fragments[i];
-    text_size = AlignUp(text_size, kTextAlign);
-    data_size = AlignUp(data_size, kDataAlign);
-    bss_size = AlignUp(bss_size, kDataAlign);
-    offsets[i].text = text_size;
-    offsets[i].data = data_size;
-    offsets[i].bss = bss_size;
-    text_size += frag.section(SectionKind::kText).size();
-    data_size += frag.section(SectionKind::kData).size();
-    bss_size += frag.section(SectionKind::kBss).size();
-  }
+  SectionLayout sections = LayOutSections(fragments);
+  const std::vector<SectionLayout::Offsets>& offsets = sections.fragments;
+  const uint32_t text_size = sections.text_size;
+  const uint32_t data_size = sections.data_size;
+  const uint32_t bss_size = sections.bss_size;
 
   image.data_base =
       layout.data_base != 0 ? layout.data_base : PageAlignUp(image.text_base + text_size);

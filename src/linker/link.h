@@ -33,6 +33,22 @@ struct LayoutSpec {
   std::vector<const LinkedImage*> libraries;
 };
 
+// Pass 1 of LinkImage: every fragment's section offsets in the output, in
+// fragment order, and the output's section sizes. Text is aligned to the
+// instruction size and data and bss to 4 bytes; bss follows data.
+struct SectionLayout {
+  struct Offsets {
+    uint32_t text = 0;
+    uint32_t data = 0;
+    uint32_t bss = 0;
+  };
+  std::vector<Offsets> fragments;
+  uint32_t text_size = 0;
+  uint32_t data_size = 0;
+  uint32_t bss_size = 0;
+};
+SectionLayout LayOutSections(const std::vector<FragmentPtr>& fragments);
+
 // Produce a LinkedImage from `module`. A final bind pass resolves any
 // references that became bindable after view operations (e.g. rename).
 Result<LinkedImage> LinkImage(const Module& module, const LayoutSpec& layout, std::string name);

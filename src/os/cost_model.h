@@ -85,9 +85,9 @@ struct CostModel {
   uint64_t ring_slot = 40;
   // Server-side work for a cache hit: namespace traversal + cache lookup.
   uint64_t omos_cache_lookup = 700;
-  // Prelinked-exec fast path: one hash probe of the prelink table plus a
-  // layout-generation stamp compare. No namespace traversal, no blueprint
-  // normalization, no checksum walk — which is why it undercuts
+  // Prelinked-exec fast path: one probe of the set of prelinked paths,
+  // then the image served with no link. No namespace traversal, no
+  // blueprint normalization, no checksum walk — which is why it undercuts
   // omos_cache_lookup and lets warm prelinked exec beat integrated exec.
   uint64_t prelink_lookup = 150;
 };

@@ -211,12 +211,13 @@ TEST(Constraints, FreshPlacementsDoNotAdvanceGeneration) {
   ASSERT_OK_AND_ASSIGN(Placement a, solver.Place("a", 0x1000, 0x1000));
   ASSERT_OK_AND_ASSIGN(Placement b, solver.Place("b", 0x1000, 0x1000));
   // New placements join the current layout; only a *move* of a live
-  // placement invalidates prelink stamps.
+  // placement advances it.
   EXPECT_EQ(solver.layout_generation(), start);
-  EXPECT_EQ(a.generation, start);
-  EXPECT_EQ(b.generation, start);
-  EXPECT_EQ(solver.GenerationOf("a"), start);
-  EXPECT_EQ(solver.GenerationOf("missing"), 0u);
+  ASSERT_NE(solver.Find("a"), nullptr);
+  EXPECT_EQ(solver.Find("a")->text_base, a.text_base);
+  ASSERT_NE(solver.Find("b"), nullptr);
+  EXPECT_EQ(solver.Find("b")->text_base, b.text_base);
+  EXPECT_EQ(solver.Find("missing"), nullptr);
 }
 
 TEST(Constraints, RegrowAdvancesGeneration) {
@@ -225,8 +226,9 @@ TEST(Constraints, RegrowAdvancesGeneration) {
   ASSERT_OK(solver.Place("lib", 0x1000, 0x1000));
   ASSERT_OK_AND_ASSIGN(Placement big, solver.Place("lib", 0x40000, 0x1000));
   EXPECT_EQ(solver.layout_generation(), start + 1);
-  EXPECT_EQ(big.generation, start + 1);
-  EXPECT_EQ(solver.GenerationOf("lib"), start + 1);
+  EXPECT_FALSE(big.reused);
+  ASSERT_NE(solver.Find("lib"), nullptr);
+  EXPECT_EQ(solver.Find("lib")->text_base, big.text_base);
 }
 
 TEST(Constraints, OptimizePlacementsDeterministicAcrossInsertionOrders) {
@@ -305,10 +307,9 @@ TEST(Constraints, SolveNamespaceMovesSpilledObjectToWantedBase) {
   ASSERT_NE(home, nullptr);
   EXPECT_EQ(home->text_base, 0x02000000u);
   EXPECT_NE(home->text_base, spilled.text_base);
-  // The move advanced the layout generation and restamped the mover, so
-  // prelink entries against the old layout read as stale.
+  // The move advanced the layout generation, so store records linked
+  // against the old layout stop matching.
   EXPECT_EQ(solver.layout_generation(), before + 1);
-  EXPECT_EQ(solver.GenerationOf("tenant"), before + 1);
   EXPECT_TRUE(solver.conflicts().empty());
 }
 
@@ -329,7 +330,7 @@ TEST(Constraints, SolveNamespaceRespillKeepsConflictForNextPass) {
   uint64_t before = solver.layout_generation();
   // Holder still owns the wanted range: the pass re-fits the tenant, which
   // lands back where it was, re-logs the conflict, and moves nothing — so
-  // the generation (and every prelink stamp) stays valid.
+  // the generation stays put.
   EXPECT_TRUE(solver.SolveNamespace().empty());
   EXPECT_EQ(solver.layout_generation(), before);
   const Placement* home = solver.Find("tenant");

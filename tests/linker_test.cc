@@ -4,6 +4,7 @@
 #include "src/linker/image_codec.h"
 #include "src/linker/link.h"
 #include "src/linker/module.h"
+#include "src/support/strings.h"
 #include "tests/helpers.h"
 
 namespace omos {
@@ -401,6 +402,44 @@ TEST(Link, FragmentAlignment) {
   LayoutSpec layout;
   ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(m, layout, "t"));
   EXPECT_EQ(image.FindSymbol("b")->addr % 8, 0u);
+}
+
+TEST(Link, LaidOutSectionSizesMatchTheLinkedImage) {
+  // Unaligned text, data and bss in every fragment: each fragment after the
+  // first starts at a padded offset, so a size pass that skipped the
+  // padding would place a too-small image.
+  std::vector<FragmentPtr> fragments;
+  const uint32_t sizes[][3] = {{12, 3, 5}, {20, 6, 1}, {4, 1, 7}};
+  for (int i = 0; i < 3; ++i) {
+    auto object = std::make_shared<ObjectFile>(StrCat("f", i, ".o"));
+    object->section(SectionKind::kText).bytes.resize(sizes[i][0]);
+    object->section(SectionKind::kData).bytes.resize(sizes[i][1]);
+    object->section(SectionKind::kBss).bss_size = sizes[i][2];
+    ASSERT_OK(object->DefineSymbol(StrCat("t", i), SymbolBinding::kGlobal, SectionKind::kText, 0));
+    ASSERT_OK(object->DefineSymbol(StrCat("d", i), SymbolBinding::kGlobal, SectionKind::kData, 0));
+    fragments.push_back(std::move(object));
+  }
+  Module m = Module::FromObject(fragments[0]);
+  for (size_t i = 1; i < fragments.size(); ++i) {
+    ASSERT_OK_AND_ASSIGN(m, Module::Merge(m, Module::FromObject(fragments[i])));
+  }
+  SectionLayout sections = LayOutSections(m.fragments());
+  ASSERT_EQ(sections.fragments.size(), 3u);
+  // 12 -> 16 + 20 = 36 -> 40 + 4; 3 -> 4 + 6 = 10 -> 12 + 1; 5 -> 8 + 1 = 9 -> 12 + 7.
+  EXPECT_EQ(sections.text_size, 44u);
+  EXPECT_EQ(sections.data_size, 13u);
+  EXPECT_EQ(sections.bss_size, 19u);
+  LayoutSpec layout;
+  ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(m, layout, "t"));
+  EXPECT_EQ(image.text.size(), sections.text_size);
+  EXPECT_EQ(image.data.size(), sections.data_size);
+  EXPECT_EQ(image.bss_size, sections.bss_size);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(image.FindSymbol(StrCat("t", i))->addr,
+              image.text_base + sections.fragments[i].text);
+    EXPECT_EQ(image.FindSymbol(StrCat("d", i))->addr,
+              image.data_base + sections.fragments[i].data);
+  }
 }
 
 

@@ -742,8 +742,8 @@ TEST_F(ServerFeatures, SnapshotRoundTripsLayoutGeneration) {
   std::string layoutgen_line = snapshot.substr(tag, snapshot.find('\n', tag) - tag);
   EXPECT_NE(layoutgen_line, "layoutgen 1");  // the re-pack advanced it
 
-  // A restored server continues the same generation sequence, so prelink
-  // stamps taken before the crash stay comparable after it.
+  // A restored server continues the same generation sequence, so store
+  // records fingerprinted before the crash stay adoptable after it.
   Kernel kernel2;
   OmosServer restored(kernel2);
   ASSERT_OK(restored.Restore(snapshot));
@@ -763,7 +763,6 @@ TEST_F(ServerFeatures, PrelinkedExecHitIsCheaperThanIntegrated) {
 
   ASSERT_OK_AND_ASSIGN(int prelinked, server_->PrelinkNamespace("/bin"));
   EXPECT_EQ(prelinked, 1);
-  EXPECT_EQ(server_->PrelinkValidCount(), 1u);
 
   // Warm integrated exec: pays the cache-lookup round trip.
   ASSERT_OK_AND_ASSIGN(TaskId warm, server_->IntegratedExec("/bin/tool", {"tool"}));
@@ -777,8 +776,8 @@ TEST_F(ServerFeatures, PrelinkedExecHitIsCheaperThanIntegrated) {
   ASSERT_OK_AND_ASSIGN(RunOutcome fast_out, Run(fast));
   EXPECT_EQ(fast_out.exit_code, 7);
   EXPECT_EQ(hits->value(), hits_before + 1);
-  // The stamp-valid hit bills only the prelink-table lookup, strictly less
-  // than the integrated path's omos_cache_lookup.
+  // The hit bills only the prelink-table lookup, strictly less than the
+  // integrated path's omos_cache_lookup.
   EXPECT_LT(kernel_.FindTask(fast)->sys_cycles(), integrated_sys);
 }
 
@@ -827,10 +826,9 @@ TEST_F(ServerFeatures, PrelinkStaleAfterFragmentRedefineRecovers) {
   EXPECT_EQ(rebuilt_out.exit_code, 20);
   EXPECT_EQ(stale->value(), stale_before + 1);
 
-  // The fallback re-recorded the entry and queued a background repair; after
-  // the idle lane drains, the table is fully stamp-valid and hits again.
+  // The fallback cached the new image and queued a background repair; after
+  // the idle lane drains, the path hits again.
   server_->DrainBackgroundWork();
-  EXPECT_EQ(server_->PrelinkValidCount(), 1u);
   Counter* hits = MetricsRegistry::Global().GetCounter("prelink.hits");
   uint64_t hits_before = hits->value();
   ASSERT_OK_AND_ASSIGN(TaskId again, server_->PrelinkedExec("/bin/frag", {"frag"}));
@@ -869,6 +867,7 @@ main:
   ASSERT_OK(server_->PrelinkNamespace("/bin"));
 
   Counter* repairs = MetricsRegistry::Global().GetCounter("prelink.repairs");
+  Counter* hits = MetricsRegistry::Global().GetCounter("prelink.hits");
   uint64_t repairs_before = repairs->value();
   for (int round = 0; round < 3; ++round) {
     // Each rival hints the exact text base the prelinked program's library
@@ -886,23 +885,25 @@ main:
     ASSERT_OK(server_->Instantiate(lib_path, spec, nullptr));
 
     server_->DrainBackgroundWork();
-    EXPECT_EQ(server_->PrelinkValidCount(), 1u) << "round " << round;
+    uint64_t hits_before = hits->value();
     ASSERT_OK_AND_ASSIGN(TaskId id, server_->PrelinkedExec("/bin/tool", {"tool"}));
     ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
     EXPECT_EQ(out.exit_code, 42) << "round " << round;
+    EXPECT_EQ(hits->value(), hits_before + 1) << "round " << round;
   }
   EXPECT_GE(repairs->value(), repairs_before + 1);
 
   // The administrative re-pack moves live placements wholesale and then
-  // immediately re-links the prelink table against the new layout — stamps
-  // stay valid and the warm path stays relocation-free.
+  // immediately re-links the prelinked paths against the new layout — the
+  // next exec hits and the warm path stays relocation-free.
   (void)server_->OptimizePlacements();
-  EXPECT_EQ(server_->PrelinkValidCount(), 1u);
   Counter* at_map = MetricsRegistry::Global().GetCounter("link.relocations_at_map");
   uint64_t at_map_before = at_map->value();
+  uint64_t hits_before = hits->value();
   ASSERT_OK_AND_ASSIGN(TaskId final_id, server_->PrelinkedExec("/bin/tool", {"tool"}));
   ASSERT_OK_AND_ASSIGN(RunOutcome final_out, Run(final_id));
   EXPECT_EQ(final_out.exit_code, 42);
+  EXPECT_EQ(hits->value(), hits_before + 1);
   EXPECT_EQ(at_map->value(), at_map_before);  // zero relocations at map time
 }
 

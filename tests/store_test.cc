@@ -3,8 +3,11 @@
 // restart with byte-identical images, and the seeded crash-point sweep.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/cache.h"
@@ -577,10 +580,10 @@ TEST_F(StoreServerTest, LinkedAndAdoptedImagesFindEverySymbol) {
   EXPECT_EQ(ExpectEverySymbolFound(server2), linked);
 }
 
-// The prelink table rides the snapshot (PR 9): a restarted server starts
+// The prelinked paths ride the snapshot (PR 9): a restarted server starts
 // with the fleet-wide placements already solved, so its very first exec
-// takes the stamp-valid fast path — adopting the image bytes from the
-// store — instead of a cold miss.
+// takes the prelink fast path — adopting the image bytes from the store —
+// instead of a cold miss.
 TEST_F(StoreServerTest, RestartStartsWithWarmPrelinkTable) {
   SimFs disk;
   {
@@ -600,14 +603,12 @@ TEST_F(StoreServerTest, RestartStartsWithWarmPrelinkTable) {
   ASSERT_OK(store2.Open());
   auto server2 = std::make_unique<OmosServer>(kernel2);
   ASSERT_OK(server2->RestoreFromStore(store2));
-  // The table came back armed — no PrelinkNamespace ran this generation.
-  EXPECT_GE(server2->PrelinkValidCount(), 1u);
-
   Counter* hits = MetricsRegistry::Global().GetCounter("prelink.hits");
   Counter* misses = MetricsRegistry::Global().GetCounter("prelink.misses");
   uint64_t hits_before = hits->value();
   uint64_t misses_before = misses->value();
-  // First exec after restart: prelink entry valid, image adopted from the
+  // First exec after restart: the path came back prelinked (no
+  // PrelinkNamespace ran on this server) and its image is adopted from the
   // store. A warm start, not a cold rebuild.
   ASSERT_OK_AND_ASSIGN(TaskId id, server2->PrelinkedExec("/bin/cat", {"cat"}));
   Task* task = kernel2.FindTask(id);
@@ -690,6 +691,112 @@ TEST_F(StoreServerTest, AdoptedImageInvalidatedByNestedFragment) {
   ASSERT_OK(server2.AddFragment("/libx/v.o", std::move(v2)));
   ASSERT_OK_AND_ASSIGN(int after, run_q(kernel2, server2));
   EXPECT_EQ(after, 2);
+}
+
+// A store adoption publishes through the same check as a link: an adoption
+// whose fingerprint walk read /obj/v.o before a redefinition finished must
+// not enter the cache after that redefinition's invalidation ran. Readers
+// evict /bin/p before each exec, so every exec probes the store while the
+// writer redefines /obj/v.o version by version.
+TEST_F(StoreServerTest, AdoptionRacesRedefinitions) {
+  constexpr int kLastVersion = 61;
+  auto answer = [](int value) {
+    return Assemble(StrCat(".text\n.global answer\nanswer:\n  movi r0, ", value, "\n  ret\n"),
+                    "v.o");
+  };
+  SimFs disk;
+  Kernel kernel;
+  ImageStore store(disk, kStoreRoot, &kernel.costs());
+  ASSERT_OK(store.Open());
+  OmosServer server(kernel);
+  server.AttachStore(&store);
+  ASSERT_OK_AND_ASSIGN(ObjectFile crt0, Assemble(kCrt0, "crt0.o"));
+  ASSERT_OK(server.AddFragment("/lib/crt0.o", std::move(crt0)));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj,
+                       Assemble(".text\n.global main\nmain:\n  push lr\n  call answer\n"
+                                "  pop lr\n  ret\n",
+                                "m.o"));
+  ASSERT_OK(server.AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK_AND_ASSIGN(ObjectFile v1, answer(1));
+  ASSERT_OK(server.AddFragment("/obj/v.o", std::move(v1)));
+  ASSERT_OK(server.DefineMeta("/bin/p", "(merge /lib/crt0.o /obj/m.o /obj/v.o)"));
+  std::vector<ObjectFile> versions;
+  for (int v = 2; v <= kLastVersion; ++v) {
+    ASSERT_OK_AND_ASSIGN(ObjectFile object, answer(v));
+    versions.push_back(std::move(object));
+  }
+
+  struct Exec {
+    TaskId id;
+    int lo;  // the version current when the exec began
+    int hi;  // the newest version whose install had begun when it ended
+  };
+  std::atomic<int> begun{1};
+  std::atomic<int> finished{1};
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::atomic<int> exec_count{0};
+  std::mutex execs_mu;
+  std::vector<Exec> execs;
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int v = 2; v <= kLastVersion; ++v) {
+      while (exec_count.load() < 4 * (v - 1)) {
+        std::this_thread::yield();
+      }
+      begun.store(v);
+      if (!server.AddFragment("/obj/v.o", versions[v - 2]).ok()) {
+        errors.fetch_add(1);
+      }
+      finished.store(v);
+    }
+    done.store(true);
+  });
+  const std::string key = MakeCacheKey("/bin/p", "");
+  for (int r = 0; r < 3; ++r) {
+    threads.emplace_back([&] {
+      while (!done.load()) {
+        server.cache().Evict(key);
+        int lo = finished.load();
+        auto id = server.IntegratedExec("/bin/p", {"p"});
+        int hi = begun.load();
+        if (id.ok()) {
+          std::lock_guard<std::mutex> lock(execs_mu);
+          execs.push_back(Exec{*id, lo, hi});
+        } else {
+          errors.fetch_add(1);
+        }
+        exec_count.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GE(execs.size(), 4u * (kLastVersion - 1));
+  EXPECT_GE(store.stats().hits.load(), 1u);  // the readers did adopt
+  int stale = 0;
+  for (const Exec& exec : execs) {
+    Task* task = kernel.FindTask(exec.id);
+    ASSERT_NE(task, nullptr);
+    ASSERT_OK(kernel.RunTask(*task));
+    if (task->exit_code() < exec.lo || task->exit_code() > exec.hi) {
+      ++stale;
+      ADD_FAILURE() << "exec mapped v" << task->exit_code() << ", current was v" << exec.lo
+                    << "..v" << exec.hi;
+    }
+    server.ReleaseTask(exec.id);
+    kernel.DestroyTask(exec.id);
+  }
+  EXPECT_EQ(stale, 0);
+
+  // No reader evicts now: whatever the race left in the cache is served.
+  ASSERT_OK_AND_ASSIGN(TaskId id, server.IntegratedExec("/bin/p", {"p"}));
+  Task* task = kernel.FindTask(id);
+  ASSERT_NE(task, nullptr);
+  ASSERT_OK(kernel.RunTask(*task));
+  EXPECT_EQ(task->exit_code(), kLastVersion);
 }
 
 TEST_F(StoreServerTest, StoreCountersVisibleOverTheWire) {

@@ -271,10 +271,14 @@ TEST_F(IntrospectTest, PlacementsReportsLayoutAndConflicts) {
   Channel channel = server_->MakeChannel();
   OmosReply reply = Introspect(channel, "placements");
   ASSERT_TRUE(reply.ok) << reply.error;
-  // Generation header, then one place line per live object with its stamp.
+  // Generation header, then one place line per live object: its bases and
+  // its cache key.
   EXPECT_NE(reply.payload.find("layout generation "), std::string::npos);
-  EXPECT_NE(reply.payload.find("place T="), std::string::npos);
-  EXPECT_NE(reply.payload.find("gen="), std::string::npos);
+  size_t place = reply.payload.find("place T=");
+  ASSERT_NE(place, std::string::npos);
+  std::string line = reply.payload.substr(place, reply.payload.find('\n', place) - place);
+  EXPECT_NE(line.find(" D="), std::string::npos) << line;
+  EXPECT_NE(line.find(MakeCacheKey("/bin/prog", "")), std::string::npos) << line;
   EXPECT_EQ(reply.payload.find("conflict "), std::string::npos);  // none yet
 }
 
