@@ -726,6 +726,11 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
 
 Result<ImageRef> OmosServer::InstantiateRef(const std::string& path, const Specialization& spec,
                                             uint64_t* work_cycles) {
+  return InstantiateTiers(path, spec, work_cycles, store_ != nullptr && StorableSpec(spec));
+}
+
+Result<ImageRef> OmosServer::InstantiateTiers(const std::string& path, const Specialization& spec,
+                                              uint64_t* work_cycles, bool adopt) {
   std::string norm = OmosNamespace::Normalize(path);
   std::string key = MakeCacheKey(norm, spec.ToKeyString());
   if (ImageRef warm = WarmImage(key)) {
@@ -740,7 +745,7 @@ Result<ImageRef> OmosServer::InstantiateRef(const std::string& path, const Speci
   auto result = SingleFlight(cache_, key, [&]() -> Result<ImageRef> {
     // Second tier: a persisted image linked from identical inputs adopts
     // straight into the cache — no evaluation, no relocation.
-    if (store_ != nullptr && StorableSpec(spec)) {
+    if (adopt) {
       if (ImageRef adopted = TryAdoptFromStore(norm, spec, key, tracker)) {
         return adopted;
       }
@@ -764,9 +769,14 @@ Result<ImageRef> OmosServer::InstantiateRef(const std::string& path, const Speci
 
 Result<ImageRef> OmosServer::InstantiateAndMap(Task& task, const std::string& path,
                                                const Specialization& spec) {
+  return MapInstantiated(task, [&](uint64_t* work) { return InstantiateRef(path, spec, work); });
+}
+
+Result<ImageRef> OmosServer::MapInstantiated(
+    Task& task, const std::function<Result<ImageRef>(uint64_t*)>& instantiate) {
   while (true) {
     uint64_t work = 0;
-    OMOS_TRY(ImageRef image, InstantiateRef(path, spec, &work));
+    OMOS_TRY(ImageRef image, instantiate(&work));
     {
       std::lock_guard<std::mutex> lock(kernel_mu_);
       task.BillSys(work + kernel_->costs().omos_cache_lookup);
@@ -2021,6 +2031,7 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     task = &kernel_->CreateTask(StrCat("omos-prelink:", path));
   }
   ImageRef image;
+  bool adoption_missed = false;
   if (prelinked) {
     // A hit serves an image with no link on this request: the warm image,
     // or one adopted from an attached store. Either is current, since a
@@ -2032,6 +2043,7 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     if (image == nullptr && store_ != nullptr) {
       BuildTracker tracker;
       image = TryAdoptFromStore(norm, {}, key, tracker);
+      adoption_missed = image == nullptr;
       std::lock_guard<std::mutex> lock(kernel_mu_);
       task->BillSys(tracker.work);
     }
@@ -2055,7 +2067,11 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     // pay the full exec step, then let the idle lane re-link everything
     // stale so the next exec is fast again.
     (prelinked ? PrelinkCounters().stale : PrelinkCounters().misses)->Add();
-    OMOS_TRY(image, InstantiateAndMap(*task, norm, {}));
+    // The store already missed above: probing it again would repeat the
+    // same fingerprint walk for the same answer.
+    auto link = [&](uint64_t* work) { return InstantiateTiers(norm, {}, work, /*adopt=*/false); };
+    OMOS_TRY(image, adoption_missed ? MapInstantiated(*task, link)
+                                    : InstantiateAndMap(*task, norm, {}));
     if (prelinked) {
       ScheduleRelink();
     } else {

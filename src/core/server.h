@@ -418,9 +418,17 @@ class OmosServer {
   // billed). Returns the mapped program.
   Result<ImageRef> InstantiateAndMap(Task& task, const std::string& path,
                                      const Specialization& spec);
+  // InstantiateAndMap with `instantiate(&work)` as the instantiation.
+  Result<ImageRef> MapInstantiated(
+      Task& task, const std::function<Result<ImageRef>(uint64_t*)>& instantiate);
   // Instantiate, returning the reference the public call pins to a lease.
   Result<ImageRef> InstantiateRef(const std::string& path, const Specialization& spec,
                                   uint64_t* work_cycles);
+  // InstantiateRef's tiers: the warm image, then (if `adopt`) an attached
+  // store, then a link. A caller whose own adoption from the store just
+  // missed skips the store.
+  Result<ImageRef> InstantiateTiers(const std::string& path, const Specialization& spec,
+                                    uint64_t* work_cycles, bool adopt);
   Result<EvalValue> Eval(const Sexpr& expr, BuildTracker& tracker, int depth);
   Result<EvalValue> EvalName(const std::string& name, BuildTracker& tracker, int depth);
   // Evaluate the construction of `entry`, just read at normalized path

@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -90,6 +91,14 @@ class TraceSpan {
     for (size_t i = 0; i < detail_len_; ++i) {
       detail_[i] = detail[i];
     }
+  }
+
+  // In-place formatting for hot callers (std::to_chars instead of a
+  // string): write at most detail_buffer().size() bytes, then
+  // set_detail_size(). Meaningful only on an armed span.
+  std::span<char> detail_buffer() { return {detail_, kTraceDetailBytes}; }
+  void set_detail_size(size_t size) {
+    detail_len_ = size < kTraceDetailBytes ? size : kTraceDetailBytes;
   }
 
   // Attribute simulated cycles (CostModel) to this span.

@@ -3,15 +3,22 @@
 // interpreter and the block engine and requires every simulated observable
 // — final registers, pc, cycles, retired counts, output, fault identity,
 // profiler sample stream — to be byte-identical; the fault sweeps prove
-// mid-block CoW/demand-zero faults leave precise state; the wide-hot-set
-// tests check that the per-task L1 holds a few hundred blocks and that a
-// recycled per-task cache never serves its previous task's code; the
-// retirement and concurrency tests (TSan-covered) prove that decoded
-// blocks live and die with their frames: freed text takes its blocks along,
-// a redefinition or live upgrade costs only the re-decode of the text it
-// replaced, and neither stale code nor a freed block is ever executed.
+// mid-block CoW/demand-zero faults leave precise state; the chain tests
+// check that blocks chained without returning to the run loop still stop
+// exactly at the budget and at a safepoint, and agree on unaligned and
+// cross-page control flow; the wide-hot-set tests check that the per-task
+// page table holds a few hundred blocks over many text pages, stays exact
+// when pages share a slot or overflow the table, and that a recycled
+// per-task cache never serves its previous task's code; the retirement and
+// concurrency tests (TSan-covered) prove that decoded blocks live and die
+// with their frames: freed text takes its blocks along, a redefinition or
+// live upgrade costs only the re-decode of the text it replaced, racing
+// decodes of one block leave one copy, and neither stale code nor a freed
+// block is ever executed.
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -398,6 +405,200 @@ loop:
   }
 }
 
+// ---- Chained blocks ---------------------------------------------------------
+
+// Calls across three text pages, with stack pushes (the first faults in a
+// stack page mid-chain) and a data load: block entries chain through calls,
+// returns, branches and page changes without returning to the run loop.
+constexpr char kCrossPageCalls[] = R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  movi r5, 3
+loop:
+  call pa
+  addi r4, r4, 1
+  blt r4, r5, loop
+  mov r0, r6
+  sys 0
+.align 4096
+pa:
+  push lr
+  addi r6, r6, 1
+  call pb
+  pop lr
+  ret
+.align 4096
+pb:
+  push lr
+  lea r1, word
+  ld r2, [r1+0]
+  add r6, r6, r2
+  call pc
+  pop lr
+  ret
+.align 4096
+pc:
+  addi r6, r6, 5
+  ret
+.data
+.align 4
+word: .word 7
+)";
+
+TEST(EngineChain, BudgetStopsAreExactAcrossCallsAndPages) {
+  // Every budget from 1 to past the end: the chain must stop exactly at the
+  // budget, mid-block or at a chained block's head, with identical state.
+  ASSERT_OK_AND_ASSIGN(Observed full, RunUnder(EngineMode::kInterp, kCrossPageCalls));
+  ASSERT_EQ(full.state, static_cast<int>(TaskState::kExited));
+  EXPECT_EQ(full.exit_code, 39);
+  EXPECT_EQ(full.touched_text_pages, 4u);
+  for (uint64_t budget = 1; budget <= full.retired + 1; ++budget) {
+    ASSERT_OK_AND_ASSIGN(Observed interp, RunUnder(EngineMode::kInterp, kCrossPageCalls, budget));
+    ASSERT_OK_AND_ASSIGN(Observed blocks, RunUnder(EngineMode::kBlocks, kCrossPageCalls, budget));
+    ExpectSame(interp, blocks, StrCat("budget ", budget));
+    EXPECT_EQ(blocks.retired, std::min(budget, full.retired));
+  }
+}
+
+TEST(EngineChain, SafepointRequestedDuringAChainStopsAtTheNextBlockBoundary) {
+  // The loop never leaves the chain on its own (no syscall, and the budget
+  // is far away), so only the per-block safepoint check can hand the task
+  // to the hook.
+  constexpr char kSpin[] = R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+spin:
+  addi r4, r4, 1
+  addi r5, r5, 2
+  br spin
+)";
+  for (EngineMode mode : {EngineMode::kInterp, EngineMode::kBlocks}) {
+    ASSERT_OK_AND_ASSIGN(EngineWorld w, SetupWorld(mode, kSpin));
+    const uint32_t start = w.task->pc();
+    uint32_t stop_pc = 0;
+    uint64_t stop_retired = 0;
+    int hook_runs = 0;
+    w.kernel->SetSafepointHook([&](Kernel&, Task& task) -> Result<void> {
+      ++hook_runs;
+      stop_pc = task.pc();
+      stop_retired = task.instructions_retired();
+      task.ClearSafepoint();
+      task.Exit(0);
+      return OkResult();
+    });
+    std::thread requester([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      w.task->RequestSafepoint();
+    });
+    Result<void> run = w.kernel->RunTask(*w.task, 500'000'000);
+    requester.join();
+    ASSERT_OK(run);
+    EXPECT_EQ(hook_runs, 1);
+    ASSERT_EQ(w.task->state(), TaskState::kExited);
+    // Whatever the engine, the hook sees a consistent boundary: the loop
+    // counter matches the instructions retired so far.
+    ASSERT_GE(stop_retired, 1u);
+    uint64_t in_loop = stop_retired - 1;
+    EXPECT_EQ(w.task->reg(4), (in_loop + 2) / 3);
+    if (mode == EngineMode::kBlocks) {
+      // The block engine honours it between blocks: at `spin` (or at
+      // `_start`, had the request come first), never inside the loop body.
+      EXPECT_TRUE(stop_pc == start + kInsnSize || stop_pc == start) << Hex32(stop_pc);
+      EXPECT_EQ(in_loop % 3, 0u);
+      EXPECT_EQ(w.task->reg(5), 2 * (in_loop / 3));
+    }
+  }
+}
+
+TEST(EngineChain, UnalignedAndPageStraddlingJumpsAgree) {
+  // `odd` sits 4 bytes past an instruction boundary, and `straddle` ends a
+  // page with an instruction whose fetch crosses into the next one: blocks
+  // are indexed by 8-byte-aligned offsets, so the block engine single-steps
+  // these pcs and must match CpuStep exactly, including the jumps back into
+  // aligned (chained) code.
+  constexpr char kUnaligned[] = R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  movi r5, 20
+  lea r1, odd
+  jmpr r1
+.space 4
+odd:
+  addi r4, r4, 1
+  addi r6, r6, 3
+  blt r4, r5, odd
+  call aligned
+  lea r1, straddle
+  jmpr r1
+.space 4
+aligned:
+  addi r6, r6, 100
+  ret
+.align 4096
+.space 4084
+straddle:
+  addi r6, r6, 1000
+  addi r6, r6, 1
+  mov r0, r6
+  sys 0
+)";
+  ASSERT_OK_AND_ASSIGN(Observed interp, RunUnder(EngineMode::kInterp, kUnaligned));
+  ASSERT_OK_AND_ASSIGN(Observed blocks, RunUnder(EngineMode::kBlocks, kUnaligned));
+  ExpectSame(interp, blocks, "unaligned");
+  EXPECT_EQ(interp.state, static_cast<int>(TaskState::kExited));
+  EXPECT_EQ(interp.exit_code, 20 * 3 + 100 + 1000 + 1);
+}
+
+TEST(EngineChain, FirstTouchBillAcrossFourPagesMatchesTheInterpreter) {
+  // Calls across four text pages, while a store walks down fresh stack
+  // pages: each demand-zero fill bumps the map epoch mid-chain and flushes
+  // the page table, whose refills must not bill a touched page again.
+  constexpr char kFourPages[] = R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  movi r5, 6
+  mov r9, r13
+loop:
+  addi r9, r9, -4096
+  st r4, [r9+0]
+  call q1
+  addi r4, r4, 1
+  blt r4, r5, loop
+  mov r0, r6
+  sys 0
+.align 4096
+q1:
+  push lr
+  call q2
+  pop lr
+  ret
+.align 4096
+q2:
+  push lr
+  call q3
+  pop lr
+  ret
+.align 4096
+q3:
+  addi r6, r6, 2
+  ret
+)";
+  ASSERT_OK_AND_ASSIGN(Observed interp, RunUnder(EngineMode::kInterp, kFourPages));
+  ASSERT_OK_AND_ASSIGN(Observed blocks, RunUnder(EngineMode::kBlocks, kFourPages));
+  ExpectSame(interp, blocks, "four pages");
+  EXPECT_EQ(blocks.exit_code, 12);
+  EXPECT_EQ(blocks.touched_text_pages, 4u);
+  EXPECT_EQ(blocks.sys_cycles, interp.sys_cycles);
+}
+
 // ---- Seeded vm.fault sweeps -------------------------------------------------
 
 // The loop body mixes demand-zero fills (a walk down the unmapped stack
@@ -521,10 +722,8 @@ constexpr int kWideFunctionsPerPage = 40;
 
 // A loop over ~500 distinct blocks on four text pages, like a compiler's
 // hot set: each iteration calls one driver per page, which calls 40 two-block
-// functions on its page. Pages 0 and 1 use the low half of their offsets and
-// pages 2 and 3 the high half, so no two block heads are 8 KiB apart and
-// the direct-mapped L1 (indexed by pc / 8 mod 1024) can hold them all at
-// once. Exit code: the low byte of the accumulator r6.
+// functions on its page (pages 2 and 3 start theirs half a page in). Exit
+// code: the low byte of the accumulator r6.
 std::string WideHotSetProgram(int iterations) {
   std::string src = StrCat(R"(
 .text
@@ -586,9 +785,11 @@ TEST(EngineWideHotSet, EnginesAgreeIncludingProfilerSamples) {
 }
 
 TEST(EngineWideHotSet, L1MissesStopAfterTheFirstIteration) {
-  // Each run starts with a cold kernel (empty shared cache) and a cold L1.
-  // If the L1 holds the whole loop, later iterations add no misses, so a
-  // one-iteration run and a ten-iteration run miss equally often.
+  // Each run starts with a cold kernel (empty block tables) and a cold page
+  // table. Slow-path lookups (engine.l1_misses) are the page-table fills
+  // and first decodes: once the first iteration has decoded every block
+  // and the page table holds all four pages, later iterations take none,
+  // so a one-iteration run and a ten-iteration run miss equally often.
   EngineMetrics& em = GetEngineMetrics();
   uint64_t misses[2] = {0, 0};
   const int iterations[2] = {1, 10};
@@ -604,33 +805,57 @@ TEST(EngineWideHotSet, L1MissesStopAfterTheFirstIteration) {
       EXPECT_GT(em.block_hits->value() - hits0, 9u * 256u);
     }
   }
-  EXPECT_GE(misses[0], 256u);  // the first iteration fills ~500 blocks
+  EXPECT_GE(misses[0], 256u);  // the first iteration decodes ~500 blocks
   EXPECT_EQ(misses[1], misses[0]);
 }
 
-TEST(EngineWideHotSet, ThrashingTaskStaysExact) {
-  // `loop` (offset 16) and `far` (offset 8192 + 16) are 8 KiB apart and
-  // share one L1 slot, so every visit misses and refills it from the
-  // frames' blocks, 12,000 times.
-  ExpectEnginesAgree(R"(
+// A loop that calls one function on each of `pages` text pages, every one
+// at offset 16 of its page. Exit code: the low byte of the accumulator r6.
+std::string ManyPagesProgram(int pages, int iterations) {
+  std::string src = StrCat(R"(
 .text
 .global _start
 _start:
   movi r4, 0
-  movi r5, 6000
+  movi r5, )", iterations, R"(
 loop:
-  call far
-  addi r4, r4, 1
-  blt r4, r5, loop
-  mov r0, r6
-  sys 0
-.align 4096
-.space 4096
-.space 16
-far:
-  addi r6, r6, 3
-  ret
 )");
+  for (int page = 0; page < pages; ++page) {
+    src += StrCat("  call p", page, "\n");
+  }
+  src += "  addi r4, r4, 1\n  blt r4, r5, loop\n  mov r0, r6\n  sys 0\n";
+  for (int page = 0; page < pages; ++page) {
+    src += StrCat(".align 4096\n.space 16\np", page, ":\n  addi r6, r6, ", page + 1,
+                  "\n  ret\n");
+  }
+  return src;
+}
+
+TEST(EngineWideHotSet, ThrashingTaskStaysExact) {
+  // 80 text pages in one loop: more than the page table holds (it flushes
+  // when half of its 128 entries are full), and enough that many pages
+  // share a home slot and probe past each other. Every pass refills the
+  // table from the frames' block tables; both engines must still agree on
+  // every observable, including the first-touch bill of all 81 pages.
+  constexpr int kPages = 80;
+  ExpectEnginesAgree(ManyPagesProgram(kPages, 40));
+  ASSERT_OK_AND_ASSIGN(Observed blocks,
+                       RunUnder(EngineMode::kBlocks, ManyPagesProgram(kPages, 40)));
+  EXPECT_EQ(blocks.touched_text_pages, static_cast<size_t>(kPages) + 1);
+
+  // The thrash is real: once the table overflows, each further pass pays
+  // slow-path lookups again, unlike the four-page hot set above.
+  EngineMetrics& em = GetEngineMetrics();
+  uint64_t misses[2] = {0, 0};
+  const int iterations[2] = {1, 10};
+  for (int i = 0; i < 2; ++i) {
+    uint64_t misses0 = em.l1_misses->value();
+    ASSERT_OK_AND_ASSIGN(Observed run,
+                         RunUnder(EngineMode::kBlocks, ManyPagesProgram(kPages, iterations[i])));
+    ASSERT_EQ(run.state, static_cast<int>(TaskState::kExited));
+    misses[i] = em.l1_misses->value() - misses0;
+  }
+  EXPECT_GT(misses[1], misses[0] + 9 * kPages / 2);
 }
 
 // ---- Cache behavior and metrics ---------------------------------------------
@@ -720,8 +945,8 @@ TEST(EngineCache, BlocksAreSharedAcrossTasksMappingTheSameFrames) {
 TEST(EngineCache, RecycledTaskCacheDoesNotServeThePreviousTasksCode) {
   // Task B takes over the engine state task A left behind. X and Y have the
   // same layout and map sequence, so B's address space reaches the same
-  // map epoch at the same pc where A's L1 still points at X's block: only
-  // the reset on reuse keeps B from running X.
+  // map epoch at the same pc where A's page table still points at X's
+  // frame: only the reset on reuse keeps B from running X.
   Kernel kernel;
   kernel.SetEngineMode(EngineMode::kBlocks);
   auto link = [](int exit_code) -> Result<LinkedImage> {
@@ -1245,12 +1470,79 @@ TEST(EngineConcurrency, TextRecycleWhileTasksExecute) {
 }
 
 TEST(EngineConcurrency, TextRecycleWhileWideHotSetTasksExecute) {
-  // Hundreds of blocks per task in its L1, so frames are freed between L1
-  // fills as well as between block entries.
+  // Hundreds of blocks per task over four text pages, so frames are freed
+  // between decodes and page-table fills as well as between block entries.
   ASSERT_OK_AND_ASSIGN(Observed reference,
                        RunUnder(EngineMode::kInterp, WideHotSetProgram(200)));
   ASSERT_EQ(reference.state, static_cast<int>(TaskState::kExited));
   RunUnderTextRecycleStorm(WideHotSetProgram(200), reference.exit_code);
+}
+
+TEST(EngineConcurrency, RacingColdDecodesLeaveOneBlockPerHead) {
+  // Eight tasks map the same text frames before any block is decoded, then
+  // start together, so their decodes race for the same slots of the same
+  // frame block tables. Each slot keeps exactly one block: the losers free
+  // their copies (under ASan a lost copy that leaked would be reported) and
+  // run the winner's.
+  const std::string program = WideHotSetProgram(3);
+  auto link = [&]() -> Result<LinkedImage> {
+    OMOS_TRY(ObjectFile object, Assemble(program, "race.o"));
+    Module module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
+    LayoutSpec layout;
+    layout.entry_symbol = "_start";
+    return LinkImage(module, layout, "race");
+  };
+  ASSERT_OK_AND_ASSIGN(LinkedImage image, link());
+  std::vector<std::string> args{"race"};
+
+  // The block heads one task decodes alone.
+  size_t heads = 0;
+  int expected_exit = 0;
+  {
+    Kernel kernel;
+    kernel.SetEngineMode(EngineMode::kBlocks);
+    Task& task = kernel.CreateTask("alone");
+    ASSERT_OK(MapLinkedImage(kernel, task, image, "pagecache:race"));
+    ASSERT_OK(StartTask(kernel, task, image.entry, args));
+    ASSERT_OK(kernel.RunTask(task));
+    expected_exit = task.exit_code();
+    heads = kernel.engine().CachedBlocks();
+  }
+  ASSERT_GT(heads, 256u);
+
+  Kernel kernel;
+  kernel.SetEngineMode(EngineMode::kBlocks);
+  constexpr int kThreads = 8;
+  std::vector<Task*> tasks;
+  for (int i = 0; i < kThreads; ++i) {
+    Task& task = kernel.CreateTask(StrCat("racer", i));
+    ASSERT_OK(MapLinkedImage(kernel, task, image, "pagecache:race"));
+    ASSERT_OK(StartTask(kernel, task, image.entry, args));
+    tasks.push_back(&task);
+  }
+  ASSERT_EQ(kernel.engine().CachedBlocks(), 0u);
+  std::atomic<int> ready{0};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kThreads) {
+        std::this_thread::yield();
+      }
+      Task* task = tasks[static_cast<size_t>(i)];
+      if (!kernel.RunTask(*task).ok() || task->state() != TaskState::kExited ||
+          task->exit_code() != expected_exit) {
+        bad.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(kernel.engine().CachedBlocks(), heads);
 }
 
 }  // namespace

@@ -619,6 +619,34 @@ TEST_F(StoreServerTest, RestartStartsWithWarmPrelinkTable) {
   EXPECT_EQ(misses->value(), misses_before);
 }
 
+// A prelinked path whose image is neither cached nor adoptable (its meta
+// was redefined, which evicts the image and tombstones its records) falls
+// back to a link. The fallback does not probe the store again: the exec's
+// own adoption attempt already walked the fingerprint and missed.
+TEST_F(StoreServerTest, PrelinkedFallbackProbesTheStoreOnce) {
+  SimFs disk;
+  Kernel kernel;
+  ImageStore store(disk, kStoreRoot, &kernel.costs());
+  ASSERT_OK(store.Open());
+  OmosServer server(kernel);
+  ASSERT_OK(Populate(server));
+  server.AttachStore(&store);
+  ASSERT_OK_AND_ASSIGN(int prelinked, server.PrelinkNamespace("/bin"));
+  EXPECT_EQ(prelinked, 3);
+  ASSERT_OK(server.DefineMeta("/bin/ctr", "(merge /lib/crt0.o /obj/counter.o)"));
+
+  Counter* stale = MetricsRegistry::Global().GetCounter("prelink.stale");
+  uint64_t stale_before = stale->value();
+  uint64_t probes_before = store.stats().probes.load();
+  ASSERT_OK_AND_ASSIGN(TaskId id, server.PrelinkedExec("/bin/ctr", {"ctr"}));
+  EXPECT_EQ(store.stats().probes.load(), probes_before + 1);
+  EXPECT_EQ(stale->value(), stale_before + 1);
+  Task* task = kernel.FindTask(id);
+  ASSERT_NE(task, nullptr);
+  ASSERT_OK(kernel.RunTask(*task));
+  EXPECT_EQ(task->exit_code(), 8);
+}
+
 TEST_F(StoreServerTest, RedefinitionInvalidatesStoredImages) {
   SimFs disk;
   Kernel kernel;

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include "src/core/server.h"
+#include "src/engine/engine.h"
 #include "src/ipc/channel.h"
 #include "src/support/metrics.h"
+#include "src/support/strings.h"
 #include "src/support/trace.h"
 #include "tests/helpers.h"
 
@@ -158,6 +160,44 @@ TEST_F(TraceTest, ChromeJsonRoundTrips) {
   // Malformed documents are protocol errors, not crashes.
   EXPECT_FALSE(ParseChromeTrace("{\"traceEvents\":[{]}").ok());
   EXPECT_FALSE(ParseChromeTrace("not json").ok());
+}
+
+TEST_F(TraceTest, EngineDecodeDetailNamesBlockPcAndLength) {
+  // Three blocks: 10 movi + call (11 insns) at the entry, `ret` at `f`, and
+  // the `sys` the call returns to. Each decode's detail is formatted in
+  // place; the bytes must be StrCat(Hex32(pc), " ", count, " insns").
+  std::string source = ".text\n.global _start\n_start:\n";
+  for (int i = 0; i < 10; ++i) {
+    source += StrCat("  movi r", i % 4, ", ", i, "\n");
+  }
+  source += "  call f\n  sys 0\nf:\n  ret\n";
+  Kernel kernel;
+  kernel.SetEngineMode(EngineMode::kBlocks);
+  ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(source, "decode.o"));
+  Module module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
+  LayoutSpec layout;
+  layout.entry_symbol = "_start";
+  ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(module, layout, "decode"));
+  Task& task = kernel.CreateTask("decode");
+  ASSERT_OK(MapLinkedImage(kernel, task, image, ""));
+  std::vector<std::string> args{"decode"};
+  ASSERT_OK(StartTask(kernel, task, image.entry, args));
+  TraceSetEnabled(true);
+  ASSERT_OK(kernel.RunTask(task));
+  TraceSetEnabled(false);
+
+  std::vector<std::string> details;
+  for (const TraceEvent& ev : TraceSnapshot()) {
+    if (std::string_view(ev.name) == "engine.decode") {
+      details.push_back(ev.detail);
+    }
+  }
+  std::vector<std::string> expected = {
+      StrCat(Hex32(image.entry), " ", 11, " insns"),
+      StrCat(Hex32(image.entry + 12 * kInsnSize), " ", 1, " insns"),
+      StrCat(Hex32(image.entry + 11 * kInsnSize), " ", 1, " insns"),
+  };
+  EXPECT_EQ(details, expected);
 }
 
 TEST_F(TraceTest, ProfilerRingAndPeriodMask) {
