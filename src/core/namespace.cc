@@ -24,6 +24,17 @@ struct PublishedEntry : NamespaceEntry {
   mutable std::atomic<bool> superseded{false};
 };
 
+// Swaps `fresh` into `slot` and marks the entry it replaces superseded.
+// Returns that entry, for the caller to drop once the lock is released.
+std::shared_ptr<const NamespaceEntry> Supersede(std::shared_ptr<const NamespaceEntry>& slot,
+                                               std::shared_ptr<const PublishedEntry> fresh) {
+  std::shared_ptr<const NamespaceEntry> replaced = std::exchange(slot, std::move(fresh));
+  if (replaced != nullptr) {
+    static_cast<const PublishedEntry&>(*replaced).superseded.store(true);
+  }
+  return replaced;
+}
+
 }  // namespace
 
 std::string OmosNamespace::Normalize(std::string_view path) {
@@ -99,16 +110,32 @@ Result<void> OmosNamespace::AddFragment(std::string_view path, ObjectFile object
   return Publish(Normalize(path), std::move(entry));
 }
 
+Result<void> OmosNamespace::SetRoutineOrder(std::string_view path,
+                                            std::vector<std::string> order) {
+  std::shared_ptr<const NamespaceEntry> replaced;  // freed after the lock drops
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto it = entries_.find(Normalize(path));
+  if (it == entries_.end() || it->second->kind == EntryKind::kFragment) {
+    return Err(ErrorCode::kNotFound, StrCat("no meta-object to order at ", path));
+  }
+  NamespaceEntry entry = *it->second;
+  entry.routine_order = std::move(order);
+  replaced = Supersede(it->second, std::make_shared<const PublishedEntry>(std::move(entry)));
+  return OkResult();
+}
+
 Result<void> OmosNamespace::Publish(std::string path, NamespaceEntry entry) {
-  auto fresh = std::make_shared<const PublishedEntry>(std::move(entry));
+  auto fresh = std::make_shared<PublishedEntry>(std::move(entry));
   // Declared before the lock, so a replaced version is freed after the lock
   // drops (or later, by the last in-flight build still holding it).
   std::shared_ptr<const NamespaceEntry> replaced;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  replaced = std::exchange(entries_[std::move(path)], std::move(fresh));
-  if (replaced != nullptr) {
-    static_cast<const PublishedEntry&>(*replaced).superseded.store(true);
+  std::shared_ptr<const NamespaceEntry>& slot = entries_[std::move(path)];
+  if (slot != nullptr && slot->kind != EntryKind::kFragment &&
+      fresh->kind != EntryKind::kFragment) {
+    fresh->routine_order = slot->routine_order;
   }
+  replaced = Supersede(slot, std::move(fresh));
   return OkResult();
 }
 

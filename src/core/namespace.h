@@ -36,6 +36,9 @@ struct NamespaceEntry {
   Sexpr construction;          // the construction expression
   PlacementHints hints;        // from (constraint-list "T" addr "D" addr)
   std::string default_spec;    // from (default-specialization "name"); "" = self-contained
+  // Preferred routine order (§4.1), hottest first; empty = none recorded.
+  // The default-spec build lays the module out by it.
+  std::vector<std::string> routine_order;
   // kFragment:
   FragmentPtr fragment;
 };
@@ -96,11 +99,16 @@ class OmosNamespace {
   // Define a meta-object at `path`. The blueprint may contain, before the
   // construction expression, a (constraint-list "T" addr ["D" addr]) record
   // and a (default-specialization "name") record — Fig. 1's library shape.
+  // A redefinition keeps the routine order of the meta-object it replaces.
   Result<void> DefineMeta(std::string_view path, std::string_view blueprint,
                           EntryKind kind = EntryKind::kMeta);
 
   // Register a relocatable object fragment (a leaf operand, e.g. /obj/ls.o).
   Result<void> AddFragment(std::string_view path, ObjectFile object);
+
+  // Republish the meta-object at `path` with `order` as its routine order;
+  // kNotFound when no meta-object is defined there.
+  Result<void> SetRoutineOrder(std::string_view path, std::vector<std::string> order);
 
   // The entry version current at lookup time; it stays alive while the
   // caller holds it, even across a redefinition.
@@ -130,6 +138,8 @@ class OmosNamespace {
   static std::string Normalize(std::string_view path);
 
  private:
+  // Publishes `entry` at `path`, marking the entry it replaces superseded.
+  // A meta-object that replaces a meta-object keeps its routine order.
   Result<void> Publish(std::string path, NamespaceEntry entry);
 
   mutable std::shared_mutex mu_;

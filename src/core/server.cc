@@ -733,7 +733,7 @@ Result<ImageRef> OmosServer::InstantiateTiers(const std::string& path, const Spe
                                               uint64_t* work_cycles, bool adopt) {
   std::string norm = OmosNamespace::Normalize(path);
   std::string key = MakeCacheKey(norm, spec.ToKeyString());
-  if (ImageRef warm = WarmImage(key)) {
+  if (ImageRef warm = cache_.Get(key)) {
     TraceWarmHitSampled(norm);
     return warm;
   }
@@ -760,10 +760,6 @@ Result<ImageRef> OmosServer::InstantiateTiers(const std::string& path, const Spe
     *work_cycles += tracker.work;
   }
   trace.AddSimCycles(0, tracker.work);
-  // A recorded profile earns the fresh default image a reorder twin.
-  if (result.ok() && spec.name.empty() && HasPreferredOrder(norm)) {
-    ScheduleRelink(norm);
-  }
   return result;
 }
 
@@ -806,35 +802,6 @@ size_t OmosServer::DrainBackgroundWork() {
   return ran;
 }
 
-ImageRef OmosServer::WarmImage(const std::string& key) {
-  // A default-spec image may have a reorder-built twin; serve it instead
-  // (the "atomic swap-in on next Get").
-  if (ImageRef optimized = OptimizedAlias(key)) {
-    return optimized;
-  }
-  return cache_.Get(key);
-}
-
-ImageRef OmosServer::OptimizedAlias(const std::string& key) {
-  std::string twin_key;
-  {
-    std::lock_guard<std::mutex> lock(relink_mu_);
-    auto it = twin_alias_.find(key);
-    if (it == twin_alias_.end()) {
-      return nullptr;
-    }
-    twin_key = it->second;
-  }
-  if (ImageRef twin = cache_.Get(twin_key)) {
-    return twin;
-  }
-  // The twin fell out of the cache (evicted, or its inputs were redefined);
-  // forget it. The default image's next cold build queues a fresh one.
-  std::lock_guard<std::mutex> lock(relink_mu_);
-  twin_alias_.erase(key);
-  return nullptr;
-}
-
 void OmosServer::SubmitIdle(std::function<void(OmosServer&)> job) {
   // The job holds the guard, not the server, so it degrades to a no-op if
   // the server is gone by the time it runs.
@@ -847,14 +814,11 @@ void OmosServer::SubmitIdle(std::function<void(OmosServer&)> job) {
   });
 }
 
-void OmosServer::ScheduleRelink(std::string twin_path) {
+void OmosServer::ScheduleRelink() {
   {
     std::lock_guard<std::mutex> lock(relink_mu_);
-    if (twin_path.empty() && prelinked_.empty()) {
+    if (prelinked_.empty()) {
       return;  // nothing is prelinked, so a re-solve has no client
-    }
-    if (!twin_path.empty()) {
-      relink_twins_.insert(std::move(twin_path));
     }
     if (relink_queued_) {
       return;  // the queued job serves every request made before it starts
@@ -893,7 +857,10 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
   OMOS_TRY(std::shared_ptr<const NamespaceEntry> entry, ReadInput(path, tracker));
 
   EvalValue value;
-  if (spec.name == "monitor" || spec.name == "reorder") {
+  // A recorded routine order is part of the entry, so the default build
+  // applies it and a changed order supersedes the image like any input.
+  bool reorder = spec.name == "reorder" || (spec.name.empty() && !entry->routine_order.empty());
+  if (spec.name == "monitor" || reorder) {
     OMOS_TRY(Module mono, BuildMonolithicModule(path, tracker));
     if (spec.name == "monitor") {
       // Collect the text-section function exports to wrap.
@@ -924,15 +891,10 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
       }
       value.module = std::move(merged);
     } else {
-      std::vector<std::string> hot;
-      {
-        std::lock_guard<std::mutex> lock(monitor_mu_);
-        auto order_it = preferred_order_.find(OmosNamespace::Normalize(path));
-        if (order_it == preferred_order_.end()) {
-          return Err(ErrorCode::kNotFound,
-                     StrCat(path, ": no recorded routine order; run a monitor pass first"));
-        }
-        hot = order_it->second;
+      const std::vector<std::string>& hot = entry->routine_order;
+      if (hot.empty()) {
+        return Err(ErrorCode::kNotFound,
+                   StrCat(path, ": no recorded routine order; run a monitor pass first"));
       }
       // Rank fragments by the hottest routine they define and lay hot ones
       // out first.
@@ -1200,6 +1162,13 @@ Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
       fp.Bytes(object.data(), object.size());
     } else {
       fp.Str(entry->blueprint_text);
+      // A default build lays the module out by the entry's routine order.
+      if (!entry->routine_order.empty()) {
+        fp.U64(entry->routine_order.size());
+        for (const std::string& name : entry->routine_order) {
+          fp.Str(name);
+        }
+      }
       CollectMentionedPaths(entry->construction, work);
     }
   }
@@ -2039,7 +2008,7 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     // and an adoption publishes through the build's check; so the map
     // below performs zero relocations.
     std::string key = MakeCacheKey(norm, Specialization().ToKeyString());
-    image = WarmImage(key);
+    image = cache_.Get(key);
     if (image == nullptr && store_ != nullptr) {
       BuildTracker tracker;
       image = TryAdoptFromStore(norm, {}, key, tracker);
@@ -2086,11 +2055,9 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
 
 void OmosServer::RunRelink() {
   TraceSpan trace("server.relink", "");
-  std::set<std::string> twins;
   std::vector<std::string> paths;
   {
     std::lock_guard<std::mutex> lock(relink_mu_);
-    twins.swap(relink_twins_);
     paths.assign(prelinked_.begin(), prelinked_.end());
   }
   if (!paths.empty()) {
@@ -2112,19 +2079,6 @@ void OmosServer::RunRelink() {
     if (InstantiateRef(path, {}, &scratch).ok()) {
       PrelinkCounters().relinks->Add();
     }
-  }
-  // Re-link each requested path under the recorded routine order and serve
-  // the twin for the path's default key from now on.
-  for (const std::string& path : twins) {
-    uint64_t scratch = 0;
-    auto twin = InstantiateRef(path, Specialization{"reorder", {}}, &scratch);
-    if (!twin.ok()) {
-      LogMessage(LogLevel::kDebug, "relink",
-                 StrCat("reorder of ", path, " failed: ", twin.error().ToString()));
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(relink_mu_);
-    twin_alias_[MakeCacheKey(path, Specialization().ToKeyString())] = (*twin)->key;
   }
 }
 
@@ -2247,7 +2201,6 @@ Result<std::vector<std::pair<std::string, uint64_t>>> OmosServer::MonitorCounts(
 }
 
 Result<void> OmosServer::DerivePreferredOrder(const std::string& path) {
-  // MonitorCounts takes monitor_mu_ itself; lock only for the final write.
   OMOS_TRY(auto counts, MonitorCounts(path));
   std::stable_sort(counts.begin(), counts.end(),
                    [](const auto& a, const auto& b) { return a.second > b.second; });
@@ -2256,14 +2209,17 @@ Result<void> OmosServer::DerivePreferredOrder(const std::string& path) {
   for (const auto& [name, count] : counts) {
     order.push_back(name);
   }
-  std::lock_guard<std::mutex> lock(monitor_mu_);
-  preferred_order_[OmosNamespace::Normalize(path)] = std::move(order);
+  // The order is an input of the path's images: republishing it evicts
+  // them, and a prelinked path re-links under it at idle time.
+  OMOS_TRY_VOID(Redefine(
+      {path}, [&] { return namespace_.SetRoutineOrder(path, std::move(order)); }));
+  ScheduleRelink();
   return OkResult();
 }
 
 bool OmosServer::HasPreferredOrder(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(monitor_mu_);
-  return preferred_order_.count(OmosNamespace::Normalize(path)) != 0;
+  auto entry = namespace_.Lookup(path);
+  return entry.ok() && !(*entry)->routine_order.empty();
 }
 
 // ---- Dynamic loading ----------------------------------------------------------
@@ -2501,7 +2457,8 @@ Result<uint64_t> PopNumber(std::string_view& line) {
 std::string OmosServer::Snapshot() const {
   std::string out(kSnapshotMagic);
   out.push_back('\n');
-  for (const auto& [path, entry] : namespace_.SnapshotEntries()) {
+  auto entries = namespace_.SnapshotEntries();
+  for (const auto& [path, entry] : entries) {
     if (entry->kind == EntryKind::kFragment) {
       std::string hex = HexEncode(EncodeObject(*entry->fragment));
       out += StrCat("frag ", hex.size(), " ", path, "\n", hex, "\n");
@@ -2510,14 +2467,16 @@ std::string OmosServer::Snapshot() const {
                     entry->blueprint_text.size(), " ", path, "\n", entry->blueprint_text, "\n");
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(monitor_mu_);
-    for (const auto& [path, order] : preferred_order_) {
-      out += StrCat("order ", order.size(), " ", path, "\n");
-      for (const std::string& name : order) {
-        out += name;
-        out.push_back('\n');
-      }
+  // Routine orders follow every entry, so a restore defines a path before
+  // it orders it.
+  for (const auto& [path, entry] : entries) {
+    if (entry->routine_order.empty()) {
+      continue;
+    }
+    out += StrCat("order ", entry->routine_order.size(), " ", path, "\n");
+    for (const std::string& name : entry->routine_order) {
+      out += name;
+      out.push_back('\n');
     }
   }
   std::vector<PlacementRecord> placements;
@@ -2605,8 +2564,10 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
         OMOS_TRY(std::string_view name, cursor.Line());
         order.emplace_back(name);
       }
-      std::lock_guard<std::mutex> lock(monitor_mu_);
-      preferred_order_[OmosNamespace::Normalize(line)] = std::move(order);
+      invalidate_if_changed(line, [&](const NamespaceEntry& current) {
+        return current.routine_order == order;
+      });
+      OMOS_TRY_VOID(namespace_.SetRoutineOrder(line, std::move(order)));
     } else if (tag == "layoutgen") {
       OMOS_TRY(uint64_t generation, PopNumber(line));
       std::lock_guard<std::mutex> lock(solver_mu_);

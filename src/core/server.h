@@ -47,7 +47,8 @@
 namespace omos {
 
 // How an instantiation is specialized (§3.4). Well-known names:
-//   ""                  — meta-object default (self-contained)
+//   ""                  — meta-object default (self-contained; laid out by
+//                         the entry's recorded routine order when it has one)
 //   "lib-constrained"   — fixed-address self-contained library (§4.1)
 //   "lib-dynamic"       — partial-image client stubs (§4.2)
 //   "lib-dynamic-impl"  — the demand-loaded library implementation (§4.2)
@@ -80,7 +81,7 @@ struct OmosServerConfig {
 //                  Restore, OptimizePlacements) against each other
 //   publish_mu_  — namespace publication (exclusive) vs a build's check-
 //                  and-publish step (shared)
-//   monitor_mu_  — monitor_names_ / monitor_counts_ / preferred_order_
+//   monitor_mu_  — monitor_names_ / monitor_counts_
 //   solver_mu_   — every ConstraintSolver call
 //   upgrade_mu_  — the live-upgrade job (phase, pending tasks, plan)
 //   runtimes_mu_ — runtimes_ (per-task images and stub state); no image
@@ -88,11 +89,12 @@ struct OmosServerConfig {
 //   kernel_mu_   — kernel and task mutation (CreateTask, mapping, billing,
 //                  SimFs writes); never held across a build
 //
-// relink_mu_ (the relink queue, the twin aliases and the prelinked paths),
-// memo_mu_ (the evaluation memo) and exec_channels_mu_ (the parked exec
-// channels) are leaf locks: nothing else is acquired while one
-// of them is held. exec_channels_mu_ is never held across Channel::Call: a
-// BootstrapExec takes a channel off the list, calls, and parks it again.
+// relink_mu_ (the relink queue and the prelinked paths), memo_mu_ (the
+// evaluation memo) and exec_channels_mu_ (the parked exec channels) are
+// leaf locks: nothing else is acquired while one of them is held.
+// exec_channels_mu_ is never held across Channel::Call: a BootstrapExec
+// takes a channel off the list, calls, and parks it again. A warm hit takes
+// no server lock at all: it goes straight to the cache.
 //
 // Cache misses are single-flight: concurrent Instantiates of one key elect
 // a leader via ImageCache::JoinBuild and everyone shares its image. Inside
@@ -231,22 +233,20 @@ class OmosServer {
   // Call counts recorded for a "monitor"-specialized instantiation of `path`.
   Result<std::vector<std::pair<std::string, uint64_t>>> MonitorCounts(
       const std::string& path) const;
-  // Record the preferred routine order for `path` from monitor counts; the
-  // "reorder" specialization consumes it.
+  // Record the preferred routine order for `path` (a meta-object) from
+  // monitor counts. The order is part of the path's namespace entry: the
+  // default and "reorder" specializations lay the module out by it, and
+  // recording a new one evicts every image that read the path, like a
+  // redefinition, so the next default exec builds the reordered layout.
   Result<void> DerivePreferredOrder(const std::string& path);
   bool HasPreferredOrder(const std::string& path) const;
 
   // ---- Idle-time relinking (§4.1) -------------------------------------------
   // One relink job on the shared pool's idle lane (it runs only while no
-  // foreground request waits) keeps each path's images consistent:
-  //  * "During idle periods, OMOS may re-link the module using the profile
-  //    information gathered in monitoring mode": a cold default-spec build
-  //    of a path with a recorded routine order (DerivePreferredOrder) queues
-  //    its "reorder" twin, which the default key then serves. The twin reads
-  //    the same inputs, so a redefinition evicts it with the default image.
-  //  * Recorded placement conflicts feed the constraint system: while any
-  //    path is prelinked, a conflict or a prelinked exec that fell back
-  //    queues a namespace re-solve that re-links every prelinked path.
+  // foreground request waits) re-links every prelinked path: recorded
+  // placement conflicts feed the constraint system, so a conflict, a
+  // prelinked exec that fell back or a newly derived routine order queues a
+  // namespace re-solve and re-instantiates each prelinked path at it.
   // DrainBackgroundWork runs queued idle-time jobs on the caller and waits
   // for any a worker already picked up; returns how many the caller ran —
   // a deterministic "all background work done" point for tests.
@@ -258,10 +258,10 @@ class OmosServer {
   Result<int> PrelinkNamespace(const std::string& prefix);
 
   // ---- Crash / recovery -----------------------------------------------------
-  // Serialize the server's durable state — the namespace (blueprints and
-  // fragments), preferred routine orders, and the constraint solver's
-  // placement assignments — into a self-checking text snapshot. The image
-  // cache is deliberately NOT serialized here: a restarted server
+  // Serialize the server's durable state — the namespace (blueprints,
+  // fragments and the meta-objects' routine orders) and the constraint
+  // solver's placement assignments — into a self-checking text snapshot.
+  // The image cache is deliberately NOT serialized here: a restarted server
   // repopulates it on demand — from the attached ImageStore when one holds
   // a matching record (no re-link), or by rebuilding from the blueprint.
   // Because the placements are restored, both paths produce images
@@ -485,16 +485,17 @@ class OmosServer {
   Result<void> MaterializeSegments(CachedImage& cached);
 
   // ---- Persistent store plumbing (all no-ops when store_ == nullptr) -------
-  // Whether (path, spec) links from deterministic inputs only. Monitor and
-  // reorder builds depend on runtime profile state, so they are never
-  // stored or adopted.
+  // Whether images of (path, spec) go to and come from the store. A monitor
+  // build registers the path's call counters as it links, so it is never
+  // stored or adopted; the explicit "reorder" specialization stays out with
+  // it (a default build, ordered or not, is stored).
   static bool StorableSpec(const Specialization& spec);
   // Content fingerprint over everything that goes into the link: the path,
-  // the spec string, and the transitive closure of blueprint texts and
-  // object-file bytes reachable from the construction expression. Matching
-  // fingerprints ⇒ a stored image was linked from identical inputs. The
-  // paths visited and the entries they resolved to land in `*inputs` when
-  // non-null.
+  // the spec string, and the transitive closure of blueprint texts, routine
+  // orders and object-file bytes reachable from the construction
+  // expression. Matching fingerprints ⇒ a stored image was linked from
+  // identical inputs. The paths visited and the entries they resolved to
+  // land in `*inputs` when non-null.
   Result<uint64_t> StoreFingerprint(const std::string& norm, const Specialization& spec,
                                     std::vector<NamespaceRead>* inputs = nullptr) const;
   // Probe the store on a cache miss; on a hit, verify dependency placements,
@@ -622,21 +623,14 @@ class OmosServer {
                              std::string* degrade_key) const;
   void ScheduleUpgradeReclaim(const std::shared_ptr<UpgradeJob>& job);
 
-  // Queue the relink job for `twin_path`'s reorder twin or, given no path,
-  // for the prelink re-solve (dropped while the table is empty). At most
-  // one job is queued; it serves every request made before it starts.
-  void ScheduleRelink(std::string twin_path = {});
-  // The relink job's body (OptimizePlacements runs it on the caller): with
-  // prelinked paths, SolveNamespace, evict what moved and re-instantiate
-  // every prelinked path; then build each requested twin and alias it.
+  // Queue the relink job for the prelink re-solve (dropped while no path is
+  // prelinked). At most one job is queued; it serves every request made
+  // before it starts.
+  void ScheduleRelink();
+  // The relink job's body (OptimizePlacements runs it on the caller):
+  // SolveNamespace, evict what moved and re-instantiate every prelinked
+  // path.
   void RunRelink();
-
-  // The reorder twin to serve instead of `key`, or nullptr. Drops the alias
-  // if the twin fell out of the cache.
-  ImageRef OptimizedAlias(const std::string& key);
-  // The image `key` serves with no build: its reorder twin, else the cached
-  // image; nullptr on a miss.
-  ImageRef WarmImage(const std::string& key);
 
   Kernel* kernel_;
   Config config_;
@@ -661,20 +655,16 @@ class OmosServer {
   ConstraintSolver solver_;             // guarded by solver_mu_
   std::map<TaskId, TaskRuntime> runtimes_;  // guarded by runtimes_mu_
   // Monitoring: program path -> function names (slot order) and counts.
-  // All three guarded by monitor_mu_.
+  // Both guarded by monitor_mu_.
   std::map<std::string, std::vector<std::string>> monitor_names_;
   std::map<std::string, std::vector<uint64_t>> monitor_counts_;
-  std::map<std::string, std::vector<std::string>> preferred_order_;
 
   std::shared_ptr<IdleJobGuard> idle_guard_ = std::make_shared<IdleJobGuard>();
 
-  // Relink job state, guarded by relink_mu_ (a leaf lock): the queued flag,
-  // the paths whose twin the job builds, default key -> twin key, and the
-  // prelinked paths (normalized), which the job re-links.
+  // Relink job state, guarded by relink_mu_ (a leaf lock): the queued flag
+  // and the prelinked paths (normalized), which the job re-links.
   mutable std::mutex relink_mu_;
   bool relink_queued_ = false;
-  std::set<std::string> relink_twins_;
-  std::map<std::string, std::string> twin_alias_;
   std::set<std::string> prelinked_;
 
   // Live upgrade: at most one job; the pointer itself is guarded by

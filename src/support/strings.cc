@@ -7,8 +7,27 @@
 #include <map>
 #include <mutex>
 #include <regex>
+#include <sstream>
 
 namespace omos {
+
+namespace strings_internal {
+
+void AppendStreamed(std::string& out, const void* value,
+                    void (*write)(std::ostream&, const void*)) {
+  std::ostringstream stream;
+  write(stream, value);
+  out += stream.view();
+}
+
+void AppendFloat(std::string& out, double value) {
+  char digits[32];  // %.6g of any double fits
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), value, std::chars_format::general, 6)
+                 .ptr);
+}
+
+}  // namespace strings_internal
 
 std::vector<std::string> SplitString(std::string_view text, char sep) {
   std::vector<std::string> parts;

@@ -2,10 +2,13 @@
 #ifndef OMOS_SRC_SUPPORT_STRINGS_H_
 #define OMOS_SRC_SUPPORT_STRINGS_H_
 
+#include <charconv>
 #include <cstdint>
-#include <sstream>
+#include <iosfwd>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace omos {
@@ -19,16 +22,53 @@ std::string_view StripWhitespace(std::string_view text);
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 
-// Variadic streaming concatenation: StrCat("sym ", name, " at ", addr).
+namespace strings_internal {
+
+// Appends what `write` streams into a default-formatted std::ostream.
+void AppendStreamed(std::string& out, const void* value,
+                    void (*write)(std::ostream&, const void*));
+// Appends `value` as a default std::ostream writes a double: %g with
+// precision 6.
+void AppendFloat(std::string& out, double value);
+
+template <typename T>
+void Append(std::string& out, const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out.push_back(value ? '1' : '0');
+  } else if constexpr (std::is_same_v<T, char> || std::is_same_v<T, signed char> ||
+                       std::is_same_v<T, unsigned char>) {
+    out.push_back(static_cast<char>(value));  // int8_t and uint8_t stream as characters
+  } else if constexpr (std::is_integral_v<T>) {
+    char digits[std::numeric_limits<T>::digits10 + 2];  // every digit and a sign
+    out.append(digits, std::to_chars(digits, digits + sizeof(digits), value).ptr);
+  } else if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
+    AppendFloat(out, value);
+  } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    if constexpr (std::is_pointer_v<T>) {
+      if (value == nullptr) {
+        return;  // a stream writes nothing for a null C string
+      }
+    }
+    out.append(std::string_view(value));
+  } else {
+    // Any other type formats through its operator<<.
+    AppendStreamed(out, &value, [](std::ostream& stream, const void* v) {
+      stream << *static_cast<const T*>(v);
+    });
+  }
+}
+
+}  // namespace strings_internal
+
+// Variadic concatenation: StrCat("sym ", name, " at ", addr). Each argument
+// appears as operator<< on a default std::ostream would write it: integers
+// in decimal, bool as 0/1, char-sized integers (int8_t, uint8_t) as
+// characters, floating point as %g with precision 6.
 template <typename... Args>
 std::string StrCat(const Args&... args) {
-  if constexpr (sizeof...(args) == 0) {
-    return std::string();
-  } else {
-    std::ostringstream out;
-    (out << ... << args);
-    return out.str();
-  }
+  std::string out;
+  (strings_internal::Append(out, args), ...);
+  return out;
 }
 
 // Render `value` as 0x%08x.

@@ -1,7 +1,7 @@
 // Concurrency tests for the multi-threaded OMOS server (PR 3): parallel
 // warm hits, single-flight miss deduplication, sharded-cache lifetime under
 // eviction, redefinition and snapshot under load, parallel-relocation
-// determinism, the idle-time background optimizer, and fault-sim counter
+// determinism, the layout a routine order earns, and fault-sim counter
 // exactness. Everything uses fixed thread counts and iteration counts so
 // failures reproduce.
 #include <algorithm>
@@ -333,6 +333,12 @@ TEST(ExportOrder, ConcurrentLinksOfOneSpaceShareOneOrder) {
 TEST_F(ConcurrencyTest, BackgroundOptimizerSwapsInReorderedImage) {
   ASSERT_OK(server_->DefineMeta("/bin/prog",
                                 "(merge /lib/crt0.o /obj/client.o /obj/addlib.o)"));
+  TextLayout unordered;
+  {
+    ImageCache::ReadLease lease(server_->cache());
+    ASSERT_OK_AND_ASSIGN(const CachedImage* plain, server_->Instantiate("/bin/prog", {}, nullptr));
+    unordered = TextLayoutOf(plain->image.symbols);
+  }
   // Gather a call-frequency profile the way the paper does (§4.1): run a
   // monitored instance, then derive the preferred routine order.
   Specialization monitor{"monitor", {}};
@@ -341,19 +347,23 @@ TEST_F(ConcurrencyTest, BackgroundOptimizerSwapsInReorderedImage) {
   EXPECT_EQ(out.exit_code, 21);
   ASSERT_OK(server_->DerivePreferredOrder("/bin/prog"));
 
-  ASSERT_OK(server_->Instantiate("/bin/prog", {}, nullptr));  // cold build
-  for (int i = 0; i < 3; ++i) {                               // warm hits -> hot
+  // The order evicted every image of the path: the next default build
+  // applies it on its own request, and warm hits serve that image.
+  for (int i = 0; i < 4; ++i) {
     ASSERT_OK(server_->Instantiate("/bin/prog", {}, nullptr));
   }
-  server_->DrainBackgroundWork();  // idle time: the optimizer re-links
 
-  // The next instantiation is transparently served by the reordered image.
+  // The default image has the layout of the explicit reorder build.
   ImageCache::ReadLease lease(server_->cache());
-  ASSERT_OK_AND_ASSIGN(const CachedImage* after, server_->Instantiate("/bin/prog", {}, nullptr));
-  EXPECT_NE(after->key.find("reorder"), std::string::npos)
-      << "expected the optimizer to alias the hot image to its reordered "
-         "re-link, got key " << after->key;
-  EXPECT_NE(after->image.entry, 0u);
+  ASSERT_OK_AND_ASSIGN(const CachedImage* reordered,
+                       server_->Instantiate("/bin/prog", Specialization{"reorder", {}}, nullptr));
+  ASSERT_OK_AND_ASSIGN(const CachedImage* served, server_->Instantiate("/bin/prog", {}, nullptr));
+  EXPECT_EQ(TextLayoutOf(served->image.symbols), TextLayoutOf(reordered->image.symbols));
+  EXPECT_NE(TextLayoutOf(served->image.symbols), unordered);
+  EXPECT_EQ(served->image.text.size(), reordered->image.text.size());
+  ASSERT_OK_AND_ASSIGN(TaskId run, server_->IntegratedExec("/bin/prog", {"prog"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome run_out, RunTaskById(run));
+  EXPECT_EQ(run_out.exit_code, 21);
 }
 
 TEST_F(ConcurrencyTest, ReferenceFromPutOutlivesEvict) {

@@ -2,8 +2,12 @@
 #ifndef OMOS_TESTS_HELPERS_H_
 #define OMOS_TESTS_HELPERS_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -94,6 +98,25 @@ inline Result<RunOutcome> RunImage(Kernel& kernel, const LinkedImage& image,
   outcome.sys_cycles = task.sys_cycles();
   outcome.instructions = task.instructions_retired();
   return outcome;
+}
+
+// An image's text layout: each text symbol's offset from the lowest one,
+// with its name, in address order. Two links of one module at different
+// bases share a layout, while their bytes differ in every absolute address.
+using TextLayout = std::vector<std::pair<uint32_t, std::string>>;
+inline TextLayout TextLayoutOf(const std::vector<ImageSymbol>& symbols) {
+  TextLayout layout;
+  for (const ImageSymbol& sym : symbols) {
+    if (sym.section == SectionKind::kText) {
+      layout.emplace_back(sym.addr, sym.name);
+    }
+  }
+  std::sort(layout.begin(), layout.end());
+  uint32_t origin = layout.empty() ? 0 : layout.front().first;
+  for (auto& entry : layout) {
+    entry.first -= origin;
+  }
+  return layout;
 }
 
 }  // namespace omos

@@ -603,6 +603,66 @@ main:
   EXPECT_EQ(task_b->exit_code(), 42);
 }
 
+// The text layout `server` serves for /bin/prog under `spec`.
+TextLayout ServedLayout(OmosServer& server, const Specialization& spec = {}) {
+  ImageCache::ReadLease lease(server.cache());
+  auto image = server.Instantiate("/bin/prog", spec, nullptr);
+  EXPECT_TRUE(image.ok()) << image.error().ToString();
+  return image.ok() ? TextLayoutOf((*image)->image.symbols) : TextLayout();
+}
+
+// The text layout the exec `id` mapped.
+TextLayout ExecLayout(OmosServer& server, TaskId id) {
+  auto symbols = server.SymbolsForTask(id);
+  EXPECT_TRUE(symbols.ok()) << symbols.error().ToString();
+  return symbols.ok() ? TextLayoutOf(*symbols) : TextLayout();
+}
+
+// `body` (a snapshot up to its check line) with the check line Snapshot()
+// writes: the FNV-1a hash of every byte before it, as 0x + 16 hex digits.
+std::string WithCheck(const std::string& body) {
+  uint64_t sum = Fnv1a(body);
+  return StrCat(body, "check ", Hex32(static_cast<uint32_t>(sum >> 32)),
+                Hex32(static_cast<uint32_t>(sum)).substr(2), "\n");
+}
+
+// The routine order recorded by the one order row of `snapshot`.
+std::vector<std::string> RecordedOrder(const std::string& snapshot) {
+  size_t at = snapshot.find("\norder ");
+  EXPECT_NE(at, std::string::npos) << "no order row";
+  if (at == std::string::npos) {
+    return {};
+  }
+  std::vector<std::string> rows = SplitString(snapshot.substr(at + 1), '\n');
+  size_t count = std::stoul(rows[0].substr(6));  // "order <count> <path>"
+  return {rows.begin() + 1, rows.begin() + 1 + static_cast<ptrdiff_t>(count)};
+}
+
+// `snapshot` with `order` as the routine order of `path`: its one order row
+// replaced, or, when it has none, an order row where Snapshot() writes
+// them, after the entries and before the layout generation. The check line
+// is recomputed.
+std::string WithOrder(const std::string& snapshot, const std::string& path,
+                      const std::vector<std::string>& order) {
+  std::string body = snapshot.substr(0, snapshot.rfind("check "));
+  std::string rows = StrCat("order ", order.size(), " ", path, "\n");
+  for (const std::string& name : order) {
+    rows += name + "\n";
+  }
+  size_t at = body.find("\norder ");
+  if (at == std::string::npos) {
+    body.insert(body.find("layoutgen "), rows);
+    return WithCheck(body);
+  }
+  size_t end = body.find('\n', at + 1);
+  EXPECT_TRUE(EndsWith(body.substr(at, end - at), StrCat(" ", path)));
+  for (size_t i = 0; i < RecordedOrder(snapshot).size(); ++i) {
+    end = body.find('\n', end + 1);
+  }
+  body.replace(at + 1, end - at, rows);
+  return WithCheck(body);
+}
+
 TEST_F(ServerFeatures, SnapshotRoundTripsPreferredOrder) {
   ASSERT_OK_AND_ASSIGN(ObjectFile lib, Assemble(R"(
 .text
@@ -629,17 +689,65 @@ main:
 )", "main.o"));
   ASSERT_OK(server_->AddFragment("/obj/main.o", std::move(main_obj)));
   ASSERT_OK(server_->DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/main.o /lib/l)"));
+  std::string unordered = server_->Snapshot();
   Specialization monitor;
   monitor.name = "monitor";
   ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/prog", {"prog"}, monitor));
   ASSERT_OK(Run(id));
   ASSERT_OK(server_->DerivePreferredOrder("/bin/prog"));
   ASSERT_TRUE(server_->HasPreferredOrder("/bin/prog"));
+  ASSERT_OK(server_->IntegratedExec("/bin/prog", {"prog"}));  // placements too
+  std::string snapshot = server_->Snapshot();
+  // The order rows follow every entry.
+  size_t order_at = snapshot.find("\norder ");
+  ASSERT_NE(order_at, std::string::npos);
+  EXPECT_GT(order_at, snapshot.rfind("\nmeta "));
+  EXPECT_GT(order_at, snapshot.rfind("\nfrag "));
+  EXPECT_NE(snapshot.find("\nplace "), std::string::npos);
 
   Kernel kernel2;
   OmosServer restored(kernel2);
-  ASSERT_OK(restored.Restore(server_->Snapshot()));
+  ASSERT_OK(restored.Restore(snapshot));
   EXPECT_TRUE(restored.HasPreferredOrder("/bin/prog"));
+  EXPECT_EQ(restored.Snapshot(), snapshot);
+
+  // An order row written by hand into a snapshot of the unordered
+  // namespace lays out the next default exec: the library fragment
+  // (f_cold's) first, then main's, then crt0's.
+  Kernel kernel3;
+  OmosServer from_text(kernel3);
+  ASSERT_OK(from_text.Restore(WithOrder(unordered, "/bin/prog", {"f_cold", "main"})));
+  ASSERT_OK_AND_ASSIGN(TaskId ordered, from_text.IntegratedExec("/bin/prog", {"prog"}));
+  std::vector<std::string> names;
+  for (const auto& [offset, name] : ExecLayout(from_text, ordered)) {
+    names.push_back(name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"f_hot", "f_cold", "main", "_start"}));
+  ASSERT_OK(kernel3.RunTask(*kernel3.FindTask(ordered)));
+  EXPECT_EQ(kernel3.FindTask(ordered)->exit_code(), 0);
+}
+
+TEST_F(ServerFeatures, OrderForAFragmentIsRefused) {
+  // A routine order belongs to a meta-object: one for a fragment or an
+  // undefined path is refused, by DerivePreferredOrder and by Restore.
+  ASSERT_OK_AND_ASSIGN(ObjectFile solo,
+                       Assemble(".text\n.global _start\n_start:\n  movi r0, 0\n  sys 0\n", "s.o"));
+  ASSERT_OK(server_->AddFragment("/obj/solo.o", std::move(solo)));
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/obj/solo.o", {"solo"},
+                                                          Specialization{"monitor", {}}));
+  ASSERT_OK(Run(id));
+  auto derived = server_->DerivePreferredOrder("/obj/solo.o");
+  ASSERT_FALSE(derived.ok());
+  EXPECT_EQ(derived.error().code(), ErrorCode::kNotFound);
+  EXPECT_FALSE(server_->HasPreferredOrder("/obj/solo.o"));
+
+  for (const char* path : {"/obj/solo.o", "/bin/none"}) {
+    Kernel kernel2;
+    OmosServer restored(kernel2);
+    auto result = restored.Restore(WithOrder(server_->Snapshot(), path, {"_start"}));
+    ASSERT_FALSE(result.ok()) << path;
+    EXPECT_EQ(result.error().code(), ErrorCode::kNotFound) << path;
+  }
 }
 
 TEST_F(ServerFeatures, DamagedSnapshotRejectedWithCorrupted) {
@@ -1127,63 +1235,282 @@ pf:
 }
 
 
-// ---- Idle-lane relink job ------------------------------------------------------
+// ---- Routine orders --------------------------------------------------------------
 
 // Defines /bin/prog, which exits with answer() from /obj/v.o, and records
-// its routine order from one monitored run.
-void DefineProfiledProgram(OmosServer& server, Kernel& kernel, int value) {
+// its routine order from one monitored run. `unordered` receives the layout
+// of the default image before the order was recorded.
+void DefineProfiledProgram(OmosServer& server, Kernel& kernel, int value,
+                           TextLayout* unordered = nullptr) {
   ASSERT_OK_AND_ASSIGN(ObjectFile v, AnswerObject(value));
   ASSERT_OK(server.AddFragment("/obj/v.o", std::move(v)));
   ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(kCallAnswer, "main.o"));
   ASSERT_OK(server.AddFragment("/obj/main.o", std::move(main_obj)));
   ASSERT_OK(server.DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/main.o /obj/v.o)"));
+  if (unordered != nullptr) {
+    *unordered = ServedLayout(server);
+  }
   ASSERT_OK_AND_ASSIGN(TaskId id,
                        server.IntegratedExec("/bin/prog", {"prog"}, Specialization{"monitor", {}}));
   ASSERT_OK(kernel.RunTask(*kernel.FindTask(id)));
   ASSERT_OK(server.DerivePreferredOrder("/bin/prog"));
 }
 
-// The cache key a default-spec Instantiate of /bin/prog serves.
-std::string ServedKey(OmosServer& server) {
-  ImageCache::ReadLease lease(server.cache());
-  auto image = server.Instantiate("/bin/prog", {}, nullptr);
-  return image.ok() ? (*image)->key : image.error().ToString();
-}
-
 TEST_F(ServerFeatures, RedefinitionReachesReorderTwin) {
-  DefineProfiledProgram(*server_, kernel_, 5);
-  // The first default build queues the twin; the idle lane builds it.
+  TextLayout unordered;
+  DefineProfiledProgram(*server_, kernel_, 5, &unordered);
+  // The first default exec after the derive maps the reordered layout: the
+  // order is an input of the default build.
+  TextLayout reordered = ServedLayout(*server_, Specialization{"reorder", {}});
+  ASSERT_NE(reordered, unordered);
   ASSERT_OK_AND_ASSIGN(TaskId cold, server_->IntegratedExec("/bin/prog", {"prog"}));
+  EXPECT_EQ(ExecLayout(*server_, cold), reordered);
   ASSERT_OK_AND_ASSIGN(RunOutcome cold_out, Run(cold));
   EXPECT_EQ(cold_out.exit_code, 5);
-  server_->DrainBackgroundWork();
-  ASSERT_NE(ServedKey(*server_).find("reorder"), std::string::npos);
 
-  // Redefinition evicts the twin with the default image: the next default
-  // exec runs the new code, and its cold build queues a fresh twin.
+  // A redefinition evicts the reordered image: the next default exec runs
+  // the new code, still laid out by the recorded order.
   ASSERT_OK_AND_ASSIGN(ObjectFile v2, AnswerObject(6));
   ASSERT_OK(server_->AddFragment("/obj/v.o", std::move(v2)));
   ASSERT_OK_AND_ASSIGN(TaskId fresh, server_->IntegratedExec("/bin/prog", {"prog"}));
+  EXPECT_EQ(ExecLayout(*server_, fresh), reordered);
   ASSERT_OK_AND_ASSIGN(RunOutcome fresh_out, Run(fresh));
   EXPECT_EQ(fresh_out.exit_code, 6);
-
-  server_->DrainBackgroundWork();
-  EXPECT_NE(ServedKey(*server_).find("reorder"), std::string::npos);
-  ASSERT_OK_AND_ASSIGN(TaskId twin, server_->IntegratedExec("/bin/prog", {"prog"}));
-  ASSERT_OK_AND_ASSIGN(RunOutcome twin_out, Run(twin));
-  EXPECT_EQ(twin_out.exit_code, 6);
+  EXPECT_EQ(ServedLayout(*server_, Specialization{"reorder", {}}), reordered);
 }
 
 TEST_F(ServerFeatures, RestoredOrderEarnsReorderTwin) {
-  DefineProfiledProgram(*server_, kernel_, 5);
+  TextLayout unordered;
+  DefineProfiledProgram(*server_, kernel_, 5, &unordered);
   Kernel kernel2;
   OmosServer restored(kernel2);
   ASSERT_OK(restored.Restore(server_->Snapshot()));
 
-  // The restored order is enough: one cold default build queues the twin.
-  EXPECT_EQ(ServedKey(restored).find("reorder"), std::string::npos);
-  restored.DrainBackgroundWork();
-  EXPECT_NE(ServedKey(restored).find("reorder"), std::string::npos);
+  // The restored order is enough: the first default exec maps the
+  // reordered layout.
+  ASSERT_OK_AND_ASSIGN(TaskId id, restored.IntegratedExec("/bin/prog", {"prog"}));
+  TextLayout mapped = ExecLayout(restored, id);
+  EXPECT_EQ(mapped, ServedLayout(restored, Specialization{"reorder", {}}));
+  EXPECT_NE(mapped, unordered);
+  ASSERT_OK(kernel2.RunTask(*kernel2.FindTask(id)));
+  EXPECT_EQ(kernel2.FindTask(id)->exit_code(), 5);
+}
+
+TEST_F(ServerFeatures, DerivedOrderRelinksAPrelinkedPathAtIdle) {
+  // The derive evicts the prelinked image and queues the idle-lane relink,
+  // which rebuilds it under the order: the next prelinked exec is a hit on
+  // the reordered layout.
+  ASSERT_OK_AND_ASSIGN(ObjectFile v, AnswerObject(5));
+  ASSERT_OK(server_->AddFragment("/obj/v.o", std::move(v)));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(kCallAnswer, "main.o"));
+  ASSERT_OK(server_->AddFragment("/obj/main.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/main.o /obj/v.o)"));
+  ASSERT_OK_AND_ASSIGN(int recorded, server_->PrelinkNamespace("/bin"));
+  ASSERT_EQ(recorded, 1);
+  TextLayout unordered = ServedLayout(*server_);
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/prog", {"prog"},
+                                                          Specialization{"monitor", {}}));
+  ASSERT_OK(Run(id));
+  ASSERT_OK(server_->DerivePreferredOrder("/bin/prog"));
+  server_->DrainBackgroundWork();
+
+  Counter* hits = MetricsRegistry::Global().GetCounter("prelink.hits");
+  uint64_t hits_before = hits->value();
+  ASSERT_OK_AND_ASSIGN(TaskId fast, server_->PrelinkedExec("/bin/prog", {"prog"}));
+  EXPECT_EQ(hits->value(), hits_before + 1);
+  TextLayout mapped = ExecLayout(*server_, fast);
+  EXPECT_EQ(mapped, ServedLayout(*server_, Specialization{"reorder", {}}));
+  EXPECT_NE(mapped, unordered);
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(fast));
+  EXPECT_EQ(out.exit_code, 5);
+}
+
+// main: with one argument, call f_a twice and f_b once; with more, the
+// other way round. f_a and f_b live in fragments of their own, so which is
+// hotter decides the layout.
+constexpr char kArgcMain[] = R"(
+.text
+.global main
+main:
+  push lr
+  movi r1, 1
+  bne r0, r1, b_first
+  call f_a
+  call f_a
+  call f_b
+  br done
+b_first:
+  call f_b
+  call f_b
+  call f_a
+done:
+  pop lr
+  movi r0, 0
+  ret
+)";
+
+// Defines /bin/prog: crt0, kArgcMain, then f_a's and f_b's fragments.
+void DefineArgcProgram(OmosServer& server) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile a, Assemble(".text\n.global f_a\nf_a:\n  ret\n", "a.o"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile b, Assemble(".text\n.global f_b\nf_b:\n  ret\n", "b.o"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(kArgcMain, "main.o"));
+  ASSERT_OK(server.AddFragment("/obj/a.o", std::move(a)));
+  ASSERT_OK(server.AddFragment("/obj/b.o", std::move(b)));
+  ASSERT_OK(server.AddFragment("/obj/main.o", std::move(main_obj)));
+  ASSERT_OK(server.DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/main.o /obj/a.o /obj/b.o)"));
+}
+
+// One monitored run of /bin/prog with `args`, then a derived order.
+void ProfileRun(OmosServer& server, Kernel& kernel, std::vector<std::string> args) {
+  ASSERT_OK_AND_ASSIGN(TaskId id, server.IntegratedExec("/bin/prog", std::move(args),
+                                                        Specialization{"monitor", {}}));
+  ASSERT_OK(kernel.RunTask(*kernel.FindTask(id)));
+  ASSERT_OK(server.DerivePreferredOrder("/bin/prog"));
+}
+
+// The text bytes `server` serves for /bin/prog under `spec`.
+std::vector<uint8_t> ServedText(OmosServer& server, const Specialization& spec) {
+  ImageCache::ReadLease lease(server.cache());
+  auto image = server.Instantiate("/bin/prog", spec, nullptr);
+  EXPECT_TRUE(image.ok()) << image.error().ToString();
+  return image.ok() ? (*image)->image.text : std::vector<uint8_t>();
+}
+
+TEST_F(ServerFeatures, ChangedOrderReachesTheServedImage) {
+  DefineArgcProgram(*server_);
+  ProfileRun(*server_, kernel_, {"prog"});
+  const Specialization kSpecs[] = {Specialization{}, Specialization{"reorder", {}}};
+  // Both specs must serve the bytes a fresh server builds from the same
+  // namespace and order. It restores a snapshot taken after the serves, so
+  // its images land at the same placements and differ only by layout.
+  std::vector<uint8_t> last_reordered;
+  auto expect_fresh_bytes = [&](const std::string& when) {
+    std::vector<std::vector<uint8_t>> served;
+    for (const Specialization& spec : kSpecs) {
+      served.push_back(ServedText(*server_, spec));
+    }
+    Kernel kernel2;
+    OmosServer fresh(kernel2);
+    ASSERT_OK(fresh.Restore(server_->Snapshot()));
+    for (size_t i = 0; i < served.size(); ++i) {
+      EXPECT_TRUE(served[i] == ServedText(fresh, kSpecs[i]))
+          << when << ", spec '" << kSpecs[i].name << "': served != want";
+    }
+    EXPECT_TRUE(served[1] != last_reordered) << when << ": the order did not change the layout";
+    last_reordered = served[1];
+  };
+  expect_fresh_bytes("derived");
+
+  // A restore whose only change is the reversed order row.
+  std::string snapshot = server_->Snapshot();
+  std::vector<std::string> order = RecordedOrder(snapshot);
+  std::reverse(order.begin(), order.end());
+  ASSERT_OK(server_->Restore(WithOrder(snapshot, "/bin/prog", order)));
+  expect_fresh_bytes("restored reversed order");
+
+  // A second derive after the counts changed: the restore evicted the
+  // monitor image, so its rebuild starts the counts afresh.
+  ProfileRun(*server_, kernel_, {"prog", "b"});
+  expect_fresh_bytes("derived again");
+}
+
+TEST_F(ServerFeatures, OrderRedefinitionsRaceExecs) {
+  // A writer alternates /bin/prog between two routine orders by restoring
+  // snapshots that differ only in the order row, while three readers exec
+  // the default spec. Each exec must map the layout of an order that was
+  // current at some point during the exec.
+  constexpr int kFlips = 20;
+  DefineArgcProgram(*server_);
+  // Both snapshots hold the namespace before anything was placed, so a
+  // restore adopts no placement a rebuild in the race could collide with.
+  std::string unplaced = server_->Snapshot();
+  ProfileRun(*server_, kernel_, {"prog"});
+  std::vector<std::string> order = RecordedOrder(server_->Snapshot());
+  std::string order_a = WithOrder(unplaced, "/bin/prog", order);
+  std::reverse(order.begin(), order.end());
+  std::string order_b = WithOrder(unplaced, "/bin/prog", order);
+  // The kernel's task table is not for concurrent destruction: tasks are
+  // released after the threads join.
+  std::mutex tasks_mu;
+  std::vector<TaskId> tasks;
+  auto exec_layout = [&]() -> TextLayout {
+    auto id = server_->IntegratedExec("/bin/prog", {"prog"});
+    EXPECT_TRUE(id.ok()) << id.error().ToString();
+    if (!id.ok()) {
+      return {};
+    }
+    std::lock_guard<std::mutex> lock(tasks_mu);
+    tasks.push_back(*id);
+    return ExecLayout(*server_, *id);
+  };
+  // Each order's layout, as a fresh server given that snapshot builds it.
+  auto fresh_layout = [](const std::string& snapshot) {
+    Kernel kernel;
+    OmosServer fresh(kernel);
+    EXPECT_OK(fresh.Restore(snapshot));
+    return ServedLayout(fresh);
+  };
+  TextLayout layout_a = fresh_layout(order_a);
+  TextLayout layout_b = fresh_layout(order_b);
+  ASSERT_NE(layout_a, layout_b);
+  ASSERT_OK(server_->Restore(order_a));
+
+  // Publish j (from 0) installs B when j is even and A when odd; before any,
+  // A is current.
+  auto layout_of = [&](int j) { return j >= 0 && j % 2 == 0 ? layout_b : layout_a; };
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<int> exec_count{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::atomic<int> wrong{0};
+  std::atomic<int> decisive{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int j = 0; j < kFlips; ++j) {
+      // Let each reader exec about twice under the order just published.
+      for (int seen = exec_count.load(); exec_count.load() < seen + 6;) {
+        std::this_thread::yield();
+      }
+      started.fetch_add(1);
+      if (!server_->Restore(j % 2 == 0 ? order_b : order_a).ok()) {
+        errors.fetch_add(1);
+      }
+      finished.fetch_add(1);
+    }
+    done.store(true);
+  });
+  for (int r = 0; r < 3; ++r) {
+    threads.emplace_back([&] {
+      for (bool last = false; !last;) {
+        last = done.load();
+        // Publishes before `before` finished before the exec began; none
+        // from `after` on had started when it ended.
+        int before = finished.load();
+        TextLayout layout = exec_layout();
+        int after = started.load();
+        if (layout.empty()) {
+          errors.fetch_add(1);
+        } else if (after == before) {
+          decisive.fetch_add(1);
+          wrong.fetch_add(layout != layout_of(before - 1));
+        } else {
+          wrong.fetch_add(layout != layout_a && layout != layout_b);
+        }
+        exec_count.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (TaskId id : tasks) {
+    server_->ReleaseTask(id);
+    kernel_.DestroyTask(id);
+  }
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(wrong.load(), 0) << "of " << exec_count.load() << " execs";
+  EXPECT_GE(decisive.load(), kFlips);
 }
 
 TEST_F(ServerFeatures, ConflictWithoutPrelinkEntriesIsNotResolved) {

@@ -2,9 +2,16 @@
 // fault injection.
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include <atomic>
+#include <cmath>
+#include <limits>
+#include <ostream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/support/error.h"
@@ -105,6 +112,83 @@ TEST(Strings, StartsEndsWith) {
 TEST(Strings, StrCat) {
   EXPECT_EQ(StrCat("sym ", "x", " at ", 16), "sym x at 16");
   EXPECT_EQ(StrCat(), "");
+}
+
+// StrCat writes each argument as a default-formatted std::ostream does.
+// Each type's samples pin the exact text, and the stream must agree.
+enum StrCatEnum : uint32_t { kStrCatEnumValue = 3 };
+struct StrCatStreamOnly {
+  int x = 0;
+  int y = 0;
+};
+std::ostream& operator<<(std::ostream& out, const StrCatStreamOnly& p) {
+  return out << "(" << p.x << "," << p.y << ")";
+}
+
+template <typename T>
+std::vector<std::pair<T, std::string>> StrCatSamples() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if constexpr (std::is_same_v<T, bool>) {
+    return {{false, "0"}, {true, "1"}};
+  } else if constexpr (std::is_same_v<T, char>) {
+    return {{'a', "a"}, {'\0', std::string(1, '\0')}};
+  } else if constexpr (std::is_same_v<T, int8_t>) {
+    return {{66, "B"}, {-128, "\x80"}};
+  } else if constexpr (std::is_same_v<T, uint8_t>) {
+    return {{65, "A"}, {255, "\xff"}};
+  } else if constexpr (std::is_same_v<T, int16_t>) {
+    return {{-32768, "-32768"}, {0, "0"}, {32767, "32767"}};
+  } else if constexpr (std::is_same_v<T, uint16_t>) {
+    return {{65535, "65535"}};
+  } else if constexpr (std::is_same_v<T, int32_t>) {
+    return {{std::numeric_limits<int32_t>::min(), "-2147483648"}, {42, "42"}};
+  } else if constexpr (std::is_same_v<T, uint32_t>) {
+    return {{4294967295u, "4294967295"}};
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return {{std::numeric_limits<int64_t>::min(), "-9223372036854775808"}};
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    return {{std::numeric_limits<uint64_t>::max(), "18446744073709551615"}};
+  } else if constexpr (std::is_same_v<T, long long>) {
+    return {{-5, "-5"}};
+  } else if constexpr (std::is_same_v<T, unsigned long long>) {
+    return {{7, "7"}};
+  } else if constexpr (std::is_same_v<T, float>) {
+    return {{2.5f, "2.5"}, {0.1f, "0.1"}, {1e10f, "1e+10"}, {-0.0f, "-0"}};
+  } else if constexpr (std::is_same_v<T, double>) {
+    return {{0.1 + 0.2, "0.3"},     {123456789.0, "1.23457e+08"}, {1e-5, "1e-05"},
+            {100000.0, "100000"},   {1e6, "1e+06"},               {kInf, "inf"},
+            {-kInf, "-inf"},        {std::nan(""), "nan"},        {-0.0, "-0"}};
+  } else if constexpr (std::is_same_v<T, long double>) {
+    return {{2.5L, "2.5"}, {1e30L, "1e+30"}};
+  } else if constexpr (std::is_same_v<T, const char*>) {
+    return {{"abc", "abc"}, {"", ""}};
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return {{"x y", "x y"}, {std::string("a\0b", 3), std::string("a\0b", 3)}};
+  } else if constexpr (std::is_same_v<T, std::string_view>) {
+    return {{"sv", "sv"}};
+  } else if constexpr (std::is_same_v<T, StrCatEnum>) {
+    return {{kStrCatEnumValue, "3"}};
+  } else {
+    return {{StrCatStreamOnly{1, -2}, "(1,-2)"}};
+  }
+}
+
+template <typename T>
+class StrCatTyped : public ::testing::Test {};
+using StrCatTypes =
+    ::testing::Types<bool, char, int8_t, uint8_t, int16_t, uint16_t, int32_t, uint32_t, int64_t,
+                     uint64_t, long long, unsigned long long, float, double, long double,
+                     const char*, std::string, std::string_view, StrCatEnum, StrCatStreamOnly>;
+TYPED_TEST_SUITE(StrCatTyped, StrCatTypes);
+
+TYPED_TEST(StrCatTyped, WritesWhatAStreamWrites) {
+  for (const auto& [value, text] : StrCatSamples<TypeParam>()) {
+    std::ostringstream stream;
+    stream << value;
+    EXPECT_EQ(stream.str(), text);
+    EXPECT_EQ(StrCat(value), text);
+    EXPECT_EQ(StrCat("<", value, ">"), "<" + text + ">");
+  }
 }
 
 TEST(Strings, Hex32) {
