@@ -1079,7 +1079,7 @@ Result<void> OmosServer::MaterializeSegments(CachedImage& cached) {
 // ---- Persistent image store -------------------------------------------------
 
 bool OmosServer::StorableSpec(const Specialization& spec) {
-  return spec.name != "monitor" && spec.name != "reorder";
+  return spec.name != "monitor";
 }
 
 namespace {
@@ -1162,7 +1162,8 @@ Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
       fp.Bytes(object.data(), object.size());
     } else {
       fp.Str(entry->blueprint_text);
-      // A default build lays the module out by the entry's routine order.
+      // A "reorder" build, and a default one once an order is recorded,
+      // lays the module out by the entry's routine order.
       if (!entry->routine_order.empty()) {
         fp.U64(entry->routine_order.size());
         for (const std::string& name : entry->routine_order) {
@@ -2520,14 +2521,34 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
     return Err(ErrorCode::kCorrupted, "snapshot: checksum mismatch");
   }
 
+  // Stage every row and check it against the current state before applying
+  // any: a refused snapshot leaves the server as it was. The snapshot's
+  // entries are parsed and validated into a namespace of their own.
+  struct EntryRow {
+    std::string_view path;
+    EntryKind kind;
+    std::string_view blueprint;        // kMeta / kLibrary
+    std::optional<ObjectFile> object;  // kFragment
+  };
+  struct OrderRow {
+    std::string_view path;
+    std::vector<std::string> order;
+  };
+  OmosNamespace staged;
+  std::vector<EntryRow> entries;
+  std::vector<OrderRow> orders;
+  std::optional<uint64_t> layout_generation;
+  std::vector<PlacementRecord> places;
+  std::vector<std::string_view> prelinks;
   // A restored entry that differs from the current one supersedes the
   // images built from it, exactly as a redefinition does. Identical entries
   // (a restart restoring its own snapshot) keep their images and store
   // records; a path with no current entry has no image that read it.
-  auto invalidate_if_changed = [this](std::string_view path, const auto& same_as) {
+  std::vector<std::string> changed;
+  auto note_if_changed = [&](std::string_view path, const auto& same_as) {
     auto current = namespace_.Lookup(path);
     if (current.ok() && !same_as(**current)) {
-      InvalidateImagesOf({std::string(path)});
+      changed.push_back(OmosNamespace::Normalize(path));
     }
   };
   SnapshotCursor cursor{snapshot.substr(0, check_at), 0};
@@ -2543,19 +2564,21 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
       OMOS_TRY(uint64_t len, PopNumber(line));
       OMOS_TRY(std::string_view blueprint, cursor.Blob(len));
       EntryKind entry_kind = kind == 1 ? EntryKind::kLibrary : EntryKind::kMeta;
-      invalidate_if_changed(line, [&](const NamespaceEntry& current) {
+      OMOS_TRY_VOID(staged.DefineMeta(line, blueprint, entry_kind));
+      note_if_changed(line, [&](const NamespaceEntry& current) {
         return current.kind == entry_kind && current.blueprint_text == blueprint;
       });
-      OMOS_TRY_VOID(namespace_.DefineMeta(line, blueprint, entry_kind));
+      entries.push_back(EntryRow{line, entry_kind, blueprint, std::nullopt});
     } else if (tag == "frag") {
       OMOS_TRY(uint64_t len, PopNumber(line));
       OMOS_TRY(std::string_view hex, cursor.Blob(len));
       OMOS_TRY(std::vector<uint8_t> bytes, HexDecode(hex));
       OMOS_TRY(ObjectFile object, DecodeObject(bytes));
-      invalidate_if_changed(line, [&](const NamespaceEntry& current) {
+      OMOS_TRY_VOID(staged.AddFragment(line, object));
+      note_if_changed(line, [&](const NamespaceEntry& current) {
         return current.kind == EntryKind::kFragment && EncodeObject(*current.fragment) == bytes;
       });
-      OMOS_TRY_VOID(namespace_.AddFragment(line, std::move(object)));
+      entries.push_back(EntryRow{line, EntryKind::kFragment, {}, std::move(object)});
     } else if (tag == "order") {
       OMOS_TRY(uint64_t count, PopNumber(line));
       std::vector<std::string> order;
@@ -2564,14 +2587,21 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
         OMOS_TRY(std::string_view name, cursor.Line());
         order.emplace_back(name);
       }
-      invalidate_if_changed(line, [&](const NamespaceEntry& current) {
+      // The path is ordered as the snapshot defines it, else as it stands.
+      auto target = staged.Lookup(line);
+      if (!target.ok()) {
+        target = namespace_.Lookup(line);
+      }
+      if (!target.ok() || (*target)->kind == EntryKind::kFragment) {
+        return Err(ErrorCode::kNotFound, StrCat("snapshot: no meta-object to order at ", line));
+      }
+      note_if_changed(line, [&](const NamespaceEntry& current) {
         return current.routine_order == order;
       });
-      OMOS_TRY_VOID(namespace_.SetRoutineOrder(line, std::move(order)));
+      orders.push_back(OrderRow{line, std::move(order)});
     } else if (tag == "layoutgen") {
       OMOS_TRY(uint64_t generation, PopNumber(line));
-      std::lock_guard<std::mutex> lock(solver_mu_);
-      solver_.set_layout_generation(generation);
+      layout_generation = generation;
     } else if (tag == "place") {
       PlacementRecord record;
       OMOS_TRY(uint64_t text_base, PopNumber(line));
@@ -2583,15 +2613,53 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
       record.text_size = static_cast<uint32_t>(text_size);
       record.data_size = static_cast<uint32_t>(data_size);
       record.object = std::string(line);
-      std::lock_guard<std::mutex> lock(solver_mu_);
-      OMOS_TRY_VOID(solver_.AdoptPlacement(record));
+      places.push_back(std::move(record));
     } else if (tag == "prelink") {
       // Older snapshots follow the path with its cache key; it is ignored.
       OMOS_TRY(std::string_view path, PopField(line));
-      std::lock_guard<std::mutex> lock(relink_mu_);
-      prelinked_.emplace(path);
+      prelinks.push_back(path);
     } else {
       return Err(ErrorCode::kParseError, StrCat("snapshot: unknown record '", tag, "'"));
+    }
+  }
+  // A place row may clash neither with another nor with a placement that
+  // stays: adopt them all into a copy of the solver from which the
+  // placements the invalidation below releases are already gone.
+  std::set<std::string> superseded = CachedDependents({changed.begin(), changed.end()},
+                                                      /*transitive=*/true);
+  {
+    std::lock_guard<std::mutex> lock(solver_mu_);
+    ConstraintSolver trial = solver_;
+    for (const std::string& key : superseded) {
+      trial.Release(key);
+    }
+    for (const PlacementRecord& record : places) {
+      OMOS_TRY_VOID(trial.AdoptPlacement(record));
+    }
+  }
+
+  // Every row checked: apply them.
+  InvalidateImagesOf(changed);
+  for (EntryRow& row : entries) {
+    OMOS_TRY_VOID(row.object.has_value() ? namespace_.AddFragment(row.path, std::move(*row.object))
+                                         : namespace_.DefineMeta(row.path, row.blueprint, row.kind));
+  }
+  for (OrderRow& row : orders) {
+    OMOS_TRY_VOID(namespace_.SetRoutineOrder(row.path, std::move(row.order)));
+  }
+  {
+    std::lock_guard<std::mutex> lock(solver_mu_);
+    if (layout_generation.has_value()) {
+      solver_.set_layout_generation(*layout_generation);
+    }
+    for (const PlacementRecord& record : places) {
+      OMOS_TRY_VOID(solver_.AdoptPlacement(record));
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(relink_mu_);
+    for (std::string_view path : prelinks) {
+      prelinked_.emplace(path);
     }
   }
   // Restored entries supersede what earlier evaluations read.

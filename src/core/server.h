@@ -88,6 +88,9 @@ struct OmosServerConfig {
 //                  is destroyed while it is held
 //   kernel_mu_   — kernel and task mutation (CreateTask, mapping, billing,
 //                  SimFs writes); never held across a build
+//   Kernel::tasks_mu_ — the kernel's task table (CreateTask, FindTask,
+//                  DestroyTask), taken inside the kernel with or without
+//                  kernel_mu_ held; a leaf, so always last
 //
 // relink_mu_ (the relink queue and the prelinked paths), memo_mu_ (the
 // evaluation memo) and exec_channels_mu_ (the parked exec channels) are
@@ -270,7 +273,9 @@ class OmosServer {
   // store-backed restart (PersistTo/RestoreFromStore).
   std::string Snapshot() const;
   // Repopulate a (typically fresh) server from Snapshot() output. Damaged
-  // snapshots are rejected with kCorrupted before any state is applied.
+  // snapshots are rejected with kCorrupted before any state is applied, and
+  // so is a snapshot with a row that does not parse or does not fit (an
+  // order for no meta-object, a placement that clashes): all or nothing.
   Result<void> Restore(std::string_view snapshot);
 
   // ---- Persistent image store (PR 6) ----------------------------------------
@@ -487,8 +492,8 @@ class OmosServer {
   // ---- Persistent store plumbing (all no-ops when store_ == nullptr) -------
   // Whether images of (path, spec) go to and come from the store. A monitor
   // build registers the path's call counters as it links, so it is never
-  // stored or adopted; the explicit "reorder" specialization stays out with
-  // it (a default build, ordered or not, is stored).
+  // stored or adopted. Every other build is: the fingerprint covers the
+  // routine order that a "reorder" (or ordered default) build lays out by.
   static bool StorableSpec(const Specialization& spec);
   // Content fingerprint over everything that goes into the link: the path,
   // the spec string, and the transitive closure of blueprint texts, routine
@@ -650,7 +655,7 @@ class OmosServer {
   mutable std::mutex solver_mu_;
   mutable std::mutex upgrade_mu_;
   mutable std::mutex runtimes_mu_;
-  mutable std::mutex kernel_mu_;
+  mutable std::mutex kernel_mu_;  // then the kernel's own task lock, last
 
   ConstraintSolver solver_;             // guarded by solver_mu_
   std::map<TaskId, TaskRuntime> runtimes_;  // guarded by runtimes_mu_

@@ -44,11 +44,6 @@ constexpr uint32_t kInvalidPage = 0xFFFFFFFFu;
 // Block slots per text page: a block head is an 8-byte-aligned pc.
 constexpr uint32_t kSlotsPerPage = kPageSize / kInsnSize;
 
-// Parked caches of destroyed tasks kept for reuse. Tasks are created and
-// destroyed per exec, so a handful covers the concurrent execs of a busy
-// server without holding much memory.
-constexpr size_t kMaxFreeCaches = 4;
-
 inline uint32_t Load32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
@@ -150,7 +145,10 @@ struct ExecEngine::FrameBlocks final : FrameAttachment {
   std::shared_ptr<std::atomic<size_t>> live;
 };
 
-struct ExecEngine::TaskCache {
+// A task's attachment; the engine is the only code that attaches one. It
+// holds raw frame pointers and never follows one on destruction, so it may
+// outlive the frames it points into.
+struct ExecEngine::TaskCache final : TaskAttachment {
   static constexpr uint32_t kTlbEntries = 32;  // direct-mapped by virtual page
   // Open addressing by virtual page: each page probes linearly from a
   // Fibonacci hash, so text pages sharing a home slot never evict each
@@ -184,13 +182,6 @@ struct ExecEngine::TaskCache {
   uint64_t tlb_hits = 0;
   uint64_t tlb_misses = 0;
 
-  // Make a parked cache safe for a new task. Epochs alone cannot tell the
-  // old task's entries apart: every AddressSpace starts map_epoch at 1, so
-  // a new task mapping other code at the same addresses would match them.
-  void Reset() {
-    Flush();
-    epoch = 0;
-  }
   void Flush() {
     tlb.fill(TlbEntry{});
     pages.fill(PageEntry{});
@@ -316,33 +307,6 @@ ExecEngine::ExecEngine(Kernel& kernel) : kernel_(kernel) {}
 
 ExecEngine::~ExecEngine() = default;
 
-ExecEngine::TaskCache& ExecEngine::StateFor(const Task& task) {
-  std::lock_guard<std::mutex> lock(tasks_mu_);
-  std::unique_ptr<TaskCache>& slot = tasks_[task.id()];
-  if (slot == nullptr) {
-    if (free_caches_.empty()) {
-      slot = std::make_unique<TaskCache>();
-    } else {
-      slot = std::move(free_caches_.back());
-      free_caches_.pop_back();
-      slot->Reset();
-    }
-  }
-  return *slot;
-}
-
-void ExecEngine::DropTask(uint32_t task_id) {
-  std::lock_guard<std::mutex> lock(tasks_mu_);
-  auto it = tasks_.find(task_id);
-  if (it == tasks_.end()) {
-    return;
-  }
-  if (free_caches_.size() < kMaxFreeCaches) {
-    free_caches_.push_back(std::move(it->second));
-  }
-  tasks_.erase(it);
-}
-
 size_t ExecEngine::CachedBlocks() const { return live_blocks_->load(std::memory_order_relaxed); }
 
 Result<const ExecEngine::Block*> ExecEngine::LookupSlow(Task& task, TaskCache& st, uint32_t pc) {
@@ -455,7 +419,10 @@ Result<void> ExecEngine::Run(Task& task, uint64_t budget, uint64_t* executed) {
   if (task.state() != TaskState::kRunnable) {
     return OkResult();
   }
-  TaskCache& st = StateFor(task);
+  // The task's own cache, made on its first entry.
+  TaskAttachment* attached = task.attachment();
+  TaskCache& st = *static_cast<TaskCache*>(
+      attached != nullptr ? attached : &task.Attach(std::make_unique<TaskCache>()));
   AddressSpace& space = task.space();
   const uint64_t first_touch_cost = kernel_.costs().page_fault;
   Result<void> result = OkResult();

@@ -33,10 +33,11 @@
 //     pointers need no pin: an entry points only into frames its own task
 //     maps, and unmapping one bumps that task's map epoch before the task's
 //     next lookup. A block that unmaps its own text (`sys omos_unload` on
-//     itself) ends at the syscall and is not touched after it. Caches of
-//     destroyed tasks are parked on a short free list and reset when a new
-//     task takes one, so an exec pays neither the allocation nor the
-//     zeroing of a fresh one.
+//     itself) ends at the syscall and is not touched after it. Both tables
+//     are the task's own attachment (a TaskAttachment): Run makes them on
+//     the task's first entry, finds them with one pointer load on every
+//     later one, and they die with the task, so the engine keeps no task
+//     table and takes no lock to reach them.
 //
 // A block is a run of instructions within one text page ending at the first
 // control-flow instruction (branch, jump, call, ret, sys, halt), the page
@@ -65,10 +66,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "src/support/result.h"
 #include "src/vm/phys_memory.h"
@@ -115,10 +113,6 @@ class ExecEngine {
   // un-Faulted, like CpuStep: the caller owns task.Fault().
   Result<void> Run(Task& task, uint64_t budget, uint64_t* executed);
 
-  // Forget a destroyed task: its TLB and page table are parked for reuse by
-  // a later task (and reset then) or freed.
-  void DropTask(uint32_t task_id);
-
   // Introspection (tests): blocks alive on this kernel's frames.
   size_t CachedBlocks() const;
 
@@ -130,7 +124,6 @@ class ExecEngine {
   // the run-state enum and these methods see both scopes.
   struct TaskCache;
 
-  TaskCache& StateFor(const Task& task);
   // The slow path of a block lookup: fill the page-table entry for `pc`'s
   // page, then find or decode the block at `pc`. Returns nullptr (ok) when
   // the pc is not cacheable (unaligned, writable text) and the caller
@@ -141,10 +134,6 @@ class ExecEngine {
   Kernel& kernel_;
 
   std::shared_ptr<std::atomic<size_t>> live_blocks_ = std::make_shared<std::atomic<size_t>>(0);
-
-  std::mutex tasks_mu_;  // guards tasks_ (map shape only; states are per-driver), free_caches_
-  std::map<uint32_t, std::unique_ptr<TaskCache>> tasks_;
-  std::vector<std::unique_ptr<TaskCache>> free_caches_;  // dropped tasks' caches, not yet reset
 };
 
 }  // namespace omos

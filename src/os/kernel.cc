@@ -23,26 +23,34 @@ Kernel::Kernel(CostModel costs)
 }
 
 Task& Kernel::CreateTask(std::string name) {
-  TaskId id = next_task_id_++;
+  TaskId id;
+  {
+    std::lock_guard<std::mutex> lock(tasks_mu_);
+    id = next_task_id_++;
+  }
   auto task = std::make_unique<Task>(id, std::move(name), phys_);
   Task& ref = *task;
-  tasks_.emplace(id, std::move(task));
   ref.BillSys(costs_.exec_base);
   // Route page faults from any access path (interpreter, syscalls, server
   // patching) through the billing/metrics handler.
   ref.space().SetFaultHandler(
       [this, task_ptr = &ref](const PageFaultInfo& info) { return HandleFault(*task_ptr, info); });
+  // Published only once set up, so FindTask never returns a half-made task.
+  std::lock_guard<std::mutex> lock(tasks_mu_);
+  tasks_.emplace(id, std::move(task));
   return ref;
 }
 
 void Kernel::DestroyTask(TaskId id) {
-  engine_->DropTask(id);
-  tasks_.erase(id);
+  decltype(tasks_)::node_type released;  // the task is destroyed after the lock
+  std::lock_guard<std::mutex> lock(tasks_mu_);
+  released = tasks_.extract(id);
 }
 
 ExecEngine& Kernel::engine() { return *engine_; }
 
 Task* Kernel::FindTask(TaskId id) {
+  std::lock_guard<std::mutex> lock(tasks_mu_);
   auto it = tasks_.find(id);
   return it == tasks_.end() ? nullptr : it->second.get();
 }

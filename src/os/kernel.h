@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 
@@ -60,6 +61,9 @@ class Kernel {
   const CostModel& costs() const { return costs_; }
   CostModel& mutable_costs() { return costs_; }
 
+  // The task table is safe to use from any thread. A returned Task& or
+  // Task* stays valid only until the task's owner destroys it: the table
+  // does not pin tasks, and only the thread driving a task may run it.
   Task& CreateTask(std::string name);
   void DestroyTask(TaskId id);
   Task* FindTask(TaskId id);
@@ -116,9 +120,9 @@ class Kernel {
   // between the two engines.
   Result<void> RunTask(Task& task, uint64_t max_instructions = 200'000'000);
 
-  // Execution-engine selection and access. The engine is per-kernel: its
-  // block cache is keyed by physical frame ids, which are only unique
-  // within this kernel's PhysMemory.
+  // Execution-engine selection and access. The engine is per-kernel: it
+  // attaches decoded blocks to the frames of this kernel's PhysMemory, and
+  // each task carries its own translation caches as its TaskAttachment.
   EngineMode engine_mode() const { return engine_mode_; }
   void SetEngineMode(EngineMode mode) { engine_mode_ = mode; }
   ExecEngine& engine();
@@ -142,13 +146,18 @@ class Kernel {
   class Counter* frames_saved_;
   PhysMemory phys_;
   SimFs fs_;
+  // Guards tasks_ and next_task_id_. A leaf lock: nothing is called while
+  // it is held, and a destroyed task is deleted after it is released. It
+  // ranks below every lock of the kernel's callers (the server takes
+  // kernel_mu_ first, then this one), never the other way round.
+  std::mutex tasks_mu_;
   std::map<TaskId, std::unique_ptr<Task>> tasks_;
   std::map<std::string, SegmentImage> page_cache_;
   std::map<uint32_t, SysHook> sys_hooks_;
   SafepointHook safepoint_hook_;
   EngineMode engine_mode_ = DefaultEngineMode();
   std::unique_ptr<ExecEngine> engine_;
-  TaskId next_task_id_ = 1;
+  TaskId next_task_id_ = 1;  // guarded by tasks_mu_
 };
 
 }  // namespace omos

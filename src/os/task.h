@@ -32,6 +32,16 @@ struct FdEntry {
   uint32_t dir_index = 0;
 };
 
+// Executor state a task carries: the execution engine's per-task
+// translation caches. Opaque here, as FrameAttachment is to src/vm, so
+// task.h includes nothing from src/engine. The task owns its attachment
+// and deletes it when destroyed; only the thread driving the task reads or
+// installs it.
+class TaskAttachment {
+ public:
+  virtual ~TaskAttachment() = default;
+};
+
 class Task {
  public:
   Task(TaskId id, std::string name, PhysMemory& phys)
@@ -120,6 +130,14 @@ class Task {
   void RequestSafepoint() { safepoint_pending_.store(true, std::memory_order_release); }
   void ClearSafepoint() { safepoint_pending_.store(false, std::memory_order_relaxed); }
 
+  // The executor's attachment (nullptr until the first Attach), and its
+  // installation, which replaces any earlier one.
+  TaskAttachment* attachment() const { return attachment_.get(); }
+  TaskAttachment& Attach(std::unique_ptr<TaskAttachment> attachment) {
+    attachment_ = std::move(attachment);
+    return *attachment_;
+  }
+
  private:
   // TouchTextPage's page-change path, kept out of it so the same-page check
   // stays small enough to inline into the execution loops.
@@ -150,6 +168,7 @@ class Task {
   uint32_t last_fetch_page_ = 0xFFFFFFFF;
   std::vector<uint32_t> touched_text_pages_;  // sorted; a few dozen pages
   std::atomic<bool> safepoint_pending_{false};
+  std::unique_ptr<TaskAttachment> attachment_;
 };
 
 }  // namespace omos

@@ -8,8 +8,8 @@
 // exactly at the budget and at a safepoint, and agree on unaligned and
 // cross-page control flow; the wide-hot-set tests check that the per-task
 // page table holds a few hundred blocks over many text pages, stays exact
-// when pages share a slot or overflow the table, and that a recycled
-// per-task cache never serves its previous task's code; the retirement and
+// when pages share a slot or overflow the table, and that a task never runs
+// code through another task's caches; the retirement and
 // concurrency tests (TSan-covered) prove that decoded blocks live and die
 // with their frames: freed text takes its blocks along, a redefinition or
 // live upgrade costs only the re-decode of the text it replaced, racing
@@ -943,10 +943,10 @@ TEST(EngineCache, BlocksAreSharedAcrossTasksMappingTheSameFrames) {
 }
 
 TEST(EngineCache, RecycledTaskCacheDoesNotServeThePreviousTasksCode) {
-  // Task B takes over the engine state task A left behind. X and Y have the
-  // same layout and map sequence, so B's address space reaches the same
-  // map epoch at the same pc where A's page table still points at X's
-  // frame: only the reset on reuse keeps B from running X.
+  // Task B follows task A, which is destroyed first. X and Y have the same
+  // layout and map sequence, so B's address space reaches the map epoch
+  // A's page table was filled under, at the same pc: B must still run Y,
+  // never X. Its translation caches are its own, not A's.
   Kernel kernel;
   kernel.SetEngineMode(EngineMode::kBlocks);
   auto link = [](int exit_code) -> Result<LinkedImage> {
@@ -976,6 +976,74 @@ TEST(EngineCache, RecycledTaskCacheDoesNotServeThePreviousTasksCode) {
   ASSERT_OK(StartTask(kernel, b, y.entry, args));
   ASSERT_OK(kernel.RunTask(b));
   EXPECT_EQ(b.exit_code(), 22);
+}
+
+// Writes `c` `n` times through a helper call, then exits with `n`. Every
+// (n, c) links to the same layout: different code and data at the same
+// addresses.
+std::string CountdownProgram(int n, char c) {
+  return StrCat(R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  movi r5, )", n, R"(
+loop:
+  call put
+  addi r4, r4, 1
+  blt r4, r5, loop
+  mov r0, r5
+  sys 0
+put:
+  movi r0, 1
+  lea r1, msg
+  movi r2, 1
+  sys 1
+  ret
+.data
+msg: .asciiz ")", std::string(1, c), R"("
+)");
+}
+
+TEST(EngineCache, InterleavedTasksKeepTheirOwnState) {
+  // One thread runs two tasks in turn, a few instructions at a time, until
+  // both exit. They map different code at the same addresses and reach the
+  // same map epochs, so each Run must find the caches of the task it runs:
+  // each ends as it does alone under the interpreter.
+  const std::string sources[] = {CountdownProgram(13, 'x'), CountdownProgram(29, 'y')};
+  Kernel kernel;
+  kernel.SetEngineMode(EngineMode::kBlocks);
+  std::vector<Task*> tasks;
+  for (const std::string& source : sources) {
+    ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(source, "countdown.o"));
+    Module module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
+    LayoutSpec layout;
+    layout.entry_symbol = "_start";
+    ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(module, layout, "countdown"));
+    Task& task = kernel.CreateTask("countdown");
+    ASSERT_OK(MapLinkedImage(kernel, task, image, ""));
+    std::vector<std::string> args{"countdown"};
+    ASSERT_OK(StartTask(kernel, task, image.entry, args));
+    tasks.push_back(&task);
+  }
+  for (bool running = true; running;) {
+    running = false;
+    for (Task* task : tasks) {
+      if (task->state() == TaskState::kRunnable) {
+        (void)kernel.RunTask(*task, 5);  // stops at the budget, still runnable
+        running = running || task->state() == TaskState::kRunnable;
+      }
+    }
+  }
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    ASSERT_OK_AND_ASSIGN(Observed alone, RunUnder(EngineMode::kInterp, sources[i]));
+    EXPECT_EQ(tasks[i]->state(), TaskState::kExited) << i;
+    EXPECT_EQ(tasks[i]->exit_code(), alone.exit_code) << i;
+    EXPECT_EQ(tasks[i]->output(), alone.output) << i;
+    EXPECT_EQ(tasks[i]->instructions_retired(), alone.retired) << i;
+  }
+  EXPECT_EQ(tasks[0]->exit_code(), 13);
+  EXPECT_EQ(tasks[1]->output(), std::string(29, 'y'));
 }
 
 // ---- Block retirement on redefinition and upgrade ---------------------------

@@ -1,7 +1,12 @@
-// Unit tests for the mini-OS: SimFs, syscalls, cost accounting, stack/argv.
+// Unit tests for the mini-OS: SimFs, syscalls, cost accounting, stack/argv,
+// the task table.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "src/os/kernel.h"
 #include "src/support/faultsim.h"
@@ -541,6 +546,52 @@ _start:
   sys 0
 )", {"prog", "a", "bc"}));
   EXPECT_EQ(out.exit_code, 3);
+}
+
+TEST(KernelTasks, ConcurrentCreateFindDestroy) {
+  // Exec threads share one task table. Four threads create, find and
+  // destroy their own tasks while a fifth polls FindTask for every id: each
+  // owner sees its task until it destroys it, and no id is handed out twice.
+  constexpr int kWorkers = 4;
+  constexpr int kTasksPerWorker = 200;
+  constexpr TaskId kIds = kWorkers * kTasksPerWorker;
+  Kernel kernel;
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::vector<std::vector<TaskId>> ids(kWorkers);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWorkers; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kTasksPerWorker; ++i) {
+        Task& task = kernel.CreateTask(StrCat("worker", w));
+        ids[static_cast<size_t>(w)].push_back(task.id());
+        errors.fetch_add(kernel.FindTask(task.id()) != &task);
+        kernel.DestroyTask(task.id());
+      }
+    });
+  }
+  std::thread poller([&] {
+    while (!done.load()) {
+      for (TaskId id = 1; id <= kIds; ++id) {
+        (void)kernel.FindTask(id);  // another thread's task: found or not, never used
+      }
+    }
+  });
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  done.store(true);
+  poller.join();
+  EXPECT_EQ(errors.load(), 0);
+  std::set<TaskId> distinct;
+  for (const std::vector<TaskId>& worker_ids : ids) {
+    distinct.insert(worker_ids.begin(), worker_ids.end());
+  }
+  EXPECT_EQ(distinct.size(), kIds);
+  for (TaskId id = 1; id <= kIds; ++id) {
+    EXPECT_EQ(kernel.FindTask(id), nullptr) << id;
+  }
+  EXPECT_EQ(kernel.CreateTask("next").id(), kIds + 1);
 }
 
 }  // namespace

@@ -1429,19 +1429,17 @@ TEST_F(ServerFeatures, OrderRedefinitionsRaceExecs) {
   std::string order_a = WithOrder(unplaced, "/bin/prog", order);
   std::reverse(order.begin(), order.end());
   std::string order_b = WithOrder(unplaced, "/bin/prog", order);
-  // The kernel's task table is not for concurrent destruction: tasks are
-  // released after the threads join.
-  std::mutex tasks_mu;
-  std::vector<TaskId> tasks;
+  // Each reader releases and destroys its tasks while the others exec.
   auto exec_layout = [&]() -> TextLayout {
     auto id = server_->IntegratedExec("/bin/prog", {"prog"});
     EXPECT_TRUE(id.ok()) << id.error().ToString();
     if (!id.ok()) {
       return {};
     }
-    std::lock_guard<std::mutex> lock(tasks_mu);
-    tasks.push_back(*id);
-    return ExecLayout(*server_, *id);
+    TextLayout layout = ExecLayout(*server_, *id);
+    server_->ReleaseTask(*id);
+    kernel_.DestroyTask(*id);
+    return layout;
   };
   // Each order's layout, as a fresh server given that snapshot builds it.
   auto fresh_layout = [](const std::string& snapshot) {
@@ -1504,13 +1502,67 @@ TEST_F(ServerFeatures, OrderRedefinitionsRaceExecs) {
   for (std::thread& t : threads) {
     t.join();
   }
-  for (TaskId id : tasks) {
-    server_->ReleaseTask(id);
-    kernel_.DestroyTask(id);
-  }
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(wrong.load(), 0) << "of " << exec_count.load() << " execs";
   EXPECT_GE(decisive.load(), kFlips);
+}
+
+TEST_F(ServerFeatures, RefusedRestoreAppliesNothing) {
+  // A snapshot refused for one row leaves the server exactly as it was,
+  // though the rows before it would redefine a program, define another and
+  // adopt placements: the namespace, the placements, the prelinked paths
+  // and the served images are all unchanged.
+  DefineArgcProgram(*server_);
+  ASSERT_OK_AND_ASSIGN(int prelinked, server_->PrelinkNamespace("/bin"));
+  ASSERT_EQ(prelinked, 1);
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/prog", {"prog"}));
+  ASSERT_OK(Run(id));
+  const std::string known = server_->Snapshot();
+  ASSERT_NE(known.find("\nplace "), std::string::npos);
+  ASSERT_NE(known.find("\nprelink "), std::string::npos);
+  auto served_images = [&] {
+    std::map<std::string, const CachedImage*> images;
+    for (const std::string& key : server_->cache().Keys()) {
+      images[key] = server_->cache().Peek(key).get();
+    }
+    return images;
+  };
+  const auto served = served_images();
+  ASSERT_FALSE(served.empty());
+
+  // The known state with /bin/prog redefined and /bin/extra added.
+  Kernel kernel2;
+  OmosServer other(kernel2);
+  ASSERT_OK(other.Restore(known));
+  ASSERT_OK(other.DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/main.o /obj/b.o /obj/a.o)"));
+  ASSERT_OK(other.DefineMeta("/bin/extra", "(merge /lib/crt0.o /obj/main.o)"));
+  const std::string changed = other.Snapshot();
+
+  // Its first place row again, for another object: the two rows clash.
+  std::string body = changed.substr(0, changed.rfind("check "));
+  size_t row = body.find("\nplace ") + 1;
+  std::string place = body.substr(row, body.find('\n', row) + 1 - row);
+  body.insert(row, place.substr(0, place.rfind(' ') + 1) + "/bin/clash\n");
+  struct Refused {
+    const char* row;
+    std::string snapshot;
+    ErrorCode code;
+  };
+  const Refused refused[] = {
+      {"order for a fragment", WithOrder(changed, "/obj/a.o", {"f_a"}), ErrorCode::kNotFound},
+      {"clashing place", WithCheck(body), ErrorCode::kConstraintConflict},
+  };
+  for (const Refused& r : refused) {
+    SCOPED_TRACE(r.row);
+    auto result = server_->Restore(r.snapshot);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code(), r.code);
+    EXPECT_EQ(server_->Snapshot(), known);
+    EXPECT_EQ(served_images(), served);
+  }
+  // The same rows without the bad one apply.
+  ASSERT_OK(server_->Restore(changed));
+  EXPECT_TRUE(server_->name_space().Exists("/bin/extra"));
 }
 
 TEST_F(ServerFeatures, ConflictWithoutPrelinkEntriesIsNotResolved) {

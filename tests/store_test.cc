@@ -669,6 +669,81 @@ TEST_F(StoreServerTest, RedefinitionInvalidatesStoredImages) {
   EXPECT_EQ(rebuilt->image.data.size() + rebuilt->image.bss_size > 0, true);
 }
 
+// `snapshot` with the names of its one order row reversed and its check
+// line recomputed: FNV-1a of every byte before it, as 0x + 16 hex digits.
+std::string WithReversedOrder(const std::string& snapshot) {
+  std::string body = snapshot.substr(0, snapshot.rfind("check "));
+  size_t row = body.find("\norder ") + 1;
+  size_t count = std::stoul(body.substr(row + 6));  // "order <count> <path>"
+  size_t first = body.find('\n', row) + 1;
+  size_t end = first;
+  std::string reversed;
+  for (size_t i = 0; i < count; ++i) {
+    size_t next = body.find('\n', end) + 1;
+    reversed.insert(0, body, end, next - end);
+    end = next;
+  }
+  body.replace(first, end - first, reversed);
+  uint64_t sum = Fnv1a(body);
+  return StrCat(body, "check ", Hex32(static_cast<uint32_t>(sum >> 32)),
+                Hex32(static_cast<uint32_t>(sum)).substr(2), "\n");
+}
+
+// A "reorder" image is stored like any other build: a restarted server
+// adopts it byte for byte, and its record stops matching once the routine
+// order (an input the fingerprint covers) changes.
+TEST_F(StoreServerTest, ReorderImageAdoptsAfterReopen) {
+  const Specialization reorder{"reorder", {}};
+  SimFs disk;
+  std::vector<uint8_t> text;
+  std::string snapshot;
+  {
+    Kernel kernel;
+    ImageStore store(disk, kStoreRoot, &kernel.costs());
+    ASSERT_OK(store.Open());
+    OmosServer server(kernel);
+    ASSERT_OK(Populate(server));
+    server.AttachStore(&store);
+    ASSERT_OK_AND_ASSIGN(TaskId id, server.IntegratedExec("/bin/cat", {"cat"},
+                                                          Specialization{"monitor", {}}));
+    ASSERT_OK(kernel.RunTask(*kernel.FindTask(id)));
+    ASSERT_OK(server.DerivePreferredOrder("/bin/cat"));
+    ASSERT_OK_AND_ASSIGN(const CachedImage* built, server.Instantiate("/bin/cat", reorder, nullptr));
+    text = built->image.text;
+    ASSERT_OK(server.PersistTo(store));
+    snapshot = server.Snapshot();
+  }
+
+  {
+    Kernel kernel;
+    ImageStore store(disk, kStoreRoot, &kernel.costs());
+    ASSERT_OK(store.Open());
+    OmosServer server(kernel);
+    ASSERT_OK(server.RestoreFromStore(store));
+    uint64_t hits = store.stats().hits.load();
+    ASSERT_OK_AND_ASSIGN(const CachedImage* adopted,
+                         server.Instantiate("/bin/cat", reorder, nullptr));
+    EXPECT_EQ(store.stats().hits.load(), hits + 1);
+    EXPECT_TRUE(adopted->image.text == text);
+    ASSERT_OK_AND_ASSIGN(TaskId id, server.IntegratedExec("/bin/cat", {"cat"}, reorder));
+    ASSERT_OK(kernel.RunTask(*kernel.FindTask(id)));
+    EXPECT_EQ(kernel.FindTask(id)->exit_code(), 21);
+  }
+
+  // The same store under a reversed order: the record is refused and the
+  // image is linked afresh in the new layout.
+  Kernel kernel;
+  ImageStore store(disk, kStoreRoot, &kernel.costs());
+  ASSERT_OK(store.Open());
+  OmosServer server(kernel);
+  ASSERT_OK(server.Restore(WithReversedOrder(snapshot)));
+  server.AttachStore(&store);
+  uint64_t hits = store.stats().hits.load();
+  ASSERT_OK_AND_ASSIGN(const CachedImage* rebuilt, server.Instantiate("/bin/cat", reorder, nullptr));
+  EXPECT_EQ(store.stats().hits.load(), hits);
+  EXPECT_TRUE(rebuilt->image.text != text);
+}
+
 // A store-adopted image records the paths its fingerprint covered, so a
 // fragment two blueprint hops behind a library (/bin/q -> /lib/ans -> /libx
 // -> /libx/v.o) still invalidates it after a restart.
