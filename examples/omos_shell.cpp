@@ -13,8 +13,8 @@
 //   stats              print the unified metrics snapshot
 //   trace <file>       dump Chrome trace_event JSON (chrome://tracing)
 //   profile            symbol-level profile of the last client that ran
-//   placements         global layout: the current layout generation,
-//                      per-object bases, and the conflict log
+//   placements         global layout: per-object bases and the
+//                      conflict log
 //   upgrade <lib> <blueprint>
 //                      hot-patch a lib-dynamic library mid-session
 //                      (docs/upgrade.md) and drive the roll to completion

@@ -107,7 +107,7 @@ Result<Placement> ConstraintSolver::Place(const std::string& object, uint32_t te
     }
     Release(object);
     // The object outgrew its home: the refit below moves a live placement,
-    // so it must advance the layout generation like any other move.
+    // so it counts as a move.
     regrow = true;
   }
   OMOS_TRY(uint32_t text_base, Fit(text_ranges_, arenas_.text_lo, arenas_.text_hi, text_size,
@@ -120,7 +120,6 @@ Result<Placement> ConstraintSolver::Place(const std::string& object, uint32_t te
     return data.error();
   }
   if (regrow) {
-    ++layout_generation_;
     Metrics().moves->Add();
   }
   Placement placement{text_base, std::move(data).value()};
@@ -159,10 +158,7 @@ std::vector<std::string> ConstraintSolver::OptimizePlacements() {
     }
     placements_[object] = Record{placement, record.text_size, record.data_size};
   }
-  if (!changed.empty()) {
-    ++layout_generation_;
-    Metrics().moves->Add(changed.size());
-  }
+  Metrics().moves->Add(changed.size());
   return changed;
 }
 
@@ -224,10 +220,7 @@ std::vector<std::string> ConstraintSolver::SolveNamespace() {
     }
   }
   conflicts_ = std::move(remaining);
-  if (!moved.empty()) {
-    ++layout_generation_;
-    Metrics().moves->Add(moved.size());
-  }
+  Metrics().moves->Add(moved.size());
   return moved;
 }
 

@@ -12,11 +12,11 @@
 //
 // Fleet-wide prelink (§4.1 feedback loop): the solver's placement map IS
 // the global layout — one conflict-free home per image, valid for every
-// client simultaneously. The layout is versioned by a monotonic *layout
-// generation*: fresh placements do not bump it, but any pass that MOVES a
-// live placement (SolveNamespace, OptimizePlacements, a grow-refit) does.
-// The server evicts every image a move invalidates; the generation versions
-// the persistent store's fingerprints.
+// client simultaneously. A pass that MOVES a live placement
+// (SolveNamespace, OptimizePlacements, a grow-refit) returns or counts the
+// moved objects (solver.moves); the server evicts every image a move
+// invalidates, and a stored image is adopted only where it still lands at
+// its recorded bases.
 #ifndef OMOS_SRC_CORE_CONSTRAINTS_H_
 #define OMOS_SRC_CORE_CONSTRAINTS_H_
 
@@ -85,8 +85,7 @@ class ConstraintSolver {
   // determine better placements, or this could be done fully automatically."
   // Re-packs every known object into a deterministic, conflict-free layout
   // and clears the conflict log. Returns the objects whose placement
-  // changed (their cached images must be rebuilt). Bumps the layout
-  // generation when anything moved.
+  // changed (their cached images must be rebuilt).
   std::vector<std::string> OptimizePlacements();
 
   // The fleet-wide re-solve: resolve every recorded conflict into a stable
@@ -94,22 +93,14 @@ class ConstraintSolver {
   // lost to the no-overlap constraint are re-placed at their recorded
   // wanted base when that range has since freed up (first-fit otherwise);
   // every other placement stays at its current home. Deterministic: the
-  // conflict log is processed in object-name order. Clears the conflict log
-  // and bumps the layout generation iff any placement moved. Returns the
-  // moved objects (their cached images must be re-linked).
+  // conflict log is processed in object-name order. Clears the conflict
+  // log. Returns the moved objects (their cached images must be re-linked).
   std::vector<std::string> SolveNamespace();
 
   const std::vector<ConflictRecord>& conflicts() const { return conflicts_; }
   size_t placed_count() const { return placements_.size(); }
   // Current placement of `object`, if any.
   const Placement* Find(const std::string& object) const;
-
-  // The global layout version. Starts at 1; bumped only when a live
-  // placement moves (never by a fresh Place), so store fingerprints stay
-  // stable while the layout is stable.
-  uint64_t layout_generation() const { return layout_generation_; }
-  // Restore path: resume the generation counter from a snapshot.
-  void set_layout_generation(uint64_t generation) { layout_generation_ = generation; }
 
   // Snapshot support: export every placement assignment, in object order.
   std::vector<PlacementRecord> ExportPlacements() const;
@@ -140,7 +131,6 @@ class ConstraintSolver {
   std::map<uint32_t, Range> data_ranges_;
   std::map<std::string, Record> placements_;
   std::vector<ConflictRecord> conflicts_;
-  uint64_t layout_generation_ = 1;
 };
 
 }  // namespace omos

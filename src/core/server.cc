@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <sstream>
 
 #include <chrono>
 
-#include "src/cc/compiler.h"
 #include "src/core/stubgen.h"
 #include "src/support/faultsim.h"
 #include "src/ipc/ring_transport.h"
@@ -16,25 +14,10 @@
 #include "src/support/strings.h"
 #include "src/support/thread_pool.h"
 #include "src/support/trace.h"
-#include "src/vasm/assembler.h"
 
 namespace omos {
 
 namespace {
-
-constexpr int kMaxEvalDepth = 64;
-// Simulated cycles to assemble one line of generated source.
-constexpr uint64_t kAssembleLineCost = 40;
-
-// Each address set in `over` replaces the one in `base`.
-void Overlay(PlacementHints& base, const PlacementHints& over) {
-  if (over.text_base.has_value()) {
-    base.text_base = over.text_base;
-  }
-  if (over.data_base.has_value()) {
-    base.data_base = over.data_base;
-  }
-}
 
 // Regex alternation matching exactly the given names: "^(a|b|c)$".
 std::string NamesPattern(const std::vector<std::string>& names) {
@@ -117,56 +100,6 @@ Result<ImageRef> BuildCurrent(Tracker& tracker, Build&& build) {
 }
 
 }  // namespace
-
-// ---- Specialization ---------------------------------------------------------
-
-std::string Specialization::ToKeyString() const {
-  std::string out = name;
-  if (hints.text_base.has_value()) {
-    out += ";T=" + Hex32(*hints.text_base);
-  }
-  if (hints.data_base.has_value()) {
-    out += ";D=" + Hex32(*hints.data_base);
-  }
-  return out;
-}
-
-Result<Specialization> Specialization::FromKeyString(std::string_view text) {
-  // A base as ToKeyString writes it ("0x" hex), or octal/decimal like
-  // strtoul's base 0; anything else, or wider than 32 bits, is refused.
-  auto parse_base = [text](std::string_view value) -> Result<uint32_t> {
-    std::string_view digits = value;
-    int radix = 10;
-    if (digits.size() > 2 && digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X')) {
-      digits.remove_prefix(2);
-      radix = 16;
-    } else if (digits.size() > 1 && digits[0] == '0') {
-      digits.remove_prefix(1);
-      radix = 8;
-    }
-    uint32_t base = 0;
-    auto [ptr, ec] = std::from_chars(digits.data(), digits.data() + digits.size(), base, radix);
-    if (digits.empty() || ec != std::errc() || ptr != digits.data() + digits.size()) {
-      return Err(ErrorCode::kInvalidArgument,
-                 StrCat("specialization '", text, "': bad base '", value, "'"));
-    }
-    return base;
-  };
-  Specialization spec;
-  std::vector<std::string> parts = SplitString(text, ';');
-  if (!parts.empty()) {
-    spec.name = parts[0];
-  }
-  for (size_t i = 1; i < parts.size(); ++i) {
-    std::string_view part = parts[i];
-    if (StartsWith(part, "T=")) {
-      OMOS_TRY(spec.hints.text_base, parse_base(part.substr(2)));
-    } else if (StartsWith(part, "D=")) {
-      OMOS_TRY(spec.hints.data_base, parse_base(part.substr(2)));
-    }
-  }
-  return spec;
-}
 
 // ---- Construction -----------------------------------------------------------
 
@@ -268,7 +201,7 @@ Result<void> OmosServer::Redefine(const std::vector<std::string>& paths,
   std::unique_lock<std::shared_mutex> publishing(publish_mu_);
   InvalidateImagesOf(paths);
   Result<void> published = publish();
-  DropStaleMemos();
+  evaluator_.DropStaleMemos();
   return published;
 }
 
@@ -303,355 +236,14 @@ Result<void> OmosServer::AddArchive(std::string_view dir, const Archive& archive
   });
 }
 
-// ---- Blueprint evaluation ---------------------------------------------------
-
-Result<Module> OmosServer::RequireModule(EvalValue value, std::string_view op) const {
-  if (!value.module.has_value()) {
-    return Err(ErrorCode::kInvalidArgument,
-               StrCat(op, ": operand yields no module (library references need merge context)"));
-  }
-  return std::move(*value.module);
-}
-
-Result<Module> OmosServer::MergeValues(std::vector<EvalValue> values, EvalValue& out,
-                                       bool override_mode) {
-  std::vector<Module> modules;
-  modules.reserve(values.size());
-  for (EvalValue& value : values) {
-    out.libs.insert(out.libs.end(), value.libs.begin(), value.libs.end());
-    Overlay(out.hints, value.hints);
-    if (value.module.has_value()) {
-      modules.push_back(std::move(*value.module));
-    }
-  }
-  if (!override_mode) {
-    return Module::MergeAll(modules);
-  }
-  Module acc = modules.empty() ? Module() : std::move(modules[0]);
-  for (size_t i = 1; i < modules.size(); ++i) {
-    OMOS_TRY(acc, Module::Override(acc, modules[i]));
-  }
-  return acc;
-}
-
-Result<std::shared_ptr<const NamespaceEntry>> OmosServer::ReadInput(std::string_view path,
-                                                                    BuildTracker& tracker) const {
-  std::string norm = OmosNamespace::Normalize(path);
-  auto entry = namespace_.Lookup(norm);
-  tracker.reads.emplace_back(std::move(norm), entry.ok() ? *entry : nullptr);
-  return entry;
-}
-
-bool OmosServer::MemoCurrent(const EvalMemo& memo, const NamespaceEntry* entry) const {
-  return memo.entry.get() == entry && namespace_.AllCurrent(*memo.reads);
-}
-
-void OmosServer::DropStaleMemos() {
-  std::vector<std::shared_ptr<const EvalMemo>> dropped;  // freed after the lock drops
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  std::erase_if(eval_memo_, [&](auto& item) {
-    if (MemoCurrent(*item.second, item.second->entry.get())) {
-      return false;
-    }
-    dropped.push_back(std::move(item.second));
-    return true;
-  });
-}
-
-Result<OmosServer::EvalValue> OmosServer::EvalConstruction(
-    const std::string& norm, const std::shared_ptr<const NamespaceEntry>& entry,
-    BuildTracker& tracker, int depth) {
-  static Counter* hits = MetricsRegistry::Global().GetCounter("eval.memo_hits");
-  static Counter* misses = MetricsRegistry::Global().GetCounter("eval.memo_misses");
-  std::shared_ptr<const EvalMemo> memo;
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    auto it = eval_memo_.find(norm);
-    if (it != eval_memo_.end()) {
-      memo = it->second;
-    }
-  }
-  // A hit must also fit the depth budget a cold evaluation would have had
-  // from here; otherwise evaluate cold and report its error.
-  if (memo != nullptr && MemoCurrent(*memo, entry.get()) &&
-      depth + memo->height <= kMaxEvalDepth) {
-    hits->Add();
-    tracker.work += memo->work;
-    tracker.nested.push_back(memo->reads);
-    tracker.max_depth = std::max(tracker.max_depth, depth + memo->height);
-    return memo->value;
-  }
-  misses->Add();
-  BuildTracker sub;
-  sub.max_depth = depth;
-  Result<EvalValue> value = Eval(entry->construction, sub, depth);
-  // Cold work and reads are billed and recorded whether or not it succeeded.
-  tracker.work += sub.work;
-  tracker.max_depth = std::max(tracker.max_depth, sub.max_depth);
-  sub.reads.emplace_back(norm, entry);
-  std::shared_ptr<const ReadSet> reads = sub.TakeReads();
-  tracker.nested.push_back(reads);
-  if (!value.ok()) {
-    return value;
-  }
-  if (value->module.has_value()) {
-    // Materialized once here, so concurrent hits only ever read the space.
-    OMOS_TRY_VOID(value->module->Space());
-  }
-  auto fresh = std::make_shared<EvalMemo>();
-  fresh->entry = entry;
-  fresh->value = *value;
-  fresh->work = sub.work;
-  fresh->height = sub.max_depth - depth;
-  fresh->reads = std::move(reads);
-  std::shared_ptr<const EvalMemo> replaced;  // freed after the locks drop
-  std::shared_lock<std::shared_mutex> publishing(publish_mu_);
-  if (namespace_.AllCurrent(*fresh->reads)) {  // else superseded mid-evaluation
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    replaced = std::exchange(eval_memo_[norm], std::move(fresh));
-  }
-  return value;
-}
-
-Result<OmosServer::EvalValue> OmosServer::EvalName(const std::string& name, BuildTracker& tracker,
-                                                   int depth) {
-  OMOS_TRY(std::shared_ptr<const NamespaceEntry> entry, ReadInput(name, tracker));
-  EvalValue value;
-  switch (entry->kind) {
-    case EntryKind::kFragment:
-      value.module = Module::FromObject(entry->fragment);
-      return value;
-    case EntryKind::kLibrary: {
-      LibraryUse use;
-      use.path = OmosNamespace::Normalize(name);
-      use.spec.name = entry->default_spec;
-      // The library's own constraint-list is its *default* placement and is
-      // applied when the library image itself is built; only explicit
-      // specialize-time hints travel in the spec (and hence the cache key).
-      value.libs.push_back(std::move(use));
-      return value;
-    }
-    case EntryKind::kMeta: {
-      std::string norm = tracker.reads.back().first;  // tracker.reads grows below
-      return EvalConstruction(norm, entry, tracker, depth + 1);
-    }
-  }
-  return Err(ErrorCode::kInternal, "bad namespace entry kind");
-}
-
-Result<OmosServer::EvalValue> OmosServer::Eval(const Sexpr& expr, BuildTracker& tracker,
-                                               int depth) {
-  if (depth > kMaxEvalDepth) {
-    return Err(ErrorCode::kParseError, "blueprint: evaluation too deep (cycle?)");
-  }
-  tracker.max_depth = std::max(tracker.max_depth, depth);
-  if (expr.kind == Sexpr::Kind::kSymbol) {
-    return EvalName(expr.atom, tracker, depth);
-  }
-  if (expr.IsAtom()) {
-    return Err(ErrorCode::kParseError,
-               StrCat("blueprint: cannot evaluate atom '", expr.ToString(), "'"));
-  }
-  if (expr.children.empty() || expr.children[0].kind != Sexpr::Kind::kSymbol) {
-    return Err(ErrorCode::kParseError, "blueprint: expected (operation args...)");
-  }
-  const std::string& op = expr.children[0].atom;
-
-  auto eval_operands = [&](size_t first) -> Result<std::vector<EvalValue>> {
-    std::vector<EvalValue> values;
-    for (size_t i = first; i < expr.children.size(); ++i) {
-      OMOS_TRY(EvalValue value, Eval(expr.children[i], tracker, depth + 1));
-      values.push_back(std::move(value));
-    }
-    return values;
-  };
-  auto string_arg = [&](size_t i) -> Result<std::string> {
-    if (i >= expr.children.size() || expr.children[i].kind != Sexpr::Kind::kString) {
-      return Err(ErrorCode::kParseError, StrCat(op, ": argument ", i, " must be a string"));
-    }
-    return expr.children[i].atom;
-  };
-  auto unary_operand = [&](size_t first) -> Result<EvalValue> {
-    OMOS_TRY(std::vector<EvalValue> values, eval_operands(first));
-    if (values.empty()) {
-      return Err(ErrorCode::kParseError, StrCat(op, ": missing operand"));
-    }
-    EvalValue out;
-    OMOS_TRY(Module merged, MergeValues(std::move(values), out, /*override_mode=*/false));
-    out.module = std::move(merged);
-    return out;
-  };
-
-  if (op == "merge" || op == "list") {
-    OMOS_TRY(std::vector<EvalValue> values, eval_operands(1));
-    EvalValue out;
-    OMOS_TRY(Module merged, MergeValues(std::move(values), out, /*override_mode=*/false));
-    out.module = std::move(merged);
-    return out;
-  }
-  if (op == "override") {
-    OMOS_TRY(std::vector<EvalValue> values, eval_operands(1));
-    EvalValue out;
-    OMOS_TRY(Module merged, MergeValues(std::move(values), out, /*override_mode=*/true));
-    out.module = std::move(merged);
-    return out;
-  }
-  if (op == "freeze" || op == "restrict" || op == "project" || op == "hide" || op == "show") {
-    OMOS_TRY(std::string pattern, string_arg(1));
-    OMOS_TRY(EvalValue value, unary_operand(2));
-    Module m = std::move(*value.module);
-    if (op == "freeze") {
-      m = m.Freeze(pattern);
-    } else if (op == "restrict") {
-      m = m.Restrict(pattern);
-    } else if (op == "project") {
-      m = m.Project(pattern);
-    } else if (op == "hide") {
-      m = m.Hide(pattern);
-    } else {
-      m = m.Show(pattern);
-    }
-    value.module = std::move(m);
-    return value;
-  }
-  if (op == "copy-as" || op == "copy_as") {
-    OMOS_TRY(std::string pattern, string_arg(1));
-    OMOS_TRY(std::string newname, string_arg(2));
-    OMOS_TRY(EvalValue value, unary_operand(3));
-    value.module = value.module->CopyAs(pattern, newname);
-    return value;
-  }
-  if (op == "rename") {
-    OMOS_TRY(std::string pattern, string_arg(1));
-    OMOS_TRY(std::string newname, string_arg(2));
-    size_t operand_start = 3;
-    RenameWhich which = RenameWhich::kBoth;
-    if (expr.children.size() > 3 && expr.children[3].kind == Sexpr::Kind::kString) {
-      const std::string& w = expr.children[3].atom;
-      if (w == "refs") {
-        which = RenameWhich::kRefs;
-      } else if (w == "defs") {
-        which = RenameWhich::kDefs;
-      } else if (w == "both") {
-        which = RenameWhich::kBoth;
-      } else {
-        return Err(ErrorCode::kParseError, StrCat("rename: bad selector '", w, "'"));
-      }
-      operand_start = 4;
-    }
-    OMOS_TRY(EvalValue value, unary_operand(operand_start));
-    value.module = value.module->Rename(pattern, newname, which);
-    return value;
-  }
-  if (op == "source") {
-    OMOS_TRY(std::string lang, string_arg(1));
-    OMOS_TRY(std::string text, string_arg(2));
-    size_t lines = 1 + std::count(text.begin(), text.end(), '\n');
-    tracker.work += kAssembleLineCost * lines;
-    ObjectFile object;
-    if (lang == "asm") {
-      OMOS_TRY(object, Assemble(text, "source.s"));
-    } else if (lang == "c") {
-      OMOS_TRY(std::string asm_text, CompileC(text));
-      OMOS_TRY(object, Assemble(asm_text, "source.c"));
-    } else {
-      return Err(ErrorCode::kUnsupported, StrCat("source: unknown language '", lang, "'"));
-    }
-    EvalValue value;
-    value.module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
-    return value;
-  }
-  if (op == "specialize") {
-    OMOS_TRY(std::string spec_name, string_arg(1));
-    PlacementHints hints;
-    size_t operand_start = 2;
-    // Optional (list "T" addr ["D" addr]) placement argument.
-    if (expr.children.size() > 2 && expr.children[2].kind == Sexpr::Kind::kList &&
-        !expr.children[2].children.empty() && expr.children[2].children[0].atom == "list") {
-      const auto& args = expr.children[2].children;
-      for (size_t i = 1; i + 1 < args.size(); i += 2) {
-        if (args[i].atom == "T") {
-          hints.text_base = static_cast<uint32_t>(args[i + 1].number);
-        } else if (args[i].atom == "D") {
-          hints.data_base = static_cast<uint32_t>(args[i + 1].number);
-        }
-      }
-      operand_start = 3;
-    }
-    OMOS_TRY(std::vector<EvalValue> values, eval_operands(operand_start));
-    EvalValue out;
-    OMOS_TRY(Module merged, MergeValues(std::move(values), out, /*override_mode=*/false));
-    if (!out.libs.empty()) {
-      for (LibraryUse& use : out.libs) {
-        use.spec.name = spec_name;
-        Overlay(use.spec.hints, hints);
-      }
-      out.module = std::move(merged);
-      return out;
-    }
-    // Module-level specialization: only placement-style specializations are
-    // meaningful here; monitor/reorder apply at Instantiate time.
-    if (spec_name == "lib-constrained" || spec_name == "constrained") {
-      out.hints = hints;
-      out.module = std::move(merged);
-      return out;
-    }
-    return Err(ErrorCode::kUnsupported,
-               StrCat("specialize ", spec_name, ": operand is not a library"));
-  }
-  if (op == "constrain") {
-    // (constrain "T" addr operand...) — placement hint for this object.
-    OMOS_TRY(std::string which, string_arg(1));
-    if (expr.children.size() < 4 || expr.children[2].kind != Sexpr::Kind::kNumber) {
-      return Err(ErrorCode::kParseError, "constrain: expected (constrain \"T\" addr operand)");
-    }
-    uint32_t addr = static_cast<uint32_t>(expr.children[2].number);
-    OMOS_TRY(EvalValue value, unary_operand(3));
-    if (which == "T") {
-      value.hints.text_base = addr;
-    } else if (which == "D") {
-      value.hints.data_base = addr;
-    } else {
-      return Err(ErrorCode::kParseError, "constrain: key must be \"T\" or \"D\"");
-    }
-    return value;
-  }
-  if (op == "initializers") {
-    // Generate a __run_initializers routine calling every __init_* export in
-    // name order (the C++ static-constructor story, §2.2/§3.3).
-    OMOS_TRY(EvalValue value, unary_operand(1));
-    OMOS_TRY(std::vector<std::string> exports, value.module->ExportNames());
-    std::vector<std::string> inits;
-    for (const std::string& name : exports) {
-      if (StartsWith(name, "__init_")) {
-        inits.push_back(name);
-      }
-    }
-    std::ostringstream text;
-    text << ".text\n.global __run_initializers\n__run_initializers:\n  push lr\n";
-    for (const std::string& init : inits) {
-      text << "  call " << init << "\n";
-    }
-    text << "  pop lr\n  ret\n";
-    tracker.work += kAssembleLineCost * (inits.size() + 4);
-    OMOS_TRY(ObjectFile object, Assemble(text.str(), "initializers.s"));
-    OMOS_TRY(Module merged,
-             Module::Merge(*value.module,
-                           Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)))));
-    value.module = std::move(merged);
-    return value;
-  }
-  return Err(ErrorCode::kParseError, StrCat("blueprint: unknown operation '", op, "'"));
-}
-
 Result<Module> OmosServer::EvaluateBlueprint(std::string_view text, uint64_t* work_cycles) {
   OMOS_TRY(Sexpr expr, ParseSexpr(text));
   BuildTracker tracker;
-  OMOS_TRY(EvalValue value, Eval(expr, tracker, 0));
+  OMOS_TRY(EvalValue value, evaluator_.Eval(expr, tracker));
   if (work_cycles != nullptr) {
     *work_cycles += tracker.work;
   }
-  return RequireModule(std::move(value), "blueprint");
+  return BlueprintEvaluator::RequireModule(std::move(value), "blueprint");
 }
 
 // ---- Instantiation ----------------------------------------------------------
@@ -663,43 +255,6 @@ void OmosServer::ChargeLinkWork(const LinkCounts& stats, uint32_t symbol_count,
   tracker.work += costs.symbol_parse * symbol_count;
   tracker.work += costs.reloc_apply * stats.relocations_applied;
   tracker.work += costs.symbol_lookup * stats.refs_bound;
-}
-
-Result<Module> OmosServer::BuildMonolithicModule(const std::string& path, BuildTracker& tracker) {
-  OMOS_TRY(std::shared_ptr<const NamespaceEntry> entry, ReadInput(path, tracker));
-  if (entry->kind == EntryKind::kFragment) {
-    return Module::FromObject(entry->fragment);
-  }
-  OMOS_TRY(EvalValue value,
-           EvalConstruction(OmosNamespace::Normalize(path), entry, tracker, 0));
-  std::vector<Module> parts{value.module.has_value() ? std::move(*value.module) : Module()};
-  // Fold library dependencies in, transitively, in discovery order.
-  std::vector<LibraryUse> pending = std::move(value.libs);
-  std::set<std::string> seen;
-  int guard = 0;
-  while (!pending.empty()) {
-    if (++guard > 100) {
-      return Err(ErrorCode::kParseError, StrCat(path, ": library dependency cycle"));
-    }
-    LibraryUse use = std::move(pending.back());
-    pending.pop_back();
-    if (!seen.insert(use.path).second) {
-      continue;
-    }
-    OMOS_TRY(std::shared_ptr<const NamespaceEntry> lib, ReadInput(use.path, tracker));
-    if (lib->kind == EntryKind::kFragment) {
-      parts.push_back(Module::FromObject(lib->fragment));
-      continue;
-    }
-    OMOS_TRY(EvalValue lib_value, EvalConstruction(use.path, lib, tracker, 0));
-    if (lib_value.module.has_value()) {
-      parts.push_back(std::move(*lib_value.module));
-    }
-    for (LibraryUse& nested : lib_value.libs) {
-      pending.push_back(std::move(nested));
-    }
-  }
-  return Module::MergeAll(parts);
 }
 
 namespace {
@@ -854,14 +409,15 @@ Result<ImageRef> OmosServer::GetOrRebuild(const std::string& cache_key, uint64_t
 Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specialization& spec,
                                         const std::string& key, BuildTracker& tracker) {
   TraceSpan trace("server.build_image", key);
-  OMOS_TRY(std::shared_ptr<const NamespaceEntry> entry, ReadInput(path, tracker));
+  OMOS_TRY(BlueprintEvaluator::Evaluated root, evaluator_.EvalPath(path, tracker));
+  const NamespaceEntry& entry = *root.entry;
 
   EvalValue value;
   // A recorded routine order is part of the entry, so the default build
   // applies it and a changed order supersedes the image like any input.
-  bool reorder = spec.name == "reorder" || (spec.name.empty() && !entry->routine_order.empty());
+  bool reorder = spec.name == "reorder" || (spec.name.empty() && !entry.routine_order.empty());
   if (spec.name == "monitor" || reorder) {
-    OMOS_TRY(Module mono, BuildMonolithicModule(path, tracker));
+    OMOS_TRY(Module mono, evaluator_.FoldInLibraries(std::move(root.value), path, tracker));
     if (spec.name == "monitor") {
       // Collect the text-section function exports to wrap.
       OMOS_TRY(const SymbolSpace* space, mono.Space());
@@ -891,7 +447,7 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
       }
       value.module = std::move(merged);
     } else {
-      const std::vector<std::string>& hot = entry->routine_order;
+      const std::vector<std::string>& hot = entry.routine_order;
       if (hot.empty()) {
         return Err(ErrorCode::kNotFound,
                    StrCat(path, ": no recorded routine order; run a monitor pass first"));
@@ -917,10 +473,8 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
       OMOS_TRY(Module reordered, mono.ReorderFragments(order));
       value.module = std::move(reordered);
     }
-  } else if (entry->kind == EntryKind::kFragment) {
-    value.module = Module::FromObject(entry->fragment);
   } else {
-    OMOS_TRY(value, EvalConstruction(OmosNamespace::Normalize(path), entry, tracker, 0));
+    value = std::move(root.value);
   }
 
   if (!value.module.has_value()) {
@@ -976,7 +530,7 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
     }
   }
 
-  PlacementHints hints = entry->hints;
+  PlacementHints hints = entry.hints;
   Overlay(hints, value.hints);
   Overlay(hints, spec.hints);
   CachedImage cached;
@@ -1128,13 +682,8 @@ Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
   fp.Str("omos-store-v2");
   fp.Str(norm);
   fp.Str(spec.ToKeyString());
-  // The layout generation versions every stored image: bytes published at
-  // generation G bake in generation-G addresses, so once any live placement
-  // moves (G bumps) stale records stop matching and cold builds replace them.
-  {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    fp.U64(solver_.layout_generation());
-  }
+  // No placement term: the stored bytes bake in addresses, and adoption
+  // checks them where the image lands (TryAdoptFromStore).
   // Deterministic DFS over every namespace entry the construction can
   // reach: blueprint text for metas/libraries (covers constraints, default
   // specs and operator structure), encoded object bytes for fragments.
@@ -2228,43 +1777,50 @@ bool OmosServer::HasPreferredOrder(const std::string& path) const {
 Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     Task& task, const std::string& blueprint_or_path, const std::vector<std::string>& symbols) {
   bool is_blueprint = StartsWith(blueprint_or_path, "(");
-  std::string program_key;
+  ImageRef program;  // the version the task maps, whatever the cache holds now
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     auto rt = runtimes_.find(task.id());
-    if (rt != runtimes_.end() && rt->second.program != nullptr) {
-      program_key = rt->second.program->key;
+    if (rt != runtimes_.end()) {
+      program = rt->second.program;
     }
   }
-  // The class binds to the client program's addresses, so each program gets
-  // its own image.
+  // The class binds to that program's addresses, so each program version
+  // gets its own image, keyed by the program image's integrity sums.
+  std::string client;
+  if (program != nullptr) {
+    client = StrCat(program->key, ";sums=",
+                    HashBytes(program->page_sums.data(),
+                              program->page_sums.size() * sizeof(uint64_t), program->layout_sum));
+  }
   std::string key = MakeCacheKey(
       is_blueprint ? blueprint_or_path : OmosNamespace::Normalize(blueprint_or_path),
-      StrCat("dynamic-load;client=", program_key));
+      StrCat("dynamic-load;client=", client));
 
   BuildTracker tracker;
   auto build = [&]() -> Result<ImageRef> {
-    EvalValue value;
-    if (is_blueprint) {
-      OMOS_TRY(Sexpr expr, ParseSexpr(blueprint_or_path));
-      OMOS_TRY(value, Eval(expr, tracker, 0));
-    } else {
-      OMOS_TRY(value, EvalName(blueprint_or_path, tracker, 0));
-    }
-    OMOS_TRY(Module module, RequireModule(std::move(value), "dynamic-load"));
+    OMOS_TRY(Sexpr expr, is_blueprint ? ParseSexpr(blueprint_or_path)
+                                      : Result<Sexpr>(Sexpr::Symbol(blueprint_or_path)));
+    OMOS_TRY(EvalValue value, evaluator_.Eval(expr, tracker));
+    OMOS_TRY(Module module, BlueprintEvaluator::RequireModule(std::move(value), "dynamic-load"));
     // The loaded class may refer to procedures and data within the client
-    // (§5): its unbound references resolve against the running program's
-    // image, and the program becomes a dep, so evicting it evicts the
-    // class too.
+    // (§5): its unbound references resolve against the program's image.
     std::vector<const LinkedImage*> libraries;
     CachedImage loaded;
-    ImageRef program = program_key.empty() ? nullptr : cache_.Get(program_key);
     if (program != nullptr) {
       libraries.push_back(&program->image);
-      std::string_view program_path = program_key;
-      SplitCacheKey(program_key, &program_path, nullptr);
-      loaded.deps.push_back(LibDep{program_key, std::string(program_path),
-                                   program->image.text_base, program->image.data_base});
+      // While that version is the cached one it is a dep, so evicting the
+      // program evicts the class too. A superseded version's placement may
+      // be released already: its class records no dep that could never be
+      // in place, and its key serves no other version.
+      if (cache_.Peek(program->key) == program) {
+        std::string_view program_path = program->key;
+        SplitCacheKey(program->key, &program_path, nullptr);
+        loaded.deps.push_back(LibDep{program->key, std::string(program_path),
+                                     program->image.text_base, program->image.data_base});
+      } else {
+        OMOS_TRY_VOID(PlaceClearOf(task, key, module));
+      }
     }
     return LinkAndPublish(key, module, {}, std::move(libraries), std::move(loaded), tracker);
   };
@@ -2291,6 +1847,34 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     result.symbol_values.push_back(sym == nullptr ? 0 : sym->addr);
   }
   return result;
+}
+
+Result<void> OmosServer::PlaceClearOf(Task& task, const std::string& key, const Module& module) {
+  SectionLayout sections = LayOutSections(module.fragments());
+  uint32_t text_size = PageAlignUp(std::max<uint32_t>(sections.text_size, 1));
+  uint32_t data_size = PageAlignUp(std::max<uint32_t>(sections.data_size + sections.bss_size, 1));
+  std::vector<std::string> guards;  // ranges the task maps, held while placing
+  std::lock_guard<std::mutex> lock(solver_mu_);
+  Result<void> placed = [&]() -> Result<void> {
+    while (true) {
+      OMOS_TRY(Placement at, solver_.Place(key, text_size, data_size));
+      {
+        std::lock_guard<std::mutex> kernel_lock(kernel_mu_);
+        if (!task.space().Overlaps(at.text_base, text_size) &&
+            !task.space().Overlaps(at.data_base, data_size)) {
+          return OkResult();
+        }
+      }
+      solver_.Release(key);
+      guards.push_back(StrCat(key, "#guard", guards.size()));
+      OMOS_TRY_VOID(
+          solver_.AdoptPlacement(PlacementRecord{guards.back(), at, text_size, data_size}));
+    }
+  }();
+  for (const std::string& guard : guards) {
+    solver_.Release(guard);
+  }
+  return placed;
 }
 
 Result<void> OmosServer::DynamicUnload(Task& task, uint32_t text_base) {
@@ -2352,7 +1936,6 @@ Result<void> OmosServer::HandleOmosUnloadSys(Kernel& kernel, Task& task) {
 //   meta <kind> <blueprint-len> <path>\n<blueprint>\n
 //   frag <hex-len> <path>\n<hex-of-XOF-object>\n
 //   order <count> <path>\n<routine-name>\n ...
-//   layoutgen <generation>
 //   place <text-base> <text-size> <data-base> <data-size> <object-key>
 //   prelink <path>
 //   check <fnv64-hex>
@@ -2481,15 +2064,10 @@ std::string OmosServer::Snapshot() const {
     }
   }
   std::vector<PlacementRecord> placements;
-  uint64_t layout_generation = 1;
   {
     std::lock_guard<std::mutex> lock(solver_mu_);
     placements = solver_.ExportPlacements();
-    layout_generation = solver_.layout_generation();
   }
-  // The store fingerprint's layout version: a restarted server resumes it,
-  // so the images it persisted stay adoptable.
-  out += StrCat("layoutgen ", layout_generation, "\n");
   for (const PlacementRecord& record : placements) {
     out += StrCat("place ", record.placement.text_base, " ", record.text_size, " ",
                   record.placement.data_base, " ", record.data_size, " ", record.object, "\n");
@@ -2537,7 +2115,6 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
   OmosNamespace staged;
   std::vector<EntryRow> entries;
   std::vector<OrderRow> orders;
-  std::optional<uint64_t> layout_generation;
   std::vector<PlacementRecord> places;
   std::vector<std::string_view> prelinks;
   // A restored entry that differs from the current one supersedes the
@@ -2600,8 +2177,7 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
       });
       orders.push_back(OrderRow{line, std::move(order)});
     } else if (tag == "layoutgen") {
-      OMOS_TRY(uint64_t generation, PopNumber(line));
-      layout_generation = generation;
+      // Older snapshots carry a layout generation row; it is ignored.
     } else if (tag == "place") {
       PlacementRecord record;
       OMOS_TRY(uint64_t text_base, PopNumber(line));
@@ -2649,9 +2225,6 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
   }
   {
     std::lock_guard<std::mutex> lock(solver_mu_);
-    if (layout_generation.has_value()) {
-      solver_.set_layout_generation(*layout_generation);
-    }
     for (const PlacementRecord& record : places) {
       OMOS_TRY_VOID(solver_.AdoptPlacement(record));
     }
@@ -2663,7 +2236,7 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
     }
   }
   // Restored entries supersede what earlier evaluations read.
-  DropStaleMemos();
+  evaluator_.DropStaleMemos();
   return OkResult();
 }
 
@@ -2997,10 +2570,9 @@ OmosReply OmosServer::HandleIntrospect(const OmosRequest& request) {
       fail(profile.error());
     }
   } else if (cmd == "placements") {
-    // The global layout as the solver sees it: generation, one line per
-    // placed object, then the outstanding conflict log.
+    // The global layout as the solver sees it: one line per placed object,
+    // then the outstanding conflict log.
     std::lock_guard<std::mutex> lock(solver_mu_);
-    reply.payload = StrCat("layout generation ", solver_.layout_generation(), "\n");
     for (const PlacementRecord& record : solver_.ExportPlacements()) {
       reply.payload += StrCat("place T=", Hex32(record.placement.text_base),
                               " D=", Hex32(record.placement.data_base), " ", record.object,

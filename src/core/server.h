@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -31,8 +30,8 @@
 
 #include "src/core/cache.h"
 #include "src/core/constraints.h"
+#include "src/core/evaluator.h"
 #include "src/core/namespace.h"
-#include "src/core/sexpr.h"
 #include "src/ipc/channel.h"
 #include "src/ipc/message.h"
 #include "src/linker/link.h"
@@ -46,24 +45,6 @@
 
 namespace omos {
 
-// How an instantiation is specialized (§3.4). Well-known names:
-//   ""                  — meta-object default (self-contained; laid out by
-//                         the entry's recorded routine order when it has one)
-//   "lib-constrained"   — fixed-address self-contained library (§4.1)
-//   "lib-dynamic"       — partial-image client stubs (§4.2)
-//   "lib-dynamic-impl"  — the demand-loaded library implementation (§4.2)
-//   "monitor"           — interpose call-logging wrappers (§4.1, §6)
-//   "reorder"           — lay out routines by recorded usage (§4.1)
-struct Specialization {
-  std::string name;
-  PlacementHints hints;
-
-  // Stable string form used in cache keys and IPC ("lib-constrained;T=0x...").
-  // Parsing refuses a malformed or over-wide base with kInvalidArgument.
-  std::string ToKeyString() const;
-  static Result<Specialization> FromKeyString(std::string_view text);
-};
-
 struct OmosServerConfig {
   SolverArenas arenas;
   uint64_t cache_capacity_bytes = 256ull << 20;
@@ -72,15 +53,17 @@ struct OmosServerConfig {
 };
 
 // Concurrency model (PR 3): many worker threads may call Instantiate /
-// GetOrRebuild / ServeMessage / the exec paths at once. The cache and the
-// namespace synchronize themselves; the server's own state is guarded by a
+// GetOrRebuild / ServeMessage / the exec paths at once. The cache, the
+// namespace and the blueprint evaluator (with its memo, under its own leaf
+// lock) synchronize themselves; the server's own state is guarded by a
 // strict lock hierarchy (acquire downward only, release before recursing
 // into Instantiate):
 //
 //   admin_mu_    — serializes administrative writers (Define*, AddFragment,
 //                  Restore, OptimizePlacements) against each other
-//   publish_mu_  — namespace publication (exclusive) vs a build's check-
-//                  and-publish step (shared)
+//   publish_mu_  — namespace publication (exclusive) vs an image's check-
+//                  and-publish step (shared); it orders image publication
+//                  only, never an evaluation
 //   monitor_mu_  — monitor_names_ / monitor_counts_
 //   solver_mu_   — every ConstraintSolver call
 //   upgrade_mu_  — the live-upgrade job (phase, pending tasks, plan)
@@ -92,9 +75,9 @@ struct OmosServerConfig {
 //                  DestroyTask), taken inside the kernel with or without
 //                  kernel_mu_ held; a leaf, so always last
 //
-// relink_mu_ (the relink queue and the prelinked paths), memo_mu_ (the
-// evaluation memo) and exec_channels_mu_ (the parked exec channels) are
-// leaf locks: nothing else is acquired while one of them is held.
+// relink_mu_ (the relink queue and the prelinked paths) and
+// exec_channels_mu_ (the parked exec channels) are leaf locks: nothing else
+// is acquired while one of them is held.
 // exec_channels_mu_ is never held across Channel::Call: a BootstrapExec
 // takes a channel off the list, calls, and parks it again. A warm hit takes
 // no server lock at all: it goes straight to the cache.
@@ -214,10 +197,12 @@ class OmosServer {
 
   // ---- Dynamic loading (dld-style, §5) --------------------------------------
   // Link a blueprint (or a namespace path) into the running `task`, bound to
-  // the symbols of the task's program. The linked class is a cached image
-  // keyed by the blueprint text plus the program's cache key, so another
-  // program gets its own binding, and a redefinition of anything the class
-  // or the program read evicts it like any other image.
+  // the symbols of the program version the task maps. The linked class is a
+  // cached image keyed by the blueprint text plus that program image's key
+  // and integrity sums, so another program, or another version of it, gets
+  // its own binding. A redefinition of anything the class read evicts it
+  // like any other image, and so does one of the program while the class's
+  // version is the cached one.
   struct DynLoadResult {
     uint32_t text_base = 0;
     std::vector<uint32_t> symbol_values;
@@ -350,51 +335,6 @@ class OmosServer {
   ImageCache& cache() { return cache_; }
 
  private:
-  // A library mention picked up while evaluating a blueprint.
-  struct LibraryUse {
-    std::string path;
-    Specialization spec;
-  };
-  // The value lattice of blueprint evaluation.
-  struct EvalValue {
-    std::optional<Module> module;
-    std::vector<LibraryUse> libs;
-    PlacementHints hints;
-  };
-  struct BuildTracker {
-    uint64_t work = 0;
-    // The namespace reads made directly so far, in order (normalized path,
-    // entry or null when the lookup failed), and the read sets of the memo
-    // evaluations gone through, by pointer.
-    std::vector<NamespaceRead> reads;
-    std::vector<std::shared_ptr<const ReadSet>> nested;
-    int max_depth = 0;  // deepest Eval depth reached
-    // Set by LinkAndPublish when a read was redefined or a dep moved before
-    // the image could publish; the build is then redone (BuildCurrent).
-    bool superseded = false;
-
-    // Moves every read so far into one immutable set; the tracker is left
-    // with none.
-    std::shared_ptr<const ReadSet> TakeReads() {
-      auto set = std::make_shared<const ReadSet>(std::move(reads), nested);
-      reads.clear();
-      nested.clear();
-      return set;
-    }
-  };
-  // A memoized evaluation of one namespace entry's construction. Entries
-  // are immutable and a redefinition publishes a new one, so the memo is
-  // valid exactly while every recorded read still resolves to the same
-  // entry pointer.
-  struct EvalMemo {
-    std::shared_ptr<const NamespaceEntry> entry;  // the entry evaluated
-    EvalValue value;                              // module space materialized
-    uint64_t work = 0;                            // billed work of the evaluation
-    int height = 0;                               // Eval depth reached below it
-    // Every read, the entry's own included; shared with the builds that
-    // hit the memo and the memos that nest it.
-    std::shared_ptr<const ReadSet> reads;
-  };
   // What one task maps and how its lazy slots resolve. An image evicted
   // from the cache lives until the last runtime that maps it is released.
   struct TaskRuntime {
@@ -414,9 +354,6 @@ class OmosServer {
     std::vector<ImageRef> Images() const;
   };
 
-  // Namespace lookup on behalf of a build: records `path` as an input.
-  Result<std::shared_ptr<const NamespaceEntry>> ReadInput(std::string_view path,
-                                                          BuildTracker& tracker) const;
   // The exec step: Instantiate for `task`, billing it the build work plus
   // the cache lookup, then MapProgram; redone while a library the program
   // was linked against moved before it could map (a refused attempt stays
@@ -434,31 +371,6 @@ class OmosServer {
   // missed skips the store.
   Result<ImageRef> InstantiateTiers(const std::string& path, const Specialization& spec,
                                     uint64_t* work_cycles, bool adopt);
-  Result<EvalValue> Eval(const Sexpr& expr, BuildTracker& tracker, int depth);
-  Result<EvalValue> EvalName(const std::string& name, BuildTracker& tracker, int depth);
-  // Evaluate the construction of `entry`, just read at normalized path
-  // `norm`, at `depth`. Every by-name evaluation of a meta or library
-  // construction goes through here: a still-valid memo is replayed (its
-  // value, its read set into tracker.nested by pointer, its work into
-  // tracker.work), so the build is billed and invalidated exactly as a cold
-  // evaluation. A miss nests the read set it stores in the memo.
-  Result<EvalValue> EvalConstruction(const std::string& norm,
-                                     const std::shared_ptr<const NamespaceEntry>& entry,
-                                     BuildTracker& tracker, int depth);
-  // Whether `memo` was evaluated from `entry` and every read it recorded
-  // still resolves to the same entry (pointer identity).
-  bool MemoCurrent(const EvalMemo& memo, const NamespaceEntry* entry) const;
-  // Drop every memo that is no longer current, so entries a redefinition
-  // superseded are not pinned.
-  void DropStaleMemos();
-  Result<Module> RequireModule(EvalValue value, std::string_view op) const;
-  static Result<Module> MergeValues(std::vector<EvalValue> values, EvalValue& out,
-                                    bool override_mode);
-
-  // Build the full (merged) module for a path, folding its libraries in —
-  // used by monitor/reorder monolithic instantiations.
-  Result<Module> BuildMonolithicModule(const std::string& path, BuildTracker& tracker);
-
   Result<ImageRef> BuildImage(const std::string& path, const Specialization& spec,
                               const std::string& key, BuildTracker& tracker);
 
@@ -529,8 +441,8 @@ class OmosServer {
   // deps, and release their placements.
   void InvalidateImagesOf(const std::vector<std::string>& paths);
   // Every namespace mutation: under admin_mu_ and publish_mu_ (exclusive),
-  // invalidate the images that read `paths`, run `publish`, then drop the
-  // memos it superseded.
+  // invalidate the images that read `paths`, run `publish`, then have the
+  // evaluator drop the memos it superseded.
   Result<void> Redefine(const std::vector<std::string>& paths,
                         const std::function<Result<void>()>& publish);
   // Evict the images whose placements moved plus the images linked against
@@ -548,6 +460,11 @@ class OmosServer {
   // round trip either way, so reuse changes no simulated cycle.
   Channel TakeExecChannel(ExecTransport transport);
   void ParkExecChannel(ExecTransport transport, Channel channel);
+
+  // Place the image `key` of `module` where `task` maps nothing, for
+  // LinkAndPublish to reuse: a superseded program's placement may already be
+  // released and taken, while the task still maps the program there.
+  Result<void> PlaceClearOf(Task& task, const std::string& key, const Module& module);
 
   // First use of `image` in `task`: records it in the runtime's libs, bills
   // `first_use_cost` and maps it; later uses of its key do nothing.
@@ -640,6 +557,7 @@ class OmosServer {
   Kernel* kernel_;
   Config config_;
   OmosNamespace namespace_;   // internally synchronized
+  BlueprintEvaluator evaluator_{namespace_};  // internally synchronized; owns the memo
   ImageCache cache_;          // internally synchronized
   // Second cache tier; set at startup (AttachStore/RestoreFromStore), read
   // on miss paths. Not owned.
@@ -648,7 +566,7 @@ class OmosServer {
   // Lock hierarchy (see class comment): acquire strictly downward, never
   // hold any of these across a recursive Instantiate or a cache call that
   // can build (JoinBuild leadership is not a lock). The leaf locks
-  // (relink_mu_, memo_mu_, exec_channels_mu_) are declared with the state
+  // (relink_mu_, exec_channels_mu_) are declared with the state
   // they guard below.
   mutable std::mutex admin_mu_;
   mutable std::mutex monitor_mu_;
@@ -684,12 +602,6 @@ class OmosServer {
   // evicts it) or sees the new entries and publishes nothing, so no image
   // built from a superseded entry outlives its redefinition.
   mutable std::shared_mutex publish_mu_;
-
-  // Evaluation memo: normalized path -> its construction's last
-  // evaluation, at most one per namespace entry. Guarded by memo_mu_ (a
-  // leaf lock); hits are validated and replayed outside it.
-  mutable std::mutex memo_mu_;
-  std::map<std::string, std::shared_ptr<const EvalMemo>> eval_memo_;  // guarded by memo_mu_
 
   // Parked exec channels, each tagged with the transport it speaks. Guarded
   // by exec_channels_mu_ (a leaf lock, never held across Channel::Call).

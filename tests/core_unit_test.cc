@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <thread>
 
 #include "src/core/cache.h"
 #include "src/core/constraints.h"
+#include "src/core/evaluator.h"
 #include "src/core/namespace.h"
 #include "src/core/server.h"
 #include "src/core/sexpr.h"
 #include "src/support/faultsim.h"
+#include "src/support/metrics.h"
 #include "src/support/strings.h"
 #include "tests/helpers.h"
 
@@ -205,14 +210,10 @@ TEST(Constraints, ExhaustionRecoversAfterRelease) {
   EXPECT_EQ(solver.placed_count(), 1u);
 }
 
-TEST(Constraints, FreshPlacementsDoNotAdvanceGeneration) {
+TEST(Constraints, FreshPlacementsAreFoundWhereTheyLanded) {
   ConstraintSolver solver;
-  uint64_t start = solver.layout_generation();
   ASSERT_OK_AND_ASSIGN(Placement a, solver.Place("a", 0x1000, 0x1000));
   ASSERT_OK_AND_ASSIGN(Placement b, solver.Place("b", 0x1000, 0x1000));
-  // New placements join the current layout; only a *move* of a live
-  // placement advances it.
-  EXPECT_EQ(solver.layout_generation(), start);
   ASSERT_NE(solver.Find("a"), nullptr);
   EXPECT_EQ(solver.Find("a")->text_base, a.text_base);
   ASSERT_NE(solver.Find("b"), nullptr);
@@ -220,12 +221,13 @@ TEST(Constraints, FreshPlacementsDoNotAdvanceGeneration) {
   EXPECT_EQ(solver.Find("missing"), nullptr);
 }
 
-TEST(Constraints, RegrowAdvancesGeneration) {
+TEST(Constraints, RegrowRefitsAndCountsAMove) {
   ConstraintSolver solver;
-  uint64_t start = solver.layout_generation();
+  Counter* moves = MetricsRegistry::Global().GetCounter("solver.moves");
   ASSERT_OK(solver.Place("lib", 0x1000, 0x1000));
+  uint64_t before = moves->value();
   ASSERT_OK_AND_ASSIGN(Placement big, solver.Place("lib", 0x40000, 0x1000));
-  EXPECT_EQ(solver.layout_generation(), start + 1);
+  EXPECT_EQ(moves->value(), before + 1);
   EXPECT_FALSE(big.reused);
   ASSERT_NE(solver.Find("lib"), nullptr);
   EXPECT_EQ(solver.Find("lib")->text_base, big.text_base);
@@ -298,7 +300,6 @@ TEST(Constraints, SolveNamespaceMovesSpilledObjectToWantedBase) {
   ASSERT_OK(solver.Place("holder", 0x4000, 0x1000, hints));
   ASSERT_OK_AND_ASSIGN(Placement spilled, solver.Place("tenant", 0x4000, 0x1000, hints));
   ASSERT_EQ(solver.conflicts().size(), 1u);
-  uint64_t before = solver.layout_generation();
   solver.Release("holder");
   std::vector<std::string> moved = solver.SolveNamespace();
   ASSERT_EQ(moved.size(), 1u);
@@ -307,18 +308,13 @@ TEST(Constraints, SolveNamespaceMovesSpilledObjectToWantedBase) {
   ASSERT_NE(home, nullptr);
   EXPECT_EQ(home->text_base, 0x02000000u);
   EXPECT_NE(home->text_base, spilled.text_base);
-  // The move advanced the layout generation, so store records linked
-  // against the old layout stop matching.
-  EXPECT_EQ(solver.layout_generation(), before + 1);
   EXPECT_TRUE(solver.conflicts().empty());
 }
 
 TEST(Constraints, SolveNamespaceIsNoopWithoutConflicts) {
   ConstraintSolver solver;
   ASSERT_OK(solver.Place("a", 0x1000, 0x1000));
-  uint64_t before = solver.layout_generation();
   EXPECT_TRUE(solver.SolveNamespace().empty());
-  EXPECT_EQ(solver.layout_generation(), before);
 }
 
 TEST(Constraints, SolveNamespaceRespillKeepsConflictForNextPass) {
@@ -327,12 +323,9 @@ TEST(Constraints, SolveNamespaceRespillKeepsConflictForNextPass) {
   hints.text_base = 0x02000000;
   ASSERT_OK(solver.Place("holder", 0x4000, 0x1000, hints));
   ASSERT_OK_AND_ASSIGN(Placement spilled, solver.Place("tenant", 0x4000, 0x1000, hints));
-  uint64_t before = solver.layout_generation();
   // Holder still owns the wanted range: the pass re-fits the tenant, which
-  // lands back where it was, re-logs the conflict, and moves nothing — so
-  // the generation stays put.
+  // lands back where it was, re-logs the conflict, and moves nothing.
   EXPECT_TRUE(solver.SolveNamespace().empty());
-  EXPECT_EQ(solver.layout_generation(), before);
   const Placement* home = solver.Find("tenant");
   ASSERT_NE(home, nullptr);
   EXPECT_EQ(home->text_base, spilled.text_base);
@@ -512,6 +505,87 @@ TEST(Specialization, MalformedOrOverWideBaseIsInvalidArgument) {
     Result<Specialization> parsed = Specialization::FromKeyString(text);
     ASSERT_FALSE(parsed.ok()) << text;
     EXPECT_EQ(parsed.error().code(), ErrorCode::kInvalidArgument) << text;
+  }
+}
+
+// ---- Blueprint evaluator -------------------------------------------------------
+
+// One writer republishes /obj/v.o while three threads evaluate /bin/m, a
+// meta-object over it (and 64 fillers, to widen each evaluation), through
+// the evaluator's memo on a bare namespace. The writer drops stale memos
+// after each publish, as every namespace writer does. Every value must be a
+// version current at some point of its evaluation. After the join, with no
+// further drop, every superseded entry must be freed: an evaluation that
+// read a superseded entry and finished after the last drop was refused at
+// insert.
+TEST(EvaluatorTest, MemoNeverOutlivesARacingRedefinition) {
+  constexpr int kVersions = 200;
+  constexpr int kFillers = 64;
+  OmosNamespace name_space;
+  BlueprintEvaluator evaluator(name_space);
+  std::vector<ObjectFile> objects;
+  for (int version = 0; version <= kVersions; ++version) {
+    ASSERT_OK_AND_ASSIGN(
+        ObjectFile object,
+        Assemble(StrCat(".text\n.global answer\nanswer:\n  movi r0, ", version, "\n  ret\n"),
+                 StrCat("v", version)));
+    objects.push_back(std::move(object));
+  }
+  std::string meta = "(merge /obj/v.o";
+  for (int i = 0; i < kFillers; ++i) {
+    ASSERT_OK_AND_ASSIGN(ObjectFile filler,
+                         Assemble(StrCat(".text\n.global f", i, "\nf", i, ":\n  ret\n"), "f"));
+    ASSERT_OK(name_space.AddFragment(StrCat("/obj/f", i, ".o"), std::move(filler)));
+    meta += StrCat(" /obj/f", i, ".o");
+  }
+  ASSERT_OK(name_space.AddFragment("/obj/v.o", objects[0]));
+  ASSERT_OK(name_space.DefineMeta("/bin/m", meta + ")"));
+  std::vector<std::weak_ptr<const NamespaceEntry>> entries(kVersions + 1);
+  entries[0] = *name_space.Lookup("/obj/v.o");
+
+  std::atomic<int> publishing{0};  // the version being published
+  std::atomic<int> published{0};   // the newest version fully published
+  std::atomic<bool> done{false};
+  std::atomic<int> evaluations{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        int oldest = published.load();
+        BuildTracker tracker;
+        auto evaluated = evaluator.EvalPath("/bin/m", tracker);
+        int newest = publishing.load();
+        ++evaluations;
+        if (!evaluated.ok() || !evaluated->value.module.has_value()) {
+          ++wrong;
+          continue;
+        }
+        int version = std::stoi(evaluated->value.module->fragments()[0]->name().substr(1));
+        if (version < oldest || version > newest) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  while (evaluations.load() == 0) {
+    std::this_thread::yield();  // the readers are under way
+  }
+  for (int version = 1; version <= kVersions; ++version) {
+    publishing.store(version);
+    EXPECT_OK(name_space.AddFragment("/obj/v.o", objects[version]));
+    evaluator.DropStaleMemos();
+    entries[version] = *name_space.Lookup("/obj/v.o");
+    published.store(version);
+  }
+  done.store(true);
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  EXPECT_GT(evaluations.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  for (int version = 0; version < kVersions; ++version) {
+    EXPECT_TRUE(entries[version].expired()) << "version " << version << " is still pinned";
   }
 }
 

@@ -640,8 +640,8 @@ std::vector<std::string> RecordedOrder(const std::string& snapshot) {
 
 // `snapshot` with `order` as the routine order of `path`: its one order row
 // replaced, or, when it has none, an order row where Snapshot() writes
-// them, after the entries and before the layout generation. The check line
-// is recomputed.
+// them, after the entries and before the placements and prelinked paths.
+// The check line is recomputed.
 std::string WithOrder(const std::string& snapshot, const std::string& path,
                       const std::vector<std::string>& order) {
   std::string body = snapshot.substr(0, snapshot.rfind("check "));
@@ -651,7 +651,8 @@ std::string WithOrder(const std::string& snapshot, const std::string& path,
   }
   size_t at = body.find("\norder ");
   if (at == std::string::npos) {
-    body.insert(body.find("layoutgen "), rows);
+    size_t tail = std::min(body.find("\nplace "), body.find("\nprelink "));
+    body.insert(tail == std::string::npos ? body.size() : tail + 1, rows);
     return WithCheck(body);
   }
   size_t end = body.find('\n', at + 1);
@@ -821,44 +822,26 @@ main:
   EXPECT_EQ(out.exit_code, 0);
 }
 
-TEST_F(ServerFeatures, SnapshotRoundTripsLayoutGeneration) {
+TEST_F(ServerFeatures, RestoreIgnoresAnOldSnapshotsLayoutGeneration) {
   ASSERT_OK_AND_ASSIGN(ObjectFile main_obj,
                        Assemble(".text\n.global main\nmain:\n  movi r0, 1\n  ret\n", "m.o"));
   ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
   ASSERT_OK(server_->DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/m.o)"));
-  uint64_t work = 0;
-  ASSERT_OK(server_->Instantiate("/bin/prog", {}, &work));
-
-  // Bump the layout generation past its initial value: a conflicting pair
-  // plus the administrative re-pack forces at least one live move.
-  ASSERT_OK_AND_ASSIGN(ObjectFile a, Assemble(".text\n.global fa\nfa: ret\n", "a.o"));
-  ASSERT_OK_AND_ASSIGN(ObjectFile b, Assemble(".text\n.global fb\nfb: ret\n", "b.o"));
-  ASSERT_OK(server_->AddFragment("/obj/a.o", std::move(a)));
-  ASSERT_OK(server_->AddFragment("/obj/b.o", std::move(b)));
-  ASSERT_OK(server_->DefineLibrary("/lib/a",
-                                   "(constraint-list \"T\" 0x3000000)\n(merge /obj/a.o)"));
-  ASSERT_OK(server_->DefineLibrary("/lib/b",
-                                   "(constraint-list \"T\" 0x3000000)\n(merge /obj/b.o)"));
-  Specialization spec{"lib-constrained", {}};
-  ASSERT_OK(server_->Instantiate("/lib/a", spec, nullptr));
-  ASSERT_OK(server_->Instantiate("/lib/b", spec, nullptr));
-  ASSERT_GE(server_->OptimizePlacements(), 1);
-
+  ASSERT_OK(server_->Instantiate("/bin/prog", {}, nullptr));
   std::string snapshot = server_->Snapshot();
-  size_t tag = snapshot.find("layoutgen ");
-  ASSERT_NE(tag, std::string::npos);
-  std::string layoutgen_line = snapshot.substr(tag, snapshot.find('\n', tag) - tag);
-  EXPECT_NE(layoutgen_line, "layoutgen 1");  // the re-pack advanced it
+  // Older snapshots carry a layout generation row ahead of the placements.
+  std::string body = snapshot.substr(0, snapshot.rfind("check "));
+  size_t place = body.find("\nplace ");
+  ASSERT_NE(place, std::string::npos);
+  body.insert(place + 1, "layoutgen 7\n");
 
-  // A restored server continues the same generation sequence, so store
-  // records fingerprinted before the crash stay adoptable after it.
   Kernel kernel2;
   OmosServer restored(kernel2);
-  ASSERT_OK(restored.Restore(snapshot));
-  std::string again = restored.Snapshot();
-  size_t tag2 = again.find("layoutgen ");
-  ASSERT_NE(tag2, std::string::npos);
-  EXPECT_EQ(again.substr(tag2, again.find('\n', tag2) - tag2), layoutgen_line);
+  ASSERT_OK(restored.Restore(WithCheck(body)));
+  EXPECT_EQ(restored.Snapshot(), snapshot);
+  ASSERT_OK_AND_ASSIGN(TaskId id, restored.IntegratedExec("/bin/prog", {"prog"}));
+  ASSERT_OK(kernel2.RunTask(*kernel2.FindTask(id)));
+  EXPECT_EQ(kernel2.FindTask(id)->exit_code(), 1);
 }
 
 // ---- Fleet-wide prelink ---------------------------------------------------------
@@ -1169,6 +1152,52 @@ pf:
     ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
     EXPECT_EQ(out.exit_code, 1) << program;
   }
+}
+
+// /bin/h loads the class (merge /obj/p.o), whose pf() calls the host's
+// answer(). Version 1 of /obj/h.o answers 1; version 2 answers 2 and puts a
+// five-instruction function in front of answer(), so its answer() is at an
+// address that holds other code in version 1.
+Result<void> DefineCallbackHost(OmosServer& server, int version) {
+  constexpr char kPad[] = "pad:\n  movi r0, 0\n  movi r0, 0\n  movi r0, 0\n  movi r0, 0\n  ret\n";
+  std::string answer = StrCat(version == 1 ? "" : kPad, ".global answer\nanswer:\n  movi r0, ",
+                              version, "\n  ret\n");
+  OMOS_TRY(ObjectFile host, Assemble(LoadAndCallMain(answer), "h.o"));
+  OMOS_TRY_VOID(server.AddFragment("/obj/h.o", std::move(host)));
+  if (version == 1) {
+    OMOS_TRY(ObjectFile plugin,
+             Assemble(".text\n.global pf\npf:\n  push lr\n  call answer\n  pop lr\n  ret\n",
+                      "p.o"));
+    OMOS_TRY_VOID(server.AddFragment("/obj/p.o", std::move(plugin)));
+    OMOS_TRY_VOID(server.DefineMeta("/bin/h", "(merge /lib/crt0.o /obj/h.o)"));
+  }
+  return OkResult();
+}
+
+TEST_F(ServerFeatures, DynamicLoadBindsTheVersionTheTaskMapsAfterANewerRan) {
+  ASSERT_OK(DefineCallbackHost(*server_, 1));
+  ASSERT_OK_AND_ASSIGN(TaskId old_id, server_->IntegratedExec("/bin/h", {"h"}));
+  ASSERT_OK(DefineCallbackHost(*server_, 2));
+  ASSERT_OK_AND_ASSIGN(TaskId new_id, server_->IntegratedExec("/bin/h", {"h"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome fresh, Run(new_id));
+  EXPECT_EQ(fresh.exit_code, 2);
+  // The class the version-2 task loaded is bound to version 2's answer();
+  // the old task gets its own, bound to the version it maps.
+  ASSERT_OK_AND_ASSIGN(RunOutcome old, Run(old_id));
+  EXPECT_EQ(old.exit_code, 1);
+}
+
+TEST_F(ServerFeatures, DynamicLoadBindsTheVersionTheTaskMapsBeforeANewerRuns) {
+  ASSERT_OK(DefineCallbackHost(*server_, 1));
+  ASSERT_OK_AND_ASSIGN(TaskId old_id, server_->IntegratedExec("/bin/h", {"h"}));
+  ASSERT_OK(DefineCallbackHost(*server_, 2));
+  // Version 1's placement was released with its image: the class loads and
+  // binds anyway, against the image the task maps.
+  ASSERT_OK_AND_ASSIGN(RunOutcome old, Run(old_id));
+  EXPECT_EQ(old.exit_code, 1);
+  ASSERT_OK_AND_ASSIGN(TaskId new_id, server_->IntegratedExec("/bin/h", {"h"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome fresh, Run(new_id));
+  EXPECT_EQ(fresh.exit_code, 2);
 }
 
 // ---- Duplicate library exports -----------------------------------------------

@@ -536,6 +536,68 @@ TEST_F(StoreServerTest, RestartServesByteIdenticalImagesFromStore) {
   EXPECT_EQ(ctask->exit_code(), 8);
 }
 
+// A re-pack moves the library away from the bases its stored record was
+// linked at. The record still matches its fingerprint, which covers no
+// layout: the store hits and adoption refuses the record where it no
+// longer lands, so the library is rebuilt at the solver's home and the
+// program linked against it runs. A restart then adopts every image at the
+// re-packed homes.
+TEST_F(StoreServerTest, RepackedRecordIsRefusedWhereItNoLongerFits) {
+  const Specialization constrained{"lib-constrained", {}};
+  Counter* mismatches = MetricsRegistry::Global().GetCounter("store.placement_mismatches");
+  SimFs disk;
+  std::vector<Golden> repacked;
+  uint32_t lib_base = 0;
+  {
+    Kernel kernel;
+    ImageStore store(disk, kStoreRoot, &kernel.costs());
+    ASSERT_OK(store.Open());
+    OmosServer server(kernel);
+    ASSERT_OK(Populate(server));
+    server.AttachStore(&store);
+    ASSERT_OK(InstantiateAll(server));
+    ASSERT_OK_AND_ASSIGN(const CachedImage* lib,
+                         server.Instantiate("/lib/addlib", constrained, nullptr));
+    uint32_t stored_base = lib->image.text_base;
+    ASSERT_GE(server.OptimizePlacements(), 1);
+
+    uint64_t hits = store.stats().hits.load();
+    uint64_t refused = mismatches->value();
+    ASSERT_OK_AND_ASSIGN(lib, server.Instantiate("/lib/addlib", constrained, nullptr));
+    lib_base = lib->image.text_base;
+    EXPECT_NE(lib_base, stored_base);
+    EXPECT_EQ(store.stats().hits.load(), hits + 1);
+    EXPECT_EQ(mismatches->value(), refused + 1);
+    ASSERT_OK_AND_ASSIGN(TaskId id, server.IntegratedExec("/bin/ls", {"ls"}));
+    ASSERT_OK(kernel.RunTask(*kernel.FindTask(id)));
+    EXPECT_EQ(kernel.FindTask(id)->exit_code(), 21);
+
+    ASSERT_OK_AND_ASSIGN(repacked, InstantiateAll(server));
+    ASSERT_OK(server.PersistTo(store));
+  }
+
+  Kernel kernel2;
+  ImageStore store2(disk, kStoreRoot, &kernel2.costs());
+  ASSERT_OK(store2.Open());
+  OmosServer server2(kernel2);
+  ASSERT_OK(server2.RestoreFromStore(store2));
+  uint64_t refused = mismatches->value();
+  ASSERT_OK_AND_ASSIGN(std::vector<Golden> after, InstantiateAll(server2));
+  ASSERT_OK_AND_ASSIGN(const CachedImage* lib,
+                       server2.Instantiate("/lib/addlib", constrained, nullptr));
+  EXPECT_EQ(lib->image.text_base, lib_base);
+  // Every program and the library adopted, none refused or re-linked.
+  EXPECT_EQ(store2.stats().hits.load(), 4u);
+  EXPECT_EQ(mismatches->value(), refused);
+  EXPECT_EQ(store2.stats().puts.load(), 0u);
+  ASSERT_EQ(after.size(), repacked.size());
+  for (size_t i = 0; i < repacked.size(); ++i) {
+    EXPECT_EQ(after[i].fingerprint, repacked[i].fingerprint) << kPrograms[i];
+    EXPECT_EQ(after[i].text_base, repacked[i].text_base) << kPrograms[i];
+    EXPECT_EQ(after[i].data_base, repacked[i].data_base) << kPrograms[i];
+  }
+}
+
 // Every symbol of a published image is found by name and by interned id.
 // Returns how many symbols were checked.
 size_t ExpectEverySymbolFound(OmosServer& server) {

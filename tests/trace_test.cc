@@ -311,9 +311,7 @@ TEST_F(IntrospectTest, PlacementsReportsLayoutAndConflicts) {
   Channel channel = server_->MakeChannel();
   OmosReply reply = Introspect(channel, "placements");
   ASSERT_TRUE(reply.ok) << reply.error;
-  // Generation header, then one place line per live object: its bases and
-  // its cache key.
-  EXPECT_NE(reply.payload.find("layout generation "), std::string::npos);
+  // One place line per live object: its bases and its cache key.
   size_t place = reply.payload.find("place T=");
   ASSERT_NE(place, std::string::npos);
   std::string line = reply.payload.substr(place, reply.payload.find('\n', place) - place);
