@@ -76,6 +76,34 @@ void BM_LinkImage(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkImage)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 
+// A library relinked where a fix moved it: one memoized module (the
+// evaluation memo hands every rebuild the same bound space) linked at two
+// text bases in turn. Only the first link builds the space's plan; every
+// later one applies it.
+void BM_RelinkAtNewBase(benchmark::State& state) {
+  const Archive& libc = FullWorkloads().libc;
+  size_t n = std::min(static_cast<size_t>(state.range(0)), libc.members().size());
+  std::vector<Module> parts;
+  for (size_t i = 0; i < n; ++i) {
+    parts.push_back(Module::FromObject(std::make_shared<const ObjectFile>(libc.members()[i])));
+  }
+  Module memoized = BENCH_UNWRAP(Module::MergeAll(parts));
+  const uint32_t kBases[2] = {0x2000000, 0x2100000};
+  uint64_t version = 0;
+  for (auto _ : state) {
+    LayoutSpec layout;
+    layout.text_base = kBases[++version & 1];
+    benchmark::DoNotOptimize(BENCH_UNWRAP(LinkImage(memoized, layout, "bench")));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_RelinkAtNewBase)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Complexity()
+    ->Unit(benchmark::kMicrosecond);
+
 // Same link with the members re-annotated default-hidden (only symbols a
 // sibling member references stay exported): the symbol space the linker
 // indexes, and the export table the image carries, shrink to the real API —

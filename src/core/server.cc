@@ -543,14 +543,14 @@ Result<ImageRef> OmosServer::LinkAndPublish(const std::string& key, const Module
                                             const PlacementHints& hints,
                                             std::vector<const LinkedImage*> libraries,
                                             CachedImage cached, BuildTracker& tracker) {
-  SectionLayout sections = LayOutSections(client.fragments());
+  OMOS_TRY(std::shared_ptr<const LinkPlan> plan, PlanLink(client));
   Placement placement;
   bool conflict_grew = false;
   {
     std::lock_guard<std::mutex> lock(solver_mu_);
     size_t conflicts_before = solver_.conflicts().size();
-    OMOS_TRY(placement, solver_.Place(key, sections.text_size,
-                                      sections.data_size + sections.bss_size, hints));
+    OMOS_TRY(placement,
+             solver_.Place(key, plan->text_size, plan->data_size + plan->bss_size, hints));
     conflict_grew = solver_.conflicts().size() > conflicts_before;
   }
   if (conflict_grew) {
@@ -565,13 +565,8 @@ Result<ImageRef> OmosServer::LinkAndPublish(const std::string& key, const Module
   layout.libraries = std::move(libraries);
   OMOS_TRY(bool has_start, client.HasExport("_start"));
   layout.entry_symbol = has_start ? "_start" : "";
-  OMOS_TRY(LinkedImage image, LinkImage(client, layout, key));
-
-  uint32_t symbol_count = 0;
-  for (const FragmentPtr& frag : client.fragments()) {
-    symbol_count += static_cast<uint32_t>(frag->symbols().size());
-  }
-  ChargeLinkWork(image.stats, symbol_count, tracker);
+  OMOS_TRY(LinkedImage image, LinkImage(*plan, layout, key));
+  ChargeLinkWork(image.stats, plan->symbol_count, tracker);
 
   cached.image = std::move(image);
   // The build's own reads are the few it made outside any memo evaluation;
@@ -1850,9 +1845,9 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
 }
 
 Result<void> OmosServer::PlaceClearOf(Task& task, const std::string& key, const Module& module) {
-  SectionLayout sections = LayOutSections(module.fragments());
-  uint32_t text_size = PageAlignUp(std::max<uint32_t>(sections.text_size, 1));
-  uint32_t data_size = PageAlignUp(std::max<uint32_t>(sections.data_size + sections.bss_size, 1));
+  OMOS_TRY(std::shared_ptr<const LinkPlan> plan, PlanLink(module));
+  uint32_t text_size = PageAlignUp(std::max<uint32_t>(plan->text_size, 1));
+  uint32_t data_size = PageAlignUp(std::max<uint32_t>(plan->data_size + plan->bss_size, 1));
   std::vector<std::string> guards;  // ranges the task maps, held while placing
   std::lock_guard<std::mutex> lock(solver_mu_);
   Result<void> placed = [&]() -> Result<void> {
@@ -2303,14 +2298,14 @@ Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
     struct Row {
       uint32_t addr;
       uint32_t size;
-      const std::string* name;
+      std::string_view name;
       const std::string* image;
     };
     std::vector<Row> rows;
     for (const auto& image : images) {
       for (const ImageSymbol& sym : image->image.symbols) {
         if (sym.section == SectionKind::kText) {
-          rows.push_back(Row{sym.addr, sym.size, &sym.name, &image->image.name});
+          rows.push_back(Row{sym.addr, sym.size, sym.name, &image->image.name});
         }
       }
     }
@@ -2346,7 +2341,7 @@ Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
         ++unresolved;
         continue;
       }
-      ++by_symbol[{*row->name, *row->image}];
+      ++by_symbol[{std::string(row->name), *row->image}];
       ++by_image[*row->image];
     }
 

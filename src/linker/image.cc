@@ -3,12 +3,13 @@
 namespace omos {
 
 void LinkedImage::BuildSymbolIndex() {
-  symbol_index.clear();
-  symbol_index.reserve(symbols.size());
+  auto index = std::make_shared<FlatMap<SymId, uint32_t>>();
+  index->reserve(symbols.size());
   for (uint32_t i = 0; i < symbols.size(); ++i) {
     // First occurrence wins, like the linear scan this replaces.
-    symbol_index.try_emplace(SymbolInterner::Global().Intern(symbols[i].name), i);
+    index->try_emplace(SymbolInterner::Global().Intern(symbols[i].name), i);
   }
+  symbol_index = std::move(index);
   indexed_count = symbols.size();
 }
 
@@ -36,16 +37,16 @@ const ImageSymbol* LinkedImage::FindSymbol(std::string_view name) const {
   if (id == kNoSymId) {
     return nullptr;
   }
-  auto it = symbol_index.find(id);
-  return it == symbol_index.end() ? nullptr : &symbols[it->second];
+  auto it = symbol_index->find(id);
+  return it == symbol_index->end() ? nullptr : &symbols[it->second];
 }
 
 const ImageSymbol* LinkedImage::FindSymbol(SymId id) const {
   if (!symbol_index_current()) {
     return ScanForSymbol(*this, SymbolInterner::Global().Name(id));
   }
-  auto it = symbol_index.find(id);
-  return it == symbol_index.end() ? nullptr : &symbols[it->second];
+  auto it = symbol_index->find(id);
+  return it == symbol_index->end() ? nullptr : &symbols[it->second];
 }
 
 }  // namespace omos

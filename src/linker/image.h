@@ -6,7 +6,9 @@
 #define OMOS_SRC_LINKER_IMAGE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/objfmt/object_file.h"
@@ -16,7 +18,10 @@
 namespace omos {
 
 struct ImageSymbol {
-  std::string name;
+  // Must outlive the image. Links and decodes store the interned name
+  // (SymbolInterner::Name, valid for the process lifetime), so images
+  // share their names instead of copying them.
+  std::string_view name;
   uint32_t addr = 0;
   uint32_t size = 0;
   SectionKind section = SectionKind::kText;
@@ -89,9 +94,13 @@ struct LinkedImage {
   // once after `symbols` reaches its final state and before the image is
   // shared across threads; not thread-safe against concurrent FindSymbol.
   void BuildSymbolIndex();
-  bool symbol_index_current() const { return indexed_count == symbols.size(); }
+  bool symbol_index_current() const {
+    return symbol_index != nullptr && indexed_count == symbols.size();
+  }
 
-  FlatMap<SymId, uint32_t> symbol_index;
+  // Immutable once built, so every image linked from one plan shares the
+  // plan's index (their symbols differ only in address).
+  std::shared_ptr<const FlatMap<SymId, uint32_t>> symbol_index;
   size_t indexed_count = ~size_t{0};
 };
 

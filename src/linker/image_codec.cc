@@ -55,7 +55,8 @@ Result<LinkedImage> DecodeImage(const std::vector<uint8_t>& bytes) {
   OMOS_TRY(uint32_t nsyms, r.U32());
   for (uint32_t i = 0; i < nsyms; ++i) {
     ImageSymbol sym;
-    OMOS_TRY(sym.name, r.Str());
+    OMOS_TRY(std::string name, r.Str());
+    sym.name = SymbolInterner::Global().Name(SymbolInterner::Global().Intern(name));
     OMOS_TRY(sym.addr, r.U32());
     OMOS_TRY(sym.size, r.U32());
     OMOS_TRY(uint8_t section, r.U8());

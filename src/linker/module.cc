@@ -274,12 +274,12 @@ std::span<const SymId> SymbolSpace::ExportOrder() const {
       named.emplace_back(SymbolInterner::Global().Name(id), id);
     }
     std::sort(named.begin(), named.end());
-    order_.ids.reserve(named.size());
+    order_.value.reserve(named.size());
     for (const auto& [name, id] : named) {
-      order_.ids.push_back(id);
+      order_.value.push_back(id);
     }
   });
-  return order_.ids;
+  return order_.value;
 }
 
 Result<const SymbolSpace*> Module::Space() const {

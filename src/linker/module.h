@@ -47,6 +47,7 @@
 namespace omos {
 
 using FragmentPtr = std::shared_ptr<const ObjectFile>;
+struct LinkPlan;  // src/linker/link.h
 
 // Identifies a definition: fragment index within the module, symbol index
 // within that fragment's symbol table.
@@ -111,16 +112,28 @@ struct SymbolSpace {
   // stale one.
   std::span<const SymId> ExportOrder() const;
 
+  // The link plan of this space over `fragments` (src/linker/link.h, which
+  // defines this). The first call builds it and the space keeps it for its
+  // lifetime, so a space shared by many links (a memoized library's,
+  // relinked at each new base) is planned once; safe to call from many
+  // threads at once. The kept plan serves only the fragments vector it was
+  // built from: a call with any other builds a plan that is not kept. Call
+  // it only on a final space, as ExportOrder.
+  std::shared_ptr<const LinkPlan> Plan(
+      const std::shared_ptr<const std::vector<FragmentPtr>>& fragments) const;
+
  private:
-  // Copies and moves start empty: the order belongs to one exports table.
-  struct OrderCache {
-    OrderCache() = default;
-    OrderCache(const OrderCache&) {}
-    OrderCache& operator=(const OrderCache&) = delete;
+  // Copies and moves start empty: what is kept belongs to one space.
+  template <typename T>
+  struct OnceCache {
+    OnceCache() = default;
+    OnceCache(const OnceCache&) {}
+    OnceCache& operator=(const OnceCache&) = delete;
     std::once_flag once;
-    std::vector<SymId> ids;
+    T value;
   };
-  mutable OrderCache order_;
+  mutable OnceCache<std::vector<SymId>> order_;
+  mutable OnceCache<std::shared_ptr<const LinkPlan>> plan_;
 };
 
 enum class RenameWhich : uint8_t { kDefs, kRefs, kBoth };
@@ -173,6 +186,10 @@ class Module {
   Result<Module> ReorderFragments(const std::vector<uint32_t>& order) const;
 
   const std::vector<FragmentPtr>& fragments() const { return *fragments_; }
+  // The same vector, shared: what a link plan is keyed by (SymbolSpace::Plan).
+  const std::shared_ptr<const std::vector<FragmentPtr>>& shared_fragments() const {
+    return fragments_;
+  }
 
   // Materialized symbol space (applies any pending view ops once, caching).
   Result<const SymbolSpace*> Space() const;

@@ -64,7 +64,7 @@ void BuildSectionRanges(const LinkedImage& old_image, const LinkedImage& new_ima
   uint32_t new_end = text ? new_image.text_end() : new_image.data_end();
   std::vector<Extent> old_extents = SectionExtents(old_image, text, old_end);
   std::vector<Extent> new_extents = SectionExtents(new_image, text, new_end);
-  std::map<std::string, Extent> by_name;
+  std::map<std::string_view, Extent> by_name;
   for (const Extent& e : new_extents) {
     by_name.emplace(e.sym->name, e);
   }
@@ -76,7 +76,7 @@ void BuildSectionRanges(const LinkedImage& old_image, const LinkedImage& new_ima
     auto it = by_name.find(e.sym->name);
     if (it == by_name.end()) {
       range.deleted = true;
-      auto stub = degrade_stubs.find(e.sym->name);
+      auto stub = degrade_stubs.find(range.name);
       range.new_start = stub == degrade_stubs.end() ? 0 : stub->second;
       range.new_size = 0;
     } else {
@@ -151,7 +151,7 @@ std::vector<std::string> DeletedTextSymbols(const LinkedImage& old_image,
   std::vector<std::string> deleted;
   for (const ImageSymbol& sym : old_image.symbols) {
     if (sym.section == SectionKind::kText && new_image.FindSymbol(sym.name) == nullptr) {
-      deleted.push_back(sym.name);
+      deleted.emplace_back(sym.name);
     }
   }
   std::sort(deleted.begin(), deleted.end());

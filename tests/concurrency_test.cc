@@ -330,6 +330,63 @@ TEST(ExportOrder, ConcurrentLinksOfOneSpaceShareOneOrder) {
   }
 }
 
+// Fragments that call each other in a ring and keep their own addresses in
+// data: every relocation's value depends on the bases.
+Result<Module> CallRingModule() {
+  std::vector<Module> parts;
+  for (int f = 0; f < 24; ++f) {
+    std::string text = StrCat(".text\n.global fn_", f, "\nfn_", f, ":\n  call fn_", (f + 1) % 24,
+                              "\n  lea r1, slot_", f, "\n  ret\n.data\n.align 4\nslot_", f,
+                              ": .word fn_", f, "\n");
+    OMOS_TRY(ObjectFile object, Assemble(text, StrCat("r", f, ".o")));
+    parts.push_back(Module::FromObject(std::make_shared<const ObjectFile>(std::move(object))));
+  }
+  return Module::MergeAll(parts);
+}
+
+TEST(LinkPlan, ConcurrentRelinksAtDifferentBases) {
+  // Four threads link one module at four bases at once: the first links
+  // race to build the space's plan, and every later one applies it while
+  // the others do. Each result equals a serial link of an equal module.
+  // Each thread links its own copy, as each build gets a memoized module
+  // by value; the copies share one symbol space.
+  constexpr int kLinkThreads = 4;
+  auto layout_for = [](int t) {
+    LayoutSpec layout;
+    layout.text_base = 0x1000000 + 0x100000 * static_cast<uint32_t>(t);
+    return layout;
+  };
+  ASSERT_OK_AND_ASSIGN(Module fresh, CallRingModule());
+  std::vector<LinkedImage> serial;
+  for (int t = 0; t < kLinkThreads; ++t) {
+    ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(fresh, layout_for(t), "ring"));
+    serial.push_back(std::move(image));
+  }
+  ASSERT_NE(serial[0].text, serial[1].text);  // the bases show in the bytes
+  ASSERT_OK_AND_ASSIGN(Module shared, CallRingModule());
+  std::atomic<int> mismatches{0};
+  RunThreads(kLinkThreads, [&](int t) {
+    Module mine = shared;
+    for (int i = 0; i < 20; ++i) {
+      auto image = LinkImage(mine, layout_for(t), "ring");
+      const LinkedImage& want = serial[static_cast<size_t>(t)];
+      bool same = image.ok() && image->text == want.text && image->data == want.data &&
+                  image->data_base == want.data_base &&
+                  image->symbols.size() == want.symbols.size() &&
+                  image->stats.relocations_applied == want.stats.relocations_applied &&
+                  image->stats.refs_bound == want.stats.refs_bound;
+      for (size_t k = 0; same && k < want.symbols.size(); ++k) {
+        same = image->symbols[k].name == want.symbols[k].name &&
+               image->symbols[k].addr == want.symbols[k].addr;
+      }
+      if (!same) {
+        mismatches.fetch_add(1);
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST_F(ConcurrencyTest, BackgroundOptimizerSwapsInReorderedImage) {
   ASSERT_OK(server_->DefineMeta("/bin/prog",
                                 "(merge /lib/crt0.o /obj/client.o /obj/addlib.o)"));

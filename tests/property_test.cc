@@ -333,6 +333,205 @@ TEST(MergeAllProperty, DuplicateStrongDefinitionFailsLikeTheFold) {
   EXPECT_EQ(Render(all), Render(LeftFold(ops)));
 }
 
+// ---- Link plans: a plan kept on a space links as a fresh one does -----------
+
+// A leaf whose patches reach the other sections: a pc-relative text branch
+// to a local label, text references to its own data and bss symbols, and a
+// data word holding the address of a pool name.
+Module DataLeaf(Lcg& rng) {
+  auto object = std::make_shared<ObjectFile>("data.o");
+  object->section(SectionKind::kText).bytes.resize(24);
+  object->section(SectionKind::kData).bytes.resize(8);
+  object->section(SectionKind::kBss).bss_size = 16;
+  EXPECT_OK(object->DefineSymbol("loop", SymbolBinding::kLocal, SectionKind::kText, 0));
+  EXPECT_OK(object->DefineSymbol("dword", SymbolBinding::kGlobal, SectionKind::kData, 4, 4));
+  EXPECT_OK(object->DefineSymbol("dbuf", SymbolBinding::kGlobal, SectionKind::kBss, 8, 8));
+  object->AddReloc(SectionKind::kText, Relocation{4, RelocKind::kPcRel32, "loop", 0, {}});
+  object->AddReloc(SectionKind::kText, Relocation{12, RelocKind::kAbs32, "dword", 0, {}});
+  object->AddReloc(SectionKind::kText, Relocation{20, RelocKind::kPcRel32, "dbuf", 4, {}});
+  std::string pool_name = StrCat("s", rng.Next(kNamePool));
+  object->ReferenceSymbol(pool_name);
+  object->AddReloc(SectionKind::kData, Relocation{0, RelocKind::kAbs32, pool_name, 8, {}});
+  return Module::FromObject(object);
+}
+
+// The MergeAllProperty operands for `seed`, plus a DataLeaf. Equal seeds
+// give equal modules built from distinct objects.
+std::vector<Module> PlanOperands(uint32_t seed) {
+  Lcg rng(seed);
+  uint32_t strong_pct = std::vector<uint32_t>{5, 20}[rng.Next(2)];
+  std::vector<Module> ops;
+  for (int i = 0, n = 2 + static_cast<int>(rng.Next(20)); i < n; ++i) {
+    ops.push_back(RandomOperand(rng, i, strong_pct));
+  }
+  ops.push_back(DataLeaf(rng));
+  return ops;
+}
+
+std::string_view Interned(std::string_view name) {
+  return SymbolInterner::Global().Name(SymbolInterner::Global().Intern(name));
+}
+
+// A library image exporting a random half of the name pool.
+LinkedImage RandomLibrary(Lcg& rng) {
+  LinkedImage lib;
+  for (uint32_t k = 0; k < kNamePool; ++k) {
+    if (rng.Next(2) == 0) {
+      lib.symbols.push_back(ImageSymbol{Interned(StrCat("s", k)), 0x3000000 + 16 * k, 8,
+                                        SectionKind::kText});
+    }
+  }
+  lib.BuildSymbolIndex();
+  return lib;
+}
+
+// Everything a link produces, or its error.
+std::string RenderLink(const Result<LinkedImage>& link) {
+  if (!link.ok()) {
+    return StrCat("error ", ErrorCodeName(link.error().code()), ": ", link.error().message());
+  }
+  const LinkedImage& image = *link;
+  std::string out = StrCat("bases ", Hex32(image.text_base), " ", Hex32(image.data_base), " bss ",
+                           image.bss_size, " entry ", Hex32(image.entry), "\ntext");
+  for (uint8_t byte : image.text) {
+    out += StrCat(" ", int(byte));
+  }
+  out += "\ndata";
+  for (uint8_t byte : image.data) {
+    out += StrCat(" ", int(byte));
+  }
+  out += StrCat("\nstats ", image.stats.fragments, " ", image.stats.relocations_applied, " ",
+                image.stats.symbols_exported, " ", image.stats.refs_bound, "\n");
+  for (const ImageSymbol& sym : image.symbols) {
+    out += StrCat("symbol ", sym.name, " ", Hex32(sym.addr), " ", sym.size, " ",
+                  SectionKindName(sym.section), "\n");
+  }
+  for (const std::string& name : image.unresolved) {
+    out += StrCat("unresolved ", name, "\n");
+  }
+  for (const RelocRecord& rec : image.reloc_log) {
+    out += StrCat("reloc ", SectionKindName(rec.section), " ", Hex32(rec.field_addr), " ",
+                  Hex32(rec.value), " ", rec.symbol, rec.pcrel ? " pcrel" : "",
+                  rec.cross_fragment ? " cross" : "", "\n");
+  }
+  return out;
+}
+
+// Random bases (data after text, or on the page after it), libraries,
+// entry and allow_unresolved; every applied relocation is logged.
+LayoutSpec RandomLayout(Lcg& rng, const LinkedImage& lib) {
+  LayoutSpec layout;
+  layout.text_base = 0x100000 + 0x1000 * rng.Next(256);
+  layout.data_base = rng.Next(2) == 0 ? 0 : layout.text_base + 0x10000 + 0x1000 * rng.Next(16);
+  if (rng.Next(3) != 0) {
+    layout.entry_symbol = StrCat("s", rng.Next(kNamePool));
+  }
+  layout.allow_unresolved = rng.Next(2) == 0;
+  layout.record_relocs = true;
+  if (rng.Next(3) != 0) {
+    layout.libraries.push_back(&lib);
+  }
+  return layout;
+}
+
+TEST(LinkPlanProperty, KeptPlanLinksLikeAFreshModuleAtRandomBases) {
+  int linked = 0;
+  int failed = 0;
+  for (uint32_t seed = 0; seed < 200; ++seed) {
+    Result<Module> shared = Module::MergeAll(PlanOperands(seed));
+    if (!shared.ok()) {
+      continue;  // duplicate strong definitions: nothing to link
+    }
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const LinkPlan> plan, PlanLink(*shared));
+    Lcg rng(seed * 7919u + 1);
+    LinkedImage lib = RandomLibrary(rng);
+    for (int round = 0; round < 2; ++round) {
+      LayoutSpec layout = RandomLayout(rng, lib);
+      Result<LinkedImage> planned = LinkImage(*shared, layout, "img");
+      ASSERT_OK_AND_ASSIGN(Module fresh, Module::MergeAll(PlanOperands(seed)));
+      ASSERT_EQ(RenderLink(planned), RenderLink(LinkImage(fresh, layout, "img")))
+          << "seed " << seed << ", round " << round;
+      (planned.ok() ? linked : failed) += 1;
+    }
+    // Both links went through the plan the space keeps.
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const LinkPlan> again, PlanLink(*shared));
+    EXPECT_EQ(again, plan) << "seed " << seed;
+  }
+  EXPECT_GT(linked, 50);
+  EXPECT_GT(failed, 20);
+}
+
+Module LeafFromSource(const std::string& name, const std::string& source) {
+  auto object = Assemble(source, name);
+  EXPECT_OK(object);
+  return Module::FromObject(std::make_shared<const ObjectFile>(std::move(object).value()));
+}
+
+// Links `module` twice through its kept plan, at two text bases, and
+// expects the same error both times.
+void ExpectLinkFails(const Module& module, LayoutSpec layout, ErrorCode code,
+                     const std::string& message) {
+  for (uint32_t base : {0x100000u, 0x2000000u}) {
+    layout.text_base = base;
+    Result<LinkedImage> image = LinkImage(module, layout, "img");
+    ASSERT_FALSE(image.ok()) << Hex32(base);
+    EXPECT_EQ(image.error().code(), code) << Hex32(base);
+    EXPECT_EQ(image.error().message(), message) << Hex32(base);
+  }
+}
+
+TEST(LinkPlanProperty, DataBaseOverlappingTextFails) {
+  Module m = LeafFromSource("a.o", ".text\n.global f\nf:\n  ret\n  ret\n.data\nw: .word 1\n");
+  LayoutSpec layout;
+  layout.data_base = 0x100008;
+  ExpectLinkFails(m, layout, ErrorCode::kInvalidArgument,
+                  "img: data base 0x00100008 overlaps text");
+}
+
+TEST(LinkPlanProperty, UnresolvedExternalBeforeUnknownSymbolFailsFirst) {
+  // a.o's reference to `missing` binds nowhere; b.o's relocation names a
+  // symbol its own table lacks. Fragment order decides which error wins.
+  Module a = LeafFromSource("a.o", ".text\n.global main\nmain:\n  call missing\n  ret\n");
+  auto b = std::make_shared<ObjectFile>("b.o");
+  b->section(SectionKind::kText).bytes.resize(8);
+  b->AddReloc(SectionKind::kText, Relocation{4, RelocKind::kAbs32, "ghost", 0, {}});
+  ASSERT_OK_AND_ASSIGN(Module m, Module::Merge(a, Module::FromObject(b)));
+  ExpectLinkFails(m, LayoutSpec{}, ErrorCode::kUnresolvedSymbol,
+                  "img: unresolved reference to missing from a.o");
+  // Left unresolved, the unknown symbol after it is what fails.
+  LayoutSpec partial;
+  partial.allow_unresolved = true;
+  ExpectLinkFails(m, partial, ErrorCode::kRelocationError, "b.o: reloc names unknown symbol ghost");
+}
+
+TEST(LinkPlanProperty, RenamedReferenceResolvesThroughLibraryByItsNewName) {
+  // The plan records the name a reference seeks after the rename, not the
+  // name its relocation carries.
+  Module m = LeafFromSource("a.o", ".text\n.global main\nmain:\n  call old_fn\n  ret\n")
+                 .Rename("^old_fn$", "lib_fn", RenameWhich::kRefs);
+  LinkedImage lib;
+  lib.symbols.push_back(ImageSymbol{"old_fn", 0x3000000, 8, SectionKind::kText});
+  lib.symbols.push_back(ImageSymbol{"lib_fn", 0x3000040, 8, SectionKind::kText});
+  lib.BuildSymbolIndex();
+  LayoutSpec layout;
+  layout.libraries.push_back(&lib);
+  layout.record_relocs = true;
+  for (uint32_t base : {0x100000u, 0x2000000u}) {
+    layout.text_base = base;
+    ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(m, layout, "img"));
+    ASSERT_EQ(image.reloc_log.size(), 1u);
+    EXPECT_EQ(image.reloc_log[0].symbol, "old_fn");
+    EXPECT_EQ(image.reloc_log[0].value, 0x3000040u);
+  }
+}
+
+TEST(LinkPlanProperty, MissingEntrySymbolFails) {
+  Module m = LeafFromSource("a.o", ".text\n.global f\nf:\n  ret\n");
+  LayoutSpec layout;
+  layout.entry_symbol = "_start";
+  ExpectLinkFails(m, layout, ErrorCode::kUnresolvedSymbol, "img: no entry symbol _start");
+}
+
 // ---- Codec round-trip properties over generated objects ----------------------
 
 class CodecProperty : public ::testing::TestWithParam<int> {};

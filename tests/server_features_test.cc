@@ -25,18 +25,23 @@
 namespace omos {
 namespace {
 
-class ServerFeatures : public ::testing::Test {
- protected:
-  void SetUp() override {
-    server_ = std::make_unique<OmosServer>(kernel_);
-    ASSERT_OK_AND_ASSIGN(ObjectFile crt0, Assemble(R"(
+// /lib/crt0.o: _start calls main and exits with its result.
+Result<void> AddCrt0(OmosServer& server) {
+  OMOS_TRY(ObjectFile crt0, Assemble(R"(
 .text
 .global _start
 _start:
   call main
   sys 0
 )", "crt0.o"));
-    ASSERT_OK(server_->AddFragment("/lib/crt0.o", std::move(crt0)));
+  return server.AddFragment("/lib/crt0.o", std::move(crt0));
+}
+
+class ServerFeatures : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    server_ = std::make_unique<OmosServer>(kernel_);
+    ASSERT_OK(AddCrt0(*server_));
   }
 
   Result<RunOutcome> Run(TaskId id) {
@@ -1669,7 +1674,7 @@ int VersionSeenBy(OmosServer& server, TaskId id) {
   }
   for (const ImageSymbol& sym : *symbols) {
     if (StartsWith(sym.name, "ver_")) {
-      return std::stoi(sym.name.substr(4));
+      return std::stoi(std::string(sym.name.substr(4)));
     }
   }
   return -1;
@@ -1715,6 +1720,92 @@ TEST_F(EvalMemoTest, ReplacedArchiveMemberReachesNextExec) {
   ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
   ASSERT_OK_AND_ASSIGN(int second, ExecQ());
   EXPECT_EQ(second, 2);
+}
+
+// The cached image of `path`, whatever its specialization, or null.
+ImageRef CachedImageOf(OmosServer& server, std::string_view path) {
+  for (const std::string& key : server.cache().Keys()) {
+    std::string_view key_path = key;
+    SplitCacheKey(key, &key_path, nullptr);
+    if (key_path == path) {
+      return server.cache().Peek(key);
+    }
+  }
+  return nullptr;
+}
+
+// The library's and the client's published images: key, bases, entry,
+// bytes and symbols.
+std::vector<std::string> AnswerImages(OmosServer& server) {
+  ImageCache::ReadLease lease(server.cache());
+  std::vector<std::string> images;
+  for (const char* path : {"/lib/ans", "/bin/q"}) {
+    Specialization spec;
+    if (std::string_view(path) == "/lib/ans") {
+      spec.name = "lib-constrained";
+    }
+    auto image = server.Instantiate(path, spec, nullptr);
+    EXPECT_OK(image);
+    if (image.ok()) {
+      const LinkedImage& linked = (*image)->image;
+      std::string out = StrCat((*image)->key, " text ", Hex32(linked.text_base), " data ",
+                               Hex32(linked.data_base), " entry ", Hex32(linked.entry), " bytes ",
+                               Fnv1aBytes(linked.text.data(), linked.text.size()), " ",
+                               Fnv1aBytes(linked.data.data(), linked.data.size()));
+      for (const ImageSymbol& sym : linked.symbols) {
+        out += StrCat(" ", sym.name, "@", Hex32(sym.addr));
+      }
+      images.push_back(std::move(out));
+    }
+  }
+  return images;
+}
+
+TEST_F(EvalMemoTest, LibraryFixPlansOnlyTheClient) {
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  ASSERT_OK_AND_ASSIGN(int first, ExecQ());
+  EXPECT_EQ(first, 1);
+
+  // The lib_update shape: the library moves to a new fixed base over an
+  // unchanged archive. Its symbol space is the archive memo's, so its
+  // relink applies the plan that space keeps; only the re-evaluated client
+  // is planned.
+  uint64_t plans = CounterValue("link.plans");
+  ASSERT_OK(
+      server_->DefineLibrary("/lib/ans", "(constraint-list \"T\" 0x2100000)\n(merge /libx)"));
+  ASSERT_OK_AND_ASSIGN(int second, ExecQ());
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(CounterValue("link.plans") - plans, 1u);
+}
+
+TEST_F(EvalMemoTest, ReplacedArchiveMemberPlansTheLibraryAgain) {
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  ASSERT_OK_AND_ASSIGN(int first, ExecQ());
+  EXPECT_EQ(first, 1);
+
+  // A new member is a new module, so the library is planned afresh. The
+  // client is relinked against the rebuilt library, but its evaluation is a
+  // memo hit (it reads /lib/ans, not /libx), so it applies the plan its
+  // memoized space keeps.
+  ImageRef client = CachedImageOf(*server_, "/bin/q");
+  ASSERT_NE(client, nullptr);
+  uint64_t plans = CounterValue("link.plans");
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, VersionedAnswer(2));
+  ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
+  ASSERT_OK_AND_ASSIGN(int second, ExecQ());
+  EXPECT_EQ(second, 2);
+  EXPECT_EQ(CounterValue("link.plans") - plans, 1u);
+  EXPECT_NE(CachedImageOf(*server_, "/bin/q"), client);
+
+  // Both link what a server that only ever saw the new member builds cold.
+
+  Kernel cold_kernel;
+  OmosServer cold(cold_kernel);
+  ASSERT_OK(AddCrt0(cold));
+  ASSERT_OK(DefineAnswerClient(cold, 2));
+  ASSERT_OK_AND_ASSIGN(TaskId id, cold.IntegratedExec("/bin/q", {"q"}));
+  EXPECT_EQ(VersionSeenBy(cold, id), 2);
+  EXPECT_EQ(AnswerImages(*server_), AnswerImages(cold));
 }
 
 TEST_F(EvalMemoTest, ReplacedArchiveReachesNextExec) {

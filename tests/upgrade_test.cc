@@ -25,9 +25,10 @@ namespace {
 
 // ---- FrameTransferMap unit tests (no server) --------------------------------
 
-ImageSymbol Sym(std::string name, uint32_t addr, SectionKind section = SectionKind::kText) {
+ImageSymbol Sym(std::string_view name, uint32_t addr,
+                SectionKind section = SectionKind::kText) {
   ImageSymbol sym;
-  sym.name = std::move(name);
+  sym.name = SymbolInterner::Global().Name(SymbolInterner::Global().Intern(name));
   sym.addr = addr;
   sym.section = section;
   return sym;
