@@ -50,7 +50,7 @@ std::vector<std::pair<std::string, std::string>> ExecutableMetas(const OmosNames
 
 // Maps a cached image into `task`: text shared from its master segment and
 // data copy-on-write against its data master. An image with no text master
-// (empty text) maps by private copy. Callers hold kernel_mu_.
+// (empty text) maps by private copy.
 Result<void> MapCached(Kernel& kernel, Task& task, const CachedImage& cached) {
   if (cached.text_seg.has_value()) {
     return MapImageWithSharedText(kernel, task, cached.image, *cached.text_seg,
@@ -197,7 +197,6 @@ int OmosServer::EvictMoved(const std::vector<std::string>& moved) {
 
 Result<void> OmosServer::Redefine(const std::vector<std::string>& paths,
                                   const std::function<Result<void>()>& publish) {
-  std::lock_guard<std::mutex> lock(admin_mu_);
   std::unique_lock<std::shared_mutex> publishing(publish_mu_);
   InvalidateImagesOf(paths);
   Result<void> published = publish();
@@ -328,10 +327,7 @@ Result<ImageRef> OmosServer::MapInstantiated(
   while (true) {
     uint64_t work = 0;
     OMOS_TRY(ImageRef image, instantiate(&work));
-    {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      task.BillSys(work + kernel_->costs().omos_cache_lookup);
-    }
+    task.BillSys(work + kernel_->costs().omos_cache_lookup);
     Result<uint32_t> mapped = MapProgram(task, *image);
     if (mapped.ok()) {
       return image;
@@ -613,7 +609,6 @@ Result<void> OmosServer::MaterializeSegments(CachedImage& cached) {
   if (cached.image.text.empty() && cached.image.data.empty()) {
     return OkResult();
   }
-  std::lock_guard<std::mutex> lock(kernel_mu_);  // phys-memory allocation
   if (!cached.image.text.empty()) {
     OMOS_TRY(SegmentImage seg, SegmentImage::Create(kernel_->phys(), cached.image.text));
     cached.text_seg = std::move(seg);
@@ -856,27 +851,28 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
     }
     return OkResult();
   }();
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task.BillSys(rebuild_work);
-    OMOS_TRY_VOID(resolved);
-    OMOS_TRY_VOID(MapCached(*kernel_, task, program));
-    for (const auto& [key, lib] : runtime.libs) {
-      OMOS_TRY_VOID(MapCached(*kernel_, task, *lib));
-    }
+  task.BillSys(rebuild_work);
+  OMOS_TRY_VOID(resolved);
+  OMOS_TRY_VOID(MapCached(*kernel_, task, program));
+  for (const auto& [key, lib] : runtime.libs) {
+    OMOS_TRY_VOID(MapCached(*kernel_, task, *lib));
   }
   for (const StubSlot& slot : program.stub_slots) {
     const ImageSymbol* sym = program.image.FindSymbol(slot.slot_symbol);
     if (sym == nullptr) {
       return Err(ErrorCode::kInternal, StrCat("missing stub slot symbol ", slot.slot_symbol));
     }
-    // A live upgrade in flight redirects lazy slots of the old version so
-    // tasks exec'd mid-roll bind the new one (the cached program image still
-    // names the old impl key until the reclaim-phase redefinition).
-    runtime.slots.push_back(
-        TaskRuntime::Slot{sym->addr, RedirectLibKey(slot.lib_path), slot.symbol});
+    runtime.slots.push_back(TaskRuntime::Slot{sym->addr, slot.lib_path, slot.symbol});
   }
   std::lock_guard<std::mutex> lock(runtimes_mu_);
+  // A live upgrade that has repointed redirects lazy slots of the old
+  // version so tasks exec'd mid-roll bind the new one (the cached program
+  // image still names the old impl key until the reclaim-phase
+  // redefinition). Redirected in the section that installs the runtime, so
+  // a repoint either rewrites these slots or precedes this redirect.
+  for (TaskRuntime::Slot& slot : runtime.slots) {
+    slot.lib_path = RedirectLibKey(slot.lib_path);
+  }
   std::swap(runtimes_[task.id()], runtime);  // a replaced runtime drops after the lock
   return program.image.entry;
 }
@@ -889,27 +885,29 @@ Result<bool> OmosServer::MapFirstUse(Task& task, const ImageRef& image,
     if (it == runtimes_.end()) {
       return Err(ErrorCode::kNotFound, StrCat(task.name(), ": task released"));
     }
-    if (!it->second.libs.try_emplace(image->key, image).second) {
+    if (it->second.libs.count(image->key) != 0) {
       return false;
     }
+    // The repoint made pending every task that mapped the old version by
+    // then; a task that maps it later would escape the drain.
+    if (RedirectLibKey(image->key) != image->key) {
+      return Err(ErrorCode::kUnavailable, StrCat(image->key, ": superseded by a live upgrade"));
+    }
+    it->second.libs.emplace(image->key, image);
   }
   task.BillSys(first_use_cost);
-  std::lock_guard<std::mutex> lock(kernel_mu_);
   OMOS_TRY_VOID(MapCached(*kernel_, task, *image));
   return true;
 }
 
 void OmosServer::ReleaseTask(TaskId id) {
   decltype(runtimes_)::node_type released;  // its image references drop after the lock
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    released = runtimes_.extract(id);
-  }
   // A released task can no longer execute old-version code: take it out of
   // any in-flight upgrade's pending set (and reclaim if it was the last).
   std::shared_ptr<UpgradeJob> reclaim_ready;
   {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
+    released = runtimes_.extract(id);
     if (upgrade_job_ != nullptr && upgrade_job_->pending.erase(id) > 0) {
       upgrade_job_->retry_at.erase(id);
       if (upgrade_job_->pending.empty() && upgrade_job_->phase == UpgradePhase::kDraining) {
@@ -939,7 +937,7 @@ Result<uint64_t> OmosServer::BeginUpgrade(const std::string& path,
   impl_spec.name = "lib-dynamic-impl";
   std::shared_ptr<UpgradeJob> job;
   {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
     if (upgrade_job_ != nullptr && upgrade_job_->phase != UpgradePhase::kDone &&
         upgrade_job_->phase != UpgradePhase::kAborted) {
       return Err(ErrorCode::kUnavailable,
@@ -1036,71 +1034,47 @@ void OmosServer::RunUpgradeRepoint(std::shared_ptr<UpgradeJob> job) {
     AbortUpgrade(job, "upgrade.repoint: injected fault");
     return;
   }
+  // One critical section switches every runtime from the old implementation
+  // key to the new one and makes pending every task that maps the old
+  // version: lazy slots resolved after this bind the new version;
+  // already-resolved slots keep calling the (still mapped) old code until
+  // the task's safepoint transfer. No task observes a half-switched table,
+  // and a flagged task's safepoint waits on this lock, so it sees the
+  // pending set it was flagged for.
+  uint64_t repointed_tasks = 0;
+  size_t pending = 0;
   {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
     if (job->phase != UpgradePhase::kLinking) {
       return;  // aborted concurrently
     }
-    job->phase = UpgradePhase::kRepointing;
-  }
-  // One critical section switches every runtime from the old implementation
-  // key to the new one: lazy slots resolved after this bind the new version;
-  // already-resolved slots keep calling the (still mapped) old code until
-  // the task's safepoint transfer. No task observes a half-switched table.
-  std::set<TaskId> affected;
-  uint64_t repointed_tasks = 0;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
     for (auto& [tid, runtime] : runtimes_) {
-      bool uses_old = runtime.libs.count(job->old_impl_key) != 0;
+      bool maps_old = runtime.libs.count(job->old_impl_key) != 0;
+      bool uses_old = maps_old;
       for (TaskRuntime::Slot& slot : runtime.slots) {
         if (slot.lib_path == job->old_impl_key) {
           slot.lib_path = job->new_impl_key;
           uses_old = true;
         }
       }
-      if (runtime.libs.count(job->old_impl_key) != 0) {
-        affected.insert(tid);  // old code/data mapped: needs a frame transfer
+      // Old code/data mapped: the task needs a frame transfer. One destroyed
+      // without ReleaseTask has nothing to drain.
+      if (maps_old) {
+        if (Task* task = kernel_->FindTask(tid)) {
+          job->pending.insert(tid);
+          task->RequestSafepoint();
+        }
       }
       if (uses_old) {
         ++repointed_tasks;
       }
     }
+    job->phase = UpgradePhase::kDraining;
+    pending = job->pending.size();
   }
   UpgradeStats().tasks_repointed->Add(repointed_tasks);
-  TraceInstant("upgrade.repoint",
-               StrCat(job->path, ": ", affected.size(), " task(s) to drain"));
-  // Publish the pending set before flagging: a safepoint that fires between
-  // the flag and the publish would otherwise see "not pending" and clear the
-  // flag, stranding the task on the old version forever.
-  {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
-    if (job->phase != UpgradePhase::kRepointing) {
-      return;
-    }
-    job->pending = affected;
-    job->phase = UpgradePhase::kDraining;
-  }
-  std::set<TaskId> gone;
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    for (TaskId tid : affected) {
-      if (Task* task = kernel_->FindTask(tid)) {
-        task->RequestSafepoint();
-      } else {
-        gone.insert(tid);  // destroyed without ReleaseTask; nothing to drain
-      }
-    }
-  }
-  bool reclaim_ready = false;
-  {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
-    for (TaskId tid : gone) {
-      job->pending.erase(tid);
-    }
-    reclaim_ready = job->phase == UpgradePhase::kDraining && job->pending.empty();
-  }
-  if (reclaim_ready) {
+  TraceInstant("upgrade.repoint", StrCat(job->path, ": ", pending, " task(s) to drain"));
+  if (pending == 0) {
     ScheduleUpgradeReclaim(job);
   }
 }
@@ -1108,7 +1082,7 @@ void OmosServer::RunUpgradeRepoint(std::shared_ptr<UpgradeJob> job) {
 Result<void> OmosServer::HandleSafepoint(Kernel& kernel, Task& task) {
   std::shared_ptr<UpgradeJob> job;
   {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
     job = upgrade_job_;
     if (job == nullptr || job->phase != UpgradePhase::kDraining ||
         job->pending.count(task.id()) == 0) {
@@ -1128,7 +1102,7 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
   const FrameTransferMap& map = *job->map;
   auto defer = [&]() {
     UpgradeStats().transfers_deferred->Add();
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
     job->retry_at[task.id()] = task.instructions_retired() + kTransferRetryInterval;
     return OkResult();
   };
@@ -1266,14 +1240,11 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
       old_impl = it->second.libs.extract(job->old_impl_key);
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    if (map.old_text_end() > map.old_text_base()) {
-      (void)task.space().Unmap(map.old_text_base());
-    }
-    if (map.old_data_end() > map.old_data_base()) {
-      (void)task.space().Unmap(map.old_data_base());
-    }
+  if (map.old_text_end() > map.old_text_base()) {
+    (void)task.space().Unmap(map.old_text_base());
+  }
+  if (map.old_data_end() > map.old_data_base()) {
+    (void)task.space().Unmap(map.old_data_base());
   }
   task.ClearSafepoint();
   UpgradeStats().frames_transferred->Add();
@@ -1282,7 +1253,7 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
   TraceInstant("upgrade.transfer", task.name());
   bool reclaim_ready = false;
   {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
     job->pending.erase(task.id());
     job->retry_at.erase(task.id());
     reclaim_ready = job->phase == UpgradePhase::kDraining && job->pending.empty();
@@ -1295,7 +1266,7 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
 
 void OmosServer::ScheduleUpgradeReclaim(const std::shared_ptr<UpgradeJob>& job) {
   {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
     if (job->phase != UpgradePhase::kDraining) {
       return;  // someone else already moved it on (or it aborted)
     }
@@ -1309,14 +1280,14 @@ void OmosServer::RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job) {
   if (FaultSim::Trip("upgrade.reclaim")) {
     // Killed mid-reclaim: retreat to draining so DrainUpgrade (or the next
     // task release) re-attempts. The redirect stays active meanwhile.
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
     if (job->phase == UpgradePhase::kReclaiming) {
       job->phase = UpgradePhase::kDraining;
     }
     return;
   }
   {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
     if (job->phase != UpgradePhase::kReclaiming) {
       return;
     }
@@ -1345,7 +1316,7 @@ void OmosServer::RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job) {
     UpgradeStats().images_reclaimed->Add(entries_before - entries_after);
   }
   {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
     job->phase = UpgradePhase::kDone;
   }
   UpgradeStats().completed->Add();
@@ -1353,34 +1324,28 @@ void OmosServer::RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job) {
 }
 
 void OmosServer::AbortUpgrade(const std::shared_ptr<UpgradeJob>& job, std::string why) {
-  std::set<TaskId> pending;
   {
-    std::lock_guard<std::mutex> lock(upgrade_mu_);
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
     if (job->phase == UpgradePhase::kDone || job->phase == UpgradePhase::kAborted) {
       return;
     }
     job->phase = UpgradePhase::kAborted;
     job->error = why;
-    pending.swap(job->pending);
-    job->retry_at.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    for (TaskId tid : pending) {
+    for (TaskId tid : job->pending) {
       if (Task* task = kernel_->FindTask(tid)) {
         task->ClearSafepoint();
       }
     }
+    job->pending.clear();
+    job->retry_at.clear();
   }
   UpgradeStats().aborted->Add();
   TraceInstant("upgrade.abort", StrCat(job->path, ": ", why));
 }
 
 std::string OmosServer::RedirectLibKey(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(upgrade_mu_);
   if (upgrade_job_ != nullptr && upgrade_job_->old_impl_key == key &&
-      (upgrade_job_->phase == UpgradePhase::kRepointing ||
-       upgrade_job_->phase == UpgradePhase::kDraining ||
+      (upgrade_job_->phase == UpgradePhase::kDraining ||
        upgrade_job_->phase == UpgradePhase::kReclaiming)) {
     return upgrade_job_->new_impl_key;
   }
@@ -1389,7 +1354,7 @@ std::string OmosServer::RedirectLibKey(const std::string& key) const {
 
 uint32_t OmosServer::DegradeBindingFor(const std::string& impl_key, const std::string& symbol,
                                        std::string* degrade_key) const {
-  std::lock_guard<std::mutex> lock(upgrade_mu_);
+  std::lock_guard<std::mutex> lock(runtimes_mu_);
   if (upgrade_job_ == nullptr || upgrade_job_->degrade_key.empty() ||
       upgrade_job_->phase == UpgradePhase::kAborted ||
       upgrade_job_->new_impl_key != impl_key) {
@@ -1404,7 +1369,7 @@ uint32_t OmosServer::DegradeBindingFor(const std::string& impl_key, const std::s
 }
 
 OmosServer::UpgradeStatus OmosServer::UpgradeStatusNow() const {
-  std::lock_guard<std::mutex> lock(upgrade_mu_);
+  std::lock_guard<std::mutex> lock(runtimes_mu_);
   UpgradeStatus status;
   if (upgrade_job_ == nullptr) {
     return status;
@@ -1424,7 +1389,7 @@ OmosServer::UpgradeStatus OmosServer::DrainUpgrade() {
     bool waiting_on_tasks = false;
     bool reclaim_ready = false;
     {
-      std::lock_guard<std::mutex> lock(upgrade_mu_);
+      std::lock_guard<std::mutex> lock(runtimes_mu_);
       job = upgrade_job_;
       if (job == nullptr || job->phase == UpgradePhase::kDone ||
           job->phase == UpgradePhase::kAborted) {
@@ -1451,17 +1416,12 @@ OmosServer::UpgradeStatus OmosServer::DrainUpgrade() {
 Result<TaskId> OmosServer::BootstrapExec(const std::string& path, std::vector<std::string> args,
                                          const Specialization& spec) {
   TraceSpan trace("server.exec_bootstrap", path);
-  TaskId task_id;
-  Task* task;
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task = &kernel_->CreateTask(StrCat("omos-boot:", path));
-    task_id = task->id();
-    const CostModel& costs = kernel_->costs();
-    // Load and run the tiny bootstrap loader program (#! /bin/omos).
-    task->BillSys(costs.file_open + costs.header_parse + costs.file_read_page);
-    task->BillUser(config_.bootstrap_user_cycles);
-  }
+  Task* task = &kernel_->CreateTask(StrCat("omos-boot:", path));
+  TaskId task_id = task->id();
+  const CostModel& costs = kernel_->costs();
+  // Load and run the tiny bootstrap loader program (#! /bin/omos).
+  task->BillSys(costs.file_open + costs.header_parse + costs.file_read_page);
+  task->BillUser(config_.bootstrap_user_cycles);
   ExecTransport transport = exec_transport();
   Channel channel = TakeExecChannel(transport);
   OmosRequest request;
@@ -1479,7 +1439,6 @@ Result<TaskId> OmosServer::BootstrapExec(const std::string& path, std::vector<st
   if (!reply.ok) {
     return Err(ErrorCode::kNotFound, reply.error);
   }
-  std::lock_guard<std::mutex> lock(kernel_mu_);
   OMOS_TRY_VOID(StartTask(*kernel_, *task, reply.entry, args));
   return task_id;
 }
@@ -1487,13 +1446,8 @@ Result<TaskId> OmosServer::BootstrapExec(const std::string& path, std::vector<st
 Result<TaskId> OmosServer::IntegratedExec(const std::string& path, std::vector<std::string> args,
                                           const Specialization& spec) {
   TraceSpan trace("server.exec_integrated", path);
-  Task* task;
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task = &kernel_->CreateTask(StrCat("omos-exec:", path));
-  }
+  Task* task = &kernel_->CreateTask(StrCat("omos-exec:", path));
   OMOS_TRY(ImageRef program, InstantiateAndMap(*task, path, spec));
-  std::lock_guard<std::mutex> lock(kernel_mu_);
   OMOS_TRY_VOID(StartTask(*kernel_, *task, program->image.entry, args));
   return task->id();
 }
@@ -1539,11 +1493,7 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
     std::lock_guard<std::mutex> lock(relink_mu_);
     prelinked = prelinked_.count(norm) != 0;
   }
-  Task* task;
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task = &kernel_->CreateTask(StrCat("omos-prelink:", path));
-  }
+  Task* task = &kernel_->CreateTask(StrCat("omos-prelink:", path));
   ImageRef image;
   bool adoption_missed = false;
   if (prelinked) {
@@ -1558,15 +1508,11 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
       BuildTracker tracker;
       image = TryAdoptFromStore(norm, {}, key, tracker);
       adoption_missed = image == nullptr;
-      std::lock_guard<std::mutex> lock(kernel_mu_);
       task->BillSys(tracker.work);
     }
   }
   if (image != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      task->BillSys(kernel_->costs().prelink_lookup);
-    }
+    task->BillSys(kernel_->costs().prelink_lookup);
     Result<uint32_t> mapped = MapProgram(*task, *image);
     if (mapped.ok()) {
       PrelinkCounters().hits->Add();
@@ -1593,7 +1539,6 @@ Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<st
       prelinked_.insert(norm);
     }
   }
-  std::lock_guard<std::mutex> lock(kernel_mu_);
   OMOS_TRY_VOID(StartTask(*kernel_, *task, image->image.entry, args));
   return task->id();
 }
@@ -1631,7 +1576,6 @@ Result<int> OmosServer::ExportNamespaceToFs(std::string_view namespace_dir,
                                             std::string_view fs_dir) {
   int exported = 0;
   for (const auto& [name, meta_path] : ExecutableMetas(namespace_, namespace_dir)) {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
     OMOS_TRY_VOID(kernel_->fs().TryWriteFile(StrCat(fs_dir, "/", name),
                                              StrCat("#!omos ", meta_path, "\n"), 0755));
     ++exported;
@@ -1658,26 +1602,43 @@ Result<TaskId> OmosServer::ExecFile(const std::string& fs_path, std::vector<std:
 Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
   uint32_t index = task.reg(12);
   TaskRuntime::Slot slot;
-  ImageRef impl;  // the version this task already maps, if any
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(task.id());
-    if (it == runtimes_.end() || index >= it->second.slots.size()) {
-      return Err(ErrorCode::kExecFault, StrCat(task.name(), ": bad dload slot ", index));
+  ImageRef impl;         // the version the slot binds to
+  std::string refused;   // an old version MapFirstUse turned down
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(runtimes_mu_);
+      auto it = runtimes_.find(task.id());
+      if (it == runtimes_.end() || index >= it->second.slots.size()) {
+        return Err(ErrorCode::kExecFault, StrCat(task.name(), ": bad dload slot ", index));
+      }
+      slot = it->second.slots[index];
+      if (auto lib = it->second.libs.find(slot.lib_path); lib != it->second.libs.end()) {
+        impl = lib->second;
+      }
     }
-    slot = it->second.slots[index];
-    if (auto lib = it->second.libs.find(slot.lib_path); lib != it->second.libs.end()) {
-      impl = lib->second;
+    if (impl != nullptr) {
+      break;
     }
-  }
-  uint64_t rebuild_work = 0;
-  if (impl == nullptr) {
-    OMOS_TRY(impl, GetOrRebuild(slot.lib_path, &rebuild_work));
+    // A refusal means an upgrade repointed after the slot was read: the
+    // repoint rewrote the slot, so it names the new version now.
+    if (slot.lib_path == refused) {
+      return Err(ErrorCode::kInternal,
+                 StrCat(task.name(), ": dload slot ", index, " still names superseded ", refused));
+    }
+    uint64_t rebuild_work = 0;
+    OMOS_TRY(ImageRef lib, GetOrRebuild(slot.lib_path, &rebuild_work));
     task.BillSys(rebuild_work);
     // First use in this task: the stub "contacts OMOS and loads in the
     // library" (§4.2) — one IPC round trip plus the mapping work.
-    OMOS_TRY_VOID(
-        MapFirstUse(task, impl, kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup));
+    Result<bool> mapped =
+        MapFirstUse(task, lib, kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup);
+    if (mapped.ok()) {
+      impl = std::move(lib);
+    } else if (mapped.error().code() == ErrorCode::kUnavailable) {
+      refused = slot.lib_path;
+    } else {
+      return mapped.error();
+    }
   }
   // "the first time a function is accessed, its name is looked up in the
   // function hash table and the value stored in an indirect branch table" —
@@ -1695,6 +1656,7 @@ Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
       return Err(ErrorCode::kUnresolvedSymbol,
                  StrCat("symbol ", slot.symbol, " not in ", slot.lib_path));
     }
+    uint64_t rebuild_work = 0;
     OMOS_TRY(ImageRef stubs, GetOrRebuild(degrade_key, &rebuild_work));
     OMOS_TRY_VOID(MapFirstUse(task, stubs, 0));
     UpgradeStats().degraded_bindings->Add();
@@ -1824,10 +1786,7 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     OMOS_TRY(cached, SingleFlight(cache_, key, [&] { return BuildCurrent(tracker, build); }));
   }
   task.BillSys(tracker.work + kernel_->costs().omos_cache_lookup);
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    OMOS_TRY_VOID(MapCached(*kernel_, task, *cached));
-  }
+  OMOS_TRY_VOID(MapCached(*kernel_, task, *cached));
   // The task owns the class like any image it maps, so it can be unlinked.
   const LinkedImage& image = cached->image;
   {
@@ -1853,12 +1812,9 @@ Result<void> OmosServer::PlaceClearOf(Task& task, const std::string& key, const 
   Result<void> placed = [&]() -> Result<void> {
     while (true) {
       OMOS_TRY(Placement at, solver_.Place(key, text_size, data_size));
-      {
-        std::lock_guard<std::mutex> kernel_lock(kernel_mu_);
-        if (!task.space().Overlaps(at.text_base, text_size) &&
-            !task.space().Overlaps(at.data_base, data_size)) {
-          return OkResult();
-        }
+      if (!task.space().Overlaps(at.text_base, text_size) &&
+          !task.space().Overlaps(at.data_base, data_size)) {
+        return OkResult();
       }
       solver_.Release(key);
       guards.push_back(StrCat(key, "#guard", guards.size()));
@@ -1885,7 +1841,6 @@ Result<void> OmosServer::DynamicUnload(Task& task, uint32_t text_base) {
     if (image.text_base != text_base) {
       continue;
     }
-    std::lock_guard<std::mutex> lock(kernel_mu_);  // runtimes_mu_ -> kernel_mu_ is in order
     if (!image.text.empty()) {
       OMOS_TRY_VOID(task.space().Unmap(image.text_base));
     }
@@ -2079,9 +2034,9 @@ std::string OmosServer::Snapshot() const {
 }
 
 Result<void> OmosServer::Restore(std::string_view snapshot) {
-  // Serialize against concurrent Define*/Restore; per-structure locks below
-  // keep readers (Lookup, HasPreferredOrder) safe while we repopulate.
-  std::lock_guard<std::mutex> admin_lock(admin_mu_);
+  // Serialize against concurrent Define*/Restore/OptimizePlacements;
+  // per-structure locks below keep readers (Lookup, HasPreferredOrder) safe
+  // while we repopulate.
   std::unique_lock<std::shared_mutex> publishing(publish_mu_);
   // Integrity first: the trailing check line must hash everything before it.
   size_t check_at = snapshot.rfind("check ");
@@ -2240,7 +2195,9 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
 int OmosServer::OptimizePlacements() {
   int evicted = 0;
   {
-    std::lock_guard<std::mutex> admin_lock(admin_mu_);
+    // Exclusive, so the re-pack stays serialized with Restore's staged
+    // placements.
+    std::unique_lock<std::shared_mutex> publishing(publish_mu_);
     std::vector<std::string> changed;
     {
       std::lock_guard<std::mutex> lock(solver_mu_);
@@ -2248,7 +2205,7 @@ int OmosServer::OptimizePlacements() {
     }
     evicted = EvictMoved(changed);
   }
-  // Outside admin_mu_ (the relink re-enters Instantiate): re-link prelinked
+  // Outside publish_mu_ (the relink re-enters Instantiate): re-link prelinked
   // images at the re-packed layout, so an administrative re-pack doesn't
   // leave every prelinked exec to re-link on its critical path.
   RunRelink();
@@ -2470,10 +2427,7 @@ OmosReply OmosServer::HandleRequestImpl(const OmosRequest& request) {
   // Instantiate and DynamicLoad act on the client task named by the handle.
   Task* task = nullptr;
   if (request.op == OmosOp::kInstantiate || request.op == OmosOp::kDynamicLoad) {
-    {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      task = kernel_->FindTask(request.task_handle);
-    }
+    task = kernel_->FindTask(request.task_handle);
     if (task == nullptr) {
       reply.error = "bad task handle";
       return reply;
@@ -2493,7 +2447,6 @@ OmosReply OmosServer::HandleRequestImpl(const OmosRequest& request) {
       }
       reply.ok = true;
       reply.entry = (*program)->image.entry;
-      std::lock_guard<std::mutex> lock(kernel_mu_);
       for (const auto& region : task->space().Regions()) {
         reply.segments.push_back(SegmentDesc{region.base, region.size, region.prot, region.name});
       }

@@ -52,35 +52,41 @@ struct OmosServerConfig {
   uint64_t bootstrap_user_cycles = 300;
 };
 
-// Concurrency model (PR 3): many worker threads may call Instantiate /
+// Concurrency model: many worker threads may call Instantiate /
 // GetOrRebuild / ServeMessage / the exec paths at once. The cache, the
-// namespace and the blueprint evaluator (with its memo, under its own leaf
-// lock) synchronize themselves; the server's own state is guarded by a
-// strict lock hierarchy (acquire downward only, release before recursing
-// into Instantiate):
+// namespace, the blueprint evaluator (with its memo), the kernel's task
+// table and PhysMemory synchronize themselves. The server's own state is
+// guarded by six locks, none held across a recursive Instantiate or a
+// cache call that can build. Only two have locks under them:
 //
-//   admin_mu_    — serializes administrative writers (Define*, AddFragment,
-//                  Restore, OptimizePlacements) against each other
-//   publish_mu_  — namespace publication (exclusive) vs an image's check-
-//                  and-publish step (shared); it orders image publication
-//                  only, never an evaluation
-//   monitor_mu_  — monitor_names_ / monitor_counts_
-//   solver_mu_   — every ConstraintSolver call
-//   upgrade_mu_  — the live-upgrade job (phase, pending tasks, plan)
-//   runtimes_mu_ — runtimes_ (per-task images and stub state); no image
-//                  is destroyed while it is held
-//   kernel_mu_   — kernel and task mutation (CreateTask, mapping, billing,
-//                  SimFs writes); never held across a build
-//   Kernel::tasks_mu_ — the kernel's task table (CreateTask, FindTask,
-//                  DestroyTask), taken inside the kernel with or without
-//                  kernel_mu_ held; a leaf, so always last
+//   publish_mu_  — namespace publication (exclusive: every Define*,
+//                  AddFragment, Restore and OptimizePlacements, so it also
+//                  serializes those writers) vs an image's check-and-publish
+//                  step (shared); it orders image publication only, never an
+//                  evaluation. Under it: solver_mu_, relink_mu_ (Restore),
+//                  and the namespace's, cache's, memo's and store's own
+//                  locks.
+//   runtimes_mu_ — runtimes_ (what each task maps, how its lazy slots bind)
+//                  and the live-upgrade job (phase, pending tasks), so every
+//                  decision about which version a task maps is made under
+//                  the one lock the repoint holds. No image is destroyed
+//                  while it is held. Under it: Kernel::tasks_mu_ (FindTask),
+//                  and PhysMemory's lock (DynamicUnload's Unmap).
 //
-// relink_mu_ (the relink queue and the prelinked paths) and
-// exec_channels_mu_ (the parked exec channels) are leaf locks: nothing else
-// is acquired while one of them is held.
+// monitor_mu_ (the monitor tables), solver_mu_ (every ConstraintSolver
+// call), relink_mu_ (the relink queue and the prelinked paths) and
+// exec_channels_mu_ (the parked exec channels) have no lock taken under
+// them.
 // exec_channels_mu_ is never held across Channel::Call: a BootstrapExec
 // takes a channel off the list, calls, and parks it again. A warm hit takes
 // no server lock at all: it goes straight to the cache.
+//
+// Task ownership: a task's address space, registers and accounting are
+// touched only by the thread that drives it or, before StartTask, by the
+// exec path that created it; no server lock covers them. So a wire
+// kDynamicLoad must name a task that is not running. Owners call
+// ReleaseTask before Kernel::DestroyTask: a Task* found under runtimes_mu_
+// then stays valid while the lock is held.
 //
 // Cache misses are single-flight: concurrent Instantiates of one key elect
 // a leader via ImageCache::JoinBuild and everyone shares its image. Inside
@@ -154,7 +160,9 @@ class OmosServer {
   // §5: "/bin, for example, can become a 'filesystem' backed only by OMOS".
   // Writes a `#!omos <meta>` interpreter file into the kernel's SimFs for
   // every meta-object under `namespace_dir`, so ordinary path-based exec
-  // reaches the server. Returns the number of entries exported.
+  // reaches the server. Returns the number of entries exported. SimFs is
+  // not synchronized: call at setup time, as ExecFile and task syscalls
+  // read it unlocked.
   Result<int> ExportNamespaceToFs(std::string_view namespace_dir, std::string_view fs_dir);
 
   // Map a cached program image (plus its constrained library deps) into a
@@ -164,7 +172,8 @@ class OmosServer {
   // again.
   Result<uint32_t> MapProgram(Task& task, const CachedImage& program);
 
-  // Drop per-task runtime state (call when a task is destroyed).
+  // Drop per-task runtime state. Call before Kernel::DestroyTask: the
+  // upgrade repoint relies on it to use the tasks it finds.
   void ReleaseTask(TaskId id);
 
   // ---- Live upgrade (src/upgrade/, docs/upgrade.md) -------------------------
@@ -440,7 +449,7 @@ class OmosServer {
   // Evict every cached image that read one of `paths`, transitively through
   // deps, and release their placements.
   void InvalidateImagesOf(const std::vector<std::string>& paths);
-  // Every namespace mutation: under admin_mu_ and publish_mu_ (exclusive),
+  // Every namespace mutation: under publish_mu_ (exclusive),
   // invalidate the images that read `paths`, run `publish`, then have the
   // evaluator drop the memos it superseded.
   Result<void> Redefine(const std::vector<std::string>& paths,
@@ -468,8 +477,10 @@ class OmosServer {
 
   // First use of `image` in `task`: records it in the runtime's libs, bills
   // `first_use_cost` and maps it; later uses of its key do nothing.
-  // Returns whether this call mapped it, or kNotFound once the task's
-  // runtime state is gone (released concurrently).
+  // Returns whether this call mapped it, kNotFound once the task's runtime
+  // state is gone (released concurrently), or kUnavailable for the old
+  // implementation of a library whose upgrade has repointed: the caller
+  // resolves its slot again.
   Result<bool> MapFirstUse(Task& task, const ImageRef& image, uint64_t first_use_cost);
 
   Result<void> HandleDload(Kernel& kernel, Task& task);
@@ -501,7 +512,7 @@ class OmosServer {
 
   // ---- Live upgrade internals ----------------------------------------------
   // One upgrade in flight at a time. Mutable fields (phase, pending,
-  // retry_at, error) are guarded by upgrade_mu_; the immutable plan (keys,
+  // retry_at, error) are guarded by runtimes_mu_; the immutable plan (keys,
   // transfer map, degradation addresses) is written before the job becomes
   // visible to safepoints and read-only after.
   struct UpgradeJob {
@@ -514,13 +525,13 @@ class OmosServer {
     std::shared_ptr<const FrameTransferMap> map;
     std::map<std::string, uint32_t> degrade_addrs;  // deleted symbol -> stub
 
-    UpgradePhase phase = UpgradePhase::kIdle;       // guarded by upgrade_mu_
-    std::set<TaskId> pending;                       // guarded by upgrade_mu_
+    UpgradePhase phase = UpgradePhase::kIdle;       // guarded by runtimes_mu_
+    std::set<TaskId> pending;                       // guarded by runtimes_mu_
     // Deferral backoff: task -> instructions_retired before the next
     // transfer attempt (a failed attempt scanned the whole stack; don't
     // re-scan every instruction).
-    std::map<TaskId, uint64_t> retry_at;            // guarded by upgrade_mu_
-    std::string error;                              // guarded by upgrade_mu_
+    std::map<TaskId, uint64_t> retry_at;            // guarded by runtimes_mu_
+    std::string error;                              // guarded by runtimes_mu_
   };
 
   // Background-link body (idle lane), then the atomic runtime repoint.
@@ -528,6 +539,9 @@ class OmosServer {
   // Link the new version (and any degradation stubs) and fill in the job's
   // transfer plan; an error aborts the upgrade.
   Result<void> LinkUpgrade(UpgradeJob& job);
+  // One runtimes_mu_ section: rewrite every runtime's old-version slots,
+  // make each task that maps the old version pending, flag it for a
+  // safepoint, and start draining.
   void RunUpgradeRepoint(std::shared_ptr<UpgradeJob> job);
   // Safepoint hook body: attempt the OSR frame transfer for `task`.
   Result<void> HandleSafepoint(Kernel& kernel, Task& task);
@@ -537,8 +551,9 @@ class OmosServer {
   // references it; retried by DrainUpgrade when killed by fault injection.
   void RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job);
   void AbortUpgrade(const std::shared_ptr<UpgradeJob>& job, std::string why);
-  // Old-impl-key -> new-impl-key redirect while an upgrade is repointing, so
+  // Old-impl-key -> new-impl-key redirect once an upgrade has repointed, so
   // tasks exec'd mid-roll resolve their lazy slots against the new version.
+  // Callers hold runtimes_mu_.
   std::string RedirectLibKey(const std::string& key) const;
   // Degradation-stub binding for `symbol` of `impl_key`, or 0.
   uint32_t DegradeBindingFor(const std::string& impl_key, const std::string& symbol,
@@ -563,17 +578,13 @@ class OmosServer {
   // on miss paths. Not owned.
   ImageStore* store_ = nullptr;
 
-  // Lock hierarchy (see class comment): acquire strictly downward, never
-  // hold any of these across a recursive Instantiate or a cache call that
-  // can build (JoinBuild leadership is not a lock). The leaf locks
-  // (relink_mu_, exec_channels_mu_) are declared with the state
-  // they guard below.
-  mutable std::mutex admin_mu_;
+  // Lock hierarchy (see class comment): never hold any of these across a
+  // recursive Instantiate or a cache call that can build (JoinBuild
+  // leadership is not a lock). relink_mu_, exec_channels_mu_ and
+  // publish_mu_ are declared with the state they guard below.
   mutable std::mutex monitor_mu_;
   mutable std::mutex solver_mu_;
-  mutable std::mutex upgrade_mu_;
   mutable std::mutex runtimes_mu_;
-  mutable std::mutex kernel_mu_;  // then the kernel's own task lock, last
 
   ConstraintSolver solver_;             // guarded by solver_mu_
   std::map<TaskId, TaskRuntime> runtimes_;  // guarded by runtimes_mu_
@@ -591,9 +602,9 @@ class OmosServer {
   std::set<std::string> prelinked_;
 
   // Live upgrade: at most one job; the pointer itself is guarded by
-  // upgrade_mu_ (safepoints copy the shared_ptr out under the lock).
-  std::shared_ptr<UpgradeJob> upgrade_job_;  // guarded by upgrade_mu_
-  uint64_t upgrade_counter_ = 0;             // guarded by upgrade_mu_
+  // runtimes_mu_ (safepoints copy the shared_ptr out under the lock).
+  std::shared_ptr<UpgradeJob> upgrade_job_;  // guarded by runtimes_mu_
+  uint64_t upgrade_counter_ = 0;             // guarded by runtimes_mu_
 
   // Orders namespace publication against build publication. A
   // redefinition holds it exclusively from invalidation through publish; a

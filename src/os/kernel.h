@@ -63,7 +63,9 @@ class Kernel {
 
   // The task table is safe to use from any thread. A returned Task& or
   // Task* stays valid only until the task's owner destroys it: the table
-  // does not pin tasks, and only the thread driving a task may run it.
+  // does not pin tasks, and only the thread driving a task may run it. An
+  // owner whose task an OmosServer maps calls OmosServer::ReleaseTask
+  // before DestroyTask.
   Task& CreateTask(std::string name);
   void DestroyTask(TaskId id);
   Task* FindTask(TaskId id);
@@ -148,8 +150,9 @@ class Kernel {
   SimFs fs_;
   // Guards tasks_ and next_task_id_. A leaf lock: nothing is called while
   // it is held, and a destroyed task is deleted after it is released. It
-  // ranks below every lock of the kernel's callers (the server takes
-  // kernel_mu_ first, then this one), never the other way round.
+  // ranks below every lock of the kernel's callers (the server's upgrade
+  // repoint and abort call FindTask under runtimes_mu_), never the other way
+  // round.
   std::mutex tasks_mu_;
   std::map<TaskId, std::unique_ptr<Task>> tasks_;
   std::map<std::string, SegmentImage> page_cache_;

@@ -14,8 +14,6 @@ const char* UpgradePhaseName(UpgradePhase phase) {
       return "idle";
     case UpgradePhase::kLinking:
       return "linking";
-    case UpgradePhase::kRepointing:
-      return "repointing";
     case UpgradePhase::kDraining:
       return "draining";
     case UpgradePhase::kReclaiming:

@@ -47,8 +47,7 @@ inline constexpr uint32_t kUpgradeUnavailable = 0xFFFFFFFFu;
 enum class UpgradePhase {
   kIdle,        // no upgrade in flight
   kLinking,     // new version linking on the idle lane
-  kRepointing,  // runtimes being switched to the new version
-  kDraining,    // waiting for live tasks to reach safepoints
+  kDraining,    // runtimes repointed; waiting for live tasks to reach safepoints
   kReclaiming,  // every task migrated; old version being released
   kDone,
   kAborted,
@@ -67,8 +66,8 @@ struct TransferRange {
 };
 
 // Same-name, same-size initialized/bss data symbols: the task's current old
-// bytes are carried into the new version at repoint time so library state
-// (counters, caches) survives the upgrade.
+// bytes are carried into the new version at the task's first contact in its
+// frame transfer, so library state (counters, caches) survives the upgrade.
 struct DataCarry {
   std::string name;
   uint32_t old_addr = 0;

@@ -68,6 +68,21 @@ mul3:
   ret
 )";
 
+// The same library with add2 adding 12: a client computing (5 + 2) * 3 = 21
+// on it computes (5 + 12) * 3 = 51.
+constexpr char kAddLibV2[] = R"(
+.text
+.global add2
+add2:
+  addi r0, r0, 12
+  ret
+.global mul3
+mul3:
+  movi r1, 3
+  mul r0, r0, r1
+  ret
+)";
+
 constexpr char kCrt0[] = R"(
 .text
 .global _start
@@ -110,6 +125,17 @@ class ConcurrencyTest : public ::testing::Test {
     out.exit_code = task->exit_code();
     out.output = task->output();
     return out;
+  }
+
+  // /bin/dynprog binds /lib/addlib lazily (lib-dynamic): 21 on v1
+  // (/obj/addlib.o), 51 on v2 (/obj/addlib2.o).
+  void DefineDynprog() {
+    ASSERT_OK_AND_ASSIGN(ObjectFile v2, Assemble(kAddLibV2, "addlib2.o"));
+    ASSERT_OK(server_->AddFragment("/obj/addlib2.o", std::move(v2)));
+    ASSERT_OK(server_->DefineLibrary("/lib/addlib", "(merge /obj/addlib.o)"));
+    ASSERT_OK(server_->DefineMeta("/bin/dynprog",
+                                  "(merge /lib/crt0.o /obj/client.o"
+                                  " (specialize \"lib-dynamic\" /lib/addlib))"));
   }
 
   Kernel kernel_;
@@ -706,24 +732,7 @@ TEST_F(ConcurrencyTest, ServeAsyncAnswersOnPoolThread) {
 // version: 21 (pure v1) or 51 (pure v2) — anything else means a torn
 // migration.
 TEST_F(ConcurrencyTest, ConcurrentUpgradeAndExec) {
-  constexpr char kAddLibV2[] = R"(
-.text
-.global add2
-add2:
-  addi r0, r0, 12
-  ret
-.global mul3
-mul3:
-  movi r1, 3
-  mul r0, r0, r1
-  ret
-)";
-  ASSERT_OK_AND_ASSIGN(ObjectFile v2, Assemble(kAddLibV2, "addlib2.o"));
-  ASSERT_OK(server_->AddFragment("/obj/addlib2.o", std::move(v2)));
-  ASSERT_OK(server_->DefineLibrary("/lib/addlib", "(merge /obj/addlib.o)"));
-  ASSERT_OK(server_->DefineMeta("/bin/dynprog",
-                                "(merge /lib/crt0.o /obj/client.o"
-                                " (specialize \"lib-dynamic\" /lib/addlib))"));
+  ASSERT_NO_FATAL_FAILURE(DefineDynprog());
 
   constexpr int kRounds = 6;
   std::atomic<int> bad{0};
@@ -777,6 +786,185 @@ mul3:
   EXPECT_EQ(out.exit_code, 51);
 }
 
+// Once the repoint has run, no task gains the old version of an upgraded
+// library without the drain waiting for it (docs/upgrade.md). Three threads
+// exec and run /bin/dynprog through each repoint, so runtimes get installed
+// and lazy slots bound while the repoint rewrites the table. A pin task that
+// mapped the old version and exited keeps the job draining, so each round
+// can compare the live tasks that map the old add2 with the pending count.
+TEST_F(ConcurrencyTest, ExecsAndDloadsRacingARepointAreDrained) {
+  ASSERT_NO_FATAL_FAILURE(DefineDynprog());
+  Specialization impl_spec;
+  impl_spec.name = "lib-dynamic-impl";
+  constexpr int kRounds = 100;
+  constexpr int kRacers = 3;
+  int missed_rounds = 0;
+  std::atomic<int> bad{0};
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_OK_AND_ASSIGN(const CachedImage* old_impl,
+                         server_->Instantiate("/lib/addlib", impl_spec, nullptr));
+    const ImageSymbol* add2 = old_impl->image.FindSymbol("add2");
+    ASSERT_NE(add2, nullptr);
+    const uint32_t old_add2 = add2->addr;
+    ASSERT_OK_AND_ASSIGN(TaskId pin, server_->IntegratedExec("/bin/dynprog", {"prog"}));
+    ASSERT_OK(RunTaskById(pin));
+
+    std::atomic<bool> stop{false};
+    std::vector<std::vector<TaskId>> ids(kRacers);
+    std::vector<std::thread> racers;
+    for (int t = 0; t < kRacers; ++t) {
+      racers.emplace_back([&, t] {
+        while (!stop.load(std::memory_order_acquire)) {
+          auto id = server_->IntegratedExec("/bin/dynprog", {"prog"});
+          if (!id.ok()) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+            return;
+          }
+          ids[t].push_back(*id);
+          auto out = RunTaskById(*id);
+          if (!out.ok() || (out->exit_code != 21 && out->exit_code != 51)) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    Result<uint64_t> begun = server_->BeginUpgrade(
+        "/lib/addlib", round % 2 == 0 ? "(merge /obj/addlib2.o)" : "(merge /obj/addlib.o)");
+    if (begun.ok()) {
+      server_->DrainUpgrade();
+    }
+    stop.store(true, std::memory_order_release);
+    for (std::thread& racer : racers) {
+      racer.join();
+    }
+    ASSERT_OK(begun);
+
+    OmosServer::UpgradeStatus status = server_->UpgradeStatusNow();
+    EXPECT_EQ(status.phase, UpgradePhase::kDraining) << status.error;
+    ids[0].push_back(pin);
+    size_t old_mappers = 0;
+    for (const std::vector<TaskId>& racer_ids : ids) {
+      for (TaskId id : racer_ids) {
+        ASSERT_OK_AND_ASSIGN(std::vector<ImageSymbol> symbols, server_->SymbolsForTask(id));
+        if (std::any_of(symbols.begin(), symbols.end(), [&](const ImageSymbol& sym) {
+              return sym.name == "add2" && sym.addr == old_add2;
+            })) {
+          ++old_mappers;
+        }
+      }
+    }
+    if (old_mappers > status.tasks_pending) {
+      ++missed_rounds;
+    }
+    for (const std::vector<TaskId>& racer_ids : ids) {
+      for (TaskId id : racer_ids) {
+        server_->ReleaseTask(id);
+        kernel_.DestroyTask(id);
+      }
+    }
+    status = server_->DrainUpgrade();
+    for (int i = 0; i < 64 && !status.terminal(); ++i) {
+      status = server_->DrainUpgrade();
+    }
+    ASSERT_EQ(status.phase, UpgradePhase::kDone) << status.error;
+  }
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(missed_rounds, 0) << "rounds in which a task mapped the old version undrained";
+}
+
+// Every exec path maps, bills and starts its task with no server-wide kernel
+// lock: only the creating exec path and then the driving thread touch a task.
+// One thread per exec path execs and runs a program that loads a class, calls
+// it, unloads it and then binds a lazy slot, while a fourth thread cold-builds
+// fresh images, whose segments allocate frames concurrently.
+TEST_F(ConcurrencyTest, ExecPathsRunWithoutAServerKernelLock) {
+  ASSERT_NO_FATAL_FAILURE(DefineDynprog());
+  ASSERT_OK_AND_ASSIGN(ObjectFile plugin, Assemble(R"(
+.text
+.global plugin_fn
+plugin_fn:
+  movi r0, 30
+  ret
+.data
+pdata: .word 9
+)", "plugin.o"));
+  ASSERT_OK(server_->AddFragment("/obj/plugin.o", std::move(plugin)));
+  // Exits 32 and writes "ok" when the class loads (its entry is its text
+  // base), returns 30, unloads, and add2 binds on first call: 30 + 2.
+  ASSERT_OK_AND_ASSIGN(ObjectFile loader, Assemble(StrCat(R"asm(
+.text
+.global main
+main:
+  push lr
+  lea r0, blueprint
+  lea r1, wanted
+  sys )asm", kSysOmosLoad, R"asm(
+  movi r1, 0
+  beq r0, r1, fail
+  mov r7, r0
+  callr r0
+  mov r6, r0
+  mov r0, r7
+  sys )asm", kSysOmosUnload, R"asm(
+  movi r1, 0
+  bne r0, r1, fail
+  movi r0, 1
+  lea r1, message
+  movi r2, 2
+  sys )asm", kSysWrite, R"asm(
+  mov r0, r6
+  call add2
+  pop lr
+  ret
+fail:
+  movi r0, 255
+  pop lr
+  ret
+.data
+blueprint: .asciiz "(merge /obj/plugin.o)"
+wanted: .asciiz "plugin_fn"
+message: .asciiz "ok"
+)asm"), "loader.o"));
+  ASSERT_OK(server_->AddFragment("/obj/loader.o", std::move(loader)));
+  ASSERT_OK(server_->DefineMeta("/bin/loader",
+                                "(merge /lib/crt0.o /obj/loader.o"
+                                " (specialize \"lib-dynamic\" /lib/addlib))"));
+  server_->SetExecTransport(OmosServer::ExecTransport::kRing);
+
+  constexpr int kIterations = 50;
+  using Exec = std::function<Result<TaskId>()>;
+  const std::vector<Exec> execs = {
+      [&] { return server_->IntegratedExec("/bin/loader", {"loader"}); },
+      [&] { return server_->PrelinkedExec("/bin/loader", {"loader"}); },
+      [&] { return server_->BootstrapExec("/bin/loader", {"loader"}); },
+  };
+  std::atomic<int> failures{0};
+  RunThreads(static_cast<int>(execs.size()) + 1, [&](int t) {
+    for (int i = 0; i < kIterations; ++i) {
+      if (t == static_cast<int>(execs.size())) {
+        std::string path = StrCat("/bin/cold", i);
+        if (!server_->DefineMeta(path, "(merge /lib/crt0.o /obj/client.o /obj/addlib.o)").ok() ||
+            !server_->Instantiate(path, {}, nullptr).ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        continue;
+      }
+      Result<TaskId> id = execs[t]();
+      if (!id.ok()) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      Result<RunOutcome> out = RunTaskById(*id);
+      if (!out.ok() || out->exit_code != 32 || out->output != "ok") {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+      server_->ReleaseTask(*id);
+      kernel_.DestroyTask(*id);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST_F(ConcurrencyTest, ConcurrentBootstrapExecOverRing) {
   PopulateLsData(kernel_.fs());
   ASSERT_OK_AND_ASSIGN(Workloads w, BuildWorkloads(TinyWorkloadParams()));
@@ -792,7 +980,8 @@ TEST_F(ConcurrencyTest, ConcurrentBootstrapExecOverRing) {
   uint64_t created_before = created->value();
 
   // Each thread execs over the shared channel free list; the tasks run on
-  // this thread between rounds (the kernel's task table is not threaded).
+  // this thread between rounds (ExecPathsRunWithoutAServerKernelLock runs
+  // ring execs on their own threads).
   constexpr int kExecThreads = 4;
   constexpr int kRounds = 4;
   constexpr int kExecsPerRound = 50;  // 200 execs per thread in all
