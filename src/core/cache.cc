@@ -239,8 +239,9 @@ ImageRef ImageCache::Get(const std::string& key) {
   }
   if (!ok) {
     // The cached bytes rotted. Drop the entry and report a miss: the caller
-    // rebuilds from the blueprint, and the placement solver still holds the
-    // old addresses, so the rebuilt image is byte-identical.
+    // rebuilds from the blueprint. While a client or a task still holds the
+    // old image, its placement is live and the rebuild reuses it, so the
+    // rebuilt image is byte-identical to the one they map.
     LogMessage(LogLevel::kWarning, "cache", StrCat("checksum mismatch, rebuilding: ", key));
     ++stats_.corruption_rebuilds;
     ++stats_.misses;

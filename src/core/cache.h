@@ -22,9 +22,12 @@
 // Image lifetime: Get/Put/Peek and single-flight hand out
 // `std::shared_ptr<const CachedImage>` references. Eviction drops only the
 // cache's own reference, so an image lives until its last holder (a
-// caller, a task runtime that maps it) lets go. ReadLease exists only for
-// callers of the public raw-pointer OmosServer::Instantiate: it keeps the
-// images handed out on its thread alive until it closes.
+// caller, a task runtime that maps it, an image linked against it) lets
+// go, and with it the address placement it holds. Destroying an image
+// takes the placement solver's leaf lock, so the cache drops references
+// outside its own locks. ReadLease exists only for callers of the public
+// raw-pointer OmosServer::Instantiate: it keeps the images handed out on
+// its thread alive until it closes.
 #ifndef OMOS_SRC_CORE_CACHE_H_
 #define OMOS_SRC_CORE_CACHE_H_
 
@@ -41,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/constraints.h"
 #include "src/linker/image.h"
 #include "src/support/result.h"
 #include "src/vm/address_space.h"
@@ -74,10 +78,17 @@ struct CachedImage : std::enable_shared_from_this<CachedImage> {
   // into each client task (the paper's vm_map exec path). Absent when the
   // image has no initialized data.
   std::optional<SegmentImage> data_seg;
-  std::vector<LibDep> deps;
+  // The images of the libraries this image's bytes bind to (lazy ones
+  // included). Holding them keeps each dep's placement reserved, so every
+  // dep stays at the bases it was linked at while this image lives.
+  std::vector<std::shared_ptr<const CachedImage>> dep_images;
+  // This image's own address placement (null for an image no solver
+  // placed). Its ranges stay reserved until the image and every other
+  // holder of the lease are gone.
+  PlacementRef placement;
   // The namespace reads of the build (src/core/namespace.h), shared with the
   // memos it hit. The image is stale exactly when one of these paths is
-  // redefined or one of `deps` is evicted.
+  // redefined or one of `dep_images` is invalidated or moved.
   std::shared_ptr<const ReadSet> inputs;
   std::vector<StubSlot> stub_slots;
   uint64_t build_cost = 0;  // simulated cycles spent constructing this image

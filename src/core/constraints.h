@@ -2,27 +2,34 @@
 // namespace-global layout solver.
 //
 // Constraints, strongest first:
-//   1. required — no two placed objects may overlap;
-//   2. strong   — an existing placement for the same object is reused
-//                 (so its read-only pages stay shared among clients);
+//   1. required — no two live placements may overlap;
+//   2. strong   — a live placement for the same object is reused (so its
+//                 read-only pages stay shared among clients);
 //   3. weak     — a caller-supplied preferred base is honoured when it does
 //                 not violate 1 (otherwise the solver spills to the next
 //                 free range and records the conflict, which the paper
 //                 suggests feeding back to improve placements).
 //
-// Fleet-wide prelink (§4.1 feedback loop): the solver's placement map IS
-// the global layout — one conflict-free home per image, valid for every
-// client simultaneously. A pass that MOVES a live placement
-// (SolveNamespace, OptimizePlacements, a grow-refit) returns or counts the
-// moved objects (solver.moves); the server evicts every image a move
-// invalidates, and a stored image is adopted only where it still lands at
-// its recorded bases.
+// Fleet-wide prelink (§4.1 feedback loop): the current leases ARE the
+// global layout — one conflict-free home per image, valid for every client
+// simultaneously.
+//
+// Ownership: Place hands out a PlacementRef, a reference-counted lease on
+// an object's text and data ranges, freed when its last holder (a cached
+// image, a dependent image, a task) drops it, and by nothing else. A pass
+// that moves an object (SolveNamespace, OptimizePlacements, a grow-refit)
+// or an invalidation *retires* it: its next Place places afresh, while old
+// holders keep the retired ranges. So no pass hands out a range a live
+// lease holds. The solver's lock is a leaf: a lease takes it to free its
+// ranges on whichever thread drops the last reference.
 #ifndef OMOS_SRC_CORE_CONSTRAINTS_H_
 #define OMOS_SRC_CORE_CONSTRAINTS_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +45,6 @@ struct PlacementHints {
 struct Placement {
   uint32_t text_base = 0;
   uint32_t data_base = 0;
-  bool reused = false;  // an existing identical placement was reused
 };
 
 struct ConflictRecord {
@@ -64,73 +70,91 @@ struct SolverArenas {
   uint32_t data_hi = 0x7FF00000;
 };
 
+struct SolverState;  // the ranges, shared by a solver and its live leases
+
+// An object's claim on one text range and one data range.
+class PlacementLease {
+ public:
+  // Made only by ConstraintSolver, the one holder of a SolverState.
+  PlacementLease(std::shared_ptr<SolverState> state, PlacementRecord record);
+  ~PlacementLease();
+  PlacementLease(const PlacementLease&) = delete;
+  PlacementLease& operator=(const PlacementLease&) = delete;
+
+  const std::string& object() const { return record_.object; }
+  uint32_t text_base() const { return record_.placement.text_base; }
+  uint32_t data_base() const { return record_.placement.data_base; }
+  const PlacementRecord& record() const { return record_; }
+
+ private:
+  std::shared_ptr<SolverState> state_;
+  PlacementRecord record_;
+};
+
+using PlacementRef = std::shared_ptr<const PlacementLease>;
+
 class ConstraintSolver {
  public:
   using Arenas = SolverArenas;
 
   explicit ConstraintSolver(Arenas arenas = Arenas());
+  ~ConstraintSolver();
+  ConstraintSolver(const ConstraintSolver&) = delete;
+  ConstraintSolver& operator=(const ConstraintSolver&) = delete;
 
-  // Place `object` needing `text_size`/`data_size` bytes. If the object was
-  // placed before with the same sizes, that placement is reused (strong
-  // constraint). A weak hint that conflicts spills to the next free range
-  // and logs a ConflictRecord.
-  Result<Placement> Place(const std::string& object, uint32_t text_size, uint32_t data_size,
-                          const PlacementHints& hints = {});
+  // Place `object` needing `text_size`/`data_size` bytes. Its current lease
+  // is reused if it still fits (strong constraint), else retired (a move).
+  // A weak hint that conflicts spills to the next free range, logs a
+  // ConflictRecord and sets `*conflicted` (may be null).
+  Result<PlacementRef> Place(const std::string& object, uint32_t text_size, uint32_t data_size,
+                             const PlacementHints& hints = {}, bool* conflicted = nullptr);
 
-  // Forget an object's placement (cache eviction path).
-  void Release(const std::string& object);
+  // Make `object`'s next Place place afresh (invalidation path).
+  void Retire(const std::string& object);
+  // The publish step of an image holding `own` and linked against `deps`
+  // (null entries count as current): whether every one is still current.
+  // If so, the image holds `own` from now on, and the pin adoption put on
+  // it is dropped.
+  bool Settle(const PlacementLease* own, std::span<const PlacementLease* const> deps);
 
   // §4.1: "OMOS could easily record the conflicts found, and occasionally
   // the system manager could feed that data into OMOS' constraint system to
   // determine better placements, or this could be done fully automatically."
-  // Re-packs every known object into a deterministic, conflict-free layout
-  // and clears the conflict log. Returns the objects whose placement
-  // changed (their cached images must be rebuilt).
-  std::vector<std::string> OptimizePlacements();
+  // Plans a deterministic, conflict-free re-pack of every current object
+  // (name order, first fit from the arena base) and clears the conflict
+  // log. Returns the new homes of the objects that move; each is retired,
+  // so once its old images are gone the caller adopts the new home.
+  std::vector<PlacementRecord> OptimizePlacements();
 
-  // The fleet-wide re-solve: resolve every recorded conflict into a stable
-  // global layout while moving as little as possible. Objects whose hints
-  // lost to the no-overlap constraint are re-placed at their recorded
-  // wanted base when that range has since freed up (first-fit otherwise);
-  // every other placement stays at its current home. Deterministic: the
-  // conflict log is processed in object-name order. Clears the conflict
-  // log. Returns the moved objects (their cached images must be re-linked).
-  std::vector<std::string> SolveNamespace();
+  // The fleet-wide re-solve: an object whose hint lost to the no-overlap
+  // constraint moves to its latest wanted base once that range has freed
+  // up. The log keeps one record per object still conflicted, for the next
+  // pass. Deterministic (name order). Returns the moves as
+  // OptimizePlacements does.
+  std::vector<PlacementRecord> SolveNamespace();
 
-  const std::vector<ConflictRecord>& conflicts() const { return conflicts_; }
-  size_t placed_count() const { return placements_.size(); }
-  // Current placement of `object`, if any.
-  const Placement* Find(const std::string& object) const;
-
-  // Snapshot support: export every placement assignment, in object order.
+  std::vector<ConflictRecord> conflicts() const;
+  // Live leases, current or retired: the ranges held right now.
+  size_t placed_count() const;
+  // The current lease of `object`, or null.
+  PlacementRef Find(const std::string& object) const;
+  // Snapshot support: every current placement, in object order.
   std::vector<PlacementRecord> ExportPlacements() const;
-  // Claim `record`'s ranges for its object (restore path). Fails with
-  // kConstraintConflict if the ranges are already owned by another object.
-  Result<void> AdoptPlacement(const PlacementRecord& record);
+
+  // Restore support, in two steps so a refused snapshot changes nothing.
+  // CheckAdoption fails with kConstraintConflict when two records overlap,
+  // or one overlaps the current placement of another object not in
+  // `retiring`. AdoptPlacements claims each record's ranges, pinned until
+  // Settle, unless its object has a current placement or the ranges are
+  // still held (a retired placement an old task maps).
+  Result<void> CheckAdoption(const std::vector<PlacementRecord>& records,
+                             const std::set<std::string>& retiring) const;
+  void AdoptPlacements(const std::vector<PlacementRecord>& records);
 
  private:
-  struct Range {
-    uint32_t base = 0;
-    uint32_t size = 0;
-    std::string owner;
-  };
-  struct Record {
-    Placement placement;
-    uint32_t text_size = 0;
-    uint32_t data_size = 0;
-  };
+  PlacementRef NewLease(PlacementRecord record);
 
-  // First-fit within [lo, hi); honours `preferred` when free.
-  Result<uint32_t> Fit(std::map<uint32_t, Range>& ranges, uint32_t lo, uint32_t hi, uint32_t size,
-                       std::optional<uint32_t> preferred, const std::string& object);
-  static const Range* FindOverlap(const std::map<uint32_t, Range>& ranges, uint32_t base,
-                                  uint32_t size);
-
-  Arenas arenas_;
-  std::map<uint32_t, Range> text_ranges_;
-  std::map<uint32_t, Range> data_ranges_;
-  std::map<std::string, Record> placements_;
-  std::vector<ConflictRecord> conflicts_;
+  std::shared_ptr<SolverState> state_;
 };
 
 }  // namespace omos

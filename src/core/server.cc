@@ -17,6 +17,8 @@
 
 namespace omos {
 
+static_assert(SolverArenas{}.data_hi <= kHeapBase, "a placement may overlap the brk heap");
+
 namespace {
 
 // Regex alternation matching exactly the given names: "^(a|b|c)$".
@@ -139,8 +141,8 @@ std::set<std::string> OmosServer::CachedDependents(std::set<std::string> roots,
                        [&](const std::string& root) {
                          return image.inputs != nullptr && image.inputs->Reads(root);
                        }) ||
-           std::any_of(image.deps.begin(), image.deps.end(),
-                       [&](const LibDep& dep) { return roots.count(dep.cache_key) != 0; });
+           std::any_of(image.dep_images.begin(), image.dep_images.end(),
+                       [&](const ImageRef& dep) { return roots.count(dep->key) != 0; });
   };
   std::set<std::string> found;
   for (bool grew = true; grew;) {
@@ -162,10 +164,9 @@ void OmosServer::InvalidateImagesOf(const std::vector<std::string>& paths) {
     victim_paths.insert(OmosNamespace::Normalize(path));
   }
   for (const std::string& key : CachedDependents(victim_paths, /*transitive=*/true)) {
-    {
-      std::lock_guard<std::mutex> lock(solver_mu_);
-      solver_.Release(key);
-    }
+    // Retired, not freed: a task may still map the superseded version, and
+    // the rebuild must not land on it.
+    solver_.Retire(key);
     cache_.Evict(key);
     std::string_view path_part = key;
     SplitCacheKey(key, &path_part, nullptr);
@@ -181,10 +182,13 @@ void OmosServer::InvalidateImagesOf(const std::vector<std::string>& paths) {
   }
 }
 
-int OmosServer::EvictMoved(const std::vector<std::string>& moved) {
-  std::set<std::string> victims =
-      CachedDependents({moved.begin(), moved.end()}, /*transitive=*/false);
-  victims.insert(moved.begin(), moved.end());
+int OmosServer::EvictMoved(const std::vector<PlacementRecord>& moved) {
+  std::set<std::string> keys;
+  for (const PlacementRecord& record : moved) {
+    keys.insert(record.object);
+  }
+  std::set<std::string> victims = CachedDependents(keys, /*transitive=*/false);
+  victims.insert(keys.begin(), keys.end());
   int evicted = 0;
   for (const std::string& key : victims) {
     if (cache_.Contains(key)) {
@@ -192,6 +196,9 @@ int OmosServer::EvictMoved(const std::vector<std::string>& moved) {
       ++evicted;
     }
   }
+  // The old images are gone (unless a task still maps one): claim the new
+  // homes, so the rebuilds land there.
+  solver_.AdoptPlacements(moved);
   return evicted;
 }
 
@@ -478,11 +485,9 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
   }
   Module client = std::move(*value.module);
 
-  // Resolve library dependencies. `lib_images` keeps them alive until the
-  // link below has resolved against them.
-  std::vector<ImageRef> lib_images;
+  // Resolve library dependencies. The image holds each dep it binds to.
+  std::vector<ImageRef> dep_images;
   std::vector<const LinkedImage*> libraries;
-  std::vector<LibDep> deps;
   std::vector<StubSlot> slots;
   std::set<std::string> seen_libs;
   for (const LibraryUse& use : value.libs) {
@@ -516,13 +521,11 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
         slot.lib_path = impl_key;  // runtime resolves through the cache key
         slots.push_back(std::move(slot));
       }
-      // Lazy: not mapped at exec.
-      deps.push_back(LibDep{impl_key, use.path, impl->image.text_base, impl->image.data_base});
+      dep_images.push_back(std::move(impl));  // lazy: not mapped at exec
     } else {
       OMOS_TRY(ImageRef lib, InstantiateRef(use.path, lib_spec, &tracker.work));
       libraries.push_back(&lib->image);
-      deps.push_back(LibDep{lib->key, use.path, lib->image.text_base, lib->image.data_base});
-      lib_images.push_back(std::move(lib));
+      dep_images.push_back(std::move(lib));
     }
   }
 
@@ -530,7 +533,7 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
   Overlay(hints, value.hints);
   Overlay(hints, spec.hints);
   CachedImage cached;
-  cached.deps = std::move(deps);
+  cached.dep_images = std::move(dep_images);
   cached.stub_slots = std::move(slots);
   return LinkAndPublish(key, client, hints, std::move(libraries), std::move(cached), tracker);
 }
@@ -540,24 +543,18 @@ Result<ImageRef> OmosServer::LinkAndPublish(const std::string& key, const Module
                                             std::vector<const LinkedImage*> libraries,
                                             CachedImage cached, BuildTracker& tracker) {
   OMOS_TRY(std::shared_ptr<const LinkPlan> plan, PlanLink(client));
-  Placement placement;
-  bool conflict_grew = false;
-  {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    size_t conflicts_before = solver_.conflicts().size();
-    OMOS_TRY(placement,
-             solver_.Place(key, plan->text_size, plan->data_size + plan->bss_size, hints));
-    conflict_grew = solver_.conflicts().size() > conflicts_before;
-  }
-  if (conflict_grew) {
+  bool conflicted = false;
+  OMOS_TRY(cached.placement, solver_.Place(key, plan->text_size,
+                                           plan->data_size + plan->bss_size, hints, &conflicted));
+  if (conflicted) {
     // A weak hint lost to a live placement: the recorded conflict feeds the
     // namespace re-solve, and prelinked images re-link through the idle lane.
     ScheduleRelink();
   }
 
   LayoutSpec layout;
-  layout.text_base = placement.text_base;
-  layout.data_base = placement.data_base;
+  layout.text_base = cached.placement->text_base();
+  layout.data_base = cached.placement->data_base();
   layout.libraries = std::move(libraries);
   OMOS_TRY(bool has_start, client.HasExport("_start"));
   layout.entry_symbol = has_start ? "_start" : "";
@@ -575,34 +572,27 @@ Result<ImageRef> OmosServer::LinkAndPublish(const std::string& key, const Module
     // against the deps where they now are.
     tracker.superseded = true;
     return Err(ErrorCode::kUnavailable,
-               StrCat(key, ": inputs redefined or a dep moved during the build"));
+               StrCat(key, ": inputs redefined or a placement retired during the build"));
   }
   return published;
 }
 
 Result<ImageRef> OmosServer::PublishIfCurrent(const std::string& key, CachedImage cached) {
   OMOS_TRY_VOID(MaterializeSegments(cached));
+  // An invalidation or a move retires a key, so an image linked at (or
+  // against) a retired placement is stale.
+  std::vector<const PlacementLease*> deps;
+  for (const ImageRef& dep : cached.dep_images) {
+    deps.push_back(dep->placement.get());
+  }
   std::shared_lock<std::shared_mutex> publishing(publish_mu_);
-  if (namespace_.AllCurrent(*cached.inputs) && DepsInPlace(cached.deps)) {
-    return cache_.Put(key, std::move(cached));
+  if (!namespace_.AllCurrent(*cached.inputs) || !solver_.Settle(cached.placement.get(), deps)) {
+    // A redefinition of a read, or of something a dep read, or a move
+    // finished after the read; its invalidation could not see this image.
+    // Publish nothing: `cached` drops with its placement after the lock.
+    return ImageRef();
   }
-  // A redefinition of a read, or of something a dep read, finished after
-  // the read; its invalidation could not see this image. Publish nothing
-  // and free the placement, unless a published image holds it.
-  if (!cache_.Contains(key)) {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    solver_.Release(key);
-  }
-  return ImageRef();
-}
-
-bool OmosServer::DepsInPlace(const std::vector<LibDep>& deps) const {
-  std::lock_guard<std::mutex> lock(solver_mu_);
-  return std::all_of(deps.begin(), deps.end(), [&](const LibDep& dep) {
-    const Placement* placed = solver_.Find(dep.cache_key);
-    return placed != nullptr && placed->text_base == dep.text_base &&
-           placed->data_base == dep.data_base;
-  });
+  return cache_.Put(key, std::move(cached));
 }
 
 Result<void> OmosServer::MaterializeSegments(CachedImage& cached) {
@@ -727,6 +717,7 @@ ImageRef OmosServer::TryAdoptFromStore(const std::string& norm, const Specializa
     return nullptr;
   }
   StoreRecord record = std::move(**probe);
+  CachedImage cached;
   // The stored program bytes bake in each dependency's addresses; every dep
   // must land exactly where it was when the record was written. A restored
   // placement snapshot makes this deterministic; anything else falls back
@@ -740,33 +731,29 @@ ImageRef OmosServer::TryAdoptFromStore(const std::string& norm, const Specializa
       MetricsRegistry::Global().GetCounter("store.dep_mismatches")->Add();
       return nullptr;
     }
+    cached.dep_images.push_back(*std::move(lib));
   }
-  // Re-reserve the image's own bases. Place() reuses an existing placement
-  // record for the same object and sizes, so after RestoreFromStore this is
-  // exactly the snapshot's assignment; a disagreement means the layout
-  // world moved and the stored bytes would be wrong at the new address.
+  // Re-reserve the image's own bases. Place() reuses the live placement for
+  // the same object and sizes, so after RestoreFromStore this is exactly the
+  // snapshot's assignment; a disagreement means the layout world moved and
+  // the stored bytes would be wrong at the new address.
   PlacementHints hints;
   hints.text_base = record.image.text_base;
   hints.data_base = record.image.data_base;
-  {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    auto placed = solver_.Place(key, static_cast<uint32_t>(record.image.text.size()),
-                                static_cast<uint32_t>(record.image.data.size()) +
-                                    record.image.bss_size,
-                                hints);
-    if (!placed.ok() || placed->text_base != record.image.text_base ||
-        placed->data_base != record.image.data_base) {
-      MetricsRegistry::Global().GetCounter("store.placement_mismatches")->Add();
-      return nullptr;
-    }
+  auto placed = solver_.Place(
+      key, static_cast<uint32_t>(record.image.text.size()),
+      static_cast<uint32_t>(record.image.data.size()) + record.image.bss_size, hints);
+  if (!placed.ok() || (*placed)->text_base() != record.image.text_base ||
+      (*placed)->data_base() != record.image.data_base) {
+    MetricsRegistry::Global().GetCounter("store.placement_mismatches")->Add();
+    return nullptr;
   }
+  cached.placement = *std::move(placed);
   // The image read what the fingerprint walk found. A path the walk found
   // absent is no input: the walk over-approximates the names a construction
   // reads, and a build that read an absent one would have failed.
   std::erase_if(inputs, [](const NamespaceRead& read) { return read.second == nullptr; });
-  CachedImage cached;
   cached.image = std::move(record.image);
-  cached.deps = std::move(record.deps);
   cached.stub_slots = std::move(record.stub_slots);
   cached.inputs = std::make_shared<const ReadSet>(std::move(inputs));
   cached.build_cost = record.build_cost;
@@ -791,7 +778,12 @@ void OmosServer::PublishToStore(const std::string& norm, const Specialization& s
   record.cache_key = image.key;
   record.fingerprint = *fingerprint;
   record.image = image.image;
-  record.deps = image.deps;
+  for (const ImageRef& dep : image.dep_images) {
+    std::string_view lib_path = dep->key;
+    SplitCacheKey(dep->key, &lib_path, nullptr);
+    record.deps.push_back(
+        LibDep{dep->key, std::string(lib_path), dep->image.text_base, dep->image.data_base});
+  }
   record.stub_slots = image.stub_slots;
   record.build_cost = image.build_cost;
   auto put = store_->Put(record, &tracker.work);
@@ -829,25 +821,26 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
   TaskRuntime runtime;
   runtime.program = program.shared_from_this();
   // Resolve every eager dep before mapping anything. An evicted or rotted
-  // library image is rebuilt, not a fatal error: the rebuild reuses the old
-  // placement, so the program's references stay valid. A dep rebuilt
-  // elsewhere (a redefinition moved it) cannot be mapped under this program.
+  // library image is rebuilt, not a fatal error: the program holds the dep's
+  // placement, so the rebuild reuses it and the program's references stay
+  // valid. Only a retired key (a redefinition or a move since the program
+  // was linked) rebuilds elsewhere, and cannot be mapped under this program.
   uint64_t rebuild_work = 0;
   Result<void> resolved = [&]() -> Result<void> {
-    for (const LibDep& dep : program.deps) {
+    for (const ImageRef& dep : program.dep_images) {
       // Lazy deps (partial-image libraries) map on first call via kSysDload.
       if (std::any_of(program.stub_slots.begin(), program.stub_slots.end(),
-                      [&](const StubSlot& slot) { return slot.lib_path == dep.cache_key; })) {
+                      [&](const StubSlot& slot) { return slot.lib_path == dep->key; })) {
         continue;
       }
-      OMOS_TRY(ImageRef lib, GetOrRebuild(dep.cache_key, &rebuild_work));
-      if (lib->image.text_base != dep.text_base || lib->image.data_base != dep.data_base) {
+      OMOS_TRY(ImageRef lib, GetOrRebuild(dep->key, &rebuild_work));
+      if (lib->placement != dep->placement) {
         return Err(ErrorCode::kUnavailable,
-                   StrCat(program.key, ": library ", dep.lib_path, " moved from ",
-                          Hex32(dep.text_base), "/", Hex32(dep.data_base), " to ",
+                   StrCat(program.key, ": library ", dep->key, " moved from ",
+                          Hex32(dep->image.text_base), "/", Hex32(dep->image.data_base), " to ",
                           Hex32(lib->image.text_base), "/", Hex32(lib->image.data_base)));
       }
-      runtime.libs.emplace(dep.cache_key, std::move(lib));
+      runtime.libs.emplace(dep->key, std::move(lib));
     }
     return OkResult();
   }();
@@ -985,19 +978,11 @@ Result<void> OmosServer::LinkUpgrade(UpgradeJob& job) {
   impl_spec.name = "lib-dynamic-impl";
   uint64_t work = 0;
   OMOS_TRY(ImageRef new_impl, InstantiateRef(shadow, impl_spec, &work));
-  // The old implementation only matters if some task or cached client can
-  // still reach it; a rebuilt image reuses the old placement, so the
-  // transfer map's old-address ranges are exact even after an eviction.
-  bool old_referenced = cache_.Contains(job.old_impl_key);
-  auto old_slot = [&](const TaskRuntime::Slot& slot) { return slot.lib_path == job.old_impl_key; };
-  if (!old_referenced) {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    for (const auto& [tid, runtime] : runtimes_) {
-      old_referenced = old_referenced || runtime.libs.count(job.old_impl_key) != 0 ||
-                       std::any_of(runtime.slots.begin(), runtime.slots.end(), old_slot);
-    }
-  }
-  if (!old_referenced) {
+  // The old implementation only matters if something still holds it: the
+  // cache, a task that maps it, or a program (cached or run by a task)
+  // linked against it. Each of those holds its placement, so a rebuilt
+  // image reuses it and the transfer map's old-address ranges are exact.
+  if (solver_.Find(job.old_impl_key) == nullptr) {
     job.map = std::make_shared<const FrameTransferMap>();  // covers nothing
     return OkResult();
   }
@@ -1294,7 +1279,7 @@ void OmosServer::RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job) {
   }
   // Every task migrated: make the new version THE version. Redefining the
   // real path evicts the old implementation and every cached client image
-  // that linked against it and releases their placements — the existing
+  // that linked against it and retires their placements — the existing
   // redefinition semantics do the reclamation. Tasks keep their mappings
   // (per-task address spaces hold frame refcounts), so this only drops the
   // server-side copies.
@@ -1304,9 +1289,10 @@ void OmosServer::RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job) {
     return;
   }
   // The shadow-path and degradation-stub entries served the migration;
-  // future execs resolve the real path. Drop the cached copies (running
-  // tasks keep their mapped frames, and a straggler dload can rebuild from
-  // the shadow definitions, which stay in the namespace).
+  // future execs resolve the real path. Drop the cached copies: their
+  // placements free once no task maps them (a running task keeps its
+  // mapping, and a straggler dload rebuilds from the shadow definitions,
+  // which stay in the namespace, at the placement that task still holds).
   cache_.Evict(job->new_impl_key);
   if (!job->degrade_key.empty()) {
     cache_.Evict(job->degrade_key);
@@ -1552,11 +1538,7 @@ void OmosServer::RunRelink() {
   }
   if (!paths.empty()) {
     PrelinkCounters().repairs->Add();
-    std::vector<std::string> moved;
-    {
-      std::lock_guard<std::mutex> lock(solver_mu_);
-      moved = solver_.SolveNamespace();
-    }
+    std::vector<PlacementRecord> moved = solver_.SolveNamespace();
     if (!moved.empty()) {
       EvictMoved(moved);
     }
@@ -1767,16 +1749,12 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     if (program != nullptr) {
       libraries.push_back(&program->image);
       // While that version is the cached one it is a dep, so evicting the
-      // program evicts the class too. A superseded version's placement may
-      // be released already: its class records no dep that could never be
-      // in place, and its key serves no other version.
+      // program evicts the class too. A superseded version's placement is
+      // retired: its class records no dep that could never be current, and
+      // its key serves no other version. The task holds the program, so the
+      // class is placed clear of it either way.
       if (cache_.Peek(program->key) == program) {
-        std::string_view program_path = program->key;
-        SplitCacheKey(program->key, &program_path, nullptr);
-        loaded.deps.push_back(LibDep{program->key, std::string(program_path),
-                                     program->image.text_base, program->image.data_base});
-      } else {
-        OMOS_TRY_VOID(PlaceClearOf(task, key, module));
+        loaded.dep_images.push_back(program);
       }
     }
     return LinkAndPublish(key, module, {}, std::move(libraries), std::move(loaded), tracker);
@@ -1801,31 +1779,6 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     result.symbol_values.push_back(sym == nullptr ? 0 : sym->addr);
   }
   return result;
-}
-
-Result<void> OmosServer::PlaceClearOf(Task& task, const std::string& key, const Module& module) {
-  OMOS_TRY(std::shared_ptr<const LinkPlan> plan, PlanLink(module));
-  uint32_t text_size = PageAlignUp(std::max<uint32_t>(plan->text_size, 1));
-  uint32_t data_size = PageAlignUp(std::max<uint32_t>(plan->data_size + plan->bss_size, 1));
-  std::vector<std::string> guards;  // ranges the task maps, held while placing
-  std::lock_guard<std::mutex> lock(solver_mu_);
-  Result<void> placed = [&]() -> Result<void> {
-    while (true) {
-      OMOS_TRY(Placement at, solver_.Place(key, text_size, data_size));
-      if (!task.space().Overlaps(at.text_base, text_size) &&
-          !task.space().Overlaps(at.data_base, data_size)) {
-        return OkResult();
-      }
-      solver_.Release(key);
-      guards.push_back(StrCat(key, "#guard", guards.size()));
-      OMOS_TRY_VOID(
-          solver_.AdoptPlacement(PlacementRecord{guards.back(), at, text_size, data_size}));
-    }
-  }();
-  for (const std::string& guard : guards) {
-    solver_.Release(guard);
-  }
-  return placed;
 }
 
 Result<void> OmosServer::DynamicUnload(Task& task, uint32_t text_base) {
@@ -2013,12 +1966,7 @@ std::string OmosServer::Snapshot() const {
       out.push_back('\n');
     }
   }
-  std::vector<PlacementRecord> placements;
-  {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    placements = solver_.ExportPlacements();
-  }
-  for (const PlacementRecord& record : placements) {
+  for (const PlacementRecord& record : solver_.ExportPlacements()) {
     out += StrCat("place ", record.placement.text_base, " ", record.text_size, " ",
                   record.placement.data_base, " ", record.data_size, " ", record.object, "\n");
   }
@@ -2149,20 +2097,9 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
     }
   }
   // A place row may clash neither with another nor with a placement that
-  // stays: adopt them all into a copy of the solver from which the
-  // placements the invalidation below releases are already gone.
-  std::set<std::string> superseded = CachedDependents({changed.begin(), changed.end()},
-                                                      /*transitive=*/true);
-  {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    ConstraintSolver trial = solver_;
-    for (const std::string& key : superseded) {
-      trial.Release(key);
-    }
-    for (const PlacementRecord& record : places) {
-      OMOS_TRY_VOID(trial.AdoptPlacement(record));
-    }
-  }
+  // stays: the invalidation below retires the superseded ones.
+  OMOS_TRY_VOID(solver_.CheckAdoption(
+      places, CachedDependents({changed.begin(), changed.end()}, /*transitive=*/true)));
 
   // Every row checked: apply them.
   InvalidateImagesOf(changed);
@@ -2173,12 +2110,7 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
   for (OrderRow& row : orders) {
     OMOS_TRY_VOID(namespace_.SetRoutineOrder(row.path, std::move(row.order)));
   }
-  {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    for (const PlacementRecord& record : places) {
-      OMOS_TRY_VOID(solver_.AdoptPlacement(record));
-    }
-  }
+  solver_.AdoptPlacements(places);
   {
     std::lock_guard<std::mutex> lock(relink_mu_);
     for (std::string_view path : prelinks) {
@@ -2198,12 +2130,7 @@ int OmosServer::OptimizePlacements() {
     // Exclusive, so the re-pack stays serialized with Restore's staged
     // placements.
     std::unique_lock<std::shared_mutex> publishing(publish_mu_);
-    std::vector<std::string> changed;
-    {
-      std::lock_guard<std::mutex> lock(solver_mu_);
-      changed = solver_.OptimizePlacements();
-    }
-    evicted = EvictMoved(changed);
+    evicted = EvictMoved(solver_.OptimizePlacements());
   }
   // Outside publish_mu_ (the relink re-enters Instantiate): re-link prelinked
   // images at the re-packed layout, so an administrative re-pack doesn't
@@ -2518,14 +2445,15 @@ OmosReply OmosServer::HandleIntrospect(const OmosRequest& request) {
       fail(profile.error());
     }
   } else if (cmd == "placements") {
-    // The global layout as the solver sees it: one line per placed object,
-    // then the outstanding conflict log.
-    std::lock_guard<std::mutex> lock(solver_mu_);
+    // The global layout as the solver sees it: one line per current
+    // placement, the count of live ones (retired ones an old task or image
+    // still holds included), then the outstanding conflict log.
     for (const PlacementRecord& record : solver_.ExportPlacements()) {
       reply.payload += StrCat("place T=", Hex32(record.placement.text_base),
                               " D=", Hex32(record.placement.data_base), " ", record.object,
                               "\n");
     }
+    reply.payload += StrCat("held ", solver_.placed_count(), "\n");
     for (const ConflictRecord& conflict : solver_.conflicts()) {
       reply.payload += StrCat("conflict ", conflict.object, " wanted=", Hex32(conflict.wanted),
                               " got=", Hex32(conflict.got), " holder=", conflict.holder, "\n");

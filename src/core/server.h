@@ -54,17 +54,18 @@ struct OmosServerConfig {
 
 // Concurrency model: many worker threads may call Instantiate /
 // GetOrRebuild / ServeMessage / the exec paths at once. The cache, the
-// namespace, the blueprint evaluator (with its memo), the kernel's task
-// table and PhysMemory synchronize themselves. The server's own state is
-// guarded by six locks, none held across a recursive Instantiate or a
-// cache call that can build. Only two have locks under them:
+// namespace, the blueprint evaluator (with its memo), the placement solver,
+// the kernel's task table and PhysMemory synchronize themselves. The
+// server's own state is guarded by five locks, none held across a recursive
+// Instantiate or a cache call that can build. Only two have locks under
+// them:
 //
 //   publish_mu_  — namespace publication (exclusive: every Define*,
 //                  AddFragment, Restore and OptimizePlacements, so it also
 //                  serializes those writers) vs an image's check-and-publish
 //                  step (shared); it orders image publication only, never an
-//                  evaluation. Under it: solver_mu_, relink_mu_ (Restore),
-//                  and the namespace's, cache's, memo's and store's own
+//                  evaluation. Under it: relink_mu_ (Restore), and the
+//                  namespace's, cache's, memo's, solver's and store's own
 //                  locks.
 //   runtimes_mu_ — runtimes_ (what each task maps, how its lazy slots bind)
 //                  and the live-upgrade job (phase, pending tasks), so every
@@ -73,10 +74,13 @@ struct OmosServerConfig {
 //                  while it is held. Under it: Kernel::tasks_mu_ (FindTask),
 //                  and PhysMemory's lock (DynamicUnload's Unmap).
 //
-// monitor_mu_ (the monitor tables), solver_mu_ (every ConstraintSolver
-// call), relink_mu_ (the relink queue and the prelinked paths) and
-// exec_channels_mu_ (the parked exec channels) have no lock taken under
-// them.
+// monitor_mu_ (the monitor tables), relink_mu_ (the relink queue and the
+// prelinked paths) and exec_channels_mu_ (the parked exec channels) have no
+// lock taken under them. Nor has the solver's lock, which is a leaf taken
+// wherever an image is destroyed: the image's placement lease drops its
+// ranges then. So the cache and the server drop image references outside
+// their own locks (ImageCache::Evict, ReleaseTask), and never under
+// runtimes_mu_.
 // exec_channels_mu_ is never held across Channel::Call: a BootstrapExec
 // takes a channel off the list, calls, and parks it again. A warm hit takes
 // no server lock at all: it goes straight to the cache.
@@ -95,8 +99,15 @@ struct OmosServerConfig {
 // reference. ImageCache::ReadLease exists only for callers of the public
 // raw-pointer Instantiate: see there.
 //
-// `cache()` and `conflicts()` hand out raw references for tests and tools —
-// use them only while no worker threads are in flight.
+// Placement ownership: an image holds its own placement lease and its deps'
+// images (CachedImage::placement, dep_images), so a range stays reserved
+// while any cached image, dependent image or task runtime holds what lives
+// there, and is freed when the last of them lets go. Nothing else frees a
+// range: invalidation and layout moves only retire the key, so its next
+// build places afresh and never lands on a range an old task still maps.
+//
+// `cache()` hands out a raw reference for tests and tools — use it only
+// while no worker threads are in flight.
 class OmosServer {
  public:
   using Config = OmosServerConfig;
@@ -111,8 +122,8 @@ class OmosServer {
   // image built from the old blueprint ("a library fix is instantly
   // incorporated into all clients", §2.1): each image whose recorded inputs
   // contain the path, and transitively every image linked against one of
-  // those, is evicted and its address placement released, so the next
-  // instantiation rebuilds against the new version.
+  // those, is evicted and its placement retired, so the next instantiation
+  // rebuilds against the new version at a fresh placement.
   Result<void> DefineMeta(std::string_view path, std::string_view blueprint);
   Result<void> DefineLibrary(std::string_view path, std::string_view blueprint);
   Result<void> AddFragment(std::string_view path, ObjectFile object);
@@ -340,7 +351,9 @@ class OmosServer {
   Channel MakeChannel(ExecTransport transport);
 
   const CacheStats& cache_stats() const { return cache_.stats(); }
-  const std::vector<ConflictRecord>& conflicts() const { return solver_.conflicts(); }
+  std::vector<ConflictRecord> conflicts() const { return solver_.conflicts(); }
+  // Live placements (current or retired): the address ranges held now.
+  size_t placement_count() const { return solver_.placed_count(); }
   ImageCache& cache() { return cache_; }
 
  private:
@@ -384,10 +397,10 @@ class OmosServer {
                               const std::string& key, BuildTracker& tracker);
 
   // The tail of every build: place `client`, link it against the
-  // `libraries` (LayoutSpec::libraries; the caller keeps them alive), bill
+  // `libraries` (LayoutSpec::libraries; images in cached.dep_images), bill
   // the link work, and publish it under `key` with the tracker's reads as
   // its inputs. `cached` carries the deps and stub slots. If a read was
-  // redefined or a dep moved meanwhile, nothing is published and
+  // redefined or a placement retired meanwhile, nothing is published and
   // tracker.superseded is set, for BuildCurrent to redo the build.
   Result<ImageRef> LinkAndPublish(const std::string& key, const Module& client,
                                   const PlacementHints& hints,
@@ -397,13 +410,10 @@ class OmosServer {
   // The one way an image enters the cache, for a link and a store adoption
   // alike: materialize its segments, then, holding publish_mu_ shared, Put
   // it under `key` only while every read in cached.inputs is current and
-  // every dep is in place. Otherwise nothing is published, the placement
-  // is released unless a cached image holds it, and the result is nullptr.
+  // every placement it holds is current. Otherwise nothing is published
+  // (dropping `cached` frees its placement unless another holder has it)
+  // and the result is nullptr.
   Result<ImageRef> PublishIfCurrent(const std::string& key, CachedImage cached);
-
-  // Whether every dep still holds the placement its dependent linked at (a
-  // redefinition may have released and re-placed it elsewhere).
-  bool DepsInPlace(const std::vector<LibDep>& deps) const;
 
   // Frame-backed master segments (shared text + CoW data) for a freshly
   // linked or store-adopted image. One copy into phys memory; every client
@@ -444,10 +454,11 @@ class OmosServer {
 
   // Keys of cached images that depend on `roots`: roots are namespace paths
   // (matched against CachedImage::inputs) or cache keys (matched against
-  // CachedImage::deps). `transitive` also collects dependents of dependents.
+  // CachedImage::dep_images). `transitive` also collects dependents of
+  // dependents.
   std::set<std::string> CachedDependents(std::set<std::string> roots, bool transitive) const;
   // Evict every cached image that read one of `paths`, transitively through
-  // deps, and release their placements.
+  // deps, and retire their placements.
   void InvalidateImagesOf(const std::vector<std::string>& paths);
   // Every namespace mutation: under publish_mu_ (exclusive),
   // invalidate the images that read `paths`, run `publish`, then have the
@@ -455,8 +466,8 @@ class OmosServer {
   Result<void> Redefine(const std::vector<std::string>& paths,
                         const std::function<Result<void>()>& publish);
   // Evict the images whose placements moved plus the images linked against
-  // them. Returns how many were cached.
-  int EvictMoved(const std::vector<std::string>& moved);
+  // them, then adopt the new homes. Returns how many were cached.
+  int EvictMoved(const std::vector<PlacementRecord>& moved);
 
   // Exec channel reuse. A ring channel is two 64-slot rings plus a stream
   // fallback; building one per exec costs more host time than the round
@@ -469,11 +480,6 @@ class OmosServer {
   // round trip either way, so reuse changes no simulated cycle.
   Channel TakeExecChannel(ExecTransport transport);
   void ParkExecChannel(ExecTransport transport, Channel channel);
-
-  // Place the image `key` of `module` where `task` maps nothing, for
-  // LinkAndPublish to reuse: a superseded program's placement may already be
-  // released and taken, while the task still maps the program there.
-  Result<void> PlaceClearOf(Task& task, const std::string& key, const Module& module);
 
   // First use of `image` in `task`: records it in the runtime's libs, bills
   // `first_use_cost` and maps it; later uses of its key do nothing.
@@ -547,8 +553,9 @@ class OmosServer {
   Result<void> HandleSafepoint(Kernel& kernel, Task& task);
   Result<void> TryTransferTask(Kernel& kernel, Task& task,
                                const std::shared_ptr<UpgradeJob>& job);
-  // Reclaim the old version (evict + release placements) once no task
-  // references it; retried by DrainUpgrade when killed by fault injection.
+  // Reclaim the old version (evict; placements free with their last
+  // holder) once no task references it; retried by DrainUpgrade when killed
+  // by fault injection.
   void RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job);
   void AbortUpgrade(const std::shared_ptr<UpgradeJob>& job, std::string why);
   // Old-impl-key -> new-impl-key redirect once an upgrade has repointed, so
@@ -583,10 +590,9 @@ class OmosServer {
   // leadership is not a lock). relink_mu_, exec_channels_mu_ and
   // publish_mu_ are declared with the state they guard below.
   mutable std::mutex monitor_mu_;
-  mutable std::mutex solver_mu_;
   mutable std::mutex runtimes_mu_;
 
-  ConstraintSolver solver_;             // guarded by solver_mu_
+  ConstraintSolver solver_;   // internally synchronized
   std::map<TaskId, TaskRuntime> runtimes_;  // guarded by runtimes_mu_
   // Monitoring: program path -> function names (slot order) and counts.
   // Both guarded by monitor_mu_.

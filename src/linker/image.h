@@ -46,8 +46,9 @@ struct RelocRecord {
   bool cross_fragment = false;  // bound through the module symbol space
 };
 
-// A linked image another image was linked against: a program's library,
-// or the client program of a dynamically loaded class.
+// A linked image another image was linked against (a program's library,
+// or the client program of a dynamically loaded class), as a stored image
+// records it.
 struct LibDep {
   std::string cache_key;  // key of the dependency's own cached image
   std::string lib_path;

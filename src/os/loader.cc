@@ -25,9 +25,6 @@ Result<void> MapData(Kernel& kernel, Task& task, const LinkedImage& image,
                                       kProtRead | kProtWrite, image.name + ".data"));
     }
   }
-  if (image.data_end() > task.brk()) {
-    task.set_brk(image.data_end());
-  }
   return OkResult();
 }
 

@@ -18,7 +18,6 @@ namespace omos {
 //            `text_cache_key` is nonempty (cached under key + "#data"; bss
 //            is demand-zero), else an eager private copy (bootstrap paths
 //            with no cache to share from).
-// Sets the task brk to the image's data end if beyond the current brk.
 Result<void> MapLinkedImage(Kernel& kernel, Task& task, const LinkedImage& image,
                             const std::string& text_cache_key);
 

@@ -20,6 +20,11 @@ namespace omos {
 
 using TaskId = uint32_t;
 
+// Every task's brk heap starts here, whatever it maps: above the arenas the
+// placement solver hands out (SolverArenas) and below the stack, so a heap
+// grown by brk never lies where an image can be placed or loaded later.
+inline constexpr uint32_t kHeapBase = 0x80000000;
+
 enum class TaskState { kRunnable, kExited, kFaulted };
 
 // An open file descriptor. `path` is in SimFs's normal form, so reads and
@@ -164,7 +169,7 @@ class Task {
   std::string output_;
   std::map<int, FdEntry> fds_;
   int next_fd_ = 3;
-  uint32_t brk_ = 0;
+  uint32_t brk_ = kHeapBase;
   uint32_t last_fetch_page_ = 0xFFFFFFFF;
   std::vector<uint32_t> touched_text_pages_;  // sorted; a few dozen pages
   std::atomic<bool> safepoint_pending_{false};

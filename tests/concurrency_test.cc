@@ -701,6 +701,116 @@ scratch: .space 64
   EXPECT_EQ(kernel_.phys().frames_in_use(), baseline);
 }
 
+// A placement lease frees its ranges on whichever thread drops the last
+// reference, taking the solver's lock. Two threads place and drop the same
+// key (one's drop races the other's reuse inside Place), another places
+// keys whose hints collide, and another re-solves, re-packs and adopts the
+// moves meanwhile: a drop inside a solver call would self-deadlock, and a
+// range freed twice or never would show in the final count.
+TEST(SolverConcurrency, LastReferenceDropsWhilePlacingAndSolving) {
+  ConstraintSolver solver;
+  constexpr int kRounds = 2000;
+  std::atomic<int> failures{0};
+  RunThreads(4, [&](int thread) {
+    PlacementHints hint;
+    hint.text_base = 0x02000000;
+    for (int i = 0; i < kRounds; ++i) {
+      if (thread < 2) {
+        auto lease = solver.Place("shared", 0x2000, 0x1000);
+        if (!lease.ok() || (*lease)->object() != "shared") {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      } else if (thread == 2) {
+        auto lease = solver.Place(StrCat("clash", i % 8), 0x1000, 0x1000, hint);
+        if (!lease.ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      } else {
+        // A move retires its objects and adopts their new homes, pinned.
+        solver.AdoptPlacements(i % 2 == 0 ? solver.SolveNamespace() : solver.OptimizePlacements());
+      }
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+  // Every reference is gone, and with it every range but the adopted homes
+  // the solver pins until an image publishes; retiring the keys drops them.
+  solver.Retire("shared");
+  for (int i = 0; i < 8; ++i) {
+    solver.Retire(StrCat("clash", i));
+  }
+  EXPECT_EQ(solver.placed_count(), 0u);
+}
+
+// The last reference to a superseded image drops on an exec thread when it
+// releases its task, while other threads place (cold builds) and re-solve
+// (the re-pack and the prelink relink). Once the tasks are gone, the only
+// placements left are the current ones the cache holds.
+TEST_F(ConcurrencyTest, ImageReleaseRacesPlacementAndResolve) {
+  ASSERT_OK(server_->DefineLibrary("/lib/addlib",
+                                   "(constraint-list \"T\" 0x3000000)\n(merge /obj/addlib.o)"));
+  ASSERT_OK(server_->DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/client.o /lib/addlib)"));
+  ASSERT_OK(server_->DefineLibrary("/lib/clash",
+                                   "(constraint-list \"T\" 0x3000000)\n(merge /obj/addlib.o)"));
+  ASSERT_OK(server_->PrelinkNamespace("/bin"));
+  const Specialization constrained{"lib-constrained", {}};
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> execs{0};
+  std::atomic<int> passes{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        execs.fetch_add(1, std::memory_order_relaxed);
+        auto id = server_->IntegratedExec("/bin/prog", {"prog"});
+        if (!id.ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        auto out = RunTaskById(*id);
+        if (!out.ok() || (out->exit_code != 21 && out->exit_code != 51)) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        server_->ReleaseTask(*id);
+        kernel_.DestroyTask(*id);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      server_->cache().Evict(MakeCacheKey("/lib/clash", constrained.ToKeyString()));
+      if (!server_->Instantiate("/lib/clash", constrained, nullptr).ok()) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+      (void)server_->OptimizePlacements();
+      server_->DrainBackgroundWork();
+      passes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (int round = 0; round < 30; ++round) {
+    // Let the execs and the re-solver make progress under each version.
+    for (int seen = execs.load(), pass = passes.load();
+         execs.load() < seen + 4 || passes.load() < pass + 1;) {
+      std::this_thread::yield();
+    }
+    ASSERT_OK_AND_ASSIGN(ObjectFile lib, Assemble(round % 2 == 0 ? kAddLibV2 : kAddLib, "addlib.o"));
+    ASSERT_OK(server_->AddFragment("/obj/addlib.o", std::move(lib)));
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  server_->DrainBackgroundWork();
+  EXPECT_EQ(failures.load(), 0);
+  std::string snapshot = server_->Snapshot();
+  size_t rows = 0;
+  for (size_t at = snapshot.find("\nplace "); at != std::string::npos;
+       at = snapshot.find("\nplace ", at + 1)) {
+    ++rows;
+  }
+  EXPECT_EQ(server_->placement_count(), rows);
+}
+
 TEST_F(ConcurrencyTest, ServeAsyncAnswersOnPoolThread) {
   ASSERT_OK(server_->DefineMeta("/bin/prog",
                                 "(merge /lib/crt0.o /obj/client.o /obj/addlib.o)"));

@@ -130,35 +130,38 @@ TEST(Namespace, DedupReadsKeepsOneReadPerEntryAndPerMissingPath) {
 
 TEST(Constraints, FirstFitWithoutHints) {
   ConstraintSolver solver;
-  ASSERT_OK_AND_ASSIGN(Placement a, solver.Place("a", 0x5000, 0x1000));
-  ASSERT_OK_AND_ASSIGN(Placement b, solver.Place("b", 0x5000, 0x1000));
-  EXPECT_NE(a.text_base, b.text_base);
-  EXPECT_GE(b.text_base, a.text_base + 0x5000);
+  ASSERT_OK_AND_ASSIGN(PlacementRef a, solver.Place("a", 0x5000, 0x1000));
+  ASSERT_OK_AND_ASSIGN(PlacementRef b, solver.Place("b", 0x5000, 0x1000));
+  EXPECT_NE(a->text_base(), b->text_base());
+  EXPECT_GE(b->text_base(), a->text_base() + 0x5000);
 }
 
 TEST(Constraints, ReusePlacementForSameObject) {
   ConstraintSolver solver;
-  ASSERT_OK_AND_ASSIGN(Placement first, solver.Place("libc", 0x10000, 0x2000));
-  EXPECT_FALSE(first.reused);
-  ASSERT_OK_AND_ASSIGN(Placement second, solver.Place("libc", 0x10000, 0x2000));
-  EXPECT_TRUE(second.reused);
-  EXPECT_EQ(second.text_base, first.text_base);
+  Counter* reuses = MetricsRegistry::Global().GetCounter("solver.reuses");
+  ASSERT_OK_AND_ASSIGN(PlacementRef first, solver.Place("libc", 0x10000, 0x2000));
+  uint64_t before = reuses->value();
+  ASSERT_OK_AND_ASSIGN(PlacementRef second, solver.Place("libc", 0x10000, 0x2000));
+  EXPECT_EQ(reuses->value(), before + 1);
+  EXPECT_EQ(second, first);  // the live lease itself
 }
 
 TEST(Constraints, GrowingObjectGetsNewPlacement) {
   ConstraintSolver solver;
-  ASSERT_OK_AND_ASSIGN(Placement small, solver.Place("lib", 0x1000, 0x1000));
-  ASSERT_OK_AND_ASSIGN(Placement big, solver.Place("lib", 0x100000, 0x1000));
-  EXPECT_FALSE(big.reused);
-  (void)small;
+  ASSERT_OK_AND_ASSIGN(PlacementRef small, solver.Place("lib", 0x1000, 0x1000));
+  ASSERT_OK_AND_ASSIGN(PlacementRef big, solver.Place("lib", 0x100000, 0x1000));
+  EXPECT_NE(big, small);
+  // The outgrown lease keeps its range while it is held.
+  EXPECT_NE(big->text_base(), small->text_base());
+  EXPECT_EQ(solver.placed_count(), 2u);
 }
 
 TEST(Constraints, HintHonouredWhenFree) {
   ConstraintSolver solver;
   PlacementHints hints;
   hints.text_base = 0x02000000;
-  ASSERT_OK_AND_ASSIGN(Placement p, solver.Place("lib", 0x1000, 0x1000, hints));
-  EXPECT_EQ(p.text_base, 0x02000000u);
+  ASSERT_OK_AND_ASSIGN(PlacementRef p, solver.Place("lib", 0x1000, 0x1000, hints));
+  EXPECT_EQ(p->text_base(), 0x02000000u);
   EXPECT_TRUE(solver.conflicts().empty());
 }
 
@@ -166,22 +169,29 @@ TEST(Constraints, ConflictSpillsAndRecords) {
   ConstraintSolver solver;
   PlacementHints hints;
   hints.text_base = 0x02000000;
-  ASSERT_OK(solver.Place("first", 0x4000, 0x1000, hints));
-  ASSERT_OK_AND_ASSIGN(Placement second, solver.Place("second", 0x4000, 0x1000, hints));
-  EXPECT_NE(second.text_base, 0x02000000u);
-  ASSERT_EQ(solver.conflicts().size(), 1u);
-  EXPECT_EQ(solver.conflicts()[0].object, "second");
-  EXPECT_EQ(solver.conflicts()[0].holder, "first");
+  ASSERT_OK_AND_ASSIGN(PlacementRef first, solver.Place("first", 0x4000, 0x1000, hints));
+  bool conflicted = false;
+  ASSERT_OK_AND_ASSIGN(PlacementRef second,
+                       solver.Place("second", 0x4000, 0x1000, hints, &conflicted));
+  EXPECT_TRUE(conflicted);
+  EXPECT_NE(second->text_base(), 0x02000000u);
+  std::vector<ConflictRecord> conflicts = solver.conflicts();
+  ASSERT_EQ(conflicts.size(), 1u);
+  EXPECT_EQ(conflicts[0].object, "second");
+  EXPECT_EQ(conflicts[0].holder, "first");
 }
 
 TEST(Constraints, ReleaseFreesRange) {
   ConstraintSolver solver;
   PlacementHints hints;
   hints.text_base = 0x02000000;
-  ASSERT_OK(solver.Place("a", 0x1000, 0x1000, hints));
-  solver.Release("a");
-  ASSERT_OK_AND_ASSIGN(Placement b, solver.Place("b", 0x1000, 0x1000, hints));
-  EXPECT_EQ(b.text_base, 0x02000000u);
+  {
+    ASSERT_OK_AND_ASSIGN(PlacementRef a, solver.Place("a", 0x1000, 0x1000, hints));
+  }  // the last reference drops: the range is free
+  EXPECT_EQ(solver.placed_count(), 0u);
+  EXPECT_EQ(solver.Find("a"), nullptr);
+  ASSERT_OK_AND_ASSIGN(PlacementRef b, solver.Place("b", 0x1000, 0x1000, hints));
+  EXPECT_EQ(b->text_base(), 0x02000000u);
 }
 
 TEST(Constraints, ExhaustionReported) {
@@ -189,7 +199,7 @@ TEST(Constraints, ExhaustionReported) {
   arenas.text_lo = 0x100000;
   arenas.text_hi = 0x103000;  // room for 3 pages only
   ConstraintSolver solver(arenas);
-  ASSERT_OK(solver.Place("a", 0x2000, 0x1000));
+  ASSERT_OK_AND_ASSIGN(PlacementRef a, solver.Place("a", 0x2000, 0x1000));
   auto result = solver.Place("b", 0x2000, 0x1000);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kConstraintConflict);
@@ -200,37 +210,76 @@ TEST(Constraints, ExhaustionRecoversAfterRelease) {
   arenas.text_lo = 0x100000;
   arenas.text_hi = 0x103000;
   ConstraintSolver solver(arenas);
-  ASSERT_OK(solver.Place("a", 0x2000, 0x1000));
+  ASSERT_OK_AND_ASSIGN(PlacementRef a, solver.Place("a", 0x2000, 0x1000));
   ASSERT_FALSE(solver.Place("b", 0x2000, 0x1000).ok());
-  solver.Release("a");
+  a.reset();
   // The failed attempt left no partial reservation behind: the freed arena
   // accepts the same request, at the same first-fit base "a" vacated.
-  ASSERT_OK_AND_ASSIGN(Placement b, solver.Place("b", 0x2000, 0x1000));
-  EXPECT_EQ(b.text_base, 0x100000u);
+  ASSERT_OK_AND_ASSIGN(PlacementRef b, solver.Place("b", 0x2000, 0x1000));
+  EXPECT_EQ(b->text_base(), 0x100000u);
   EXPECT_EQ(solver.placed_count(), 1u);
 }
 
 TEST(Constraints, FreshPlacementsAreFoundWhereTheyLanded) {
   ConstraintSolver solver;
-  ASSERT_OK_AND_ASSIGN(Placement a, solver.Place("a", 0x1000, 0x1000));
-  ASSERT_OK_AND_ASSIGN(Placement b, solver.Place("b", 0x1000, 0x1000));
-  ASSERT_NE(solver.Find("a"), nullptr);
-  EXPECT_EQ(solver.Find("a")->text_base, a.text_base);
-  ASSERT_NE(solver.Find("b"), nullptr);
-  EXPECT_EQ(solver.Find("b")->text_base, b.text_base);
+  ASSERT_OK_AND_ASSIGN(PlacementRef a, solver.Place("a", 0x1000, 0x1000));
+  ASSERT_OK_AND_ASSIGN(PlacementRef b, solver.Place("b", 0x1000, 0x1000));
+  EXPECT_EQ(solver.Find("a"), a);
+  EXPECT_EQ(solver.Find("b"), b);
   EXPECT_EQ(solver.Find("missing"), nullptr);
 }
 
 TEST(Constraints, RegrowRefitsAndCountsAMove) {
   ConstraintSolver solver;
   Counter* moves = MetricsRegistry::Global().GetCounter("solver.moves");
-  ASSERT_OK(solver.Place("lib", 0x1000, 0x1000));
+  ASSERT_OK_AND_ASSIGN(PlacementRef small, solver.Place("lib", 0x1000, 0x1000));
   uint64_t before = moves->value();
-  ASSERT_OK_AND_ASSIGN(Placement big, solver.Place("lib", 0x40000, 0x1000));
+  ASSERT_OK_AND_ASSIGN(PlacementRef big, solver.Place("lib", 0x40000, 0x1000));
   EXPECT_EQ(moves->value(), before + 1);
-  EXPECT_FALSE(big.reused);
-  ASSERT_NE(solver.Find("lib"), nullptr);
-  EXPECT_EQ(solver.Find("lib")->text_base, big.text_base);
+  EXPECT_NE(big, small);
+  EXPECT_EQ(solver.Find("lib"), big);
+}
+
+TEST(Constraints, SettleRefusesARetiredPlacement) {
+  // The publish step: an image whose own placement or a dep's was retired
+  // (an invalidation or a move since it was placed) must not publish.
+  ConstraintSolver solver;
+  ASSERT_OK_AND_ASSIGN(PlacementRef lib, solver.Place("lib", 0x1000, 0x1000));
+  ASSERT_OK_AND_ASSIGN(PlacementRef client, solver.Place("client", 0x1000, 0x1000));
+  const PlacementLease* deps[] = {lib.get(), nullptr};
+  EXPECT_TRUE(solver.Settle(client.get(), deps));
+  solver.Retire("lib");
+  EXPECT_FALSE(solver.Settle(client.get(), deps));
+  EXPECT_FALSE(solver.Settle(lib.get(), {}));
+  ASSERT_OK_AND_ASSIGN(PlacementRef rebuilt, solver.Place("lib", 0x1000, 0x1000));
+  EXPECT_NE(rebuilt, lib);  // placed afresh, clear of the retired range
+  EXPECT_NE(rebuilt->text_base(), lib->text_base());
+  deps[0] = rebuilt.get();
+  EXPECT_TRUE(solver.Settle(client.get(), deps));
+}
+
+TEST(Constraints, AdoptedPlacementIsPinnedUntilSettled) {
+  ConstraintSolver solver;
+  PlacementRecord record{"lib", Placement{0x02000000, 0x50000000}, 0x1000, 0x1000};
+  ASSERT_OK(solver.CheckAdoption({record}, {}));
+  solver.AdoptPlacements({record});
+  // Nothing but the solver holds it, and the first placement takes it over.
+  ASSERT_OK_AND_ASSIGN(PlacementRef lease, solver.Place("lib", 0x1000, 0x1000));
+  EXPECT_EQ(lease->text_base(), 0x02000000u);
+  EXPECT_EQ(lease->data_base(), 0x50000000u);
+  lease.reset();
+  EXPECT_EQ(solver.placed_count(), 1u);  // still pinned: no image published
+  ASSERT_OK_AND_ASSIGN(lease, solver.Place("lib", 0x1000, 0x1000));
+  EXPECT_TRUE(solver.Settle(lease.get(), {}));
+  lease.reset();
+  EXPECT_EQ(solver.placed_count(), 0u);
+  // A row clashing with another object's current placement is refused.
+  ASSERT_OK_AND_ASSIGN(PlacementRef other, solver.Place("other", 0x1000, 0x1000));
+  PlacementRecord clash{"lib", Placement{other->text_base(), 0x50000000}, 0x1000, 0x1000};
+  auto refused = solver.CheckAdoption({clash}, {});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code(), ErrorCode::kConstraintConflict);
+  EXPECT_OK(solver.CheckAdoption({clash}, {"other"}));  // unless it is being retired
 }
 
 TEST(Constraints, OptimizePlacementsDeterministicAcrossInsertionOrders) {
@@ -242,14 +291,24 @@ TEST(Constraints, OptimizePlacementsDeterministicAcrossInsertionOrders) {
   ConstraintSolver reverse;
   const std::vector<std::pair<std::string, uint32_t>> objects = {
       {"alpha", 0x3000}, {"beta", 0x1000}, {"gamma", 0x7000}, {"delta", 0x2000}};
+  std::vector<PlacementRef> held[2];
   for (const auto& [name, size] : objects) {
-    ASSERT_OK(forward.Place(name, size, 0x1000));
+    ASSERT_OK_AND_ASSIGN(PlacementRef lease, forward.Place(name, size, 0x1000));
+    held[0].push_back(lease);
   }
   for (auto it = objects.rbegin(); it != objects.rend(); ++it) {
-    ASSERT_OK(reverse.Place(it->first, it->second, 0x1000));
+    ASSERT_OK_AND_ASSIGN(PlacementRef lease, reverse.Place(it->first, it->second, 0x1000));
+    held[1].push_back(lease);
   }
-  (void)forward.OptimizePlacements();
-  (void)reverse.OptimizePlacements();
+  ConstraintSolver* solvers[2] = {&forward, &reverse};
+  for (int i = 0; i < 2; ++i) {
+    std::vector<PlacementRecord> moves = solvers[i]->OptimizePlacements();
+    // The moved objects' old images go, and their new homes are adopted.
+    std::erase_if(held[i], [&](const PlacementRef& lease) {
+      return solvers[i]->Find(lease->object()) != lease;
+    });
+    solvers[i]->AdoptPlacements(moves);
+  }
   std::vector<PlacementRecord> a = forward.ExportPlacements();
   std::vector<PlacementRecord> b = reverse.ExportPlacements();
   ASSERT_EQ(a.size(), b.size());
@@ -270,26 +329,27 @@ TEST(Constraints, ConflictRecordsUnderHintCollisionSweep) {
   PlacementHints hints;
   hints.text_base = 0x02000000;
   constexpr int kClients = 8;
-  std::vector<Placement> placed;
+  std::vector<PlacementRef> placed;
   for (int i = 0; i < kClients; ++i) {
-    ASSERT_OK_AND_ASSIGN(Placement p, solver.Place(StrCat("obj", i), 0x2000, 0x1000, hints));
+    ASSERT_OK_AND_ASSIGN(PlacementRef p, solver.Place(StrCat("obj", i), 0x2000, 0x1000, hints));
     placed.push_back(p);
   }
-  EXPECT_EQ(placed[0].text_base, 0x02000000u);
-  ASSERT_EQ(solver.conflicts().size(), static_cast<size_t>(kClients - 1));
+  EXPECT_EQ(placed[0]->text_base(), 0x02000000u);
+  std::vector<ConflictRecord> conflicts = solver.conflicts();
+  ASSERT_EQ(conflicts.size(), static_cast<size_t>(kClients - 1));
   for (int i = 1; i < kClients; ++i) {
-    const ConflictRecord& record = solver.conflicts()[static_cast<size_t>(i - 1)];
+    const ConflictRecord& record = conflicts[static_cast<size_t>(i - 1)];
     EXPECT_EQ(record.object, StrCat("obj", i));
     EXPECT_EQ(record.wanted, 0x02000000u);
-    EXPECT_EQ(record.got, placed[static_cast<size_t>(i)].text_base);
+    EXPECT_EQ(record.got, placed[static_cast<size_t>(i)]->text_base());
     EXPECT_EQ(record.holder, "obj0");
     EXPECT_NE(record.got, record.wanted);
   }
   // Spills are first-fit from the arena base, so they ascend and never
   // collide with each other.
   for (int i = 2; i < kClients; ++i) {
-    EXPECT_GT(placed[static_cast<size_t>(i)].text_base,
-              placed[static_cast<size_t>(i - 1)].text_base);
+    EXPECT_GT(placed[static_cast<size_t>(i)]->text_base(),
+              placed[static_cast<size_t>(i - 1)]->text_base());
   }
 }
 
@@ -297,23 +357,30 @@ TEST(Constraints, SolveNamespaceMovesSpilledObjectToWantedBase) {
   ConstraintSolver solver;
   PlacementHints hints;
   hints.text_base = 0x02000000;
-  ASSERT_OK(solver.Place("holder", 0x4000, 0x1000, hints));
-  ASSERT_OK_AND_ASSIGN(Placement spilled, solver.Place("tenant", 0x4000, 0x1000, hints));
+  ASSERT_OK_AND_ASSIGN(PlacementRef holder, solver.Place("holder", 0x4000, 0x1000, hints));
+  ASSERT_OK_AND_ASSIGN(PlacementRef spilled, solver.Place("tenant", 0x4000, 0x1000, hints));
   ASSERT_EQ(solver.conflicts().size(), 1u);
-  solver.Release("holder");
-  std::vector<std::string> moved = solver.SolveNamespace();
+  holder.reset();
+  std::vector<PlacementRecord> moved = solver.SolveNamespace();
   ASSERT_EQ(moved.size(), 1u);
-  EXPECT_EQ(moved[0], "tenant");
-  const Placement* home = solver.Find("tenant");
-  ASSERT_NE(home, nullptr);
-  EXPECT_EQ(home->text_base, 0x02000000u);
-  EXPECT_NE(home->text_base, spilled.text_base);
+  EXPECT_EQ(moved[0].object, "tenant");
+  EXPECT_EQ(moved[0].placement.text_base, 0x02000000u);
+  EXPECT_TRUE(solver.conflicts().empty());
+  // The move retires the tenant; once its old image is gone, the new home
+  // is adopted and its next placement lands there, with no new conflict.
+  EXPECT_EQ(solver.Find("tenant"), nullptr);
+  uint32_t spilled_base = spilled->text_base();
+  spilled.reset();
+  solver.AdoptPlacements(moved);
+  ASSERT_OK_AND_ASSIGN(PlacementRef home, solver.Place("tenant", 0x4000, 0x1000));
+  EXPECT_EQ(home->text_base(), 0x02000000u);
+  EXPECT_NE(home->text_base(), spilled_base);
   EXPECT_TRUE(solver.conflicts().empty());
 }
 
 TEST(Constraints, SolveNamespaceIsNoopWithoutConflicts) {
   ConstraintSolver solver;
-  ASSERT_OK(solver.Place("a", 0x1000, 0x1000));
+  ASSERT_OK_AND_ASSIGN(PlacementRef a, solver.Place("a", 0x1000, 0x1000));
   EXPECT_TRUE(solver.SolveNamespace().empty());
 }
 
@@ -321,17 +388,40 @@ TEST(Constraints, SolveNamespaceRespillKeepsConflictForNextPass) {
   ConstraintSolver solver;
   PlacementHints hints;
   hints.text_base = 0x02000000;
-  ASSERT_OK(solver.Place("holder", 0x4000, 0x1000, hints));
-  ASSERT_OK_AND_ASSIGN(Placement spilled, solver.Place("tenant", 0x4000, 0x1000, hints));
-  // Holder still owns the wanted range: the pass re-fits the tenant, which
-  // lands back where it was, re-logs the conflict, and moves nothing.
+  ASSERT_OK_AND_ASSIGN(PlacementRef holder, solver.Place("holder", 0x4000, 0x1000, hints));
+  ASSERT_OK_AND_ASSIGN(PlacementRef spilled, solver.Place("tenant", 0x4000, 0x1000, hints));
+  // Holder still owns the wanted range: the pass leaves the tenant where it
+  // was, keeps the conflict, and moves nothing.
   EXPECT_TRUE(solver.SolveNamespace().empty());
-  const Placement* home = solver.Find("tenant");
-  ASSERT_NE(home, nullptr);
-  EXPECT_EQ(home->text_base, spilled.text_base);
-  ASSERT_EQ(solver.conflicts().size(), 1u);
-  EXPECT_EQ(solver.conflicts()[0].object, "tenant");
-  EXPECT_EQ(solver.conflicts()[0].holder, "holder");
+  EXPECT_EQ(solver.Find("tenant"), spilled);
+  std::vector<ConflictRecord> conflicts = solver.conflicts();
+  ASSERT_EQ(conflicts.size(), 1u);
+  EXPECT_EQ(conflicts[0].object, "tenant");
+  EXPECT_EQ(conflicts[0].holder, "holder");
+}
+
+TEST(Constraints, SolveNamespaceKeepsOneConflictPerObject) {
+  // Each rebuild of a tenant whose hint stays held logs a conflict; a pass
+  // that cannot move it keeps one, the latest, so the log does not grow
+  // with rebuilds. A released object's conflicts go.
+  ConstraintSolver solver;
+  PlacementHints hints;
+  hints.text_base = 0x02000000;
+  ASSERT_OK_AND_ASSIGN(PlacementRef holder, solver.Place("holder", 0x4000, 0x1000, hints));
+  PlacementRef tenant;
+  for (int i = 0; i < 5; ++i) {
+    solver.Retire("tenant");  // a redefinition: the next build places afresh
+    ASSERT_OK_AND_ASSIGN(tenant, solver.Place("tenant", 0x4000, 0x1000, hints));
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(PlacementRef gone, solver.Place("gone", 0x4000, 0x1000, hints));
+  }
+  ASSERT_EQ(solver.conflicts().size(), 6u);
+  EXPECT_TRUE(solver.SolveNamespace().empty());
+  std::vector<ConflictRecord> conflicts = solver.conflicts();
+  ASSERT_EQ(conflicts.size(), 1u);
+  EXPECT_EQ(conflicts[0].object, "tenant");
+  EXPECT_EQ(conflicts[0].got, tenant->text_base());
 }
 
 // ---- Image cache -----------------------------------------------------------------

@@ -300,14 +300,14 @@ TEST(Coverage, SolverDataArenaIndependentOfText) {
   PlacementHints hints;
   hints.text_base = 0x01000000;
   hints.data_base = 0x40000000;
-  ASSERT_OK_AND_ASSIGN(Placement p, solver.Place("x", 0x1000, 0x1000, hints));
-  EXPECT_EQ(p.text_base, 0x01000000u);
-  EXPECT_EQ(p.data_base, 0x40000000u);
+  ASSERT_OK_AND_ASSIGN(PlacementRef p, solver.Place("x", 0x1000, 0x1000, hints));
+  EXPECT_EQ(p->text_base(), 0x01000000u);
+  EXPECT_EQ(p->data_base(), 0x40000000u);
   // Second object with only a data hint that collides spills data only.
   PlacementHints hints2;
   hints2.data_base = 0x40000000;
-  ASSERT_OK_AND_ASSIGN(Placement q, solver.Place("y", 0x1000, 0x1000, hints2));
-  EXPECT_NE(q.data_base, 0x40000000u);
+  ASSERT_OK_AND_ASSIGN(PlacementRef q, solver.Place("y", 0x1000, 0x1000, hints2));
+  EXPECT_NE(q->data_base(), 0x40000000u);
   EXPECT_EQ(solver.conflicts().size(), 1u);
 }
 

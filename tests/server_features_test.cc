@@ -1683,12 +1683,15 @@ int VersionSeenBy(OmosServer& server, TaskId id) {
 class EvalMemoTest : public ServerFeatures {
  protected:
   // Exec /bin/q; returns its exit code after checking the mapped version
-  // agrees with it.
+  // agrees with it. The task is released, so no old version it mapped
+  // keeps its placement past the exec.
   Result<int> ExecQ() {
     OMOS_TRY(TaskId id, server_->IntegratedExec("/bin/q", {"q"}));
     int seen = VersionSeenBy(*server_, id);
     OMOS_TRY(RunOutcome out, Run(id));
     EXPECT_EQ(seen, out.exit_code);
+    server_->ReleaseTask(id);
+    kernel_.DestroyTask(id);
     return out.exit_code;
   }
 };
@@ -1786,16 +1789,18 @@ TEST_F(EvalMemoTest, ReplacedArchiveMemberPlansTheLibraryAgain) {
   // A new member is a new module, so the library is planned afresh. The
   // client is relinked against the rebuilt library, but its evaluation is a
   // memo hit (it reads /lib/ans, not /libx), so it applies the plan its
-  // memoized space keeps.
-  ImageRef client = CachedImageOf(*server_, "/bin/q");
-  ASSERT_NE(client, nullptr);
+  // memoized space keeps. A weak reference: holding the old client would
+  // hold its placement and the library's, so the rebuild could not land
+  // where a cold server puts it.
+  std::weak_ptr<const CachedImage> client = CachedImageOf(*server_, "/bin/q");
+  ASSERT_NE(client.lock(), nullptr);
   uint64_t plans = CounterValue("link.plans");
   ASSERT_OK_AND_ASSIGN(ObjectFile v2, VersionedAnswer(2));
   ASSERT_OK(server_->AddFragment("/libx/v.o", std::move(v2)));
   ASSERT_OK_AND_ASSIGN(int second, ExecQ());
   EXPECT_EQ(second, 2);
   EXPECT_EQ(CounterValue("link.plans") - plans, 1u);
-  EXPECT_NE(CachedImageOf(*server_, "/bin/q"), client);
+  EXPECT_NE(CachedImageOf(*server_, "/bin/q"), client.lock());
 
   // Both link what a server that only ever saw the new member builds cold.
 
@@ -2626,10 +2631,10 @@ Result<BuildView> BuildAndRun(Kernel& kernel, OmosServer& server, const std::str
   ImageCache::ReadLease lease(server.cache());
   OMOS_TRY(const CachedImage* image, server.Instantiate(program, {}, &view.work));
   view.images.push_back(Describe(*image));
-  for (const LibDep& dep : image->deps) {
-    ImageRef lib = server.cache().Peek(dep.cache_key);
+  for (const ImageRef& dep : image->dep_images) {
+    ImageRef lib = server.cache().Peek(dep->key);
     if (lib == nullptr) {
-      return Err(ErrorCode::kNotFound, StrCat("dep not cached: ", dep.cache_key));
+      return Err(ErrorCode::kNotFound, StrCat("dep not cached: ", dep->key));
     }
     view.images.push_back(Describe(*lib));
   }
@@ -2725,6 +2730,127 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MemoDifferential,
                                   (info.param.engine == EngineMode::kBlocks ? "_blocks"
                                                                             : "_interp");
                          });
+
+// ---- Placement ownership -------------------------------------------------------
+
+// A lazy library's first use in a task whose program was superseded. The
+// task holds the old program, and the program the impl it was linked
+// against, so neither range is free for an unrelated program or for the
+// rebuilt impl, which therefore cannot land on the task's own program.
+TEST_F(ServerFeatures, LazyLibraryRebuiltUnderAnOldTaskLandsClearOfIt) {
+  auto lz = [](int value) {
+    return Assemble(StrCat(".text\n.global lzf\nlzf:\n  movi r0, ", value, "\n  ret\n"), "lz.o");
+  };
+  ASSERT_OK_AND_ASSIGN(ObjectFile v1, lz(7));
+  ASSERT_OK(server_->AddFragment("/obj/lz.o", std::move(v1)));
+  ASSERT_OK(server_->DefineLibrary("/lib/lz", "(merge /obj/lz.o)"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile p, Assemble(R"(
+.text
+.global main
+main:
+  push lr
+  call lzf
+  pop lr
+  ret
+)", "p.o"));
+  ASSERT_OK(server_->AddFragment("/obj/p.o", std::move(p)));
+  ASSERT_OK(server_->DefineMeta(
+      "/bin/p", "(merge /lib/crt0.o /obj/p.o (specialize \"lib-dynamic\" /lib/lz))"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile q, Assemble(".text\n.global main\nmain:\n  movi r0, 3\n  ret\n",
+                                              "q.o"));
+  ASSERT_OK(server_->AddFragment("/obj/q.o", std::move(q)));
+  ASSERT_OK(server_->DefineMeta("/bin/q", "(merge /lib/crt0.o /obj/q.o)"));
+
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/p", {"p"}));
+  ASSERT_OK_AND_ASSIGN(ObjectFile v2, lz(9));
+  ASSERT_OK(server_->AddFragment("/obj/lz.o", std::move(v2)));  // evicts the impl and /bin/p
+  ASSERT_OK(server_->Instantiate("/bin/q", {}, nullptr));
+  // The first call binds the library as it is defined now, mapped clear of
+  // everything the task maps.
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+  EXPECT_EQ(out.exit_code, 9);
+}
+
+// The brk heap is a task mapping no image holds: it starts above every
+// arena the solver places in, so a class loaded after the heap grew cannot
+// land on it.
+TEST_F(ServerFeatures, BrkHeapNeverLiesWhereAClassIsPlaced) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile grow, Assemble(R"(
+.text
+.global main
+main:
+  movi r0, 0
+  sys 5              ; query brk
+  mov r4, r0
+  addi r0, r4, 8192
+  sys 5              ; grow the heap by 8 KiB
+  movi r1, 6
+  st r1, [r4+0]      ; touch it
+  movi r0, 0
+  ret
+)", "grow.o"));
+  ASSERT_OK(server_->AddFragment("/obj/grow.o", std::move(grow)));
+  ASSERT_OK(server_->DefineMeta("/bin/h", "(merge /lib/crt0.o /obj/grow.o)"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile pd, Assemble(R"(
+.text
+.global pget
+pget:
+  lea r1, pword
+  ld r0, [r1+0]
+  ret
+.data
+.align 4
+.global pword
+pword: .word 5
+)", "pd.o"));
+  ASSERT_OK(server_->AddFragment("/obj/pd.o", std::move(pd)));
+
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/h", {"h"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+  EXPECT_EQ(out.exit_code, 0);
+  Task* task = kernel_.FindTask(id);
+  ASSERT_NE(task, nullptr);
+  EXPECT_EQ(task->brk(), kHeapBase + 8192);
+  ASSERT_OK_AND_ASSIGN(auto loaded, server_->DynamicLoad(*task, "(merge /obj/pd.o)", {"pword"}));
+  ASSERT_EQ(loaded.symbol_values.size(), 1u);
+  ASSERT_OK_AND_ASSIGN(uint32_t word, task->space().Read32(loaded.symbol_values[0]));
+  EXPECT_EQ(word, 5u);
+  ASSERT_OK_AND_ASSIGN(uint32_t heap_word, task->space().Read32(kHeapBase));
+  EXPECT_EQ(heap_word, 6u);
+}
+
+// A placement lives as long as the image that holds it: superseded images
+// a task maps keep theirs, and releasing the task frees them.
+TEST_F(ServerFeatures, PlacementsReturnToBaselineAfterTeardown) {
+  DefineArgcProgram(*server_);
+  auto exec = [&]() -> Result<TaskId> {
+    OMOS_TRY(TaskId id, server_->IntegratedExec("/bin/prog", {"prog"}));
+    OMOS_TRY_VOID(Run(id));
+    return id;
+  };
+  ASSERT_OK_AND_ASSIGN(TaskId warm, exec());
+  server_->ReleaseTask(warm);
+  kernel_.DestroyTask(warm);
+  const size_t baseline = server_->placement_count();
+  ASSERT_GT(baseline, 0u);
+  std::vector<TaskId> held;
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_OK_AND_ASSIGN(TaskId id, exec());
+    held.push_back(id);
+    // A redefinition retires the program's placement; the task keeps it.
+    ASSERT_OK(server_->DefineMeta(
+        "/bin/prog", round % 2 == 0 ? "(merge /lib/crt0.o /obj/main.o /obj/b.o /obj/a.o)"
+                                    : "(merge /lib/crt0.o /obj/main.o /obj/a.o /obj/b.o)"));
+    EXPECT_EQ(server_->placement_count(), baseline + held.size() - 1) << "round " << round;
+  }
+  ASSERT_OK_AND_ASSIGN(TaskId last, exec());
+  held.push_back(last);
+  for (TaskId id : held) {
+    server_->ReleaseTask(id);
+    kernel_.DestroyTask(id);
+  }
+  EXPECT_EQ(server_->placement_count(), baseline);
+}
 
 }  // namespace
 }  // namespace omos

@@ -1005,6 +1005,7 @@ TEST_F(StoreServerTest, StoreCountersVisibleOverTheWire) {
 TEST_F(StoreServerTest, CrashSweepNeverServesWrongBytesOrLeaksFrames) {
   // Fault-free golden pass.
   std::vector<Golden> golden;
+  size_t golden_placements = 0;
   {
     SimFs disk;
     Kernel kernel;
@@ -1014,6 +1015,7 @@ TEST_F(StoreServerTest, CrashSweepNeverServesWrongBytesOrLeaksFrames) {
     ASSERT_OK(Populate(server));
     server.AttachStore(&store);
     ASSERT_OK_AND_ASSIGN(golden, InstantiateAll(server));
+    golden_placements = server.placement_count();
     ASSERT_OK(server.PersistTo(store));
   }
 
@@ -1069,6 +1071,14 @@ TEST_F(StoreServerTest, CrashSweepNeverServesWrongBytesOrLeaksFrames) {
     }
     // No wrong bytes ever surfaced from the store.
     EXPECT_EQ(store2.stats().lost_records.load(), 0u) << "k=" << k;
+    // Placements return to baseline as frames do: one per cached image,
+    // whether adopted from the snapshot or placed afresh, and none once the
+    // cache lets go.
+    EXPECT_EQ(server2->placement_count(), golden_placements) << "k=" << k;
+    for (const std::string& key : server2->cache().Keys()) {
+      server2->cache().Evict(key);
+    }
+    EXPECT_EQ(server2->placement_count(), 0u) << "k=" << k;
     // Tear the world down: every frame the recovered server materialized
     // must return to the allocator.
     server2.reset();

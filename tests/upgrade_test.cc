@@ -578,6 +578,32 @@ TEST_F(UpgradeTest, FramesReclaimedToBaseline) {
   EXPECT_EQ(kernel_.phys().frames_in_use(), baseline);
 }
 
+// Placements return to baseline the same way: the shadow implementation's
+// placement is released once the upgrade is done and no task maps it, and
+// a snapshot taken then records no shadow-path placement.
+TEST_F(UpgradeTest, CompletedUpgradesLeaveNoShadowPlacement) {
+  ASSERT_OK_AND_ASSIGN(int warm, ExecOnce());
+  ASSERT_EQ(warm, 21);
+  const size_t baseline = server_->placement_count();
+  const char* kVersions[] = {"(merge /obj/addlib2.o)", "(merge /obj/addlib.o)",
+                             "(merge /obj/addlib2.o)"};
+  const int kExits[] = {51, 21, 51};
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE(testing::Message() << "upgrade " << i + 1);
+    ASSERT_OK(server_->BeginUpgrade("/lib/addlib", kVersions[i]));
+    ASSERT_EQ(DrainToTerminal().phase, UpgradePhase::kDone);
+    ASSERT_OK_AND_ASSIGN(int code, ExecOnce());
+    EXPECT_EQ(code, kExits[i]);
+    EXPECT_EQ(server_->placement_count(), baseline);
+  }
+  std::string snapshot = server_->Snapshot();
+  for (size_t row = snapshot.find("\nplace "); row != std::string::npos;
+       row = snapshot.find("\nplace ", row + 1)) {
+    std::string line = snapshot.substr(row + 1, snapshot.find('\n', row + 1) - row - 1);
+    EXPECT_EQ(line.find("@v"), std::string::npos) << line;
+  }
+}
+
 // ---- Upgrade-under-fire: FaultSim kill-points at each phase -----------------
 
 TEST_F(UpgradeTest, KilledDuringLinkAbortsCleanly) {
