@@ -289,7 +289,7 @@ size_t ImageCache::entry_count() const {
 
 ImageRef ImageCache::Put(std::string key, CachedImage image) {
   auto owned = std::make_shared<CachedImage>(std::move(image));
-  owned->key = key;
+  owned->key = std::move(key);
   // Sums (and the symbol index, for an image that arrives without a current
   // one) are built outside any lock: both are O(image) and touch only the
   // new entry. A linked or decoded image is already indexed.
@@ -297,20 +297,42 @@ ImageRef ImageCache::Put(std::string key, CachedImage image) {
   if (!owned->image.symbol_index_current()) {
     owned->image.BuildSymbolIndex();
   }
-  ImageRef result = owned;
+  return Admit(std::move(owned), /*replace=*/true, /*verified=*/false);
+}
 
+ImageRef ImageCache::Readmit(ImageRef image) {
+  {
+    TraceSpan verify("cache.verify", image->key);
+    ++stats_.full_verifies;
+    stats_.pages_verified += image->page_sums.size();
+    if (!image->VerifyAll()) {
+      return nullptr;
+    }
+  }
+  // Every cached image was made by Put's make_shared of a mutable
+  // CachedImage, so the cache may hold it as its own again.
+  return Admit(std::const_pointer_cast<CachedImage>(std::move(image)), /*replace=*/false,
+               /*verified=*/true);
+}
+
+ImageRef ImageCache::Admit(std::shared_ptr<CachedImage> owned, bool replace, bool verified) {
+  ImageRef result = owned;
+  const std::string& key = owned->key;
   Shard& shard = ShardFor(key);
   std::shared_ptr<CachedImage> replaced;  // dropped outside the lock
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(key);
+    if (it != shard.entries.end() && !replace) {
+      return it->second.image;
+    }
     if (it != shard.entries.end()) {
       // Replacement is an eviction of the old bytes.
       stats_.bytes_cached -= it->second.image->bytes();
       ++stats_.evictions;
       replaced = std::move(it->second.image);
       it->second.image = std::move(owned);
-      it->second.verified_once = false;
+      it->second.verified_once = verified;
       it->second.probe_cursor = 0;
       std::lock_guard<std::mutex> lru_lock(lru_mu_);
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
@@ -321,8 +343,7 @@ ImageRef ImageCache::Put(std::string key, CachedImage image) {
         lru_.push_front(key);
         lru_it = lru_.begin();
       }
-      shard.entries.emplace(key, Entry{std::move(owned), lru_it,
-                                       /*verified_once=*/false, /*probe_cursor=*/0});
+      shard.entries.emplace(key, Entry{std::move(owned), lru_it, verified, /*probe_cursor=*/0});
     }
     stats_.bytes_cached += result->bytes();
     ++stats_.inserts;

@@ -178,6 +178,11 @@ class ImageCache {
   std::vector<std::string> Keys() const;
 
   ImageRef Put(std::string key, CachedImage image);
+  // Puts `image`, an evicted cached image a holder still has, back under its
+  // key once a full verification of its sums passes; null when it rotted.
+  // Returns what the key serves then: `image`, or an image cached under the
+  // key meanwhile. The caller decides whether the image is still current.
+  ImageRef Readmit(ImageRef image);
   // Drops the cache's reference; holders keep the image alive.
   void Evict(const std::string& key);
 
@@ -233,6 +238,10 @@ class ImageCache {
     int depth = 0;  // leader re-entrancy
   };
 
+  // Caches `image` under its key, counting it as an insert. A key that holds
+  // an image already has it replaced (an eviction) when `replace`, else
+  // keeps it and returns it. `verified`: its sums were just checked in full.
+  ImageRef Admit(std::shared_ptr<CachedImage> image, bool replace, bool verified);
   Shard& ShardFor(const std::string& key);
   const Shard& ShardFor(const std::string& key) const;
   void TrimToCapacity();

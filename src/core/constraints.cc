@@ -203,6 +203,9 @@ Result<PlacementRef> ConstraintSolver::Place(const std::string& object, uint32_t
                                    Span(text_size), hints.text_base, object, &text_conflict));
   OMOS_TRY(uint32_t data_base, Fit(s.data_ranges, s.arenas.data_lo, s.arenas.data_hi,
                                    Span(data_size), hints.data_base, object, &data_conflict));
+  if (data_conflict.has_value()) {
+    data_conflict->data = true;
+  }
   for (std::optional<ConflictRecord>* conflict : {&text_conflict, &data_conflict}) {
     if (conflict->has_value()) {
       s.conflicts.push_back(std::move(**conflict));
@@ -303,33 +306,41 @@ std::vector<PlacementRecord> ConstraintSolver::SolveNamespace() {
   if (s.conflicts.empty()) {
     return {};  // the current layout already satisfies every client
   }
-  // The latest conflict of each object still placed, by name; what is not
-  // resolved stays logged for the next pass, once.
-  std::map<std::string, ConflictRecord> latest;
+  // The latest conflict of each object still placed in each arena, by name
+  // (text first); what is not resolved stays logged for the next pass, once.
+  std::map<std::pair<std::string, bool>, ConflictRecord> latest;
   for (ConflictRecord& conflict : s.conflicts) {
     if (s.current.count(conflict.object) > 0) {
-      latest[conflict.object] = std::move(conflict);
+      latest[{conflict.object, conflict.data}] = std::move(conflict);
     }
   }
   s.conflicts.clear();
-  std::vector<PlacementRecord> moved;
-  RangeMap claimed;  // wanted ranges given to earlier objects of this pass
-  for (auto& [object, conflict] : latest) {
-    const PlacementRecord& live = s.current.at(object).lease->record();
+  std::map<std::string, PlacementRecord> homes;  // of the objects that move
+  RangeMap claimed[2];  // wanted text and data ranges given to earlier objects of this pass
+  for (auto& [at, conflict] : latest) {
+    const bool data = at.second;
+    const PlacementRecord& live = s.current.at(conflict.object).lease->record();
+    const RangeMap& ranges = data ? s.data_ranges : s.text_ranges;
+    const uint32_t lo = data ? s.arenas.data_lo : s.arenas.text_lo;
+    const uint32_t hi = data ? s.arenas.data_hi : s.arenas.text_hi;
     uint32_t base = PageAlignDown(conflict.wanted);
-    uint32_t size = Span(live.text_size);
+    uint32_t size = Span(data ? live.data_size : live.text_size);
     // Its own range may overlap: the move frees it once its image goes.
-    if (base < s.arenas.text_lo || base + size > s.arenas.text_hi ||
-        FindOverlapIf(s.text_ranges, base, size,
+    if (base < lo || base + size > hi ||
+        FindOverlapIf(ranges, base, size,
                       [&](const Range& range) { return range.owner == &live; }) != nullptr ||
-        FindOverlap(claimed, base, size) != nullptr) {
+        FindOverlap(claimed[data], base, size) != nullptr) {
       s.conflicts.push_back(std::move(conflict));  // still held
       continue;
     }
-    claimed.emplace(base, Range{base, size, &live});
-    moved.push_back(live);
-    moved.back().placement.text_base = base;
+    claimed[data].emplace(base, Range{base, size, &live});
+    PlacementRecord& home = homes.try_emplace(conflict.object, live).first->second;
+    (data ? home.placement.data_base : home.placement.text_base) = base;
+  }
+  std::vector<PlacementRecord> moved;
+  for (auto& [object, home] : homes) {
     s.Retire(object, dropped);
+    moved.push_back(std::move(home));
   }
   Metrics().moves->Add(moved.size());
   return moved;

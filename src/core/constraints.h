@@ -52,6 +52,7 @@ struct ConflictRecord {
   uint32_t wanted = 0;
   uint32_t got = 0;
   std::string holder;  // who owned the conflicting range
+  bool data = false;   // the lost hint was the data base's (else the text base's)
 };
 
 // One object's placement assignment, as exported for a server snapshot and
@@ -128,9 +129,10 @@ class ConstraintSolver {
 
   // The fleet-wide re-solve: an object whose hint lost to the no-overlap
   // constraint moves to its latest wanted base once that range has freed
-  // up. The log keeps one record per object still conflicted, for the next
-  // pass. Deterministic (name order). Returns the moves as
-  // OptimizePlacements does.
+  // up, in the arena the hint was for; an object that lost both its hints
+  // may move both ways in one record. The log keeps one record per object
+  // and arena still conflicted, for the next pass. Deterministic (name
+  // order). Returns the moves as OptimizePlacements does.
   std::vector<PlacementRecord> SolveNamespace();
 
   std::vector<ConflictRecord> conflicts() const;

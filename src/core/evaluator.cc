@@ -150,7 +150,7 @@ Result<EvalValue> BlueprintEvaluator::EvalConstruction(
   // Cold work and reads are billed and recorded whether or not it succeeded.
   tracker.work += sub.work;
   tracker.max_depth = std::max(tracker.max_depth, sub.max_depth);
-  sub.reads.emplace_back(norm, entry);
+  sub.reads.push_back({norm, entry->version});
   std::shared_ptr<const ReadSet> reads = sub.TakeReads();
   tracker.nested.push_back(reads);
   if (!value.ok()) {
@@ -185,16 +185,24 @@ Result<BlueprintEvaluator::Evaluated> BlueprintEvaluator::EvalPath(std::string_v
                                                                    bool mention_libraries) {
   std::string norm = OmosNamespace::Normalize(path);
   auto entry = namespace_.Lookup(norm);
-  tracker.reads.emplace_back(norm, entry.ok() ? *entry : nullptr);
-  OMOS_TRY_VOID(entry);
+  if (!entry.ok()) {
+    tracker.reads.push_back({std::move(norm), nullptr});
+    return entry.error();
+  }
   Evaluated out{std::move(*entry), {}};
+  if (out.entry->kind == EntryKind::kLibrary && mention_libraries) {
+    // A mention is a read of the library's interface, not of its entry: the
+    // value depends on its default specialization alone. The library's own
+    // constraint-list is its *default* placement and is applied when the
+    // library image itself is built; only explicit specialize-time hints
+    // travel in the spec (and hence the cache key).
+    tracker.reads.push_back({norm, out.entry->interface});
+    out.value.libs.push_back(LibraryUse{std::move(norm), {out.entry->default_spec, {}}});
+    return out;
+  }
+  tracker.reads.push_back({norm, out.entry->version});
   if (out.entry->kind == EntryKind::kFragment) {
     out.value.module = Module::FromObject(out.entry->fragment);
-  } else if (out.entry->kind == EntryKind::kLibrary && mention_libraries) {
-    // The library's own constraint-list is its *default* placement and is
-    // applied when the library image itself is built; only explicit
-    // specialize-time hints travel in the spec (and hence the cache key).
-    out.value.libs.push_back(LibraryUse{std::move(norm), {out.entry->default_spec, {}}});
   } else {
     OMOS_TRY(out.value, EvalConstruction(norm, out.entry, tracker, depth));
   }

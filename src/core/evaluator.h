@@ -3,10 +3,13 @@
 // plus the libraries it mentions; every namespace lookup is recorded, so a
 // build knows exactly which entries its result depends on (ReadSet).
 //
-// Evaluation is a pure function of the entries it reads. The evaluator
-// memoizes the evaluation of each meta-object and library construction and
-// replays it while every recorded read still resolves to the same entry. It
-// is the only code that decides whether a remembered evaluation is valid:
+// Evaluation is a pure function of what it reads: the entries it evaluates,
+// and of each library it only mentions, the interface (kind and default
+// specialization). The evaluator memoizes the evaluation of each
+// meta-object and library construction and replays it while no recorded
+// read is superseded, so a library fix that keeps the interface (a base
+// move) keeps every client's memo. It is the only code that decides whether
+// a remembered evaluation is valid:
 //
 //  * a hit is served only when MemoCurrent holds for it;
 //  * an evaluation is remembered only when, under the memo's own lock, every
@@ -77,8 +80,8 @@ struct EvalValue {
 struct BuildTracker {
   uint64_t work = 0;
   // The namespace reads made directly so far, in order (normalized path,
-  // entry or null when the lookup failed), and the read sets of the memo
-  // evaluations gone through, by pointer.
+  // version read or null when the lookup failed), and the read sets of the
+  // memo evaluations and library images gone through, by pointer.
   std::vector<NamespaceRead> reads;
   std::vector<std::shared_ptr<const ReadSet>> nested;
   int max_depth = 0;  // deepest Eval depth reached
@@ -116,7 +119,8 @@ class BlueprintEvaluator {
   // evaluated at `depth` through the memo, so a build is billed and
   // invalidated exactly as by a cold evaluation. Named as an operand inside
   // a construction (`mention_libraries`), a library is not evaluated but
-  // mentioned: the value carries a LibraryUse for the build to link.
+  // mentioned: the value carries a LibraryUse for the build to link, and
+  // the read is of the library's interface, not of its entry.
   Result<Evaluated> EvalPath(std::string_view path, BuildTracker& tracker, int depth = 0,
                              bool mention_libraries = false);
 
@@ -133,9 +137,13 @@ class BlueprintEvaluator {
 
  private:
   // A memoized evaluation of one namespace entry's construction. Entries
-  // are immutable and a redefinition publishes a new one, so the memo is
-  // valid exactly while every recorded read still resolves to the same
-  // entry pointer.
+  // are immutable and a redefinition publishes a new one, superseding the
+  // old entry's version (and its library interface unless the new entry
+  // keeps kind and default specialization). The memo is valid exactly while
+  // no version it recorded is superseded: the entries it evaluated are
+  // still the ones served, and the libraries it mentioned still have the
+  // interface it read. Reads hold versions, not entries, so a memo pins no
+  // entry but its own.
   struct EvalMemo {
     std::shared_ptr<const NamespaceEntry> entry;  // the entry evaluated
     EvalValue value;                              // module space materialized
@@ -153,8 +161,8 @@ class BlueprintEvaluator {
   Result<EvalValue> EvalConstruction(const std::string& norm,
                                      const std::shared_ptr<const NamespaceEntry>& entry,
                                      BuildTracker& tracker, int depth);
-  // Whether `memo` was evaluated from `entry` and every read it recorded
-  // still resolves to the same entry (pointer identity).
+  // Whether `memo` was evaluated from `entry` and no read it recorded has
+  // been superseded.
   bool MemoCurrent(const EvalMemo& memo, const NamespaceEntry* entry) const;
   // One value of `values`: their modules merged (or overridden left to
   // right), their library mentions and placement hints gathered.

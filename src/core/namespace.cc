@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 
 #include "src/support/strings.h"
 
@@ -17,22 +16,29 @@ bool IsNormal(std::string_view path) {
          path.find("//") == std::string_view::npos;
 }
 
-// Every entry the namespace hands out: the published value plus whether a
-// later Publish at its path has replaced it.
-struct PublishedEntry : NamespaceEntry {
-  explicit PublishedEntry(NamespaceEntry entry) : NamespaceEntry(std::move(entry)) {}
-  mutable std::atomic<bool> superseded{false};
-};
-
-// Swaps `fresh` into `slot` and marks the entry it replaces superseded.
-// Returns that entry, for the caller to drop once the lock is released.
+// Swaps `fresh` into `slot`, stamping it with its versions. The entry it
+// replaces is superseded, and so is that entry's library interface unless
+// `fresh` is a library with the same default specialization, which takes
+// the interface over. Returns the replaced entry, for the caller to drop
+// once the lock is released.
 std::shared_ptr<const NamespaceEntry> Supersede(std::shared_ptr<const NamespaceEntry>& slot,
-                                               std::shared_ptr<const PublishedEntry> fresh) {
-  std::shared_ptr<const NamespaceEntry> replaced = std::exchange(slot, std::move(fresh));
-  if (replaced != nullptr) {
-    static_cast<const PublishedEntry&>(*replaced).superseded.store(true);
+                                               NamespaceEntry fresh) {
+  const NamespaceEntry* old = slot.get();
+  fresh.version = std::make_shared<const ReadVersion>();
+  if (fresh.kind == EntryKind::kLibrary) {
+    bool same_interface = old != nullptr && old->kind == EntryKind::kLibrary &&
+                          old->default_spec == fresh.default_spec;
+    fresh.interface = same_interface ? old->interface : std::make_shared<const ReadVersion>();
+  } else {
+    fresh.interface = nullptr;
   }
-  return replaced;
+  if (old != nullptr) {
+    old->version->superseded.store(true);
+    if (old->interface != nullptr && old->interface != fresh.interface) {
+      old->interface->superseded.store(true);
+    }
+  }
+  return std::exchange(slot, std::make_shared<const NamespaceEntry>(std::move(fresh)));
 }
 
 }  // namespace
@@ -120,22 +126,21 @@ Result<void> OmosNamespace::SetRoutineOrder(std::string_view path,
   }
   NamespaceEntry entry = *it->second;
   entry.routine_order = std::move(order);
-  replaced = Supersede(it->second, std::make_shared<const PublishedEntry>(std::move(entry)));
+  replaced = Supersede(it->second, std::move(entry));
   return OkResult();
 }
 
 Result<void> OmosNamespace::Publish(std::string path, NamespaceEntry entry) {
-  auto fresh = std::make_shared<PublishedEntry>(std::move(entry));
   // Declared before the lock, so a replaced version is freed after the lock
   // drops (or later, by the last in-flight build still holding it).
   std::shared_ptr<const NamespaceEntry> replaced;
   std::unique_lock<std::shared_mutex> lock(mu_);
   std::shared_ptr<const NamespaceEntry>& slot = entries_[std::move(path)];
   if (slot != nullptr && slot->kind != EntryKind::kFragment &&
-      fresh->kind != EntryKind::kFragment) {
-    fresh->routine_order = slot->routine_order;
+      entry.kind != EntryKind::kFragment) {
+    entry.routine_order = slot->routine_order;
   }
-  replaced = Supersede(slot, std::move(fresh));
+  replaced = Supersede(slot, std::move(entry));
   return OkResult();
 }
 
@@ -152,21 +157,14 @@ Result<std::shared_ptr<const NamespaceEntry>> OmosNamespace::Lookup(std::string_
 
 bool OmosNamespace::AllCurrent(const ReadSet& reads) const {
   return reads.AllOf([](const Read& read) {
-    return read.second != nullptr &&
-           !static_cast<const PublishedEntry&>(*read.second).superseded.load();
+    return read.version != nullptr && !read.version->superseded.load();
   });
 }
 
 ReadSet::ReadSet(std::vector<NamespaceRead> own,
                  std::span<const std::shared_ptr<const ReadSet>> nested)
     : own_(std::move(own)) {
-  auto before = [](const NamespaceRead& a, const NamespaceRead& b) {
-    if (a.first != b.first) {
-      return a.first < b.first;
-    }
-    return std::less<const NamespaceEntry*>()(a.second.get(), b.second.get());
-  };
-  std::sort(own_.begin(), own_.end(), before);
+  std::sort(own_.begin(), own_.end());
   own_.erase(std::unique(own_.begin(), own_.end()), own_.end());
   for (const std::shared_ptr<const ReadSet>& set : nested) {
     nested_.push_back(set);
@@ -180,8 +178,8 @@ bool ReadSet::Reads(std::string_view path) const {
   auto reads = [path](const ReadSet& set) {
     auto it = std::lower_bound(
         set.own_.begin(), set.own_.end(), path,
-        [](const NamespaceRead& read, std::string_view want) { return read.first < want; });
-    return it != set.own_.end() && it->first == path;
+        [](const NamespaceRead& read, std::string_view want) { return read.path < want; });
+    return it != set.own_.end() && it->path == path;
   };
   return reads(*this) || std::any_of(nested_.begin(), nested_.end(),
                                      [&](const auto& set) { return reads(*set); });
@@ -190,7 +188,7 @@ bool ReadSet::Reads(std::string_view path) const {
 std::vector<std::string> ReadSet::Paths() const {
   std::vector<std::string> paths;
   AllOf([&paths](const NamespaceRead& read) {
-    paths.push_back(read.first);
+    paths.push_back(read.path);
     return true;
   });
   std::sort(paths.begin(), paths.end());

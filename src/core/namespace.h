@@ -10,6 +10,8 @@
 #ifndef OMOS_SRC_CORE_NAMESPACE_H_
 #define OMOS_SRC_CORE_NAMESPACE_H_
 
+#include <atomic>
+#include <compare>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,6 +31,13 @@ namespace omos {
 
 enum class EntryKind { kMeta, kLibrary, kFragment };
 
+// One version of something a build can read: a namespace entry, or a
+// library's interface. The namespace marks it superseded when a
+// redefinition replaces it, so a reader checks it with one atomic load.
+struct ReadVersion {
+  mutable std::atomic<bool> superseded{false};
+};
+
 struct NamespaceEntry {
   EntryKind kind = EntryKind::kMeta;
   // kMeta / kLibrary:
@@ -41,20 +50,35 @@ struct NamespaceEntry {
   std::vector<std::string> routine_order;
   // kFragment:
   FragmentPtr fragment;
+  // Set when the entry is published. `version` is this entry's own: the
+  // next publication at its path supersedes it. `interface` (kLibrary only)
+  // is what a client that mentions the library reads: the library's kind
+  // and default specialization, nothing else. A redefinition that keeps
+  // both (a base move, a fixed body) takes the interface over instead of
+  // superseding it.
+  std::shared_ptr<const ReadVersion> version;
+  std::shared_ptr<const ReadVersion> interface;
 };
 
-// One recorded lookup: a normalized path and the entry it resolved to (null
-// when the lookup failed).
-using NamespaceRead = std::pair<std::string, std::shared_ptr<const NamespaceEntry>>;
+// One recorded lookup: a normalized path and the version it read (an
+// entry's, or a mentioned library's interface; null when the lookup failed).
+// A read does not keep the entry it saw alive.
+struct NamespaceRead {
+  std::string path;
+  std::shared_ptr<const ReadVersion> version;
+
+  friend auto operator<=>(const NamespaceRead&, const NamespaceRead&) = default;
+};
 
 // An immutable set of namespace reads, shared by pointer. `own()` holds the
-// reads made directly, sorted by path, each (path, entry) once; an entry is
-// published at one path and never changes, so a path read before and after
-// its redefinition keeps both reads. The nested sets are those of the memo
-// evaluations the reads went through and, transitively, every set nested
-// in those, each distinct set once: a walk visits own() and each nested
-// set's own() and never recurses. A build that hits a memo shares the memo's
-// set instead of copying, sorting or deduplicating its reads.
+// reads made directly, sorted by path, each (path, version) once; a version
+// is published at one path and never changes, so a path read before and
+// after its redefinition keeps both reads. The nested sets are those of the
+// memo evaluations (and library images) the reads went through and,
+// transitively, every set nested in those, each distinct set once: a walk
+// visits own() and each nested set's own() and never recurses. A build that
+// hits a memo shares the memo's set instead of copying, sorting or
+// deduplicating its reads.
 class ReadSet {
  public:
   explicit ReadSet(std::vector<NamespaceRead> own,
@@ -99,7 +123,9 @@ class OmosNamespace {
   // Define a meta-object at `path`. The blueprint may contain, before the
   // construction expression, a (constraint-list "T" addr ["D" addr]) record
   // and a (default-specialization "name") record — Fig. 1's library shape.
-  // A redefinition keeps the routine order of the meta-object it replaces.
+  // A redefinition keeps the routine order of the meta-object it replaces;
+  // a library that replaces a library with the same default specialization
+  // keeps its interface.
   Result<void> DefineMeta(std::string_view path, std::string_view blueprint,
                           EntryKind kind = EntryKind::kMeta);
 
@@ -116,11 +142,11 @@ class OmosNamespace {
   bool Exists(std::string_view path) const;
 
   using Read = NamespaceRead;
-  // Whether every read, own and nested, still resolves to the entry it saw
-  // (pointer identity: entries are immutable, a redefinition publishes a
-  // new one). Publish marks the entry it replaces, so this takes no lock
-  // and does no lookup: one flag load per read. A failed lookup is never
-  // current.
+  // Whether no read, own or nested, has been superseded: every entry read
+  // is still the one its path serves, and every library interface read is
+  // still that of the library there. Publish marks what it replaces, so
+  // this takes no lock and does no lookup: one flag load per read. A failed
+  // lookup is never current.
   bool AllCurrent(const ReadSet& reads) const;
 
   // Immediate children of `path` (directory listing of the exported
@@ -140,6 +166,7 @@ class OmosNamespace {
  private:
   // Publishes `entry` at `path`, marking the entry it replaces superseded.
   // A meta-object that replaces a meta-object keeps its routine order.
+  // See NamespaceEntry for how the library interface passes on.
   Result<void> Publish(std::string path, NamespaceEntry entry);
 
   mutable std::shared_mutex mu_;

@@ -394,9 +394,18 @@ void OmosServer::ScheduleRelink() {
   });
 }
 
-Result<ImageRef> OmosServer::GetOrRebuild(const std::string& cache_key, uint64_t* work) {
+Result<ImageRef> OmosServer::GetOrRebuild(const std::string& cache_key, uint64_t* work,
+                                          const ImageRef& held) {
   if (ImageRef hit = cache_.Get(cache_key)) {
     return hit;
+  }
+  if (held != nullptr) {
+    // Re-cached like a publication: a redefinition either ran before the
+    // check (and is seen) or runs after the readmit (and evicts it).
+    std::shared_lock<std::shared_mutex> publishing(publish_mu_);
+    if (ImageRef readmitted = Publishable(*held) ? cache_.Readmit(held) : nullptr) {
+      return readmitted;
+    }
   }
   std::string_view path_part;
   std::string_view spec_part;
@@ -529,6 +538,14 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
     }
   }
 
+  // The client read each library only as an interface; the bytes it links
+  // against are the deps' images, so their reads are the client's too. The
+  // image then publishes only while every dep it links is current, held
+  // copy or not (a dep evicted before a redefinition is retired by no one).
+  for (const ImageRef& dep : dep_images) {
+    tracker.nested.push_back(dep->inputs);
+  }
+
   PlacementHints hints = entry.hints;
   Overlay(hints, value.hints);
   Overlay(hints, spec.hints);
@@ -579,20 +596,24 @@ Result<ImageRef> OmosServer::LinkAndPublish(const std::string& key, const Module
 
 Result<ImageRef> OmosServer::PublishIfCurrent(const std::string& key, CachedImage cached) {
   OMOS_TRY_VOID(MaterializeSegments(cached));
-  // An invalidation or a move retires a key, so an image linked at (or
-  // against) a retired placement is stale.
-  std::vector<const PlacementLease*> deps;
-  for (const ImageRef& dep : cached.dep_images) {
-    deps.push_back(dep->placement.get());
-  }
   std::shared_lock<std::shared_mutex> publishing(publish_mu_);
-  if (!namespace_.AllCurrent(*cached.inputs) || !solver_.Settle(cached.placement.get(), deps)) {
+  if (!Publishable(cached)) {
     // A redefinition of a read, or of something a dep read, or a move
     // finished after the read; its invalidation could not see this image.
     // Publish nothing: `cached` drops with its placement after the lock.
     return ImageRef();
   }
   return cache_.Put(key, std::move(cached));
+}
+
+bool OmosServer::Publishable(const CachedImage& image) {
+  // An invalidation or a move retires a key, so an image linked at (or
+  // against) a retired placement is stale.
+  std::vector<const PlacementLease*> deps;
+  for (const ImageRef& dep : image.dep_images) {
+    deps.push_back(dep->placement.get());
+  }
+  return namespace_.AllCurrent(*image.inputs) && solver_.Settle(image.placement.get(), deps);
 }
 
 Result<void> OmosServer::MaterializeSegments(CachedImage& cached) {
@@ -677,7 +698,7 @@ Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
     }
     auto entry_or = namespace_.Lookup(path);
     if (inputs != nullptr) {
-      inputs->emplace_back(path, entry_or.ok() ? *entry_or : nullptr);
+      inputs->push_back({path, entry_or.ok() ? (*entry_or)->version : nullptr});
     }
     if (!entry_or.ok()) {
       continue;  // absent names contribute nothing (and change the hash when defined later)
@@ -752,7 +773,7 @@ ImageRef OmosServer::TryAdoptFromStore(const std::string& norm, const Specializa
   // The image read what the fingerprint walk found. A path the walk found
   // absent is no input: the walk over-approximates the names a construction
   // reads, and a build that read an absent one would have failed.
-  std::erase_if(inputs, [](const NamespaceRead& read) { return read.second == nullptr; });
+  std::erase_if(inputs, [](const NamespaceRead& read) { return read.version == nullptr; });
   cached.image = std::move(record.image);
   cached.stub_slots = std::move(record.stub_slots);
   cached.inputs = std::make_shared<const ReadSet>(std::move(inputs));
@@ -820,8 +841,9 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
   TraceSpan trace("server.map_program", program.key);
   TaskRuntime runtime;
   runtime.program = program.shared_from_this();
-  // Resolve every eager dep before mapping anything. An evicted or rotted
-  // library image is rebuilt, not a fatal error: the program holds the dep's
+  // Resolve every eager dep before mapping anything. An evicted library
+  // image is the program's own held copy, re-cached while it is current; a
+  // rotted one is rebuilt, not a fatal error: the program holds the dep's
   // placement, so the rebuild reuses it and the program's references stay
   // valid. Only a retired key (a redefinition or a move since the program
   // was linked) rebuilds elsewhere, and cannot be mapped under this program.
@@ -833,7 +855,7 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
                       [&](const StubSlot& slot) { return slot.lib_path == dep->key; })) {
         continue;
       }
-      OMOS_TRY(ImageRef lib, GetOrRebuild(dep->key, &rebuild_work));
+      OMOS_TRY(ImageRef lib, GetOrRebuild(dep->key, &rebuild_work, dep));
       if (lib->placement != dep->placement) {
         return Err(ErrorCode::kUnavailable,
                    StrCat(program.key, ": library ", dep->key, " moved from ",

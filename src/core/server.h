@@ -414,6 +414,10 @@ class OmosServer {
   // (dropping `cached` frees its placement unless another holder has it)
   // and the result is nullptr.
   Result<ImageRef> PublishIfCurrent(const std::string& key, CachedImage cached);
+  // The check PublishIfCurrent makes, for a new or an evicted image alike:
+  // every read current, its own placement and each dep's still current.
+  // Call it holding publish_mu_ shared.
+  bool Publishable(const CachedImage& image);
 
   // Frame-backed master segments (shared text + CoW data) for a freshly
   // linked or store-adopted image. One copy into phys memory; every client
@@ -446,8 +450,12 @@ class OmosServer {
 
   // Cache lookup that survives eviction and bit-rot: a missing or corrupted
   // entry is transparently rebuilt from its blueprint via the cache key
-  // ("<path>§<spec>"). Work cycles for a rebuild accumulate in *work.
-  Result<ImageRef> GetOrRebuild(const std::string& cache_key, uint64_t* work);
+  // ("<path>§<spec>"). Work cycles for a rebuild accumulate in *work. A
+  // caller that holds an evicted copy of the key's image passes it as
+  // `held`: it is re-cached instead of rebuilt while it is still current
+  // and its sums verify (an LRU eviction changes nothing it was built from).
+  Result<ImageRef> GetOrRebuild(const std::string& cache_key, uint64_t* work,
+                                const ImageRef& held = nullptr);
 
   // Charge linking work for an image build.
   void ChargeLinkWork(const LinkCounts& stats, uint32_t symbol_count, BuildTracker& tracker) const;

@@ -282,6 +282,19 @@ std::span<const SymId> SymbolSpace::ExportOrder() const {
   return order_.value;
 }
 
+bool SymbolSpace::FullyBound() const {
+  std::call_once(fully_bound_.once, [this] {
+    fully_bound_.value = true;
+    for (const auto& [key, ref] : refs) {
+      if (ref.state == BindState::kUnbound && exports.contains(ref.ext_name)) {
+        fully_bound_.value = false;
+        break;
+      }
+    }
+  });
+  return fully_bound_.value;
+}
+
 Result<const SymbolSpace*> Module::Space() const {
   if (cache_ != nullptr) {
     return cache_.get();
@@ -304,14 +317,7 @@ Result<Module> Module::Bind() const {
   m.fragments_ = fragments_;
   // Share the materialized space outright when no reference would change —
   // the warm-path case (an already-bound module relinked or re-instantiated).
-  bool any_bindable = false;
-  for (const auto& [key, ref] : space->refs) {
-    if (ref.state == BindState::kUnbound && space->exports.contains(ref.ext_name)) {
-      any_bindable = true;
-      break;
-    }
-  }
-  if (!any_bindable) {
+  if (space->FullyBound()) {
     m.base_ = cache_;  // Space() populated cache_
     return m;
   }

@@ -112,6 +112,13 @@ struct SymbolSpace {
   // stale one.
   std::span<const SymId> ExportOrder() const;
 
+  // Whether no unbound reference seeks a name this space exports, so a
+  // binding pass would change nothing. Computed on the first call and kept,
+  // so Module::Bind on a space shared by many links (a memoized module's)
+  // scans its references once; call it only on a final space, as
+  // ExportOrder.
+  bool FullyBound() const;
+
   // The link plan of this space over `fragments` (src/linker/link.h, which
   // defines this). The first call builds it and the space keeps it for its
   // lifetime, so a space shared by many links (a memoized library's,
@@ -130,9 +137,10 @@ struct SymbolSpace {
     OnceCache(const OnceCache&) {}
     OnceCache& operator=(const OnceCache&) = delete;
     std::once_flag once;
-    T value;
+    T value{};
   };
   mutable OnceCache<std::vector<SymId>> order_;
+  mutable OnceCache<bool> fully_bound_;
   mutable OnceCache<std::shared_ptr<const LinkPlan>> plan_;
 };
 

@@ -109,21 +109,68 @@ TEST(Namespace, DedupReadsKeepsOneReadPerEntryAndPerMissingPath) {
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<const NamespaceEntry> b, ns.Lookup("/bin/b"));
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<const NamespaceEntry> a_again, ns.Lookup("/bin/a"));
   std::vector<OmosNamespace::Read> reads = {
-      {"/bin/a", a},      {"/bin/b", b},       {"/gone", nullptr}, {"/bin/a", a_again},
-      {"/gone", nullptr}, {"/other", nullptr}, {"/bin/b", b},
+      {"/bin/a", a->version},       {"/bin/b", b->version}, {"/gone", nullptr},
+      {"/bin/a", a_again->version}, {"/gone", nullptr},     {"/other", nullptr},
+      {"/bin/b", b->version},
   };
   ReadSet set(reads);
   reads = set.own();
-  EXPECT_EQ(reads, (std::vector<OmosNamespace::Read>{
-                       {"/bin/a", a}, {"/bin/b", b}, {"/gone", nullptr}, {"/other", nullptr}}));
+  EXPECT_EQ(reads, (std::vector<OmosNamespace::Read>{{"/bin/a", a->version},
+                                                     {"/bin/b", b->version},
+                                                     {"/gone", nullptr},
+                                                     {"/other", nullptr}}));
 
   // A failed lookup stays recorded, and a read set holding one is never
   // current, even while every entry it found still is.
   EXPECT_FALSE(ns.AllCurrent(set));
-  std::erase_if(reads, [](const OmosNamespace::Read& read) { return read.second == nullptr; });
+  std::erase_if(reads, [](const OmosNamespace::Read& read) { return read.version == nullptr; });
   EXPECT_TRUE(ns.AllCurrent(ReadSet(reads)));
   ASSERT_OK(ns.DefineMeta("/bin/b", "(merge /c)"));
   EXPECT_FALSE(ns.AllCurrent(ReadSet(reads)));
+}
+
+TEST(Namespace, LibraryInterfacePassesOnlyToTheSameKindAndDefaultSpec) {
+  OmosNamespace ns;
+  auto interface_read = [&](std::string_view path) -> OmosNamespace::Read {
+    auto entry = ns.Lookup(path);
+    return {std::string(path), entry.ok() ? (*entry)->interface : nullptr};
+  };
+  auto entry_read = [&](std::string_view path) -> OmosNamespace::Read {
+    auto entry = ns.Lookup(path);
+    return {std::string(path), entry.ok() ? (*entry)->version : nullptr};
+  };
+  ASSERT_OK(ns.DefineMeta("/bin/m", "(merge /obj/a.o)"));
+  EXPECT_EQ(interface_read("/bin/m").version, nullptr);  // only a library has one
+  ASSERT_OK(ns.DefineMeta("/lib/c", "(constraint-list \"T\" 0x2000000)\n(merge /obj/c.o)"));
+  OmosNamespace::Read mention = interface_read("/lib/c");
+  ASSERT_NE(mention.version, nullptr);
+
+  // A base move and a new body keep the interface; the entry is new.
+  OmosNamespace::Read before_move = entry_read("/lib/c");
+  ASSERT_OK(ns.DefineMeta("/lib/c", "(constraint-list \"T\" 0x2100000)\n(merge /obj/d.o)"));
+  EXPECT_FALSE(ns.AllCurrent(ReadSet({before_move})));
+  EXPECT_TRUE(ns.AllCurrent(ReadSet({mention})));
+  EXPECT_EQ(interface_read("/lib/c"), mention);
+  // So does a recorded routine order.
+  ASSERT_OK(ns.SetRoutineOrder("/lib/c", {"hot"}));
+  EXPECT_TRUE(ns.AllCurrent(ReadSet({mention})));
+
+  // A new default specialization supersedes it, and the next one is new.
+  ASSERT_OK(ns.DefineMeta("/lib/c", "(constraint-list \"T\" 0x2100000)\n"
+                                    "(default-specialization \"lib-dynamic\")\n(merge /obj/d.o)"));
+  EXPECT_FALSE(ns.AllCurrent(ReadSet({mention})));
+  OmosNamespace::Read dynamic = interface_read("/lib/c");
+  EXPECT_TRUE(ns.AllCurrent(ReadSet({dynamic})));
+
+  // So does a kind switch, to a meta-object or a fragment.
+  ASSERT_OK(ns.DefineMeta("/lib/c", "(merge /obj/d.o)", EntryKind::kMeta));
+  EXPECT_FALSE(ns.AllCurrent(ReadSet({dynamic})));
+  EXPECT_EQ(interface_read("/lib/c").version, nullptr);
+  ASSERT_OK(ns.DefineMeta("/lib/f", "(constraint-list \"T\" 0x2000000)\n(merge /obj/c.o)"));
+  OmosNamespace::Read fragment_next = interface_read("/lib/f");
+  ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(".text\nf: ret\n", "f.o"));
+  ASSERT_OK(ns.AddFragment("/lib/f", std::move(object)));
+  EXPECT_FALSE(ns.AllCurrent(ReadSet({fragment_next})));
 }
 
 // ---- Constraint solver -----------------------------------------------------------
@@ -376,6 +423,75 @@ TEST(Constraints, SolveNamespaceMovesSpilledObjectToWantedBase) {
   EXPECT_EQ(home->text_base(), 0x02000000u);
   EXPECT_NE(home->text_base(), spilled_base);
   EXPECT_TRUE(solver.conflicts().empty());
+}
+
+TEST(Constraints, SolveNamespaceRefitsALostDataHint) {
+  // Holder and tenant want the same data base; the tenant spills in the data
+  // arena only. Once the holder is gone the pass moves the tenant's data to
+  // the wanted base and leaves its text where it is.
+  ConstraintSolver solver;
+  PlacementHints hints;
+  hints.data_base = 0x50000000;
+  ASSERT_OK_AND_ASSIGN(PlacementRef holder, solver.Place("holder", 0x1000, 0x1000, hints));
+  ASSERT_OK_AND_ASSIGN(PlacementRef tenant, solver.Place("tenant", 0x1000, 0x1000, hints));
+  EXPECT_EQ(holder->data_base(), 0x50000000u);
+  std::vector<ConflictRecord> conflicts = solver.conflicts();
+  ASSERT_EQ(conflicts.size(), 1u);
+  EXPECT_TRUE(conflicts[0].data);
+  EXPECT_EQ(conflicts[0].got, tenant->data_base());
+  holder.reset();
+  std::vector<PlacementRecord> moved = solver.SolveNamespace();
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved[0].object, "tenant");
+  EXPECT_EQ(moved[0].placement.text_base, tenant->text_base());
+  EXPECT_EQ(moved[0].placement.data_base, 0x50000000u);
+  EXPECT_TRUE(solver.conflicts().empty());
+  tenant.reset();
+  solver.AdoptPlacements(moved);
+  ASSERT_OK_AND_ASSIGN(PlacementRef home, solver.Place("tenant", 0x1000, 0x1000));
+  EXPECT_EQ(home->data_base(), 0x50000000u);
+  EXPECT_TRUE(solver.conflicts().empty());
+}
+
+TEST(Constraints, SolveNamespaceKeepsTextAndDataConflictsApart) {
+  // The tenant lost both hints. The pass moves both in one record; while
+  // the data range stays held, the text still moves and the data conflict
+  // is kept for the next pass.
+  ConstraintSolver solver;
+  PlacementHints hints;
+  hints.text_base = 0x02000000;
+  hints.data_base = 0x50000000;
+  PlacementHints text_only;
+  text_only.text_base = 0x02000000;
+  PlacementHints data_only;
+  data_only.data_base = 0x50000000;
+  ASSERT_OK_AND_ASSIGN(PlacementRef text_holder, solver.Place("text_holder", 0x1000, 0x1000,
+                                                              text_only));
+  ASSERT_OK_AND_ASSIGN(PlacementRef data_holder, solver.Place("data_holder", 0x1000, 0x1000,
+                                                              data_only));
+  ASSERT_OK_AND_ASSIGN(PlacementRef tenant, solver.Place("tenant", 0x1000, 0x1000, hints));
+  ASSERT_EQ(solver.conflicts().size(), 2u);
+  text_holder.reset();
+  std::vector<PlacementRecord> moved = solver.SolveNamespace();
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved[0].placement.text_base, 0x02000000u);
+  EXPECT_EQ(moved[0].placement.data_base, tenant->data_base());
+  std::vector<ConflictRecord> conflicts = solver.conflicts();
+  ASSERT_EQ(conflicts.size(), 1u);
+  EXPECT_TRUE(conflicts[0].data);
+  EXPECT_EQ(conflicts[0].holder, "data_holder");
+
+  // Both lost at once, both freed: one record moves both.
+  ConstraintSolver both;
+  ASSERT_OK_AND_ASSIGN(PlacementRef holder, both.Place("holder", 0x1000, 0x1000, hints));
+  ASSERT_OK_AND_ASSIGN(PlacementRef spilled, both.Place("tenant", 0x1000, 0x1000, hints));
+  ASSERT_EQ(both.conflicts().size(), 2u);
+  holder.reset();
+  moved = both.SolveNamespace();
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved[0].placement.text_base, 0x02000000u);
+  EXPECT_EQ(moved[0].placement.data_base, 0x50000000u);
+  EXPECT_TRUE(both.conflicts().empty());
 }
 
 TEST(Constraints, SolveNamespaceIsNoopWithoutConflicts) {

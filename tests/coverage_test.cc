@@ -100,9 +100,41 @@ new_name:
   // old_name is unbound; rename the reference and Bind() resolves it in
   // place — no merge required.
   Module renamed = m.Rename("^old_name$", "new_name", RenameWhich::kRefs);
+  ASSERT_OK_AND_ASSIGN(const SymbolSpace* before, renamed.Space());
+  EXPECT_FALSE(before->FullyBound());
   ASSERT_OK_AND_ASSIGN(Module bound, renamed.Bind());
   ASSERT_OK_AND_ASSIGN(auto unbound, bound.UnboundRefNames());
   EXPECT_TRUE(unbound.empty());
+
+  // The bound space records that nothing is left to bind, so binding it
+  // again shares it.
+  ASSERT_OK_AND_ASSIGN(const SymbolSpace* space, bound.Space());
+  EXPECT_TRUE(space->FullyBound());
+  ASSERT_OK_AND_ASSIGN(Module again, bound.Bind());
+  ASSERT_OK_AND_ASSIGN(const SymbolSpace* shared, again.Space());
+  EXPECT_EQ(shared, space);
+}
+
+TEST(Coverage, UnboundReferenceWithNoExportLeavesTheSpaceFullyBound) {
+  // A reference to a name nothing exports (a library's, resolved at link)
+  // is no binding work: the space is fully bound and Bind shares it.
+  ASSERT_OK_AND_ASSIGN(ObjectFile caller, Assemble(R"(
+.text
+.global caller
+caller:
+  push lr
+  call elsewhere
+  pop lr
+  ret
+)", "caller.o"));
+  Module m = Module::FromObject(std::make_shared<const ObjectFile>(std::move(caller)));
+  ASSERT_OK_AND_ASSIGN(const SymbolSpace* space, m.Space());
+  EXPECT_TRUE(space->FullyBound());
+  ASSERT_OK_AND_ASSIGN(Module bound, m.Bind());
+  ASSERT_OK_AND_ASSIGN(const SymbolSpace* shared, bound.Space());
+  EXPECT_EQ(shared, space);
+  ASSERT_OK_AND_ASSIGN(auto unbound, bound.UnboundRefNames());
+  EXPECT_EQ(unbound, (std::vector<std::string>{"elsewhere"}));
 }
 
 // ---- Blueprint evaluator error paths --------------------------------------------

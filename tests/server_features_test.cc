@@ -1624,9 +1624,10 @@ TEST_F(ServerFeatures, ConflictWithoutPrelinkEntriesIsNotResolved) {
 // ---- Evaluation memo coherence -------------------------------------------------
 //
 // A rebuild replays the memoized evaluation of every unchanged meta. The
-// memo is valid only while each namespace entry it read is still the one
-// the namespace serves, so every redefinition path below must reach the
-// next exec.
+// memo is valid only while each namespace entry it evaluated is still the
+// one the namespace serves, and each library it mentioned keeps its
+// interface (kind and default specialization), so every redefinition path
+// below must reach the next exec.
 
 uint64_t CounterValue(const char* name) {
   return MetricsRegistry::Global().GetCounter(name)->value();
@@ -1653,13 +1654,17 @@ Result<Archive> AnswerArchive(int value) {
   return archive;
 }
 
+constexpr char kAnswerLibrary[] = "(constraint-list \"T\" 0x2000000)\n(merge /libx)";
+
 // The lib_update shape in miniature: /bin/q = crt0 + main calling answer()
-// + library /lib/ans, a fixed-base library merging the archive meta /libx.
-Result<void> DefineAnswerClient(OmosServer& server, int value) {
+// + library /lib/ans, by default a fixed-base library merging the archive
+// meta /libx (`ans_blueprint` defines /lib/ans, a meta-object when it
+// records no constraint-list or default specialization).
+Result<void> DefineAnswerClient(OmosServer& server, int value,
+                                std::string_view ans_blueprint = kAnswerLibrary) {
   OMOS_TRY(Archive archive, AnswerArchive(value));
   OMOS_TRY_VOID(server.AddArchive("/libx", archive));
-  OMOS_TRY_VOID(
-      server.DefineLibrary("/lib/ans", "(constraint-list \"T\" 0x2000000)\n(merge /libx)"));
+  OMOS_TRY_VOID(server.DefineMeta("/lib/ans", ans_blueprint));
   OMOS_TRY(ObjectFile main_obj, Assemble(kCallAnswer, "m.o"));
   OMOS_TRY_VOID(server.AddFragment("/obj/m.o", std::move(main_obj)));
   return server.DefineMeta("/bin/q", "(merge /lib/crt0.o /obj/m.o /lib/ans)");
@@ -1702,7 +1707,8 @@ TEST_F(EvalMemoTest, LibraryRedefinitionHitsTheArchiveMemo) {
   EXPECT_EQ(first, 1);
 
   // A library fix that leaves its archive alone: /libx evaluates from the
-  // memo, /lib/ans and /bin/q (which read the redefined path) do not.
+  // memo, and so does /bin/q, which reads only the interface of /lib/ans (a
+  // base move keeps it); /lib/ans itself does not.
   uint64_t hits = CounterValue("eval.memo_hits");
   uint64_t misses = CounterValue("eval.memo_misses");
   uint64_t merges = CounterValue("link.merges");
@@ -1710,8 +1716,8 @@ TEST_F(EvalMemoTest, LibraryRedefinitionHitsTheArchiveMemo) {
       server_->DefineLibrary("/lib/ans", "(constraint-list \"T\" 0x2100000)\n(merge /libx)"));
   ASSERT_OK_AND_ASSIGN(int second, ExecQ());
   EXPECT_EQ(second, 1);
-  EXPECT_EQ(CounterValue("eval.memo_hits") - hits, 1u);
-  EXPECT_EQ(CounterValue("eval.memo_misses") - misses, 2u);
+  EXPECT_EQ(CounterValue("eval.memo_hits") - hits, 2u);
+  EXPECT_EQ(CounterValue("eval.memo_misses") - misses, 1u);
   EXPECT_LE(CounterValue("link.merges") - merges, 2u);
 }
 
@@ -1771,14 +1777,15 @@ TEST_F(EvalMemoTest, LibraryFixPlansOnlyTheClient) {
 
   // The lib_update shape: the library moves to a new fixed base over an
   // unchanged archive. Its symbol space is the archive memo's, so its
-  // relink applies the plan that space keeps; only the re-evaluated client
-  // is planned.
+  // relink applies the plan that space keeps; the client's evaluation is a
+  // memo hit (the move keeps the library's interface), so its relink
+  // applies the plan its memoized space keeps. Nothing is planned.
   uint64_t plans = CounterValue("link.plans");
   ASSERT_OK(
       server_->DefineLibrary("/lib/ans", "(constraint-list \"T\" 0x2100000)\n(merge /libx)"));
   ASSERT_OK_AND_ASSIGN(int second, ExecQ());
   EXPECT_EQ(second, 1);
-  EXPECT_EQ(CounterValue("link.plans") - plans, 1u);
+  EXPECT_EQ(CounterValue("link.plans") - plans, 0u);
 }
 
 TEST_F(EvalMemoTest, ReplacedArchiveMemberPlansTheLibraryAgain) {
@@ -1935,11 +1942,13 @@ TEST_F(EvalMemoTest, HitReplaysEvaluationWorkAndInputs) {
 TEST_F(EvalMemoTest, PathReadTwiceIsOneInput) {
   // /bin/q lists /lib/ans twice, so its construction reads it twice; the
   // image records it once, and a redefinition of it still reaches the exec.
+  // The image also reads what the library image it links read.
   ASSERT_OK(DefineAnswerClient(*server_, 1));
   ASSERT_OK(server_->DefineMeta("/bin/q", "(merge /lib/crt0.o /obj/m.o /lib/ans /lib/ans)"));
   ASSERT_OK_AND_ASSIGN(const CachedImage* image, server_->Instantiate("/bin/q", {}, nullptr));
   EXPECT_EQ(image->inputs->Paths(),
-            (std::vector<std::string>{"/bin/q", "/lib/ans", "/lib/crt0.o", "/obj/m.o"}));
+            (std::vector<std::string>{"/bin/q", "/lib/ans", "/lib/crt0.o", "/libx", "/libx/f0.o",
+                                      "/libx/f1.o", "/libx/f2.o", "/libx/v.o", "/obj/m.o"}));
   ASSERT_OK_AND_ASSIGN(int first, ExecQ());
   EXPECT_EQ(first, 1);
   ASSERT_OK_AND_ASSIGN(Archive v2, AnswerArchive(2));
@@ -2220,6 +2229,52 @@ TEST_F(EvalMemoTest, ProfileAttributesSamplesToTheMappedVersion) {
   EXPECT_EQ(profile.find("ver_2"), std::string::npos) << profile;
   server_->ReleaseTask(id);
   kernel_.DestroyTask(id);
+}
+
+TEST_F(EvalMemoTest, EvictedLibraryUnderACachedProgramMapsTheHeldCopy) {
+  // An LRU eviction of a library the cached program still holds changes
+  // nothing the library was built from: the exec re-caches the program's
+  // copy, so no second copy of its frames is built.
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  ASSERT_OK_AND_ASSIGN(int first, ExecQ());
+  EXPECT_EQ(first, 1);
+  const std::string lib_key = MakeCacheKey("/lib/ans", "lib-constrained");
+  ImageRef held = server_->cache().Peek(lib_key);
+  ASSERT_NE(held, nullptr);
+  uint32_t frames = kernel_.phys().frames_in_use();
+  uint64_t misses = CounterValue("eval.memo_misses");
+  uint64_t hits = CounterValue("eval.memo_hits");
+  server_->cache().Evict(lib_key);
+  ASSERT_OK_AND_ASSIGN(int second, ExecQ());
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(kernel_.phys().frames_in_use(), frames);
+  EXPECT_EQ(server_->cache().Peek(lib_key), held);
+  EXPECT_EQ(CounterValue("eval.memo_misses") - misses, 0u);  // nothing was evaluated
+  EXPECT_EQ(CounterValue("eval.memo_hits") - hits, 0u);
+}
+
+TEST_F(EvalMemoTest, RottedLibraryUnderACachedProgramIsRebuilt) {
+  // The exec's second cache lookup (the library's, after the program's)
+  // finds its bytes rotted. The program's held copy is the same rotted
+  // image, so it fails verification and the library is rebuilt in place.
+  ASSERT_OK(DefineAnswerClient(*server_, 1));
+  ASSERT_OK_AND_ASSIGN(int first, ExecQ());
+  EXPECT_EQ(first, 1);
+  const std::string lib_key = MakeCacheKey("/lib/ans", "lib-constrained");
+  ImageRef held = server_->cache().Peek(lib_key);
+  ASSERT_NE(held, nullptr);
+  {
+    ScopedFaultPlan plan(FaultPlan().Arm("cache.bitrot", FaultSpec::Nth(2)));
+    ASSERT_OK_AND_ASSIGN(int second, ExecQ());
+    EXPECT_EQ(second, 1);
+  }
+  EXPECT_EQ(server_->cache_stats().corruption_rebuilds, 1u);
+  ImageRef rebuilt = server_->cache().Peek(lib_key);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_NE(rebuilt, held);
+  EXPECT_FALSE(held->VerifyAll());
+  EXPECT_TRUE(rebuilt->VerifyAll());
+  EXPECT_EQ(rebuilt->placement, held->placement);
 }
 
 TEST_F(EvalMemoTest, ReleasingTheTaskFreesTheImagesItOutlived) {
@@ -2694,13 +2749,14 @@ TEST_P(MemoDifferential, MemoHitBuildEqualsColdBuild) {
   ASSERT_OK(InstallWorld(warm, kBase[0]));
   ASSERT_OK(BuildOtherLibraries(warm, program));
   ASSERT_OK(BuildAndRun(warm_kernel, warm, program));
-  // The request: one memo hit (/libc) and at most two module merges, where
-  // the pairwise fold did 142 for libc alone.
+  // The request: two memo hits (/libc, and the program, which reads only
+  // libc's interface) and at most two module merges, where the pairwise
+  // fold did 142 for libc alone.
   uint64_t hits = CounterValue("eval.memo_hits");
   uint64_t merges = CounterValue("link.merges");
   ASSERT_OK(warm.DefineLibrary("/lib/libc", LibcBlueprint(kBase[1])));
   ASSERT_OK_AND_ASSIGN(BuildView hit, BuildAndRun(warm_kernel, warm, program));
-  EXPECT_EQ(CounterValue("eval.memo_hits") - hits, 1u);
+  EXPECT_EQ(CounterValue("eval.memo_hits") - hits, 2u);
   EXPECT_LE(CounterValue("link.merges") - merges, 2u);
 
   // Fresh server that only ever saw version 1.
@@ -2730,6 +2786,155 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MemoDifferential,
                                   (info.param.engine == EngineMode::kBlocks ? "_blocks"
                                                                             : "_interp");
                          });
+
+// ---- Library interface changes --------------------------------------------------
+//
+// A client reads a library it mentions by its interface: its kind and
+// default specialization. A fix that changes either re-evaluates the client,
+// and the rebuild equals what a server that only saw the fix builds.
+
+// The program's image, then each library image it links, as Describe prints
+// them; and the exit code of one run.
+struct ProgramView {
+  std::vector<std::string> images;
+  int exit_code = -1;
+};
+
+Result<ProgramView> ViewProgram(Kernel& kernel, OmosServer& server, const std::string& program) {
+  ProgramView view;
+  {
+    ImageCache::ReadLease lease(server.cache());
+    OMOS_TRY(const CachedImage* image, server.Instantiate(program, {}, nullptr));
+    view.images.push_back(Describe(*image));
+    for (const ImageRef& dep : image->dep_images) {
+      view.images.push_back(Describe(*dep));
+    }
+  }
+  OMOS_TRY(TaskId id, server.IntegratedExec(program, {"q"}));
+  Task* task = kernel.FindTask(id);
+  OMOS_TRY_VOID(kernel.RunTask(*task));
+  view.exit_code = task->exit_code();
+  server.ReleaseTask(id);
+  kernel.DestroyTask(id);
+  return view;
+}
+
+// Builds and runs /bin/q, applies `fix` as the new /lib/ans blueprint, and
+// checks the rebuild's memo misses, and its images and run against a cold
+// server defined with `fix` from the start.
+void ExpectInterfaceChangeRebuildsCold(std::string_view fix, uint64_t want_misses) {
+  Kernel warm_kernel;
+  OmosServer warm(warm_kernel);
+  ASSERT_OK(AddCrt0(warm));
+  ASSERT_OK(DefineAnswerClient(warm, 1));
+  ASSERT_OK_AND_ASSIGN(ProgramView before, ViewProgram(warm_kernel, warm, "/bin/q"));
+  EXPECT_EQ(before.exit_code, 1);
+
+  uint64_t misses = CounterValue("eval.memo_misses");
+  ASSERT_OK(warm.DefineMeta("/lib/ans", fix));
+  ASSERT_OK_AND_ASSIGN(ProgramView after, ViewProgram(warm_kernel, warm, "/bin/q"));
+  EXPECT_EQ(CounterValue("eval.memo_misses") - misses, want_misses);
+  EXPECT_NE(after.images, before.images);
+
+  Kernel cold_kernel;
+  OmosServer cold(cold_kernel);
+  ASSERT_OK(AddCrt0(cold));
+  ASSERT_OK(DefineAnswerClient(cold, 1, fix));
+  ASSERT_OK_AND_ASSIGN(ProgramView fresh, ViewProgram(cold_kernel, cold, "/bin/q"));
+  EXPECT_EQ(after.images, fresh.images);
+  EXPECT_EQ(after.exit_code, 1);
+  EXPECT_EQ(fresh.exit_code, 1);
+}
+
+TEST(LibraryInterface, DefaultSpecSwitchReevaluatesTheClient) {
+  // Constrained to partial-image: the client now links lazy stubs against
+  // the implementation. /bin/q and /lib/ans miss; /libx hits.
+  ExpectInterfaceChangeRebuildsCold(
+      "(constraint-list \"T\" 0x2000000)\n(default-specialization \"lib-dynamic\")\n"
+      "(merge /libx)",
+      2u);
+}
+
+TEST(LibraryInterface, KindSwitchReevaluatesTheClient) {
+  // Library to meta-object: the client now merges /libx itself. /bin/q and
+  // /lib/ans miss; /libx hits.
+  ExpectInterfaceChangeRebuildsCold("(merge /libx)", 2u);
+}
+
+// A client build links a library image that was evicted from the cache and
+// then superseded by `redefine` before the client published. No invalidation
+// saw the library (it was not cached), so nothing retired its placement; the
+// client must still be refused at publish and rebuilt against the current
+// library. The test plays the library's single-flight leader, so the client
+// build waits on it for its dep and receives the evicted copy after the
+// redefinition.
+void ExpectEvictedDepRedefinedMidBuildIsRefused(
+    const std::function<Result<void>(OmosServer&)>& redefine, int want_exit) {
+  Kernel kernel;
+  OmosServer server(kernel);
+  ASSERT_OK(AddCrt0(server));
+  ASSERT_OK(DefineAnswerClient(server, 1));
+  const std::string lib_key = MakeCacheKey("/lib/ans", "lib-constrained");
+  ImageRef old_lib;
+  {
+    ImageCache::ReadLease lease(server.cache());
+    ASSERT_OK_AND_ASSIGN(const CachedImage* lib,
+                         server.Instantiate("/lib/ans", {"lib-constrained", {}}, nullptr));
+    old_lib = lib->shared_from_this();
+  }
+  server.cache().Evict(lib_key);
+
+  ImageCache::MissJoin lead = server.cache().JoinBuild(lib_key);
+  ASSERT_TRUE(lead.leader);
+  uint64_t waits = server.cache().stats().single_flight_waits.load();
+  Result<ImageRef> client = ImageRef();
+  std::thread build([&] {
+    ImageCache::ReadLease lease(server.cache());
+    auto image = server.Instantiate("/bin/q", {}, nullptr);
+    client = image.ok() ? Result<ImageRef>((*image)->shared_from_this()) : image.error();
+  });
+  while (server.cache().stats().single_flight_waits.load() == waits) {
+    std::this_thread::yield();
+  }
+  Result<void> redefined = redefine(server);
+  server.cache().FinishBuild(lib_key, old_lib);
+  build.join();
+  ASSERT_OK(redefined);
+  ASSERT_OK(client);
+
+  ASSERT_EQ((*client)->dep_images.size(), 1u);
+  const ImageRef& dep = (*client)->dep_images[0];
+  EXPECT_NE(dep, old_lib) << "the client published against the superseded library";
+  EXPECT_TRUE(server.name_space().AllCurrent(*dep->inputs));
+  EXPECT_TRUE(server.name_space().AllCurrent(*(*client)->inputs));
+  ASSERT_OK_AND_ASSIGN(TaskId id, server.IntegratedExec("/bin/q", {"q"}));
+  Task* task = kernel.FindTask(id);
+  ASSERT_OK(kernel.RunTask(*task));
+  EXPECT_EQ(task->exit_code(), want_exit);
+  server.ReleaseTask(id);
+  kernel.DestroyTask(id);
+}
+
+TEST(LibraryInterface, EvictedDepMovedMidBuildIsRefused) {
+  // A base move keeps the interface, so the client's own reads stay current:
+  // only the library image's reads show the move.
+  ExpectEvictedDepRedefinedMidBuildIsRefused(
+      [](OmosServer& server) {
+        return server.DefineLibrary("/lib/ans",
+                                    "(constraint-list \"T\" 0x2100000)\n(merge /libx)");
+      },
+      1);
+}
+
+TEST(LibraryInterface, EvictedDepMemberReplacedMidBuildIsRefused) {
+  // The client reads nothing under /libx itself.
+  ExpectEvictedDepRedefinedMidBuildIsRefused(
+      [](OmosServer& server) -> Result<void> {
+        OMOS_TRY(ObjectFile v2, VersionedAnswer(2));
+        return server.AddFragment("/libx/v.o", std::move(v2));
+      },
+      2);
+}
 
 // ---- Placement ownership -------------------------------------------------------
 
