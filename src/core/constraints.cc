@@ -221,10 +221,16 @@ Result<PlacementRef> ConstraintSolver::Place(const std::string& object, uint32_t
   return NewLease(PlacementRecord{object, Placement{text_base, data_base}, text_size, data_size});
 }
 
-void ConstraintSolver::Retire(const std::string& object) {
+void ConstraintSolver::RetireIf(const std::function<bool(const std::string&)>& matches) {
   std::vector<PlacementRef> dropped;  // released after the lock
   std::lock_guard<std::mutex> lock(state_->mu);
-  state_->Retire(object, dropped);
+  for (auto it = state_->current.begin(); it != state_->current.end();) {
+    auto next = std::next(it);
+    if (matches(it->first)) {
+      state_->Retire(std::string(it->first), dropped);  // a copy: Retire erases the node
+    }
+    it = next;
+  }
 }
 
 bool ConstraintSolver::Settle(const PlacementLease* own,

@@ -26,6 +26,7 @@
 #define OMOS_SRC_CORE_CONSTRAINTS_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -110,8 +111,12 @@ class ConstraintSolver {
   Result<PlacementRef> Place(const std::string& object, uint32_t text_size, uint32_t data_size,
                              const PlacementHints& hints = {}, bool* conflicted = nullptr);
 
-  // Make `object`'s next Place place afresh (invalidation path).
-  void Retire(const std::string& object);
+  // Make the next Place of every object that `matches` place afresh (the
+  // invalidation path): one pass over the current placements.
+  void RetireIf(const std::function<bool(const std::string&)>& matches);
+  void Retire(const std::string& object) {
+    RetireIf([&](const std::string& other) { return other == object; });
+  }
   // The publish step of an image holding `own` and linked against `deps`
   // (null entries count as current): whether every one is still current.
   // If so, the image holds `own` from now on, and the pin adoption put on

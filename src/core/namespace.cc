@@ -62,6 +62,12 @@ std::string OmosNamespace::Normalize(std::string_view path) {
 
 Result<void> OmosNamespace::DefineMeta(std::string_view path, std::string_view blueprint,
                                        EntryKind kind) {
+  OMOS_TRY(NamespaceEntry entry, Parse(path, blueprint, kind));
+  return Publish(Normalize(path), std::move(entry));
+}
+
+Result<NamespaceEntry> OmosNamespace::Parse(std::string_view path, std::string_view blueprint,
+                                            EntryKind kind) {
   OMOS_TRY(std::vector<Sexpr> exprs, ParseSexprs(blueprint));
   NamespaceEntry entry;
   entry.kind = kind;
@@ -105,7 +111,7 @@ Result<void> OmosNamespace::DefineMeta(std::string_view path, std::string_view b
                       construction.size()));
   }
   entry.construction = std::move(construction[0]);
-  return Publish(Normalize(path), std::move(entry));
+  return entry;
 }
 
 Result<void> OmosNamespace::AddFragment(std::string_view path, ObjectFile object) {

@@ -128,6 +128,9 @@ class OmosNamespace {
   // keeps its interface.
   Result<void> DefineMeta(std::string_view path, std::string_view blueprint,
                           EntryKind kind = EntryKind::kMeta);
+  // The unpublished entry DefineMeta would publish at `path`.
+  static Result<NamespaceEntry> Parse(std::string_view path, std::string_view blueprint,
+                                      EntryKind kind);
 
   // Register a relocatable object fragment (a leaf operand, e.g. /obj/ls.o).
   Result<void> AddFragment(std::string_view path, ObjectFile object);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
-
 #include <chrono>
 
 #include "src/core/stubgen.h"
-#include "src/support/faultsim.h"
 #include "src/ipc/ring_transport.h"
 #include "src/objfmt/backend.h"
 #include "src/support/log.h"
@@ -50,17 +48,6 @@ std::vector<std::pair<std::string, std::string>> ExecutableMetas(const OmosNames
   return metas;
 }
 
-// Maps a cached image into `task`: text shared from its master segment and
-// data copy-on-write against its data master. An image with no text master
-// (empty text) maps by private copy.
-Result<void> MapCached(Kernel& kernel, Task& task, const CachedImage& cached) {
-  if (cached.text_seg.has_value()) {
-    return MapImageWithSharedText(kernel, task, cached.image, *cached.text_seg,
-                                  cached.data_seg ? &*cached.data_seg : nullptr);
-  }
-  return MapLinkedImage(kernel, task, cached.image, "");
-}
-
 // One build per key across concurrent misses (ImageCache::JoinBuild): the
 // leader runs `build` and publishes; followers share its image, or build
 // themselves when it failed (a first-hand error, or a success if the failure
@@ -83,7 +70,7 @@ Result<ImageRef> SingleFlight(ImageCache& cache, const std::string& key, Build&&
   return result;
 }
 
-// Runs `build` until its image publishes: LinkAndPublish refuses an image
+// Runs `build` until its image publishes: Publish refuses an image
 // whose reads were redefined mid-build (tracker.superseded), and the redo
 // reads the new definitions. Work of refused attempts stays billed. Ends as
 // soon as one build runs without a redefinition of what it read.
@@ -109,23 +96,22 @@ OmosServer::OmosServer(Kernel& kernel, Config config)
     : kernel_(&kernel), config_(config), cache_(config.cache_capacity_bytes),
       solver_(config.arenas) {
   kernel_->SetSysHook(kSysDload,
-                      [this](Kernel& k, Task& t) { return HandleDload(k, t); });
+                      [this](Kernel& k, Task& t) { return tasks_.HandleDload(k, t); });
   kernel_->SetSysHook(kSysMonLog,
                       [this](Kernel& k, Task& t) { return HandleMonLog(k, t); });
   kernel_->SetSysHook(kSysOmosLoad,
                       [this](Kernel& k, Task& t) { return HandleOmosLoadSys(k, t); });
   kernel_->SetSysHook(kSysOmosUnload,
                       [this](Kernel& k, Task& t) { return HandleOmosUnloadSys(k, t); });
-  kernel_->SetSafepointHook([this](Kernel& k, Task& t) { return HandleSafepoint(k, t); });
-  idle_guard_->server = this;
+  kernel_->SetSafepointHook([this](Kernel& k, Task& t) { return tasks_.HandleSafepoint(k, t); });
 }
 
 OmosServer::~OmosServer() {
   // Background jobs hold a shared_ptr to idle_guard_, not to the server;
-  // blank the back-pointer (waiting out any job mid-run) so jobs that fire
-  // after this point are no-ops.
+  // clear its flag (waiting out any job mid-run) so jobs that fire after
+  // this point are no-ops.
   std::lock_guard<std::mutex> lock(idle_guard_->job_mu);
-  idle_guard_->server = nullptr;
+  idle_guard_->alive = false;
 }
 
 std::set<std::string> OmosServer::CachedDependents(std::set<std::string> roots,
@@ -164,14 +150,19 @@ void OmosServer::InvalidateImagesOf(const std::vector<std::string>& paths) {
     victim_paths.insert(OmosNamespace::Normalize(path));
   }
   for (const std::string& key : CachedDependents(victim_paths, /*transitive=*/true)) {
-    // Retired, not freed: a task may still map the superseded version, and
-    // the rebuild must not land on it.
-    solver_.Retire(key);
     cache_.Evict(key);
     std::string_view path_part = key;
     SplitCacheKey(key, &path_part, nullptr);
     victim_paths.emplace(path_part);
   }
+  // Retired, not freed: a task may still map the superseded version, and
+  // the rebuild must not land on it. Every key of a victim path, cached or
+  // not: an evicted image something still holds keeps its placement current.
+  solver_.RetireIf([&](const std::string& object) {
+    std::string_view path_part;
+    return SplitCacheKey(object, &path_part, nullptr) &&
+           victim_paths.count(std::string(path_part)) != 0;
+  });
   // Persisted images of the victims are stale too. Space management only:
   // a stale record is already unreachable (its fingerprint covers the old
   // inputs), so a failed tombstone costs bytes, not correctness.
@@ -250,6 +241,19 @@ Result<Module> OmosServer::EvaluateBlueprint(std::string_view text, uint64_t* wo
     *work_cycles += tracker.work;
   }
   return BlueprintEvaluator::RequireModule(std::move(value), "blueprint");
+}
+
+Result<EvalValue> OmosServer::EvaluateLibrary(std::string_view path, std::string_view blueprint,
+                                              uint64_t* work) {
+  OMOS_TRY(NamespaceEntry entry, OmosNamespace::Parse(path, blueprint, EntryKind::kLibrary));
+  BuildTracker tracker;
+  Result<EvalValue> value = evaluator_.Eval(entry.construction, tracker);
+  *work += tracker.work;
+  if (value.ok()) {
+    Overlay(entry.hints, value->hints);  // as BuildImage places a defined library
+    value->hints = entry.hints;
+  }
+  return value;
 }
 
 // ---- Instantiation ----------------------------------------------------------
@@ -360,14 +364,14 @@ size_t OmosServer::DrainBackgroundWork() {
   return ran;
 }
 
-void OmosServer::SubmitIdle(std::function<void(OmosServer&)> job) {
-  // The job holds the guard, not the server, so it degrades to a no-op if
-  // the server is gone by the time it runs.
+void OmosServer::SubmitIdle(std::function<void()> job) {
+  // The job holds the guard, so it degrades to a no-op if the server is
+  // gone by the time it runs.
   std::shared_ptr<IdleJobGuard> guard = idle_guard_;
   ThreadPool::Global().SubmitBackground([guard, job = std::move(job)] {
-    std::lock_guard<std::mutex> alive(guard->job_mu);
-    if (guard->server != nullptr) {
-      job(*guard->server);
+    std::lock_guard<std::mutex> lock(guard->job_mu);
+    if (guard->alive) {
+      job();
     }
   });
 }
@@ -385,12 +389,12 @@ void OmosServer::ScheduleRelink() {
   }
   // Queue on the background lane: the pool runs it only when no foreground
   // request is pending — the paper's "during idle time".
-  SubmitIdle([](OmosServer& server) {
+  SubmitIdle([this] {
     {
-      std::lock_guard<std::mutex> lock(server.relink_mu_);
-      server.relink_queued_ = false;  // requests after this point re-queue
+      std::lock_guard<std::mutex> lock(relink_mu_);
+      relink_queued_ = false;  // requests after this point re-queue
     }
-    server.RunRelink();
+    RunRelink();
   });
 }
 
@@ -489,11 +493,16 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
     value = std::move(root.value);
   }
 
-  if (!value.module.has_value()) {
-    value.module = Module();
-  }
-  Module client = std::move(*value.module);
+  OMOS_TRY(CachedImage linked, LinkValue(key, std::move(value), entry.hints, spec.hints, tracker));
+  return Publish(key, std::move(linked), tracker);
+}
 
+Result<CachedImage> OmosServer::LinkValue(const std::string& key, EvalValue value,
+                                          PlacementHints hints, const PlacementHints& overrides,
+                                          BuildTracker& tracker) {
+  Overlay(hints, value.hints);
+  Overlay(hints, overrides);
+  Module client = value.module.has_value() ? std::move(*value.module) : Module();
   // Resolve library dependencies. The image holds each dep it binds to.
   std::vector<ImageRef> dep_images;
   std::vector<const LinkedImage*> libraries;
@@ -546,19 +555,26 @@ Result<ImageRef> OmosServer::BuildImage(const std::string& path, const Specializ
     tracker.nested.push_back(dep->inputs);
   }
 
-  PlacementHints hints = entry.hints;
-  Overlay(hints, value.hints);
-  Overlay(hints, spec.hints);
   CachedImage cached;
   cached.dep_images = std::move(dep_images);
   cached.stub_slots = std::move(slots);
-  return LinkAndPublish(key, client, hints, std::move(libraries), std::move(cached), tracker);
+  return Link(key, client, hints, std::move(libraries), std::move(cached), tracker);
 }
 
-Result<ImageRef> OmosServer::LinkAndPublish(const std::string& key, const Module& client,
-                                            const PlacementHints& hints,
-                                            std::vector<const LinkedImage*> libraries,
-                                            CachedImage cached, BuildTracker& tracker) {
+Result<ImageRef> OmosServer::LinkDetached(const std::string& name, EvalValue value,
+                                          uint64_t* work) {
+  BuildTracker tracker;
+  OMOS_TRY(CachedImage linked, LinkValue(name, std::move(value), {}, {}, tracker));
+  *work += tracker.work;
+  OMOS_TRY_VOID(MaterializeSegments(linked));
+  linked.key = name;
+  return ImageRef(std::make_shared<CachedImage>(std::move(linked)));
+}
+
+Result<CachedImage> OmosServer::Link(const std::string& key, const Module& client,
+                                     const PlacementHints& hints,
+                                     std::vector<const LinkedImage*> libraries,
+                                     CachedImage cached, BuildTracker& tracker) {
   OMOS_TRY(std::shared_ptr<const LinkPlan> plan, PlanLink(client));
   bool conflicted = false;
   OMOS_TRY(cached.placement, solver_.Place(key, plan->text_size,
@@ -583,6 +599,11 @@ Result<ImageRef> OmosServer::LinkAndPublish(const std::string& key, const Module
   // the memos' sets are shared by pointer, never merged.
   cached.inputs = tracker.TakeReads();
   cached.build_cost = tracker.work;
+  return cached;
+}
+
+Result<ImageRef> OmosServer::Publish(const std::string& key, CachedImage cached,
+                                     BuildTracker& tracker) {
   OMOS_TRY(ImageRef published, PublishIfCurrent(key, std::move(cached)));
   if (published == nullptr) {
     // The redone build places afresh (under the new definitions' hints)
@@ -825,21 +846,9 @@ Result<void> OmosServer::RestoreFromStore(ImageStore& store) {
 
 // ---- Exec paths -------------------------------------------------------------
 
-std::vector<ImageRef> OmosServer::TaskRuntime::Images() const {
-  std::vector<ImageRef> images;
-  if (program != nullptr) {
-    images.push_back(program);
-  }
-  for (const auto& [key, image] : libs) {
-    images.push_back(image);
-  }
-  images.insert(images.end(), dyn_loaded.begin(), dyn_loaded.end());
-  return images;
-}
-
 Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) {
   TraceSpan trace("server.map_program", program.key);
-  TaskRuntime runtime;
+  TaskRuntimes::Runtime runtime;
   runtime.program = program.shared_from_this();
   // Resolve every eager dep before mapping anything. An evicted library
   // image is the program's own held copy, re-cached while it is current; a
@@ -872,553 +881,27 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
   for (const auto& [key, lib] : runtime.libs) {
     OMOS_TRY_VOID(MapCached(*kernel_, task, *lib));
   }
-  for (const StubSlot& slot : program.stub_slots) {
-    const ImageSymbol* sym = program.image.FindSymbol(slot.slot_symbol);
-    if (sym == nullptr) {
-      return Err(ErrorCode::kInternal, StrCat("missing stub slot symbol ", slot.slot_symbol));
-    }
-    runtime.slots.push_back(TaskRuntime::Slot{sym->addr, slot.lib_path, slot.symbol});
-  }
-  std::lock_guard<std::mutex> lock(runtimes_mu_);
-  // A live upgrade that has repointed redirects lazy slots of the old
-  // version so tasks exec'd mid-roll bind the new one (the cached program
-  // image still names the old impl key until the reclaim-phase
-  // redefinition). Redirected in the section that installs the runtime, so
-  // a repoint either rewrites these slots or precedes this redirect.
-  for (TaskRuntime::Slot& slot : runtime.slots) {
-    slot.lib_path = RedirectLibKey(slot.lib_path);
-  }
-  std::swap(runtimes_[task.id()], runtime);  // a replaced runtime drops after the lock
+  tasks_.Install(task.id(), std::move(runtime));
   return program.image.entry;
 }
 
-Result<bool> OmosServer::MapFirstUse(Task& task, const ImageRef& image,
-                                     uint64_t first_use_cost) {
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(task.id());
-    if (it == runtimes_.end()) {
-      return Err(ErrorCode::kNotFound, StrCat(task.name(), ": task released"));
-    }
-    if (it->second.libs.count(image->key) != 0) {
-      return false;
-    }
-    // The repoint made pending every task that mapped the old version by
-    // then; a task that maps it later would escape the drain.
-    if (RedirectLibKey(image->key) != image->key) {
-      return Err(ErrorCode::kUnavailable, StrCat(image->key, ": superseded by a live upgrade"));
-    }
-    it->second.libs.emplace(image->key, image);
-  }
-  task.BillSys(first_use_cost);
-  OMOS_TRY_VOID(MapCached(*kernel_, task, *image));
-  return true;
-}
-
-void OmosServer::ReleaseTask(TaskId id) {
-  decltype(runtimes_)::node_type released;  // its image references drop after the lock
-  // A released task can no longer execute old-version code: take it out of
-  // any in-flight upgrade's pending set (and reclaim if it was the last).
-  std::shared_ptr<UpgradeJob> reclaim_ready;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    released = runtimes_.extract(id);
-    if (upgrade_job_ != nullptr && upgrade_job_->pending.erase(id) > 0) {
-      upgrade_job_->retry_at.erase(id);
-      if (upgrade_job_->pending.empty() && upgrade_job_->phase == UpgradePhase::kDraining) {
-        reclaim_ready = upgrade_job_;
-      }
-    }
-  }
-  if (reclaim_ready != nullptr) {
-    ScheduleUpgradeReclaim(reclaim_ready);
-  }
-}
-
-// ---- Live upgrade (docs/upgrade.md) ------------------------------------------
-
-namespace {
-// After a deferred transfer, let this many old-version instructions retire
-// before re-scanning the stack: a failed attempt walked the whole live
-// stack, so retrying every instruction would dominate execution.
-constexpr uint64_t kTransferRetryInterval = 256;
-}  // namespace
+// ---- Live upgrade (docs/upgrade.md; the job runs in TaskRuntimes) ----------
 
 Result<uint64_t> OmosServer::BeginUpgrade(const std::string& path,
                                           const std::string& new_blueprint) {
   std::string norm = OmosNamespace::Normalize(path);
   OMOS_TRY_VOID(namespace_.Lookup(norm));
-  Specialization impl_spec;
-  impl_spec.name = "lib-dynamic-impl";
-  std::shared_ptr<UpgradeJob> job;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    if (upgrade_job_ != nullptr && upgrade_job_->phase != UpgradePhase::kDone &&
-        upgrade_job_->phase != UpgradePhase::kAborted) {
-      return Err(ErrorCode::kUnavailable,
-                 StrCat("upgrade of ", upgrade_job_->path, " already in flight"));
-    }
-    job = std::make_shared<UpgradeJob>();
-    job->id = ++upgrade_counter_;
-    job->path = norm;
-    job->new_blueprint = new_blueprint;
-    job->old_impl_key = MakeCacheKey(norm, impl_spec.ToKeyString());
-    job->new_impl_key =
-        MakeCacheKey(OmosNamespace::Normalize(StrCat(norm, "@v", job->id)), impl_spec.ToKeyString());
-    job->phase = UpgradePhase::kLinking;
-    upgrade_job_ = job;
-  }
-  UpgradeStats().begun->Add();
-  TraceInstant("upgrade.begin", norm);
-  // Link on the idle lane (the pool runs it only when no foreground request
-  // is pending) so running tasks never stall behind the new version's link.
-  SubmitIdle([job](OmosServer& server) { server.RunUpgradeLink(job); });
-  return job->id;
-}
-
-void OmosServer::RunUpgradeLink(std::shared_ptr<UpgradeJob> job) {
-  TraceSpan trace("upgrade.link", job->path);
-  if (FaultSim::Trip("upgrade.link")) {
-    AbortUpgrade(job, "upgrade.link: injected fault");
-    return;
-  }
-  if (Result<void> linked = LinkUpgrade(*job); !linked.ok()) {
-    AbortUpgrade(job, linked.error().ToString());
-    return;
-  }
-  RunUpgradeRepoint(std::move(job));
-}
-
-Result<void> OmosServer::LinkUpgrade(UpgradeJob& job) {
-  // The new version links under a shadow namespace path so the solver
-  // assigns it a fresh placement: old addresses must stay live while
-  // suspended frames still execute old code. The real path keeps the old
-  // definition until the reclaim phase redefines it.
-  std::string shadow = OmosNamespace::Normalize(StrCat(job.path, "@v", job.id));
-  OMOS_TRY_VOID(DefineLibrary(shadow, job.new_blueprint));
-  Specialization impl_spec;
-  impl_spec.name = "lib-dynamic-impl";
-  uint64_t work = 0;
-  OMOS_TRY(ImageRef new_impl, InstantiateRef(shadow, impl_spec, &work));
-  // The old implementation only matters if something still holds it: the
-  // cache, a task that maps it, or a program (cached or run by a task)
-  // linked against it. Each of those holds its placement, so a rebuilt
-  // image reuses it and the transfer map's old-address ranges are exact.
-  if (solver_.Find(job.old_impl_key) == nullptr) {
-    job.map = std::make_shared<const FrameTransferMap>();  // covers nothing
-    return OkResult();
-  }
-  OMOS_TRY(ImageRef old_impl, GetOrRebuild(job.old_impl_key, &work));
-  // Symbols the new version dropped degrade to availability-check stubs
-  // (return kUpgradeUnavailable) instead of faulting. The stub image reads
-  // only its own /.upgrade paths, so the reclaim-phase redefinition of
-  // job.path does not evict it from under a task.
-  std::vector<std::string> deleted = DeletedTextSymbols(old_impl->image, new_impl->image);
-  if (!deleted.empty()) {
-    std::string degrade_dir = StrCat("/.upgrade/v", job.id);
-    OMOS_TRY(ObjectFile stub_obj, GenerateDegradationStubs(deleted, "degrade.o"));
-    std::string frag_path = StrCat(degrade_dir, "/degrade.o");
-    std::string meta_path = StrCat(degrade_dir, "/degrade");
-    OMOS_TRY_VOID(AddFragment(frag_path, std::move(stub_obj)));
-    OMOS_TRY_VOID(DefineMeta(meta_path, StrCat("(merge ", frag_path, ")")));
-    OMOS_TRY(ImageRef stubs, InstantiateRef(meta_path, Specialization{}, &work));
-    job.degrade_key = stubs->key;
-    for (const std::string& name : deleted) {
-      if (const ImageSymbol* sym = stubs->image.FindSymbol(name)) {
-        job.degrade_addrs[name] = sym->addr;
-      }
-    }
-  }
-  job.map = std::make_shared<const FrameTransferMap>(
-      FrameTransferMap::Build(old_impl->image, new_impl->image, job.degrade_addrs));
-  return OkResult();
-}
-
-void OmosServer::RunUpgradeRepoint(std::shared_ptr<UpgradeJob> job) {
-  if (FaultSim::Trip("upgrade.repoint")) {
-    // Killed before any runtime was touched: the abort leaves every task on
-    // the old version, consistently.
-    AbortUpgrade(job, "upgrade.repoint: injected fault");
-    return;
-  }
-  // One critical section switches every runtime from the old implementation
-  // key to the new one and makes pending every task that maps the old
-  // version: lazy slots resolved after this bind the new version;
-  // already-resolved slots keep calling the (still mapped) old code until
-  // the task's safepoint transfer. No task observes a half-switched table,
-  // and a flagged task's safepoint waits on this lock, so it sees the
-  // pending set it was flagged for.
-  uint64_t repointed_tasks = 0;
-  size_t pending = 0;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    if (job->phase != UpgradePhase::kLinking) {
-      return;  // aborted concurrently
-    }
-    for (auto& [tid, runtime] : runtimes_) {
-      bool maps_old = runtime.libs.count(job->old_impl_key) != 0;
-      bool uses_old = maps_old;
-      for (TaskRuntime::Slot& slot : runtime.slots) {
-        if (slot.lib_path == job->old_impl_key) {
-          slot.lib_path = job->new_impl_key;
-          uses_old = true;
-        }
-      }
-      // Old code/data mapped: the task needs a frame transfer. One destroyed
-      // without ReleaseTask has nothing to drain.
-      if (maps_old) {
-        if (Task* task = kernel_->FindTask(tid)) {
-          job->pending.insert(tid);
-          task->RequestSafepoint();
-        }
-      }
-      if (uses_old) {
-        ++repointed_tasks;
-      }
-    }
-    job->phase = UpgradePhase::kDraining;
-    pending = job->pending.size();
-  }
-  UpgradeStats().tasks_repointed->Add(repointed_tasks);
-  TraceInstant("upgrade.repoint", StrCat(job->path, ": ", pending, " task(s) to drain"));
-  if (pending == 0) {
-    ScheduleUpgradeReclaim(job);
-  }
-}
-
-Result<void> OmosServer::HandleSafepoint(Kernel& kernel, Task& task) {
-  std::shared_ptr<UpgradeJob> job;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    job = upgrade_job_;
-    if (job == nullptr || job->phase != UpgradePhase::kDraining ||
-        job->pending.count(task.id()) == 0) {
-      task.ClearSafepoint();  // stale flag (job aborted or task already done)
-      return OkResult();
-    }
-    auto retry = job->retry_at.find(task.id());
-    if (retry != job->retry_at.end() && task.instructions_retired() < retry->second) {
-      return OkResult();  // deferred recently; let old code make progress
-    }
-  }
-  return TryTransferTask(kernel, task, job);
-}
-
-Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
-                                         const std::shared_ptr<UpgradeJob>& job) {
-  const FrameTransferMap& map = *job->map;
-  auto defer = [&]() {
-    UpgradeStats().transfers_deferred->Add();
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    job->retry_at[task.id()] = task.instructions_retired() + kTransferRetryInterval;
-    return OkResult();
-  };
-  if (FaultSim::Trip("upgrade.transfer")) {
-    return defer();  // a killed transfer is a deferral, never a torn state
-  }
-  uint64_t rebuild_work = 0;
-  auto new_or = GetOrRebuild(job->new_impl_key, &rebuild_work);
-  if (!new_or.ok()) {
-    return defer();
-  }
-  ImageRef new_impl = *std::move(new_or);
-  // Plan every rewrite before applying any: pc, lr, the register file, and
-  // each live stack word that lies in the old version's segments. One
-  // unmappable value (a frame suspended mid-body of a resized or deleted
-  // function) defers the whole transfer — the task resumes old code and we
-  // retry at a later safepoint, when that frame has popped.
-  auto map_value = [&map](uint32_t value) -> std::optional<uint32_t> {
-    return map.Covers(value) ? map.MapAddr(value) : std::optional<uint32_t>(value);
-  };
-  std::optional<uint32_t> new_pc = map_value(task.pc());
-  if (!new_pc.has_value()) {
-    return defer();
-  }
-  uint32_t new_regs[kNumRegisters];
-  for (int i = 0; i < kNumRegisters; ++i) {
-    if (i == kRegSp) {
-      new_regs[i] = task.reg(i);
-      continue;
-    }
-    std::optional<uint32_t> mapped = map_value(task.reg(i));
-    if (!mapped.has_value()) {
-      return defer();
-    }
-    new_regs[i] = *mapped;
-  }
-  uint32_t sp = task.reg(kRegSp);
-  std::vector<std::pair<uint32_t, uint32_t>> stack_rewrites;
-  for (uint32_t addr = sp & ~3u; addr < kStackTop; addr += 4) {
-    Result<uint32_t> word = task.space().Read32(addr);
-    if (!word.ok()) {
-      break;  // off the mapped stack region
-    }
-    if (!map.Covers(*word)) {
-      continue;
-    }
-    std::optional<uint32_t> mapped = map.MapAddr(*word);
-    if (!mapped.has_value()) {
-      return defer();
-    }
-    if (*mapped != *word) {
-      stack_rewrites.emplace_back(addr, *mapped);
-    }
-  }
-  // Map the new version into the task on first contact, and carry the old
-  // version's same-shape data state (the task's private CoW bytes) into the
-  // new segments before any new code can run. A dload mid-drain may have
-  // mapped it already — then the new version's state is live; don't clobber.
-  Result<bool> first_contact = MapFirstUse(
-      task, new_impl,
-      kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup + rebuild_work);
-  if (!first_contact.ok()) {
-    if (first_contact.error().code() == ErrorCode::kNotFound) {
-      return defer();  // released concurrently; ReleaseTask drops it from pending
-    }
-    return first_contact.error();
-  }
-  if (*first_contact) {
-    for (const DataCarry& carry : map.data_carries()) {
-      std::vector<uint8_t> bytes(carry.size);
-      OMOS_TRY_VOID(task.space().ReadBytes(carry.old_addr, bytes.data(), carry.size));
-      OMOS_TRY_VOID(task.space().WriteBytes(carry.new_addr, bytes.data(), carry.size));
-    }
-  }
-  if (!job->degrade_key.empty()) {
-    if (auto stubs = GetOrRebuild(job->degrade_key, &rebuild_work); stubs.ok()) {
-      Result<bool> mapped = MapFirstUse(task, *stubs, 0);
-      if (!mapped.ok() && mapped.error().code() != ErrorCode::kNotFound) {
-        return mapped.error();
-      }
-    }
-  }
-  // Point of no return: apply the planned rewrites. All writes hit this
-  // task's own registers and private pages, on this task's own thread.
-  task.set_pc(*new_pc);
-  for (int i = 0; i < kNumRegisters; ++i) {
-    if (i != kRegSp) {
-      task.set_reg(i, new_regs[i]);
-    }
-  }
-  for (const auto& [addr, value] : stack_rewrites) {
-    OMOS_TRY_VOID(task.space().Write32(addr, value));
-  }
-  // Already-resolved lazy slots still hold old-version addresses; rebind
-  // them to the new symbol (or its degradation stub) so the next call lands
-  // in new code without another dload round trip.
-  std::vector<TaskRuntime::Slot> slots;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(task.id());
-    if (it != runtimes_.end()) {
-      slots = it->second.slots;
-    }
-  }
-  uint64_t slots_repointed = 0;
-  for (const TaskRuntime::Slot& slot : slots) {
-    if (slot.lib_path != job->new_impl_key) {
-      continue;
-    }
-    Result<uint32_t> current = task.space().Read32(slot.slot_addr);
-    if (!current.ok() || !map.Covers(*current)) {
-      continue;  // still lazy (trampoline) or already bound to new code
-    }
-    uint32_t target = 0;
-    if (const ImageSymbol* sym = new_impl->image.FindSymbol(slot.symbol)) {
-      target = sym->addr;
-    } else if (auto stub = job->degrade_addrs.find(slot.symbol);
-               stub != job->degrade_addrs.end()) {
-      target = stub->second;
-      UpgradeStats().degraded_bindings->Add();
-    }
-    if (target == 0) {
-      continue;
-    }
-    OMOS_TRY_VOID(task.space().Write32(slot.slot_addr, target));
-    ++slots_repointed;
-  }
-  // Drop the old version from this task. Unmapping decrements the shared
-  // frames' refcounts; PhysMemory frees them once the last task lets go.
-  decltype(TaskRuntime::libs)::node_type old_impl;  // dropped after the lock
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(task.id());
-    if (it != runtimes_.end()) {
-      old_impl = it->second.libs.extract(job->old_impl_key);
-    }
-  }
-  if (map.old_text_end() > map.old_text_base()) {
-    (void)task.space().Unmap(map.old_text_base());
-  }
-  if (map.old_data_end() > map.old_data_base()) {
-    (void)task.space().Unmap(map.old_data_base());
-  }
-  task.ClearSafepoint();
-  UpgradeStats().frames_transferred->Add();
-  UpgradeStats().slots_repointed->Add(slots_repointed);
-  UpgradeStats().stack_words_rewritten->Add(stack_rewrites.size());
-  TraceInstant("upgrade.transfer", task.name());
-  bool reclaim_ready = false;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    job->pending.erase(task.id());
-    job->retry_at.erase(task.id());
-    reclaim_ready = job->phase == UpgradePhase::kDraining && job->pending.empty();
-  }
-  if (reclaim_ready) {
-    ScheduleUpgradeReclaim(job);
-  }
-  return OkResult();
-}
-
-void OmosServer::ScheduleUpgradeReclaim(const std::shared_ptr<UpgradeJob>& job) {
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    if (job->phase != UpgradePhase::kDraining) {
-      return;  // someone else already moved it on (or it aborted)
-    }
-    job->phase = UpgradePhase::kReclaiming;
-  }
-  SubmitIdle([job](OmosServer& server) { server.RunUpgradeReclaim(job); });
-}
-
-void OmosServer::RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job) {
-  TraceSpan trace("upgrade.reclaim", job->path);
-  if (FaultSim::Trip("upgrade.reclaim")) {
-    // Killed mid-reclaim: retreat to draining so DrainUpgrade (or the next
-    // task release) re-attempts. The redirect stays active meanwhile.
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    if (job->phase == UpgradePhase::kReclaiming) {
-      job->phase = UpgradePhase::kDraining;
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    if (job->phase != UpgradePhase::kReclaiming) {
-      return;
-    }
-  }
-  // Every task migrated: make the new version THE version. Redefining the
-  // real path evicts the old implementation and every cached client image
-  // that linked against it and retires their placements — the existing
-  // redefinition semantics do the reclamation. Tasks keep their mappings
-  // (per-task address spaces hold frame refcounts), so this only drops the
-  // server-side copies.
-  size_t entries_before = cache_.entry_count();
-  if (Result<void> redefined = DefineLibrary(job->path, job->new_blueprint); !redefined.ok()) {
-    AbortUpgrade(job, redefined.error().ToString());
-    return;
-  }
-  // The shadow-path and degradation-stub entries served the migration;
-  // future execs resolve the real path. Drop the cached copies: their
-  // placements free once no task maps them (a running task keeps its
-  // mapping, and a straggler dload rebuilds from the shadow definitions,
-  // which stay in the namespace, at the placement that task still holds).
-  cache_.Evict(job->new_impl_key);
-  if (!job->degrade_key.empty()) {
-    cache_.Evict(job->degrade_key);
-  }
-  size_t entries_after = cache_.entry_count();
-  if (entries_before > entries_after) {
-    UpgradeStats().images_reclaimed->Add(entries_before - entries_after);
-  }
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    job->phase = UpgradePhase::kDone;
-  }
-  UpgradeStats().completed->Add();
-  TraceInstant("upgrade.complete", job->path);
-}
-
-void OmosServer::AbortUpgrade(const std::shared_ptr<UpgradeJob>& job, std::string why) {
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    if (job->phase == UpgradePhase::kDone || job->phase == UpgradePhase::kAborted) {
-      return;
-    }
-    job->phase = UpgradePhase::kAborted;
-    job->error = why;
-    for (TaskId tid : job->pending) {
-      if (Task* task = kernel_->FindTask(tid)) {
-        task->ClearSafepoint();
-      }
-    }
-    job->pending.clear();
-    job->retry_at.clear();
-  }
-  UpgradeStats().aborted->Add();
-  TraceInstant("upgrade.abort", StrCat(job->path, ": ", why));
-}
-
-std::string OmosServer::RedirectLibKey(const std::string& key) const {
-  if (upgrade_job_ != nullptr && upgrade_job_->old_impl_key == key &&
-      (upgrade_job_->phase == UpgradePhase::kDraining ||
-       upgrade_job_->phase == UpgradePhase::kReclaiming)) {
-    return upgrade_job_->new_impl_key;
-  }
-  return key;
-}
-
-uint32_t OmosServer::DegradeBindingFor(const std::string& impl_key, const std::string& symbol,
-                                       std::string* degrade_key) const {
-  std::lock_guard<std::mutex> lock(runtimes_mu_);
-  if (upgrade_job_ == nullptr || upgrade_job_->degrade_key.empty() ||
-      upgrade_job_->phase == UpgradePhase::kAborted ||
-      upgrade_job_->new_impl_key != impl_key) {
-    return 0;
-  }
-  auto it = upgrade_job_->degrade_addrs.find(symbol);
-  if (it == upgrade_job_->degrade_addrs.end()) {
-    return 0;
-  }
-  *degrade_key = upgrade_job_->degrade_key;
-  return it->second;
-}
-
-OmosServer::UpgradeStatus OmosServer::UpgradeStatusNow() const {
-  std::lock_guard<std::mutex> lock(runtimes_mu_);
-  UpgradeStatus status;
-  if (upgrade_job_ == nullptr) {
-    return status;
-  }
-  status.id = upgrade_job_->id;
-  status.path = upgrade_job_->path;
-  status.phase = upgrade_job_->phase;
-  status.tasks_pending = upgrade_job_->pending.size();
-  status.error = upgrade_job_->error;
-  return status;
+  return tasks_.BeginUpgrade(norm, new_blueprint);
 }
 
 OmosServer::UpgradeStatus OmosServer::DrainUpgrade() {
   for (int round = 0; round < 8; ++round) {
     DrainBackgroundWork();
-    std::shared_ptr<UpgradeJob> job;
-    bool waiting_on_tasks = false;
-    bool reclaim_ready = false;
-    {
-      std::lock_guard<std::mutex> lock(runtimes_mu_);
-      job = upgrade_job_;
-      if (job == nullptr || job->phase == UpgradePhase::kDone ||
-          job->phase == UpgradePhase::kAborted) {
-        break;
-      }
-      if (job->phase == UpgradePhase::kDraining) {
-        if (job->pending.empty()) {
-          reclaim_ready = true;  // e.g. a faulted reclaim retreated here
-        } else {
-          waiting_on_tasks = true;
-        }
-      }
-    }
-    if (waiting_on_tasks) {
-      break;  // the caller must run (or release) the pending tasks
-    }
-    if (reclaim_ready) {
-      ScheduleUpgradeReclaim(job);  // next round's drain executes it
+    if (!tasks_.Advance()) {
+      break;
     }
   }
-  return UpgradeStatusNow();
+  return tasks_.Status();
 }
 
 Result<TaskId> OmosServer::BootstrapExec(const std::string& path, std::vector<std::string> args,
@@ -1603,89 +1086,16 @@ Result<TaskId> OmosServer::ExecFile(const std::string& fs_path, std::vector<std:
 
 // ---- Lazy loading and monitoring hooks ---------------------------------------
 
-Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
-  uint32_t index = task.reg(12);
-  TaskRuntime::Slot slot;
-  ImageRef impl;         // the version the slot binds to
-  std::string refused;   // an old version MapFirstUse turned down
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(runtimes_mu_);
-      auto it = runtimes_.find(task.id());
-      if (it == runtimes_.end() || index >= it->second.slots.size()) {
-        return Err(ErrorCode::kExecFault, StrCat(task.name(), ": bad dload slot ", index));
-      }
-      slot = it->second.slots[index];
-      if (auto lib = it->second.libs.find(slot.lib_path); lib != it->second.libs.end()) {
-        impl = lib->second;
-      }
-    }
-    if (impl != nullptr) {
-      break;
-    }
-    // A refusal means an upgrade repointed after the slot was read: the
-    // repoint rewrote the slot, so it names the new version now.
-    if (slot.lib_path == refused) {
-      return Err(ErrorCode::kInternal,
-                 StrCat(task.name(), ": dload slot ", index, " still names superseded ", refused));
-    }
-    uint64_t rebuild_work = 0;
-    OMOS_TRY(ImageRef lib, GetOrRebuild(slot.lib_path, &rebuild_work));
-    task.BillSys(rebuild_work);
-    // First use in this task: the stub "contacts OMOS and loads in the
-    // library" (§4.2) — one IPC round trip plus the mapping work.
-    Result<bool> mapped =
-        MapFirstUse(task, lib, kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup);
-    if (mapped.ok()) {
-      impl = std::move(lib);
-    } else if (mapped.error().code() == ErrorCode::kUnavailable) {
-      refused = slot.lib_path;
-    } else {
-      return mapped.error();
-    }
-  }
-  // "the first time a function is accessed, its name is looked up in the
-  // function hash table and the value stored in an indirect branch table" —
-  // user-mode work in the stub.
-  task.BillUser(kernel.costs().symbol_lookup);
-  const ImageSymbol* sym = impl->image.FindSymbol(slot.symbol);
-  uint32_t target = sym != nullptr ? sym->addr : 0;
-  if (sym == nullptr) {
-    // Availability-check semantics mid-roll (docs/upgrade.md): a symbol the
-    // new library version dropped binds to its degradation stub — callers
-    // get kUpgradeUnavailable back instead of a fault.
-    std::string degrade_key;
-    target = DegradeBindingFor(slot.lib_path, slot.symbol, &degrade_key);
-    if (target == 0) {
-      return Err(ErrorCode::kUnresolvedSymbol,
-                 StrCat("symbol ", slot.symbol, " not in ", slot.lib_path));
-    }
-    uint64_t rebuild_work = 0;
-    OMOS_TRY(ImageRef stubs, GetOrRebuild(degrade_key, &rebuild_work));
-    OMOS_TRY_VOID(MapFirstUse(task, stubs, 0));
-    UpgradeStats().degraded_bindings->Add();
-  }
-  OMOS_TRY_VOID(task.space().Write32(slot.slot_addr, target));
-  task.BillUser(kernel.costs().reloc_apply);
-  task.set_pc(target);
-  return OkResult();
-}
-
 Result<void> OmosServer::HandleMonLog(Kernel& kernel, Task& task) {
   (void)kernel;
   uint32_t index = task.reg(12);
-  std::string key;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(task.id());
-    if (it == runtimes_.end() || it->second.program == nullptr) {
-      return OkResult();  // Unmonitored task; ignore.
-    }
-    key = it->second.program->key;
+  ImageRef program = tasks_.Program(task.id());
+  if (program == nullptr) {
+    return OkResult();  // Unmonitored task; ignore.
   }
   // key = "<path>§<spec>"; recover the path.
-  std::string_view path_part = key;
-  SplitCacheKey(key, &path_part, nullptr);
+  std::string_view path_part = program->key;
+  SplitCacheKey(program->key, &path_part, nullptr);
   std::string path(path_part);
   std::lock_guard<std::mutex> lock(monitor_mu_);
   auto counts = monitor_counts_.find(path);
@@ -1738,14 +1148,8 @@ bool OmosServer::HasPreferredOrder(const std::string& path) const {
 Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     Task& task, const std::string& blueprint_or_path, const std::vector<std::string>& symbols) {
   bool is_blueprint = StartsWith(blueprint_or_path, "(");
-  ImageRef program;  // the version the task maps, whatever the cache holds now
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto rt = runtimes_.find(task.id());
-    if (rt != runtimes_.end()) {
-      program = rt->second.program;
-    }
-  }
+  // The version the task maps, whatever the cache holds now.
+  ImageRef program = tasks_.Program(task.id());
   // The class binds to that program's addresses, so each program version
   // gets its own image, keyed by the program image's integrity sums.
   std::string client;
@@ -1779,7 +1183,9 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
         loaded.dep_images.push_back(program);
       }
     }
-    return LinkAndPublish(key, module, {}, std::move(libraries), std::move(loaded), tracker);
+    OMOS_TRY(CachedImage linked,
+             Link(key, module, {}, std::move(libraries), std::move(loaded), tracker));
+    return Publish(key, std::move(linked), tracker);
   };
   ImageRef cached = cache_.Get(key);
   if (cached == nullptr) {
@@ -1789,10 +1195,7 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
   OMOS_TRY_VOID(MapCached(*kernel_, task, *cached));
   // The task owns the class like any image it maps, so it can be unlinked.
   const LinkedImage& image = cached->image;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    runtimes_[task.id()].dyn_loaded.push_back(cached);
-  }
+  tasks_.AddDynLoaded(task.id(), cached);
 
   DynLoadResult result;
   result.text_base = image.text_base;
@@ -1801,33 +1204,6 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     result.symbol_values.push_back(sym == nullptr ? 0 : sym->addr);
   }
   return result;
-}
-
-Result<void> OmosServer::DynamicUnload(Task& task, uint32_t text_base) {
-  ImageRef unloaded;  // dropped after the locks
-  std::lock_guard<std::mutex> rt_lock(runtimes_mu_);
-  auto rt = runtimes_.find(task.id());
-  if (rt == runtimes_.end()) {
-    return Err(ErrorCode::kNotFound, StrCat(task.name(), ": no OMOS runtime state"));
-  }
-  auto& loaded = rt->second.dyn_loaded;
-  for (auto it = loaded.begin(); it != loaded.end(); ++it) {
-    const LinkedImage& image = (*it)->image;
-    if (image.text_base != text_base) {
-      continue;
-    }
-    if (!image.text.empty()) {
-      OMOS_TRY_VOID(task.space().Unmap(image.text_base));
-    }
-    if (image.data.size() + image.bss_size > 0) {
-      OMOS_TRY_VOID(task.space().Unmap(image.data_base));
-    }
-    unloaded = std::move(*it);
-    loaded.erase(it);
-    return OkResult();
-  }
-  return Err(ErrorCode::kNotFound,
-             StrCat(task.name(), ": no dynamically loaded class at ", Hex32(text_base)));
 }
 
 Result<void> OmosServer::HandleOmosLoadSys(Kernel& kernel, Task& task) {
@@ -2162,17 +1538,12 @@ int OmosServer::OptimizePlacements() {
 }
 
 Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
-  std::vector<ImageRef> images;  // dropped after the lock
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(id);
-    if (it == runtimes_.end()) {
-      return Err(ErrorCode::kNotFound, StrCat("no OMOS runtime state for task ", id));
-    }
-    images = it->second.Images();
+  auto tasks = tasks_.Images(id);
+  if (id == 0 || tasks.empty()) {
+    return Err(ErrorCode::kNotFound, StrCat("no OMOS runtime state for task ", id));
   }
   std::vector<ImageSymbol> symbols;
-  for (const auto& image : images) {
+  for (const auto& image : tasks[0].second) {
     symbols.insert(symbols.end(), image->image.symbols.begin(), image->image.symbols.end());
   }
   return symbols;
@@ -2183,16 +1554,8 @@ Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
 
   // Which tasks to attribute, with the images each maps: the requested one,
   // or every task with runtime state when id == 0 (the flat, cross-task
-  // profile). The references are dropped after the lock.
-  std::vector<std::pair<TaskId, std::vector<ImageRef>>> tasks;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    for (const auto& [task_id, runtime] : runtimes_) {
-      if (id == 0 || task_id == id) {
-        tasks.emplace_back(task_id, runtime.Images());
-      }
-    }
-  }
+  // profile).
+  auto tasks = tasks_.Images(id);
   if (id != 0 && tasks.empty()) {
     return Err(ErrorCode::kNotFound, StrCat("no OMOS runtime state for task ", id));
   }

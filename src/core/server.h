@@ -32,6 +32,7 @@
 #include "src/core/constraints.h"
 #include "src/core/evaluator.h"
 #include "src/core/namespace.h"
+#include "src/core/task_runtimes.h"
 #include "src/ipc/channel.h"
 #include "src/ipc/message.h"
 #include "src/linker/link.h"
@@ -41,7 +42,6 @@
 #include "src/os/loader.h"
 #include "src/store/image_store.h"
 #include "src/support/result.h"
-#include "src/upgrade/upgrade.h"
 
 namespace omos {
 
@@ -56,9 +56,9 @@ struct OmosServerConfig {
 // GetOrRebuild / ServeMessage / the exec paths at once. The cache, the
 // namespace, the blueprint evaluator (with its memo), the placement solver,
 // the kernel's task table and PhysMemory synchronize themselves. The
-// server's own state is guarded by five locks, none held across a recursive
-// Instantiate or a cache call that can build. Only two have locks under
-// them:
+// server's own state is guarded by four locks, none held across a recursive
+// Instantiate or a cache call that can build, plus the runtime table's
+// own (src/core/task_runtimes.h). Only two have locks under them:
 //
 //   publish_mu_  — namespace publication (exclusive: every Define*,
 //                  AddFragment, Restore and OptimizePlacements, so it also
@@ -67,20 +67,16 @@ struct OmosServerConfig {
 //                  evaluation. Under it: relink_mu_ (Restore), and the
 //                  namespace's, cache's, memo's, solver's and store's own
 //                  locks.
-//   runtimes_mu_ — runtimes_ (what each task maps, how its lazy slots bind)
-//                  and the live-upgrade job (phase, pending tasks), so every
-//                  decision about which version a task maps is made under
-//                  the one lock the repoint holds. No image is destroyed
-//                  while it is held. Under it: Kernel::tasks_mu_ (FindTask),
-//                  and PhysMemory's lock (DynamicUnload's Unmap).
+//   the runtime table's lock — see src/core/task_runtimes.h. Under it:
+//                  Kernel::tasks_mu_ and PhysMemory's lock.
 //
 // monitor_mu_ (the monitor tables), relink_mu_ (the relink queue and the
 // prelinked paths) and exec_channels_mu_ (the parked exec channels) have no
 // lock taken under them. Nor has the solver's lock, which is a leaf taken
 // wherever an image is destroyed: the image's placement lease drops its
 // ranges then. So the cache and the server drop image references outside
-// their own locks (ImageCache::Evict, ReleaseTask), and never under
-// runtimes_mu_.
+// their own locks (ImageCache::Evict, ReleaseTask), and never under the
+// runtime table's.
 // exec_channels_mu_ is never held across Channel::Call: a BootstrapExec
 // takes a channel off the list, calls, and parks it again. A warm hit takes
 // no server lock at all: it goes straight to the cache.
@@ -89,8 +85,8 @@ struct OmosServerConfig {
 // touched only by the thread that drives it or, before StartTask, by the
 // exec path that created it; no server lock covers them. So a wire
 // kDynamicLoad must name a task that is not running. Owners call
-// ReleaseTask before Kernel::DestroyTask: a Task* found under runtimes_mu_
-// then stays valid while the lock is held.
+// ReleaseTask before Kernel::DestroyTask: a Task* found under the runtime
+// table's lock then stays valid while the lock is held.
 //
 // Cache misses are single-flight: concurrent Instantiates of one key elect
 // a leader via ImageCache::JoinBuild and everyone shares its image. Inside
@@ -108,12 +104,12 @@ struct OmosServerConfig {
 //
 // `cache()` hands out a raw reference for tests and tools — use it only
 // while no worker threads are in flight.
-class OmosServer {
+class OmosServer : private RuntimeHost {
  public:
   using Config = OmosServerConfig;
 
   OmosServer(Kernel& kernel, Config config = Config());
-  ~OmosServer();
+  ~OmosServer() override;
 
   Kernel& kernel() { return *kernel_; }
 
@@ -125,7 +121,7 @@ class OmosServer {
   // those, is evicted and its placement retired, so the next instantiation
   // rebuilds against the new version at a fresh placement.
   Result<void> DefineMeta(std::string_view path, std::string_view blueprint);
-  Result<void> DefineLibrary(std::string_view path, std::string_view blueprint);
+  Result<void> DefineLibrary(std::string_view path, std::string_view blueprint) override;
   Result<void> AddFragment(std::string_view path, ObjectFile object);
   // Registers each member at `<dir>/<member-name>` and a meta-object at
   // `<dir>` merging all of them. Replacing an archive invalidates like the
@@ -185,30 +181,22 @@ class OmosServer {
 
   // Drop per-task runtime state. Call before Kernel::DestroyTask: the
   // upgrade repoint relies on it to use the tasks it finds.
-  void ReleaseTask(TaskId id);
+  void ReleaseTask(TaskId id) { tasks_.Release(id); }
 
   // ---- Live upgrade (src/upgrade/, docs/upgrade.md) -------------------------
   // Hot-patch `path` (a lib-dynamic library) to `new_blueprint` without
   // restarting its clients: the new version links in the background (idle
-  // lane — no foreground stall), every live task's stub slots are repointed
-  // to it, frames still executing old code migrate OSR-style at the next
-  // safepoint, and the old version's frames are reclaimed once nothing
-  // references them. Constrained (non-lazy) clients pick the new version up
-  // at their next Instantiate, exactly like an ordinary redefinition.
+  // lane — no foreground stall), a live task that has not bound the
+  // library yet binds the new version from then on, frames still executing
+  // old code migrate OSR-style at the next safepoint, and the old version's
+  // frames are reclaimed once nothing references them. Constrained
+  // (non-lazy) clients pick the new version up at their next Instantiate,
+  // like an ordinary redefinition.
   // Returns the upgrade id; kUnavailable while another upgrade is in flight.
   Result<uint64_t> BeginUpgrade(const std::string& path, const std::string& new_blueprint);
 
-  struct UpgradeStatus {
-    uint64_t id = 0;
-    std::string path;
-    UpgradePhase phase = UpgradePhase::kIdle;
-    size_t tasks_pending = 0;
-    std::string error;
-    bool terminal() const {
-      return phase == UpgradePhase::kDone || phase == UpgradePhase::kAborted;
-    }
-  };
-  UpgradeStatus UpgradeStatusNow() const;
+  using UpgradeStatus = omos::UpgradeStatus;
+  UpgradeStatus UpgradeStatusNow() const { return tasks_.Status(); }
   // Drive the upgrade as far as it can go from this thread: run queued
   // background work and, when every task has migrated, perform the
   // reclamation. Tasks still running old frames on other threads migrate on
@@ -235,7 +223,9 @@ class OmosServer {
   // unlinking support could be added" — here it is). Unmaps a class
   // previously loaded into `task` by DynamicLoad, identified by the text
   // base DynamicLoad returned. The cached image survives for other tasks.
-  Result<void> DynamicUnload(Task& task, uint32_t text_base);
+  Result<void> DynamicUnload(Task& task, uint32_t text_base) {
+    return tasks_.Unload(task, text_base);
+  }
 
   // ---- Monitoring / reordering (§4.1) ---------------------------------------
   // Call counts recorded for a "monitor"-specialized instantiation of `path`.
@@ -357,25 +347,6 @@ class OmosServer {
   ImageCache& cache() { return cache_; }
 
  private:
-  // What one task maps and how its lazy slots resolve. An image evicted
-  // from the cache lives until the last runtime that maps it is released.
-  struct TaskRuntime {
-    struct Slot {
-      uint32_t slot_addr = 0;
-      std::string lib_path;
-      std::string symbol;
-    };
-    ImageRef program;  // null for a DynamicLoad-only task
-    // Libraries mapped at exec (eager deps) and on first use (lazy
-    // libraries, degradation stubs), by cache key.
-    std::map<std::string, ImageRef> libs;
-    std::vector<Slot> slots;
-    std::vector<ImageRef> dyn_loaded;  // DynamicLoad classes
-
-    // Program, libraries, then dynamically loaded classes.
-    std::vector<ImageRef> Images() const;
-  };
-
   // The exec step: Instantiate for `task`, billing it the build work plus
   // the cache lookup, then MapProgram; redone while a library the program
   // was linked against moved before it could map (a refused attempt stays
@@ -396,16 +367,23 @@ class OmosServer {
   Result<ImageRef> BuildImage(const std::string& path, const Specialization& spec,
                               const std::string& key, BuildTracker& tracker);
 
-  // The tail of every build: place `client`, link it against the
-  // `libraries` (LayoutSpec::libraries; images in cached.dep_images), bill
-  // the link work, and publish it under `key` with the tracker's reads as
-  // its inputs. `cached` carries the deps and stub slots. If a read was
-  // redefined or a placement retired meanwhile, nothing is published and
-  // tracker.superseded is set, for BuildCurrent to redo the build.
-  Result<ImageRef> LinkAndPublish(const std::string& key, const Module& client,
-                                  const PlacementHints& hints,
-                                  std::vector<const LinkedImage*> libraries, CachedImage cached,
-                                  BuildTracker& tracker);
+  // Link an evaluated blueprint under `key`, placed by `hints` overlaid
+  // with the value's own and then `overrides`: bind each library it uses
+  // (eager ones linked against, lazy ones through generated stub slots;
+  // their images become cached.dep_images), then Link. Unpublished.
+  Result<CachedImage> LinkValue(const std::string& key, EvalValue value, PlacementHints hints,
+                                const PlacementHints& overrides, BuildTracker& tracker);
+  // The link step of every build: place `client`, link it against the
+  // `libraries` (LayoutSpec::libraries; images in cached.dep_images) and
+  // bill the link work. `cached` carries the deps and stub slots; it comes
+  // back with the image and the tracker's reads as its inputs.
+  Result<CachedImage> Link(const std::string& key, const Module& client,
+                           const PlacementHints& hints, std::vector<const LinkedImage*> libraries,
+                           CachedImage cached, BuildTracker& tracker);
+  // The tail of every build: publish a linked image under `key`. If a read
+  // was redefined or a placement retired meanwhile, nothing is published
+  // and tracker.superseded is set, for BuildCurrent to redo the build.
+  Result<ImageRef> Publish(const std::string& key, CachedImage cached, BuildTracker& tracker);
 
   // The one way an image enters the cache, for a link and a store adoption
   // alike: materialize its segments, then, holding publish_mu_ shared, Put
@@ -455,7 +433,12 @@ class OmosServer {
   // `held`: it is re-cached instead of rebuilt while it is still current
   // and its sums verify (an LRU eviction changes nothing it was built from).
   Result<ImageRef> GetOrRebuild(const std::string& cache_key, uint64_t* work,
-                                const ImageRef& held = nullptr);
+                                const ImageRef& held = nullptr) override;
+  // RuntimeHost: what the runtime table and the live upgrade use.
+  Result<EvalValue> EvaluateLibrary(std::string_view path, std::string_view blueprint,
+                                    uint64_t* work) override;
+  Result<ImageRef> LinkDetached(const std::string& name, EvalValue value,
+                                uint64_t* work) override;
 
   // Charge linking work for an image build.
   void ChargeLinkWork(const LinkCounts& stats, uint32_t symbol_count, BuildTracker& tracker) const;
@@ -489,15 +472,6 @@ class OmosServer {
   Channel TakeExecChannel(ExecTransport transport);
   void ParkExecChannel(ExecTransport transport, Channel channel);
 
-  // First use of `image` in `task`: records it in the runtime's libs, bills
-  // `first_use_cost` and maps it; later uses of its key do nothing.
-  // Returns whether this call mapped it, kNotFound once the task's runtime
-  // state is gone (released concurrently), or kUnavailable for the old
-  // implementation of a library whose upgrade has repointed: the caller
-  // resolves its slot again.
-  Result<bool> MapFirstUse(Task& task, const ImageRef& image, uint64_t first_use_cost);
-
-  Result<void> HandleDload(Kernel& kernel, Task& task);
   Result<void> HandleMonLog(Kernel& kernel, Task& task);
   Result<void> HandleOmosLoadSys(Kernel& kernel, Task& task);
   Result<void> HandleOmosUnloadSys(Kernel& kernel, Task& task);
@@ -512,68 +486,17 @@ class OmosServer {
 
   // Queue `job` on the pool's idle lane; it runs only while the server is
   // alive (see IdleJobGuard).
-  void SubmitIdle(std::function<void(OmosServer&)> job);
+  void SubmitIdle(std::function<void()> job) override;
 
   // Shared between the server and its queued background jobs, so a job that
   // outlives the server (still parked on the pool's background lane) sees
-  // server == nullptr and becomes a no-op. job_mu serializes job execution
+  // alive == false and becomes a no-op. job_mu serializes job execution
   // against server destruction (and jobs against each other — idle-time
   // work has no concurrency claim to make).
   struct IdleJobGuard {
     std::mutex job_mu;
-    OmosServer* server = nullptr;
+    bool alive = true;
   };
-
-  // ---- Live upgrade internals ----------------------------------------------
-  // One upgrade in flight at a time. Mutable fields (phase, pending,
-  // retry_at, error) are guarded by runtimes_mu_; the immutable plan (keys,
-  // transfer map, degradation addresses) is written before the job becomes
-  // visible to safepoints and read-only after.
-  struct UpgradeJob {
-    uint64_t id = 0;
-    std::string path;           // normalized library path
-    std::string new_blueprint;
-    std::string old_impl_key;   // lib-dynamic-impl cache key being replaced
-    std::string new_impl_key;   // shadow-path impl key of the new version
-    std::string degrade_key;    // degradation-stub image key ("" if none)
-    std::shared_ptr<const FrameTransferMap> map;
-    std::map<std::string, uint32_t> degrade_addrs;  // deleted symbol -> stub
-
-    UpgradePhase phase = UpgradePhase::kIdle;       // guarded by runtimes_mu_
-    std::set<TaskId> pending;                       // guarded by runtimes_mu_
-    // Deferral backoff: task -> instructions_retired before the next
-    // transfer attempt (a failed attempt scanned the whole stack; don't
-    // re-scan every instruction).
-    std::map<TaskId, uint64_t> retry_at;            // guarded by runtimes_mu_
-    std::string error;                              // guarded by runtimes_mu_
-  };
-
-  // Background-link body (idle lane), then the atomic runtime repoint.
-  void RunUpgradeLink(std::shared_ptr<UpgradeJob> job);
-  // Link the new version (and any degradation stubs) and fill in the job's
-  // transfer plan; an error aborts the upgrade.
-  Result<void> LinkUpgrade(UpgradeJob& job);
-  // One runtimes_mu_ section: rewrite every runtime's old-version slots,
-  // make each task that maps the old version pending, flag it for a
-  // safepoint, and start draining.
-  void RunUpgradeRepoint(std::shared_ptr<UpgradeJob> job);
-  // Safepoint hook body: attempt the OSR frame transfer for `task`.
-  Result<void> HandleSafepoint(Kernel& kernel, Task& task);
-  Result<void> TryTransferTask(Kernel& kernel, Task& task,
-                               const std::shared_ptr<UpgradeJob>& job);
-  // Reclaim the old version (evict; placements free with their last
-  // holder) once no task references it; retried by DrainUpgrade when killed
-  // by fault injection.
-  void RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job);
-  void AbortUpgrade(const std::shared_ptr<UpgradeJob>& job, std::string why);
-  // Old-impl-key -> new-impl-key redirect once an upgrade has repointed, so
-  // tasks exec'd mid-roll resolve their lazy slots against the new version.
-  // Callers hold runtimes_mu_.
-  std::string RedirectLibKey(const std::string& key) const;
-  // Degradation-stub binding for `symbol` of `impl_key`, or 0.
-  uint32_t DegradeBindingFor(const std::string& impl_key, const std::string& symbol,
-                             std::string* degrade_key) const;
-  void ScheduleUpgradeReclaim(const std::shared_ptr<UpgradeJob>& job);
 
   // Queue the relink job for the prelink re-solve (dropped while no path is
   // prelinked). At most one job is queued; it serves every request made
@@ -598,10 +521,10 @@ class OmosServer {
   // leadership is not a lock). relink_mu_, exec_channels_mu_ and
   // publish_mu_ are declared with the state they guard below.
   mutable std::mutex monitor_mu_;
-  mutable std::mutex runtimes_mu_;
 
   ConstraintSolver solver_;   // internally synchronized
-  std::map<TaskId, TaskRuntime> runtimes_;  // guarded by runtimes_mu_
+  // What each task maps, and the live upgrade. Internally synchronized.
+  TaskRuntimes tasks_{*kernel_, *this};
   // Monitoring: program path -> function names (slot order) and counts.
   // Both guarded by monitor_mu_.
   std::map<std::string, std::vector<std::string>> monitor_names_;
@@ -614,11 +537,6 @@ class OmosServer {
   mutable std::mutex relink_mu_;
   bool relink_queued_ = false;
   std::set<std::string> prelinked_;
-
-  // Live upgrade: at most one job; the pointer itself is guarded by
-  // runtimes_mu_ (safepoints copy the shared_ptr out under the lock).
-  std::shared_ptr<UpgradeJob> upgrade_job_;  // guarded by runtimes_mu_
-  uint64_t upgrade_counter_ = 0;             // guarded by runtimes_mu_
 
   // Orders namespace publication against build publication. A
   // redefinition holds it exclusively from invalidation through publish; a

@@ -150,8 +150,8 @@ class Kernel {
   SimFs fs_;
   // Guards tasks_ and next_task_id_. A leaf lock: nothing is called while
   // it is held, and a destroyed task is deleted after it is released. It
-  // ranks below every lock of the kernel's callers (the server's upgrade
-  // repoint and abort call FindTask under runtimes_mu_), never the other way
+  // ranks below every lock of the kernel's callers (the upgrade's repoint
+  // calls FindTask under TaskRuntimes::runtimes_mu_), never the other way
   // round.
   std::mutex tasks_mu_;
   std::map<TaskId, std::unique_ptr<Task>> tasks_;

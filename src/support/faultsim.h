@@ -32,15 +32,16 @@
 //                  the store fails the operation, enters a sticky crashed
 //                  state (nothing further is written), and the test models
 //                  the power loss with SimFs::DropUnsynced before reopening
-//   upgrade.link       RunUpgradeLink dies before the new version links;
-//                      the upgrade aborts, no task state was touched
-//   upgrade.repoint    RunUpgradeRepoint dies before any runtime slot is
-//                      rewritten; the upgrade aborts consistently
+//   upgrade.link       TaskRuntimes::Link dies before the new version
+//                      links; the upgrade aborts, no task state was touched
+//   upgrade.repoint    TaskRuntimes::RunRepoint dies before any task is
+//                      made pending; the upgrade aborts consistently
 //   upgrade.transfer   a safepoint frame transfer is killed before its
 //                      planned rewrites apply: the task defers and retries
 //                      at a later safepoint (never a torn frame)
-//   upgrade.reclaim    RunUpgradeReclaim dies before the redefinition; the
-//                      phase retreats to draining and DrainUpgrade retries
+//   upgrade.reclaim    TaskRuntimes::RunReclaim dies before the
+//                      redefinition; the phase retreats to draining and
+//                      DrainUpgrade retries
 #ifndef OMOS_SRC_SUPPORT_FAULTSIM_H_
 #define OMOS_SRC_SUPPORT_FAULTSIM_H_
 

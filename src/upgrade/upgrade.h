@@ -3,10 +3,10 @@
 // frames between two linked versions of a library (OSR-style), degradation
 // stubs for symbols a new version dropped, and the upgrade.* metrics.
 //
-// The orchestration (background link, per-task slot repoint, safepoint
-// transfer, reclamation) lives in OmosServer::BeginUpgrade and friends; this
-// module deliberately knows nothing about the server so it can be unit-
-// tested against two bare LinkedImages.
+// The orchestration (background link, repoint, safepoint transfer,
+// reclamation) lives in TaskRuntimes (src/core/task_runtimes.h), whose job
+// holds the two versions and the stubs as images; this module knows nothing
+// of either, so it is unit-tested against two bare LinkedImages.
 //
 // Transfer-map semantics (docs/upgrade.md has the full state machine):
 //  * Symbol extents are derived from the sorted exported-symbol table

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <set>
 #include <thread>
@@ -1570,6 +1571,8 @@ TEST_F(ServerFeatures, RefusedRestoreAppliesNothing) {
   ASSERT_OK(other.Restore(known));
   ASSERT_OK(other.DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/main.o /obj/b.o /obj/a.o)"));
   ASSERT_OK(other.DefineMeta("/bin/extra", "(merge /lib/crt0.o /obj/main.o)"));
+  // The redefinition retired the adopted placement: the rebuild places anew.
+  ASSERT_OK(other.Instantiate("/bin/prog", {}, nullptr));
   const std::string changed = other.Snapshot();
 
   // Its first place row again, for another object: the two rows clash.
@@ -2867,9 +2870,11 @@ TEST(LibraryInterface, KindSwitchReevaluatesTheClient) {
 // client must still be refused at publish and rebuilt against the current
 // library. The test plays the library's single-flight leader, so the client
 // build waits on it for its dep and receives the evicted copy after the
-// redefinition.
+// redefinition. A redefinition that moves the library moves the rebuilt
+// image to `want_base`, though the evicted copy is still held.
 void ExpectEvictedDepRedefinedMidBuildIsRefused(
-    const std::function<Result<void>(OmosServer&)>& redefine, int want_exit) {
+    const std::function<Result<void>(OmosServer&)>& redefine, int want_exit,
+    std::optional<uint32_t> want_base = std::nullopt) {
   Kernel kernel;
   OmosServer server(kernel);
   ASSERT_OK(AddCrt0(server));
@@ -2905,6 +2910,9 @@ void ExpectEvictedDepRedefinedMidBuildIsRefused(
   ASSERT_EQ((*client)->dep_images.size(), 1u);
   const ImageRef& dep = (*client)->dep_images[0];
   EXPECT_NE(dep, old_lib) << "the client published against the superseded library";
+  if (want_base.has_value()) {
+    EXPECT_EQ(dep->image.text_base, *want_base);
+  }
   EXPECT_TRUE(server.name_space().AllCurrent(*dep->inputs));
   EXPECT_TRUE(server.name_space().AllCurrent(*(*client)->inputs));
   ASSERT_OK_AND_ASSIGN(TaskId id, server.IntegratedExec("/bin/q", {"q"}));
@@ -2923,7 +2931,7 @@ TEST(LibraryInterface, EvictedDepMovedMidBuildIsRefused) {
         return server.DefineLibrary("/lib/ans",
                                     "(constraint-list \"T\" 0x2100000)\n(merge /libx)");
       },
-      1);
+      1, 0x2100000u);
 }
 
 TEST(LibraryInterface, EvictedDepMemberReplacedMidBuildIsRefused) {

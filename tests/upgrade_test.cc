@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -173,6 +174,23 @@ mul3:
   ret
 )";
 
+// v4: add2 adds 12, mul3 multiplies by 4 -> client exits 68. The v4 label
+// names no entry point a client calls, so only a copy of v4 defines it.
+constexpr char kAddLibV4[] = R"(
+.text
+.global add2
+.global v4
+add2:
+v4:
+  addi r0, r0, 12
+  ret
+.global mul3
+mul3:
+  movi r1, 4
+  mul r0, r0, r1
+  ret
+)";
+
 constexpr char kClient[] = R"(
 .text
 .global main
@@ -195,6 +213,8 @@ class UpgradeTest : public ::testing::Test {
     ASSERT_OK(server_->AddFragment("/obj/addlib.o", std::move(v1)));
     ASSERT_OK_AND_ASSIGN(ObjectFile v2, Assemble(kAddLibV2, "addlib2.o"));
     ASSERT_OK(server_->AddFragment("/obj/addlib2.o", std::move(v2)));
+    ASSERT_OK_AND_ASSIGN(ObjectFile v4, Assemble(kAddLibV4, "addlib4.o"));
+    ASSERT_OK(server_->AddFragment("/obj/addlib4.o", std::move(v4)));
     ASSERT_OK_AND_ASSIGN(ObjectFile client, Assemble(kClient, "client.o"));
     ASSERT_OK(server_->AddFragment("/obj/client.o", std::move(client)));
     ASSERT_OK(server_->DefineLibrary("/lib/addlib", "(merge /obj/addlib.o)"));
@@ -233,6 +253,39 @@ class UpgradeTest : public ::testing::Test {
     return MakeCacheKey("/lib/addlib", impl.ToKeyString());
   }
 
+  // No snapshot row and no namespace path names a version-suffixed library
+  // (`/lib/X@v<id>`) or an `/.upgrade/` entry: an upgrade leaves nothing of
+  // its migration behind.
+  void ExpectNoUpgradeLeftovers() {
+    std::istringstream rows(server_->Snapshot());
+    for (std::string row; std::getline(rows, row);) {
+      EXPECT_EQ(row.find("@v"), std::string::npos) << row;
+      EXPECT_EQ(row.find("/.upgrade"), std::string::npos) << row;
+    }
+    std::vector<std::string> dirs{"/"};
+    while (!dirs.empty()) {
+      std::string dir = std::move(dirs.back());
+      dirs.pop_back();
+      for (const std::string& name : server_->ListNamespace(dir)) {
+        std::string path = dir == "/" ? "/" + name : dir + "/" + name;
+        EXPECT_EQ(path.find("@v"), std::string::npos) << path;
+        EXPECT_NE(name, ".upgrade") << path;
+        dirs.push_back(std::move(path));
+      }
+    }
+  }
+
+  // How many of the task's mapped symbols are named `name`: one per copy of
+  // a library that defines it (and none in the program).
+  size_t SymbolCopies(TaskId id, const std::string& name) {
+    auto symbols = server_->SymbolsForTask(id);
+    if (!symbols.ok()) {
+      return 0;
+    }
+    return std::count_if(symbols->begin(), symbols->end(),
+                         [&](const ImageSymbol& sym) { return sym.name == name; });
+  }
+
   // Poll DrainUpgrade to a terminal phase (bounded; the background link and
   // reclaim run on the pool).
   OmosServer::UpgradeStatus DrainToTerminal() {
@@ -257,6 +310,33 @@ TEST_F(UpgradeTest, UpgradeWithNoLiveTasksCompletes) {
   EXPECT_EQ(status.phase, UpgradePhase::kDone) << status.error;
   EXPECT_EQ(status.tasks_pending, 0u);
   // New execs see v2.
+  ASSERT_OK_AND_ASSIGN(int after, ExecOnce());
+  EXPECT_EQ(after, 51);
+}
+
+// A new version may carry the records DefineLibrary takes: a task mid-roll
+// binds it at its constraint-list's base, and so does a later exec.
+TEST_F(UpgradeTest, UpgradeToAConstrainedBlueprintCompletes) {
+  constexpr uint32_t kBase = 0x2400000;
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/dynprog", {"prog"}));
+  ASSERT_OK(server_->BeginUpgrade(
+      "/lib/addlib", "(constraint-list \"T\" 0x2400000)\n(merge /obj/addlib2.o)"));
+  OmosServer::UpgradeStatus status = server_->DrainUpgrade();
+  for (int round = 0; round < 32 && status.phase == UpgradePhase::kLinking; ++round) {
+    status = server_->DrainUpgrade();
+  }
+  ASSERT_NE(status.phase, UpgradePhase::kAborted) << status.error;
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, RunTaskById(id));
+  EXPECT_EQ(out.exit_code, 51);
+  ASSERT_OK_AND_ASSIGN(auto symbols, server_->SymbolsForTask(id));
+  EXPECT_EQ(std::count_if(symbols.begin(), symbols.end(),
+                          [](const ImageSymbol& sym) {
+                            return sym.name == "add2" && sym.addr == kBase;
+                          }),
+            1);
+  server_->ReleaseTask(id);
+  kernel_.DestroyTask(id);
+  EXPECT_EQ(DrainToTerminal().phase, UpgradePhase::kDone);
   ASSERT_OK_AND_ASSIGN(int after, ExecOnce());
   EXPECT_EQ(after, 51);
 }
@@ -553,6 +633,7 @@ burn:
   server_->ReleaseTask(id);
   kernel_.DestroyTask(id);
   EXPECT_EQ(DrainToTerminal().phase, UpgradePhase::kDone);
+  ExpectNoUpgradeLeftovers();
 }
 
 // Physical frames return to baseline once upgraded tasks are destroyed:
@@ -596,12 +677,69 @@ TEST_F(UpgradeTest, CompletedUpgradesLeaveNoShadowPlacement) {
     EXPECT_EQ(code, kExits[i]);
     EXPECT_EQ(server_->placement_count(), baseline);
   }
-  std::string snapshot = server_->Snapshot();
-  for (size_t row = snapshot.find("\nplace "); row != std::string::npos;
-       row = snapshot.find("\nplace ", row + 1)) {
-    std::string line = snapshot.substr(row + 1, snapshot.find('\n', row + 1) - row - 1);
-    EXPECT_EQ(line.find("@v"), std::string::npos) << line;
+  ExpectNoUpgradeLeftovers();
+}
+
+// A task exec'd before the upgrade that makes its first lazy call only once
+// the upgrade is done binds the library's real path, now the new version,
+// and maps one copy of it.
+TEST_F(UpgradeTest, StragglerBindsTheNewVersionAfterDone) {
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/dynprog", {"prog"}));
+  ASSERT_OK(server_->BeginUpgrade("/lib/addlib", "(merge /obj/addlib4.o)"));
+  // The task maps neither version yet, so the upgrade waits for nothing.
+  ASSERT_EQ(DrainToTerminal().phase, UpgradePhase::kDone);
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, RunTaskById(id));
+  EXPECT_EQ(out.exit_code, 68);
+  EXPECT_EQ(SymbolCopies(id, "v4"), 1u);
+  server_->ReleaseTask(id);
+  kernel_.DestroyTask(id);
+  ExpectNoUpgradeLeftovers();
+}
+
+// A transferred task that binds a symbol it had not bound yet, after the
+// upgrade is done, binds it in the copy of the new version it maps.
+TEST_F(UpgradeTest, TransferredTaskBindsTheCopyItMapsAfterDone) {
+  // add2 binds early; mul3 only after a burn loop that outlasts the upgrade.
+  ASSERT_OK_AND_ASSIGN(ObjectFile client, Assemble(R"(
+.text
+.global main
+main:
+  push lr
+  movi r0, 5
+  call add2
+  movi r5, 200
+  movi r6, 0
+burn:
+  addi r5, r5, -1
+  bne r5, r6, burn
+  call mul3
+  pop lr
+  ret
+)", "lateclient.o"));
+  ASSERT_OK(server_->AddFragment("/obj/lateclient.o", std::move(client)));
+  ASSERT_OK(server_->DefineMeta("/bin/lateprog",
+                                "(merge /lib/crt0.o /obj/lateclient.o"
+                                " (specialize \"lib-dynamic\" /lib/addlib))"));
+
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/lateprog", {"prog"}));
+  Task* task = kernel_.FindTask(id);
+  ASSERT_NE(task, nullptr);
+  ASSERT_FALSE(kernel_.RunTask(*task, 60).ok());  // paused in the burn loop, add2 bound
+  ASSERT_OK(server_->BeginUpgrade("/lib/addlib", "(merge /obj/addlib4.o)"));
+  OmosServer::UpgradeStatus status = server_->DrainUpgrade();
+  for (int round = 0; round < 32 && status.phase == UpgradePhase::kLinking; ++round) {
+    status = server_->DrainUpgrade();
   }
+  ASSERT_EQ(status.phase, UpgradePhase::kDraining) << status.error;
+  ASSERT_FALSE(kernel_.RunTask(*task, 20).ok());  // transfers at its first safepoint
+  ASSERT_EQ(DrainToTerminal().phase, UpgradePhase::kDone);
+
+  ASSERT_OK(kernel_.RunTask(*task));
+  EXPECT_EQ(task->exit_code(), (5 + 2) * 4);  // v1's add2 ran before the transfer
+  EXPECT_EQ(SymbolCopies(id, "v4"), 1u);
+  server_->ReleaseTask(id);
+  kernel_.DestroyTask(id);
+  ExpectNoUpgradeLeftovers();
 }
 
 // ---- Upgrade-under-fire: FaultSim kill-points at each phase -----------------
@@ -632,6 +770,7 @@ TEST_F(UpgradeTest, KilledDuringRepointAbortsConsistently) {
   EXPECT_NE(status.error.find("upgrade.repoint"), std::string::npos) << status.error;
   server_->ReleaseTask(id);
   kernel_.DestroyTask(id);
+  ExpectNoUpgradeLeftovers();
   // The kill fired before any slot was rewritten: old version intact.
   ASSERT_OK_AND_ASSIGN(int code, ExecOnce());
   EXPECT_EQ(code, 21);
