@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <charconv>
+#include <cstddef>
 #include <cstdlib>
-#include <new>
+#include <cstring>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "src/isa/isa.h"
 #include "src/os/cpu.h"
@@ -28,7 +32,8 @@
 #endif
 
 // Every opcode in Opcode order (kCount excluded: DecodeInsn rejects it, and
-// the engine uses it as the block-ending sentinel).
+// the engine uses it as the sentinel that marks an undecodable word and the
+// page edge).
 #define OMOS_ENGINE_OPS(X)                                                                  \
   X(kHalt) X(kNop) X(kMovI) X(kMov) X(kLea) X(kLeaPc) X(kAdd) X(kSub) X(kMul) X(kDiv)     \
   X(kMod) X(kAnd) X(kOr) X(kXor) X(kShl) X(kShr) X(kAddI) X(kLd) X(kSt) X(kLdB) X(kStB)   \
@@ -41,8 +46,38 @@ namespace {
 
 constexpr uint32_t kInvalidPage = 0xFFFFFFFFu;
 
-// Block slots per text page: a block head is an 8-byte-aligned pc.
+// Instruction words per text page: a block head is an 8-byte-aligned pc.
 constexpr uint32_t kSlotsPerPage = kPageSize / kInsnSize;
+
+// A pc masked to its page base and its misalignment: equal to a page base
+// exactly when the pc is an aligned pc on that page.
+constexpr uint32_t kHeadMask = ~kPageMask | (kInsnSize - 1);
+// A page base no masked pc equals (its bits 3-11 are set).
+constexpr uint32_t kNoPage = kPageMask;
+
+// Whether `op` ends a block: control flow, or an exit.
+constexpr bool EndsBlock(Opcode op) {
+  switch (op) {
+    case Opcode::kBeq:
+    case Opcode::kBne:
+    case Opcode::kBlt:
+    case Opcode::kBge:
+    case Opcode::kBltu:
+    case Opcode::kBgeu:
+    case Opcode::kJmp:
+    case Opcode::kBr:
+    case Opcode::kJmpR:
+    case Opcode::kCall:
+    case Opcode::kCallPc:
+    case Opcode::kCallR:
+    case Opcode::kRet:
+    case Opcode::kSys:
+    case Opcode::kHalt:
+      return true;
+    default:
+      return false;
+  }
+}
 
 inline uint32_t Load32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
@@ -88,59 +123,46 @@ EngineMetrics& GetEngineMetrics() {
   return metrics;
 }
 
-// Predecoded instruction: DecodeInsn's output, flattened so the dispatch
-// loop touches one 8-byte record instead of re-parsing raw bytes.
-struct ExecEngine::DecodedInsn {
-  Opcode op;
-  uint8_t r1;
-  uint8_t r2;
-  uint8_t r3;
-  uint32_t imm;
-};
+// A page of valid words decodes by copy: an encoded word is its
+// Instruction's bytes on a little-endian host.
+static_assert(std::is_trivially_copyable_v<Instruction> && sizeof(Instruction) == kInsnSize &&
+                  offsetof(Instruction, op) == 0 && offsetof(Instruction, r1) == 1 &&
+                  offsetof(Instruction, r2) == 2 && offsetof(Instruction, r3) == 3 &&
+                  offsetof(Instruction, imm) == 4,
+              "Instruction has the encoding's layout");
+static_assert(std::endian::native == std::endian::little, "the immediate is little-endian");
 
-// A superblock: `size` consecutive instructions within one text page,
-// ending at the first control-flow instruction, the page edge, or the first
-// undecodable instruction, then a sentinel (Opcode::kCount) that falls
-// through to the next pc. The instructions are stored inline, after the
-// header. Immutable once published.
-struct alignas(8) ExecEngine::Block {
-  uint32_t size;
-
-  const DecodedInsn* insns() const { return reinterpret_cast<const DecodedInsn*>(this + 1); }
-
-  static const Block* Create(const DecodedInsn* run, uint32_t count) {
-    void* mem = ::operator new(sizeof(Block) + (count + 1) * sizeof(DecodedInsn));
-    auto* block = new (mem) Block{count};
-    auto* out = reinterpret_cast<DecodedInsn*>(block + 1);
-    for (uint32_t i = 0; i < count; ++i) {
-      new (out + i) DecodedInsn(run[i]);
-    }
-    new (out + count) DecodedInsn{Opcode::kCount, 0, 0, 0, 0};
-    return block;
-  }
-  static void Destroy(const Block* block) { ::operator delete(const_cast<Block*>(block)); }
-};
-
-// The blocks decoded from one text frame: a dense table indexed by page
-// offset / kInsnSize. A slot is filled once, by compare-and-swap, and never
-// cleared; the frame owns the table (PhysMemory deletes its attachment when
-// it frees the frame), so a block lives exactly as long as the bytes it was
-// decoded from.
-struct ExecEngine::FrameBlocks final : FrameAttachment {
-  explicit FrameBlocks(std::shared_ptr<std::atomic<size_t>> live) : live(std::move(live)) {}
-  ~FrameBlocks() override {
-    size_t freed = 0;
-    for (std::atomic<const Block*>& slot : slots) {
-      if (const Block* block = slot.load(std::memory_order_acquire)) {
-        Block::Destroy(block);
-        ++freed;
+// One text frame's instructions, decoded whole on the frame's first lookup.
+// Immutable once attached. The frame owns it (PhysMemory deletes its
+// attachment when it frees the frame), so a decoded page lives exactly as
+// long as the bytes it was decoded from.
+struct ExecEngine::DecodedPage final : FrameAttachment {
+  DecodedPage(const uint8_t* bytes, std::shared_ptr<std::atomic<size_t>> live_pages)
+      : live(std::move(live_pages)) {
+    std::memcpy(insns.data(), bytes, kPageSize);
+    insns[kSlotsPerPage] = Instruction{Opcode::kCount};
+    uint16_t next = 0;  // the run of the block headed one word further on
+    for (uint32_t i = kSlotsPerPage; i-- > 0;) {
+      if (!IsValidInsn(bytes + i * kInsnSize)) {
+        insns[i] = Instruction{Opcode::kCount};
+        next = 0;
+      } else {
+        next = EndsBlock(insns[i].op) ? 1 : static_cast<uint16_t>(next + 1);
       }
+      run[i] = next;
     }
-    live->fetch_sub(freed, std::memory_order_relaxed);
+    live->fetch_add(1, std::memory_order_relaxed);
   }
+  ~DecodedPage() override { live->fetch_sub(1, std::memory_order_relaxed); }
 
-  std::array<std::atomic<const Block*>, kSlotsPerPage> slots{};
-  // The engine's CachedBlocks() count; shared, because frames may outlive
+  // The page's words, each undecodable one replaced by the Opcode::kCount
+  // sentinel, then one more sentinel at the page edge.
+  std::array<Instruction, kSlotsPerPage + 1> insns;
+  // run[i]: the instructions a block headed at word i retires, through the
+  // first control-flow instruction or up to the first sentinel; 0 at an
+  // undecodable word.
+  std::array<uint16_t, kSlotsPerPage> run;
+  // The engine's DecodedPages() count; shared, because frames may outlive
   // the engine.
   std::shared_ptr<std::atomic<size_t>> live;
 };
@@ -165,11 +187,11 @@ struct ExecEngine::TaskCache final : TaskAttachment {
     uint32_t write = kInvalidPage;
     uint8_t* data = nullptr;  // frame bytes
   };
-  // A text page's frame block table.
+  // A text page's decoded frame.
   struct PageEntry {
     uint32_t page = kInvalidPage;
     bool touched = false;  // first-touch billing done since this fill
-    FrameBlocks* blocks = nullptr;
+    const DecodedPage* decoded = nullptr;
   };
   std::array<TlbEntry, kTlbEntries> tlb{};
   std::array<PageEntry, kPageEntries> pages{};
@@ -177,7 +199,6 @@ struct ExecEngine::TaskCache final : TaskAttachment {
   // The map epoch both tables were filled under.
   uint64_t epoch = 0;
   // engine.* counts from the slow paths; Run adds its own and flushes both.
-  uint64_t block_hits = 0;
   uint64_t slow_lookups = 0;
   uint64_t tlb_hits = 0;
   uint64_t tlb_misses = 0;
@@ -307,14 +328,10 @@ ExecEngine::ExecEngine(Kernel& kernel) : kernel_(kernel) {}
 
 ExecEngine::~ExecEngine() = default;
 
-size_t ExecEngine::CachedBlocks() const { return live_blocks_->load(std::memory_order_relaxed); }
+size_t ExecEngine::DecodedPages() const { return live_pages_->load(std::memory_order_relaxed); }
 
-Result<const ExecEngine::Block*> ExecEngine::LookupSlow(Task& task, TaskCache& st, uint32_t pc) {
-  if (pc % kInsnSize != 0) {
-    // Blocks are indexed by offset / 8; single-step an unaligned pc (its
-    // fetch may also cross the page).
-    return static_cast<const Block*>(nullptr);
-  }
+Result<const ExecEngine::DecodedPage*> ExecEngine::LookupSlow(Task& task, TaskCache& st,
+                                                              uint32_t pc, bool* decoded) {
   AddressSpace& space = task.space();
   AddressSpace::PageLookup pl;
   if (!space.LookupPage(pc, &pl) || !pl.present || (pl.prot & kProtExec) == 0) {
@@ -326,93 +343,36 @@ Result<const ExecEngine::Block*> ExecEngine::LookupSlow(Task& task, TaskCache& s
     // The fetch resolved a fault (and bumped the map epoch); re-probe.
     st.Sync(space);
     if (!space.LookupPage(pc, &pl) || !pl.present) {
-      return static_cast<const Block*>(nullptr);
+      return static_cast<const DecodedPage*>(nullptr);
     }
   }
   if ((pl.prot & kProtWrite) != 0) {
-    // Writable text can change under a cached block; never cache it.
-    return static_cast<const Block*>(nullptr);
+    // Writable text can change under a decoded page; never cache it.
+    return static_cast<const DecodedPage*>(nullptr);
   }
 
-  // The shared table is the frame's own: two tasks mapping the same image
+  // The decoded page is the frame's own: two tasks mapping the same image
   // frames share one decode.
   ++st.slow_lookups;
   PhysMemory& phys = kernel_.phys();
-  auto* frame = static_cast<FrameBlocks*>(phys.Attachment(pl.frame));
-  if (frame == nullptr) {
-    frame = static_cast<FrameBlocks*>(
-        phys.Attach(pl.frame, std::make_unique<FrameBlocks>(live_blocks_)));
-  }
-  TaskCache::PageEntry& entry = st.ClaimPage(pc / kPageSize);
-  entry.blocks = frame;
-  uint32_t offset = pc & kPageMask;
-  std::atomic<const Block*>& slot = frame->slots[offset / kInsnSize];
-  if (const Block* block = slot.load(std::memory_order_acquire)) {
-    ++st.block_hits;
-    return block;
-  }
-
-  TraceSpan span("engine.decode");
-  // Decoded into a page-sized scratch run first, so the block is allocated
-  // once, at its final size.
-  DecodedInsn run[kSlotsPerPage];
-  uint32_t count = 0;
-  for (uint32_t off = offset; off + kInsnSize <= kPageSize; off += kInsnSize) {
-    Result<Instruction> insn = DecodeInsn(pl.data + off);
-    if (!insn.ok()) {
-      if (count == 0) {
-        // The faulting instruction is the block head: surface DecodeInsn's
-        // error exactly as CpuStep would.
-        return insn.error();
-      }
-      break;  // end the block before the undecodable instruction
+  auto* page = static_cast<const DecodedPage*>(phys.Attachment(pl.frame));
+  if (page == nullptr) {
+    TraceSpan span("engine.decode");
+    if (span.armed()) {
+      // Hex32(page base), formatted in place.
+      static_assert(kTraceDetailBytes >= 10);
+      char* begin = span.detail_buffer().data();
+      span.set_detail_size(static_cast<size_t>(WriteHex32(begin, pc & ~kPageMask) - begin));
     }
-    run[count++] = DecodedInsn{insn->op, insn->r1, insn->r2, insn->r3, insn->imm};
-    switch (insn->op) {
-      case Opcode::kBeq:
-      case Opcode::kBne:
-      case Opcode::kBlt:
-      case Opcode::kBge:
-      case Opcode::kBltu:
-      case Opcode::kBgeu:
-      case Opcode::kJmp:
-      case Opcode::kBr:
-      case Opcode::kJmpR:
-      case Opcode::kCall:
-      case Opcode::kCallPc:
-      case Opcode::kCallR:
-      case Opcode::kRet:
-      case Opcode::kSys:
-      case Opcode::kHalt:
-        off = kPageSize;  // control flow (or exit) ends the block
-        break;
-      default:
-        break;
-    }
+    GetEngineMetrics().blocks_decoded->Add(1);
+    *decoded = true;
+    // A racing decode of the same frame may win; both are identical, so the
+    // loser's copy is freed and the winner's runs.
+    page = static_cast<const DecodedPage*>(
+        phys.Attach(pl.frame, std::make_unique<DecodedPage>(pl.data, live_pages_)));
   }
-  if (span.armed()) {
-    // StrCat(Hex32(pc), " ", count, " insns"), formatted in place: at most
-    // 10 + 1 + 3 + 6 bytes, as a block holds at most 512 instructions.
-    static_assert(kTraceDetailBytes >= 20 && kSlotsPerPage < 1000);
-    char* begin = span.detail_buffer().data();
-    char* out = WriteHex32(begin, pc);
-    *out++ = ' ';
-    out = std::to_chars(out, out + 3, count).ptr;
-    constexpr std::string_view kSuffix = " insns";
-    out = std::copy(kSuffix.begin(), kSuffix.end(), out);
-    span.set_detail_size(static_cast<size_t>(out - begin));
-  }
-  GetEngineMetrics().blocks_decoded->Add(1);
-  const Block* built = Block::Create(run, count);
-  // A racing decode of the same block may have won; both are identical, so
-  // the loser frees its copy and runs the winner's.
-  const Block* winner = nullptr;
-  if (slot.compare_exchange_strong(winner, built, std::memory_order_acq_rel)) {
-    live_blocks_->fetch_add(1, std::memory_order_relaxed);
-    return built;
-  }
-  Block::Destroy(built);
-  return winner;
+  st.ClaimPage(pc / kPageSize).decoded = page;
+  return page;
 }
 
 Result<void> ExecEngine::Run(Task& task, uint64_t budget, uint64_t* executed) {
@@ -438,16 +398,34 @@ Result<void> ExecEngine::Run(Task& task, uint64_t budget, uint64_t* executed) {
   uint64_t tlb_hits = 0;
   uint32_t pc = task.pc();  // the next pc; the task's copy is stored at exits and slow paths
 
-  // The executing instruction's record. A record is as long as the
-  // instruction it was decoded from, so its pc is its address plus the
-  // running block's `bias` (head pc minus head address, mod 2^32).
-  static_assert(sizeof(DecodedInsn) == kInsnSize, "a record's address steps like its pc");
-  const DecodedInsn* d = nullptr;
-  uint32_t bias = 0;
+  // The chain: the decoded page the running block lies in (`cur`) and the
+  // one it came from (`prev`), each with the virtual page base it runs at.
+  // Both were found under map epoch `chain_epoch`; a next pc that is
+  // aligned and on either enters with no table lookup while it holds.
+  struct ChainPage {
+    ChainPage() = default;
+    ChainPage(uint32_t page_base, const DecodedPage* page)
+        : base(page_base),
+          bias(page_base - static_cast<uint32_t>(reinterpret_cast<uintptr_t>(page->insns.data()))),
+          decoded(page) {}
+
+    uint32_t base = kNoPage;
+    uint32_t bias = 0;  // a record's pc minus its address, for every record on the page
+    const DecodedPage* decoded = nullptr;
+  };
+  ChainPage cur;
+  ChainPage prev;
+  uint64_t chain_epoch = 0;
+
+  // The executing instruction's record, on the chain's current page. A
+  // record is as long as the instruction it was decoded from, so its pc is
+  // its address plus the page's `bias`.
+  static_assert(sizeof(Instruction) == kInsnSize, "a record's address steps like its pc");
+  const Instruction* d = nullptr;
 
   auto r = [&](uint8_t i) { return task.reg(i); };
   auto w = [&](uint8_t i, uint32_t v) { task.set_reg(i, v); };
-  auto insn_pc = [&] { return bias + static_cast<uint32_t>(reinterpret_cast<uintptr_t>(d)); };
+  auto insn_pc = [&] { return cur.bias + static_cast<uint32_t>(reinterpret_cast<uintptr_t>(d)); };
   auto next = [&] { return insn_pc() + kInsnSize; };
   auto commit = [&] {
     if (billed != left) {
@@ -497,66 +475,102 @@ L_block:
   if (left == 0 || task.safepoint_pending()) {
     goto L_stop;
   }
-  st.Sync(space);
+  if ((pc & kHeadMask) != cur.base || space.map_epoch() != chain_epoch) {
+    if ((pc & kHeadMask) != prev.base || space.map_epoch() != chain_epoch) {
+      goto L_lookup;
+    }
+    std::swap(cur, prev);
+  }
+L_enter:
+  // `pc` is aligned and on the chain's current page.
   {
-    uint32_t page = pc / kPageSize;
-    TaskCache::PageEntry* pe = st.FindPage(page);
-    const Block* block = nullptr;
-    if (pe != nullptr && pc % kInsnSize == 0) {
-      block = pe->blocks->slots[(pc & kPageMask) / kInsnSize].load(std::memory_order_acquire);
+    const uint32_t slot = (pc & kPageMask) / kInsnSize;
+    const uint32_t run = cur.decoded->run[slot];
+    if (run == 0) {
+      // An undecodable word heads the block: CpuStep raises DecodeInsn's
+      // error, before the word retires or bills its page.
+      goto L_step;
     }
-    if (block != nullptr) {
-      ++block_hits;
-    } else {
-      task.set_pc(pc);
-      Result<const Block*> found = LookupSlow(task, st, pc);
-      if (!found.ok()) {
-        result = found.error();
-        goto L_exit;
-      }
-      block = *found;
-      if (block == nullptr) {
-        // Uncacheable pc (unaligned, writable or still-absent text):
-        // single-step the legacy way.
-        commit();
-        result = CpuStep(kernel_, task);
-        if (!result.ok()) {
-          goto L_exit;
-        }
-        --left;
-        --billed;  // CpuStep counted it
-        if (task.state() != TaskState::kRunnable) {
-          goto L_exit;
-        }
-        pc = task.pc();
-        goto L_block;
-      }
-      pe = st.FindPage(page);
-    }
-    // First-touch accounting for the block's text page. CpuStep checks this
-    // per instruction, but a block never crosses a page and the budget check
-    // above guarantees its first instruction runs, so one check per
-    // page-table fill bills identically.
-    if (!pe->touched) {
-      pe->touched = true;
-      if (task.TouchTextPage(page)) {
-        task.BillSys(first_touch_cost);
-      }
-    }
-    d = block->insns();
-    bias = pc - static_cast<uint32_t>(reinterpret_cast<uintptr_t>(d));
+    ++block_hits;
+    d = &cur.decoded->insns[slot];
     // With the profiler off and the whole block inside the remaining budget,
     // no boundary in it can stop or sample: run it unchecked and retire its
     // instructions now (a mid-block fault takes back the rest).
-    if (CycleProfiler::enabled() || left < block->size) {
+    if (CycleProfiler::enabled() || left < run) {
       commit();
       OMOS_SET_CHECKED(true);
     } else {
-      left -= block->size;
+      left -= run;
       OMOS_SET_CHECKED(false);
     }
     OMOS_DISPATCH();
   }
+
+L_lookup:
+  // `pc` is on neither chained page, or the map changed: find its page
+  // through the page table, and chain it.
+  {
+    if (pc % kInsnSize != 0) {
+      // No block starts at an unaligned pc (its fetch may also cross the
+      // page): single-step it.
+      goto L_step;
+    }
+    st.Sync(space);
+    TaskCache::PageEntry* pe = st.FindPage(pc / kPageSize);
+    bool decoded = false;
+    if (pe == nullptr) {
+      task.set_pc(pc);
+      Result<const DecodedPage*> found = LookupSlow(task, st, pc, &decoded);
+      if (!found.ok()) {
+        result = found.error();
+        goto L_exit;
+      }
+      if (*found == nullptr) {
+        goto L_step;
+      }
+      pe = st.FindPage(pc / kPageSize);
+    }
+    if (pe->decoded->run[(pc & kPageMask) / kInsnSize] == 0) {
+      goto L_step;  // before the first-touch bill, as CpuStep faults before it
+    }
+    // First-touch accounting for the block's text page. CpuStep checks this
+    // per instruction, but a block never crosses a page and the budget check
+    // above guarantees its first instruction runs, so one check per
+    // page-table fill bills identically; a chained page was billed when it
+    // was found here.
+    if (!pe->touched) {
+      pe->touched = true;
+      if (task.TouchTextPage(pc / kPageSize)) {
+        task.BillSys(first_touch_cost);
+      }
+    }
+    // The page it displaces stays chained only if no map change has
+    // happened since it was found.
+    prev = chain_epoch == space.map_epoch() ? cur : ChainPage{};
+    cur = ChainPage{pc & ~kPageMask, pe->decoded};
+    chain_epoch = space.map_epoch();
+    if (decoded) {
+      --block_hits;  // L_enter counts a hit; this entry decoded its page
+    }
+    goto L_enter;
+  }
+
+L_step:
+  // An uncacheable pc (unaligned, writable or still-absent text) or an
+  // undecodable word: single-step the legacy way.
+  task.set_pc(pc);
+  commit();
+  result = CpuStep(kernel_, task);
+  if (!result.ok()) {
+    goto L_exit;
+  }
+  --left;
+  --billed;  // CpuStep counted it
+  if (task.state() != TaskState::kRunnable) {
+    goto L_exit;
+  }
+  pc = task.pc();
+  goto L_block;
 
 L_checked:
   // Per-instruction prologue, replicating CpuStep's exact order: budget stop
@@ -591,7 +605,7 @@ L_execute:
 #endif
 
 L_kEnd:
-  // The block ran off its end (page edge or an undecodable instruction).
+  // The block ran into a sentinel (the page edge or an undecodable word).
   pc = insn_pc();
   goto L_block;
 L_kHalt:
@@ -813,10 +827,10 @@ L_kSys:
 
 L_fault:
   if (!OMOS_IS_CHECKED()) {
-    // The block retired whole at entry; take back what it did not run.
-    for (const DecodedInsn* rest = d + 1; rest->op != Opcode::kCount; ++rest) {
-      ++left;
-    }
+    // The block retired whole at entry; take back what it did not run. It
+    // lies in the chain's current page, where *d heads the run of itself
+    // and the rest.
+    left += cur.decoded->run[static_cast<size_t>(d - cur.decoded->insns.data())] - 1u;
   }
   pc = next();
 L_stop:
@@ -831,11 +845,11 @@ L_exit:
         counter->Add(n);
       }
     };
-    add(metrics.block_hits, block_hits + st.block_hits);
+    add(metrics.block_hits, block_hits);
     add(metrics.tlb_hits, tlb_hits + st.tlb_hits);
     add(metrics.tlb_misses, st.tlb_misses);
     add(metrics.l1_misses, st.slow_lookups);
-    st.block_hits = st.slow_lookups = st.tlb_hits = st.tlb_misses = 0;
+    st.slow_lookups = st.tlb_hits = st.tlb_misses = 0;
   }
   return result;
 

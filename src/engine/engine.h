@@ -9,46 +9,54 @@
 //
 // One lookup design finds a block:
 //
-//   - Shared block tables: predecoded superblocks hang off the *physical*
-//     text frame they were decoded from (a PhysMemory frame attachment). A
-//     frame's table is a dense array of atomic block pointers indexed by
-//     page offset / 8, filled by compare-and-swap: a racing decode that
-//     loses frees its copy, and a reader needs no lock. Frame identity is
-//     the natural analog of "(image fingerprint, page)" — two tasks that
-//     MapShared the same SegmentImage map the same frames and therefore
-//     share decoded blocks. A block lives and dies with its frame:
-//     PhysMemory deletes the table when it frees the frame, so a recycled
-//     frame starts with none, a rebuilt image (new frames) can never hit a
-//     stale block, and an image that survives a library redefinition keeps
-//     its blocks. Nothing is flushed and nothing is capped: decoded memory
-//     is bounded by live text (4 KiB of table per text frame with blocks).
+//   - Decoded pages: a text frame is decoded whole, in one pass, on its
+//     first lookup, and the decoded page hangs off the *physical* frame (a
+//     PhysMemory frame attachment). An encoded word already has an
+//     Instruction's layout, so the pass copies the page, turns each word
+//     that does not decode into the Opcode::kCount sentinel, and puts one
+//     more sentinel at the page edge. Attaching is a compare-and-swap: a
+//     racing decode that loses frees its copy, and a reader needs no lock.
+//     Frame identity is the natural analog of "(image fingerprint, page)" —
+//     two tasks that MapShared the same SegmentImage map the same frames
+//     and therefore share one decode. A decoded page lives and dies with
+//     its frame: PhysMemory deletes it when it frees the frame, so a
+//     recycled frame starts with none, a rebuilt image (new frames) can
+//     never hit a stale decode, and an image that survives a library
+//     redefinition keeps its. Nothing is flushed and nothing is capped:
+//     decoded memory is bounded by live text (~5 KiB per decoded frame).
 //
-//   - A per-task page table maps a virtual text page to its frame's block
-//     table, plus a small software TLB in front of data loads/stores. Both
-//     are tagged with AddressSpace::map_epoch() and flushed on mismatch —
-//     map changes and CoW breaks cost one compare per block entry, not a
-//     callback web. A page-table entry also carries the page's first-touch
-//     bit, so the text page-fault bill is settled once per fill instead of
-//     searching the task's touched pages on every page change. Raw
-//     pointers need no pin: an entry points only into frames its own task
-//     maps, and unmapping one bumps that task's map epoch before the task's
-//     next lookup. A block that unmaps its own text (`sys omos_unload` on
-//     itself) ends at the syscall and is not touched after it. Both tables
-//     are the task's own attachment (a TaskAttachment): Run makes them on
-//     the task's first entry, finds them with one pointer load on every
-//     later one, and they die with the task, so the engine keeps no task
-//     table and takes no lock to reach them.
+//   - A per-task page table maps a virtual text page to its frame's
+//     decoded page, plus a small software TLB in front of data
+//     loads/stores. Both are tagged with AddressSpace::map_epoch() and
+//     flushed on mismatch — map changes and CoW breaks cost one compare per
+//     lookup, not a callback web. A page-table entry also carries the
+//     page's first-touch bit, so the text page-fault bill is settled once
+//     per fill instead of searching the task's touched pages on every page
+//     change. Raw pointers need no pin: an entry points only into frames
+//     its own task maps, and unmapping one bumps that task's map epoch
+//     before the task's next lookup. A block that unmaps its own text
+//     (`sys omos_unload` on itself) ends at the syscall and is not touched
+//     after it. Both tables are the task's own attachment (a
+//     TaskAttachment): Run makes them on the task's first entry, finds them
+//     with one pointer load on every later one, and they die with the task,
+//     so the engine keeps no task table and takes no lock to reach them.
 //
-// A block is a run of instructions within one text page ending at the first
-// control-flow instruction (branch, jump, call, ret, sys, halt), the page
-// edge, or an undecodable instruction, followed by a sentinel that falls
-// through to the next pc. Blocks chain: a block-ending branch, jump, call
-// or return (or the sentinel) looks up its successor in the page table and
-// jumps straight into it. Control returns to the caller only on a syscall,
-// halt or fault, at the end of the budget or a pending safepoint, or when
-// the successor misses the page table or its block table (the slow path
-// fills both). A pc that is not 8-byte aligned single-steps through
-// CpuStep, as does writable text (never cached).
+// A block is a position in a decoded page: the run of instructions from an
+// aligned pc to the first control-flow instruction (branch, jump, call,
+// ret, sys, halt), or up to the first sentinel (the page edge or an
+// undecodable word), which falls through to the next pc. The pass records
+// each position's run length, so a block costs no allocation and no decode
+// of its own. Blocks chain: a block-ending branch, jump, call or return (or
+// a sentinel) computes the next pc and jumps straight into its block. A
+// next pc that is aligned and on the running block's page or on the page it
+// came from, with the map epoch unchanged since that page was found, enters
+// with no table lookup; any other goes through the page table. Control
+// returns to the caller only on a syscall, halt or fault, at the end of the
+// budget or a pending safepoint, or when the successor misses the page
+// table (the slow path fills it, decoding the frame on its first visit). A
+// pc that is not 8-byte aligned, an undecodable word and writable text
+// (never cached) single-step through CpuStep, which raises DecodeInsn's
+// error for the undecodable word.
 //
 // Executing a block replicates CpuStep's per-instruction order exactly —
 // CountInstruction, profiler sample at the pre-execution pc, first-touch
@@ -89,16 +97,16 @@ EngineMode DefaultEngineMode();
 
 // engine.* counters (stable registry pointers, looked up once).
 struct EngineMetrics {
-  class Counter* blocks_decoded;  // engine.blocks_decoded
+  class Counter* blocks_decoded;  // engine.blocks_decoded (text pages decoded)
   class Counter* block_hits;      // engine.block_hits (block entries that decoded nothing)
-  class Counter* l1_misses;       // engine.l1_misses (slow lookups: page-table fills, decodes)
+  class Counter* l1_misses;       // engine.l1_misses (slow lookups: page-table fills)
   class Counter* tlb_hits;        // engine.tlb_hits
   class Counter* tlb_misses;      // engine.tlb_misses (slow-path accesses)
 };
 EngineMetrics& GetEngineMetrics();
 
-// One engine per Kernel: it attaches blocks to the frames of that kernel's
-// PhysMemory, and is that memory's only attachment user.
+// One engine per Kernel: it attaches decoded pages to the frames of that
+// kernel's PhysMemory, and is that memory's only attachment user.
 class ExecEngine {
  public:
   explicit ExecEngine(Kernel& kernel);
@@ -113,27 +121,26 @@ class ExecEngine {
   // un-Faulted, like CpuStep: the caller owns task.Fault().
   Result<void> Run(Task& task, uint64_t budget, uint64_t* executed);
 
-  // Introspection (tests): blocks alive on this kernel's frames.
-  size_t CachedBlocks() const;
+  // Introspection (tests): decoded pages alive on this kernel's frames.
+  size_t DecodedPages() const;
 
  private:
-  struct DecodedInsn;
-  struct Block;
-  struct FrameBlocks;
+  struct DecodedPage;
   // Named TaskCache, not TaskState: the os layer already uses TaskState for
   // the run-state enum and these methods see both scopes.
   struct TaskCache;
 
-  // The slow path of a block lookup: fill the page-table entry for `pc`'s
-  // page, then find or decode the block at `pc`. Returns nullptr (ok) when
-  // the pc is not cacheable (unaligned, writable text) and the caller
-  // should single-step; returns the error FetchBytes/DecodeInsn would raise
-  // so the fault surfaces exactly once, with the legacy message.
-  Result<const Block*> LookupSlow(Task& task, TaskCache& st, uint32_t pc);
+  // The slow path of a page lookup: fill the page-table entry for the
+  // aligned `pc`'s page with its frame's decoded page, decoding the frame
+  // on its first visit (`*decoded` is then set). Returns the decoded page,
+  // or nullptr (ok) when the text is not cacheable (writable, or still
+  // absent) and the caller should single-step; returns the error FetchBytes
+  // would raise so the fault surfaces exactly once, with the legacy message.
+  Result<const DecodedPage*> LookupSlow(Task& task, TaskCache& st, uint32_t pc, bool* decoded);
 
   Kernel& kernel_;
 
-  std::shared_ptr<std::atomic<size_t>> live_blocks_ = std::make_shared<std::atomic<size_t>>(0);
+  std::shared_ptr<std::atomic<size_t>> live_pages_ = std::make_shared<std::atomic<size_t>>(0);
 };
 
 }  // namespace omos

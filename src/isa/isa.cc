@@ -101,17 +101,17 @@ void EncodeInsn(const Instruction& insn, uint8_t* out) {
 }
 
 Result<Instruction> DecodeInsn(const uint8_t* bytes) {
-  Instruction insn;
-  if (bytes[0] >= static_cast<uint8_t>(Opcode::kCount)) {
-    return Err(ErrorCode::kExecFault, StrCat("illegal opcode ", static_cast<int>(bytes[0])));
+  if (!IsValidInsn(bytes)) {
+    if (!IsValidOpcode(bytes[0])) {
+      return Err(ErrorCode::kExecFault, StrCat("illegal opcode ", static_cast<int>(bytes[0])));
+    }
+    return Err(ErrorCode::kExecFault, "register index out of range");
   }
+  Instruction insn;
   insn.op = static_cast<Opcode>(bytes[0]);
   insn.r1 = bytes[1];
   insn.r2 = bytes[2];
   insn.r3 = bytes[3];
-  if (insn.r1 >= kNumRegisters || insn.r2 >= kNumRegisters || insn.r3 >= kNumRegisters) {
-    return Err(ErrorCode::kExecFault, "register index out of range");
-  }
   insn.imm = static_cast<uint32_t>(bytes[4]) | static_cast<uint32_t>(bytes[5]) << 8 |
              static_cast<uint32_t>(bytes[6]) << 16 | static_cast<uint32_t>(bytes[7]) << 24;
   return insn;

@@ -88,7 +88,18 @@ struct Instruction {
 
 // Serialize into 8 bytes at `out` (caller guarantees space).
 void EncodeInsn(const Instruction& insn, uint8_t* out);
-// Decode 8 bytes; fails on out-of-range opcode or register.
+
+// The one validity rule for an encoded word: its opcode is below kCount
+// and each of its registers below kNumRegisters. DecodeInsn fails exactly
+// on the words it rejects, and the execution engine's page decode
+// (src/engine/) marks exactly those as undecodable.
+inline bool IsValidOpcode(uint8_t op) { return op < static_cast<uint8_t>(Opcode::kCount); }
+inline bool IsValidInsn(const uint8_t* bytes) {
+  return IsValidOpcode(bytes[0]) && bytes[1] < kNumRegisters && bytes[2] < kNumRegisters &&
+         bytes[3] < kNumRegisters;
+}
+
+// Decode 8 bytes; fails on a word IsValidInsn rejects.
 Result<Instruction> DecodeInsn(const uint8_t* bytes);
 
 // "call 0x00001040" style rendering for debugging and the OFE tool.

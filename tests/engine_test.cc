@@ -5,16 +5,17 @@
 // profiler sample stream — to be byte-identical; the fault sweeps prove
 // mid-block CoW/demand-zero faults leave precise state; the chain tests
 // check that blocks chained without returning to the run loop still stop
-// exactly at the budget and at a safepoint, and agree on unaligned and
-// cross-page control flow; the wide-hot-set tests check that the per-task
-// page table holds a few hundred blocks over many text pages, stays exact
-// when pages share a slot or overflow the table, and that a task never runs
-// code through another task's caches; the retirement and
-// concurrency tests (TSan-covered) prove that decoded blocks live and die
-// with their frames: freed text takes its blocks along, a redefinition or
-// live upgrade costs only the re-decode of the text it replaced, racing
-// decodes of one block leave one copy, and neither stale code nor a freed
-// block is ever executed.
+// exactly at the budget and at a safepoint, agree on unaligned and
+// cross-page control flow and on undecodable words, and never enter code a
+// remap replaced; the wide-hot-set tests check that the per-task page table
+// holds a few hundred blocks over many text pages, stays exact when pages
+// share a slot or overflow the table, and that a task never runs code
+// through another task's caches; the retirement and concurrency tests
+// (TSan-covered) prove that decoded pages live and die with their frames:
+// freed text takes its decoded pages along, a redefinition or live upgrade
+// costs only the re-decode of the text it replaced, racing decodes of one
+// frame leave one copy, and neither stale code nor a freed page is ever
+// executed.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -599,6 +600,206 @@ q3:
   EXPECT_EQ(blocks.sys_cycles, interp.sys_cycles);
 }
 
+// ---- The chain's guard ------------------------------------------------------
+
+constexpr uint32_t kPageW = 0x00010000;
+constexpr uint32_t kPageX = 0x00020000;
+constexpr uint32_t kPageD = 0x00030000;  // demand-zero data
+
+// A task running hand-encoded text pages, each mapped shared from an image
+// the world keeps. A frame a remap unmaps therefore stays alive with its
+// decoded page, so an engine that missed the remap would run the old code
+// (a wrong answer), not freed memory.
+struct PageWorld {
+  EngineWorld engine;
+  std::vector<std::unique_ptr<SegmentImage>> images;
+
+  // A one-page image holding `code` from its first word.
+  Result<const SegmentImage*> Image(const std::vector<Instruction>& code) {
+    std::vector<uint8_t> bytes(kPageSize, 0);
+    for (size_t i = 0; i < code.size(); ++i) {
+      EncodeInsn(code[i], bytes.data() + i * kInsnSize);
+    }
+    OMOS_TRY(SegmentImage image, SegmentImage::Create(engine.kernel->phys(), bytes));
+    images.push_back(std::make_unique<SegmentImage>(std::move(image)));
+    return images.back().get();
+  }
+  Result<void> Map(uint32_t base, const SegmentImage& image) {
+    return engine.kernel->MapShared(*engine.task, base, image, kProtRead | kProtExec,
+                                    Hex32(base));
+  }
+  // Different code at the same virtual page.
+  Result<void> Remap(uint32_t base, const SegmentImage& image) {
+    OMOS_TRY_VOID(engine.task->space().Unmap(base));
+    return Map(base, image);
+  }
+  Result<void> Start(uint32_t entry) {
+    std::vector<std::string> args{"pages"};
+    return StartTask(*engine.kernel, *engine.task, entry, args);
+  }
+};
+
+PageWorld MakePageWorld(EngineMode mode) {
+  PageWorld pw;
+  pw.engine.kernel = std::make_unique<Kernel>();
+  pw.engine.kernel->SetEngineMode(mode);
+  pw.engine.task = &pw.engine.kernel->CreateTask("pages");
+  return pw;
+}
+
+Instruction Op(Opcode op, uint8_t r1 = 0, uint8_t r2 = 0, uint32_t imm = 0) {
+  return Instruction{op, r1, r2, 0, imm};
+}
+
+// Branch displacement from the word at `from` to the word at `to` (word
+// indices on one page): relative to the next instruction.
+uint32_t Disp(int from, int to) {
+  return static_cast<uint32_t>((to - from - 1) * static_cast<int>(kInsnSize));
+}
+
+TEST(EngineChain, RemapInASyscallHookRunsTheNewCode) {
+  // W calls X three times. On the first call X's `sys 41` unmaps X and maps
+  // different code at the same virtual page; X then branches within that
+  // page and returns to W. Only the new code may run after the syscall:
+  // each call adds 1 + 20 (the old code adds 1 + 10).
+  const std::vector<Instruction> w = {
+      Op(Opcode::kMovI, 4), Op(Opcode::kMovI, 5, 0, 3),
+      Op(Opcode::kMovI, 1, 0, kPageX),  // 2: loop
+      Op(Opcode::kCallR, 1), Op(Opcode::kAddI, 4, 4, 1),
+      Op(Opcode::kBlt, 4, 5, Disp(5, 2)), Op(Opcode::kMov, 0, 6), Op(Opcode::kSys),
+  };
+  const std::vector<Instruction> x1 = {
+      Op(Opcode::kAddI, 6, 6, 1), Op(Opcode::kSys, 0, 0, 41),
+      Op(Opcode::kBr, 0, 0, Disp(2, 4)),  Op(Opcode::kAddI, 6, 6, 1000),
+      Op(Opcode::kAddI, 6, 6, 10),        Op(Opcode::kRet),
+  };
+  std::vector<Instruction> x2 = x1;
+  x2[4].imm = 20;
+  std::vector<Observed> runs;
+  for (EngineMode mode : {EngineMode::kInterp, EngineMode::kBlocks}) {
+    PageWorld pw = MakePageWorld(mode);
+    ASSERT_OK_AND_ASSIGN(const SegmentImage* w_image, pw.Image(w));
+    ASSERT_OK_AND_ASSIGN(const SegmentImage* x1_image, pw.Image(x1));
+    ASSERT_OK_AND_ASSIGN(const SegmentImage* x2_image, pw.Image(x2));
+    ASSERT_OK(pw.Map(kPageW, *w_image));
+    ASSERT_OK(pw.Map(kPageX, *x1_image));
+    ASSERT_OK(pw.Start(kPageW));
+    bool remapped = false;
+    pw.engine.kernel->SetSysHook(41, [&](Kernel&, Task&) -> Result<void> {
+      if (remapped) {
+        return OkResult();
+      }
+      remapped = true;
+      return pw.Remap(kPageX, *x2_image);
+    });
+    Result<void> run = pw.engine.kernel->RunTask(*pw.engine.task);
+    runs.push_back(Capture(pw.engine, run));
+    EXPECT_TRUE(remapped);
+  }
+  ExpectSame(runs[0], runs[1], "remap in a syscall hook");
+  EXPECT_EQ(runs[1].state, static_cast<int>(TaskState::kExited));
+  EXPECT_EQ(runs[1].exit_code, 3 * 21);
+}
+
+TEST(EngineChain, RemapInAFaultMidChainRunsTheNewCode) {
+  // The remap happens inside a run of chained blocks, not at a syscall: on
+  // the first call, X's store faults in the data page, and the fault
+  // handler maps new code at both W and X. X then branches within its page
+  // (the chain's current page) and returns to W (the page it came from).
+  // Both chain entries predate the remap, so only the map-epoch check keeps
+  // them from entering the old code: each call must add 2 + 200 (the old
+  // code adds 1 + 100).
+  const std::vector<Instruction> w1 = {
+      Op(Opcode::kMovI, 4), Op(Opcode::kMovI, 5, 0, 3), Op(Opcode::kMovI, 9, 0, kPageD),
+      Op(Opcode::kMovI, 1, 0, kPageX),  // 3: loop
+      Op(Opcode::kCallR, 1),
+      Op(Opcode::kAddI, 6, 6, 100),  // 5: the return site
+      Op(Opcode::kAddI, 4, 4, 1),       Op(Opcode::kBlt, 4, 5, Disp(7, 3)),
+      Op(Opcode::kMov, 0, 6),           Op(Opcode::kSys),
+  };
+  const std::vector<Instruction> x1 = {
+      Op(Opcode::kSt, 4, 9),  // faults in the data page on the first call
+      Op(Opcode::kBr, 0, 0, Disp(1, 3)), Op(Opcode::kAddI, 6, 6, 1000),
+      Op(Opcode::kAddI, 6, 6, 1),        Op(Opcode::kRet),
+  };
+  std::vector<Instruction> w2 = w1;
+  w2[5].imm = 200;
+  std::vector<Instruction> x2 = x1;
+  x2[3].imm = 2;
+  std::vector<Observed> runs;
+  for (EngineMode mode : {EngineMode::kInterp, EngineMode::kBlocks}) {
+    PageWorld pw = MakePageWorld(mode);
+    Kernel& kernel = *pw.engine.kernel;
+    Task& task = *pw.engine.task;
+    ASSERT_OK_AND_ASSIGN(const SegmentImage* w1_image, pw.Image(w1));
+    ASSERT_OK_AND_ASSIGN(const SegmentImage* x1_image, pw.Image(x1));
+    ASSERT_OK_AND_ASSIGN(const SegmentImage* w2_image, pw.Image(w2));
+    ASSERT_OK_AND_ASSIGN(const SegmentImage* x2_image, pw.Image(x2));
+    ASSERT_OK(pw.Map(kPageW, *w1_image));
+    ASSERT_OK(pw.Map(kPageX, *x1_image));
+    ASSERT_OK(kernel.MapDemandZero(task, kPageD, kPageSize, kProtRead | kProtWrite, "data"));
+    ASSERT_OK(pw.Start(kPageW));
+    bool remapped = false;
+    task.space().SetFaultHandler([&](const PageFaultInfo& info) -> Result<void> {
+      if (!remapped && info.addr / kPageSize == kPageD / kPageSize) {
+        remapped = true;
+        OMOS_TRY_VOID(pw.Remap(kPageW, *w2_image));
+        OMOS_TRY_VOID(pw.Remap(kPageX, *x2_image));
+      }
+      return kernel.HandleFault(task, info);
+    });
+    Result<void> run = kernel.RunTask(task);
+    runs.push_back(Capture(pw.engine, run));
+    EXPECT_TRUE(remapped);
+  }
+  ExpectSame(runs[0], runs[1], "remap in a fault");
+  EXPECT_EQ(runs[1].state, static_cast<int>(TaskState::kExited));
+  EXPECT_EQ(runs[1].exit_code, 3 * 202);
+}
+
+TEST(EngineChain, IllegalWordInAChainedBlockFaultsLikeCpuStep) {
+  // The block after the `br` is entered through the chain (its page is the
+  // running one) and runs into an undecodable word, which ends it. The word
+  // then heads a block of its own and is single-stepped, so the fault is
+  // DecodeInsn's, with the word unretired, as under CpuStep. Every budget
+  // stop before it agrees too.
+  struct Case {
+    Instruction word;
+    std::string message;
+  };
+  const Case cases[] = {
+      {Instruction{static_cast<Opcode>(0xFF)}, "illegal opcode 255"},
+      {Instruction{Opcode::kAdd, 20}, "register index out of range"},
+  };
+  for (const Case& c : cases) {
+    const std::vector<Instruction> code = {
+        Op(Opcode::kMovI, 1, 0, 5),
+        Op(Opcode::kBr),  // to the next word
+        Op(Opcode::kAddI, 1, 1, 1),
+        c.word,
+    };
+    for (uint64_t budget = 1; budget <= code.size(); ++budget) {
+      std::vector<Observed> runs;
+      for (EngineMode mode : {EngineMode::kInterp, EngineMode::kBlocks}) {
+        PageWorld pw = MakePageWorld(mode);
+        ASSERT_OK_AND_ASSIGN(const SegmentImage* image, pw.Image(code));
+        ASSERT_OK(pw.Map(kPageW, *image));
+        ASSERT_OK(pw.Start(kPageW));
+        Result<void> run = pw.engine.kernel->RunTask(*pw.engine.task, budget);
+        runs.push_back(Capture(pw.engine, run));
+      }
+      ExpectSame(runs[0], runs[1], StrCat(c.message, ", budget ", budget));
+      if (budget == code.size()) {
+        EXPECT_EQ(runs[1].state, static_cast<int>(TaskState::kFaulted));
+        EXPECT_EQ(runs[1].retired, 3u);
+        EXPECT_EQ(runs[1].pc, kPageW + 3 * kInsnSize);
+        EXPECT_NE(runs[1].fault.find(c.message), std::string::npos) << runs[1].fault;
+        EXPECT_EQ(runs[1].regs[1], 6u);
+      }
+    }
+  }
+}
+
 // ---- Seeded vm.fault sweeps -------------------------------------------------
 
 // The loop body mixes demand-zero fills (a walk down the unmapped stack
@@ -785,27 +986,30 @@ TEST(EngineWideHotSet, EnginesAgreeIncludingProfilerSamples) {
 }
 
 TEST(EngineWideHotSet, L1MissesStopAfterTheFirstIteration) {
-  // Each run starts with a cold kernel (empty block tables) and a cold page
-  // table. Slow-path lookups (engine.l1_misses) are the page-table fills
-  // and first decodes: once the first iteration has decoded every block
-  // and the page table holds all four pages, later iterations take none,
-  // so a one-iteration run and a ten-iteration run miss equally often.
+  // Each run starts with a cold kernel (no decoded pages) and a cold page
+  // table. Slow-path lookups (engine.l1_misses) are the page-table fills:
+  // the first iteration fills one entry for each of the four text pages,
+  // decoding each page once, and nothing flushes the table after that, so
+  // a one-iteration run and a ten-iteration run miss equally often.
   EngineMetrics& em = GetEngineMetrics();
   uint64_t misses[2] = {0, 0};
   const int iterations[2] = {1, 10};
   for (int i = 0; i < 2; ++i) {
     uint64_t misses0 = em.l1_misses->value();
     uint64_t hits0 = em.block_hits->value();
+    uint64_t decoded0 = em.blocks_decoded->value();
     ASSERT_OK_AND_ASSIGN(EngineWorld w,
                          SetupWorld(EngineMode::kBlocks, WideHotSetProgram(iterations[i])));
     ASSERT_OK(w.kernel->RunTask(*w.task));
     ASSERT_EQ(w.task->state(), TaskState::kExited);
+    ASSERT_EQ(w.task->touched_text_pages(), 4u);
     misses[i] = em.l1_misses->value() - misses0;
+    EXPECT_EQ(em.blocks_decoded->value() - decoded0, 4u);
     if (i == 1) {
       EXPECT_GT(em.block_hits->value() - hits0, 9u * 256u);
     }
   }
-  EXPECT_GE(misses[0], 256u);  // the first iteration decodes ~500 blocks
+  EXPECT_EQ(misses[0], 4u);  // one page-table fill per text page
   EXPECT_EQ(misses[1], misses[0]);
 }
 
@@ -835,7 +1039,7 @@ TEST(EngineWideHotSet, ThrashingTaskStaysExact) {
   // 80 text pages in one loop: more than the page table holds (it flushes
   // when half of its 128 entries are full), and enough that many pages
   // share a home slot and probe past each other. Every pass refills the
-  // table from the frames' block tables; both engines must still agree on
+  // table from the frames' decoded pages; both engines must still agree on
   // every observable, including the first-touch bill of all 81 pages.
   constexpr int kPages = 80;
   ExpectEnginesAgree(ManyPagesProgram(kPages, 40));
@@ -900,19 +1104,20 @@ TEST(EngineCache, CountersAdvanceAndFreedTextDropsBlocks) {
   ASSERT_OK(kernel.RunTask(task));
   EXPECT_EQ(task.exit_code(), 0);
 
-  EXPECT_GT(kernel.engine().CachedBlocks(), 0u);
+  EXPECT_GT(kernel.engine().DecodedPages(), 0u);
   EXPECT_GT(em.blocks_decoded->value(), decoded0);
   EXPECT_GT(em.block_hits->value(), hits0);       // the loop re-enters its block
   EXPECT_GT(em.tlb_hits->value(), tlb_hits0);     // ld hits the software TLB
 
-  // Destroying the task frees its text frames, and their blocks with them.
+  // Destroying the task frees its text frames, and their decoded pages with
+  // them.
   kernel.DestroyTask(task.id());
-  EXPECT_EQ(kernel.engine().CachedBlocks(), 0u);
+  EXPECT_EQ(kernel.engine().DecodedPages(), 0u);
 }
 
 TEST(EngineCache, BlocksAreSharedAcrossTasksMappingTheSameFrames) {
   // Two tasks mapping the same page-cached text share physical frames, so
-  // the second run must decode zero new blocks — the predecode cache is
+  // the second run must decode zero new pages — the predecode cache is
   // keyed by physical identity, the paper's "shared text, shared decode".
   Kernel kernel;
   kernel.SetEngineMode(EngineMode::kBlocks);
@@ -937,7 +1142,7 @@ TEST(EngineCache, BlocksAreSharedAcrossTasksMappingTheSameFrames) {
       decoded_before_first = em.blocks_decoded->value();
     } else {
       EXPECT_EQ(em.blocks_decoded->value(), decoded_before_first)
-          << "second task re-decoded blocks it should share";
+          << "second task re-decoded pages it should share";
     }
   }
 }
@@ -1230,21 +1435,21 @@ TEST_F(EngineInvalidationTest, RedefinitionDropsCachedBlocks) {
                                 "(merge /lib/crt0.o /obj/dblclient.o /lib/dbllib)"));
   ASSERT_OK_AND_ASSIGN(int other, ExecAndRun("/bin/other"));
   EXPECT_EQ(other, 8);
-  const size_t other_blocks = kernel_.engine().CachedBlocks();
-  EXPECT_GT(other_blocks, 0u);
+  const size_t other_pages = kernel_.engine().DecodedPages();
+  EXPECT_GT(other_pages, 0u);
 
   ASSERT_OK_AND_ASSIGN(TaskId id, ExecAndKeep("/bin/prog"));
   EXPECT_EQ(kernel_.FindTask(id)->exit_code(), 21);
-  const size_t both = kernel_.engine().CachedBlocks();
-  EXPECT_GT(both, other_blocks);
+  const size_t both = kernel_.engine().DecodedPages();
+  EXPECT_GT(both, other_pages);
 
   // The redefinition evicts /bin/prog and addlib v1, but the task still maps
-  // their frames, so their blocks stay; releasing the task frees the frames
-  // and exactly their blocks.
+  // their frames, so their decoded pages stay; releasing the task frees the
+  // frames and exactly their decoded pages.
   ASSERT_OK(server_->DefineLibrary("/lib/addlib", "(merge /obj/addlib2.o)"));
-  EXPECT_EQ(kernel_.engine().CachedBlocks(), both);
+  EXPECT_EQ(kernel_.engine().DecodedPages(), both);
   Release(id);
-  EXPECT_EQ(kernel_.engine().CachedBlocks(), other_blocks);
+  EXPECT_EQ(kernel_.engine().DecodedPages(), other_pages);
 
   // /bin/other was not evicted: its warm run decodes nothing, while the
   // rebuilt /bin/prog decodes its new text.
@@ -1290,7 +1495,8 @@ TEST_F(EngineInvalidationTest, UpgradeRepointInvalidatesCachedBlocks) {
   ASSERT_OK(server_->BeginUpgrade("/lib/addlib", "(merge /obj/addlib2.o)"));
   OmosServer::UpgradeStatus status = DrainToTerminal();
   EXPECT_EQ(status.phase, UpgradePhase::kDone) << status.error;
-  // Reclaimed: v1's text frames are free, and their blocks went with them.
+  // Reclaimed: v1's text frames are free, and their decoded pages went with
+  // them.
   for (FrameId frame : v1_text) {
     EXPECT_EQ(kernel_.phys().RefCount(frame), 0u) << frame;
     EXPECT_EQ(kernel_.phys().Attachment(frame), nullptr) << frame;
@@ -1321,8 +1527,9 @@ main:
   sys )";
 
 // The block that runs `sys omos_unload` on its own class frees its frames,
-// and with them itself, inside the syscall; the engine must not touch the
-// block afterwards (ASan-covered, with no pin keeping it alive). The task
+// and with them its own decoded page, inside the syscall; the engine must
+// not touch the page afterwards (ASan-covered, with no pin keeping it
+// alive). The task
 // then faults fetching the instruction after the syscall from the unmapped
 // text, identically in both engines.
 TEST(EngineSelfUnload, ClassUnloadingItsOwnTextFaultsInBothEngines) {
@@ -1351,11 +1558,14 @@ wanted: .asciiz "unload_self"
     ASSERT_OK_AND_ASSIGN(ObjectFile klass, Assemble(class_source, "selfunload.o"));
     ASSERT_OK(server.AddFragment("/obj/selfunload.o", std::move(klass)));
     ASSERT_OK(server.DefineMeta("/bin/host", "(merge /lib/crt0.o /obj/host.o)"));
-    size_t blocks_at_evict = 0;
+    EngineMetrics& em = GetEngineMetrics();
+    size_t pages_at_evict = 0;
+    uint64_t decoded_at_evict = 0;
     kernel.SetSysHook(41, [&](Kernel&, Task&) -> Result<void> {
       OMOS_TRY(ObjectFile again, Assemble(class_source, "selfunload.o"));
       OMOS_TRY_VOID(server.AddFragment("/obj/selfunload.o", std::move(again)));
-      blocks_at_evict = kernel.engine().CachedBlocks();
+      pages_at_evict = kernel.engine().DecodedPages();
+      decoded_at_evict = em.blocks_decoded->value();
       return OkResult();
     });
 
@@ -1367,9 +1577,12 @@ wanted: .asciiz "unload_self"
     runs.push_back(Capture(w, run));
     EXPECT_EQ(runs.back().state, static_cast<int>(TaskState::kFaulted));
     if (mode == EngineMode::kBlocks) {
-      // Since the eviction: +1 for the host's block after sys 41; the
-      // class's own block died with its frame.
-      EXPECT_EQ(kernel.engine().CachedBlocks(), blocks_at_evict + 1);
+      // Since the eviction: the host's page, whose code runs on after
+      // sys 41, was decoded before it; the class's one text page was
+      // decoded exactly once (+1) and died with its frame (-1).
+      EXPECT_EQ(pages_at_evict, 1u);
+      EXPECT_EQ(em.blocks_decoded->value() - decoded_at_evict, 1u);
+      EXPECT_EQ(kernel.engine().DecodedPages(), pages_at_evict);
     }
     server.ReleaseTask(id);
     kernel.DestroyTask(id);
@@ -1546,12 +1759,12 @@ TEST(EngineConcurrency, TextRecycleWhileWideHotSetTasksExecute) {
   RunUnderTextRecycleStorm(WideHotSetProgram(200), reference.exit_code);
 }
 
-TEST(EngineConcurrency, RacingColdDecodesLeaveOneBlockPerHead) {
-  // Eight tasks map the same text frames before any block is decoded, then
-  // start together, so their decodes race for the same slots of the same
-  // frame block tables. Each slot keeps exactly one block: the losers free
-  // their copies (under ASan a lost copy that leaked would be reported) and
-  // run the winner's.
+TEST(EngineConcurrency, RacingColdDecodesLeaveOnePagePerFrame) {
+  // Eight tasks map the same text frames before any page is decoded, then
+  // start together, so their decodes race to attach to the same frames.
+  // Each frame keeps exactly one decoded page: the losers free their
+  // copies (under ASan a lost copy that leaked would be reported) and run
+  // the winner's.
   const std::string program = WideHotSetProgram(3);
   auto link = [&]() -> Result<LinkedImage> {
     OMOS_TRY(ObjectFile object, Assemble(program, "race.o"));
@@ -1563,8 +1776,8 @@ TEST(EngineConcurrency, RacingColdDecodesLeaveOneBlockPerHead) {
   ASSERT_OK_AND_ASSIGN(LinkedImage image, link());
   std::vector<std::string> args{"race"};
 
-  // The block heads one task decodes alone.
-  size_t heads = 0;
+  // The pages one task decodes alone: the program's four text pages.
+  size_t pages = 0;
   int expected_exit = 0;
   {
     Kernel kernel;
@@ -1574,9 +1787,9 @@ TEST(EngineConcurrency, RacingColdDecodesLeaveOneBlockPerHead) {
     ASSERT_OK(StartTask(kernel, task, image.entry, args));
     ASSERT_OK(kernel.RunTask(task));
     expected_exit = task.exit_code();
-    heads = kernel.engine().CachedBlocks();
+    pages = kernel.engine().DecodedPages();
   }
-  ASSERT_GT(heads, 256u);
+  ASSERT_EQ(pages, 4u);
 
   Kernel kernel;
   kernel.SetEngineMode(EngineMode::kBlocks);
@@ -1588,7 +1801,7 @@ TEST(EngineConcurrency, RacingColdDecodesLeaveOneBlockPerHead) {
     ASSERT_OK(StartTask(kernel, task, image.entry, args));
     tasks.push_back(&task);
   }
-  ASSERT_EQ(kernel.engine().CachedBlocks(), 0u);
+  ASSERT_EQ(kernel.engine().DecodedPages(), 0u);
   std::atomic<int> ready{0};
   std::atomic<int> bad{0};
   std::vector<std::thread> threads;
@@ -1610,7 +1823,7 @@ TEST(EngineConcurrency, RacingColdDecodesLeaveOneBlockPerHead) {
     t.join();
   }
   EXPECT_EQ(bad.load(), 0);
-  EXPECT_EQ(kernel.engine().CachedBlocks(), heads);
+  EXPECT_EQ(kernel.engine().DecodedPages(), pages);
 }
 
 }  // namespace

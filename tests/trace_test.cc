@@ -162,15 +162,17 @@ TEST_F(TraceTest, ChromeJsonRoundTrips) {
   EXPECT_FALSE(ParseChromeTrace("not json").ok());
 }
 
-TEST_F(TraceTest, EngineDecodeDetailNamesBlockPcAndLength) {
-  // Three blocks: 10 movi + call (11 insns) at the entry, `ret` at `f`, and
-  // the `sys` the call returns to. Each decode's detail is formatted in
-  // place; the bytes must be StrCat(Hex32(pc), " ", count, " insns").
+TEST_F(TraceTest, EngineDecodeDetailNamesThePage) {
+  // Four block heads over two text pages: 10 movi + call at the entry and
+  // the `sys` the call returns to on the first page, `f`'s addi + br and
+  // `g`'s ret on the second. Each page decodes once, whole, when its first
+  // block is entered; the detail is formatted in place and its bytes must
+  // be Hex32(page base).
   std::string source = ".text\n.global _start\n_start:\n";
   for (int i = 0; i < 10; ++i) {
     source += StrCat("  movi r", i % 4, ", ", i, "\n");
   }
-  source += "  call f\n  sys 0\nf:\n  ret\n";
+  source += "  call f\n  sys 0\n.align 4096\nf:\n  addi r0, r0, 1\n  br g\ng:\n  ret\n";
   Kernel kernel;
   kernel.SetEngineMode(EngineMode::kBlocks);
   ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(source, "decode.o"));
@@ -178,6 +180,7 @@ TEST_F(TraceTest, EngineDecodeDetailNamesBlockPcAndLength) {
   LayoutSpec layout;
   layout.entry_symbol = "_start";
   ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(module, layout, "decode"));
+  ASSERT_EQ(image.entry % kPageSize, 0u);
   Task& task = kernel.CreateTask("decode");
   ASSERT_OK(MapLinkedImage(kernel, task, image, ""));
   std::vector<std::string> args{"decode"};
@@ -185,6 +188,7 @@ TEST_F(TraceTest, EngineDecodeDetailNamesBlockPcAndLength) {
   TraceSetEnabled(true);
   ASSERT_OK(kernel.RunTask(task));
   TraceSetEnabled(false);
+  ASSERT_EQ(task.state(), TaskState::kExited);
 
   std::vector<std::string> details;
   for (const TraceEvent& ev : TraceSnapshot()) {
@@ -192,11 +196,7 @@ TEST_F(TraceTest, EngineDecodeDetailNamesBlockPcAndLength) {
       details.push_back(ev.detail);
     }
   }
-  std::vector<std::string> expected = {
-      StrCat(Hex32(image.entry), " ", 11, " insns"),
-      StrCat(Hex32(image.entry + 12 * kInsnSize), " ", 1, " insns"),
-      StrCat(Hex32(image.entry + 11 * kInsnSize), " ", 1, " insns"),
-  };
+  std::vector<std::string> expected = {Hex32(image.entry), Hex32(image.entry + kPageSize)};
   EXPECT_EQ(details, expected);
 }
 
